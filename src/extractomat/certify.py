@@ -164,14 +164,20 @@ def certify_random_table(widths, k_profile, m: int, *,
         digest = table_digest(table)
         cached = _cache_load(cache, digest)
         if cached is not None and _record_matches(
-                cached[1], kind, widths, k_profile, m, leak_bits):
+                cached[1], kind, widths, k_profile, m, leak_bits, strong):
             handle, record = cached
         else:
+            measured = strong
+            if cached is not None and kind == "2-source":
+                # Measure the strong indices the cached record holds too,
+                # so the rewritten file still serves its earlier requests.
+                measured = tuple(sorted(set(strong)
+                                        | set(cached[1].strong_errors)))
             handle = table_handle(
                 name or f"table[{digest[:8]}]", kind, widths, m, table,
-                k_profile=k_profile, eps=1.0, strong=strong)
+                k_profile=k_profile, eps=1.0, strong=measured)
             report, strong_reports = _measure(
-                handle, k_profile, strong, leak_bits, mode, samples, seed,
+                handle, k_profile, measured, leak_bits, mode, samples, seed,
                 workers, budget)
             record = CertificationRecord(
                 digest=digest, kind=kind, widths=widths, k_profile=k_profile,
@@ -185,7 +191,7 @@ def certify_random_table(widths, k_profile, m: int, *,
                 name or f"table[{digest[:8]}]", kind, widths, m, table,
                 k_profile=k_profile, eps=min(1.0, max(float(report.error),
                                                       1e-300)),
-                strong=strong, record=record)
+                strong=measured, record=record)
             save_xtab(cache / f"{digest}.xtab", handle, record)
         last = (handle, record)
         if target_eps is None or record.error <= target_eps:
@@ -196,9 +202,13 @@ def certify_random_table(widths, k_profile, m: int, *,
 
 
 def _record_matches(rec: CertificationRecord, kind, widths, k_profile, m,
-                    leak_bits) -> bool:
+                    leak_bits, strong) -> bool:
+    """Whether ``rec`` answers the request.  Only a 2-source measurement
+    records the requested strong indices; a seeded one always records
+    the seed and a t-source one none."""
     return (rec.kind == kind and rec.widths == widths and rec.m == m
-            and rec.k_profile == k_profile and rec.leak_bits == leak_bits)
+            and rec.k_profile == k_profile and rec.leak_bits == leak_bits
+            and (kind != "2-source" or set(strong) <= set(rec.strong_errors)))
 
 
 def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
@@ -271,7 +281,11 @@ def save_xtab(path: Path, handle: ExtractorHandle,
 
 
 def load_xtab(path: Path):
-    """Read an XTAB file back into (handle, record)."""
+    """Read an XTAB file back into (handle, record).
+
+    Raises :class:`InvalidInputError` when the table bytes do not hash to
+    the digest the record was certified under.
+    """
     data = Path(path).read_bytes()
     if data[:4] != XTAB_MAGIC:
         raise InvalidInputError(f"{path}: not an XTAB file")
@@ -285,9 +299,13 @@ def load_xtab(path: Path):
     k_profile = struct.unpack(f"<{arity}d", data[pos:pos + 8 * arity])
     pos += 8 * arity
     size = 1 << sum(widths)
-    table = np.frombuffer(data[pos:pos + 4 * size], dtype="<u4").astype(np.uint32)
+    body = data[pos:pos + 4 * size]
+    table = np.frombuffer(body, dtype="<u4").astype(np.uint32)
     pos += 4 * size
     record = CertificationRecord.from_json_dict(json.loads(data[pos:]))
+    if hashlib.sha256(body).hexdigest() != record.digest:
+        raise InvalidInputError(
+            f"{path}: table does not match its digest {record.digest[:16]}")
     handle = table_handle(
         f"table[{record.digest[:8]}]", _KIND_NAMES[kind_c], widths, m, table,
         k_profile=k_profile, eps=min(1.0, max(record.error, 1e-300)),
@@ -296,7 +314,8 @@ def load_xtab(path: Path):
 
 
 def _cache_load(cache: Path, digest: str):
-    path = cache / f"{digest}.xtab"
-    if path.exists():
-        return load_xtab(path)
-    return None
+    """The cached (handle, record), or None; a damaged file is a miss."""
+    try:
+        return load_xtab(cache / f"{digest}.xtab")
+    except (FileNotFoundError, InvalidInputError):
+        return None

@@ -336,7 +336,7 @@ def cmd_netsim(args) -> int:
 
     if protocol == "extpub":
         run0, y0 = ns.run_ext_pub(cfg, sources, scenario, adv, seed)
-        ns.run_ext_pri(cfg, run0, y0)
+        ns.exec_ext_pri(cfg, run0, y0)
         log_path.write_text(run0.to_jsonl() + "\n")
         report["y_width"] = cfg.y_width
         report["rushing_order_ok"] = run0.rushing_order_ok()

@@ -1,10 +1,12 @@
 """Composition constructions: seed-lifting, alternating extraction, and
 the three-source pipeline, together with their error budgets.
 
-Every combinator exists in two views: a pointwise function on inputs and
-a composite :class:`~extractomat.extractors.ExtractorHandle` whose truth
-table the oracle can certify end to end (the table, not a union bound,
-is the canonical certified object).
+Every combinator builds a composite
+:class:`~extractomat.extractors.ExtractorHandle` whose truth table the
+oracle can certify end to end (the table, not a union bound, is the
+canonical certified object).  A composite table is gathered from the
+component tables: each is viewed with one axis per input and indexed by
+broadcast index grids, so no Python runs per point.
 
 Asymptotic residuals such as ``2^-Omega(k)`` are carried as named budget
 terms with configurable constants; the defaults (Omega constant 1/20,
@@ -16,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .bits import BitString
 from .errors import InvalidInputError
-from .extractors import ExtractorHandle, table_handle
+from .extractors import ExtractorHandle, index_grid
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,20 @@ class CondenserHandle:
         self.rows = rows
         self.row_width = row_width
         self._fn = fn
+        self._row_table = None
 
-    def row_values(self, x: int) -> tuple:
-        out = tuple(int(v) for v in self._fn(x))
-        if len(out) != self.rows:
-            raise InvalidInputError(f"{self.name} must emit {self.rows} rows")
-        for v in out:
-            if not 0 <= v < (1 << self.row_width):
+    def row_table(self) -> np.ndarray:
+        """Rows of every input, shape ``(2^in_width, rows)`` (cached)."""
+        if self._row_table is None:
+            rows = [tuple(self._fn(x)) for x in range(1 << self.in_width)]
+            if any(len(r) != self.rows for r in rows):
+                raise InvalidInputError(f"{self.name} must emit {self.rows} rows")
+            t = np.array(rows, dtype=np.int64)
+            if t.min() < 0 or t.max() >= (1 << self.row_width):
                 raise InvalidInputError(f"{self.name} row exceeds row width")
-        return out
+            t.setflags(write=False)
+            self._row_table = t
+        return self._row_table
 
     @classmethod
     def identity(cls, width: int) -> "CondenserHandle":
@@ -116,25 +122,14 @@ class CondenserHandle:
                    lambda x: (x >> half, x & mask))
 
 
+def _gather(h: ExtractorHandle, *xs: np.ndarray) -> np.ndarray:
+    """``h`` at every point of the broadcast grid of input values ``xs``."""
+    return h.table().reshape([1 << w for w in h.input_widths])[xs]
+
+
 # ----------------------------------------------------------------------
 # One extra independent source
 # ----------------------------------------------------------------------
-
-def qmext(iext: ExtractorHandle, extq: ExtractorHandle,
-          inputs: Sequence[BitString]) -> BitString:
-    """Seed a strong seeded extractor with a multi-source output.
-
-    ``inputs`` holds the t sources feeding ``iext`` followed by one extra
-    source; the result is ``extq(x_last, iext(x_1..x_t))``.  The
-    composition is one-sided secure with error eps1 + eps2 and strong on
-    the first t inputs.
-    """
-    _check_qmext(iext, extq)
-    if len(inputs) != iext.arity + 1:
-        raise InvalidInputError(f"need {iext.arity + 1} inputs")
-    z = iext.evaluate(*inputs[:-1])
-    return extq.evaluate(inputs[-1], z)
-
 
 def qmext_budget(iext: ExtractorHandle, extq: ExtractorHandle) -> ErrorBudget:
     return (ErrorBudget()
@@ -144,50 +139,38 @@ def qmext_budget(iext: ExtractorHandle, extq: ExtractorHandle) -> ErrorBudget:
 
 def build_qmext_handle(iext: ExtractorHandle, extq: ExtractorHandle,
                        name: str = "qmext") -> ExtractorHandle:
-    _check_qmext(iext, extq)
-    widths = iext.input_widths + (extq.input_widths[0],)
-    t = iext.arity
+    """Seed a strong seeded extractor with a multi-source output.
 
-    def fn(*xs: int) -> int:
-        z = iext.eval_int(*xs[:t])
-        return extq.eval_int(xs[t], z)
-
-    budget = qmext_budget(iext, extq)
-    h = ExtractorHandle(
-        name, "t-source" if len(widths) > 2 else "2-source", widths, extq.m,
-        iext.k_profile + (extq.k_profile[0],), min(1.0, budget.total()),
-        strong=range(t), provenance="composite", fn=fn)
-    h.budget = budget
-    return h
-
-
-def _check_qmext(iext, extq):
+    The composite reads the t sources of ``iext`` followed by one extra
+    source and outputs ``extq(x_last, iext(x_1..x_t))``.  It is
+    one-sided secure with error eps1 + eps2 and strong on the first t
+    inputs.
+    """
     if extq.kind != "seeded":
         raise InvalidInputError("the lifting stage must be a seeded handle")
     if iext.m != extq.input_widths[1]:
         raise InvalidInputError(
             f"inner output width {iext.m} must equal the seed width "
             f"{extq.input_widths[1]}")
+    widths = iext.input_widths + (extq.input_widths[0],)
+    t = iext.arity
+
+    def build() -> np.ndarray:
+        a, c = index_grid(sum(widths[:t]), widths[t])
+        return _gather(extq, c, iext.table()[a]).ravel()
+
+    budget = qmext_budget(iext, extq)
+    h = ExtractorHandle(
+        name, "t-source" if len(widths) > 2 else "2-source", widths, extq.m,
+        iext.k_profile + (extq.k_profile[0],), min(1.0, budget.total()),
+        strong=range(t), provenance="composite", table=build)
+    h.budget = budget
+    return h
 
 
 # ----------------------------------------------------------------------
 # One extra block: alternating extraction
 # ----------------------------------------------------------------------
-
-def qbext(bext: ExtractorHandle, extc: ExtractorHandle,
-          extq: ExtractorHandle, x1: BitString, x2: BitString,
-          x3: BitString, r_width: int) -> BitString:
-    """Alternating extraction over a block source plus one general source.
-
-    R is the first ``r_width`` bits of ``bext(x1, x3)``; T = extc(x2, R)
-    re-extracts from the extra block using R as seed; the final output is
-    extq(x3, T).  Strong on the block source (x1, x2).
-    """
-    _check_qbext(bext, extc, extq, r_width)
-    r = bext.evaluate(x1, x3).take(r_width)
-    t = extc.evaluate(x2, r)
-    return extq.evaluate(x3, t)
-
 
 def qbext_budget(bext, extc, extq, k3: float,
                  config: CompositionConfig = DEFAULT_CONFIG) -> ErrorBudget:
@@ -202,25 +185,41 @@ def build_qbext_handle(bext: ExtractorHandle, extc: ExtractorHandle,
                        extq: ExtractorHandle, k3: float,
                        config: CompositionConfig = DEFAULT_CONFIG,
                        name: str = "qbext") -> ExtractorHandle:
+    """Alternating extraction over a block source plus one general source.
+
+    R is the first ``seed_slice_width(k3)`` bits of ``bext(x1, x3)``;
+    T = extc(x2, R) re-extracts from the extra block using R as seed; the
+    output is extq(x3, T).  Strong on the block source (x1, x2).
+    """
     r_width = seed_slice_width(k3)
-    _check_qbext(bext, extc, extq, r_width)
+    for h, nm in ((extc, "extc"), (extq, "extq")):
+        if h.kind != "seeded":
+            raise InvalidInputError(f"{nm} must be a seeded handle")
+    if r_width > bext.m:
+        raise InvalidInputError("seed slice exceeds the first stage output")
+    if extc.input_widths[1] != r_width:
+        raise InvalidInputError(
+            f"extc seed width {extc.input_widths[1]} must equal the slice "
+            f"width {r_width}")
+    if extc.m != extq.input_widths[1]:
+        raise InvalidInputError("extc output must seed extq")
     n1, n3 = bext.input_widths
     n2 = extc.input_widths[0]
     if extq.input_widths[0] != n3:
         raise InvalidInputError("the final stage must read the general source")
     shift_r = bext.m - r_width
 
-    def fn(a: int, b: int, c: int) -> int:
-        r = bext.eval_int(a, c) >> shift_r
-        t = extc.eval_int(b, r)
-        return extq.eval_int(c, t)
+    def build() -> np.ndarray:
+        a, b, c = index_grid(n1, n2, n3)
+        r = _gather(bext, a, c) >> shift_r
+        return _gather(extq, c, _gather(extc, b, r)).ravel()
 
     budget = qbext_budget(bext, extc, extq, k3, config)
     h = ExtractorHandle(
         name, "t-source", (n1, n2, n3), extq.m,
         (bext.k_profile[0], extc.k_profile[0], k3),
         min(1.0, budget.total()), strong=(0, 1), provenance="composite",
-        fn=fn)
+        table=build)
     h.budget = budget
     return h
 
@@ -230,36 +229,9 @@ def seed_slice_width(k3: float) -> int:
     return max(1, math.floor(0.05 * k3))
 
 
-def _check_qbext(bext, extc, extq, r_width):
-    for h, nm in ((extc, "extc"), (extq, "extq")):
-        if h.kind != "seeded":
-            raise InvalidInputError(f"{nm} must be a seeded handle")
-    if r_width < 1 or r_width > bext.m:
-        raise InvalidInputError("seed slice exceeds the first stage output")
-    if extc.input_widths[1] != r_width:
-        raise InvalidInputError(
-            f"extc seed width {extc.input_widths[1]} must equal the slice "
-            f"width {r_width}")
-    if extc.m != extq.input_widths[1]:
-        raise InvalidInputError("extc output must seed extq")
-
-
 # ----------------------------------------------------------------------
 # The three-source pipeline (condense, somewhere-random, finish)
 # ----------------------------------------------------------------------
-
-def bext_three_source(cond: CondenserHandle, raz_slot: ExtractorHandle,
-                      srext_slot: ExtractorHandle, ext_last: ExtractorHandle,
-                      x1: BitString, x2: BitString, x3: BitString, *,
-                      k3: float, ell: int | None = None) -> BitString:
-    """Block+general pipeline: condense x1, extract a somewhere-random
-    string from x3 row by row, use it to extract a seed from x2, finish
-    on x3.
-    """
-    params = _check_bext(cond, raz_slot, srext_slot, ext_last, k3, ell)
-    return _bext_eval(cond, raz_slot, srext_slot, ext_last, params,
-                      x1.value, x2.value, x3.value, as_bits=True)
-
 
 def bext_budget(raz_slot, srext_slot, ext_last, k: float,
                 config: CompositionConfig = DEFAULT_CONFIG) -> ErrorBudget:
@@ -275,22 +247,27 @@ def build_bext_handle(cond: CondenserHandle, raz_slot: ExtractorHandle,
                       *, k_profile, ell: int | None = None,
                       config: CompositionConfig = DEFAULT_CONFIG,
                       name: str = "bext3") -> ExtractorHandle:
+    """Block+general pipeline: condense x1, extract a somewhere-random
+    string from x3 row by row, use it to extract a seed from x2, finish
+    on x3.
+    """
     k1, k2, k3 = k_profile
-    params = _check_bext(cond, raz_slot, srext_slot, ext_last, k3, ell)
+    ell = _check_bext(cond, raz_slot, srext_slot, ext_last, k3, ell)
     n1 = cond.in_width
     n2 = srext_slot.input_widths[0]
     n3 = raz_slot.input_widths[1]
 
-    def fn(a: int, b: int, c: int) -> int:
-        return _bext_eval(cond, raz_slot, srext_slot, ext_last, params,
-                          a, b, c)
+    def build() -> np.ndarray:
+        a, b, c = index_grid(n1, n2, n3)
+        return _pipeline(cond, raz_slot, srext_slot, ext_last, ell,
+                         a, b, c).ravel()
 
     budget = bext_budget(raz_slot, srext_slot, ext_last,
                          min(k1, k2, k3), config)
     h = ExtractorHandle(
         name, "t-source", (n1, n2, n3), ext_last.m,
         (float(k1), float(k2), float(k3)), min(1.0, budget.total()),
-        strong=(0, 1), provenance="composite", fn=fn)
+        strong=(0, 1), provenance="composite", table=build)
     h.budget = budget
     return h
 
@@ -321,18 +298,18 @@ def _check_bext(cond, raz_slot, srext_slot, ext_last, k3, ell):
     if ext_last.input_widths[0] != raz_slot.input_widths[1]:
         raise InvalidInputError(
             "constraint violated: final stage must read the general source")
-    return {"ell": ell, "shift": raz_slot.m - ell}
+    return ell
 
 
-def _bext_eval(cond, raz_slot, srext_slot, ext_last, params, a, b, c,
-               as_bits=False):
-    ell, shift = params["ell"], params["shift"]
+def _pipeline(cond, raz_slot, srext_slot, ext_last, ell, a, b, c):
+    """The pipeline on broadcast grids of the condenser input ``a``, the
+    somewhere-random stage input ``b`` and the general source ``c``."""
+    rows = cond.row_table()
+    shift = raz_slot.m - ell
     w3 = 0
-    for row in cond.row_values(a):
-        w3 = (w3 << ell) | (raz_slot.eval_int(row, c) >> shift)
-    v = srext_slot.eval_int(b, w3)
-    out = ext_last.eval_int(c, v)
-    return BitString(ext_last.m, out) if as_bits else out
+    for j in range(cond.rows):
+        w3 = (w3 << ell) | (_gather(raz_slot, rows[a, j], c) >> shift)
+    return _gather(ext_last, c, _gather(srext_slot, b, w3))
 
 
 # ----------------------------------------------------------------------
@@ -376,13 +353,16 @@ def weak_seed_transform(base: ExtractorHandle, delta: float, *,
     if srext_slot.m != d:
         raise InvalidInputError(
             f"pipeline must emit a {d}-bit seed for the base handle")
-    k3 = k
-    params = _check_bext(cond, raz_slot, srext_slot, base, k3, None)
-    mask = (1 << half) - 1
+    if cond.in_width != half:
+        raise InvalidInputError("the condenser must read the first seed half")
+    ell = _check_bext(cond, raz_slot, srext_slot, base, k, None)
 
-    def fn(x: int, r: int) -> int:
-        r1, r2 = r >> half, r & mask
-        return _bext_eval(cond, raz_slot, srext_slot, base, params, r1, r2, x)
+    def build() -> np.ndarray:
+        # index (x, r1, r2): the condenser reads r1, the somewhere-random
+        # stage r2, and x is the general source
+        c, a, b = index_grid(n, half, half)
+        return _pipeline(cond, raz_slot, srext_slot, base, ell,
+                         a, b, c).ravel()
 
     budget = (ErrorBudget()
               .add(1, "eps_base", base.eps)
@@ -393,19 +373,10 @@ def weak_seed_transform(base: ExtractorHandle, delta: float, *,
     h = ExtractorHandle(
         name, "seeded", (n, d_prime), base.m,
         (config.weak_seed_entropy_factor * k, (0.5 + delta) * d_prime),
-        min(1.0, budget.total()), strong=(1,), provenance="composite", fn=fn)
+        min(1.0, budget.total()), strong=(1,), provenance="composite",
+        table=build)
     h.budget = budget
     return h
-
-
-def three_source_short_seeds(x1: BitString, x2: BitString, x3: BitString,
-                             handle: ExtractorHandle) -> BitString:
-    """Two short rate-delta seeds plus one long source, via the pipeline.
-
-    ``handle`` comes from :func:`build_three_source_handle`; the two
-    seeds form the block source and the output is strong in them.
-    """
-    return handle.evaluate(x1, x2, x3)
 
 
 def build_three_source_handle(cond: CondenserHandle,
@@ -415,30 +386,13 @@ def build_three_source_handle(cond: CondenserHandle,
                               delta: float, d: int, k: float,
                               config: CompositionConfig = DEFAULT_CONFIG,
                               name: str = "threesource") -> ExtractorHandle:
+    """Two short rate-delta seeds plus one long source, via the pipeline.
+
+    The two seeds form the block source and the output is strong in them.
+    """
     if cond.in_width != d or srext_slot.input_widths[0] != d:
         raise InvalidInputError("both seeds must have width d")
     h = build_bext_handle(cond, raz_slot, srext_slot, ext_last,
                           k_profile=(delta * d, delta * d, k),
                           config=config, name=name)
     return h
-
-
-# ----------------------------------------------------------------------
-# Truth-table export
-# ----------------------------------------------------------------------
-
-def export_truth_table(h: ExtractorHandle) -> np.ndarray:
-    """Materialize the composite truth table (the certified object)."""
-    return np.array(h.table(), dtype=np.uint32)
-
-
-def exported_handle(h: ExtractorHandle, name: str | None = None) -> ExtractorHandle:
-    """A table-backed copy of ``h``; composition then export commutes
-    with exporting the parts first (tested at tiny widths)."""
-    out = table_handle(name or f"{h.name}[table]", h.kind, h.input_widths,
-                       h.m, export_truth_table(h), k_profile=h.k_profile,
-                       eps=h.eps, strong=h.strong, provenance=h.provenance,
-                       record=h.record)
-    if hasattr(h, "budget"):
-        out.budget = h.budget
-    return out

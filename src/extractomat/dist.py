@@ -535,17 +535,6 @@ def statistical_distance(p: Distribution, q: Distribution):
     return float(diff[diff > 0].sum())
 
 
-def joint_statistical_distance(p: JointDistribution, q: JointDistribution):
-    if p.parts != q.parts:
-        raise InvalidInputError("joints must have identical parts")
-    if p.exact and q.exact:
-        return sum((a - b for a, b in zip(p.mass, q.mass) if a > b),
-                   Fraction(0))
-    a, b = p.as_floats(), q.as_floats()
-    diff = a - b
-    return float(diff[diff > 0].sum())
-
-
 def distance_from_uniform_on(j: JointDistribution, part_labels):
     """Distance of a joint from (uniform on ``part_labels``) x (the rest)."""
     part_labels = [part_labels] if isinstance(part_labels, str) else list(part_labels)

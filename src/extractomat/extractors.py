@@ -5,6 +5,10 @@ multi-bit family, and Toeplitz hashing.  Everything else (the slots that
 stand in for heavyweight research constructions) arrives as a certified
 random table built in :mod:`extractomat.certify`.
 
+A handle has one evaluation path, its truth table; the explicit handles
+build theirs with numpy.  The ``BitString`` functions below are the
+scalar definitions the tests compare those tables against.
+
 Conventions: input 1 occupies the most significant bits of a composite
 truth-table index; output bit ``j`` of a multi-bit extractor sits at the
 ``j``-th most significant position (``j`` starting at 0 where a
@@ -27,6 +31,11 @@ _PARITY8 = np.array([bin(i).count("1") & 1 for i in range(256)],
 
 def parity_int(v: int) -> int:
     return bin(v).count("1") & 1
+
+
+def index_grid(*widths: int) -> tuple:
+    """Broadcastable input values of a truth table, one axis per width."""
+    return np.ix_(*(np.arange(1 << w, dtype=np.uint32) for w in widths))
 
 
 def parity_u32(arr: np.ndarray) -> np.ndarray:
@@ -81,8 +90,8 @@ def toeplitz_extract(x: BitString, seed: BitString, m: int) -> BitString:
     return BitString(m, v)
 
 
-def _toeplitz_rows(n: int, m: int, seed: int) -> list:
-    total = n + m - 1
+def _toeplitz_rows(n: int, m: int, seed) -> list:
+    """Rows of the Toeplitz matrix of ``seed`` (an int or a uint array)."""
     first_row = (seed >> (m - 1)) & ((1 << n) - 1)
     rows = [first_row]
     for i in range(1, m):
@@ -101,10 +110,10 @@ KINDS = ("seeded", "2-source", "t-source")
 class ExtractorHandle:
     """A named extractor instance with declared parameters.
 
-    Immutable by convention.  The function view maps composite input
-    integers to output integers; ``table()`` materializes (and caches)
-    the full truth table, which is the canonical object the worst-case
-    oracle certifies.
+    Immutable by convention.  The truth table over composite input
+    indices is the handle's only evaluation path and the canonical object
+    the worst-case oracle certifies: ``table()`` materializes it once,
+    and ``eval_int``/``evaluate`` read entries from it.
 
     Parameters
     ----------
@@ -123,14 +132,15 @@ class ExtractorHandle:
         0-based input indices the handle is declared strong for.
     provenance : str
         ``"explicit"``, ``"certified-table"`` or ``"composite"``.
+    table : array or callable
+        The truth table, or a zero-argument function that builds it on
+        first use.
     """
 
     def __init__(self, name: str, kind: str, input_widths, m: int,
                  k_profile, eps: float, strong: Iterable[int] = (),
                  provenance: str = "explicit", record=None,
-                 fn: Callable[..., int] | None = None,
-                 table: np.ndarray | None = None,
-                 vector_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+                 table: np.ndarray | Callable[[], np.ndarray] | None = None):
         if kind not in KINDS:
             raise InvalidInputError(f"kind must be one of {KINDS}")
         input_widths = tuple(int(w) for w in input_widths)
@@ -148,14 +158,8 @@ class ExtractorHandle:
         strong = frozenset(int(i) for i in strong)
         if any(i < 0 or i >= len(input_widths) for i in strong):
             raise InvalidInputError("strong indices must name inputs")
-        if fn is None and table is None:
-            raise InvalidInputError("a handle needs a function or a table")
-        if table is not None:
-            table = np.asarray(table, dtype=np.uint32)
-            if table.shape != (1 << total,):
-                raise InvalidInputError("table length must be 2**total_width")
-            if table.size and int(table.max()) >= (1 << m):
-                raise InvalidInputError("table entry exceeds output width")
+        if table is None:
+            raise InvalidInputError("a handle needs a truth table")
         self.name = name
         self.kind = kind
         self.input_widths = input_widths
@@ -165,9 +169,16 @@ class ExtractorHandle:
         self.strong = strong
         self.provenance = provenance
         self.record = record
-        self._fn = fn
-        self._vector_fn = vector_fn
-        self._table = table
+        self._build = table if callable(table) else None
+        self._table = None if callable(table) else self._checked(table)
+
+    def _checked(self, table) -> np.ndarray:
+        table = np.asarray(table, dtype=np.uint32)
+        if table.shape != (1 << self.total_input_width,):
+            raise InvalidInputError("table length must be 2**total_width")
+        if table.size and int(table.max()) >= (1 << self.m):
+            raise InvalidInputError("table entry exceeds output width")
+        return table
 
     # -- evaluation ----------------------------------------------------
 
@@ -191,9 +202,8 @@ class ExtractorHandle:
         for v, w in zip(xs, self.input_widths):
             if not 0 <= v < (1 << w):
                 raise InvalidInputError(f"input {v} exceeds width {w}")
-        if self._table is not None:
-            return int(self._table[self.index(*xs)])
-        return int(self._fn(*xs))
+        table = self._table if self._table is not None else self.table()
+        return int(table[self.index(*xs)])
 
     def evaluate(self, *xs: BitString) -> BitString:
         if len(xs) != self.arity:
@@ -210,35 +220,10 @@ class ExtractorHandle:
     def table(self) -> np.ndarray:
         """The full truth table over composite input indices (cached)."""
         if self._table is None:
-            n = 1 << self.total_input_width
-            if self._vector_fn is not None:
-                t = np.asarray(self._vector_fn(np.arange(n, dtype=np.int64)),
-                               dtype=np.uint32)
-            else:
-                t = np.fromiter(
-                    (self._fn(*self._split(i)) for i in range(n)),
-                    dtype=np.uint32, count=n)
+            t = self._checked(self._build())
             t.setflags(write=False)
-            self._table = t
+            self._table, self._build = t, None
         return self._table
-
-    def _split(self, idx: int) -> tuple:
-        vals = []
-        for w in reversed(self.input_widths):
-            vals.append(idx & ((1 << w) - 1))
-            idx >>= w
-        return tuple(reversed(vals))
-
-    def with_declared(self, *, eps: float | None = None, k_profile=None,
-                      strong=None, name: str | None = None) -> "ExtractorHandle":
-        """Copy with updated declared parameters (same function)."""
-        return ExtractorHandle(
-            name or self.name, self.kind, self.input_widths, self.m,
-            k_profile if k_profile is not None else self.k_profile,
-            eps if eps is not None else self.eps,
-            strong if strong is not None else self.strong,
-            self.provenance, self.record,
-            fn=self._fn, table=self._table, vector_fn=self._vector_fn)
 
     def __repr__(self):
         return (f"ExtractorHandle({self.name!r}, {self.kind}, "
@@ -288,60 +273,53 @@ def ip_handle(n: int, k1: float | None = None, k2: float | None = None) -> Extra
     k1 = n if k1 is None else k1
     k2 = n if k2 is None else k2
 
-    def vec(idx: np.ndarray) -> np.ndarray:
-        x = idx >> n
-        y = idx & ((1 << n) - 1)
-        return parity_u32(np.bitwise_and(x, y))
+    def build() -> np.ndarray:
+        x, y = index_grid(n, n)
+        return parity_u32(x & y).ravel()
 
     return ExtractorHandle(
         f"ip[n={n}]", "2-source", (n, n), 1, (k1, k2),
         deor_declared_eps(n, k1, k2, 1), strong=(0, 1),
-        provenance="explicit", fn=lambda x, y: parity_int(x & y),
-        vector_fn=vec)
+        provenance="explicit", table=build)
 
 
 def deor_handle(n: int, m: int, k1: float | None = None,
                 k2: float | None = None) -> ExtractorHandle:
     k1 = n if k1 is None else k1
     k2 = n if k2 is None else k2
+    if not 1 <= m <= n:
+        raise InvalidInputError(f"output width m={m} must be in 1..{n}")
     mask = (1 << n) - 1
 
-    def fn(x: int, y: int) -> int:
-        v = 0
+    def build() -> np.ndarray:
+        x, y = index_grid(n, n)
+        out = np.zeros((1 << n, 1 << n), dtype=np.uint32)
         for j in range(m):
             rot = ((y << j) | (y >> (n - j))) & mask if j else y
-            v = (v << 1) | parity_int(x & rot)
-        return v
-
-    def vec(idx: np.ndarray) -> np.ndarray:
-        x = idx >> n
-        y = idx & mask
-        out = np.zeros(idx.shape, dtype=np.uint32)
-        for j in range(m):
-            rot = ((y << j) | (y >> (n - j))) & mask if j else y
-            out = (out << 1) | parity_u32(np.bitwise_and(x, rot))
-        return out
+            out = (out << 1) | parity_u32(x & rot)
+        return out.ravel()
 
     return ExtractorHandle(
         f"deor[n={n},m={m}]", "2-source", (n, n), m, (k1, k2),
         deor_declared_eps(n, k1, k2, m), strong=(0, 1),
-        provenance="explicit", fn=fn, vector_fn=vec)
+        provenance="explicit", table=build)
 
 
 def toeplitz_handle(n: int, m: int, k: float | None = None) -> ExtractorHandle:
     k = n if k is None else k
     d = n + m - 1
 
-    def fn(x: int, seed: int) -> int:
-        v = 0
+    def build() -> np.ndarray:
+        x, seed = index_grid(n, d)
+        out = np.zeros((1 << n, 1 << d), dtype=np.uint32)
         for r in _toeplitz_rows(n, m, seed):
-            v = (v << 1) | parity_int(r & x)
-        return v
+            out = (out << 1) | parity_u32(x & r)
+        return out.ravel()
 
     return ExtractorHandle(
         f"toeplitz[n={n},m={m}]", "seeded", (n, d), m, (k, float(d)),
         lhl_declared_eps(k, m), strong=(1,),
-        provenance="explicit", fn=fn)
+        provenance="explicit", table=build)
 
 
 def table_handle(name: str, kind: str, input_widths, m: int, table,

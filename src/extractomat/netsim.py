@@ -496,10 +496,6 @@ def run_ext_pub(cfg: NetworkConfig, sources: Sequence, scenario: LeakageScenario
     return run, y
 
 
-def run_ext_pri(cfg, run, y, oaext=None) -> dict:
-    return exec_ext_pri(cfg, run, y, oaext)
-
-
 # ----------------------------------------------------------------------
 # Protocol: one-round grouped extraction
 # ----------------------------------------------------------------------

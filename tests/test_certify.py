@@ -121,3 +121,62 @@ def test_sampled_mode_records_mode(cache_dir):
 def test_env_var_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("EXTRACTOMAT_CACHE", str(tmp_path / "envcache"))
     assert certify.default_cache_dir() == tmp_path / "envcache"
+
+
+def _counting_measure(monkeypatch):
+    calls = []
+    orig = certify._measure
+
+    def counting(handle, k_profile, strong, *args):
+        calls.append(tuple(strong))
+        return orig(handle, k_profile, strong, *args)
+
+    monkeypatch.setattr(certify, "_measure", counting)
+    return calls
+
+
+def test_cache_reuse_honours_strong_set(tmp_path, monkeypatch):
+    calls = _counting_measure(monkeypatch)
+    _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=61,
+                                          cache_dir=tmp_path)
+    assert rec.strong_errors == {}
+    path = tmp_path / f"{rec.digest}.xtab"
+    h, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=61,
+                                          strong=(1,), cache_dir=tmp_path)
+    fresh = worst_case_error_2source(h, 2, 2, 1)
+    assert rec.strong_errors[1] == pytest.approx(float(fresh.error))
+    assert 1 in h.strong
+    # a later request for another index measures the union, so the
+    # rewritten file still serves both
+    _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=61,
+                                          strong=(0,), cache_dir=tmp_path)
+    assert set(rec.strong_errors) == {0, 1}
+    assert calls == [(), (1,), (0, 1)]
+    h, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=61,
+                                          strong=(1,), cache_dir=tmp_path)
+    assert len(calls) == 3
+    assert h.strong == {0, 1}
+    assert certify.load_xtab(path)[1].strong_errors == rec.strong_errors
+
+
+def test_xtab_digest_verified(tmp_path, monkeypatch, capsys):
+    from extractomat.cli import main
+    h, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=71,
+                                          cache_dir=tmp_path)
+    path = tmp_path / f"{rec.digest}.xtab"
+    data = bytearray(path.read_bytes())
+    body_start = 18 + 2 + 8 * 2  # header, two widths, two k values
+    data[body_start + 5] ^= 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidInputError, match="digest"):
+        certify.load_xtab(path)
+    assert main(["eval", "--extractor", str(path), "--k1", "2", "--k2", "2",
+                 "--out-dir", str(tmp_path / "out")]) == 4
+    # the cache treats the damaged file as a miss: measure and rewrite
+    calls = _counting_measure(monkeypatch)
+    h2, rec2 = certify.certify_random_table((3, 3), (2, 2), 1, seed=71,
+                                            cache_dir=tmp_path)
+    assert len(calls) == 1
+    assert rec2.error_exact == rec.error_exact
+    h3, _ = certify.load_xtab(path)
+    assert np.array_equal(h3.table(), h.table())

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from extractomat import certify
-from extractomat.bits import BitString
 from extractomat.combinators import (CompositionConfig, CondenserHandle,
-                                     ErrorBudget, bext_three_source,
-                                     build_bext_handle, build_qbext_handle,
-                                     build_qmext_handle,
+                                     ErrorBudget, build_bext_handle,
+                                     build_qbext_handle, build_qmext_handle,
                                      build_three_source_handle,
-                                     export_truth_table, exported_handle,
-                                     qbext, qmext, qmext_budget,
-                                     seed_slice_width,
-                                     three_source_short_seeds,
+                                     qmext_budget, seed_slice_width,
                                      weak_seed_transform)
 from extractomat.errors import InvalidInputError
 from extractomat.extractors import table_handle
@@ -38,13 +32,19 @@ def qm(rng):
 # one extra source
 # ----------------------------------------------------------------------
 
-def test_qmext_is_function_composition(qm):
+def test_qmext_is_function_composition(qm, rng):
+    # every composite entry is extq(x_last, iext(x_1..x_t)), read off the
+    # component tables one point at a time
     iext, extq = qm
-    xs = [BitString(3, 5), BitString(3, 2), BitString(3, 7)]
-    out = qmext(iext, extq, xs)
-    z = iext.evaluate(xs[0], xs[1])
-    assert out == extq.evaluate(xs[2], z)
-    assert qmext(iext, extq, xs) == out  # deterministic
+    t = build_qmext_handle(iext, extq).table()
+    for idx in range(1 << 9):
+        x1, x2, x3 = idx >> 6, (idx >> 3) & 7, idx & 7
+        assert int(t[idx]) == extq.eval_int(x3, iext.eval_int(x1, x2))
+    iext3 = _rand_table_handle(rng, "iext3", "t-source", (2, 1, 2), 2)
+    t = build_qmext_handle(iext3, extq).table()
+    for idx in range(1 << 8):
+        x1, x2, x3, x4 = idx >> 6, (idx >> 5) & 1, (idx >> 3) & 3, idx & 7
+        assert int(t[idx]) == extq.eval_int(x4, iext3.eval_int(x1, x2, x3))
 
 
 def test_qmext_budget_is_sum(qm):
@@ -67,21 +67,6 @@ def test_qmext_seed_width_checked(rng):
         build_qmext_handle(iext, extq)
 
 
-def test_export_commutes_with_composition(qm):
-    # exporting the composite table equals composing the exported parts,
-    # checked exhaustively at these tiny widths
-    iext, extq = qm
-    h = build_qmext_handle(iext, extq)
-    t = export_truth_table(h)
-    it, qt = iext.table(), extq.table()
-    for idx in range(1 << 9):
-        x1, x2, x3 = idx >> 6, (idx >> 3) & 7, idx & 7
-        z = int(it[(x1 << 3) | x2])
-        assert int(t[idx]) == int(qt[(x3 << 2) | z])
-    h2 = exported_handle(h)
-    assert np.array_equal(h2.table(), t)
-
-
 # ----------------------------------------------------------------------
 # one extra block
 # ----------------------------------------------------------------------
@@ -97,11 +82,11 @@ def qb(rng):
 
 def test_qbext_three_stage_composition(qb):
     bext, extc, extq = qb
-    x1, x2, x3 = BitString(3, 6), BitString(2, 1), BitString(3, 4)
-    out = qbext(bext, extc, extq, x1, x2, x3, 1)
-    r = bext.evaluate(x1, x3).take(1)
-    t = extc.evaluate(x2, r)
-    assert out == extq.evaluate(x3, t)
+    t = build_qbext_handle(bext, extc, extq, k3=2).table()  # 1-bit slice
+    for idx in range(1 << 8):
+        x1, x2, x3 = idx >> 5, (idx >> 3) & 3, idx & 7
+        r = bext.eval_int(x1, x3) >> 1
+        assert int(t[idx]) == extq.eval_int(x3, extc.eval_int(x2, r))
 
 
 def test_qbext_budget_terms(qb):
@@ -123,8 +108,8 @@ def test_seed_slice_width_clamps():
 def test_qbext_width_mismatches_rejected(qb):
     bext, extc, extq = qb
     with pytest.raises(InvalidInputError):
-        qbext(bext, extc, extq, BitString(3, 0), BitString(2, 0),
-              BitString(3, 0), 2)  # extc seed width is 1
+        # k3 = 40 asks for a 2-bit slice; extc's seed width is 1
+        build_qbext_handle(bext, extc, extq, k3=40)
 
 
 # ----------------------------------------------------------------------
@@ -144,14 +129,13 @@ def pipeline(rng):
 
 def test_bext_pipeline_structure(pipeline):
     cond, raz, srext, last = pipeline
-    x1, x2, x3 = BitString(4, 9), BitString(3, 5), BitString(4, 12)
-    out = bext_three_source(cond, raz, srext, last, x1, x2, x3, k3=4)
-    rows = cond.row_values(x1.value)
-    w3 = 0
-    for rv in rows:
-        w3 = (w3 << 1) | (raz.eval_int(rv, x3.value) >> 1)
-    v = srext.eval_int(x2.value, w3)
-    assert out.value == last.eval_int(x3.value, v)
+    t = build_bext_handle(cond, raz, srext, last, k_profile=(4, 3, 4)).table()
+    for idx in range(1 << 11):
+        x1, x2, x3 = idx >> 7, (idx >> 4) & 7, idx & 15
+        w3 = 0
+        for row in (x1 >> 2, x1 & 3):  # the split condenser's two rows
+            w3 = (w3 << 1) | (raz.eval_int(row, x3) >> 1)
+        assert int(t[idx]) == last.eval_int(x3, srext.eval_int(x2, w3))
 
 
 def test_bext_degenerate_identity_condenser(rng):
@@ -186,8 +170,11 @@ def test_three_source_wrapper(pipeline, rng):
     last = _rand_table_handle(rng, "last", "seeded", (6, 2), 3, eps=0.1)
     h = build_three_source_handle(cond4, raz, srext, last, delta=0.5, d=4,
                                   k=4)
-    y1, y2, x = BitString(4, 3), BitString(4, 9), BitString(6, 33)
-    assert three_source_short_seeds(y1, y2, x, h) == h.evaluate(y1, y2, x)
+    t = h.table()
+    for idx in range(1 << 14):
+        y1, y2, x = idx >> 10, (idx >> 6) & 15, idx & 63
+        w3 = raz.eval_int(y1, x) >> 1  # identity condenser, 1-bit slice
+        assert int(t[idx]) == last.eval_int(x, srext.eval_int(y2, w3))
     assert h.strong == frozenset({0, 1})
 
 
@@ -209,11 +196,11 @@ def test_weak_seed_transform_halves_the_seed(rng):
     h = weak_seed_transform(base, 0.25, d_prime=4, raz_slot=raz,
                             srext_slot=srext, config=cfg)
     assert h.input_widths == (6, 4)
-    x, r = BitString(6, 17), BitString(4, 0b1001)
-    r1, r2 = 0b10, 0b01
-    w3 = raz.eval_int(r1, x.value) >> 1
-    v = srext.eval_int(r2, w3)
-    assert h.evaluate(x, r).value == base.eval_int(x.value, v)
+    t = h.table()
+    for idx in range(1 << 10):
+        x, r1, r2 = idx >> 4, (idx >> 2) & 3, idx & 3
+        w3 = raz.eval_int(r1, x) >> 1
+        assert int(t[idx]) == base.eval_int(x, srext.eval_int(r2, w3))
 
 
 def test_weak_seed_odd_width_rejected(rng):

@@ -6,7 +6,8 @@ from extractomat.bits import BitString
 from extractomat.errors import InvalidInputError
 from extractomat.extractors import (deor_extract, deor_handle, ip_extract,
                                     ip_handle, strong_projection,
-                                    table_handle, toeplitz_extract)
+                                    table_handle, toeplitz_extract,
+                                    toeplitz_handle)
 
 
 def B(s):
@@ -69,12 +70,25 @@ def test_deor_handle_matches_function():
                                                     BitString(4, y), 3).value
 
 
+def _assert_table_matches(h, scalar):
+    n1, n2 = h.input_widths
+    t = h.table()
+    for idx in range(1 << (n1 + n2)):
+        x, y = BitString(n1, idx >> n2), BitString(n2, idx & ((1 << n2) - 1))
+        assert int(t[idx]) == scalar(x, y).value, (h.name, idx)
+
+
 def test_vectorized_tables_match_scalar():
-    for h in (ip_handle(4), deor_handle(4, 2)):
-        t = h.table()
-        for idx in range(0, 256, 17):
-            x, y = idx >> 4, idx & 15
-            assert int(t[idx]) == h._fn(x, y)
+    for n in range(1, 5):
+        _assert_table_matches(ip_handle(n), ip_extract)
+        for m in range(1, 4):
+            _assert_table_matches(
+                toeplitz_handle(n, m),
+                lambda x, s, m=m: toeplitz_extract(x, s, m))
+    for n in (3, 4):
+        for m in range(1, n + 1):
+            _assert_table_matches(
+                deor_handle(n, m), lambda x, y, m=m: deor_extract(x, y, m))
 
 
 # ----------------------------------------------------------------------

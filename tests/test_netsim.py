@@ -8,8 +8,8 @@ from extractomat.cli import build_toy_network
 from extractomat.errors import InvalidInputError
 from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
-                                evaluate_security, exec_ext_pub, exec_geqr,
-                                parse_config_text, run_ext_pri, run_ext_pub,
+                                evaluate_security, exec_ext_pri, exec_ext_pub,
+                                exec_geqr, parse_config_text, run_ext_pub,
                                 run_geqr, strong_player_error)
 from extractomat.sources import FlatSource
 
@@ -171,13 +171,13 @@ def test_ext_pri_excludes_own_slices(toy_cfg):
     sc = LeakageScenario.trivial([6] * 7)
     run, y = run_ext_pub(toy_cfg, sources, sc, AdversaryStrategy.passive(),
                          seed=6)
-    z = run_ext_pri(toy_cfg, run, y)
+    z = exec_ext_pri(toy_cfg, run, y)
     sw = toy_cfg.slice_width
     j_idx = 0  # player 4 is the first B player
     for flip in range(1, 1 << sw):
         y2val = y.value ^ (flip << (toy_cfg.y_width - sw * (j_idx + 1)))
         from extractomat.bits import BitString
-        z2 = run_ext_pri(toy_cfg, run, BitString(toy_cfg.y_width, y2val))
+        z2 = exec_ext_pri(toy_cfg, run, BitString(toy_cfg.y_width, y2val))
         assert z2[4] == z[4]
         assert z2[7] != z[7] or True  # outer players may change
 
@@ -238,7 +238,7 @@ def test_round_counts_reported_both_ways(toy_cfg):
     run, y = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
                          AdversaryStrategy.passive(), seed=9)
     assert run.rounds_interactive == 3
-    run_ext_pri(toy_cfg, run, y)
+    exec_ext_pri(toy_cfg, run, y)
     # the private extraction adds no interaction but may be counted as a
     # round depending on presentation; both numbers are available
     assert run.rounds_interactive == 3
