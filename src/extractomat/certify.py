@@ -35,6 +35,9 @@ _KIND_CODES = {"2-source": 0, "t-source": 1, "seeded": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _MODE_CODES = {"exhaustive": 0, "sampled": 1}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+# Strong indices each kind's measurement can record: both inputs of a
+# 2-source table, the seed of a seeded one, none of a t-source one.
+_STRONG_INDICES = {"2-source": {0, 1}, "seeded": {1}, "t-source": set()}
 
 MAX_RETRIES = 32
 
@@ -139,8 +142,10 @@ def certify_random_table(widths, k_profile, m: int, *,
     deterministic in ``(seed, attempt)``) until the measured worst-case
     error is at or below ``target_eps``.  The returned handle's declared
     epsilon is the measured one; ``strong`` indices are measured
-    separately and recorded.  ``leak_bits > 0`` additionally ranges the
-    measurement over one-sided deterministic leakage maps of that width.
+    separately and recorded, and the handle declares exactly the
+    recorded ones (a seeded table always records its seed, index 1).
+    ``leak_bits > 0`` additionally ranges the measurement over one-sided
+    deterministic leakage maps of that width.
 
     Returns
     -------
@@ -156,6 +161,12 @@ def certify_random_table(widths, k_profile, m: int, *,
         raise TargetUnreachableError(
             f"target error {target_eps} is unreachable for a finite table", 0)
     strong = tuple(sorted(set(int(i) for i in strong)))
+    if kind not in _STRONG_INDICES:
+        raise InvalidInputError(f"unknown table kind {kind!r}")
+    if not set(strong) <= _STRONG_INDICES[kind]:
+        raise InvalidInputError(
+            f"a {kind} table can be measured strong only in "
+            f"{sorted(_STRONG_INDICES[kind])}, not {list(strong)}")
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
     last = None
@@ -191,7 +202,7 @@ def certify_random_table(widths, k_profile, m: int, *,
                 name or f"table[{digest[:8]}]", kind, widths, m, table,
                 k_profile=k_profile, eps=min(1.0, max(float(report.error),
                                                       1e-300)),
-                strong=measured, record=record)
+                strong=tuple(record.strong_errors), record=record)
             save_xtab(cache / f"{digest}.xtab", handle, record)
         last = (handle, record)
         if target_eps is None or record.error <= target_eps:
@@ -283,8 +294,8 @@ def save_xtab(path: Path, handle: ExtractorHandle,
 def load_xtab(path: Path):
     """Read an XTAB file back into (handle, record).
 
-    Raises :class:`InvalidInputError` when the table bytes do not hash to
-    the digest the record was certified under.
+    Raises :class:`InvalidInputError` when the record tail is damaged or
+    the table bytes do not hash to the digest it was certified under.
     """
     data = Path(path).read_bytes()
     if data[:4] != XTAB_MAGIC:
@@ -302,7 +313,11 @@ def load_xtab(path: Path):
     body = data[pos:pos + 4 * size]
     table = np.frombuffer(body, dtype="<u4").astype(np.uint32)
     pos += 4 * size
-    record = CertificationRecord.from_json_dict(json.loads(data[pos:]))
+    try:
+        record = CertificationRecord.from_json_dict(json.loads(data[pos:]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidInputError(
+            f"{path}: damaged certification record ({exc})") from exc
     if hashlib.sha256(body).hexdigest() != record.digest:
         raise InvalidInputError(
             f"{path}: table does not match its digest {record.digest[:16]}")

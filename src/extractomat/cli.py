@@ -251,9 +251,7 @@ def _eval_extractor(args, handle, oracle, out_dir):
 
 
 def _eval_lemma(args) -> dict:
-    from fractions import Fraction
     from . import oracle
-    from .dist import JointDistribution
     rng = np.random.default_rng(np.random.Philox(key=args.seed))
     passed = 0
     slacks = []
@@ -277,13 +275,11 @@ def _eval_lemma(args) -> dict:
 
 def _random_joint(rng, parts):
     """Random exact joint: integer counts over a power-of-two denominator."""
-    from fractions import Fraction
     from .dist import JointDistribution
     total = sum(w for _, w in parts)
     denom = 1 << 12
     counts = rng.multinomial(denom, np.full(1 << total, 1.0 / (1 << total)))
-    mass = [Fraction(int(c), denom) for c in counts]
-    return JointDistribution(parts, mass)
+    return JointDistribution.from_numerators(parts, counts, denom)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Explicit probability mass functions over small bit-string spaces.
 
-Two storage modes exist side by side:
+Masses are stored as one numerator array over one denominator:
 
-* **float mode** -- masses are a ``numpy`` float64 array, normalized to 1
-  within ``1e-12``.  This is the default and is used everywhere speed
-  matters.
-* **exact mode** -- masses are ``fractions.Fraction`` values summing to
-  exactly 1, available for widths up to 12.  Certification verdicts are
+* **exact mode** -- int64 numerators over a positive integer denominator,
+  summing to it exactly; widths up to 12.  Certification verdicts are
   computed in this mode so that float drift can never flip a comparison.
+  A common denominator above ``2**62`` raises :class:`SizeLimitError`
+  instead of letting a numerator wrap.
+* **float mode** -- float64 masses over the denominator 1, normalized to
+  1 within ``1e-12``.  This is the default and is used everywhere speed
+  matters.
+
+Every operation is one numpy expression on the numerators in both modes.
+``Fraction`` appears only at the edges: exact inputs, exact return values
+and the ``mass`` accessor.
 
 Outcome ``v`` of a width-``w`` distribution corresponds to the
 ``BitString(w, v)`` word.  In a :class:`JointDistribution` the first part
@@ -30,24 +36,59 @@ from .errors import InvalidInputError, SizeLimitError
 
 MAX_TOTAL_WIDTH = 24
 MAX_EXACT_WIDTH = 12
+MAX_DENOMINATOR = 1 << 62
 NORM_TOL = 1e-12
 
 _MAGIC = b"XDIS"
 _VERSION = 1
 
 
-def _log2_fraction(x) -> float:
-    """log2 of a Fraction or float, keeping precision for tiny rationals."""
-    if isinstance(x, Fraction):
-        if x <= 0:
-            raise InvalidInputError("log2 of non-positive value")
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    if x <= 0:
-        raise InvalidInputError("log2 of non-positive value")
-    return math.log2(x)
+class _Masses:
+    """Masses ``_num / _den``: int64 numerators over a positive integer
+    (exact mode) or float64 masses over 1 (float mode)."""
+
+    __slots__ = ("_num", "_den")
+    numerators = property(lambda self: self._num, doc="Read-only numerators.")
+    denominator = property(lambda self: self._den, doc="1 in float mode.")
+    exact = property(lambda self: self._num.dtype.kind == "i")
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, width: int, num: np.ndarray, den) -> None:
+        exact = num.dtype.kind == "i"
+        _check_width(width, exact)
+        if num.shape != (1 << width,):
+            raise InvalidInputError("mass length must be 2**width")
+        if (num < 0).any():
+            raise InvalidInputError("negative mass")
+        if exact:
+            if int(num.sum()) != den:
+                raise InvalidInputError("exact masses must sum to exactly 1")
+            g = math.gcd(int(np.gcd.reduce(num)), den)
+            num, den = num // g, den // g
+        elif abs(float(num.sum()) - 1.0) > NORM_TOL:
+            raise InvalidInputError(
+                f"masses sum to {num.sum()}, expected 1 within {NORM_TOL}")
+        num.setflags(write=False)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @property
+    def mass(self):
+        """A tuple of Fractions in exact mode, the float64 array otherwise."""
+        if self.exact:
+            return tuple(Fraction(n, self._den) for n in self._num.tolist())
+        return self._num
+
+    def as_floats(self) -> np.ndarray:
+        return self._num / self._den if self.exact else self._num
+
+    def to_bytes(self) -> bytes:
+        return self._header() + self.as_floats().astype("<f8").tobytes()
 
 
-class Distribution:
+class Distribution(_Masses):
     """A probability mass function over ``{0,1}^width``.
 
     Parameters
@@ -59,70 +100,30 @@ class Distribution:
         float mode; Fractions (or ints) select exact mode.
     """
 
-    __slots__ = ("width", "mass", "exact")
+    __slots__ = ("width",)
 
     def __init__(self, width: int, mass, exact: bool | None = None):
-        if not 1 <= width <= MAX_TOTAL_WIDTH:
-            raise SizeLimitError(f"width {width} outside 1..{MAX_TOTAL_WIDTH}")
-        if exact is None:
-            exact = _looks_exact(mass)
-        if exact:
-            if width > MAX_EXACT_WIDTH:
-                raise SizeLimitError(
-                    f"exact mode supports widths up to {MAX_EXACT_WIDTH}")
-            mass = tuple(Fraction(x) for x in mass)
-            if len(mass) != 1 << width:
-                raise InvalidInputError("mass length must be 2**width")
-            if any(x < 0 for x in mass):
-                raise InvalidInputError("negative mass")
-            if sum(mass) != 1:
-                raise InvalidInputError("exact masses must sum to exactly 1")
-        else:
-            mass = np.asarray(mass, dtype=np.float64)
-            if mass.shape != (1 << width,):
-                raise InvalidInputError("mass length must be 2**width")
-            if np.any(mass < 0):
-                raise InvalidInputError("negative mass")
-            if abs(float(mass.sum()) - 1.0) > NORM_TOL:
-                raise InvalidInputError(
-                    f"masses sum to {mass.sum()}, expected 1 within {NORM_TOL}")
-            mass.setflags(write=False)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "exact", bool(exact))
+        self._store(width, *_numerators(mass, exact))
 
-    def __setattr__(self, *_):
-        raise AttributeError("Distribution is immutable")
+    @classmethod
+    def _make(cls, width: int, num: np.ndarray, den) -> "Distribution":
+        d = object.__new__(cls)
+        object.__setattr__(d, "width", width)
+        d._store(width, num, den)
+        return d
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def uniform(cls, width: int, exact: bool = False) -> "Distribution":
-        n = 1 << width
-        if exact:
-            return cls(width, [Fraction(1, n)] * n)
-        return cls(width, np.full(n, 1.0 / n))
+        return cls._flat(width, slice(None), 1 << width, exact)
 
     @classmethod
     def point_mass(cls, width: int, value: int, exact: bool = False) -> "Distribution":
-        n = 1 << width
-        if not 0 <= value < n:
+        if not 0 <= value < 1 << width:
             raise InvalidInputError("point outside outcome space")
-        if exact:
-            m = [Fraction(0)] * n
-            m[value] = Fraction(1)
-            return cls(width, m)
-        m = np.zeros(n)
-        m[value] = 1.0
-        return cls(width, m)
-
-    @classmethod
-    def from_counts(cls, width: int, counts: Sequence[int]) -> "Distribution":
-        """Exact distribution proportional to integer counts."""
-        total = sum(counts)
-        if total <= 0:
-            raise InvalidInputError("counts must sum to a positive value")
-        return cls(width, [Fraction(c, total) for c in counts])
+        return cls._flat(width, value, 1, exact)
 
     @classmethod
     def flat(cls, width: int, support: Iterable[int], exact: bool = False) -> "Distribution":
@@ -132,57 +133,40 @@ class Distribution:
             raise InvalidInputError("empty support")
         if support[-1] >= 1 << width:
             raise InvalidInputError("support element outside outcome space")
-        if exact:
-            m = [Fraction(0)] * (1 << width)
-            for s in support:
-                m[s] = Fraction(1, len(support))
-            return cls(width, m)
-        m = np.zeros(1 << width)
-        m[support] = 1.0 / len(support)
-        return cls(width, m)
+        return cls._flat(width, support, len(support), exact)
+
+    @classmethod
+    def _flat(cls, width: int, where, size: int, exact: bool) -> "Distribution":
+        """Uniform on the ``size`` outcomes that the index ``where`` selects."""
+        _check_width(width, exact)
+        counts = np.zeros(1 << width, dtype=np.int64)
+        counts[where] = 1
+        return cls._make(width, *_over(counts, size, exact))
 
     # -- basic queries -------------------------------------------------
 
-    def as_floats(self) -> np.ndarray:
-        if self.exact:
-            return np.array([float(x) for x in self.mass])
-        return self.mass
-
-    def max_mass(self):
-        if self.exact:
-            return max(self.mass)
-        return float(self.mass.max())
-
     def support(self) -> list:
-        if self.exact:
-            return [i for i, x in enumerate(self.mass) if x > 0]
-        return [int(i) for i in np.nonzero(self.mass)[0]]
+        return np.flatnonzero(self._num).tolist()
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.choice(1 << self.width, size=size, p=self.as_floats())
 
     # -- serialization -------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        head = _MAGIC + struct.pack("<HBB", _VERSION, 0, self.width)
-        return head + self.as_floats().astype("<f8").tobytes()
+    def _header(self) -> bytes:
+        return _MAGIC + struct.pack("<HBB", _VERSION, 0, self.width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Distribution":
-        if data[:4] != _MAGIC:
-            raise InvalidInputError("bad magic, not a serialized distribution")
-        version, kind, width = struct.unpack("<HBB", data[4:8])
-        if version != _VERSION or kind != 0:
-            raise InvalidInputError(f"unsupported version/kind {version}/{kind}")
-        mass = np.frombuffer(data[8:], dtype="<f8")
-        return cls(width, mass.astype(np.float64))
+        width = _read_header(data, 0)
+        return cls(width, np.frombuffer(data[8:], dtype="<f8").astype(np.float64))
 
     def to_json(self) -> str:
         return json.dumps({"width": self.width,
-                           "mass": [float(x) for x in self.mass]})
+                           "mass": self.as_floats().tolist()})
 
 
-class JointDistribution:
+class JointDistribution(_Masses):
     """A joint probability mass function over labelled bit-string parts.
 
     Parameters
@@ -194,82 +178,56 @@ class JointDistribution:
         One probability per composite outcome, length ``2**total_width``.
     """
 
-    __slots__ = ("parts", "mass", "exact", "_shifts")
+    __slots__ = ("parts", "_widths")
 
     def __init__(self, parts, mass, exact: bool | None = None):
-        parts = tuple((str(lbl), int(w)) for lbl, w in parts)
-        labels = [lbl for lbl, _ in parts]
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError("duplicate part labels")
-        total = sum(w for _, w in parts)
-        if not 1 <= total <= MAX_TOTAL_WIDTH:
-            raise SizeLimitError(
-                f"total width {total} outside 1..{MAX_TOTAL_WIDTH}")
-        if exact is None:
-            exact = _looks_exact(mass)
-        if exact:
-            if total > MAX_EXACT_WIDTH:
-                raise SizeLimitError(
-                    f"exact mode supports total widths up to {MAX_EXACT_WIDTH}")
-            mass = tuple(Fraction(x) for x in mass)
-            if len(mass) != 1 << total:
-                raise InvalidInputError("mass length must be 2**total_width")
-            if any(x < 0 for x in mass) or sum(mass) != 1:
-                raise InvalidInputError("exact masses must be >=0 and sum to 1")
-        else:
-            mass = np.asarray(mass, dtype=np.float64)
-            if mass.shape != (1 << total,):
-                raise InvalidInputError("mass length must be 2**total_width")
-            if np.any(mass < 0) or abs(float(mass.sum()) - 1.0) > NORM_TOL:
-                raise InvalidInputError("masses must be >=0 and sum to 1")
-            mass.setflags(write=False)
-        shifts = {}
-        pos = total
-        for lbl, w in parts:
-            pos -= w
-            shifts[lbl] = (pos, w)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "exact", bool(exact))
-        object.__setattr__(self, "_shifts", shifts)
+        self._init(parts, *_numerators(mass, exact))
 
-    def __setattr__(self, *_):
-        raise AttributeError("JointDistribution is immutable")
+    def _init(self, parts, num: np.ndarray, den) -> None:
+        parts = tuple((str(lbl), int(w)) for lbl, w in parts)
+        if len(dict(parts)) != len(parts):
+            raise InvalidInputError("duplicate part labels")
+        self._store(sum(w for _, w in parts), num, den)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_widths", dict(parts))
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_numerators(cls, parts, numerators, denominator=1) -> "JointDistribution":
+        """Masses ``numerators / denominator``: integer numerators give
+        exact mode over that denominator, float ones float mode."""
+        num = np.asarray(numerators)
+        j = object.__new__(cls)
+        j._init(parts, *_over(num, denominator, num.dtype.kind in "iu"))
+        return j
 
     @classmethod
     def product(cls, labelled: Sequence[tuple], exact: bool | None = None) -> "JointDistribution":
         """Product of independent distributions, given as (label, Distribution)."""
         parts = [(lbl, d.width) for lbl, d in labelled]
-        total = sum(w for _, w in parts)
-        if total > MAX_TOTAL_WIDTH:
-            raise SizeLimitError(f"total width {total} exceeds {MAX_TOTAL_WIDTH}")
         if exact is None:
             exact = all(d.exact for _, d in labelled)
-        if exact:
-            mass = [Fraction(1)]
-            for _, d in labelled:
-                mass = [a * b for a in mass for b in d.mass]
-        else:
-            mass = np.array([1.0])
-            for _, d in labelled:
-                mass = np.multiply.outer(mass, d.as_floats()).reshape(-1)
-        return cls(parts, mass, exact=exact)
+        _check_width(sum(w for _, w in parts), exact)
+        if exact and not all(d.exact for _, d in labelled):
+            raise InvalidInputError("an exact product needs exact factors")
+        den = check_denominator(math.prod(d._den for _, d in labelled)) \
+            if exact else 1
+        num = np.ones(1, dtype=np.int64 if exact else np.float64)
+        for _, d in labelled:
+            num = np.multiply.outer(num, d._num if exact else d.as_floats())
+        return cls.from_numerators(parts, num.reshape(-1), den)
 
     @classmethod
     def from_atoms(cls, parts, atoms: dict, exact: bool = True) -> "JointDistribution":
         """Build from a mapping of per-part value tuples to masses."""
-        parts = tuple((str(lbl), int(w)) for lbl, w in parts)
-        total = sum(w for _, w in parts)
-        n = 1 << total
-        mass = [Fraction(0)] * n if exact else np.zeros(n)
-        for values, p in atoms.items():
-            idx = 0
-            for (_, w), v in zip(parts, values):
-                idx = (idx << w) | v
-            mass[idx] += Fraction(p) if exact else p
-        return cls(parts, mass, exact=exact)
+        shape = [1 << int(w) for _, w in parts]
+        _check_width(sum(int(w) for _, w in parts), exact)
+        index = [np.ravel_multi_index(values, shape) for values in atoms]
+        vals, den = _numerators(list(atoms.values()), exact)
+        num = np.zeros(math.prod(shape), dtype=vals.dtype)
+        np.add.at(num, np.array(index, dtype=np.intp), vals)
+        return cls.from_numerators(parts, num, den)
 
     # -- indexing helpers ----------------------------------------------
 
@@ -281,159 +239,106 @@ class JointDistribution:
         return tuple(lbl for lbl, _ in self.parts)
 
     def part_width(self, label: str) -> int:
-        return self._shifts[label][1]
+        return self._widths[label]
 
-    def extract(self, outcome: int, label: str) -> int:
-        shift, w = self._shifts[label]
-        return (outcome >> shift) & ((1 << w) - 1)
+    def _axis(self, label: str) -> int:
+        if label not in self._widths:
+            raise InvalidInputError(f"unknown label {label!r}")
+        return self.labels().index(label)
 
-    def _group_indices(self, labels: Sequence[str]) -> np.ndarray:
-        """Composite sub-outcome of ``labels`` (in the given order) per outcome."""
-        n = 1 << self.total_width
-        out = np.zeros(n, dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        for lbl in labels:
-            shift, w = self._shifts[lbl]
-            out = (out << w) | ((idx >> shift) & ((1 << w) - 1))
-        return out
+    def _tensor(self) -> np.ndarray:
+        """The numerators with one axis per part."""
+        return self._num.reshape([1 << w for _, w in self.parts])
 
     # -- operations ----------------------------------------------------
 
     def marginal(self, labels: Sequence[str]) -> "JointDistribution":
         labels = list(labels)
-        for lbl in labels:
-            if lbl not in self._shifts:
-                raise InvalidInputError(f"unknown label {lbl!r}")
-        sub_w = sum(self._shifts[lbl][1] for lbl in labels)
-        group = self._group_indices(labels)
-        if self.exact:
-            mass = [Fraction(0)] * (1 << sub_w)
-            for idx, p in enumerate(self.mass):
-                if p:
-                    mass[group[idx]] += p
-        else:
-            mass = np.bincount(group, weights=self.mass, minlength=1 << sub_w)
-        return JointDistribution(
-            [(lbl, self._shifts[lbl][1]) for lbl in labels], mass,
-            exact=self.exact)
+        if len(set(labels)) != len(labels):
+            raise InvalidInputError("duplicate part labels")
+        axes = [self._axis(lbl) for lbl in labels]
+        summed = self._tensor().sum(axis=tuple(
+            i for i in range(len(self.parts)) if i not in axes))
+        kept = sorted(axes)
+        num = summed.transpose([kept.index(a) for a in axes]).reshape(-1)
+        return JointDistribution.from_numerators(
+            [self.parts[a] for a in axes], num, self._den)
 
     def marginal_dist(self, label: str) -> Distribution:
         j = self.marginal([label])
-        return Distribution(j.total_width, j.mass, exact=j.exact)
+        return Distribution._make(j.total_width, j._num, j._den)
+
+    def _guess(self, target, given) -> tuple:
+        """Numerator and denominator of the optimal guessing probability."""
+        target = [target] if isinstance(target, str) else list(target)
+        given = [given] if isinstance(given, str) else list(given)
+        if set(target) & set(given):
+            raise InvalidInputError("target and given labels overlap")
+        sub = self.marginal(target + given)
+        tw = sum(self.part_width(lbl) for lbl in target)
+        return sub._num.reshape(1 << tw, -1).max(axis=0).sum().item(), sub._den
 
     def guessing_probability(self, target, given=()):
         """Optimal probability of guessing ``target`` from ``given``.
 
         Returns a Fraction in exact mode, a float otherwise.
         """
-        target = [target] if isinstance(target, str) else list(target)
-        given = [given] if isinstance(given, str) else list(given)
-        if set(target) & set(given):
-            raise InvalidInputError("target and given labels overlap")
-        sub = self.marginal(target + given)
-        tw = sum(sub._shifts[lbl][1] for lbl in target)
-        gw = sub.total_width - tw
-        if sub.exact:
-            best = {}
-            for idx, p in enumerate(sub.mass):
-                e = idx & ((1 << gw) - 1) if gw else 0
-                if p > best.get(e, Fraction(0)):
-                    best[e] = p
-            return sum(best.values(), Fraction(0))
-        m = sub.as_floats().reshape(1 << tw, 1 << gw) if gw else \
-            sub.as_floats().reshape(1 << tw, 1)
-        return float(m.max(axis=0).sum())
-
-    def as_floats(self) -> np.ndarray:
-        if self.exact:
-            return np.array([float(x) for x in self.mass])
-        return self.mass
+        return ratio(*self._guess(target, given))
 
     def condition(self, label: str, value: int) -> "JointDistribution":
         """Condition on ``label == value``; the part is removed."""
-        shift, w = self._shifts[label]
-        rest = [(lbl, pw) for lbl, pw in self.parts if lbl != label]
+        axis = self._axis(label)
+        rest = [p for p in self.parts if p[0] != label]
         if not rest:
             raise InvalidInputError("cannot condition away every part")
-        n = 1 << self.total_width
-        keep = [i for i in range(n) if ((i >> shift) & ((1 << w) - 1)) == value]
-        sub_idx = self._group_indices([lbl for lbl, _ in rest])
-        total_rest = sum(pw for _, pw in rest)
-        if self.exact:
-            sel = [(sub_idx[i], self.mass[i]) for i in keep if self.mass[i] > 0]
-            norm = sum(p for _, p in sel)
-            if norm == 0:
-                raise InvalidInputError("conditioning on a zero-probability value")
-            mass = [Fraction(0)] * (1 << total_rest)
-            for si, p in sel:
-                mass[si] += p / norm
-        else:
-            mass = np.zeros(1 << total_rest)
-            np.add.at(mass, sub_idx[keep], self.mass[keep])
-            norm = mass.sum()
-            if norm <= 0:
-                raise InvalidInputError("conditioning on a zero-probability value")
-            mass = mass / norm
-        return JointDistribution(rest, mass, exact=self.exact)
+        if not 0 <= value < 1 << self.parts[axis][1]:
+            raise InvalidInputError("conditioning value outside the part")
+        num = np.take(self._tensor(), value, axis=axis).reshape(-1)
+        norm = num.sum().item()
+        if norm <= 0:
+            raise InvalidInputError("conditioning on a zero-probability value")
+        return JointDistribution.from_numerators(rest, num, norm)
 
     def apply_to_part(self, label: str, fn, new_width: int,
                       new_label: str | None = None) -> "JointDistribution":
         """Deterministically post-process one part, leaving the rest alone."""
-        shift, w = self._shifts[label]
-        new_label = new_label or label
-        new_parts = [(new_label, new_width) if lbl == label else (lbl, pw)
-                     for lbl, pw in self.parts]
-        total_new = sum(pw for _, pw in new_parts)
-        if total_new > MAX_TOTAL_WIDTH:
-            raise SizeLimitError("post-processed joint too large")
-        n = 1 << self.total_width
-        idx = np.arange(n, dtype=np.int64)
-        old_vals = (idx >> shift) & ((1 << w) - 1)
+        axis = self._axis(label)
+        w = self.parts[axis][1]
+        new_parts = list(self.parts)
+        new_parts[axis] = (new_label or label, new_width)
+        _check_width(sum(pw for _, pw in new_parts), self.exact)
         fmap = np.array([fn(v) for v in range(1 << w)], dtype=np.int64)
         if fmap.min() < 0 or fmap.max() >= (1 << new_width):
             raise InvalidInputError("part map output exceeds declared width")
-        high = (idx >> (shift + w)) << (shift + new_width)
-        low = idx & ((1 << shift) - 1)
-        new_idx = high | (fmap[old_vals] << shift) | low
-        if self.exact:
-            mass = [Fraction(0)] * (1 << total_new)
-            for i, p in enumerate(self.mass):
-                if p:
-                    mass[new_idx[i]] += p
-        else:
-            mass = np.zeros(1 << total_new)
-            np.add.at(mass, new_idx, self.mass)
-        return JointDistribution(new_parts, mass, exact=self.exact)
+        moved = np.moveaxis(self._tensor(), axis, 0)
+        out = np.zeros((1 << new_width,) + moved.shape[1:], dtype=moved.dtype)
+        np.add.at(out, fmap, moved)
+        num = np.moveaxis(out, 0, axis).reshape(-1)
+        return JointDistribution.from_numerators(new_parts, num, self._den)
 
     # -- serialization -------------------------------------------------
 
-    def to_bytes(self) -> bytes:
+    def _header(self) -> bytes:
         head = _MAGIC + struct.pack("<HBB", _VERSION, 1, len(self.parts))
         for lbl, w in self.parts:
             enc = lbl.encode()
             head += struct.pack("<BB", len(enc), w) + enc
-        return head + self.as_floats().astype("<f8").tobytes()
+        return head
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "JointDistribution":
-        if data[:4] != _MAGIC:
-            raise InvalidInputError("bad magic, not a serialized distribution")
-        version, kind, nparts = struct.unpack("<HBB", data[4:8])
-        if version != _VERSION or kind != 1:
-            raise InvalidInputError(f"unsupported version/kind {version}/{kind}")
         pos = 8
         parts = []
-        for _ in range(nparts):
+        for _ in range(_read_header(data, 1)):
             ln, w = struct.unpack("<BB", data[pos:pos + 2])
-            pos += 2
-            parts.append((data[pos:pos + ln].decode(), w))
-            pos += ln
-        mass = np.frombuffer(data[pos:], dtype="<f8")
-        return cls(parts, mass.astype(np.float64))
+            parts.append((data[pos + 2:pos + 2 + ln].decode(), w))
+            pos += 2 + ln
+        mass = np.frombuffer(data[pos:], dtype="<f8").astype(np.float64)
+        return cls(parts, mass)
 
     def to_json(self) -> str:
         return json.dumps({"parts": [[lbl, w] for lbl, w in self.parts],
-                           "mass": [float(x) for x in self.mass]})
+                           "mass": self.as_floats().tolist()})
 
 
 # ----------------------------------------------------------------------
@@ -442,15 +347,12 @@ class JointDistribution:
 
 def min_entropy(d: Distribution) -> float:
     """Min-entropy in bits: the negated log2 of the largest mass."""
-    mx = d.max_mass()
-    if (isinstance(mx, Fraction) and mx == 0) or (not isinstance(mx, Fraction) and mx <= 0):
-        raise InvalidInputError("zero-mass distribution has no min-entropy")
-    return -_log2_fraction(mx)
+    return neg_log2(d._num.max().item(), d._den)
 
 
 def cond_min_entropy(j: JointDistribution, target, given=()) -> float:
     """Conditional min-entropy: -log2 of the optimal guessing probability."""
-    return -_log2_fraction(j.guessing_probability(target, given))
+    return neg_log2(*j._guess(target, given))
 
 
 def smooth_cond_min_entropy(j: JointDistribution, target, given, delta) -> float:
@@ -465,25 +367,19 @@ def smooth_cond_min_entropy(j: JointDistribution, target, given, delta) -> float
     target = [target] if isinstance(target, str) else list(target)
     given = [given] if isinstance(given, str) else list(given)
     sub = j.marginal(target + given)
-    tw = sum(sub._shifts[lbl][1] for lbl in target)
-    gw = sub.total_width - tw
-    exact = sub.exact
-    delta = Fraction(delta) if exact else float(delta)
-    columns = {}
-    for idx in range(1 << sub.total_width):
-        p = sub.mass[idx]
-        if (p > 0):
-            e = idx & ((1 << gw) - 1) if gw else 0
-            columns.setdefault(e, []).append(p)
-    # Per column, sorted descending: cost of lowering the max to level L is
-    # sum(max(0, p - L)); greedy picks the column with the fewest tied tops.
+    tw = sum(j.part_width(lbl) for lbl in target)
+    # One column of numerators per value of ``given``, sorted descending.
+    # Cost of lowering a column's max to level L is sum(max(0, p - L));
+    # greedy picks the column with the fewest tied tops.
+    col_state = {}
     heap = []
-    for e, masses in columns.items():
-        masses.sort(reverse=True)
-        heap.append((1, _as_key(masses[0]), e))
+    for e, col in enumerate(sub._num.reshape(1 << tw, -1).T.tolist()):
+        masses = sorted((p for p in col if p > 0), reverse=True)
+        if masses:
+            col_state[e] = (masses, 1)
+            heap.append((1, -masses[0], e))
     heapq.heapify(heap)
-    col_state = {e: (sorted(m, reverse=True), 1) for e, m in columns.items()}
-    budget = delta
+    budget = Fraction(delta) * sub._den if sub.exact else float(delta)
     total_guess = sum(m[0] for m, _ in col_state.values())
     while budget > 0 and heap:
         mult, _, e = heapq.heappop(heap)
@@ -491,32 +387,27 @@ def smooth_cond_min_entropy(j: JointDistribution, target, given, delta) -> float
         if mult != cur_mult:
             continue  # stale entry
         top = masses[0]
-        nxt = masses[mult] if mult < len(masses) else (Fraction(0) if exact else 0.0)
+        nxt = masses[mult] if mult < len(masses) else 0
         drop = top - nxt          # lowering all tied tops to the next level
         cost = drop * mult
         if cost <= budget and drop > 0:
             budget -= cost
             total_guess -= drop
-            new = [nxt] * mult + list(masses[mult:]) if mult < len(masses) else [nxt] * mult
+            new = [nxt] * mult + masses[mult:]
             new_mult = mult
             while new_mult < len(new) and new[new_mult] == nxt:
                 new_mult += 1
             col_state[e] = (new, new_mult)
             if nxt > 0:
-                heapq.heappush(heap, (new_mult, _as_key(nxt), e))
+                heapq.heappush(heap, (new_mult, -nxt, e))
         elif drop > 0:
-            partial = budget / mult
-            total_guess -= partial
+            total_guess -= budget / mult
             budget = 0
         else:
             break
-    if (total_guess <= 0):
+    if total_guess <= 0:
         return float("inf")
-    return -_log2_fraction(total_guess)
-
-
-def _as_key(x):
-    return -float(x)
+    return neg_log2(total_guess, sub._den)
 
 
 def statistical_distance(p: Distribution, q: Distribution):
@@ -528,11 +419,12 @@ def statistical_distance(p: Distribution, q: Distribution):
     if p.width != q.width:
         raise InvalidInputError("distributions must have equal widths")
     if p.exact and q.exact:
-        return sum((a - b for a, b in zip(p.mass, q.mass) if a > b),
-                   Fraction(0))
-    a, b = p.as_floats(), q.as_floats()
-    diff = a - b
-    return float(diff[diff > 0].sum())
+        den = check_denominator(math.lcm(p._den, q._den))
+        diff = p._num * (den // p._den) - q._num * (den // q._den)
+    else:
+        den = 1
+        diff = p.as_floats() - q.as_floats()
+    return ratio(diff[diff > 0].sum().item(), den)
 
 
 def distance_from_uniform_on(j: JointDistribution, part_labels):
@@ -540,24 +432,72 @@ def distance_from_uniform_on(j: JointDistribution, part_labels):
     part_labels = [part_labels] if isinstance(part_labels, str) else list(part_labels)
     rest = [lbl for lbl in j.labels() if lbl not in part_labels]
     sub = j.marginal(part_labels + rest)
-    pw = sum(sub._shifts[lbl][1] for lbl in part_labels)
+    pw = sum(j.part_width(lbl) for lbl in part_labels)
     rw = sub.total_width - pw
-    if sub.exact:
-        rest_mass = {}
-        for idx, p in enumerate(sub.mass):
-            r = idx & ((1 << rw) - 1) if rw else 0
-            rest_mass[r] = rest_mass.get(r, Fraction(0)) + p
-        u = Fraction(1, 1 << pw)
-        return sum((p - u * rest_mass[idx & ((1 << rw) - 1) if rw else 0]
-                    for idx, p in enumerate(sub.mass)
-                    if p > u * rest_mass.get(idx & ((1 << rw) - 1) if rw else 0,
-                                             Fraction(0))),
-                   Fraction(0))
-    m = sub.as_floats().reshape(1 << pw, 1 << rw) if rw else \
-        sub.as_floats().reshape(1 << pw, 1)
-    ref = m.sum(axis=0, keepdims=True) / (1 << pw)
-    diff = m - ref
-    return float(diff[diff > 0].sum())
+    groups = np.arange(1 << sub.total_width) & ((1 << rw) - 1)
+    return ratio(excess_over_uniform(sub._num, groups, pw), sub._den << pw)
+
+
+def excess_over_uniform(weights, groups, m: int):
+    """Unnormalized distance of an m-bit part from uniform, given the rest.
+
+    Cell ``c`` is one (part value, rest value) pair of weight
+    ``weights[c]``, and ``groups[c]`` numbers its rest value.  Returns
+    ``sum_c max(0, 2**m * weights[c] - R[groups[c]])``, where ``R[g]`` is
+    the total weight of group ``g``.  Divided by ``2**m`` times the total
+    weight, this is the statistical distance of (part, rest) from
+    (uniform on m bits) x rest; cells left out have weight 0 and add
+    nothing.  Integer weights give an exact integer, float weights a
+    float.
+    """
+    weights = np.asarray(weights)
+    groups = np.asarray(groups, dtype=np.intp)
+    if weights.dtype.kind in "iu":
+        weights = weights.astype(np.int64)
+        if int(weights.sum()) << m > MAX_DENOMINATOR:
+            raise SizeLimitError(
+                f"weights scaled by 2**{m} would pass 2**62")
+    totals = np.zeros(int(groups.max()) + 1 if groups.size else 0,
+                      dtype=weights.dtype)
+    np.add.at(totals, groups, weights)
+    excess = weights * (1 << m) - totals[groups]
+    return excess[excess > 0].sum().item()
+
+
+def group_ids(keys) -> np.ndarray:
+    """Dense integer ids for hashable group keys, in order of appearance."""
+    ids: dict = {}
+    return np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.intp)
+
+
+def ratio(num, den):
+    """``num / den``: a Fraction for an integer numerator, a float otherwise."""
+    if isinstance(num, (int, np.integer)):
+        return Fraction(int(num), int(den))
+    return float(num) / den
+
+
+def neg_log2(num, den=1) -> float:
+    """``-log2(num / den)`` in bits, for a positive ratio.
+
+    Exact operands are reduced first, so the float returned does not
+    depend on which common denominator carried them.
+    """
+    if num <= 0:
+        raise InvalidInputError("log2 of non-positive value")
+    if isinstance(num, float):
+        return -math.log2(num / den)
+    p = Fraction(num, den)
+    return math.log2(p.denominator) - math.log2(p.numerator)
+
+
+def check_denominator(den: int) -> int:
+    """Refuse a common denominator whose numerators could pass 2**62."""
+    if den > MAX_DENOMINATOR:
+        raise SizeLimitError(f"common denominator {den} exceeds 2**62")
+    if den < 1:
+        raise InvalidInputError("denominator must be positive")
+    return den
 
 
 def xor_project(j: JointDistribution, label: str, subset) -> JointDistribution:
@@ -582,11 +522,48 @@ def xor_project(j: JointDistribution, label: str, subset) -> JointDistribution:
     return j.apply_to_part(label, _xor, 1)
 
 
+def _read_header(data: bytes, kind: int) -> int:
+    """Check a serialized header and return its width or part count."""
+    if data[:4] != _MAGIC:
+        raise InvalidInputError("bad magic, not a serialized distribution")
+    version, got, value = struct.unpack("<HBB", data[4:8])
+    if version != _VERSION or got != kind:
+        raise InvalidInputError(f"unsupported version/kind {version}/{got}")
+    return value
+
+
+def _check_width(width: int, exact: bool) -> None:
+    if not 1 <= width <= MAX_TOTAL_WIDTH:
+        raise SizeLimitError(f"total width {width} outside 1..{MAX_TOTAL_WIDTH}")
+    if exact and width > MAX_EXACT_WIDTH:
+        raise SizeLimitError(
+            f"exact mode supports total widths up to {MAX_EXACT_WIDTH}")
+
+
+def _numerators(mass, exact: bool | None) -> tuple:
+    """Input masses as (numerators, denominator): rationals over their
+    least common denominator, or floats over 1."""
+    if exact is None:
+        exact = _looks_exact(mass)
+    if not exact:
+        return np.asarray(mass, dtype=np.float64), 1
+    fracs = [Fraction(x) for x in mass]
+    den = check_denominator(math.lcm(*(f.denominator for f in fracs)))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    if min(nums, default=0) < 0:
+        raise InvalidInputError("negative mass")
+    if sum(nums) != den:
+        raise InvalidInputError("exact masses must sum to exactly 1")
+    return np.array(nums, dtype=np.int64), den
+
+
+def _over(num: np.ndarray, den, exact: bool) -> tuple:
+    """``num / den`` as (numerators, denominator) in the given mode."""
+    if exact:
+        return num.astype(np.int64), check_denominator(int(den))
+    return (num / den).astype(np.float64, copy=False), 1
+
+
 def _looks_exact(mass) -> bool:
-    if isinstance(mass, np.ndarray):
-        return False
-    try:
-        first = next(iter(mass))
-    except StopIteration:
-        return False
-    return isinstance(first, (Fraction, int))
+    return not isinstance(mass, np.ndarray) and \
+        isinstance(next(iter(mass), None), (Fraction, int))

@@ -13,12 +13,15 @@ keeps every joint exactly computable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dist import Distribution, JointDistribution, MAX_TOTAL_WIDTH
+import numpy as np
+
+from .dist import (MAX_TOTAL_WIDTH, Distribution, JointDistribution,
+                   check_denominator, neg_log2)
 from .errors import InvalidInputError, SizeLimitError
 
 
@@ -111,6 +114,15 @@ class LeakageScenario:
         low = a & ((1 << low_w) - 1) if low_w else 0
         return (high << low_w) | low, high_w + low_w
 
+    @property
+    def leaky(self) -> tuple:
+        """Indices of the sources whose leak has a non-zero width."""
+        return tuple(i for i in range(self.t) if self.e_widths[i] > 0)
+
+    def leaks(self, xs, a: int) -> tuple:
+        """The non-trivial leaks for source values ``xs`` and register ``a``."""
+        return tuple(self.leak_value(i, xs[i], a) for i in self.leaky)
+
     def leak_value(self, i: int, x: int, a: int) -> int:
         fn = self.leak_maps[i]
         if fn is None:
@@ -146,89 +158,79 @@ def leakage_apply(sources: Sequence[Distribution], sc: LeakageScenario,
     for d, w in zip(sources, sc.source_widths):
         if d.width != w:
             raise InvalidInputError("source width mismatch with scenario")
-    if sc.shared_width > 0:
+    parts = [(f"X{i + 1}", sc.source_widths[i]) for i in range(t)] + \
+        [(f"E{i + 1}", sc.e_widths[i]) for i in sc.leaky]
+    total = sum(w for _, w in parts)
+    if total > MAX_TOTAL_WIDTH:
+        raise SizeLimitError(f"joint over {total} bits exceeds the desk cap")
+
+    den, worlds = enumerate_worlds(sources, sc, shared)
+    num = np.zeros(1 << total, dtype=np.float64 if den is None else np.int64)
+    for weight, xs, _, es in worlds:
+        idx = 0
+        for (_, w), v in zip(parts, xs + es):
+            idx = (idx << w) | v
+        num[idx] += weight
+    joint = JointDistribution.from_numerators(parts, num, den or 1)
+    ks = [_entropy_at_imaginary_step(sources[i], sc, shared, i)
+          for i in range(t)]
+    return LeakageResult(joint=joint, k=ks)
+
+
+def enumerate_worlds(sources: Sequence[Distribution],
+                     sc: LeakageScenario | None = None,
+                     shared: Distribution | None = None) -> tuple:
+    """Every joint value of independent sources and the shared register.
+
+    Returns ``(den, worlds)``.  ``worlds`` yields ``(weight, xs, a, es)``
+    for each combination of support points: the source values ``xs``,
+    the shared-register value ``a`` (0 when ``sc`` uses none), the leaks
+    ``es`` of ``sc``'s non-trivial leak maps (empty without ``sc``), and
+    the probability ``weight / den``.  When every distribution is exact
+    the weights are integers over one common denominator ``den``; else
+    ``den`` is None and the weights are float probabilities.
+    """
+    dists = list(sources)
+    if sc is not None and sc.shared_width > 0:
         if shared is None:
             raise InvalidInputError("scenario uses a shared register; "
                                     "pass its distribution")
         if shared.width != sc.shared_width:
             raise InvalidInputError("shared register width mismatch")
-    exact = all(d.exact for d in sources) and (shared is None or shared.exact)
+        dists.append(shared)
+    else:
+        dists.append(Distribution.point_mass(1, 0, exact=True))
+    den = None
+    if all(d.exact for d in dists):
+        den = check_denominator(math.prod(d.denominator for d in dists))
+    items = []
+    for d in dists:
+        support = d.support()
+        weights = d.numerators if den is not None else d.as_floats()
+        items.append(list(zip(support, weights[support].tolist())))
 
-    e_parts = [(f"E{i + 1}", sc.e_widths[i]) for i in range(t)
-               if sc.e_widths[i] > 0]
-    parts = [(f"X{i + 1}", sc.source_widths[i]) for i in range(t)] + e_parts
-    total = sum(w for _, w in parts)
-    if total > MAX_TOTAL_WIDTH:
-        raise SizeLimitError(f"joint over {total} bits exceeds the desk cap")
+    def worlds():
+        for combo in itertools.product(*items):
+            xs = tuple(v for v, _ in combo[:-1])
+            a = combo[-1][0]
+            es = sc.leaks(xs, a) if sc is not None else ()
+            yield math.prod(w for _, w in combo), xs, a, es
 
-    zero = Fraction(0) if exact else 0.0
-    atoms: dict = {}
-    shared_items = (_support_items(shared) if sc.shared_width > 0
-                    else [(0, Fraction(1) if exact else 1.0)])
-    for xs, px in _tuple_items(sources):
-        for a, pa in shared_items:
-            p = px * pa
-            es = tuple(sc.leak_value(i, xs[i], a) for i in range(t)
-                       if sc.e_widths[i] > 0)
-            key = xs + es
-            atoms[key] = atoms.get(key, zero) + p
-    joint = JointDistribution.from_atoms(parts, atoms, exact=exact) if exact \
-        else _joint_from_float_atoms(parts, atoms)
-
-    ks = [_entropy_at_imaginary_step(sources, sc, shared, i, exact)
-          for i in range(t)]
-    return LeakageResult(joint=joint, k=ks)
+    return den, worlds()
 
 
-def _entropy_at_imaginary_step(sources, sc, shared, i, exact) -> float:
+def _entropy_at_imaginary_step(source, sc, shared, i) -> float:
     """H_min(X_i | E_i, A_{-i}) right after leak i alone has fired."""
-    shared_items = (_support_items(shared) if sc.shared_width > 0
-                    else [(0, Fraction(1) if exact else 1.0)])
-    best: dict = {}
-    zero = Fraction(0) if exact else 0.0
+    alone = LeakageScenario((sc.source_widths[i],), sc.shared_width,
+                            (sc.slices[i],), (sc.leak_maps[i],),
+                            (sc.e_widths[i],))
+    den, worlds = enumerate_worlds([source], alone, shared)
     guess: dict = {}
-    for x, px in _support_items(sources[i]):
-        for a, pa in shared_items:
-            e = sc.leak_value(i, x, a)
-            a_minus, _ = sc.complement_value(a, i)
-            key = (e, a_minus)
-            p = px * pa
-            cell = guess.setdefault(key, {})
-            cell[x] = cell.get(x, zero) + p
-    pg = zero
-    for cell in guess.values():
-        pg += max(cell.values())
-    if isinstance(pg, Fraction):
-        return math.log2(pg.denominator) - math.log2(pg.numerator)
-    return -math.log2(pg)
-
-
-def _support_items(d: Distribution):
-    return [(v, d.mass[v]) for v in d.support()]
-
-
-def _tuple_items(sources):
-    items = [(0,) * 0]
-    acc = [((), Fraction(1) if sources[0].exact else 1.0)]
-    for d in sources:
-        nxt = []
-        for xs, p in acc:
-            for v, pv in _support_items(d):
-                nxt.append((xs + (v,), p * pv))
-        acc = nxt
-    return acc
-
-
-def _joint_from_float_atoms(parts, atoms):
-    import numpy as np
-    total = sum(w for _, w in parts)
-    mass = np.zeros(1 << total)
-    for values, p in atoms.items():
-        idx = 0
-        for (_, w), v in zip(parts, values):
-            idx = (idx << w) | v
-        mass[idx] += p
-    return JointDistribution(parts, mass)
+    for weight, (x,), a, es in worlds:
+        cell = guess.setdefault((es, sc.complement_value(a, i)[0]), {})
+        cell[x] = cell.get(x, 0) + weight
+    return neg_log2(sum(max(cell.values()) for cell in guess.values()),
+                    den or 1)
 
 
 def _default_slices(t: int, shared_width: int) -> tuple:

@@ -27,11 +27,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bits import BitString
-from .dist import Distribution
-from .errors import InvalidInputError
+from .dist import Distribution, excess_over_uniform, group_ids, ratio
+from .errors import ConstraintViolatedError, InvalidInputError
 from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
-from .leakage import LeakageScenario
+from .leakage import LeakageScenario, enumerate_worlds
 from .oracle import MCReport, mc_distance, mc_distance_pairs
 from .sources import FlatSource
 
@@ -549,7 +549,9 @@ def exec_geqr(cfg: NetworkConfig, xvals: dict, adv: AdversaryStrategy,
     run.y_width = cfg.geqr_s * slice_w
     run.rushing_width = rushing
     if rushing > slice_w * cfg.t:
-        raise AssertionError("rushing width exceeded the k t / s bound")
+        raise ConstraintViolatedError([
+            f"rushing width {rushing} exceeds the k t / s bound "
+            f"{slice_w * cfg.t}"])
 
     for pid in grouped_players:
         run.outputs[pid] = BOT
@@ -595,35 +597,32 @@ def _sample_world(cfg, sources, scenario, shared, seed):
             if shared is None:
                 raise InvalidInputError("scenario uses a shared register")
             a = int(shared.sample(rng))
-        for i in range(scenario.t):
-            if scenario.e_widths[i] > 0:
-                side[i + 1] = scenario.leak_value(i, xvals[i + 1], a)
+        for i in scenario.leaky:
+            side[i + 1] = scenario.leak_value(i, xvals[i + 1], a)
     return xvals, side
 
 
-def enumerate_worlds(cfg, sources, scenario, shared=None):
-    """Yield (weight, xvals, side_info) over every source/leak atom."""
+def _exact_runs(protocol, cfg, sources, scenario, adv, shared) -> tuple:
+    """Run the protocol on every source/leak world.
+
+    Returns ``(den, runs)``; ``runs`` yields ``(weight, xvals, side,
+    run)`` with the world's probability ``weight / den``.
+    """
     dists = [_as_distribution(s, exact=True) for s in sources]
-    shared_items = [(0, Fraction(1))]
-    if scenario is not None and scenario.shared_width > 0:
-        if shared is None or not shared.exact:
-            raise InvalidInputError("exact enumeration needs an exact shared "
-                                    "register distribution")
-        shared_items = [(v, shared.mass[v]) for v in shared.support()]
-    supports = [d.support() for d in dists]
-    import itertools as _it
-    for xs in _it.product(*supports):
-        px = Fraction(1)
-        for d, x in zip(dists, xs):
-            px *= d.mass[x]
-        xvals = {pid: x for pid, x in enumerate(xs, start=1)}
-        for a, pa in shared_items:
-            side = {}
-            if scenario is not None:
-                for i in range(scenario.t):
-                    if scenario.e_widths[i] > 0:
-                        side[i + 1] = scenario.leak_value(i, xs[i], a)
-            yield px * pa, xvals, side
+    den, worlds = enumerate_worlds(dists, scenario, shared)
+    if den is None:
+        raise InvalidInputError("exact enumeration needs exact source and "
+                                "shared register distributions")
+    leaky = scenario.leaky if scenario is not None else ()
+
+    def runs():
+        for weight, xs, _, es in worlds:
+            xvals = dict(enumerate(xs, start=1))
+            side = {i + 1: e for i, e in zip(leaky, es)}
+            yield weight, xvals, side, _run_protocol(protocol, cfg, xvals,
+                                                     adv, side)
+
+    return den, runs()
 
 
 # ----------------------------------------------------------------------
@@ -685,20 +684,20 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
         counts: dict = {}
         s_prime = None
         atoms = 0
-        for weight, xvals, side in enumerate_worlds(cfg, sources, scenario,
-                                                    shared):
-            run = _run_protocol(protocol, cfg, xvals, adv, side)
+        den, runs = _exact_runs(protocol, cfg, sources, scenario, adv, shared)
+        for weight, _, side, run in runs:
             if s_prime is None:
                 s_prime = tuple(pid for pid in player_set
                                 if pid not in run.faulty
                                 and run.outputs.get(pid) is not BOT)
             key = _world_key(run, s_prime, side)
-            counts[key] = counts.get(key, Fraction(0)) + weight
+            counts[key] = counts.get(key, 0) + weight
             atoms += 1
         part_w = m_out * len(s_prime)
-        dist = _exact_tv(counts, part_w)
-        return SecurityReport("exact", dist, player_set, s_prime, part_w,
-                              atoms)
+        excess = excess_over_uniform(list(counts.values()),
+                                     group_ids(k[1:] for k in counts), part_w)
+        return SecurityReport("exact", ratio(excess, den << part_w),
+                              player_set, s_prime, part_w, atoms)
     # sampled
     probe_x, probe_side = _sample_world(cfg, sources, scenario, shared, seed)
     probe = _run_protocol(protocol, cfg, probe_x, adv, probe_side)
@@ -727,26 +726,17 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
     (Z_i, X_{-i}, T, leaks) from uniform x rest."""
     m_out = output_width(cfg, protocol)
     counts: dict = {}
-    for weight, xvals, side in enumerate_worlds(cfg, sources, scenario,
-                                                shared):
-        run = _run_protocol(protocol, cfg, xvals, adv, side)
+    den, runs = _exact_runs(protocol, cfg, sources, scenario, adv, shared)
+    for weight, xvals, side, run in runs:
         z = run.outputs.get(player)
         if z is BOT:
             raise InvalidInputError(f"player {player} has no private output")
-        x_rest = tuple(sorted((pid, v) for pid, v in xvals.items()
-                              if pid != player))
+        x_rest = tuple((pid, v) for pid, v in xvals.items() if pid != player)
         key = (z, x_rest, run.transcript_key(), tuple(sorted(side.items())))
-        counts[key] = counts.get(key, Fraction(0)) + weight
-    rest_tot: dict = {}
-    for (z, xr, t, e), p in counts.items():
-        rest_tot[(xr, t, e)] = rest_tot.get((xr, t, e), Fraction(0)) + p
-    u = Fraction(1, 1 << m_out)
-    total = Fraction(0)
-    for (z, xr, t, e), p in counts.items():
-        ref = u * rest_tot[(xr, t, e)]
-        if p > ref:
-            total += p - ref
-    return total
+        counts[key] = counts.get(key, 0) + weight
+    excess = excess_over_uniform(list(counts.values()),
+                                 group_ids(k[1:] for k in counts), m_out)
+    return ratio(excess, den << m_out)
 
 
 def _world_key(run: ProtocolRun, s_prime, side):
@@ -762,20 +752,6 @@ def _world_key_split(run, s_prime, side, m_out):
     for v in z_s:
         z = (z << m_out) | v
     return z, (z_rest, t_key, e_key)
-
-
-def _exact_tv(counts: dict, part_width: int) -> Fraction:
-    rest_tot: dict = {}
-    for (z_s, z_rest, t, e), p in counts.items():
-        rk = (z_rest, t, e)
-        rest_tot[rk] = rest_tot.get(rk, Fraction(0)) + p
-    u = Fraction(1, 1 << part_width)
-    total = Fraction(0)
-    for (z_s, z_rest, t, e), p in counts.items():
-        ref = u * rest_tot[(z_rest, t, e)]
-        if p > ref:
-            total += p - ref
-    return total
 
 
 def mc_public_block_quality(cfg: NetworkConfig, sources, scenario,

@@ -32,11 +32,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dist import (Distribution, JointDistribution, cond_min_entropy,
-                   distance_from_uniform_on, min_entropy,
-                   smooth_cond_min_entropy, xor_project)
+                   distance_from_uniform_on, excess_over_uniform, group_ids,
+                   min_entropy, ratio, smooth_cond_min_entropy, xor_project)
 from .errors import BudgetExceededError, InvalidInputError
 from .extractors import ExtractorHandle
-from .leakage import LeakageScenario, leakage_apply
+from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
 
 DEFAULT_BUDGET = 20_000_000_000
 EXHAUSTIVE_MAP_BITS_CAP = 2  # leakage maps enumerated exhaustively up to e-width 2
@@ -754,43 +754,20 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
     """
     dists = [s.to_distribution(exact=True) if hasattr(s, "to_distribution")
              else s for s in sources]
-    for d in dists:
-        if not d.exact:
-            raise InvalidInputError("exact_distance needs exact sources")
     if len(dists) != h.arity:
         raise InvalidInputError(f"{h.name} takes {h.arity} inputs")
     strong = sorted(set(strong))
-    sc = scenario
-    shared_items = [(0, Fraction(1))]
-    if sc is not None and sc.shared_width > 0:
-        if shared is None or not shared.exact:
-            raise InvalidInputError("scenario uses a shared register; pass "
-                                    "an exact distribution for it")
-        shared_items = [(v, shared.mass[v]) for v in shared.support()]
-    groups: dict = {}
-    supports = [d.support() for d in dists]
-    for xs in itertools.product(*supports):
-        px = Fraction(1)
-        for d, x in zip(dists, xs):
-            px *= d.mass[x]
-        for a, pa in shared_items:
-            p = px * pa
-            if sc is not None:
-                es = tuple(sc.leak_value(i, xs[i], a) for i in range(sc.t)
-                           if sc.e_widths[i] > 0)
-            else:
-                es = ()
-            z = h.eval_int(*xs)
-            key = (tuple(xs[i] for i in strong), es)
-            cell = groups.setdefault(key, {})
-            cell[z] = cell.get(z, Fraction(0)) + p
-    u = Fraction(1, 1 << h.m)
-    total = Fraction(0)
-    for cell in groups.values():
-        mass = sum(cell.values())
-        ref = u * mass
-        total += sum((p - ref for p in cell.values() if p > ref), Fraction(0))
-    return total
+    den, worlds = enumerate_worlds(dists, scenario, shared)
+    if den is None:
+        raise InvalidInputError("exact_distance needs exact sources and an "
+                                "exact shared register distribution")
+    cells: dict = {}
+    for weight, xs, _, es in worlds:
+        key = (h.eval_int(*xs), tuple(xs[i] for i in strong), es)
+        cells[key] = cells.get(key, 0) + weight
+    excess = excess_over_uniform(list(cells.values()),
+                                 group_ids(key[1:] for key in cells), h.m)
+    return ratio(excess, den << h.m)
 
 
 # ----------------------------------------------------------------------
@@ -845,34 +822,20 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
     for z, rest in pairs:
         key = (int(z), rest)
         counts[key] = counts.get(key, 0) + 1
-    atoms = list(counts.items())
-    cvec = np.array([c for _, c in atoms], dtype=np.float64)
-    estimate = _plugin_tv(atoms, cvec, m, n_samples)
+    cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    groups = group_ids(rest for _, rest in counts)
+    scale = n_samples << m
+    estimate = excess_over_uniform(cvec, groups, m) / scale
     rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
     boot = np.empty(BOOTSTRAP_RESAMPLES)
     probs = cvec / n_samples
     for i in range(BOOTSTRAP_RESAMPLES):
-        res = rng.multinomial(n_samples, probs).astype(np.float64)
-        boot[i] = _plugin_tv(atoms, res, m, n_samples)
+        res = rng.multinomial(n_samples, probs)
+        boot[i] = excess_over_uniform(res, groups, m) / scale
     lo, hi = np.percentile(boot, [50 * (1 - CI_LEVEL),
                                   100 - 50 * (1 - CI_LEVEL)])
     return MCReport(estimate=float(estimate), ci=(float(lo), float(hi)),
                     n=n_samples, m=m, tol=tol)
-
-
-def _plugin_tv(atoms, cvec, m, n):
-    keys = [k for k, _ in atoms]
-    rest_tot: dict = {}
-    for (_, rest), c in zip(keys, cvec):
-        rest_tot[rest] = rest_tot.get(rest, 0.0) + c
-    total = 0.0
-    inv = 1.0 / (1 << m)
-    for (_, rest), c in zip(keys, cvec):
-        diff = c - inv * rest_tot[rest]
-        if diff > 0:
-            total += diff
-    # unobserved cells contribute nothing positive to the plug-in sum
-    return total / n
 
 
 # ----------------------------------------------------------------------
@@ -911,16 +874,17 @@ def _lemma_condition(joint: JointDistribution, eps: float,
     wy = joint.part_width(given)
     bound = hx - wy - math.log2(1.0 / eps)
     ymarg = joint.marginal_dist(given)
-    good = Fraction(0) if joint.exact else 0.0
+    good = 0
     per_y = {}
     for y in ymarg.support():
         cond = joint.condition(given, y)
         hy = min_entropy(cond.marginal_dist(target))
         per_y[y] = hy
         if hy >= bound - 1e-9:
-            good += ymarg.mass[y]
-    ok = float(good) >= 1 - eps - 1e-12
-    return LemmaVerdict("L2.2", ok, float(good) - (1 - eps),
+            good += ymarg.numerators[y].item()
+    good = float(ratio(good, ymarg.denominator))
+    ok = good >= 1 - eps - 1e-12
+    return LemmaVerdict("L2.2", ok, good - (1 - eps),
                         {"threshold_bits": bound, "per_y_entropy": per_y})
 
 
@@ -932,7 +896,7 @@ def _lemma_xor(joint: JointDistribution, z_label: str = "Z",
     m = joint.part_width(z_label)
     d = joint.part_width(e_label)
     lhs = distance_from_uniform_on(joint, z_label) ** 2
-    rhs = Fraction(0)
+    rhs = 0
     for r in range(1, 1 << m):
         subset = [i + 1 for i in range(m) if (r >> (m - 1 - i)) & 1]
         proj = xor_project(joint, z_label, subset)
@@ -967,7 +931,7 @@ def _lemma_additivity(sources, scenario: LeakageScenario,
 
 def _lemma_hybrid_union(set_error: Fraction, individual_errors) -> LemmaVerdict:
     """Set error is at most the sum of individual strong errors."""
-    total = sum(individual_errors, Fraction(0))
+    total = sum(individual_errors)
     slack = total - set_error
     return LemmaVerdict("L8.1", slack >= 0, slack,
                         {"set_error": set_error,

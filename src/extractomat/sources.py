@@ -9,13 +9,11 @@ prefixes of positive probability.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .dist import Distribution, JointDistribution
+from .dist import Distribution, JointDistribution, neg_log2, ratio
 from .errors import InvalidInputError
 
 
@@ -112,49 +110,29 @@ def check_block_source(j: JointDistribution, spec: BlockSourceSpec) -> BlockSour
         raise InvalidInputError(
             f"joint widths {tuple(widths)} do not match spec {spec.block_widths}")
     labels = list(j.labels())
-    nblocks = len(labels)
     ok = True
     worst = None
     worst_gap = None
     violating_mass = []
-    for i in range(nblocks):
-        prefix_labels = labels[:i]
-        vmass = Fraction(0) if j.exact else 0.0
-        if not prefix_labels:
-            d = j.marginal_dist(labels[i])
-            h = _dist_min_entropy(d)
+    for i in range(len(labels)):
+        # One row per prefix value (a single row for the first block):
+        # H(block | prefix) = -log2(max / total) of the row.
+        sub = j.marginal(labels[:i + 1])
+        den = sub.denominator
+        rows = sub.numerators.reshape(-1, 1 << widths[i])
+        totals, maxima = rows.sum(axis=1), rows.max(axis=1)
+        failing = np.zeros(len(totals), dtype=bool)
+        for pre in np.flatnonzero(totals).tolist():
+            h = neg_log2(maxima[pre].item(), den) \
+                - neg_log2(totals[pre].item(), den)
             if h < spec.thresholds[i] - 1e-9:
-                ok = False
-                vmass += 1 if not j.exact else Fraction(1)
+                failing[pre] = True
                 gap = spec.thresholds[i] - h
                 if worst_gap is None or gap > worst_gap:
-                    worst_gap, worst = gap, (i, (), h)
-        else:
-            sub = j.marginal(prefix_labels + labels[i:i + 1])
-            pw = sum(sub._shifts[lbl][1] for lbl in prefix_labels)
-            bw = sub.total_width - pw
-            table = {}
-            for idx in range(1 << sub.total_width):
-                p = sub.mass[idx]
-                if p > 0:
-                    pre = idx >> bw
-                    table.setdefault(pre, {})[idx & ((1 << bw) - 1)] = p
-            for pre, cells in table.items():
-                tot = sum(cells.values())
-                mx = max(cells.values())
-                # H(block | prefix) = -log2(max/tot)
-                h = (math.log2(tot.numerator) - math.log2(tot.denominator)
-                     if isinstance(tot, Fraction) else math.log2(tot))
-                h -= (math.log2(mx.numerator) - math.log2(mx.denominator)
-                      if isinstance(mx, Fraction) else math.log2(mx))
-                if h < spec.thresholds[i] - 1e-9:
-                    ok = False
-                    vmass += tot
-                    gap = spec.thresholds[i] - h
-                    if worst_gap is None or gap > worst_gap:
-                        prefix_vals = _split_prefix(pre, [j.part_width(l) for l in prefix_labels])
-                        worst_gap, worst = gap, (i, prefix_vals, h)
-        violating_mass.append(vmass)
+                    worst_gap = gap
+                    worst = (i, _split_prefix(pre, widths[:i]), h)
+        ok = ok and not failing.any()
+        violating_mass.append(ratio(totals[failing].sum(), den))
     return BlockSourceVerdict(ok=ok, worst=worst, violating_mass=violating_mass)
 
 
@@ -164,13 +142,6 @@ def _split_prefix(value: int, widths):
         out.append(value & ((1 << w) - 1))
         value >>= w
     return tuple(reversed(out))
-
-
-def _dist_min_entropy(d: Distribution) -> float:
-    mx = d.max_mass()
-    if isinstance(mx, Fraction):
-        return math.log2(mx.denominator) - math.log2(mx.numerator)
-    return -math.log2(mx)
 
 
 @dataclass(frozen=True)
@@ -194,12 +165,11 @@ class SomewhereRandomSpec:
             raise InvalidInputError(f"expected {self.rows} rows")
         if any(w != self.row_width for _, w in j.parts):
             raise InvalidInputError(f"rows must be {self.row_width} bits wide")
+        slack = 0 if j.exact else tol * (1 << self.row_width)
         for i, (lbl, _) in enumerate(j.parts):
             d = j.marginal_dist(lbl)
-            if d.exact:
-                if all(x == Fraction(1, 1 << d.width) for x in d.mass):
-                    return True, i
-            else:
-                if np.allclose(d.mass, 1.0 / (1 << d.width), atol=tol, rtol=0):
-                    return True, i
+            # uniform iff every numerator is 2**-width of the denominator
+            off = np.abs(d.numerators * (1 << d.width) - d.denominator)
+            if np.all(off <= slack):
+                return True, i
         return False, None

@@ -164,19 +164,52 @@ def test_xtab_digest_verified(tmp_path, monkeypatch, capsys):
     h, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=71,
                                           cache_dir=tmp_path)
     path = tmp_path / f"{rec.digest}.xtab"
-    data = bytearray(path.read_bytes())
+    good = path.read_bytes()
     body_start = 18 + 2 + 8 * 2  # header, two widths, two k values
-    data[body_start + 5] ^= 1
-    path.write_bytes(bytes(data))
-    with pytest.raises(InvalidInputError, match="digest"):
-        certify.load_xtab(path)
-    assert main(["eval", "--extractor", str(path), "--k1", "2", "--k2", "2",
-                 "--out-dir", str(tmp_path / "out")]) == 4
-    # the cache treats the damaged file as a miss: measure and rewrite
+
+    def flip_body_byte(data):
+        data = bytearray(data)
+        data[body_start + 5] ^= 1
+        return bytes(data)
+
+    damages = [(flip_body_byte, "digest"),
+               (lambda data: data[:-1], "damaged certification record"),
+               (lambda data: data.replace(b'"attempts"', b'"attempt"'),
+                "damaged certification record")]
     calls = _counting_measure(monkeypatch)
-    h2, rec2 = certify.certify_random_table((3, 3), (2, 2), 1, seed=71,
-                                            cache_dir=tmp_path)
-    assert len(calls) == 1
-    assert rec2.error_exact == rec.error_exact
-    h3, _ = certify.load_xtab(path)
-    assert np.array_equal(h3.table(), h.table())
+    for damage, match in damages:
+        path.write_bytes(damage(good))
+        with pytest.raises(InvalidInputError, match=match):
+            certify.load_xtab(path)
+        assert main(["eval", "--extractor", str(path), "--k1", "2",
+                     "--k2", "2", "--out-dir", str(tmp_path / "out")]) == 4
+        # the cache treats the damaged file as a miss: measure and rewrite
+        before = len(calls)
+        h2, rec2 = certify.certify_random_table((3, 3), (2, 2), 1, seed=71,
+                                                cache_dir=tmp_path)
+        assert len(calls) == before + 1
+        assert rec2.error_exact == rec.error_exact
+        h3, _ = certify.load_xtab(path)
+        assert np.array_equal(h3.table(), h.table())
+
+
+def test_declared_strong_set_is_the_measured_one(tmp_path):
+    # a seeded table always records its seed; the handle declares exactly
+    # that, on the fresh path and then on the cache path
+    for _ in range(2):
+        h, rec = certify.certify_random_table((3, 2), (2, 2), 1,
+                                              kind="seeded", seed=81,
+                                              cache_dir=tmp_path)
+        assert set(h.strong) == set(rec.strong_errors) == {1}
+    h, rec = certify.certify_random_table((2, 2, 2), (1, 1, 1), 1,
+                                          kind="t-source", seed=82,
+                                          cache_dir=tmp_path)
+    assert h.strong == frozenset() and rec.strong_errors == {}
+    # indices the kind's measurement cannot record are refused
+    for kind, widths, strong in (("t-source", (2, 2, 2), (0,)),
+                                 ("seeded", (3, 2), (0,)),
+                                 ("2-source", (2, 2), (2,))):
+        with pytest.raises(InvalidInputError):
+            certify.certify_random_table(widths, (1,) * len(widths), 1,
+                                         kind=kind, seed=83, strong=strong,
+                                         cache_dir=tmp_path)

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from extractomat.dist import (Distribution, JointDistribution,
                               cond_min_entropy, distance_from_uniform_on,
-                              min_entropy, smooth_cond_min_entropy,
-                              statistical_distance, xor_project)
+                              excess_over_uniform, group_ids, min_entropy,
+                              smooth_cond_min_entropy, statistical_distance,
+                              xor_project)
 from extractomat.errors import InvalidInputError, SizeLimitError
+from extractomat.leakage import enumerate_worlds
 
-from helpers_naive import naive_cond_min_entropy
+from helpers_naive import naive_cond_min_entropy, naive_tv_from_uniform
 
 
 # ----------------------------------------------------------------------
@@ -242,3 +244,90 @@ def test_distance_from_uniform_on_part():
     j = JointDistribution.from_atoms(
         [("Z", 1), ("E", 1)], {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
     assert distance_from_uniform_on(j, "Z") == Fraction(1, 2)
+
+
+# ----------------------------------------------------------------------
+# integer numerators over one denominator
+# ----------------------------------------------------------------------
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_naive_tv(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    cells = {}
+    for _ in range(int(rng.integers(1, 20))):
+        key = (int(rng.integers(0, 1 << m)), int(rng.integers(0, 4)))
+        cells[key] = cells.get(key, 0) + int(rng.integers(1, 50))
+    total = sum(cells.values())
+    groups = group_ids(g for _, g in cells)
+    naive = naive_tv_from_uniform(cells, total, m)
+    excess = excess_over_uniform(list(cells.values()), groups, m)
+    assert Fraction(excess, total << m) == naive
+    floats = np.array(list(cells.values()), dtype=np.float64)
+    assert excess_over_uniform(floats, groups, m) / (total << m) \
+        == pytest.approx(float(naive))
+
+
+def _values(idx, widths):
+    """Per-part values of a composite index, first part most significant."""
+    out = []
+    for w in reversed(widths):
+        out.append(idx & ((1 << w) - 1))
+        idx >>= w
+    return tuple(reversed(out))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_int_exact_ops_match_fraction_reference(seed):
+    rng = np.random.default_rng(seed)
+    wa, wb, wc = (int(w) for w in rng.integers(1, 3, size=3))
+    den = int(rng.choice([6, 7, 64, 90]))
+    n = 1 << (wa + wb + wc)
+    mass = [Fraction(int(c), den)
+            for c in rng.multinomial(den, np.full(n, 1.0 / n))]
+    j = JointDistribution([("A", wa), ("B", wb), ("C", wc)], mass)
+    atoms = {_values(i, [wa, wb, wc]): p for i, p in enumerate(mass)}
+
+    def add(table, key, p):
+        table[key] = table.get(key, 0) + p
+
+    ca, ab, a_rest = {}, {}, {}
+    for (a, b, c), p in atoms.items():
+        add(ca, (c, a), p)
+        add(ab, (a, b), p)
+        add(a_rest, (a, (b, c)), p)
+    assert j.marginal(["C", "A"]).mass == tuple(
+        ca.get(_values(i, [wc, wa]), 0) for i in range(1 << (wc + wa)))
+    assert j.guessing_probability("A", "B") == naive_cond_min_entropy(ab)
+    assert distance_from_uniform_on(j, "A") == \
+        naive_tv_from_uniform(a_rest, 1, wa)
+
+    b = max(range(1 << wb), key=lambda v: sum(
+        p for (_, bv, _), p in atoms.items() if bv == v))
+    pb = sum(p for (_, bv, _), p in atoms.items() if bv == b)
+    cond = {(a, c): p / pb for (a, bv, c), p in atoms.items() if bv == b}
+    assert j.condition("B", b).mass == tuple(
+        cond[_values(i, [wa, wc])] for i in range(1 << (wa + wc)))
+
+    pa = j.marginal_dist("A")
+    q = [Fraction(int(c), 13)
+         for c in rng.multinomial(13, np.full(1 << wa, 1.0 / (1 << wa)))]
+    ref = sum(max(Fraction(0), x - y) for x, y in zip(pa.mass, q))
+    assert statistical_distance(pa, Distribution(wa, q)) == ref
+
+
+def test_over_bound_denominator_raises():
+    tiny = Fraction(1, 3 ** 40)  # 3**40 > 2**62
+    with pytest.raises(SizeLimitError):
+        Distribution(1, [tiny, 1 - tiny])
+    # each factor fits; their common denominator 3**40 does not
+    half = Distribution(1, [Fraction(1, 3 ** 20), 1 - Fraction(1, 3 ** 20)])
+    assert half.denominator == 3 ** 20
+    with pytest.raises(SizeLimitError):
+        JointDistribution.product([("A", half), ("B", half)])
+    with pytest.raises(SizeLimitError):
+        enumerate_worlds([half, half])
+    with pytest.raises(SizeLimitError):
+        excess_over_uniform([1 << 61, 1 << 61], [0, 0], 1)

@@ -5,7 +5,7 @@ import pytest
 
 from extractomat import certify
 from extractomat.cli import build_toy_network
-from extractomat.errors import InvalidInputError
+from extractomat.errors import ConstraintViolatedError, InvalidInputError
 from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, exec_ext_pri, exec_ext_pub,
@@ -215,6 +215,14 @@ def test_forced_slice_override(micro_geqr):
     adv = AdversaryStrategy.forced_slice({3}, {2: 0b11})
     run = exec_geqr(cfg, xvals, adv)
     assert run.y & 0b11 == 0b11
+
+
+def test_geqr_rushing_over_bound_is_a_constraint_violation(micro_geqr):
+    # t = 1, but the faulty players sit in both groups: the rushing width
+    # 2 * floor(k/s) passes the k t / s bound
+    xvals = {pid: 0 for pid in range(1, 6)}
+    with pytest.raises(ConstraintViolatedError, match="rushing width"):
+        exec_geqr(micro_geqr, xvals, AdversaryStrategy.ir({1, 3}))
 
 
 def test_evaluate_security_exact_all_honest(micro_geqr):
