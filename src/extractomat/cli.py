@@ -33,6 +33,8 @@ EXIT_BUDGET = 3
 EXIT_CONFIG = 4
 EXIT_CONSTRAINT = 5
 
+ADVERSARIES = ("none", "ir", "qr-analog")
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -107,13 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("netsim", help="run a protocol ensemble and evaluate it")
     n.add_argument("--config", type=Path, required=True)
     n.add_argument("--protocol", choices=["extpub", "geqr"])
-    n.add_argument("--adv", choices=["none", "ir", "qr-analog"], default="none")
-    n.add_argument("--runs", type=int, default=1000)
+    n.add_argument("--adv", choices=ADVERSARIES,
+                   help="adversary (default: the config's adv, else none)")
+    n.add_argument("--runs", type=int,
+                   help="ensemble size (default: the config's runs, else 1000)")
     n.add_argument("--exact", action="store_true",
                    help="exact micro-scale evaluation instead of sampling")
     n.add_argument("--cache", type=Path, default=None)
     n.add_argument("--out-dir", type=Path, default=Path("."))
-    n.add_argument("--threads", "--workers", dest="threads", type=int, default=1)
     n.set_defaults(func=cmd_netsim)
 
     l = sub.add_parser("ledger", help="reproduce a theorem's parameter arithmetic")
@@ -292,7 +295,10 @@ def cmd_netsim(args) -> int:
     from .leakage import LeakageScenario
     params = ns.parse_config_text(args.config.read_text())
     protocol = args.protocol or params.get("protocol", "extpub")
-    runs = args.runs if args.runs else params.get("runs", 1000)
+    runs = args.runs if args.runs is not None else params.get("runs", 1000)
+    adv_kind = args.adv or params.get("adv", "none")
+    if adv_kind not in ADVERSARIES:
+        raise InvalidInputError(f"unknown adversary {adv_kind!r}")
     seed = params.get("seed", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -303,8 +309,8 @@ def cmd_netsim(args) -> int:
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
     sources = [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
-    adv = _builtin_adversary(args.adv, cfg, protocol)
-    if args.adv == "qr-analog":
+    adv = _builtin_adversary(adv_kind, cfg, protocol)
+    if adv_kind == "qr-analog":
         # leak one bit of the first outer player's source for the
         # QR-analog strategy to act on
         target = (cfg.geqr_outer()[0] if protocol == "geqr"
@@ -323,7 +329,7 @@ def cmd_netsim(args) -> int:
 
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    report: dict = {"protocol": protocol, "adversary": args.adv,
+    report: dict = {"protocol": protocol, "adversary": adv_kind,
                     "p": cfg.p, "t": cfg.t, "n": cfg.n, "k": cfg.k,
                     "seed": seed}
     log_path = out_dir / "runs.jsonl"
@@ -333,59 +339,48 @@ def cmd_netsim(args) -> int:
     if protocol == "extpub":
         run0, y0 = ns.run_ext_pub(cfg, sources, scenario, adv, seed)
         ns.exec_ext_pri(cfg, run0, y0)
-        log_path.write_text(run0.to_jsonl() + "\n")
-        report["y_width"] = cfg.y_width
-        report["rushing_order_ok"] = run0.rushing_order_ok()
         target_set = list(cfg.players_b + cfg.players_c)
         proto_key = "ext_pub"
     else:
         run0 = ns.run_geqr(cfg, sources, scenario, adv, seed)
-        log_path.write_text(run0.to_jsonl() + "\n")
-        report["y_width"] = run0.y_width
-        report["rushing_width"] = run0.rushing_width
-        report["rushing_order_ok"] = run0.rushing_order_ok()
         target_set = list(cfg.geqr_outer())
         proto_key = "geqr"
+    log_path.write_text(run0.to_jsonl() + "\n")
+    report["y_width"] = run0.y_width
+    if protocol == "geqr":
+        report["rushing_width"] = run0.rushing_width
+    report["rushing_order_ok"] = run0.rushing_order_ok()
 
-    rows = []
     if args.exact:
         rep = ns.evaluate_security(proto_key, cfg, sources, scenario, adv,
                                    target_set, mode="exact")
         report["exact_distance"] = float(rep.distance)
         report["effective_set"] = list(rep.effective_set)
-        if protocol == "geqr" and args.adv == "qr-analog":
+        if protocol == "geqr" and adv_kind == "qr-analog":
             report["ir_to_qr"] = _geqr_ir_baseline(ns, cfg, sources, scenario,
                                                    adv, target_set, rep)
-        rows.append({"player": " ".join(map(str, rep.effective_set)),
-                     "distance": float(rep.distance), "mode": "exact"})
-    elif protocol == "extpub":
-        tol = max(0.02, 1.001 * (100 * (1 << (2 * cfg.slice_width)) / runs) ** 0.5)
-        quality = ns.mc_public_block_quality(cfg, sources, scenario, adv,
-                                             n_runs=runs, tol=tol, seed=seed)
-        report["public_block_quality"] = {
-            str(pid): rep.to_json_dict() for pid, rep in quality.items()}
-        for pid, rep in sorted(quality.items()):
-            rows.append({"player": pid, "distance": rep.estimate,
-                         "mode": "sampled"})
+        rows = [{"player": " ".join(map(str, rep.effective_set)),
+                 "distance": float(rep.distance), "mode": "exact"}]
     else:
-        m_out = ns.output_width(cfg, proto_key)
-        tol = max(0.02, 1.001 * (100 * (1 << m_out) / runs) ** 0.5)
-        pairs = {pid: [] for pid in target_set}
-        from extractomat.netsim import _sample_world  # ensemble driver
-        for i in range(runs):
-            xv, sd = _sample_world(cfg, sources, scenario, None, seed + i)
-            run = ns.exec_geqr(cfg, xv, adv, sd)
-            for pid in target_set:
-                if run.outputs.get(pid) is not None:
-                    pairs[pid].append((run.outputs[pid], run.y))
-        from extractomat.oracle import mc_distance_pairs
-        mcs = {pid: mc_distance_pairs(v, m_out, tol=tol, seed=seed + pid)
-               for pid, v in pairs.items() if v}
-        report["output_vs_public"] = {str(pid): rep.to_json_dict()
-                                      for pid, rep in mcs.items()}
-        for pid, rep in sorted(mcs.items()):
-            rows.append({"player": pid, "distance": rep.estimate,
-                         "mode": "sampled"})
+        m = (2 * cfg.slice_width if protocol == "extpub"
+             else ns.output_width(cfg, proto_key))
+        tol = max(0.02, 1.001 * (100 * (1 << m) / runs) ** 0.5)
+        if protocol == "extpub":
+            field = "public_block_quality"
+            mcs = ns.mc_public_block_quality(cfg, sources, scenario, adv,
+                                             n_runs=runs, tol=tol, seed=seed)
+        else:
+            field = "output_vs_public"
+            mcs = ns.player_estimates(
+                proto_key, cfg, sources, scenario, adv,
+                lambda run: {pid: (run.outputs[pid], run.y)
+                             for pid in target_set
+                             if run.outputs.get(pid) is not ns.BOT},
+                m, n_runs=runs, tol=tol, seed=seed)
+        report[field] = {str(pid): rep.to_json_dict()
+                         for pid, rep in mcs.items()}
+        rows = [{"player": pid, "distance": rep.estimate, "mode": "sampled"}
+                for pid, rep in sorted(mcs.items())]
 
     with csv_path.open("w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["player", "distance", "mode"])

@@ -542,11 +542,12 @@ def _check_width(width: int, exact: bool) -> None:
 
 def _numerators(mass, exact: bool | None) -> tuple:
     """Input masses as (numerators, denominator): rationals over their
-    least common denominator, or floats over 1."""
+    least common denominator, or floats over 1.  Always a new array, so
+    freezing it never freezes the caller's."""
     if exact is None:
         exact = _looks_exact(mass)
     if not exact:
-        return np.asarray(mass, dtype=np.float64), 1
+        return np.array(mass, dtype=np.float64), 1
     fracs = [Fraction(x) for x in mass]
     den = check_denominator(math.lcm(*(f.denominator for f in fracs)))
     nums = [f.numerator * (den // f.denominator) for f in fracs]

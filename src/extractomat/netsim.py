@@ -10,10 +10,14 @@ reads the classical leak register.
 Protocols implemented: the three-round public block-source protocol
 (``ext_pub``), its non-interactive private-extraction step (``ext_pri``),
 and the one-round grouped protocol (``geqr``).  A run is strictly
-deterministic given (config, source values, leak values, strategy), which
-is what makes exact security evaluation possible: the evaluator simply
-executes the protocol on every source/leak combination and measures the
-resulting joint exactly.
+deterministic given (config, source values, leak values, strategy).
+
+One engine, :func:`protocol_runs`, feeds every evaluation: it yields
+``(weight, xvals, side, run)`` for each world of an ensemble, the world's
+probability being ``weight / den``.  An exact ensemble enumerates every
+source/leak world; a sampled one of N runs draws each source once as an
+N-vector from one Philox stream keyed by the seed (weight 1, ``den = N``),
+so the ensembles of seeds s and s+1 share no worlds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import ConstraintViolatedError, InvalidInputError
 from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
-from .oracle import MCReport, mc_distance, mc_distance_pairs
+from .oracle import mc_distance_pairs
 from .sources import FlatSource
 
 BOT = None  # the "no private output" symbol
@@ -388,29 +392,24 @@ def exec_ext_pub(cfg: NetworkConfig, xvals: dict, adv: AdversaryStrategy,
         if all(a_players[j] not in faulty for j in g.and_disperser.adj[v]))
     y_parts = {}
     for bi, pid in enumerate(cfg.players_b):
-        rows = g.expander.adj[bi]
         sj = 0
-        for v in rows:
+        for v in g.expander.adj[bi]:
             sj = (sj << g.iext.m) | s_rows[v]
-        yj = g.srext.eval_int(xvals[pid], sj)
-        y_parts[pid] = yj
+        y_parts[pid] = g.srext.eval_int(xvals[pid], sj)
 
     slices = {}
     for rnd_no, which in ((2, 1), (3, 2)):
         rnd = _Round(run, rnd_no)
+        shift = g.srext.m - which * sw
+        honest = {pid: (y_parts[pid] >> shift) & ((1 << sw) - 1)
+                  for pid in cfg.players_b}
         for pid in cfg.players_b:
-            full = y_parts[pid]
-            shift = g.srext.m - which * sw
-            honest_slice = (full >> shift) & ((1 << sw) - 1)
             if pid not in faulty:
-                rnd.honest_msg(pid, honest_slice, sw)
+                rnd.honest_msg(pid, honest[pid], sw)
         for pid in cfg.players_b:
             if pid in faulty:
-                full = y_parts[pid]
-                shift = g.srext.m - which * sw
-                honest_slice = (full >> shift) & ((1 << sw) - 1)
                 payload = adv.message(pid, rnd_no, rnd.view(), side_info,
-                                      honest_slice)
+                                      honest[pid])
                 rnd.faulty_msg(pid, payload & ((1 << sw) - 1), sw)
         committed = rnd.commit()
         slices[which] = [committed[pid] for pid in cfg.players_b]
@@ -489,11 +488,11 @@ def _drop_slices(y: int, b_size: int, sw: int, index: int) -> int:
 def run_ext_pub(cfg: NetworkConfig, sources: Sequence, scenario: LeakageScenario,
                 adv: AdversaryStrategy, seed: int, *,
                 shared: Distribution | None = None) -> tuple:
-    """Sample sources and leaks, then execute; deterministic in ``seed``."""
-    xvals, side = _sample_world(cfg, sources, scenario, shared, seed)
-    run, y = exec_ext_pub(cfg, xvals, adv, side)
+    """The public block on a sampled ensemble of one: ``(run, y)``."""
+    (_, _, _, run), = protocol_runs("ext_pub_only", cfg, sources, scenario,
+                                    adv, shared=shared, n_runs=1, seed=seed)[1]
     run.seed = seed
-    return run, y
+    return run, BitString(run.y_width, run.y)
 
 
 # ----------------------------------------------------------------------
@@ -566,53 +565,72 @@ def exec_geqr(cfg: NetworkConfig, xvals: dict, adv: AdversaryStrategy,
 
 def run_geqr(cfg, sources, scenario, adv, seed, *,
              shared: Distribution | None = None) -> ProtocolRun:
-    xvals, side = _sample_world(cfg, sources, scenario, shared, seed)
-    run = exec_geqr(cfg, xvals, adv, side)
+    (_, _, _, run), = protocol_runs("geqr", cfg, sources, scenario, adv,
+                                    shared=shared, n_runs=1, seed=seed)[1]
     run.seed = seed
     return run
 
 
 # ----------------------------------------------------------------------
-# World sampling and exact enumeration
+# The engine: worlds of an ensemble, and the protocol run on each
 # ----------------------------------------------------------------------
 
 def _as_distribution(src, exact=False) -> Distribution:
-    if isinstance(src, FlatSource):
-        return src.to_distribution(exact=exact)
-    return src
+    return src.to_distribution(exact) if isinstance(src, FlatSource) else src
 
 
-def _sample_world(cfg, sources, scenario, shared, seed):
+def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int):
+    """``n_runs`` worlds in the shape of ``enumerate_worlds`` items, weight
+    1 each: every source drawn once as an ``n_runs``-vector from one Philox
+    stream keyed by ``seed``, then the shared register."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    xs = np.stack([_as_distribution(src).sample(rng, size=n_runs)
+                   for src in sources], axis=1)
+    a = np.zeros(n_runs, dtype=np.int64)
+    if scenario is not None and scenario.shared_width > 0:
+        if shared is None:
+            raise InvalidInputError("scenario uses a shared register")
+        a = shared.sample(rng, size=n_runs)
+    for row, av in zip(xs, a.tolist()):
+        x = tuple(row.tolist())
+        yield 1, x, av, scenario.leaks(x, av) if scenario is not None else ()
+
+
+def _run_protocol(protocol: str, cfg, xvals, adv, side):
+    if protocol == "ext_pub":
+        run, y = exec_ext_pub(cfg, xvals, adv, side)
+        exec_ext_pri(cfg, run, y)
+        return run
+    if protocol == "ext_pub_only":  # the public block alone
+        run, _ = exec_ext_pub(cfg, xvals, adv, side)
+        return run
+    if protocol == "geqr":
+        return exec_geqr(cfg, xvals, adv, side)
+    raise InvalidInputError(f"unknown protocol {protocol!r}")
+
+
+def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
+                  scenario: LeakageScenario | None, adv: AdversaryStrategy, *,
+                  shared: Distribution | None = None,
+                  n_runs: int | None = None, seed: int = 0) -> tuple:
+    """Run the protocol on every world of one ensemble: ``(den, runs)``,
+    ``runs`` yielding ``(weight, xvals, side, run)`` one at a time with the
+    world's probability ``weight / den``.  ``n_runs=None`` enumerates every
+    source/leak world exactly; else ``n_runs`` worlds keyed by ``seed``."""
     if len(sources) != cfg.p:
         raise InvalidInputError("one source per player required")
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    xvals = {}
-    for pid, src in enumerate(sources, start=1):
-        d = _as_distribution(src)
-        xvals[pid] = int(d.sample(rng))
-    side = {}
-    if scenario is not None:
-        a = 0
-        if scenario.shared_width > 0:
-            if shared is None:
-                raise InvalidInputError("scenario uses a shared register")
-            a = int(shared.sample(rng))
-        for i in scenario.leaky:
-            side[i + 1] = scenario.leak_value(i, xvals[i + 1], a)
-    return xvals, side
-
-
-def _exact_runs(protocol, cfg, sources, scenario, adv, shared) -> tuple:
-    """Run the protocol on every source/leak world.
-
-    Returns ``(den, runs)``; ``runs`` yields ``(weight, xvals, side,
-    run)`` with the world's probability ``weight / den``.
-    """
-    dists = [_as_distribution(s, exact=True) for s in sources]
-    den, worlds = enumerate_worlds(dists, scenario, shared)
-    if den is None:
-        raise InvalidInputError("exact enumeration needs exact source and "
-                                "shared register distributions")
+    if n_runs is None:
+        den, worlds = enumerate_worlds(
+            [_as_distribution(s, exact=True) for s in sources], scenario,
+            shared)
+        if den is None:
+            raise InvalidInputError("exact enumeration needs exact source "
+                                    "and shared register distributions")
+    elif n_runs < 1:
+        raise InvalidInputError("an ensemble needs at least one run")
+    else:
+        den, worlds = n_runs, _draw_worlds(sources, scenario, shared,
+                                           n_runs, seed)
     leaky = scenario.leaky if scenario is not None else ()
 
     def runs():
@@ -638,25 +656,6 @@ class SecurityReport:
     part_width: int
     atoms: int = 0
 
-    @property
-    def value(self) -> float:
-        if isinstance(self.distance, MCReport):
-            return self.distance.estimate
-        return float(self.distance)
-
-
-def _run_protocol(protocol: str, cfg, xvals, adv, side):
-    if protocol == "ext_pub":
-        run, y = exec_ext_pub(cfg, xvals, adv, side)
-        exec_ext_pri(cfg, run, y)
-        return run
-    if protocol == "ext_pub_only":
-        run, _ = exec_ext_pub(cfg, xvals, adv, side)
-        return run
-    if protocol == "geqr":
-        return exec_geqr(cfg, xvals, adv, side)
-    raise InvalidInputError(f"unknown protocol {protocol!r}")
-
 
 def output_width(cfg: NetworkConfig, protocol: str) -> int:
     if protocol == "geqr":
@@ -675,47 +674,45 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
 
     Exact mode executes the protocol on every source/leak combination and
     measures the joint with rational arithmetic; sampled mode runs an
-    ensemble and returns the plug-in estimate with its bootstrap CI.
-    ``S'`` is the requested set minus the players that end up faulty.
+    ensemble of ``n_runs`` worlds keyed by ``seed`` and returns the
+    plug-in estimate with its bootstrap CI.  ``S'`` is the requested set
+    minus the players that are faulty or without output in the first run.
     """
     player_set = tuple(sorted(set(player_set)))
     m_out = output_width(cfg, protocol)
-    if mode == "exact":
-        counts: dict = {}
-        s_prime = None
-        atoms = 0
-        den, runs = _exact_runs(protocol, cfg, sources, scenario, adv, shared)
-        for weight, _, side, run in runs:
-            if s_prime is None:
-                s_prime = tuple(pid for pid in player_set
-                                if pid not in run.faulty
-                                and run.outputs.get(pid) is not BOT)
-            key = _world_key(run, s_prime, side)
-            counts[key] = counts.get(key, 0) + weight
-            atoms += 1
-        part_w = m_out * len(s_prime)
-        excess = excess_over_uniform(list(counts.values()),
-                                     group_ids(k[1:] for k in counts), part_w)
-        return SecurityReport("exact", ratio(excess, den << part_w),
-                              player_set, s_prime, part_w, atoms)
-    # sampled
-    probe_x, probe_side = _sample_world(cfg, sources, scenario, shared, seed)
-    probe = _run_protocol(protocol, cfg, probe_x, adv, probe_side)
-    s_prime = tuple(pid for pid in player_set if pid not in probe.faulty
-                    and probe.outputs.get(pid) is not BOT)
+    exact = mode == "exact"
+    den, runs = protocol_runs(protocol, cfg, sources, scenario, adv,
+                              shared=shared, n_runs=None if exact else n_runs,
+                              seed=seed)
+    cells: dict = {}  # (z_S', rest) -> summed weight
+    s_prime = None
+    atoms = 0
+    for weight, _, side, run in runs:
+        if s_prime is None:
+            s_prime = tuple(pid for pid in player_set
+                            if pid not in run.faulty
+                            and run.outputs.get(pid) is not BOT)
+        z = 0
+        for pid in s_prime:
+            if run.outputs[pid] is BOT:
+                raise InvalidInputError(
+                    f"player {pid} of S' has no private output in some world")
+            z = (z << m_out) | run.outputs[pid]
+        z_rest = tuple(sorted((pid, v) for pid, v in run.outputs.items()
+                              if pid not in s_prime))
+        key = (z, (z_rest, run.transcript_key(), tuple(sorted(side.items()))))
+        cells[key] = cells.get(key, 0) + weight
+        atoms += 1
     part_w = m_out * len(s_prime)
-    counter = {"i": 0}
-
-    def sample(rng):
-        counter["i"] += 1
-        xv, sd = _sample_world(cfg, sources, scenario, shared,
-                               seed + counter["i"])
-        run = _run_protocol(protocol, cfg, xv, adv, sd)
-        z, rest = _world_key_split(run, s_prime, sd, m_out)
-        return z, rest
-
-    rep = mc_distance(sample, part_w, n_runs, tol=tol, seed=seed)
-    return SecurityReport("sampled", rep, player_set, s_prime, part_w, n_runs)
+    if exact:
+        distance = _exact_distance(cells, den, part_w)
+    else:
+        # the runs as (z, rest) pairs, grouped by cell in first-seen order
+        distance = mc_distance_pairs(
+            [key for key, count in cells.items() for _ in range(count)],
+            part_w, tol=tol, seed=seed)
+    return SecurityReport("exact" if exact else "sampled", distance,
+                          player_set, s_prime, part_w, atoms)
 
 
 def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
@@ -724,34 +721,45 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
                         shared: Distribution | None = None) -> Fraction:
     """Exact strong security of one player: distance of
     (Z_i, X_{-i}, T, leaks) from uniform x rest."""
-    m_out = output_width(cfg, protocol)
-    counts: dict = {}
-    den, runs = _exact_runs(protocol, cfg, sources, scenario, adv, shared)
+    cells: dict = {}
+    den, runs = protocol_runs(protocol, cfg, sources, scenario, adv,
+                              shared=shared)
     for weight, xvals, side, run in runs:
         z = run.outputs.get(player)
         if z is BOT:
             raise InvalidInputError(f"player {player} has no private output")
         x_rest = tuple((pid, v) for pid, v in xvals.items() if pid != player)
-        key = (z, x_rest, run.transcript_key(), tuple(sorted(side.items())))
-        counts[key] = counts.get(key, 0) + weight
-    excess = excess_over_uniform(list(counts.values()),
-                                 group_ids(k[1:] for k in counts), m_out)
-    return ratio(excess, den << m_out)
+        key = (z, (x_rest, run.transcript_key(), tuple(sorted(side.items()))))
+        cells[key] = cells.get(key, 0) + weight
+    return _exact_distance(cells, den, output_width(cfg, protocol))
 
 
-def _world_key(run: ProtocolRun, s_prime, side):
-    z_s = tuple(run.outputs[pid] for pid in s_prime)
-    z_rest = tuple(sorted((pid, run.outputs.get(pid)) for pid in run.outputs
-                          if pid not in s_prime))
-    return (z_s, z_rest, run.transcript_key(), tuple(sorted(side.items())))
+def _exact_distance(cells: dict, den: int, m: int) -> Fraction:
+    """Distance from uniform x rest of ``(z, rest) -> weight / den`` cells."""
+    excess = excess_over_uniform(list(cells.values()),
+                                 group_ids(rest for _, rest in cells), m)
+    return ratio(excess, den << m)
 
 
-def _world_key_split(run, s_prime, side, m_out):
-    z_s, z_rest, t_key, e_key = _world_key(run, s_prime, side)
-    z = 0
-    for v in z_s:
-        z = (z << m_out) | v
-    return z, (z_rest, t_key, e_key)
+def player_estimates(protocol: str, cfg: NetworkConfig, sources, scenario,
+                     adv: AdversaryStrategy, pairs_of: Callable, m: int, *,
+                     n_runs: int, tol: float, seed: int = 0,
+                     shared: Distribution | None = None) -> dict:
+    """Per-player Monte-Carlo distance of Z_j from uniform given its rest,
+    from one sampled ensemble: ``pairs_of(run)`` maps each player to its
+    ``(z_j, rest_j)`` pair, ``z_j`` of ``m`` bits.  Players faulty in any
+    run are skipped."""
+    per_player: dict = {}
+    faulty_seen: set = set()
+    _, runs = protocol_runs(protocol, cfg, sources, scenario, adv,
+                            shared=shared, n_runs=n_runs, seed=seed)
+    for _, _, _, run in runs:
+        faulty_seen |= run.faulty
+        for pid, pair in pairs_of(run).items():
+            per_player.setdefault(pid, []).append(pair)
+    return {pid: mc_distance_pairs(pairs, m, tol=tol, seed=seed + pid)
+            for pid, pairs in sorted(per_player.items())
+            if pid not in faulty_seen}
 
 
 def mc_public_block_quality(cfg: NetworkConfig, sources, scenario,
@@ -760,28 +768,22 @@ def mc_public_block_quality(cfg: NetworkConfig, sources, scenario,
                             shared: Distribution | None = None) -> dict:
     """Per-B-player Monte-Carlo distance of (Y_j, T_1) from uniform x T_1.
 
-    One ensemble of runs feeds every player's estimator.  Y_j is the
-    player's two broadcast slices concatenated; T_1 is the first-round
-    transcript.  Faulty B players are skipped.
+    Y_j is the player's two broadcast slices concatenated; T_1 is the
+    first-round transcript.  Faulty B players are skipped.
     """
     sw = cfg.slice_width
-    per_player: dict = {pid: [] for pid in cfg.players_b}
-    faulty_seen: set = set()
-    for i in range(n_runs):
-        xvals, side = _sample_world(cfg, sources, scenario, shared, seed + i)
-        run, _ = exec_ext_pub(cfg, xvals, adv, side)
-        faulty_seen |= set(run.faulty)
+
+    def pairs_of(run):
         t1 = tuple((m.sender, m.payload) for m in run.messages if m.round == 1)
-        slices = {1: {}, 2: {}}
+        y = {pid: 0 for pid in cfg.players_b}
         for m in run.messages:
             if m.round in (2, 3):
-                slices[m.round - 1][m.sender] = m.payload
-        for pid in cfg.players_b:
-            yj = (slices[1][pid] << sw) | slices[2][pid]
-            per_player[pid].append((yj, t1))
-    return {pid: mc_distance_pairs(per_player[pid], 2 * sw, tol=tol,
-                                   seed=seed + pid)
-            for pid in cfg.players_b if pid not in faulty_seen}
+                y[m.sender] = (y[m.sender] << sw) | m.payload
+        return {pid: (yj, t1) for pid, yj in y.items()}
+
+    return player_estimates("ext_pub_only", cfg, sources, scenario, adv,
+                            pairs_of, 2 * sw, n_runs=n_runs, tol=tol,
+                            seed=seed, shared=shared)
 
 
 # ----------------------------------------------------------------------
@@ -792,7 +794,7 @@ _CONFIG_KEYS = {
     "p": int, "t": int, "n": int, "k": int, "alpha": float, "delta": float,
     "gamma": float, "a_size": int, "b_size": int, "geqr_group": int,
     "geqr_s": int, "seed": int, "protocol": str, "runs": int,
-    "adv": str, "workers": int, "cert_samples": int,
+    "adv": str, "cert_samples": int,
 }
 
 

@@ -98,6 +98,27 @@ def test_netsim_geqr_sampled(cache_dir, tmp_path):
     assert "output_vs_public" in report
 
 
+def test_netsim_config_runs_and_adv_are_used(cache_dir, tmp_path):
+    cfg = tmp_path / "geqr.cfg"
+    cfg.write_text("p = 5\nt = 1\nn = 4\nk = 4\nalpha = 0.25\nseed = 3\n"
+                   "protocol = geqr\nruns = 500\nadv = ir\n")
+    out = tmp_path / "cfg"
+    assert run_cli(["netsim", "--config", str(cfg)], cache_dir, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["adversary"] == "ir"
+    assert report["output_vs_public"]["5"]["samples"] == 500
+    log = [json.loads(line)
+           for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert any(m["faulty"] for m in log)
+    # flags still win over the config
+    out = tmp_path / "flags"
+    assert run_cli(["netsim", "--config", str(cfg), "--runs", "400",
+                    "--adv", "none"], cache_dir, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["adversary"] == "none"
+    assert report["output_vs_public"]["5"]["samples"] == 400
+
+
 def test_ledger_constraint_exit_5(tmp_path):
     rc = run_cli_nocache(["ledger", "--theorem", "deor-ge", "--n", "1000",
                           "--k1", "100", "--k2", "100"], tmp_path)

@@ -41,6 +41,15 @@ def test_mass_must_normalize():
         Distribution(1, [-0.5, 1.5])
 
 
+def test_float_constructors_leave_the_callers_array_writable():
+    a = np.array([0.5, 0.25, 0.25, 0.0])
+    d = Distribution(2, a)
+    j = JointDistribution([("X", 1), ("Y", 1)], a)
+    a[0], a[3] = 0.0, 0.5  # must not raise, nor reach the stored masses
+    assert d.mass.tolist() == j.mass.tolist() == [0.5, 0.25, 0.25, 0.0]
+    assert not d.mass.flags.writeable
+
+
 def test_exact_mode_width_cap():
     with pytest.raises(SizeLimitError):
         Distribution(13, [Fraction(1, 1 << 13)] * (1 << 13))

@@ -9,8 +9,8 @@ from extractomat.errors import ConstraintViolatedError, InvalidInputError
 from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, exec_ext_pri, exec_ext_pub,
-                                exec_geqr, parse_config_text, run_ext_pub,
-                                run_geqr, strong_player_error)
+                                exec_geqr, parse_config_text, protocol_runs,
+                                run_ext_pub, run_geqr, strong_player_error)
 from extractomat.sources import FlatSource
 
 
@@ -239,6 +239,80 @@ def test_evaluate_security_exact_all_honest(micro_geqr):
     e5 = strong_player_error("geqr", cfg, sources, sc,
                              AdversaryStrategy.passive(), 5)
     assert rep.distance <= e5
+
+
+def test_evaluate_security_sampled_brackets_exact(micro_geqr):
+    cfg = micro_geqr
+    rng = np.random.default_rng(23)
+    sources = [FlatSource.random(4, k, rng) for k in (1, 1, 1, 1, 3)]
+    sc = LeakageScenario.oa([4] * 5, 4, lambda x, a: x & 1, 1)
+    adv = AdversaryStrategy.qr_analog(
+        {3}, lambda pid, rnd, view, side: (side.get(5, 0) * 15) & 0xF)
+    exact = evaluate_security("geqr", cfg, sources, sc, adv, [5])
+    sampled = evaluate_security("geqr", cfg, sources, sc, adv, [5],
+                                mode="sampled", n_runs=5000, tol=0.3, seed=1)
+    assert sampled.mode == "sampled" and sampled.atoms == 5000
+    assert sampled.effective_set == exact.effective_set == (5,)
+    rep = sampled.distance
+    lo, hi = rep.ci
+    # the plug-in bias bound 2^m / (2 sqrt(n)), as in the MC calibration
+    slack = (1 << rep.m) / (2 * np.sqrt(rep.n))
+    assert lo - slack <= exact.distance <= hi + slack
+
+
+def test_s_prime_player_losing_its_output_is_named(cache_dir):
+    # S' is read off the first world; an adaptive corruption that strikes
+    # player 4 only when player 1 broadcasts an odd value leaves it
+    # without output in later worlds, which has no distance to measure
+    cfg, _ = build_toy_network({"p": 7, "t": 1, "n": 6, "k": 1,
+                                "alpha": 2.0, "delta": 0.25, "seed": 29,
+                                "cert_samples": 30}, cache_dir=cache_dir)
+    sources = [FlatSource(6, [2, 3])] + [FlatSource(6, [5]) for _ in range(6)]
+    adv = AdversaryStrategy.ir(
+        set(), lambda p, r, v: 0,
+        trigger=lambda rnd, tr: {4} if rnd == 1 and tr[0][2] & 1 else set())
+    with pytest.raises(InvalidInputError, match="player 4 of S'"):
+        evaluate_security("ext_pub", cfg, sources,
+                          LeakageScenario.trivial([6] * 7), adv, [4, 7])
+
+
+# ----------------------------------------------------------------------
+# world streams
+# ----------------------------------------------------------------------
+
+def _drawn_worlds(cfg, sources, seed, n_runs=50):
+    _, runs = protocol_runs("geqr", cfg, sources,
+                            LeakageScenario.trivial([4] * 5),
+                            AdversaryStrategy.passive(), n_runs=n_runs,
+                            seed=seed)
+    return [xvals for _, xvals, _, _ in runs]
+
+
+def test_adjacent_seeds_share_no_worlds(micro_geqr):
+    sources = [FlatSource(4, range(16)) for _ in range(5)]
+    w0 = _drawn_worlds(micro_geqr, sources, 10)
+    w1 = _drawn_worlds(micro_geqr, sources, 11)
+    assert w1[:-1] != w0[1:]
+    assert not set(map(str, w0)) & set(map(str, w1))
+
+
+def test_drawn_values_lie_in_support(micro_geqr):
+    rng = np.random.default_rng(41)
+    sources = [FlatSource.random(4, 2, rng) for _ in range(5)]
+    for xvals in _drawn_worlds(micro_geqr, sources, 3, n_runs=400):
+        assert all(x in sources[pid - 1].support for pid, x in xvals.items())
+
+
+def test_batch_of_one_is_deterministic_in_its_seed(micro_geqr):
+    sources = [FlatSource(4, range(16)) for _ in range(5)]
+    sc = LeakageScenario.trivial([4] * 5)
+    adv = AdversaryStrategy.passive()
+    r1 = run_geqr(micro_geqr, sources, sc, adv, seed=12)
+    r2 = run_geqr(micro_geqr, sources, sc, adv, seed=12)
+    (_, _, _, r3), = protocol_runs("geqr", micro_geqr, sources, sc, adv,
+                                   n_runs=1, seed=12)[1]
+    assert r1.transcript_key() == r2.transcript_key() == r3.transcript_key()
+    assert r1.outputs == r2.outputs == r3.outputs
 
 
 def test_round_counts_reported_both_ways(toy_cfg):
