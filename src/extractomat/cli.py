@@ -18,7 +18,9 @@ import argparse
 import csv
 import json
 import sys
+import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ EXIT_CONFIG = 4
 EXIT_CONSTRAINT = 5
 
 ADVERSARIES = ("none", "ir", "qr-analog")
+PROTOCOLS = ("extpub", "geqr")
 
 
 def main(argv=None) -> int:
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("netsim", help="run a protocol ensemble and evaluate it")
     n.add_argument("--config", type=Path, required=True)
-    n.add_argument("--protocol", choices=["extpub", "geqr"])
+    n.add_argument("--protocol", choices=PROTOCOLS)
     n.add_argument("--adv", choices=ADVERSARIES,
                    help="adversary (default: the config's adv, else none)")
     n.add_argument("--runs", type=int,
@@ -297,8 +300,11 @@ def cmd_netsim(args) -> int:
     protocol = args.protocol or params.get("protocol", "extpub")
     runs = args.runs if args.runs is not None else params.get("runs", 1000)
     adv_kind = args.adv or params.get("adv", "none")
-    if adv_kind not in ADVERSARIES:
-        raise InvalidInputError(f"unknown adversary {adv_kind!r}")
+    for key, value, allowed in (("protocol", protocol, PROTOCOLS),
+                                ("adv", adv_kind, ADVERSARIES)):
+        if value not in allowed:
+            raise InvalidInputError(f"config key {key}: unknown value {value!r}"
+                                    f", allowed: {', '.join(allowed)}")
     seed = params.get("seed", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -332,33 +338,30 @@ def cmd_netsim(args) -> int:
     report: dict = {"protocol": protocol, "adversary": adv_kind,
                     "p": cfg.p, "t": cfg.t, "n": cfg.n, "k": cfg.k,
                     "seed": seed}
-    log_path = out_dir / "runs.jsonl"
-    csv_path = out_dir / "summary.csv"
-    report_path = out_dir / "report.json"
+    log_path, csv_path, report_path = (
+        out_dir / name for name in ("runs.jsonl", "summary.csv", "report.json"))
 
     if protocol == "extpub":
-        run0, y0 = ns.run_ext_pub(cfg, sources, scenario, adv, seed)
-        ns.exec_ext_pri(cfg, run0, y0)
-        target_set = list(cfg.players_b + cfg.players_c)
-        proto_key = "ext_pub"
+        run0, _ = ns.run_ext_pub(cfg, sources, scenario, adv, seed)
+        target_set, proto_key = list(cfg.players_b + cfg.players_c), "ext_pub"
     else:
         run0 = ns.run_geqr(cfg, sources, scenario, adv, seed)
-        target_set = list(cfg.geqr_outer())
-        proto_key = "geqr"
+        target_set, proto_key = list(cfg.geqr_outer()), "geqr"
     log_path.write_text(run0.to_jsonl() + "\n")
     report["y_width"] = run0.y_width
     if protocol == "geqr":
         report["rushing_width"] = run0.rushing_width
     report["rushing_order_ok"] = run0.rushing_order_ok()
 
+    tally, t0 = Counter(), time.perf_counter()
     if args.exact:
         rep = ns.evaluate_security(proto_key, cfg, sources, scenario, adv,
-                                   target_set, mode="exact")
+                                   target_set, mode="exact", tally=tally)
         report["exact_distance"] = float(rep.distance)
         report["effective_set"] = list(rep.effective_set)
         if protocol == "geqr" and adv_kind == "qr-analog":
             report["ir_to_qr"] = _geqr_ir_baseline(ns, cfg, sources, scenario,
-                                                   adv, target_set, rep)
+                                                   adv, target_set, rep, tally)
         rows = [{"player": " ".join(map(str, rep.effective_set)),
                  "distance": float(rep.distance), "mode": "exact"}]
     else:
@@ -368,19 +371,22 @@ def cmd_netsim(args) -> int:
         if protocol == "extpub":
             field = "public_block_quality"
             mcs = ns.mc_public_block_quality(cfg, sources, scenario, adv,
-                                             n_runs=runs, tol=tol, seed=seed)
+                                             n_runs=runs, tol=tol, seed=seed,
+                                             tally=tally)
         else:
             field = "output_vs_public"
             mcs = ns.player_estimates(
                 proto_key, cfg, sources, scenario, adv,
-                lambda run: {pid: (run.outputs[pid], run.y)
-                             for pid in target_set
-                             if run.outputs.get(pid) is not ns.BOT},
-                m, n_runs=runs, tol=tol, seed=seed)
+                lambda b: {pid: (b.outputs[:, pid - 1], [b.y])
+                           for pid in target_set},
+                m, n_runs=runs, tol=tol, seed=seed, tally=tally)
         report[field] = {str(pid): rep.to_json_dict()
                          for pid, rep in mcs.items()}
         rows = [{"player": pid, "distance": rep.estimate, "mode": "sampled"}
                 for pid, rep in sorted(mcs.items())]
+    report["volatile"] = {key: tally[key] for key in
+                          ("worlds", "adversary_calls", "leak_calls")}
+    report["volatile"]["eval_s"] = time.perf_counter() - t0
 
     with csv_path.open("w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["player", "distance", "mode"])
@@ -405,22 +411,20 @@ def _builtin_adversary(kind: str, cfg, protocol: str):
         faulty, lambda pid, rnd, view, side: sum(side.values()) * 0x55)
 
 
-def _geqr_ir_baseline(ns, cfg, sources, scenario, adv, target_set, qr_rep):
+def _geqr_ir_baseline(ns, cfg, sources, scenario, adv, target_set, qr_rep,
+                      tally):
     """Exact QR distance against the best constant-slice IR attack."""
     from fractions import Fraction
     faulty_groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
                      if any(p in adv.initial_faulty for p in grp)]
     width = cfg.geqr_slice * len(faulty_groups)
-    best = Fraction(0)
+    best, mask = Fraction(0), (1 << cfg.geqr_slice) - 1
     for r in range(1 << width):
-        slices = {}
-        v = r
-        for gi in reversed(faulty_groups):
-            slices[gi] = v & ((1 << cfg.geqr_slice) - 1)
-            v >>= cfg.geqr_slice
+        slices = {gi: (r >> (width - (i + 1) * cfg.geqr_slice)) & mask
+                  for i, gi in enumerate(faulty_groups)}
         ir = ns.AdversaryStrategy.forced_slice(adv.initial_faulty, slices)
         rep = ns.evaluate_security("geqr", cfg, sources, scenario, ir,
-                                   target_set, mode="exact")
+                                   target_set, mode="exact", tally=tally)
         best = max(best, Fraction(rep.distance))
     factor = 1 << width
     return {"rushing_bits": width,

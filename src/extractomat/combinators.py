@@ -122,11 +122,6 @@ class CondenserHandle:
                    lambda x: (x >> half, x & mask))
 
 
-def _gather(h: ExtractorHandle, *xs: np.ndarray) -> np.ndarray:
-    """``h`` at every point of the broadcast grid of input values ``xs``."""
-    return h.table().reshape([1 << w for w in h.input_widths])[xs]
-
-
 # ----------------------------------------------------------------------
 # One extra independent source
 # ----------------------------------------------------------------------
@@ -157,7 +152,7 @@ def build_qmext_handle(iext: ExtractorHandle, extq: ExtractorHandle,
 
     def build() -> np.ndarray:
         a, c = index_grid(sum(widths[:t]), widths[t])
-        return _gather(extq, c, iext.table()[a]).ravel()
+        return extq.gather(c, iext.table()[a]).ravel()
 
     budget = qmext_budget(iext, extq)
     h = ExtractorHandle(
@@ -211,8 +206,8 @@ def build_qbext_handle(bext: ExtractorHandle, extc: ExtractorHandle,
 
     def build() -> np.ndarray:
         a, b, c = index_grid(n1, n2, n3)
-        r = _gather(bext, a, c) >> shift_r
-        return _gather(extq, c, _gather(extc, b, r)).ravel()
+        r = bext.gather(a, c) >> shift_r
+        return extq.gather(c, extc.gather(b, r)).ravel()
 
     budget = qbext_budget(bext, extc, extq, k3, config)
     h = ExtractorHandle(
@@ -308,8 +303,8 @@ def _pipeline(cond, raz_slot, srext_slot, ext_last, ell, a, b, c):
     shift = raz_slot.m - ell
     w3 = 0
     for j in range(cond.rows):
-        w3 = (w3 << ell) | (_gather(raz_slot, rows[a, j], c) >> shift)
-    return _gather(ext_last, c, _gather(srext_slot, b, w3))
+        w3 = (w3 << ell) | (raz_slot.gather(rows[a, j], c) >> shift)
+    return ext_last.gather(c, srext_slot.gather(b, w3))
 
 
 # ----------------------------------------------------------------------

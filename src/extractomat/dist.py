@@ -470,6 +470,39 @@ def group_ids(keys) -> np.ndarray:
     return np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.intp)
 
 
+def row_ids(cols, n: int) -> tuple:
+    """Dense ids of the distinct rows of ``n``-long integer columns, in
+    order of first appearance: ``(ids, first)``, ``first[i]`` being the
+    first row with id ``i``.  The columns are packed by value range into
+    as few int64 words as fit, so ``np.unique`` mostly sorts one word."""
+    if n == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    words, word, used = [], np.zeros(n, dtype=np.int64), 0
+    for col in cols:
+        lo = np.min(col)
+        bits = int(np.max(col) - lo).bit_length()
+        if used + bits > 62:
+            words, word, used = words + [word], np.zeros(n, np.int64), 0
+        word, used = (word << bits) | (col - lo), used + bits
+    keys = np.stack(words + [word], axis=1) if words else word
+    _, first, inv = np.unique(keys, axis=0 if words else None,
+                              return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return rank[inv.reshape(-1)], first[order]
+
+
+def column_excess(weights, z, rest, m: int):
+    """:func:`excess_over_uniform` of per-world columns: world ``j`` has
+    weight ``weights[j]``, part value ``z[j]`` and rest ``rest[*][j]``."""
+    groups, _ = row_ids(rest, len(z))
+    cells, first = row_ids([z, groups], len(z))
+    totals = np.zeros(first.size, dtype=np.asarray(weights).dtype)
+    np.add.at(totals, cells, weights)
+    return excess_over_uniform(totals, groups[first], m)
+
+
 def ratio(num, den):
     """``num / den``: a Fraction for an integer numerator, a float otherwise."""
     if isinstance(num, (int, np.integer)):

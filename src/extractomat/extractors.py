@@ -217,6 +217,11 @@ class ExtractorHandle:
     def __call__(self, *xs: BitString) -> BitString:
         return self.evaluate(*xs)
 
+    def gather(self, *xs) -> np.ndarray:
+        """The table at every point of the broadcast grid of input values
+        ``xs``: one array per input, all of one shape for a batch."""
+        return self.table().reshape([1 << w for w in self.input_widths])[xs]
+
     def table(self) -> np.ndarray:
         """The full truth table over composite input indices (cached)."""
         if self._table is None:

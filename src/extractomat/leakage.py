@@ -13,7 +13,6 @@ keeps every joint exactly computable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import (MAX_TOTAL_WIDTH, Distribution, JointDistribution,
-                   check_denominator, neg_log2)
+                   check_denominator, neg_log2, row_ids)
 from .errors import InvalidInputError, SizeLimitError
 
 
@@ -100,10 +99,7 @@ class LeakageScenario:
 
     def slice_value(self, a: int, i: int) -> int:
         off, w = self.slices[i]
-        if w == 0:
-            return 0
-        shift = self.shared_width - (off + w)
-        return (a >> shift) & ((1 << w) - 1)
+        return (a >> (self.shared_width - (off + w))) & ((1 << w) - 1)
 
     def complement_value(self, a: int, i: int) -> tuple:
         """Value and width of ``A_{-i}``: the register with slice i removed."""
@@ -119,9 +115,19 @@ class LeakageScenario:
         """Indices of the sources whose leak has a non-zero width."""
         return tuple(i for i in range(self.t) if self.e_widths[i] > 0)
 
-    def leaks(self, xs, a: int) -> tuple:
-        """The non-trivial leaks for source values ``xs`` and register ``a``."""
-        return tuple(self.leak_value(i, xs[i], a) for i in self.leaky)
+    def leak_columns(self, xs: np.ndarray, a: np.ndarray,
+                     tally=None) -> np.ndarray:
+        """The non-trivial leaks of worlds ``xs[j]``, ``a[j]``: one column
+        per leaky source, each map called once per distinct ``(x_i, A_i)``
+        pair.  ``tally["leak_calls"]`` counts the calls."""
+        cols = []
+        for i in self.leaky:
+            ids, first = row_ids([xs[:, i], self.slice_value(a, i)], len(a))
+            vals = [self.leak_value(i, int(xs[j, i]), int(a[j])) for j in first]
+            cols.append(np.array(vals, dtype=np.int64)[ids])
+            if tally is not None:
+                tally["leak_calls"] += len(first)
+        return np.array(cols, dtype=np.int64).reshape(-1, len(a)).T
 
     def leak_value(self, i: int, x: int, a: int) -> int:
         fn = self.leak_maps[i]
@@ -164,13 +170,12 @@ def leakage_apply(sources: Sequence[Distribution], sc: LeakageScenario,
     if total > MAX_TOTAL_WIDTH:
         raise SizeLimitError(f"joint over {total} bits exceeds the desk cap")
 
-    den, worlds = enumerate_worlds(sources, sc, shared)
-    num = np.zeros(1 << total, dtype=np.float64 if den is None else np.int64)
-    for weight, xs, _, es in worlds:
-        idx = 0
-        for (_, w), v in zip(parts, xs + es):
-            idx = (idx << w) | v
-        num[idx] += weight
+    den, weights, xs, _, es = enumerate_worlds(sources, sc, shared)
+    idx = np.zeros(len(weights), dtype=np.int64)
+    for (_, w), col in zip(parts, np.hstack([xs, es]).T):
+        idx = (idx << w) | col
+    num = np.zeros(1 << total, dtype=weights.dtype)
+    np.add.at(num, idx, weights)
     joint = JointDistribution.from_numerators(parts, num, den or 1)
     ks = [_entropy_at_imaginary_step(sources[i], sc, shared, i)
           for i in range(t)]
@@ -179,16 +184,18 @@ def leakage_apply(sources: Sequence[Distribution], sc: LeakageScenario,
 
 def enumerate_worlds(sources: Sequence[Distribution],
                      sc: LeakageScenario | None = None,
-                     shared: Distribution | None = None) -> tuple:
+                     shared: Distribution | None = None, tally=None) -> tuple:
     """Every joint value of independent sources and the shared register.
 
-    Returns ``(den, worlds)``.  ``worlds`` yields ``(weight, xs, a, es)``
-    for each combination of support points: the source values ``xs``,
-    the shared-register value ``a`` (0 when ``sc`` uses none), the leaks
-    ``es`` of ``sc``'s non-trivial leak maps (empty without ``sc``), and
-    the probability ``weight / den``.  When every distribution is exact
-    the weights are integers over one common denominator ``den``; else
-    ``den`` is None and the weights are float probabilities.
+    Returns ``(den, weights, xs, a, es)`` with one row per combination of
+    support points, in ``itertools.product`` order with the register
+    varying fastest: the (N, t) source values ``xs``, the register column
+    ``a`` (0 when ``sc`` uses none), the (N, len(sc.leaky)) leak columns
+    ``es`` (no columns without ``sc``; see
+    :meth:`LeakageScenario.leak_columns` for ``tally``), and world ``j``'s
+    probability ``weights[j] / den``.  When every distribution is exact
+    the weights are int64 over one common denominator ``den``; else
+    ``den`` is None and the weights are float64 probabilities.
     """
     dists = list(sources)
     if sc is not None and sc.shared_width > 0:
@@ -203,20 +210,17 @@ def enumerate_worlds(sources: Sequence[Distribution],
     den = None
     if all(d.exact for d in dists):
         den = check_denominator(math.prod(d.denominator for d in dists))
-    items = []
-    for d in dists:
-        support = d.support()
-        weights = d.numerators if den is not None else d.as_floats()
-        items.append(list(zip(support, weights[support].tolist())))
-
-    def worlds():
-        for combo in itertools.product(*items):
-            xs = tuple(v for v, _ in combo[:-1])
-            a = combo[-1][0]
-            es = sc.leaks(xs, a) if sc is not None else ()
-            yield math.prod(w for _, w in combo), xs, a, es
-
-    return den, worlds()
+    supports = [np.array(d.support(), dtype=np.int64) for d in dists]
+    grid = [g.ravel() for g in np.meshgrid(
+        *(np.arange(s.size) for s in supports), indexing="ij")]
+    cols = [s[g] for s, g in zip(supports, grid)]
+    weights = np.ones(grid[0].size, dtype=np.int64 if den else np.float64)
+    for d, s, g in zip(dists, supports, grid):
+        weights = weights * (d.numerators if den else d.as_floats())[s][g]
+    xs = np.stack(cols[:-1], axis=1)
+    es = (sc.leak_columns(xs, cols[-1], tally) if sc is not None
+          else np.zeros((xs.shape[0], 0), dtype=np.int64))
+    return den, weights, xs, cols[-1], es
 
 
 def _entropy_at_imaginary_step(source, sc, shared, i) -> float:
@@ -224,23 +228,18 @@ def _entropy_at_imaginary_step(source, sc, shared, i) -> float:
     alone = LeakageScenario((sc.source_widths[i],), sc.shared_width,
                             (sc.slices[i],), (sc.leak_maps[i],),
                             (sc.e_widths[i],))
-    den, worlds = enumerate_worlds([source], alone, shared)
-    guess: dict = {}
-    for weight, (x,), a, es in worlds:
-        cell = guess.setdefault((es, sc.complement_value(a, i)[0]), {})
-        cell[x] = cell.get(x, 0) + weight
-    return neg_log2(sum(max(cell.values()) for cell in guess.values()),
-                    den or 1)
+    den, weights, xs, a, es = enumerate_worlds([source], alone, shared)
+    guess, _ = row_ids([*es.T, sc.complement_value(a, i)[0]], len(weights))
+    cells, first = row_ids([guess, xs[:, 0]], len(weights))
+    mass, best = np.zeros((2, first.size), dtype=weights.dtype)
+    np.add.at(mass, cells, weights)
+    np.maximum.at(best, guess[first], mass)
+    return neg_log2(sum(best.tolist()), den or 1)
 
 
 def _default_slices(t: int, shared_width: int) -> tuple:
-    if shared_width == 0:
-        return tuple((0, 0) for _ in range(t))
+    """Consecutive slices of ``shared_width // t`` bits; the last takes the
+    remainder."""
     base = shared_width // t
-    out = []
-    pos = 0
-    for i in range(t):
-        w = base if i < t - 1 else shared_width - pos
-        out.append((pos, w))
-        pos += w
-    return tuple(out)
+    return tuple((i * base, base if i < t - 1 else shared_width - i * base)
+                 for i in range(t))

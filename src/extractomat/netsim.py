@@ -12,18 +12,22 @@ Protocols implemented: the three-round public block-source protocol
 and the one-round grouped protocol (``geqr``).  A run is strictly
 deterministic given (config, source values, leak values, strategy).
 
-One engine, :func:`protocol_runs`, feeds every evaluation: it yields
-``(weight, xvals, side, run)`` for each world of an ensemble, the world's
-probability being ``weight / den``.  An exact ensemble enumerates every
-source/leak world; a sampled one of N runs draws each source once as an
-N-vector from one Philox stream keyed by the seed (weight 1, ``den = N``),
-so the ensembles of seeds s and s+1 share no worlds.
+One engine, :func:`protocol_runs`, feeds every evaluation, on world
+arrays: an exact ensemble enumerates every source/leak world with its
+weight over ``den``; a sampled one of N runs draws each source once as an
+N-vector from one Philox stream keyed by ``seed ^ WORLD_KEY`` (weight 1,
+``den = N``), so the ensembles of seeds s and s+1 share no worlds.  The
+protocol then runs once on the whole :class:`Batch`: honest steps are
+truth-table gathers and shifts on int64 columns, the rushing callback
+runs once per distinct adversary view and a trigger once per distinct
+transcript, and security is measured on cells numbered by ``np.unique``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings as _warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -31,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bits import BitString
-from .dist import Distribution, excess_over_uniform, group_ids, ratio
+from .dist import Distribution, column_excess, ratio, row_ids
 from .errors import ConstraintViolatedError, InvalidInputError
 from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
@@ -229,10 +233,7 @@ class AdversaryStrategy:
         """IR attack that pins faulty groups' public slices to constants."""
         return cls("ir", faulty, None, forced_slices=slices)
 
-    def message(self, player: int, rnd: int, view: dict, side_info,
-                default: int) -> int:
-        if self.rushing_fn is None:
-            return default
+    def message(self, player: int, rnd: int, view: dict, side_info) -> int:
         if self.kind == "ir":
             return int(self.rushing_fn(player, rnd, view))
         return int(self.rushing_fn(player, rnd, view, side_info))
@@ -260,32 +261,27 @@ class Message:
 
 @dataclass
 class ProtocolRun:
+    """One world's run: the log for ``runs.jsonl``, the rushing check."""
+
     protocol: str
     seed: int | None
     messages: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
     faulty: frozenset = frozenset()
-    adversary_log: list = field(default_factory=list)
-    sources: dict = field(default_factory=dict)
-    side_info: dict = field(default_factory=dict)
     y: int | None = None
     y_width: int = 0
     rushing_width: int = 0
     good_left_count: int = 0
     rounds_interactive: int = 0
-    rounds_total: int = 0
+    rounds_total: int = 0  # set when a non-interactive step follows
+    callbacks: int = 0  # rushing-callback calls, one per distinct view
 
     def rushing_order_ok(self) -> bool:
         """True iff in every round all honest commits precede all faulty."""
-        by_round: dict = {}
-        for msg in self.messages:
-            by_round.setdefault(msg.round, []).append(msg)
-        for msgs in by_round.values():
-            max_honest = max((m.commit_index for m in msgs if not m.faulty),
-                             default=-1)
-            min_faulty = min((m.commit_index for m in msgs if m.faulty),
-                             default=float("inf"))
-            if not max_honest < min_faulty:
+        for r in {m.round for m in self.messages}:
+            idx = {f: [m.commit_index for m in self.messages
+                       if m.round == r and m.faulty == f] for f in (False, True)}
+            if max(idx[False], default=-1) >= min(idx[True], default=math.inf):
                 return False
         return True
 
@@ -297,137 +293,183 @@ class ProtocolRun:
         return "\n".join(json.dumps(m.to_json_dict()) for m in self.messages)
 
 
-class _Round:
-    """Collects one round's messages, honest strictly before faulty."""
-
-    def __init__(self, run: ProtocolRun, rnd: int):
-        self.run = run
-        self.rnd = rnd
-        self.honest: list = []
-        self.faulty: list = []
-
-    def honest_msg(self, sender: int, payload: int, width: int):
-        self.honest.append((sender, payload, width))
-
-    def faulty_msg(self, sender: int, payload: int, width: int):
-        self.faulty.append((sender, payload, width))
-
-    def view(self) -> dict:
-        return {"transcript": tuple((m.round, m.sender, m.payload)
-                                    for m in self.run.messages),
-                "round_honest": tuple(self.honest)}
-
-    def commit(self) -> dict:
-        base = len(self.run.messages)
-        values = {}
-        for off, (s, v, w) in enumerate(sorted(self.honest)):
-            self.run.messages.append(Message(self.rnd, s, v, w, base + off,
-                                             False))
-            values[s] = v
-        base = len(self.run.messages)
-        for off, (s, v, w) in enumerate(sorted(self.faulty)):
-            self.run.messages.append(Message(self.rnd, s, v, w, base + off,
-                                             True))
-            values[s] = v
-        return values
+def _concat(cols, width: int, n: int) -> np.ndarray:
+    """``n``-long columns of ``width`` bits side by side, first on top."""
+    out = np.zeros(n, dtype=np.int64)
+    for col in cols:
+        out = (out << width) | col
+    return out
 
 
-def _apply_trigger(adv: AdversaryStrategy, faulty: set, t_bound: int,
-                   rnd_done: int, run: ProtocolRun):
-    if adv.trigger is None:
-        return
-    extra = adv.trigger(rnd_done, run.transcript_key())
-    for pid in sorted(set(int(i) for i in extra) - faulty):
-        if len(faulty) >= t_bound:
-            run.adversary_log.append(
-                f"trigger after round {rnd_done}: corruption bound reached")
-            break
-        faulty.add(pid)
-        run.adversary_log.append(
-            f"trigger after round {rnd_done}: corrupt player {pid}")
+@dataclass
+class Batch:
+    """A protocol run on N worlds at once, one column per value.
+
+    ``xs[:, i]`` is player i+1's source, ``side`` maps each leaking player
+    to its leak column, ``faulty[:, i]`` marks player i+1 corrupt by the
+    end.  Each round is ``(rnd, senders, width, payload, late)``:
+    ``senders[j]`` broadcast ``payload[:, j]``, late (after every honest
+    message) where it was faulty.  ``outputs[:, i]`` is player i+1's
+    private output, -1 for BOT."""
+
+    xs: np.ndarray
+    side: dict
+    faulty: np.ndarray
+    rounds: list = field(default_factory=list)
+    outputs: np.ndarray | None = None
+    y: np.ndarray | None = None
+    y_width: int = 0
+    rushing_width: int = 0
+    good_left: np.ndarray | None = None
+    rounds_total: int = 0  # set when a non-interactive step follows
+    callbacks: int = 0  # rushing-callback calls, one per distinct view
+
+    @classmethod
+    def start(cls, cfg: NetworkConfig, xs, adv: AdversaryStrategy,
+              side: dict | None) -> "Batch":
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1, cfg.p)
+        if ((xs >> cfg.n) != 0).any():
+            raise InvalidInputError(f"a source value exceeds n={cfg.n} bits")
+        faulty = np.zeros(xs.shape, dtype=bool)
+        faulty[:, [i - 1 for i in adv.initial_faulty if 0 < i <= cfg.p]] = True
+        return cls(xs, dict(side or {}), faulty)
+
+    def transcript_columns(self, upto: int | None = None) -> list:
+        """The transcript of the first ``upto`` rounds as columns.  The
+        payloads suffice: corruption starts from one set in every world
+        and triggers read only the transcript, so each round's commit
+        order follows from the payloads before it."""
+        return [col for *_, payload, _ in self.rounds[:upto]
+                for col in payload.T]
+
+    def transcript(self, j: int) -> tuple:
+        """World ``j``'s ``(round, sender, payload)`` triples in commit
+        order."""
+        return tuple((rnd, senders[k], sent[k])
+                     for rnd, senders, _, payload, late in self.rounds
+                     for sent, lt in [(payload[j].tolist(), late[j].tolist())]
+                     for k in sorted(range(len(senders)), key=lt.__getitem__))
+
+    def play(self, rnd: int, senders, width: int, adv: AdversaryStrategy,
+             honest: np.ndarray | None = None) -> np.ndarray:
+        """One round: each sender's honest payload (column of ``honest``,
+        by default its source), replaced for faulty senders by the rushing
+        message, chosen after the honest ones.  The callback runs once per
+        sender and distinct view; a QR-analog view includes the leaks."""
+        idx = [pid - 1 for pid in senders]
+        late = self.faulty[:, idx]
+        honest = self.xs[:, idx] if honest is None else honest
+        payload = honest.copy()
+        if adv.rushing_fn is not None and late.any():
+            keys = self.transcript_columns() + list(np.where(late, -1, honest).T)
+            if adv.kind == "qr-analog":
+                keys += list(self.side.values())
+            for k, pid in enumerate(senders):
+                rows = np.flatnonzero(late[:, k])
+                if rows.size == 0:
+                    continue
+                ids, first = row_ids((col[rows] for col in keys), rows.size)
+                msgs = [adv.message(pid, rnd, self._view(j, senders, width,
+                                                         honest, late),
+                                    {i: int(c[j]) for i, c in self.side.items()})
+                        & ((1 << width) - 1)
+                        for j in rows[first].tolist()]
+                payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
+                self.callbacks += first.size
+        self.rounds.append((rnd, tuple(senders), width, payload, late))
+        return payload
+
+    def _view(self, j, senders, width, honest, late) -> dict:
+        return {"transcript": self.transcript(j),
+                "round_honest": tuple((pid, int(honest[j, k]), width)
+                                      for k, pid in enumerate(senders)
+                                      if not late[j, k])}
+
+    def corrupt(self, adv: AdversaryStrategy, t_bound: int, rnd_done: int):
+        """Adaptive corruption after round ``rnd_done``: the trigger runs once
+        per distinct transcript; the players it names turn faulty for the
+        next round, in ascending order while fewer than ``t_bound`` are."""
+        if adv.trigger is None:
+            return
+        n, p = self.faulty.shape
+        tid, tfirst = row_ids(self.transcript_columns(), n)
+        named = np.zeros((tfirst.size, p), dtype=bool)
+        for g, j in enumerate(tfirst.tolist()):
+            named[g, [i - 1 for i in map(int, adv.trigger(
+                rnd_done, self.transcript(j))) if 0 < i <= p]] = True
+        for k in np.flatnonzero(named.any(axis=0)):  # ascending player ids
+            self.faulty[:, k] |= (named[tid, k]
+                                  & (self.faulty.sum(axis=1) < t_bound))
+
+    def private(self, pid: int, h: ExtractorHandle, y: np.ndarray):
+        """Player ``pid`` extracts ``h(x_pid, y)``; faulty, it outputs BOT."""
+        self.outputs[:, pid - 1] = np.where(
+            self.faulty[:, pid - 1], -1,
+            h.gather(self.xs[:, pid - 1], y).astype(np.int64))
+
+
+def _protocol_run(protocol: str, b: Batch, seed: int) -> ProtocolRun:
+    """Row 0 of a batch as a run record."""
+    run = ProtocolRun(
+        protocol, seed, y=int(b.y[0]), y_width=b.y_width,
+        faulty=frozenset((np.flatnonzero(b.faulty[0]) + 1).tolist()),
+        rushing_width=b.rushing_width, rounds_interactive=len(b.rounds),
+        rounds_total=b.rounds_total or len(b.rounds),
+        good_left_count=0 if b.good_left is None else int(b.good_left[0]))
+    for rnd, senders, width, payload, late in b.rounds:
+        for k in np.argsort(late[0], kind="stable").tolist():
+            run.messages.append(Message(rnd, senders[k], int(payload[0, k]),
+                                        width, len(run.messages),
+                                        bool(late[0, k])))
+    if b.outputs is not None:
+        run.outputs = {pid: BOT if v < 0 else v
+                       for pid, v in enumerate(b.outputs[0].tolist(), start=1)}
+    return run
 
 
 # ----------------------------------------------------------------------
 # Protocol: public block source  (three interactive rounds)
 # ----------------------------------------------------------------------
 
-def exec_ext_pub(cfg: NetworkConfig, xvals: dict, adv: AdversaryStrategy,
-                 side_info: dict | None = None) -> tuple:
-    """Deterministic execution on explicit source/leak values.
+def exec_ext_pub(cfg: NetworkConfig, xs, adv: AdversaryStrategy,
+                 side: dict | None = None) -> Batch:
+    """The public block on a batch of worlds, ``xs`` holding one row of
+    source values per world and ``side`` the leak columns.
 
     Round 1: A players broadcast their sources.  Rounds 2 and 3: each B
     player extracts from the somewhere-random rows the graph wiring
-    assigns it and broadcasts two slice outputs.  Returns the run and
+    assigns it and broadcasts two slice outputs, whose concatenation is
     the public two-block string y.
     """
     cfg.validate_ext_pub()
     g = cfg.gadgets
-    side_info = side_info or {}
-    run = ProtocolRun("ext_pub", None, faulty=frozenset(adv.initial_faulty),
-                      sources=dict(xvals), side_info=dict(side_info),
-                      rounds_interactive=3, rounds_total=3)
-    faulty = set(adv.initial_faulty)
+    b = Batch.start(cfg, xs, adv, side)
     sw = cfg.slice_width
-
-    rnd1 = _Round(run, 1)
-    for pid in cfg.players_a:
-        if pid not in faulty:
-            rnd1.honest_msg(pid, xvals[pid], cfg.n)
-    for pid in cfg.players_a:
-        if pid in faulty:
-            payload = adv.message(pid, 1, rnd1.view(), side_info, xvals[pid])
-            rnd1.faulty_msg(pid, payload & ((1 << cfg.n) - 1), cfg.n)
-    broadcast_a = rnd1.commit()
-    _apply_trigger(adv, faulty, cfg.t, 1, run)
+    bcast = b.play(1, cfg.players_a, cfg.n, adv)
+    b.corrupt(adv, cfg.t, 1)
 
     # Graph wiring: left vertex v of the disperser reads its neighbors'
     # broadcasts; B player j concatenates its expander neighbors' rows.
-    a_players = cfg.players_a
-    s_rows = []
-    for v in range(g.and_disperser.l):
-        ins = [broadcast_a[a_players[j]] for j in g.and_disperser.adj[v]]
-        s_rows.append(g.iext.eval_int(*ins))
-    run.good_left_count = sum(
-        1 for v in range(g.and_disperser.l)
-        if all(a_players[j] not in faulty for j in g.and_disperser.adj[v]))
-    y_parts = {}
-    for bi, pid in enumerate(cfg.players_b):
-        sj = 0
-        for v in g.expander.adj[bi]:
-            sj = (sj << g.iext.m) | s_rows[v]
-        y_parts[pid] = g.srext.eval_int(xvals[pid], sj)
-
-    slices = {}
-    for rnd_no, which in ((2, 1), (3, 2)):
-        rnd = _Round(run, rnd_no)
-        shift = g.srext.m - which * sw
-        honest = {pid: (y_parts[pid] >> shift) & ((1 << sw) - 1)
-                  for pid in cfg.players_b}
-        for pid in cfg.players_b:
-            if pid not in faulty:
-                rnd.honest_msg(pid, honest[pid], sw)
-        for pid in cfg.players_b:
-            if pid in faulty:
-                payload = adv.message(pid, rnd_no, rnd.view(), side_info,
-                                      honest[pid])
-                rnd.faulty_msg(pid, payload & ((1 << sw) - 1), sw)
-        committed = rnd.commit()
-        slices[which] = [committed[pid] for pid in cfg.players_b]
-        _apply_trigger(adv, faulty, cfg.t, rnd_no, run)
-
-    y = 0
-    for part in (1, 2):
-        for v in slices[part]:
-            y = (y << sw) | v
-    run.y = y
-    run.y_width = cfg.y_width
-    run.faulty = frozenset(faulty) | run.faulty
-    return run, BitString(cfg.y_width, y)
+    adj = [list(nb) for nb in g.and_disperser.adj]
+    s_rows = [g.iext.gather(*bcast[:, nb].T) for nb in adj]
+    honest_a = ~b.faulty[:, [pid - 1 for pid in cfg.players_a]]
+    b.good_left = sum(honest_a[:, nb].all(axis=1) for nb in adj)
+    y_parts = np.stack([g.srext.gather(b.xs[:, pid - 1], _concat(
+        [s_rows[v] for v in g.expander.adj[bi]], g.iext.m, len(b.xs)))
+        for bi, pid in enumerate(cfg.players_b)], axis=1).astype(np.int64)
+    slices = []
+    for rnd, which in ((2, 1), (3, 2)):
+        honest = (y_parts >> (g.srext.m - which * sw)) & ((1 << sw) - 1)
+        slices += list(b.play(rnd, cfg.players_b, sw, adv, honest).T)
+        b.corrupt(adv, cfg.t, rnd)
+    b.y, b.y_width = _concat(slices, sw, len(b.xs)), cfg.y_width
+    return b
 
 
-def exec_ext_pri(cfg: NetworkConfig, run: ProtocolRun, y: BitString,
-                 oaext: ExtractorHandle | None = None) -> dict:
-    """Non-interactive private extraction from the public block source.
+def exec_ext_pri(cfg: NetworkConfig, b: Batch, y: np.ndarray | None = None,
+                 oaext: ExtractorHandle | None = None) -> np.ndarray:
+    """Non-interactive private extraction from the public block source
+    ``y`` (the batch's own by default); returns and stores the outputs.
 
     Outer players use y whole; B players drop their own two slices
     first, so their output never depends on their own broadcast.
@@ -439,13 +481,11 @@ def exec_ext_pri(cfg: NetworkConfig, run: ProtocolRun, y: BitString,
     if oaext.input_widths[1] != cfg.y_width:
         raise InvalidInputError(
             f"oaext must read a {cfg.y_width}-bit public string")
+    y = b.y if y is None else y
     sw = cfg.slice_width
-    outputs = {}
+    b.outputs = np.full(b.xs.shape, -1, dtype=np.int64)
     for pid in cfg.players_c:
-        if pid in run.faulty:
-            outputs[pid] = BOT
-            continue
-        outputs[pid] = oaext.eval_int(run.sources[pid], y.value)
+        b.private(pid, oaext, y)
     if cfg.players_b:
         oab = g.oaext_b
         if oab is None:
@@ -455,43 +495,30 @@ def exec_ext_pri(cfg: NetworkConfig, run: ProtocolRun, y: BitString,
             raise InvalidInputError(
                 f"oaext_b must read a {expect}-bit public string")
         for idx, pid in enumerate(cfg.players_b):
-            if pid in run.faulty:
-                outputs[pid] = BOT
-                continue
-            y_minus = _drop_slices(y.value, cfg.b_size, sw, idx)
-            outputs[pid] = oab.eval_int(run.sources[pid], y_minus)
-    for pid in cfg.players_a:
-        outputs.setdefault(pid, BOT)
-    run.outputs.update(outputs)
+            b.private(pid, oab, _drop_slices(y, cfg.b_size, sw, idx))
     # Whether the non-interactive extraction counts as a round is
     # presentation-dependent; both counts are reported.
-    run.rounds_total = run.rounds_interactive + 1
-    return outputs
+    b.rounds_total = len(b.rounds) + 1
+    return b.outputs
 
 
-def _drop_slices(y: int, b_size: int, sw: int, index: int) -> int:
+def _drop_slices(y, b_size: int, sw: int, index: int):
     """Remove B-player ``index``'s slice from both halves of y."""
-    half_w = b_size * sw
-    y1 = y >> half_w
-    y2 = y & ((1 << half_w) - 1)
+    half_w, shift = b_size * sw, (b_size - 1 - index) * sw
 
-    def drop(half: int) -> int:
-        shift = (b_size - 1 - index) * sw
-        high = half >> (shift + sw)
-        low = half & ((1 << shift) - 1)
-        return (high << shift) | low
+    def drop(half):
+        return ((half >> (shift + sw)) << shift) | (half & ((1 << shift) - 1))
 
-    dropped_w = (b_size - 1) * sw
-    return (drop(y1) << dropped_w) | drop(y2)
+    return (drop(y >> half_w) << (half_w - sw)) | drop(y & ((1 << half_w) - 1))
 
 
 def run_ext_pub(cfg: NetworkConfig, sources: Sequence, scenario: LeakageScenario,
                 adv: AdversaryStrategy, seed: int, *,
                 shared: Distribution | None = None) -> tuple:
     """The public block on a sampled ensemble of one: ``(run, y)``."""
-    (_, _, _, run), = protocol_runs("ext_pub_only", cfg, sources, scenario,
-                                    adv, shared=shared, n_runs=1, seed=seed)[1]
-    run.seed = seed
+    run = _protocol_run("ext_pub", protocol_runs(
+        "ext_pub_only", cfg, sources, scenario, adv, shared=shared,
+        n_runs=1, seed=seed)[2], seed)
     return run, BitString(run.y_width, run.y)
 
 
@@ -499,9 +526,10 @@ def run_ext_pub(cfg: NetworkConfig, sources: Sequence, scenario: LeakageScenario
 # Protocol: one-round grouped extraction
 # ----------------------------------------------------------------------
 
-def exec_geqr(cfg: NetworkConfig, xvals: dict, adv: AdversaryStrategy,
-              side_info: dict | None = None) -> ProtocolRun:
-    """One round: groups publish, everyone else extracts privately.
+def exec_geqr(cfg: NetworkConfig, xs, adv: AdversaryStrategy,
+              side: dict | None = None) -> Batch:
+    """One round on a batch of worlds: groups publish, everyone else
+    extracts privately.
 
     Group i's public slice is the first floor(k/s) bits of the
     multi-source extraction of its members' broadcasts; a group that
@@ -511,136 +539,109 @@ def exec_geqr(cfg: NetworkConfig, xvals: dict, adv: AdversaryStrategy,
     """
     cfg.validate_geqr()
     g = cfg.gadgets
-    side_info = side_info or {}
-    run = ProtocolRun("geqr", None, faulty=frozenset(adv.initial_faulty),
-                      sources=dict(xvals), side_info=dict(side_info),
-                      rounds_interactive=1, rounds_total=1)
-    faulty = set(adv.initial_faulty)
+    b = Batch.start(cfg, xs, adv, side)
     groups = cfg.geqr_groups()
-    outer = cfg.geqr_outer()
     slice_w = cfg.geqr_slice
+    grouped = [pid for grp in groups for pid in grp]
+    sent = dict(zip(grouped, b.play(1, grouped, cfg.n, adv).T))
 
-    rnd = _Round(run, 1)
-    grouped_players = [pid for grp in groups for pid in grp]
-    for pid in grouped_players:
-        if pid not in faulty:
-            rnd.honest_msg(pid, xvals[pid], cfg.n)
-    for pid in grouped_players:
-        if pid in faulty:
-            payload = adv.message(pid, 1, rnd.view(), side_info, xvals[pid])
-            rnd.faulty_msg(pid, payload & ((1 << cfg.n) - 1), cfg.n)
-    committed = rnd.commit()
-
-    y = 0
-    rushing = 0
+    slices, rushing = [], 0
     for gi, grp in enumerate(groups, start=1):
-        has_faulty = any(pid in faulty for pid in grp)
-        if has_faulty:
-            rushing += slice_w
+        has_faulty = any(pid in adv.initial_faulty for pid in grp)
+        rushing += slice_w * has_faulty
         if has_faulty and adv.forced_slices is not None and gi in adv.forced_slices:
-            yi = adv.forced_slices[gi] & ((1 << slice_w) - 1)
-            run.adversary_log.append(f"group {gi} slice forced to {yi}")
+            slices.append(adv.forced_slices[gi] & ((1 << slice_w) - 1))
         else:
-            full = g.iext.eval_int(*(committed[pid] for pid in grp))
-            yi = full >> (g.iext.m - slice_w)
-        y = (y << slice_w) | yi
-    run.y = y
-    run.y_width = cfg.geqr_s * slice_w
-    run.rushing_width = rushing
+            slices.append(g.iext.gather(*(sent[pid] for pid in grp))
+                          >> (g.iext.m - slice_w))
+    y = _concat(slices, slice_w, len(b.xs))
     if rushing > slice_w * cfg.t:
         raise ConstraintViolatedError([
             f"rushing width {rushing} exceeds the k t / s bound "
             f"{slice_w * cfg.t}"])
-
-    for pid in grouped_players:
-        run.outputs[pid] = BOT
-    for pid in outer:
-        if pid in faulty:
-            run.outputs[pid] = BOT
-        else:
-            run.outputs[pid] = g.qtext.eval_int(xvals[pid], y)
-    run.faulty = frozenset(faulty)
-    return run
+    b.y, b.y_width, b.rushing_width = y, cfg.geqr_s * slice_w, rushing
+    b.outputs = np.full(b.xs.shape, -1, dtype=np.int64)
+    for pid in cfg.geqr_outer():
+        b.private(pid, g.qtext, y)
+    return b
 
 
 def run_geqr(cfg, sources, scenario, adv, seed, *,
              shared: Distribution | None = None) -> ProtocolRun:
-    (_, _, _, run), = protocol_runs("geqr", cfg, sources, scenario, adv,
-                                    shared=shared, n_runs=1, seed=seed)[1]
-    run.seed = seed
-    return run
+    return _protocol_run("geqr", protocol_runs(
+        "geqr", cfg, sources, scenario, adv, shared=shared, n_runs=1,
+        seed=seed)[2], seed)
 
 
 # ----------------------------------------------------------------------
-# The engine: worlds of an ensemble, and the protocol run on each
+# The engine: the worlds of an ensemble, and the protocol run on them
 # ----------------------------------------------------------------------
+
+WORLD_KEY = 0x5EED << 32  # worlds of seed s come from Philox(key=s ^ WORLD_KEY)
+
 
 def _as_distribution(src, exact=False) -> Distribution:
     return src.to_distribution(exact) if isinstance(src, FlatSource) else src
 
 
-def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int):
-    """``n_runs`` worlds in the shape of ``enumerate_worlds`` items, weight
-    1 each: every source drawn once as an ``n_runs``-vector from one Philox
-    stream keyed by ``seed``, then the shared register."""
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int, tally):
+    """``n_runs`` worlds in the shape of ``enumerate_worlds``, weight 1
+    each over ``n_runs``: every source drawn once as an ``n_runs``-vector
+    from one Philox stream keyed by ``seed ^ WORLD_KEY``, then the shared
+    register."""
+    rng = np.random.default_rng(np.random.Philox(key=seed ^ WORLD_KEY))
     xs = np.stack([_as_distribution(src).sample(rng, size=n_runs)
                    for src in sources], axis=1)
     a = np.zeros(n_runs, dtype=np.int64)
-    if scenario is not None and scenario.shared_width > 0:
+    if scenario.shared_width > 0:
         if shared is None:
             raise InvalidInputError("scenario uses a shared register")
         a = shared.sample(rng, size=n_runs)
-    for row, av in zip(xs, a.tolist()):
-        x = tuple(row.tolist())
-        yield 1, x, av, scenario.leaks(x, av) if scenario is not None else ()
+    return n_runs, np.ones(n_runs, dtype=np.int64), xs, a, \
+        scenario.leak_columns(xs, a, tally)
 
 
-def _run_protocol(protocol: str, cfg, xvals, adv, side):
-    if protocol == "ext_pub":
-        run, y = exec_ext_pub(cfg, xvals, adv, side)
-        exec_ext_pri(cfg, run, y)
-        return run
-    if protocol == "ext_pub_only":  # the public block alone
-        run, _ = exec_ext_pub(cfg, xvals, adv, side)
-        return run
+def _run_protocol(protocol: str, cfg, xs, adv, side) -> Batch:
+    if protocol in ("ext_pub", "ext_pub_only"):  # ext_pub_only: no private step
+        b = exec_ext_pub(cfg, xs, adv, side)
+        if protocol == "ext_pub":
+            exec_ext_pri(cfg, b)
+        return b
     if protocol == "geqr":
-        return exec_geqr(cfg, xvals, adv, side)
+        return exec_geqr(cfg, xs, adv, side)
     raise InvalidInputError(f"unknown protocol {protocol!r}")
 
 
 def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
                   scenario: LeakageScenario | None, adv: AdversaryStrategy, *,
                   shared: Distribution | None = None,
-                  n_runs: int | None = None, seed: int = 0) -> tuple:
-    """Run the protocol on every world of one ensemble: ``(den, runs)``,
-    ``runs`` yielding ``(weight, xvals, side, run)`` one at a time with the
-    world's probability ``weight / den``.  ``n_runs=None`` enumerates every
-    source/leak world exactly; else ``n_runs`` worlds keyed by ``seed``."""
+                  n_runs: int | None = None, seed: int = 0,
+                  tally: Counter | None = None) -> tuple:
+    """Run the protocol on every world of one ensemble at once:
+    ``(den, weights, batch)``, world ``j`` (row ``j`` of the batch) having
+    probability ``weights[j] / den``.  ``n_runs=None`` enumerates every
+    source/leak world exactly; else ``n_runs`` worlds keyed by ``seed``.
+    ``tally`` adds up the worlds, leak-map calls and rushing callbacks."""
+    tally = Counter() if tally is None else tally
     if len(sources) != cfg.p:
         raise InvalidInputError("one source per player required")
+    scenario = scenario or LeakageScenario.trivial([cfg.n] * cfg.p)
     if n_runs is None:
-        den, worlds = enumerate_worlds(
+        den, weights, xs, _, es = enumerate_worlds(
             [_as_distribution(s, exact=True) for s in sources], scenario,
-            shared)
+            shared, tally)
         if den is None:
             raise InvalidInputError("exact enumeration needs exact source "
                                     "and shared register distributions")
     elif n_runs < 1:
         raise InvalidInputError("an ensemble needs at least one run")
     else:
-        den, worlds = n_runs, _draw_worlds(sources, scenario, shared,
-                                           n_runs, seed)
-    leaky = scenario.leaky if scenario is not None else ()
-
-    def runs():
-        for weight, xs, _, es in worlds:
-            xvals = dict(enumerate(xs, start=1))
-            side = {i + 1: e for i, e in zip(leaky, es)}
-            yield weight, xvals, side, _run_protocol(protocol, cfg, xvals,
-                                                     adv, side)
-
-    return den, runs()
+        den, weights, xs, _, es = _draw_worlds(sources, scenario, shared,
+                                               n_runs, seed, tally)
+    side = {i + 1: es[:, c] for c, i in enumerate(scenario.leaky)}
+    b = _run_protocol(protocol, cfg, xs, adv, side)
+    tally.update(worlds=len(weights), adversary_calls=b.callbacks)
+    return den, weights, b
 
 
 # ----------------------------------------------------------------------
@@ -658,18 +659,16 @@ class SecurityReport:
 
 
 def output_width(cfg: NetworkConfig, protocol: str) -> int:
-    if protocol == "geqr":
-        return cfg.gadgets.qtext.m
-    return cfg.gadgets.oaext.m
+    return (cfg.gadgets.qtext if protocol == "geqr" else cfg.gadgets.oaext).m
 
 
 def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
                       scenario: LeakageScenario | None,
                       adv: AdversaryStrategy, player_set: Iterable[int], *,
                       shared: Distribution | None = None,
-                      mode: str = "exact",
-                      n_runs: int = 100_000, tol: float = 0.15,
-                      seed: int = 0) -> SecurityReport:
+                      mode: str = "exact", n_runs: int = 100_000,
+                      tol: float = 0.15, seed: int = 0,
+                      tally: Counter | None = None) -> SecurityReport:
     """Distance of (Z_S', Z_-S', T, leaks) from uniform x rest.
 
     Exact mode executes the protocol on every source/leak combination and
@@ -681,38 +680,26 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
     player_set = tuple(sorted(set(player_set)))
     m_out = output_width(cfg, protocol)
     exact = mode == "exact"
-    den, runs = protocol_runs(protocol, cfg, sources, scenario, adv,
-                              shared=shared, n_runs=None if exact else n_runs,
-                              seed=seed)
-    cells: dict = {}  # (z_S', rest) -> summed weight
-    s_prime = None
-    atoms = 0
-    for weight, _, side, run in runs:
-        if s_prime is None:
-            s_prime = tuple(pid for pid in player_set
-                            if pid not in run.faulty
-                            and run.outputs.get(pid) is not BOT)
-        z = 0
-        for pid in s_prime:
-            if run.outputs[pid] is BOT:
-                raise InvalidInputError(
-                    f"player {pid} of S' has no private output in some world")
-            z = (z << m_out) | run.outputs[pid]
-        z_rest = tuple(sorted((pid, v) for pid, v in run.outputs.items()
-                              if pid not in s_prime))
-        key = (z, (z_rest, run.transcript_key(), tuple(sorted(side.items()))))
-        cells[key] = cells.get(key, 0) + weight
-        atoms += 1
+    den, weights, b = protocol_runs(
+        protocol, cfg, sources, scenario, adv, shared=shared,
+        n_runs=None if exact else n_runs, seed=seed, tally=tally)
+    out = b.outputs
+    s_prime = tuple(pid for pid in player_set if 0 < pid <= cfg.p
+                    and not b.faulty[0, pid - 1] and out[0, pid - 1] >= 0)
+    for pid in s_prime:
+        if (out[:, pid - 1] < 0).any():
+            raise InvalidInputError(
+                f"player {pid} of S' has no private output in some world")
+    z = _concat([out[:, pid - 1] for pid in s_prime], m_out, len(weights))
+    rest = [out[:, i - 1] for i in range(1, cfg.p + 1) if i not in s_prime]
+    rest += b.transcript_columns() + list(b.side.values())
     part_w = m_out * len(s_prime)
     if exact:
-        distance = _exact_distance(cells, den, part_w)
+        distance = ratio(column_excess(weights, z, rest, part_w), den << part_w)
     else:
-        # the runs as (z, rest) pairs, grouped by cell in first-seen order
-        distance = mc_distance_pairs(
-            [key for key, count in cells.items() for _ in range(count)],
-            part_w, tol=tol, seed=seed)
+        distance = _estimate(z, rest, part_w, tol, seed)
     return SecurityReport("exact" if exact else "sampled", distance,
-                          player_set, s_prime, part_w, atoms)
+                          player_set, s_prime, part_w, len(weights))
 
 
 def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
@@ -721,51 +708,46 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
                         shared: Distribution | None = None) -> Fraction:
     """Exact strong security of one player: distance of
     (Z_i, X_{-i}, T, leaks) from uniform x rest."""
-    cells: dict = {}
-    den, runs = protocol_runs(protocol, cfg, sources, scenario, adv,
-                              shared=shared)
-    for weight, xvals, side, run in runs:
-        z = run.outputs.get(player)
-        if z is BOT:
-            raise InvalidInputError(f"player {player} has no private output")
-        x_rest = tuple((pid, v) for pid, v in xvals.items() if pid != player)
-        key = (z, (x_rest, run.transcript_key(), tuple(sorted(side.items()))))
-        cells[key] = cells.get(key, 0) + weight
-    return _exact_distance(cells, den, output_width(cfg, protocol))
+    den, weights, b = protocol_runs(protocol, cfg, sources, scenario, adv,
+                                    shared=shared)
+    z = b.outputs[:, player - 1]
+    if (z < 0).any():
+        raise InvalidInputError(f"player {player} has no private output")
+    rest = [b.xs[:, i] for i in range(cfg.p) if i != player - 1]
+    rest += b.transcript_columns() + list(b.side.values())
+    m = output_width(cfg, protocol)
+    return ratio(column_excess(weights, z, rest, m), den << m)
 
 
-def _exact_distance(cells: dict, den: int, m: int) -> Fraction:
-    """Distance from uniform x rest of ``(z, rest) -> weight / den`` cells."""
-    excess = excess_over_uniform(list(cells.values()),
-                                 group_ids(rest for _, rest in cells), m)
-    return ratio(excess, den << m)
+def _estimate(z, rest, m: int, tol: float, seed: int):
+    """The plug-in estimate over sampled runs, each rest named by its id."""
+    ids, _ = row_ids(rest, len(z))
+    return mc_distance_pairs(list(zip(z.tolist(), ids.tolist())), m,
+                             tol=tol, seed=seed)
 
 
 def player_estimates(protocol: str, cfg: NetworkConfig, sources, scenario,
                      adv: AdversaryStrategy, pairs_of: Callable, m: int, *,
                      n_runs: int, tol: float, seed: int = 0,
-                     shared: Distribution | None = None) -> dict:
+                     shared: Distribution | None = None, tally=None) -> dict:
     """Per-player Monte-Carlo distance of Z_j from uniform given its rest,
-    from one sampled ensemble: ``pairs_of(run)`` maps each player to its
-    ``(z_j, rest_j)`` pair, ``z_j`` of ``m`` bits.  Players faulty in any
-    run are skipped."""
-    per_player: dict = {}
-    faulty_seen: set = set()
-    _, runs = protocol_runs(protocol, cfg, sources, scenario, adv,
-                            shared=shared, n_runs=n_runs, seed=seed)
-    for _, _, _, run in runs:
-        faulty_seen |= run.faulty
-        for pid, pair in pairs_of(run).items():
-            per_player.setdefault(pid, []).append(pair)
-    return {pid: mc_distance_pairs(pairs, m, tol=tol, seed=seed + pid)
-            for pid, pairs in sorted(per_player.items())
-            if pid not in faulty_seen}
+    from one sampled ensemble: ``pairs_of(batch)`` maps each player to
+    ``(z_j, rest_j)``, a column of ``m``-bit values and a list of columns.
+    Players faulty in any run are skipped."""
+    _, _, b = protocol_runs(protocol, cfg, sources, scenario, adv,
+                            shared=shared, n_runs=n_runs, seed=seed,
+                            tally=tally)
+    faulty_seen = b.faulty.any(axis=0)
+    return {pid: _estimate(z, rest, m, tol, seed + pid)
+            for pid, (z, rest) in sorted(pairs_of(b).items())
+            if not faulty_seen[pid - 1]}
 
 
 def mc_public_block_quality(cfg: NetworkConfig, sources, scenario,
                             adv: AdversaryStrategy, *, n_runs: int,
                             tol: float, seed: int = 0,
-                            shared: Distribution | None = None) -> dict:
+                            shared: Distribution | None = None,
+                            tally=None) -> dict:
     """Per-B-player Monte-Carlo distance of (Y_j, T_1) from uniform x T_1.
 
     Y_j is the player's two broadcast slices concatenated; T_1 is the
@@ -773,17 +755,15 @@ def mc_public_block_quality(cfg: NetworkConfig, sources, scenario,
     """
     sw = cfg.slice_width
 
-    def pairs_of(run):
-        t1 = tuple((m.sender, m.payload) for m in run.messages if m.round == 1)
-        y = {pid: 0 for pid in cfg.players_b}
-        for m in run.messages:
-            if m.round in (2, 3):
-                y[m.sender] = (y[m.sender] << sw) | m.payload
-        return {pid: (yj, t1) for pid, yj in y.items()}
+    def pairs_of(b):
+        (*_, r2, _), (*_, r3, _) = b.rounds[1:]
+        t1 = b.transcript_columns(1)
+        return {pid: ((r2[:, k] << sw) | r3[:, k], t1)
+                for k, pid in enumerate(cfg.players_b)}
 
     return player_estimates("ext_pub_only", cfg, sources, scenario, adv,
                             pairs_of, 2 * sw, n_runs=n_runs, tol=tol,
-                            seed=seed, shared=shared)
+                            seed=seed, shared=shared, tally=tally)
 
 
 # ----------------------------------------------------------------------

@@ -25,15 +25,17 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dist import (Distribution, JointDistribution, cond_min_entropy,
-                   distance_from_uniform_on, excess_over_uniform, group_ids,
-                   min_entropy, ratio, smooth_cond_min_entropy, xor_project)
+from .dist import (Distribution, JointDistribution, column_excess,
+                   cond_min_entropy, distance_from_uniform_on,
+                   excess_over_uniform, group_ids, min_entropy, ratio,
+                   smooth_cond_min_entropy, xor_project)
 from .errors import BudgetExceededError, InvalidInputError
 from .extractors import ExtractorHandle
 from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
@@ -63,10 +65,6 @@ class OracleReport:
     wall_time: float = 0.0
     ci: tuple | None = None
     notes: str = ""
-
-    @property
-    def error_float(self) -> float:
-        return float(self.error)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -757,17 +755,16 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
     if len(dists) != h.arity:
         raise InvalidInputError(f"{h.name} takes {h.arity} inputs")
     strong = sorted(set(strong))
-    den, worlds = enumerate_worlds(dists, scenario, shared)
+    den, weights, xs, _, es = enumerate_worlds(dists, scenario, shared)
     if den is None:
         raise InvalidInputError("exact_distance needs exact sources and an "
                                 "exact shared register distribution")
-    cells: dict = {}
-    for weight, xs, _, es in worlds:
-        key = (h.eval_int(*xs), tuple(xs[i] for i in strong), es)
-        cells[key] = cells.get(key, 0) + weight
-    excess = excess_over_uniform(list(cells.values()),
-                                 group_ids(key[1:] for key in cells), h.m)
-    return ratio(excess, den << h.m)
+    if (xs >> np.array(h.input_widths)).any():
+        raise InvalidInputError(f"a source value exceeds its input width "
+                                f"{h.input_widths}")
+    z = h.gather(*xs.T)
+    rest = [xs[:, i] for i in strong] + list(es.T)
+    return ratio(column_excess(weights, z, rest, h.m), den << h.m)
 
 
 # ----------------------------------------------------------------------
@@ -792,36 +789,23 @@ class MCReport:
                 "part_width": self.m, "tolerance": self.tol}
 
 
-def mc_distance(sample_fn: Callable, m: int, n_samples: int, *,
-                tol: float, seed: int = 0) -> MCReport:
-    """Plug-in total-variation estimate against uniform-on-part.
-
-    ``sample_fn(rng)`` must return one ``(part_value, rest_key)`` pair
-    per call, with ``part_value`` in ``range(2**m)``.  The estimator is
-    the empirical-joint TV against (uniform on the part) x (empirical
-    rest marginal); a 99% bootstrap interval over 200 resamples is
-    attached.  Requires ``n_samples >= 100 * 2**m / tol**2``.
-    """
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    pairs = [sample_fn(rng) for _ in range(n_samples)]
-    return mc_distance_pairs(pairs, m, tol=tol, seed=seed)
-
-
 def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
                       seed: int = 0) -> MCReport:
-    """The plug-in estimator over an already-collected list of
-    ``(part_value, rest_key)`` pairs; same sizing rule and bootstrap as
-    :func:`mc_distance`."""
+    """Plug-in total-variation estimate against uniform-on-part.
+
+    ``pairs`` holds one ``(part_value, rest_key)`` pair per sample, with
+    ``part_value`` in ``range(2**m)``.  The estimator is the
+    empirical-joint TV against (uniform on the part) x (empirical rest
+    marginal); a 99% bootstrap interval over 200 resamples is attached.
+    Requires ``len(pairs) >= 100 * 2**m / tol**2``.
+    """
     n_samples = len(pairs)
     needed = 100.0 * (1 << m) / (tol * tol)
     if n_samples < needed:
         raise InvalidInputError(
             f"N={n_samples} below the sizing rule ceil(100*2^m/tol^2)="
             f"{math.ceil(needed)}")
-    counts: dict = {}
-    for z, rest in pairs:
-        key = (int(z), rest)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter((int(z), rest) for z, rest in pairs)
     cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
     groups = group_ids(rest for _, rest in counts)
     scale = n_samples << m

@@ -33,9 +33,6 @@ class PASession:
     def keys_agree(self) -> bool:
         return self.alice_key == self.bob_key
 
-    def eavesdropper_view(self) -> list:
-        return list(self.transcript)
-
     def to_json(self, reveal: bool = False) -> str:
         d = {"protocol": self.protocol,
              "transcript": [{"label": lbl, "hex": v.to_hex(),

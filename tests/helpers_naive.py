@@ -75,3 +75,164 @@ def naive_joint_tv(p: dict, q: dict) -> Fraction:
                 for k in keys
                 if p.get(k, Fraction(0)) > q.get(k, Fraction(0))),
                Fraction(0))
+
+
+# ----------------------------------------------------------------------
+# Protocols, one world at a time
+# ----------------------------------------------------------------------
+#
+# A protocol ``spec`` is a dict of plain values: "protocol" ("geqr" or
+# "ext_pub"), "p", "n", "t", the player lists, the wiring as lists of
+# neighbour indices, and each extractor slot as (table list, input
+# widths, output width).  An adversary ``adv`` is a dict with "kind"
+# ("ir" or "qr-analog"), "faulty" (initial set), "fn" (rushing callback
+# or None), "trigger" (or None) and "forced" (group -> slice, or None).
+
+
+def _lookup(slot, xs) -> int:
+    table, widths, _ = slot
+    idx = 0
+    for x, w in zip(xs, widths):
+        idx = (idx << w) | x
+    return table[idx]
+
+
+def _naive_round(rnd, senders, honest, width, faulty, adv, transcript, side):
+    """Honest messages first, then each faulty sender's rushing message."""
+    round_honest = tuple((s, honest[s], width) for s in senders
+                         if s not in faulty)
+    sent = {s: honest[s] for s in senders}
+    for s in senders:
+        if s in faulty and adv["fn"] is not None:
+            view = {"transcript": tuple(transcript),
+                    "round_honest": round_honest}
+            if adv["kind"] == "ir":
+                v = adv["fn"](s, rnd, view)
+            else:
+                v = adv["fn"](s, rnd, view, dict(side))
+            sent[s] = v & ((1 << width) - 1)
+    order = ([s for s in sorted(senders) if s not in faulty]
+             + [s for s in sorted(senders) if s in faulty])
+    transcript.extend((rnd, s, sent[s]) for s in order)
+    return sent
+
+
+def _naive_trigger(adv, rnd, transcript, faulty, t):
+    if adv["trigger"] is None:
+        return
+    for pid in sorted(set(adv["trigger"](rnd, tuple(transcript))) - faulty):
+        if len(faulty) >= t:
+            break
+        faulty.add(pid)
+
+
+def naive_protocol_run(spec, xs: dict, side: dict, adv) -> tuple:
+    """One world: ``(transcript, outputs, faulty)``; outputs None is BOT."""
+    faulty = set(adv["faulty"])
+    transcript = []
+    outputs = {pid: None for pid in range(1, spec["p"] + 1)}
+    if spec["protocol"] == "geqr":
+        grouped = [pid for grp in spec["groups"] for pid in grp]
+        sent = _naive_round(1, grouped, xs, spec["n"], faulty, adv,
+                            transcript, side)
+        w = spec["slice"]
+        y = 0
+        for gi, grp in enumerate(spec["groups"], start=1):
+            forced = adv["forced"] or {}
+            if any(pid in faulty for pid in grp) and gi in forced:
+                yi = forced[gi] % (1 << w)
+            else:
+                yi = _lookup(spec["iext"], [sent[pid] for pid in grp])
+                yi >>= spec["iext"][2] - w
+            y = (y << w) | yi
+        for pid in spec["outer"]:
+            if pid not in faulty:
+                outputs[pid] = _lookup(spec["qtext"], [xs[pid], y])
+        return tuple(transcript), outputs, faulty
+    a_pl, b_pl, sw = spec["A"], spec["B"], spec["sw"]
+    sent = _naive_round(1, a_pl, xs, spec["n"], faulty, adv, transcript, side)
+    _naive_trigger(adv, 1, transcript, faulty, spec["t"])
+    rows = [_lookup(spec["iext"], [sent[a_pl[j]] for j in nb])
+            for nb in spec["disperser"]]
+    part = {}
+    for bi, pid in enumerate(b_pl):
+        sj = 0
+        for v in spec["expander"][bi]:
+            sj = (sj << spec["iext"][2]) | rows[v]
+        part[pid] = _lookup(spec["srext"], [xs[pid], sj])
+    slices = []
+    for rnd, which in ((2, 1), (3, 2)):
+        shift = spec["srext"][2] - which * sw
+        honest = {pid: (part[pid] >> shift) % (1 << sw) for pid in b_pl}
+        sent = _naive_round(rnd, b_pl, honest, sw, faulty, adv, transcript,
+                            side)
+        slices += [sent[pid] for pid in b_pl]
+        _naive_trigger(adv, rnd, transcript, faulty, spec["t"])
+
+    def join(parts):
+        v = 0
+        for s in parts:
+            v = (v << sw) | s
+        return v
+
+    for pid in spec["C"]:
+        if pid not in faulty:
+            outputs[pid] = _lookup(spec["oaext"], [xs[pid], join(slices)])
+    for idx, pid in enumerate(b_pl):
+        if pid not in faulty:
+            own = [s for i, s in enumerate(slices) if i % len(b_pl) != idx]
+            outputs[pid] = _lookup(spec["oaext_b"], [xs[pid], join(own)])
+    return tuple(transcript), outputs, faulty
+
+
+def naive_protocol_worlds(spec, supports, adv, shared=None, leaks=None):
+    """Every world with its Fraction weight: flat sources on ``supports``
+    (one list per player), the shared register ``shared`` as (value,
+    Fraction) pairs, and ``leaks`` mapping a player to ``(fn, offset,
+    width, register width)``: its leak is ``fn(x, A slice)``."""
+    shared = shared or [(0, Fraction(1))]
+    leaks = leaks or {}
+    worlds = []
+    for combo in itertools.product(*supports):
+        xs = dict(enumerate(combo, start=1))
+        for a, pa in shared:
+            weight = pa
+            for sup in supports:
+                weight /= len(sup)
+            side = {}
+            for pid in sorted(leaks):
+                fn, off, w, aw = leaks[pid]
+                side[pid] = fn(xs[pid], (a >> (aw - off - w)) % (1 << w))
+            worlds.append((weight, xs, side)
+                          + naive_protocol_run(spec, xs, side, adv))
+    return worlds
+
+
+def naive_security(worlds, players, m) -> Fraction:
+    """Distance of (Z_S', other outputs, transcript, leaks) from uniform x
+    rest, S' being ``players`` without output in the first world left
+    out."""
+    first = worlds[0][4]
+    s_prime = [pid for pid in sorted(players) if first[pid] is not None]
+    cells = {}
+    for weight, _, side, transcript, outputs, _ in worlds:
+        z = 0
+        for pid in s_prime:
+            z = (z << m) | outputs[pid]
+        rest = (tuple(sorted((pid, v) for pid, v in outputs.items()
+                             if pid not in s_prime)),
+                transcript, tuple(sorted(side.items())))
+        cells[(z, rest)] = cells.get((z, rest), 0) + weight
+    return naive_tv_from_uniform(cells, 1, m * len(s_prime))
+
+
+def naive_strong_error(worlds, player, m) -> Fraction:
+    """Distance of (Z_player, other sources, transcript, leaks) from
+    uniform x rest."""
+    cells = {}
+    for weight, xs, side, transcript, outputs, _ in worlds:
+        rest = (tuple((pid, v) for pid, v in xs.items() if pid != player),
+                transcript, tuple(sorted(side.items())))
+        key = (outputs[player], rest)
+        cells[key] = cells.get(key, 0) + weight
+    return naive_tv_from_uniform(cells, 1, m)

@@ -171,3 +171,35 @@ def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "extractomat.cli",
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_netsim_unknown_protocol_exits_4(cache_dir, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("p = 5\nt = 1\nn = 4\nk = 4\nalpha = 0.25\nseed = 3\n"
+                   "protocol = gqer\n")
+    out = tmp_path / "out"
+    assert run_cli(["netsim", "--config", str(cfg)], cache_dir, out) == 4
+    err = capsys.readouterr().err
+    assert "protocol" in err and "'gqer'" in err
+    assert "extpub" in err and "geqr" in err
+    assert not out.exists()  # refused before any certification
+
+
+def test_netsim_report_volatile_block(cache_dir, tmp_path):
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text("p = 5\nt = 1\nn = 3\nk = 3\nalpha = 0.25\nseed = 3\n"
+                   "protocol = geqr\n")
+    reports = []
+    for name in ("a", "b"):
+        rc = run_cli(["netsim", "--config", str(cfg), "--adv", "qr-analog",
+                      "--exact"], cache_dir, tmp_path / name)
+        assert rc == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    volatile = [r.pop("volatile") for r in reports]
+    assert all(set(v) == {"worlds", "adversary_calls", "leak_calls", "eval_s"}
+               for v in volatile)
+    # one QR and two constant-slice evaluations of 8^4 worlds each
+    assert volatile[0]["worlds"] == 3 * 8 ** 4
+    assert 0 < volatile[0]["adversary_calls"] < 8 ** 4
+    assert volatile[0]["leak_calls"] > 0
+    assert reports[0] == reports[1]

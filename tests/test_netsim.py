@@ -5,13 +5,19 @@ import pytest
 
 from extractomat import certify
 from extractomat.cli import build_toy_network
+from extractomat.dist import Distribution
 from extractomat.errors import ConstraintViolatedError, InvalidInputError
+from extractomat.extractors import table_handle
+from extractomat.graphs import BipartiteGraph
 from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, exec_ext_pri, exec_ext_pub,
-                                exec_geqr, parse_config_text, protocol_runs,
-                                run_ext_pub, run_geqr, strong_player_error)
+                                exec_geqr, output_width, parse_config_text,
+                                protocol_runs, run_ext_pub, run_geqr,
+                                strong_player_error)
 from extractomat.sources import FlatSource
+from helpers_naive import (naive_protocol_worlds, naive_security,
+                           naive_strong_error)
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +162,9 @@ def test_ir_strategy_cannot_see_side_information(toy_cfg):
         return 0
 
     adv = AdversaryStrategy.ir({1}, rushing)
-    xvals, _ = {pid: 0 for pid in range(1, 8)}, None
-    run1, _ = exec_ext_pub(toy_cfg, {p: 1 for p in range(1, 8)}, adv,
-                           side_info={7: 0})
-    run2, _ = exec_ext_pub(toy_cfg, {p: 1 for p in range(1, 8)}, adv,
-                           side_info={7: 3})
-    assert run1.transcript_key() == run2.transcript_key()
+    b1 = exec_ext_pub(toy_cfg, [[1] * 7], adv, side={7: np.array([0])})
+    b2 = exec_ext_pub(toy_cfg, [[1] * 7], adv, side={7: np.array([3])})
+    assert b1.transcript(0) == b2.transcript(0)
     assert all(keys == ["round_honest", "transcript"] for keys in calls)
 
 
@@ -169,17 +172,16 @@ def test_ext_pri_excludes_own_slices(toy_cfg):
     # changing player j's own broadcast slices never changes z_j
     sources = _toy_sources(toy_cfg)
     sc = LeakageScenario.trivial([6] * 7)
-    run, y = run_ext_pub(toy_cfg, sources, sc, AdversaryStrategy.passive(),
-                         seed=6)
-    z = exec_ext_pri(toy_cfg, run, y)
+    _, _, b = protocol_runs("ext_pub_only", toy_cfg, sources, sc,
+                            AdversaryStrategy.passive(), n_runs=1, seed=6)
+    z = exec_ext_pri(toy_cfg, b)
     sw = toy_cfg.slice_width
     j_idx = 0  # player 4 is the first B player
     for flip in range(1, 1 << sw):
-        y2val = y.value ^ (flip << (toy_cfg.y_width - sw * (j_idx + 1)))
-        from extractomat.bits import BitString
-        z2 = exec_ext_pri(toy_cfg, run, BitString(toy_cfg.y_width, y2val))
-        assert z2[4] == z[4]
-        assert z2[7] != z[7] or True  # outer players may change
+        y2val = b.y ^ (flip << (toy_cfg.y_width - sw * (j_idx + 1)))
+        z2 = exec_ext_pri(toy_cfg, b, y2val)
+        assert z2[0, 3] == z[0, 3]
+        assert z2[0, 6] != z[0, 6] or True  # outer players may change
 
 
 def test_geqr_structure_and_rushing_width(micro_geqr):
@@ -198,31 +200,29 @@ def test_geqr_structure_and_rushing_width(micro_geqr):
 def test_geqr_all_honest_y_is_deterministic(micro_geqr):
     cfg = micro_geqr
     xvals = {pid: pid + 3 for pid in range(1, 6)}
-    r1 = exec_geqr(cfg, xvals, AdversaryStrategy.passive())
-    r2 = exec_geqr(cfg, xvals, AdversaryStrategy.passive())
-    assert r1.y == r2.y
+    r1 = exec_geqr(cfg, [list(xvals.values())], AdversaryStrategy.passive())
+    r2 = exec_geqr(cfg, [list(xvals.values())], AdversaryStrategy.passive())
+    assert r1.y[0] == r2.y[0]
     g = cfg.gadgets
     expect = 0
     for grp in cfg.geqr_groups():
         yi = g.iext.eval_int(*(xvals[p] for p in grp)) >> (g.iext.m - cfg.geqr_slice)
         expect = (expect << cfg.geqr_slice) | yi
-    assert r1.y == expect
+    assert r1.y[0] == expect
 
 
 def test_forced_slice_override(micro_geqr):
     cfg = micro_geqr
-    xvals = {pid: 5 for pid in range(1, 6)}
     adv = AdversaryStrategy.forced_slice({3}, {2: 0b11})
-    run = exec_geqr(cfg, xvals, adv)
-    assert run.y & 0b11 == 0b11
+    run = exec_geqr(cfg, [[5] * 5], adv)
+    assert run.y[0] & 0b11 == 0b11
 
 
 def test_geqr_rushing_over_bound_is_a_constraint_violation(micro_geqr):
     # t = 1, but the faulty players sit in both groups: the rushing width
     # 2 * floor(k/s) passes the k t / s bound
-    xvals = {pid: 0 for pid in range(1, 6)}
     with pytest.raises(ConstraintViolatedError, match="rushing width"):
-        exec_geqr(micro_geqr, xvals, AdversaryStrategy.ir({1, 3}))
+        exec_geqr(micro_geqr, [[0] * 5], AdversaryStrategy.ir({1, 3}))
 
 
 def test_evaluate_security_exact_all_honest(micro_geqr):
@@ -281,11 +281,11 @@ def test_s_prime_player_losing_its_output_is_named(cache_dir):
 # ----------------------------------------------------------------------
 
 def _drawn_worlds(cfg, sources, seed, n_runs=50):
-    _, runs = protocol_runs("geqr", cfg, sources,
+    _, _, b = protocol_runs("geqr", cfg, sources,
                             LeakageScenario.trivial([4] * 5),
                             AdversaryStrategy.passive(), n_runs=n_runs,
                             seed=seed)
-    return [xvals for _, xvals, _, _ in runs]
+    return [dict(enumerate(row, start=1)) for row in b.xs.tolist()]
 
 
 def test_adjacent_seeds_share_no_worlds(micro_geqr):
@@ -294,6 +294,16 @@ def test_adjacent_seeds_share_no_worlds(micro_geqr):
     w1 = _drawn_worlds(micro_geqr, sources, 11)
     assert w1[:-1] != w0[1:]
     assert not set(map(str, w0)) & set(map(str, w1))
+
+
+def test_world_stream_is_not_the_support_stream(micro_geqr):
+    # the CLI draws the flat sources' supports from Philox(key=seed); the
+    # ensemble of the same seed must read other random words
+    sources = [FlatSource(4, range(16)) for _ in range(5)]
+    worlds = _drawn_worlds(micro_geqr, sources, 7)
+    rng = np.random.default_rng(np.random.Philox(key=7))
+    support_words = sources[0].to_distribution().sample(rng, size=50)
+    assert [w[1] for w in worlds] != support_words.tolist()
 
 
 def test_drawn_values_lie_in_support(micro_geqr):
@@ -309,22 +319,27 @@ def test_batch_of_one_is_deterministic_in_its_seed(micro_geqr):
     adv = AdversaryStrategy.passive()
     r1 = run_geqr(micro_geqr, sources, sc, adv, seed=12)
     r2 = run_geqr(micro_geqr, sources, sc, adv, seed=12)
-    (_, _, _, r3), = protocol_runs("geqr", micro_geqr, sources, sc, adv,
-                                   n_runs=1, seed=12)[1]
-    assert r1.transcript_key() == r2.transcript_key() == r3.transcript_key()
-    assert r1.outputs == r2.outputs == r3.outputs
+    _, _, b3 = protocol_runs("geqr", micro_geqr, sources, sc, adv,
+                             n_runs=1, seed=12)
+    outputs3 = {pid: None if v < 0 else v
+                for pid, v in enumerate(b3.outputs[0].tolist(), start=1)}
+    assert r1.transcript_key() == r2.transcript_key() == b3.transcript(0)
+    assert r1.outputs == r2.outputs == outputs3
 
 
 def test_round_counts_reported_both_ways(toy_cfg):
     sources = _toy_sources(toy_cfg)
-    run, y = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
+    run, _ = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
                          AdversaryStrategy.passive(), seed=9)
     assert run.rounds_interactive == 3
-    exec_ext_pri(toy_cfg, run, y)
+    _, _, b = protocol_runs("ext_pub_only", toy_cfg, sources,
+                            LeakageScenario.trivial([6] * 7),
+                            AdversaryStrategy.passive(), n_runs=1, seed=9)
+    exec_ext_pri(toy_cfg, b)
     # the private extraction adds no interaction but may be counted as a
     # round depending on presentation; both numbers are available
-    assert run.rounds_interactive == 3
-    assert run.rounds_total == 4
+    assert len(b.rounds) == 3
+    assert b.rounds_total == 4
 
 
 def test_geqr_all_honest_within_ledger_budget(micro_geqr):
@@ -371,3 +386,144 @@ def test_run_log_jsonl(toy_cfg):
                for l in lines)
     commits = [l["commit"] for l in lines]
     assert commits == sorted(commits)
+
+
+# ----------------------------------------------------------------------
+# cross-check against the naive per-world evaluator
+# ----------------------------------------------------------------------
+
+def _random_slot(rng, name, widths, m):
+    table = rng.integers(0, 1 << m, size=1 << sum(widths))
+    return table_handle(name, "2-source", widths, m, table)
+
+
+def _tiny_geqr(rng):
+    g = GadgetSet(iext=_random_slot(rng, "iext", (3, 3), 2),
+                  qtext=_random_slot(rng, "qtext", (3, 2), 1))
+    return NetworkConfig(p=5, t=1, n=3, k=2, alpha=0.25, gadgets=g,
+                         geqr_group=2, geqr_s=2)
+
+
+def _tiny_ext_pub(rng):
+    cfg = NetworkConfig(p=7, t=1, n=3, k=1, alpha=2.0, delta=0.25)
+    ring = tuple((i, (i + 1) % 3) for i in range(3))
+    cfg.gadgets = GadgetSet(
+        iext=_random_slot(rng, "iext", (3, 3), 2),
+        srext=_random_slot(rng, "srext", (3, 4), 2),
+        oaext=_random_slot(rng, "oaext", (3, 6), 1),
+        oaext_b=_random_slot(rng, "oaext_b", (3, 4), 1),
+        and_disperser=BipartiteGraph(3, 3, 2, ring),
+        expander=BipartiteGraph(3, 3, 2, ring))
+    cfg.validate_ext_pub()
+    return cfg
+
+
+def _naive_spec(cfg, protocol):
+    g = cfg.gadgets
+
+    def slot(h):
+        return h.table().tolist(), h.input_widths, h.m
+
+    spec = {"protocol": protocol, "p": cfg.p, "n": cfg.n, "t": cfg.t}
+    if protocol == "geqr":
+        spec.update(groups=cfg.geqr_groups(), outer=cfg.geqr_outer(),
+                    slice=cfg.geqr_slice, iext=slot(g.iext),
+                    qtext=slot(g.qtext))
+    else:
+        spec.update(A=cfg.players_a, B=cfg.players_b, C=cfg.players_c,
+                    sw=cfg.slice_width, iext=slot(g.iext),
+                    srext=slot(g.srext), oaext=slot(g.oaext),
+                    oaext_b=slot(g.oaext_b),
+                    disperser=[list(nb) for nb in g.and_disperser.adj],
+                    expander=[list(nb) for nb in g.expander.adj])
+    return spec
+
+
+def _naive_adv(adv):
+    return {"kind": adv.kind, "faulty": adv.initial_faulty,
+            "fn": adv.rushing_fn, "trigger": adv.trigger,
+            "forced": adv.forced_slices}
+
+
+def _recording(adv, log):
+    """The same adversary, logging the arguments of every callback call."""
+    def rec(fn):
+        if fn is None:
+            return None
+
+        def logged(*args):
+            log.append(repr(args))
+            return fn(*args)
+        return logged
+
+    return AdversaryStrategy(adv.kind, adv.initial_faulty, rec(adv.rushing_fn),
+                             rec(adv.trigger), adv.forced_slices)
+
+
+def _parity_leak(x, a):
+    return (x ^ a) & 1
+
+
+@pytest.mark.parametrize("case", ["passive", "forced-slice", "qr-analog",
+                                  "oa-leak", "shared-register",
+                                  "ext-pub-passive", "ext-pub-trigger"])
+def test_exact_security_matches_naive_per_world(case):
+    # random tiny instances; every exact value equals the naive per-world
+    # evaluation as a Fraction
+    for trial in range(3):
+        rng = np.random.default_rng([trial, len(case)])
+        protocol = "ext_pub" if case.startswith("ext-pub") else "geqr"
+        cfg = _tiny_ext_pub(rng) if protocol == "ext_pub" else _tiny_geqr(rng)
+        supports = [sorted(rng.choice(8, size=2, replace=False).tolist())
+                    for _ in range(cfg.p)]
+        scenario, shared, shared_atoms, leaks = None, None, None, None
+        adv = AdversaryStrategy.passive()
+        target, players = 5, [5]
+        if case == "forced-slice":
+            adv = AdversaryStrategy.forced_slice({2}, {1: int(rng.integers(2))})
+        elif case == "qr-analog":
+            scenario = LeakageScenario.oa([3] * 5, 4, lambda x, a: x & 1, 1)
+            leaks = {5: (lambda x, a: x & 1, 0, 0, 0)}
+            adv = AdversaryStrategy.qr_analog(
+                {3}, lambda pid, rnd, view, side: (
+                    side[5] * 5 + len(view["round_honest"])
+                    + sum(v for _, _, v in view["round_honest"])) & 7)
+        elif case in ("oa-leak", "ext-pub-passive"):
+            target = 5 if protocol == "geqr" else 7
+            scenario = LeakageScenario.oa([3] * cfg.p, target - 1,
+                                          lambda x, a: x & 1, 1)
+            leaks = {target: (lambda x, a: x & 1, 0, 0, 0)}
+            players = [4, 7] if protocol == "ext_pub" else [5]
+        elif case == "shared-register":
+            scenario = LeakageScenario.oa([3] * 5, 4, _parity_leak, 1,
+                                          shared_width=1, slices=[(0, 1)] * 5)
+            shared = Distribution.uniform(1, exact=True)
+            shared_atoms = [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
+            leaks = {5: (_parity_leak, 0, 1, 1)}
+        elif case == "ext-pub-trigger":
+            # player 5 of B turns faulty after round 2 where player 1's
+            # source is odd, and sends a rushing slice in round 3 only
+            supports[0] = [2, 3]
+            target, players = 7, [7]
+            adv = AdversaryStrategy.ir(
+                set(), lambda pid, rnd, view: len(view["transcript"]) + rnd,
+                trigger=lambda rnd, tr: {5} if rnd == 2 and tr[0][2] & 1
+                else set())
+        sources = [FlatSource(cfg.n, sup) for sup in supports]
+        naive_calls, calls = [], []
+        worlds = naive_protocol_worlds(_naive_spec(cfg, protocol), supports,
+                                       _naive_adv(_recording(adv, naive_calls)),
+                                       shared_atoms, leaks)
+        m = output_width(cfg, protocol)
+        rep = evaluate_security(protocol, cfg, sources, scenario,
+                                _recording(adv, calls), players, shared=shared)
+        assert rep.distance == naive_security(worlds, players, m), (case, trial)
+        # the callbacks run once per distinct view, with the same arguments
+        assert len(set(calls)) == len(calls)
+        assert set(calls) == set(naive_calls)
+        strong = strong_player_error(protocol, cfg, sources, scenario, adv,
+                                     target, shared=shared)
+        assert strong == naive_strong_error(worlds, target, m), (case, trial)
+        if case == "ext-pub-trigger":
+            late = [w for w in worlds if 5 in w[5]]
+            assert late and all(w[3][-1][:2] == (3, 5) for w in late)

@@ -9,7 +9,7 @@ from extractomat.dist import JointDistribution
 from extractomat.errors import BudgetExceededError, InvalidInputError
 from extractomat.extractors import (deor_handle, ip_handle, table_handle,
                                     toeplitz_handle)
-from extractomat.oracle import (check_lemma, exact_distance, mc_distance,
+from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_2source,
                                 worst_case_error_block_general,
                                 worst_case_error_leaked,
@@ -281,20 +281,30 @@ def test_exact_distance_fixed_instance():
 # Monte Carlo estimator
 # ----------------------------------------------------------------------
 
+def _drawn_pairs(sample_fn, n_samples, seed):
+    """``n_samples`` pairs from ``sample_fn``, all from one Philox stream
+    keyed by ``seed``."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    return [sample_fn(rng) for _ in range(n_samples)]
+
+
 def test_mc_null_case():
-    rep = mc_distance(lambda rng: (int(rng.integers(4)), 0), 2, 4000,
-                      tol=0.5, seed=1)
+    rep = mc_distance_pairs(
+        _drawn_pairs(lambda rng: (int(rng.integers(4)), 0), 4000, 1), 2,
+        tol=0.5, seed=1)
     assert rep.estimate <= rep.half_width + 0.05
 
 
 def test_mc_point_mass():
-    rep = mc_distance(lambda rng: (0, 0), 2, 4000, tol=0.5, seed=1)
+    rep = mc_distance_pairs(_drawn_pairs(lambda rng: (0, 0), 4000, 1), 2,
+                            tol=0.5, seed=1)
     assert rep.estimate >= 1 - 0.25 - rep.half_width - 1e-9
 
 
 def test_mc_sizing_rule():
     with pytest.raises(InvalidInputError):
-        mc_distance(lambda rng: (0, 0), 4, 100, tol=0.1)
+        mc_distance_pairs(_drawn_pairs(lambda rng: (0, 0), 100, 0), 4,
+                          tol=0.1)
 
 
 def test_mc_calibration_against_exact():
@@ -305,9 +315,9 @@ def test_mc_calibration_against_exact():
     inside = 0
     trials = 30
     for trial in range(trials):
-        rep = mc_distance(
-            lambda rng: (int(rng.choice(4, p=probs)), 0), 2, 6000,
-            tol=0.3, seed=trial)
+        rep = mc_distance_pairs(
+            _drawn_pairs(lambda rng: (int(rng.choice(4, p=probs)), 0), 6000,
+                         trial), 2, tol=0.3, seed=trial)
         lo, hi = rep.ci
         # allow the plug-in bias: compare against an interval widened by
         # the estimator's small-sample bias bound 2^m/ (2 sqrt(n))
