@@ -175,7 +175,8 @@ def certify_random_table(widths, k_profile, m: int, *,
         digest = table_digest(table)
         cached = _cache_load(cache, digest)
         if cached is not None and _record_matches(
-                cached[1], kind, widths, k_profile, m, leak_bits, strong):
+                cached[1], kind, widths, k_profile, m, leak_bits, strong,
+                mode):
             handle, record = cached
         else:
             measured = strong
@@ -213,12 +214,13 @@ def certify_random_table(widths, k_profile, m: int, *,
 
 
 def _record_matches(rec: CertificationRecord, kind, widths, k_profile, m,
-                    leak_bits, strong) -> bool:
-    """Whether ``rec`` answers the request.  Only a 2-source measurement
-    records the requested strong indices; a seeded one always records
-    the seed and a t-source one none."""
+                    leak_bits, strong, mode) -> bool:
+    """Whether ``rec`` answers the request: of the requested mode unless
+    that is ``auto``, and, for a 2-source table only, holding the
+    requested strong indices (a seeded one always records the seed)."""
     return (rec.kind == kind and rec.widths == widths and rec.m == m
             and rec.k_profile == k_profile and rec.leak_bits == leak_bits
+            and mode in ("auto", rec.mode)
             and (kind != "2-source" or set(strong) <= set(rec.strong_errors)))
 
 

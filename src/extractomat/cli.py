@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -40,8 +41,7 @@ PROTOCOLS = ("extpub", "geqr")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TargetUnreachableError as exc:
@@ -58,7 +58,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared: parsing never mutates it."""
     p = argparse.ArgumentParser(
         prog="extractomat",
         description="extractor certification, evaluation and simulation")
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     c.add_argument("--samples", type=int, default=200)
     c.add_argument("--leak-bits", type=int, default=0)
-    c.add_argument("--strong", type=int, nargs="*", default=[])
+    c.add_argument("--strong", type=int, nargs="*", default=())
     c.add_argument("--cache", type=Path, default=None)
     c.add_argument("--out-dir", type=Path, default=Path("."))
     c.add_argument("--threads", "--workers", dest="threads", type=int, default=1)

@@ -9,9 +9,17 @@ fact is used without re-proof throughout this module.
 
 All exhaustive paths work in integer arithmetic: with flat supports of
 sizes ``K_i`` every probability is an integer count over a common
-denominator, so distances reduce to exact integer sums and the final
-error is a ``Fraction``.  Reports are therefore invariant under
-enumeration order and worker count.
+denominator, so distances reduce to exact int64 sums and the final
+error is a ``Fraction``.
+
+The two-source, leaked and multi-source oracles use the event form:
+the distance is the max over output events T of P(Z in T) - |T|/2^m, so
+with the enumerated support S2 fixed (and a leak pattern on it: a leak
+map matters only on the support), the best S1 per event is the top-K1
+rows of sum_{z in T} (2^m #{y in S2 : Ext(x, y) = z} - K2).  Each such S1
+is scored exactly, so every numerator is a real witness's value; where
+events outnumber the S1 supports, those are scored instead.  Ties go to
+the lowest-rank S2, then to the first candidate scored.
 
 Sampled mode draws random flat supports and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
@@ -42,6 +50,7 @@ from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
 
 DEFAULT_BUDGET = 20_000_000_000
 EXHAUSTIVE_MAP_BITS_CAP = 2  # leakage maps enumerated exhaustively up to e-width 2
+CHUNK_ENTRIES = 1 << 14  # int64 entries per working array of one S2 chunk
 DEFAULT_SAMPLES = 200
 BOOTSTRAP_RESAMPLES = 200
 CI_LEVEL = 0.99
@@ -53,8 +62,8 @@ class OracleReport:
 
     ``error`` is a Fraction in exhaustive mode (exact) and a float in
     sampled mode.  ``strong_errors`` maps each additionally measured
-    strong index to its error.  ``wall_time`` is volatile and excluded
-    from replay comparisons.
+    strong index to its error.  ``wall_time``, ``kernel`` and
+    ``candidates`` are volatile and excluded from replay comparisons.
     """
 
     mode: str
@@ -65,6 +74,8 @@ class OracleReport:
     wall_time: float = 0.0
     ci: tuple | None = None
     notes: str = ""
+    kernel: str = ""  # "events" or "supports": how the selected side was chosen
+    candidates: int = 0  # selected-side supports scored exactly
 
     def to_json_dict(self) -> dict:
         d = {
@@ -81,6 +92,8 @@ class OracleReport:
         if self.ci is not None:
             d["ci_99"] = [float(self.ci[0]), float(self.ci[1])]
         d["volatile"] = {"wall_time": self.wall_time}
+        if self.kernel:
+            d["volatile"].update(kernel=self.kernel, candidates=self.candidates)
         return d
 
     def to_json(self) -> str:
@@ -111,12 +124,11 @@ def _check_k(k) -> int:
     return int(k)
 
 
-def _combo_onehot(space: int, size: int):
-    combos = list(itertools.combinations(range(space), size))
-    onehot = np.zeros((len(combos), space), dtype=np.float64)
-    for i, c in enumerate(combos):
-        onehot[i, list(c)] = 1.0
-    return combos, onehot
+def _chunks(supports, size: int, chunk: int):
+    """``size``-tuples as int64 arrays of at most ``chunk`` rows."""
+    it = iter(supports)
+    while block := list(itertools.islice(it, chunk)):
+        yield np.array(block, dtype=np.int64).reshape(-1, size)
 
 
 def _sample_supports(space: int, size: int, samples: int,
@@ -133,15 +145,126 @@ def _charge_budget(required: int, budget: int, what: str):
         raise BudgetExceededError(required, budget, what)
 
 
-def _all_leak_maps(n_in: int, b: int):
-    """Every deterministic map {0,1}^n_in -> {0,1}^b, as uint8 tables."""
+def _check_map_bits(b: int):
     if b > EXHAUSTIVE_MAP_BITS_CAP:
         raise InvalidInputError(
             f"exhaustive leakage families cap e-width at "
             f"{EXHAUSTIVE_MAP_BITS_CAP}; pass an explicit map list instead")
+
+
+def _all_leak_maps(n_in: int, b: int):
+    """Every deterministic map {0,1}^n_in -> {0,1}^b, as uint8 tables."""
+    _check_map_bits(b)
     space = 1 << n_in
     for combo in itertools.product(range(1 << b), repeat=space):
         yield np.array(combo, dtype=np.uint8)
+
+
+def _leak_patterns(b: int, size: int) -> np.ndarray:
+    """Every ``b``-bit leak value assignment to ``size`` support elements,
+    in lexicographic order, as a (2^(b*size), size) array."""
+    codes = np.arange(1 << (b * size), dtype=np.int64)[:, None]
+    return (codes >> (b * np.arange(size - 1, -1, -1))) & ((1 << b) - 1)
+
+
+def _cell_indicator(table2d, M: int, B: int) -> np.ndarray:
+    """0/1 int64 matrix, entry (y*B + e, (x*B + e)*M + z) set iff T[x, y]
+    = z: column y with leak e counts in cell (z, e) of row x."""
+    rows, cols = table2d.shape
+    hot = (table2d.T[:, :, None] == np.arange(M)).astype(np.int64)
+    return np.einsum("yxz,ef->yexfz", hot, np.eye(B, dtype=np.int64)
+                     ).reshape(cols * B, rows * B * M)
+
+
+def _onehot(supports, space: int) -> np.ndarray:
+    """0/1 int64 rows marking each of the ``supports`` (a list)."""
+    idx = np.array(supports, dtype=np.int64).reshape(len(supports), -1)
+    hot = np.zeros((len(idx), space), dtype=np.int64)
+    np.put_along_axis(hot, idx, 1, axis=1)
+    return hot
+
+
+def _top_rows(score, K: int) -> np.ndarray:
+    """0/1 int64 mask of the ``K`` largest entries along the last axis;
+    ties go to the lower index."""
+    X = score.shape[-1]
+    key = score * X + np.arange(X - 1, -1, -1)
+    return (key >= np.partition(key, X - K, axis=-1)[..., X - K, None]
+            ).astype(np.int64)
+
+
+def _cell_counts(ind, block, leak, M: int, B: int):
+    """Per-row counts of the configurations (support in ``block`` (c, K),
+    leak row in ``leak`` (c or 1, P, K)), support-major: ``cnt[i, x, z +
+    M*e]`` = #{y in S : T[x, y] = z, leak e}, and ``me[i, z + M*e]`` =
+    #{y in S : leak e}."""
+    c, P = len(block), leak.shape[1]
+    hot = _onehot((B * block[:, None] + leak).reshape(c * P, -1), len(ind))
+    me = hot.reshape(c * P, -1, B).sum(axis=1)
+    return (hot @ ind).reshape(c * P, -1, M * B), np.repeat(me, M, axis=1)
+
+
+def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
+                    supports1=None, b=0, maps=None):
+    """Exact max of the numerator over supports S2 of input ``enum``
+    (default all), leak rows on S2 (every ``b``-bit pattern, or the rows
+    of the ``maps`` array) and supports S1 of the other input, which
+    ``strong`` (None or its index) may reveal.  Returns ``(num,
+    supports, leak_map or None, configurations, candidates, kernel)``."""
+    if enum == 0:
+        table2d = table2d.T
+    K1, K2 = Ks[1 - enum], Ks[enum]
+    rows, cols = table2d.shape
+    M = 1 << m
+    if maps is None:
+        pats = _leak_patterns(b, K2)[None]
+        B, P = 1 << b, pats.shape[1]
+    else:
+        B, P = 1 << max(b, int(maps.max()).bit_length()), len(maps)
+    J = M * B
+    if strong is not None:
+        kernel, Q = "events", 1
+    elif supports1 is None and 1 << J <= math.comb(rows, K1):
+        kernel = "events"
+        events = (np.arange(1, (1 << J) - 1)[:, None] >> np.arange(J)) & 1
+        Q = len(events)
+    else:
+        kernel = "supports"
+        if supports1 is None:
+            supports1 = itertools.combinations(range(rows), K1)
+        chosen = _onehot(list(supports1), rows)[None]
+        Q = chosen.shape[1]
+    chunk = max(1, CHUNK_ENTRIES // (P * max(cols * B, rows * max(Q, J))))
+    ind = _cell_indicator(table2d, M, B)
+    best, configs = None, 0
+    if supports2 is None:
+        supports2 = itertools.combinations(range(cols), K2)
+    for block in _chunks(supports2, K2, chunk):
+        leak = pats if maps is None else maps[:, block].transpose(1, 0, 2)
+        cnt, me = _cell_counts(ind, block, leak, M, B)
+        excess = M * cnt - me[:, None, :]
+        if strong is not None:
+            score = np.maximum(excess, 0).sum(axis=2)[:, None]
+            chosen = _top_rows(score, K1)
+            vals = (chosen * score).sum(axis=2)
+        else:
+            if kernel == "events":
+                chosen = _top_rows((excess @ events.T).transpose(0, 2, 1), K1)
+            vals = np.maximum(M * (chosen @ cnt) - K1 * me[:, None], 0).sum(
+                axis=2)
+        configs += len(vals)
+        i = int(np.argmax(vals))
+        if best is None or vals.flat[i] > best[0]:
+            ci, q = divmod(i, Q)
+            s1 = chosen[ci if len(chosen) > 1 else 0, q]
+            best = (int(vals.flat[i]), block[ci // P], ci % P,
+                    np.flatnonzero(s1).tolist())
+    num, s2, p, s1 = best
+    leak_map = (maps[p].tolist() if maps is not None else None if not b else
+                np.bincount(s2, pats[0, p], minlength=cols).astype(int).tolist())
+    supports = [s1, s2.tolist()]
+    return (num, supports if enum else supports[::-1], leak_map, configs,
+            configs * Q, kernel)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +288,8 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     mode : str
         ``"exhaustive"``, ``"sampled"``, or ``"auto"`` (exhaustive when
         the enumeration fits the budget).
+    workers : int
+        Accepted for compatibility; the computation runs in this process.
     """
     if h.arity != 2:
         raise InvalidInputError("worst_case_error_2source needs a 2-input handle")
@@ -176,11 +301,13 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     mode = _resolve_mode(mode, required, budget)
     if mode == "exhaustive":
         _charge_budget(required, budget, "two-source enumeration")
-        num, den, witness, enumerated = _two_source_exhaustive(
-            h.table(), n1, n2, K1, K2, h.m, strong, workers)
-        err = Fraction(num, den)
-        rep = OracleReport("exhaustive", err, witness=witness,
-                           enumerated=enumerated)
+        table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2)
+        num, supports, _, enumerated, cands, kernel = _selected_worst(
+            table2d, (K1, K2), h.m, strong, 0 if strong == 1 else 1)
+        rep = OracleReport("exhaustive", Fraction(num, K1 * K2 << h.m),
+                           witness={"supports": supports, "strong": strong},
+                           enumerated=enumerated, kernel=kernel,
+                           candidates=cands)
     else:
         rep = _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed)
     rep.wall_time = time.perf_counter() - t0
@@ -202,69 +329,6 @@ def _pair_counts(table2d: np.ndarray, s2, m: int) -> np.ndarray:
     for z in range(1 << m):
         cnt[:, z] = (vals == z).sum(axis=1)
     return cnt
-
-
-def _two_source_exhaustive(table: np.ndarray, n1, n2, K1, K2, m,
-                           strong, workers):
-    """Exact max over all flat source pairs; integer arithmetic in float64."""
-    table2d = np.asarray(table, dtype=np.int64).reshape(1 << n1, 1 << n2)
-    if strong == 1:
-        # Symmetric: swap the roles of the inputs.
-        num, den, wit, cnt = _two_source_exhaustive(
-            table2d.T.reshape(-1), n2, n1, K2, K1, m, 0, workers)
-        wit["supports"] = [wit["supports"][1], wit["supports"][0]]
-        wit["strong"] = 1
-        return num, den, wit, cnt
-    combos2 = list(itertools.combinations(range(1 << n2), K2))
-    args = (table2d, n1, K1, K2, m, strong)
-    if workers > 1 and len(combos2) >= 4 * workers:
-        results = _parallel_chunks(_two_source_chunk, combos2, args, workers)
-    else:
-        results = [_two_source_chunk(combos2, 0, args)]
-    best = max(results)
-    num, s2_rank_neg, s2, s1 = best
-    den = K1 * K2 * (1 << m)
-    witness = {"supports": [list(s1), list(s2)], "strong": strong}
-    return int(num), den, witness, len(combos2)
-
-
-def _two_source_chunk(combos2, rank0, args):
-    table2d, n1, K1, K2, m, strong = args
-    onehot1 = None
-    if strong is None:
-        _, onehot1 = _combo_onehot(table2d.shape[0], K1)
-        combos1 = list(itertools.combinations(range(table2d.shape[0]), K1))
-    best = (-1, 0, (), ())
-    for off, s2 in enumerate(combos2):
-        cnt = _pair_counts(table2d, s2, m)
-        if strong == 0:
-            c_num = np.maximum(cnt * (1 << m) - K2, 0.0).sum(axis=1)
-            order = np.argsort(-c_num, kind="stable")
-            s1 = tuple(sorted(int(i) for i in order[:K1]))
-            num = int(round(c_num[order[:K1]].sum()))
-        else:
-            ns = onehot1 @ cnt  # (nC1, 2^m) integer-valued
-            nums = np.maximum(ns * (1 << m) - K1 * K2, 0.0).sum(axis=1)
-            idx = int(np.argmax(nums))
-            num = int(round(nums[idx]))
-            s1 = combos1[idx]
-        cand = (num, -(rank0 + off), s2, s1)
-        if cand > best:
-            best = cand
-    return best
-
-
-def _parallel_chunks(fn, items, args, workers):
-    from concurrent.futures import ProcessPoolExecutor
-    chunks = []
-    step = (len(items) + workers - 1) // workers
-    for w in range(workers):
-        part = items[w * step:(w + 1) * step]
-        if part:
-            chunks.append((part, w * step))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, part, rank0, args) for part, rank0 in chunks]
-        return [f.result() for f in futs]
 
 
 def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
@@ -334,23 +398,19 @@ def worst_case_error_seeded(h: ExtractorHandle, k, strong: bool = True, *,
     den = K * (1 << d) * (1 << m) if strong else K * (1 << d) * (1 << m)
     if mode == "exhaustive":
         _charge_budget(required, budget, "seeded enumeration")
-        combos, onehot = _combo_onehot(1 << n, K)
-        nums = _seeded_nums(table2d, onehot, K, d, m, strong)
-        idx = int(np.argmax(nums))
-        rep = OracleReport("exhaustive", Fraction(int(round(nums[idx])), den),
-                           witness={"support": list(combos[idx])},
-                           enumerated=len(combos))
+        supports = list(itertools.combinations(range(1 << n), K))
     else:
         rng = np.random.default_rng(np.random.Philox(key=seed))
         supports = _sample_supports(1 << n, K, samples, rng)
-        onehot = np.zeros((len(supports), 1 << n))
-        for i, s in enumerate(supports):
-            onehot[i, list(s)] = 1.0
-        nums = _seeded_nums(table2d, onehot, K, d, m, strong)
-        idx = int(np.argmax(nums))
+    nums = _seeded_nums(table2d, _onehot(supports, 1 << n), K, d, m, strong)
+    idx = int(np.argmax(nums))
+    witness = {"support": list(supports[idx])}
+    if mode == "exhaustive":
+        rep = OracleReport("exhaustive", Fraction(int(round(nums[idx])), den),
+                           witness=witness, enumerated=len(supports))
+    else:
         err, ci = _max_with_bootstrap([int(round(v)) for v in nums], den, seed)
-        rep = OracleReport("sampled", err,
-                           witness={"support": list(supports[idx])},
+        rep = OracleReport("sampled", err, witness=witness,
                            enumerated=samples, ci=ci,
                            notes="sampled max: lower bound on worst case")
     rep.wall_time = time.perf_counter() - t0
@@ -432,9 +492,7 @@ def _leaked_seeded(h, k, b, strong, maps, mode, samples, seed, budget):
     else:
         rng = np.random.default_rng(np.random.Philox(key=seed))
         supports = _sample_supports(1 << n, K, samples, rng)
-    onehot = np.zeros((len(supports), 1 << n))
-    for i, s in enumerate(supports):
-        onehot[i, list(s)] = 1.0
+    onehot = _onehot(supports, 1 << n)
     den = K * (1 << d) * (1 << m)
     best = (-1, None, None)
     nums_all = []
@@ -465,119 +523,59 @@ def _leaked_seeded(h, k, b, strong, maps, mode, samples, seed, budget):
 
 def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                     mode, samples, seed, budget):
-    n1, n2 = h.input_widths
+    widths = h.input_widths
     k1, k2 = _check_k(k_profile[0]), _check_k(k_profile[1])
-    K1, K2 = 1 << k1, 1 << k2
+    Ks = (1 << k1, 1 << k2)
     m = h.m
     leak_sources = list(leak_sources) if leak_sources is not None else [0, 1]
-    den = K1 * K2 * (1 << m)
-    best_err = Fraction(-1)
-    best_wit: dict = {}
-    total = 0
+    den = Ks[0] * Ks[1] << m
     baseline = worst_case_error_2source(
         h, k1, k2, strong, mode=mode, samples=samples, seed=seed, budget=budget)
     best_err = Fraction(baseline.error)
-    best_wit = dict(baseline.witness)
-    best_wit["leak_map"] = None
-    total += baseline.enumerated
+    best_wit = {**baseline.witness, "leak_map": None}
+    total, cands, kernels = (baseline.enumerated, baseline.candidates,
+                             {baseline.kernel})
+    table2d = np.asarray(h.table(), dtype=np.int64).reshape(-1, 1 << widths[1])
+    map_array = None if maps is None else np.array([np.asarray(f) for f in maps])
     for i_star in leak_sources:
         if strong is not None and i_star == strong:
             # E is a function of the conditioned input: identical to b=0.
             continue
-        n_leak = h.input_widths[i_star]
-        the_maps = list(maps) if maps is not None \
-            else list(_all_leak_maps(n_leak, b))
-        num, wit, cnt = _leaked_2source_one_side(
-            h, K1, K2, m, strong, i_star, the_maps, mode, samples, seed, budget)
-        total += cnt
+        # The leaking input is the enumerated one.
+        sel = 1 - i_star
+        n_leak, n_sel = widths[i_star], widths[sel]
+        if maps is None:
+            _check_map_bits(b)
+        n_maps = (1 << b) ** (1 << n_leak) if maps is None else len(maps)
+        required = math.comb(1 << n_leak, Ks[i_star]) * n_maps * (
+            1 if strong is not None else math.comb(1 << n_sel, Ks[sel]))
+        supports2 = supports1 = None
+        if _resolve_mode(mode, required, budget) == "exhaustive":
+            _charge_budget(required, budget, "leaked two-source enumeration")
+        else:
+            rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xA1))
+            supports2 = _sample_supports(1 << n_leak, Ks[i_star], samples, rng)
+            if strong is None:
+                rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB2))
+                supports1 = _sample_supports(1 << n_sel, Ks[sel], samples, rng)
+        num, supports, leak_map, configs, scored, kernel = _selected_worst(
+            table2d, Ks, m, strong, i_star, supports2=supports2,
+            supports1=supports1, b=b, maps=map_array)
+        total, cands = total + configs, cands + scored
+        kernels.add(kernel)
         err = Fraction(num, den)
         if err > best_err:
-            best_err, best_wit = err, wit
+            best_err = err
+            best_wit = {"supports": supports, "leak_map": leak_map,
+                        "leak_source": i_star, "strong": strong}
     mode_label = "exhaustive" if mode == "exhaustive" else "sampled"
     rep = OracleReport(mode_label,
                        best_err if mode == "exhaustive" else float(best_err),
-                       witness=best_wit, enumerated=total)
+                       witness=best_wit, enumerated=total, candidates=cands,
+                       kernel=max(kernels))  # "supports" > "events" > none
     if mode != "exhaustive":
         rep.notes = "sampled max: lower bound on worst case"
     return rep
-
-
-def _leaked_2source_one_side(h, K1, K2, m, strong, i_star, maps,
-                             mode, samples, seed, budget):
-    """Leak from input ``i_star``; exact inner enumeration per map."""
-    n1, n2 = h.input_widths
-    table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2)
-    if i_star == 0:
-        # Reduce to the i_star == 1 case on the transposed table.
-        hT = _transpose_handle(h)
-        num, wit, cnt = _leaked_2source_one_side(
-            hT, K2, K1, m, (1 - strong) if strong is not None else None,
-            1, maps, mode, samples, seed, budget)
-        wit["supports"] = [wit["supports"][1], wit["supports"][0]]
-        wit["leak_source"] = 0
-        return num, wit, cnt
-    required = math.comb(1 << n2, K2) * len(maps) * (
-        1 if strong == 0 else math.comb(1 << n1, K1))
-    mode = _resolve_mode(mode, required, budget)
-    if mode == "exhaustive":
-        _charge_budget(required, budget, "leaked two-source enumeration")
-        supports2 = list(itertools.combinations(range(1 << n2), K2))
-    else:
-        rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xA1))
-        supports2 = _sample_supports(1 << n2, K2, samples, rng)
-    if strong is None:
-        combos1, onehot1 = _combo_onehot(1 << n1, K1) if mode == "exhaustive" \
-            else (None, None)
-        if combos1 is None:
-            rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB2))
-            combos1 = _sample_supports(1 << n1, K1, samples, rng)
-            onehot1 = np.zeros((len(combos1), 1 << n1))
-            for i, s in enumerate(combos1):
-                onehot1[i, list(s)] = 1.0
-    best = (-1, None, None, None)
-    for f in maps:
-        nb = 1 << (int(f.max()).bit_length() or 1)
-        for s2 in supports2:
-            sel = np.asarray(f)[list(s2)]
-            cols = table2d[:, list(s2)]
-            # N[x, z, e] over y in S2
-            cnt = np.zeros((1 << n1, 1 << m, nb))
-            me = np.zeros(nb)
-            for e in range(nb):
-                ys = sel == e
-                me[e] = ys.sum()
-                sub = cols[:, ys]
-                for z in range(1 << m):
-                    cnt[:, z, e] = (sub == z).sum(axis=1)
-            if strong == 0:
-                c_num = np.maximum(cnt * (1 << m) - me[None, None, :], 0.0) \
-                    .sum(axis=(1, 2))
-                order = np.argsort(-c_num, kind="stable")
-                s1 = tuple(sorted(int(i) for i in order[:K1]))
-                num = int(round(c_num[order[:K1]].sum()))
-            else:
-                flat = cnt.reshape(1 << n1, -1)
-                ns = onehot1 @ flat  # (nC1, 2^m * nb)
-                thresh = (K1 * me)[None, :].repeat(1 << m, axis=0).reshape(1, -1)
-                nums = np.maximum(ns * (1 << m) - thresh, 0.0).sum(axis=1)
-                idx = int(np.argmax(nums))
-                num = int(round(nums[idx]))
-                s1 = tuple(combos1[idx])
-            if num > best[0]:
-                best = (num, s1, s2, f)
-    wit = {"supports": [list(best[1]), list(best[2])],
-           "leak_map": best[3].tolist(), "leak_source": 1,
-           "strong": strong}
-    return best[0], wit, len(supports2) * len(maps)
-
-
-def _transpose_handle(h: ExtractorHandle) -> ExtractorHandle:
-    n1, n2 = h.input_widths
-    t2 = np.asarray(h.table(), dtype=np.uint32).reshape(1 << n1, 1 << n2)
-    from .extractors import table_handle
-    return table_handle(h.name + "[T]", "2-source", (n2, n1), h.m,
-                        t2.T.reshape(-1), k_profile=h.k_profile[::-1],
-                        eps=h.eps)
 
 
 # ----------------------------------------------------------------------
@@ -596,8 +594,8 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     measured jointly with the two strong inputs (and the leak register
     when ``b > 0``, enumerating one-sided leaks from every source).  The
     strong part being everything except the last input makes the
-    objective additive over the strong supports, so the inner
-    maximization is exact and cheap.
+    objective additive over the strong supports, so for each S3 and
+    support of one strong input the other is an exact top-K selection.
     """
     if h.arity != 3:
         raise InvalidInputError("worst_case_error_multi handles 3 inputs")
@@ -611,9 +609,8 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     m = h.m
     t0 = time.perf_counter()
     tbl = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2, 1 << n3)
-    combos3 = list(itertools.combinations(range(1 << n3), K3))
     required = (math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
-                * len(combos3))
+                * math.comb(1 << n3, K3))
     if b > 0:
         required *= (1 << b) ** (1 << max(n1, n2, n3))
     mode = _resolve_mode(mode, required, budget)
@@ -621,50 +618,46 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
         raise InvalidInputError(
             "the multi-source oracle is exhaustive-only; shrink the instance")
     _charge_budget(required, budget, "multi-source enumeration")
-    _, onehot1 = _combo_onehot(1 << n1, K1)
-    combos1 = list(itertools.combinations(range(1 << n1), K1))
-    combos2 = list(itertools.combinations(range(1 << n2), K2))
-    _, onehot2 = _combo_onehot(1 << n2, K2)
-    den = K1 * K2 * K3 * (1 << m)
-    best = (-1, None)
-    enumerated = 0
-
-    def consider(gmat, tag):
-        nonlocal best, enumerated
-        box = onehot1 @ gmat @ onehot2.T  # (nC1, nC2)
-        idx = int(np.argmax(box))
-        i1, i2 = divmod(idx, box.shape[1])
-        num = int(round(box[i1, i2]))
-        enumerated += box.size
-        if num > best[0]:
-            best = (num, {"supports": [list(combos1[i1]), list(combos2[i2]),
-                                       list(s3)], **tag})
-
-    for s3 in combos3:
-        sub = tbl[:, :, list(s3)]  # (2^n1, 2^n2, K3)
-        # Leak-free / leak-from-strong-input case: E adds nothing once the
-        # strong inputs are conditioned on.
-        g = np.zeros((1 << n1, 1 << n2))
-        for z in range(1 << m):
-            nz = (sub == z).sum(axis=2)
-            g += np.maximum(nz * (1 << m) - K3, 0.0)
-        consider(g, {"leak_map": None})
-        if b > 0:
-            for f in _all_leak_maps(n3, b):
-                sel = np.asarray(f)[list(s3)]
-                g = np.zeros((1 << n1, 1 << n2))
-                for e in range(1 << b):
-                    ys = sel == e
-                    me = int(ys.sum())
-                    if me == 0:
-                        continue
-                    part = sub[:, :, ys]
-                    for z in range(1 << m):
-                        nz = (part == z).sum(axis=2)
-                        g += np.maximum(nz * (1 << m) - me, 0.0)
-                consider(g, {"leak_map": f.tolist(), "leak_source": 2})
-    rep = OracleReport("exhaustive", Fraction(best[0], den),
-                       witness=best[1], enumerated=enumerated)
+    _check_map_bits(b)
+    # Enumerate S3, every leak pattern on it (a leak from a strong input
+    # adds nothing; pattern 0 is the leak-free case) and the strong input
+    # with fewer supports; the other strong support is a top-K selection.
+    swap = math.comb(1 << n2, K2) < math.comb(1 << n1, K1)
+    if swap:
+        tbl, K1, K2 = tbl.transpose(1, 0, 2), K2, K1
+    X1, X2 = tbl.shape[:2]
+    M = 1 << m
+    pats = _leak_patterns(b, K3)
+    supports1 = list(itertools.combinations(range(X1), K1))
+    hot1 = _onehot(supports1, X1)
+    chunk = max(1, CHUNK_ENTRIES // (len(pats) * X2 * max(X1 * M << b,
+                                                          len(supports1))))
+    ind = _cell_indicator(tbl.reshape(X1 * X2, -1), M, 1 << b)
+    best, configs = None, 0
+    for block in _chunks(itertools.combinations(range(1 << n3), K3), K3,
+                         chunk):
+        cnt, me = _cell_counts(ind, block, pats[None], M, 1 << b)
+        g = np.maximum(M * cnt - me[:, None, :], 0).sum(axis=2)
+        score = hot1 @ g.reshape(-1, X1, X2)  # (configs, C1, X2)
+        chosen = _top_rows(score, K2)
+        vals = (chosen * score).sum(axis=2)
+        configs += vals.size
+        i = int(np.argmax(vals))
+        if best is None or vals.flat[i] > best[0]:
+            ci, q = divmod(i, len(supports1))
+            best = (int(vals.flat[i]),
+                    [list(supports1[q]), np.flatnonzero(chosen[ci, q]).tolist()],
+                    block[ci // len(pats)], ci % len(pats))
+    num, supports, s3, p = best
+    if swap:
+        supports.reverse()
+    witness = {"supports": supports + [s3.tolist()], "leak_map": None}
+    if p:
+        witness.update(leak_map=np.bincount(s3, pats[p], minlength=1 << n3)
+                       .astype(int).tolist(), leak_source=2)
+    rep = OracleReport("exhaustive", Fraction(num, K1 * K2 * K3 << m),
+                       witness=witness, enumerated=configs, kernel="events",
+                       candidates=configs)
     rep.wall_time = time.perf_counter() - t0
     return rep
 

@@ -45,6 +45,58 @@ def naive_worst_2source(fn, n1, n2, m, k1, k2, strong=None) -> Fraction:
     return best
 
 
+def naive_instance_error(fn, m, supports, strong=(), leak_source=None,
+                         leak_map=None) -> Fraction:
+    """Exact error of one flat instance: uniform on each of ``supports``,
+    measured jointly with the inputs in ``strong`` and, when
+    ``leak_source`` is set, with ``leak_map[x]`` of that input."""
+    cells = {}
+    total = 0
+    for xs in itertools.product(*supports):
+        g = (tuple(xs[i] for i in strong),
+             None if leak_source is None else leak_map[xs[leak_source]])
+        key = (fn(*xs), g)
+        cells[key] = cells.get(key, 0) + 1
+        total += 1
+    return naive_tv_from_uniform(cells, total, m)
+
+
+def flat_supports(widths, ks):
+    """Every flat support of each input, in ``itertools.combinations``
+    order."""
+    return [list(itertools.combinations(range(1 << n), 1 << k))
+            for n, k in zip(widths, ks)]
+
+
+def naive_worst_leaked_2source(fn, n1, n2, m, k1, k2, b, strong=None,
+                               leak_sources=(0, 1)) -> Fraction:
+    """Exact worst case over flat pairs and every map of one input in
+    ``leak_sources`` to ``b`` bits, over that input's whole domain."""
+    widths = (n1, n2)
+    revealed = () if strong is None else (strong,)
+    best = Fraction(0)
+    for sups in itertools.product(*flat_supports(widths, (k1, k2))):
+        for i in leak_sources:
+            for f in itertools.product(range(1 << b), repeat=1 << widths[i]):
+                best = max(best, naive_instance_error(fn, m, sups, revealed,
+                                                      i, f))
+    return best
+
+
+def naive_worst_multi(fn, widths, m, ks, b=0) -> Fraction:
+    """Exact worst case of a 3-input function, strong on inputs 0 and 1,
+    over flat triples and (``b > 0``) every map of any one input to ``b``
+    bits, over that input's whole domain."""
+    best = Fraction(0)
+    for sups in itertools.product(*flat_supports(widths, ks)):
+        best = max(best, naive_instance_error(fn, m, sups, (0, 1)))
+        for i in range(3 if b else 0):
+            for f in itertools.product(range(1 << b), repeat=1 << widths[i]):
+                best = max(best, naive_instance_error(fn, m, sups, (0, 1),
+                                                      i, f))
+    return best
+
+
 def naive_worst_seeded(fn, n, d, m, k, strong=True) -> Fraction:
     """Exact worst-case seeded error by full flat-source enumeration."""
     best = Fraction(0)

@@ -118,6 +118,22 @@ def test_sampled_mode_records_mode(cache_dir):
     assert 0 <= rec.error <= 1
 
 
+def test_exhaustive_request_not_served_a_sampled_record(cache_dir):
+    _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=5,
+                                          mode="sampled", samples=20,
+                                          cache_dir=cache_dir)
+    assert rec.mode == "sampled"
+    _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=5,
+                                          mode="exhaustive",
+                                          cache_dir=cache_dir)
+    assert rec.mode == "exhaustive"
+    assert rec.error_fraction() == Fraction(1, 2)
+    # an auto request is served by whatever record is cached
+    _, again = certify.certify_random_table((3, 3), (2, 2), 1, seed=5,
+                                            cache_dir=cache_dir)
+    assert again == rec
+
+
 def test_env_var_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("EXTRACTOMAT_CACHE", str(tmp_path / "envcache"))
     assert certify.default_cache_dir() == tmp_path / "envcache"

@@ -203,3 +203,52 @@ def test_netsim_report_volatile_block(cache_dir, tmp_path):
     assert 0 < volatile[0]["adversary_calls"] < 8 ** 4
     assert volatile[0]["leak_calls"] > 0
     assert reports[0] == reports[1]
+
+
+def test_parser_reuse_matches_fresh_calls(cache_dir, tmp_path, capsys):
+    from extractomat import cli
+    requests = [
+        ["certify", "--arity", "2", "--n", "3", "--k", "2", "--m", "1",
+         "--seed", "7", "--strong", "0", "1", "--cache", str(cache_dir)],
+        ["certify", "--arity", "2", "--n", "3", "--k", "2", "--m", "1",
+         "--seed", "8", "--cache", str(cache_dir)],
+        ["eval", "--extractor", "ip", "--n", "3", "--k1", "2", "--k2", "2",
+         "--strong", "0"],
+        ["eval", "--extractor", "deor", "--n", "3", "--m", "2", "--k1", "2",
+         "--k2", "2"],
+        ["ledger", "--theorem", "deor-ge", "--n", "1000", "--k1", "600",
+         "--k2", "600"],
+    ]
+
+    def run(argv, out):
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        printed.pop("volatile", None)
+        args = json.loads((out / "manifest.json").read_text())["args"]
+        args.pop("out_dir")
+        return printed, args
+
+    shared = [run(a, tmp_path / f"shared{i}") for i, a in enumerate(requests)]
+    assert cli.build_parser.cache_info().currsize == 1
+    fresh = []
+    for i, argv in enumerate(requests):
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{i}"))
+    assert shared == fresh
+
+
+def test_eval_reports_oracle_kernel(tmp_path, capsys):
+    # ip(4; 3, 2): 4 output events against C(16, 8) supports.
+    assert run_cli_nocache(["eval", "--extractor", "ip", "--n", "4", "--k1",
+                            "3", "--k2", "2"], tmp_path / "a") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["volatile"]["kernel"] == "events"
+    assert report["volatile"]["candidates"] == 2 * 1820
+    assert report["error_exact"] == "5/16"
+    # deor(3, 2; 3, 2): 16 events against a single full-entropy support.
+    assert run_cli_nocache(["eval", "--extractor", "deor", "--n", "3", "--m",
+                            "2", "--k1", "3", "--k2", "2"], tmp_path / "b") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["volatile"] == {**report["volatile"], "kernel": "supports",
+                                  "candidates": 70}
+    assert report["error_exact"] == "1/4"

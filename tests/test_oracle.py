@@ -17,7 +17,9 @@ from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_seeded)
 from extractomat.sources import FlatSource
 
-from helpers_naive import (naive_worst_2source, naive_worst_seeded, parity)
+from helpers_naive import (flat_supports, naive_instance_error,
+                           naive_worst_2source, naive_worst_leaked_2source,
+                           naive_worst_multi, naive_worst_seeded, parity)
 
 
 def _identity_2source(n):
@@ -372,3 +374,109 @@ def test_lemma_81_interface():
 def test_unknown_lemma():
     with pytest.raises(InvalidInputError):
         check_lemma("L9.9")
+
+
+# ----------------------------------------------------------------------
+# fast oracles against the naive ones, witnesses included
+# ----------------------------------------------------------------------
+
+def _random_table(rng, widths, m, kind="2-source"):
+    t = rng.integers(0, 1 << m, size=1 << sum(widths), dtype=np.uint32)
+
+    def fn(*xs):
+        idx = 0
+        for x, w in zip(xs, widths):
+            idx = (idx << w) | x
+        return int(t[idx])
+    return table_handle("rnd", kind, widths, m, t), fn
+
+
+def _witness_error(fn, m, witness, strong):
+    leak = witness.get("leak_map")
+    return naive_instance_error(fn, m, witness["supports"], strong,
+                                witness.get("leak_source") if leak else None,
+                                leak)
+
+
+def test_two_source_matches_naive_witness_and_tie_break():
+    # Ties go to the lowest-rank support of the enumerated input (the
+    # second one, the first one when the second is revealed).
+    rng = np.random.default_rng(40)
+    kernels = set()
+    for trial in range(16):
+        widths = ((2, 3), (3, 2), (3, 3), (2, 2))[trial % 4]
+        m = 1 + trial % 3 // 2
+        ks = tuple(int(rng.integers(1, n)) for n in widths)
+        h, fn = _random_table(rng, widths, m)
+        sups = flat_supports(widths, ks)
+        for strong in (None, 0, 1):
+            rep = worst_case_error_2source(h, *ks, strong)
+            revealed = () if strong is None else (strong,)
+            enum = 0 if strong == 1 else 1
+            per = [max(naive_instance_error(
+                       fn, m, (o, s) if enum else (s, o), revealed)
+                       for o in sups[1 - enum]) for s in sups[enum]]
+            assert rep.error == max(per)
+            assert _witness_error(fn, m, rep.witness, revealed) == rep.error
+            first = per.index(max(per))
+            assert tuple(rep.witness["supports"][enum]) == sups[enum][first]
+            kernels.add(rep.kernel)
+    assert kernels == {"events", "supports"}
+
+
+def test_leaked_matches_naive_with_witnesses():
+    rng = np.random.default_rng(41)
+    for trial in range(4):
+        widths = ((2, 2), (2, 3), (3, 2))[trial % 3]
+        m = 1 + trial % 2
+        ks = tuple(int(rng.integers(0, 2)) for _ in widths)
+        h, fn = _random_table(rng, widths, m)
+        for strong in (None, 0, 1):
+            revealed = () if strong is None else (strong,)
+            for b in (0, 1):
+                naive = [naive_worst_leaked_2source(fn, *widths, m, *ks, b,
+                                                    strong, (i,))
+                         for i in (0, 1)]
+                for sources in ((0,), (1,), (0, 1)):
+                    rep = worst_case_error_leaked(h, ks, b, strong=strong,
+                                                  leak_sources=sources)
+                    assert rep.error == max(naive[i] for i in sources)
+                    assert _witness_error(fn, m, rep.witness,
+                                          revealed) == rep.error
+            # an explicit map list: the max over those maps only
+            maps = [rng.integers(0, 2, size=1 << widths[1]).astype(np.uint8)
+                    for _ in range(3)]
+            rep = worst_case_error_leaked(h, ks, 1, strong=strong, maps=maps,
+                                          leak_sources=[1])
+            pairs = itertools.product(*flat_supports(widths, ks))
+            expect = max(naive_instance_error(fn, m, sups, revealed, src, f)
+                         for sups in pairs
+                         for src, f in [(None, None)] + [(1, f) for f in maps])
+            assert rep.error == expect
+            assert _witness_error(fn, m, rep.witness, revealed) == rep.error
+
+
+def test_multi_matches_naive_with_witnesses():
+    rng = np.random.default_rng(42)
+    for trial in range(8):
+        widths = ((2, 2, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1))[trial % 4]
+        ks = tuple(int(rng.integers(0, n + 1)) for n in widths)
+        m, b = 1 + trial % 2, trial // 4
+        h, fn = _random_table(rng, widths, m, "t-source")
+        rep = worst_case_error_multi(h, ks, b=b)
+        assert rep.error == naive_worst_multi(fn, widths, m, ks, b)
+        assert _witness_error(fn, m, rep.witness, (0, 1)) == rep.error
+
+
+def test_kernel_falls_back_to_supports_past_the_event_count():
+    # 2^(2^3) events outnumber the C(8, 4) supports of the selected input;
+    # the value is the one the support enumeration always gave.
+    rng = np.random.default_rng(31)
+    h = table_handle("r8", "2-source", (3, 3), 3,
+                     rng.integers(0, 8, size=64, dtype=np.uint32))
+    rep = worst_case_error_2source(h, 2, 2, None)
+    assert rep.error == Fraction(1, 2)
+    assert rep.kernel == "supports" and rep.candidates == 70 * 70
+    assert rep.to_json_dict()["volatile"]["kernel"] == "supports"
+    strong = worst_case_error_2source(h, 2, 2, 0)
+    assert strong.error == Fraction(23, 32) and strong.kernel == "events"
