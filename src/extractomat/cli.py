@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
+import os
 import sys
 import time
 import warnings
@@ -142,7 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, default=_default) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, default=_default) + "\n")
+
+
+def _write_text(path: Path, text: str):
+    """Write ``text`` over the old bytes of ``path`` and cut the rest: a
+    file truncated to zero and refilled makes ext4 start writeback on
+    close, and a short request would wait on the disk (0.1 ms and up)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
 
 
 def _default(obj):
@@ -261,8 +272,7 @@ def _eval_extractor(args, handle, oracle, out_dir):
 def _eval_lemma(args) -> dict:
     from . import oracle
     rng = np.random.default_rng(np.random.Philox(key=args.seed))
-    passed = 0
-    slacks = []
+    passed, slacks = 0, []
     for _ in range(args.trials):
         if args.lemma == "L2.2":
             joint = _random_joint(rng, [("X", 4), ("Y", 2)])
@@ -349,7 +359,7 @@ def cmd_netsim(args) -> int:
     else:
         run0 = ns.run_geqr(cfg, sources, scenario, adv, seed)
         target_set, proto_key = list(cfg.geqr_outer()), "geqr"
-    log_path.write_text(run0.to_jsonl() + "\n")
+    _write_text(log_path, run0.to_jsonl() + "\n")
     report["y_width"] = run0.y_width
     if protocol == "geqr":
         report["rushing_width"] = run0.rushing_width
@@ -390,10 +400,11 @@ def cmd_netsim(args) -> int:
                           ("worlds", "adversary_calls", "leak_calls")}
     report["volatile"]["eval_s"] = time.perf_counter() - t0
 
-    with csv_path.open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["player", "distance", "mode"])
-        writer.writeheader()
-        writer.writerows(rows)
+    summary = io.StringIO(newline="")
+    writer = csv.DictWriter(summary, fieldnames=["player", "distance", "mode"])
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(csv_path, summary.getvalue())
     _write_json(report_path, report)
     print(json.dumps(report, default=_default))
     _manifest(args, out_dir, digests, [log_path, csv_path, report_path])
@@ -495,13 +506,11 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         tuple(sorted(((j) % a, (j + 1) % a))) for j in range(cfg.b_size)))
     from .graphs import verify_and_disperser, verify_expander
     if t > 0:
-        ok = verify_and_disperser(G, (a - t) / a, 1.0 / G.l)
-        if not ok:
+        if not verify_and_disperser(G, (a - t) / a, 1.0 / G.l):
             raise InvalidInputError(
                 "toy wiring fails the AND-disperser property at "
                 f"delta={(a - t) / a}, gamma={1.0 / G.l}")
-    ok = verify_expander(H, 0.5)
-    if not ok:
+    if not verify_expander(H, 0.5):
         raise InvalidInputError("toy wiring fails the expander property at "
                                 "beta=0.5")
     iext = table(1, (n, n), (k, k), m1)
@@ -524,15 +533,8 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
 
 def cmd_ledger(args) -> int:
     from . import ledger
-    kwargs = {}
-    for key in ["n", "n1", "n2", "k", "k1", "k2", "m", "delta", "alpha",
-                "beta", "eps", "eps1", "eps2", "eps3", "k3", "d", "t", "l",
-                "D", "M", "C"]:
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
-    if getattr(args, "rush_bits", None) is not None:
-        kwargs["rush_bits"] = args.rush_bits
+    kwargs = {k: v for k, v in vars(args).items() if v is not None
+              and k not in ("command", "func", "theorem", "out_dir")}
     entry = ledger.ledger_theorem(args.theorem, **kwargs)
     out = args.out_dir / f"ledger-{args.theorem}.json"
     _write_json(out, entry.to_json_dict())

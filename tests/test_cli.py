@@ -167,6 +167,23 @@ def test_manifest_replay_bit_identical(cache_dir, tmp_path):
         == (out2 / "ledger-deor-ge.json").read_bytes()
 
 
+def test_rewritten_outputs_match_fresh_ones(tmp_path):
+    # Outputs are rewritten over their old bytes: a longer old file must
+    # not leave a tail behind.
+    stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+    stale.mkdir()
+    for name in ("ledger-deor-ge.json", "manifest.json"):
+        (stale / name).write_text("x" * 10_000)
+    argv = ["ledger", "--theorem", "deor-ge", "--n", "1000", "--k1", "600",
+            "--k2", "600"]
+    for out in (stale, fresh):
+        assert run_cli_nocache(argv, out) == 0
+    assert (stale / "ledger-deor-ge.json").read_bytes() \
+        == (fresh / "ledger-deor-ge.json").read_bytes()
+    manifest = json.loads((stale / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(stale / "ledger-deor-ge.json")]
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "extractomat.cli",
                            "--version"], capture_output=True, text=True)
