@@ -1,7 +1,7 @@
 """Bipartite gadgets: AND-dispersers, expanders, extractor graphs.
 
 Verification is exhaustive and exact (pure set counting, no floats);
-subsets enumerate in colexicographic order so witnesses are reproducible.
+subsets enumerate in lexicographic order so witnesses are reproducible.
 Fractional set sizes round with a ceiling on adversarial sets, which only
 makes the requirement harder, and the applied sizes are reported in the
 verdict.
@@ -80,10 +80,9 @@ def _mask(vertices) -> int:
     return m
 
 
-def _colex_subsets(n: int, k: int):
-    """Size-k subsets of range(n) in colexicographic order."""
-    for combo in itertools.combinations(range(n), k):
-        yield combo
+def _lex_subsets(n: int, k: int):
+    """Size-k subsets of range(n) in lexicographic order."""
+    return itertools.combinations(range(n), k)
 
 
 @dataclass
@@ -110,7 +109,7 @@ def verify_and_disperser(g: BipartiteGraph, delta: float, gamma: float, *,
     masks = g.neighbor_masks()
     applied = {"right_subset_size": v_size, "left_required": need}
     checked = 0
-    for combo in _colex_subsets(g.r, v_size):
+    for combo in _lex_subsets(g.r, v_size):
         vmask = _mask(combo)
         checked += 1
         inside = sum(1 for m in masks if m & ~vmask == 0)
@@ -137,7 +136,7 @@ def verify_expander(g: BipartiteGraph, beta: float, *,
     masks = g.neighbor_masks()
     applied = {"left_subset_size": u_size, "right_subset_size": v_size}
     checked = 0
-    for combo in _colex_subsets(g.r, v_size):
+    for combo in _lex_subsets(g.r, v_size):
         vmask = _mask(combo)
         checked += 1
         avoiders = [u for u, m in enumerate(masks) if m & vmask == 0]
@@ -164,7 +163,7 @@ def verify_extractor_graph(g: BipartiteGraph, K: int, eps: float,
     applied = {"t_size": t_size, "alpha": alpha, "deviation": "two-sided",
                "eps": eps, "K": K}
     checked = 0
-    for combo in _colex_subsets(g.r, t_size):
+    for combo in _lex_subsets(g.r, t_size):
         tmask = _mask(combo)
         checked += 1
         deviants = []
@@ -204,40 +203,44 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
 
 
 def _subset_masks(n: int, size: int) -> np.ndarray:
-    return np.array([_mask(c) for c in _colex_subsets(n, size)],
+    return np.array([_mask(c) for c in _lex_subsets(n, size)],
                     dtype=np.int64)
 
 
-def _violation_counter(kind: str, params: dict):
-    """Number of quantifier subsets the graph currently fails."""
+def _violation_rows(kind: str, params: dict):
+    """Per-vertex 0/1 int64 rows over the quantifier subsets, memoised by
+    neighbourhood mask, and the test on their column totals that marks a
+    subset violated."""
     r = params["r"]
     if kind == "and-disperser":
         vmasks = _subset_masks(r, math.ceil(params["delta"] * r))
         need = math.ceil(params["gamma"] * params["l"])
-
-        def count(masks: np.ndarray) -> int:
-            inside = ((masks[:, None] & ~vmasks[None, :]) == 0).sum(axis=0)
-            return int((inside < need).sum())
+        row_of = lambda mask: (mask & ~vmasks) == 0  # neighbourhood inside
+        violated = lambda tot: tot < need
     elif kind == "expander":
         vmasks = _subset_masks(r, math.ceil(params["beta"] * r))
         u_size = math.ceil(params["beta"] * params["l"])
-
-        def count(masks: np.ndarray) -> int:
-            avoid = ((masks[:, None] & vmasks[None, :]) == 0).sum(axis=0)
-            return int((avoid >= u_size).sum())
+        row_of = lambda mask: (mask & vmasks) == 0  # vertex avoids it
+        violated = lambda tot: tot >= u_size
     elif kind == "extractor-graph":
         alpha = params.get("alpha", 0.5)
         tmasks = _subset_masks(r, round(alpha * r))
         lo = (alpha - params["eps"]) * params["d"] - 1e-9
         hi = (alpha + params["eps"]) * params["d"] + 1e-9
 
-        def count(masks: np.ndarray) -> int:
-            hits = _popcount(masks[:, None] & tmasks[None, :])
-            dev = ((hits < lo) | (hits > hi)).sum(axis=0)
-            return int((dev > params["K"]).sum())
+        def row_of(mask):  # vertex deviates
+            hits = _popcount(mask & tmasks)
+            return (hits < lo) | (hits > hi)
+        violated = lambda tot: tot > params["K"]
     else:
         raise InvalidInputError(f"unknown gadget kind {kind!r}")
-    return count
+    memo = {}
+
+    def row(mask: int) -> np.ndarray:
+        if mask not in memo:
+            memo[mask] = row_of(mask).astype(np.int64)
+        return memo[mask]
+    return row, lambda tot: int(np.count_nonzero(violated(tot)))
 
 
 def search_gadget(kind: str, params: dict, seed: int = 0, *,
@@ -250,6 +253,11 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     anneals single-edge swaps against the count of violated quantifier
     subsets; a zero count is confirmed with the exhaustive verifier
     before returning.  Fully deterministic in ``seed``.
+
+    The count is kept incremental: an attempt holds each subset's total
+    over the left vertices' rows (see ``_violation_rows``), and a swap at
+    vertex u is scored as ``tot - row(old mask) + row(new mask)``, the
+    new totals being kept only if the step is accepted.
 
     Returns
     -------
@@ -266,7 +274,7 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
             budget=budget)
     else:
         raise InvalidInputError(f"unknown gadget kind {kind!r}")
-    count_violations = _violation_counter(kind, params)
+    row, count_violations = _violation_rows(kind, params)
     l, r, d = params["l"], params["r"], params["d"]
     cost = math.comb(r, max(1, r // 2)) * l
     if cost > budget:
@@ -278,8 +286,9 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
                              & ((1 << 64) - 1)))
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
-        masks = np.array([_mask(a) for a in adj], dtype=np.int64)
-        cur = count_violations(masks)
+        masks = [_mask(a) for a in adj]
+        tot = sum(row(mask) for mask in masks)
+        cur = count_violations(tot)
         temp = 2.0
         for _ in range(steps):
             if cur == 0:
@@ -290,15 +299,13 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
             drop = list(old)[int(rng.integers(d))]
             outside = [x for x in range(r) if x not in old]
             add = outside[int(rng.integers(len(outside)))]
-            adj[u] = (old - {drop}) | {add}
-            masks[u] = _mask(adj[u])
-            new = count_violations(masks)
+            swapped = (old - {drop}) | {add}
+            mask = masks[u] & ~(1 << drop) | 1 << add
+            cand = tot - row(masks[u]) + row(mask)
+            new = count_violations(cand)
             if new <= cur or rng.random() < math.exp(-(new - cur)
                                                      / max(temp, 1e-9)):
-                cur = new
-            else:
-                adj[u] = old
-                masks[u] = _mask(old)
+                cur, tot, adj[u], masks[u] = new, cand, swapped, mask
             temp *= 0.999
         if cur == 0:
             g = BipartiteGraph(l, r, d, tuple(tuple(sorted(a)) for a in adj))

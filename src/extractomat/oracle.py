@@ -126,9 +126,10 @@ def _check_k(k) -> int:
 
 def _chunks(supports, size: int, chunk: int):
     """``size``-tuples as int64 arrays of at most ``chunk`` rows."""
-    it = iter(supports)
-    while block := list(itertools.islice(it, chunk)):
-        yield np.array(block, dtype=np.int64).reshape(-1, size)
+    flat = itertools.chain.from_iterable(supports)
+    while (block := np.fromiter(itertools.islice(flat, chunk * size),
+                                np.int64)).size:
+        yield block.reshape(-1, size)
 
 
 def _sample_supports(space: int, size: int, samples: int,
@@ -150,14 +151,6 @@ def _check_map_bits(b: int):
         raise InvalidInputError(
             f"exhaustive leakage families cap e-width at "
             f"{EXHAUSTIVE_MAP_BITS_CAP}; pass an explicit map list instead")
-
-
-def _all_leak_maps(n_in: int, b: int):
-    """Every deterministic map {0,1}^n_in -> {0,1}^b, as uint8 tables."""
-    _check_map_bits(b)
-    space = 1 << n_in
-    for combo in itertools.product(range(1 << b), repeat=space):
-        yield np.array(combo, dtype=np.uint8)
 
 
 def _leak_patterns(b: int, size: int) -> np.ndarray:
@@ -387,50 +380,11 @@ def worst_case_error_seeded(h: ExtractorHandle, k, strong: bool = True, *,
     """
     if h.kind != "seeded":
         raise InvalidInputError("worst_case_error_seeded needs a seeded handle")
-    n, d = h.input_widths
-    k = _check_k(k)
-    K = 1 << k
     t0 = time.perf_counter()
-    required = math.comb(1 << n, K) * (1 << d)
-    mode = _resolve_mode(mode, required, budget)
-    table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
-    m = h.m
-    den = K * (1 << d) * (1 << m) if strong else K * (1 << d) * (1 << m)
-    if mode == "exhaustive":
-        _charge_budget(required, budget, "seeded enumeration")
-        supports = list(itertools.combinations(range(1 << n), K))
-    else:
-        rng = np.random.default_rng(np.random.Philox(key=seed))
-        supports = _sample_supports(1 << n, K, samples, rng)
-    nums = _seeded_nums(table2d, _onehot(supports, 1 << n), K, d, m, strong)
-    idx = int(np.argmax(nums))
-    witness = {"support": list(supports[idx])}
-    if mode == "exhaustive":
-        rep = OracleReport("exhaustive", Fraction(int(round(nums[idx])), den),
-                           witness=witness, enumerated=len(supports))
-    else:
-        err, ci = _max_with_bootstrap([int(round(v)) for v in nums], den, seed)
-        rep = OracleReport("sampled", err, witness=witness,
-                           enumerated=samples, ci=ci,
-                           notes="sampled max: lower bound on worst case")
+    rep = _seeded_worst(h, _check_k(k), 0, strong, None, mode, samples, seed,
+                        budget)
     rep.wall_time = time.perf_counter() - t0
     return rep
-
-
-def _seeded_nums(table2d, onehot, K, d, m, strong):
-    nC = onehot.shape[0]
-    nums = np.zeros(nC)
-    if strong:
-        for z in range(1 << m):
-            ind = (table2d == z).astype(np.float64)
-            cnt = onehot @ ind  # (nC, 2^d)
-            nums += np.maximum(cnt * (1 << m) - K, 0.0).sum(axis=1)
-    else:
-        for z in range(1 << m):
-            ind = (table2d == z).astype(np.float64)
-            nz = (onehot @ ind).sum(axis=1)  # (nC,)
-            nums += np.maximum(nz * (1 << m) - K * (1 << d), 0.0)
-    return nums
 
 
 # ----------------------------------------------------------------------
@@ -465,8 +419,8 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
             samples=samples, seed=seed, budget=budget)
     t0 = time.perf_counter()
     if h.kind == "seeded":
-        rep = _leaked_seeded(h, _check_k(k_profile[0]), b, bool(strong), maps,
-                             mode, samples, seed, budget)
+        rep = _seeded_worst(h, _check_k(k_profile[0]), b, bool(strong), maps,
+                            mode, samples, seed, budget)
     elif h.arity == 2:
         rep = _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                               mode, samples, seed, budget)
@@ -478,47 +432,62 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
     return rep
 
 
-def _leaked_seeded(h, k, b, strong, maps, mode, samples, seed, budget):
+def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
+    """Seeded worst case, exact in int64, over flat supports and every
+    ``b``-bit leak pattern on each support (a leak map matters only
+    there; ``b=0`` is leak-free), or the rows of an explicit ``maps``
+    list.  ``strong`` counts per seed, jointly with the seed."""
     n, d = h.input_widths
-    K = 1 << k
-    m = h.m
+    K, M = 1 << k, 1 << h.m
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
-    maps = list(maps) if maps is not None else list(_all_leak_maps(n, b))
-    required = math.comb(1 << n, K) * len(maps)
+    leaky = b > 0 or maps is not None
+    if maps is None:
+        _check_map_bits(b)
+        pats = _leak_patterns(b, K)[None]
+        B, P = 1 << b, pats.shape[1]
+    else:
+        maps = np.array([np.asarray(f) for f in maps], dtype=np.int64)
+        B, P = 1 << max(b, int(maps.max()).bit_length()), len(maps)
+    required = math.comb(1 << n, K) * (P if leaky else 1 << d)
     mode = _resolve_mode(mode, required, budget)
     if mode == "exhaustive":
-        _charge_budget(required, budget, "leaked seeded enumeration")
-        supports = list(itertools.combinations(range(1 << n), K))
+        _charge_budget(required, budget, "leaked seeded enumeration" if leaky
+                       else "seeded enumeration")
+        supports = itertools.combinations(range(1 << n), K)
     else:
         rng = np.random.default_rng(np.random.Philox(key=seed))
         supports = _sample_supports(1 << n, K, samples, rng)
-    onehot = _onehot(supports, 1 << n)
-    den = K * (1 << d) * (1 << m)
-    best = (-1, None, None)
-    nums_all = []
-    for fi, f in enumerate(maps):
-        nums = np.zeros(len(supports))
-        for e in range(1 << b):
-            sel = (f == e)
-            me = onehot[:, sel].sum(axis=1)  # (nC,) counts of f==e in S
-            for z in range(1 << m):
-                ind = ((table2d == z) & sel[:, None]).astype(np.float64)
-                cnt = onehot @ ind  # (nC, 2^d): N_{s,z,e}
-                nums += np.maximum(cnt * (1 << m) - me[:, None], 0.0).sum(axis=1)
-        idx = int(np.argmax(nums))
-        nums_all.extend(int(round(v)) for v in nums)
-        if nums[idx] > best[0]:
-            best = (nums[idx], supports[idx], f)
-    witness = {"support": list(best[1]), "leak_map": best[2].tolist(),
-               "leak_source": 0, "e_width": b}
+    # M per hit of (x, leak e) in cell (seed, e, z), or (e, z) if marginal
+    ind = M * _cell_indicator(table2d.T, M, B)
+    if not strong:
+        ind = ind.reshape(len(ind), 1 << d, -1).sum(axis=1)
+    cell_leak = np.arange(ind.shape[1]) // M % B
+    chunk = max(1, CHUNK_ENTRIES // (P * ind.shape[1]))
+    best, per_support = None, []
+    for block in _chunks(supports, K, chunk):
+        leak = pats if maps is None else maps[:, block].transpose(1, 0, 2)
+        rows = B * block[:, None] + leak  # (c, P, K)
+        cnt = sum(ind[rows[..., j]] for j in range(K))
+        # M times a cell's uniform share: the size of its leak group
+        ref = (leak[..., None] == cell_leak).sum(axis=2) << (0 if strong else d)
+        vals = np.maximum(cnt - ref, 0).sum(axis=2)
+        per_support.extend(vals.max(axis=1).tolist())
+        i = int(np.argmax(vals))
+        if best is None or vals.flat[i] > best[0]:
+            best = (int(vals.flat[i]), block[i // P], i % P)
+    num, s, p = best
+    witness = {"support": s.tolist()}
+    if leaky:
+        leak_map = (maps[p] if maps is not None else
+                    np.bincount(s, pats[0, p], minlength=1 << n).astype(int))
+        witness.update(leak_map=leak_map.tolist(), leak_source=0, e_width=b)
+    den, enumerated = K << (d + h.m), len(per_support) * P
     if mode == "exhaustive":
-        return OracleReport("exhaustive", Fraction(int(round(best[0])), den),
-                            witness=witness,
-                            enumerated=len(supports) * len(maps))
-    err, ci = _max_with_bootstrap(nums_all, den, seed)
-    return OracleReport("sampled", err, witness=witness,
-                        enumerated=len(supports) * len(maps), ci=ci,
-                        notes="sampled max: lower bound on worst case")
+        return OracleReport("exhaustive", Fraction(num, den), witness=witness,
+                            enumerated=enumerated)
+    err, ci = _max_with_bootstrap(per_support, den, seed)
+    return OracleReport("sampled", err, witness=witness, enumerated=enumerated,
+                        ci=ci, notes="sampled max: lower bound on worst case")
 
 
 def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
@@ -535,6 +504,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
     best_wit = {**baseline.witness, "leak_map": None}
     total, cands, kernels = (baseline.enumerated, baseline.candidates,
                              {baseline.kernel})
+    exhaustive = baseline.mode == "exhaustive"
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(-1, 1 << widths[1])
     map_array = None if maps is None else np.array([np.asarray(f) for f in maps])
     for i_star in leak_sources:
@@ -553,6 +523,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         if _resolve_mode(mode, required, budget) == "exhaustive":
             _charge_budget(required, budget, "leaked two-source enumeration")
         else:
+            exhaustive = False
             rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xA1))
             supports2 = _sample_supports(1 << n_leak, Ks[i_star], samples, rng)
             if strong is None:
@@ -568,12 +539,11 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
             best_err = err
             best_wit = {"supports": supports, "leak_map": leak_map,
                         "leak_source": i_star, "strong": strong}
-    mode_label = "exhaustive" if mode == "exhaustive" else "sampled"
-    rep = OracleReport(mode_label,
-                       best_err if mode == "exhaustive" else float(best_err),
+    rep = OracleReport("exhaustive" if exhaustive else "sampled",
+                       best_err if exhaustive else float(best_err),
                        witness=best_wit, enumerated=total, candidates=cands,
                        kernel=max(kernels))  # "supports" > "events" > none
-    if mode != "exhaustive":
+    if not exhaustive:
         rep.notes = "sampled max: lower bound on worst case"
     return rep
 
@@ -693,36 +663,37 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     mode = _resolve_mode(mode, required, budget)
     if mode == "exhaustive":
         _charge_budget(required, budget, "block+general enumeration")
-        supports3 = list(itertools.combinations(range(1 << n3), K3))
+        supports3 = itertools.combinations(range(1 << n3), K3)
     else:
         rng = np.random.default_rng(np.random.Philox(key=seed))
         supports3 = _sample_supports(1 << n3, K3, samples, rng)
-    den = K1 * K2 * K3 * (1 << m)
-    nums = []
-    best = (-1, None)
-    for s3 in supports3:
-        sub = tbl[:, :, list(s3)]
-        g = np.zeros((1 << n1, 1 << n2))
-        for z in range(1 << m):
-            nz = (sub == z).sum(axis=2)
-            g += np.maximum(nz * (1 << m) - K3, 0.0)
-        g_sorted = -np.sort(-g, axis=1)
-        rows = g_sorted[:, :K2].sum(axis=1)
-        order = np.argsort(-rows, kind="stable")
-        num = int(round(rows[order[:K1]].sum()))
-        nums.append(num)
-        if num > best[0]:
-            cond = {int(x1): [int(v) for v in np.argsort(-g[x1], kind="stable")[:K2]]
-                    for x1 in order[:K1]}
-            best = (num, {"x1_support": [int(v) for v in sorted(order[:K1])],
-                          "x2_conditional_supports": cond,
-                          "x3_support": list(s3)})
+    den, M = K1 * K2 * K3 << m, 1 << m
+    by_x3 = np.ascontiguousarray(tbl.transpose(2, 0, 1))
+    nums, best = [], None
+    for block in _chunks(supports3, K3,
+                         max(1, CHUNK_ENTRIES // (K3 << n1 + n2))):
+        sub = by_x3[block]  # (c, K3, X1, X2)
+        g = sum(np.maximum(M * (sub == z).sum(axis=1) - K3, 0)
+                for z in range(M))
+        rows = -np.sort(-g, axis=2)[:, :, :K2].sum(axis=2)
+        order = np.argsort(-rows, axis=1, kind="stable")[:, :K1]
+        vals = np.take_along_axis(rows, order, axis=1).sum(axis=1)
+        nums.extend(vals.tolist())
+        i = int(np.argmax(vals))
+        if best is None or vals[i] > best[0]:
+            best = (int(vals[i]), block[i], g[i], order[i])
+    num, s3, g, top = best
+    witness = {"x1_support": sorted(top.tolist()),
+               "x2_conditional_supports": {
+                   int(x1): np.argsort(-g[x1], kind="stable")[:K2].tolist()
+                   for x1 in top},
+               "x3_support": s3.tolist()}
     if mode == "exhaustive":
-        rep = OracleReport("exhaustive", Fraction(best[0], den),
-                           witness=best[1], enumerated=len(supports3))
+        rep = OracleReport("exhaustive", Fraction(num, den),
+                           witness=witness, enumerated=len(nums))
     else:
         err, ci = _max_with_bootstrap(nums, den, seed)
-        rep = OracleReport("sampled", err, witness=best[1],
+        rep = OracleReport("sampled", err, witness=witness,
                            enumerated=len(supports3), ci=ci,
                            notes="sampled max: lower bound on worst case")
     rep.wall_time = time.perf_counter() - t0

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive (dict counting, Fractions, no
-numpy, no shared code with the package) so that an agreement between
-these functions and the package's fast paths is meaningful.
+numpy beyond the gadget search's random stream, no shared code with the
+package) so that an agreement between these functions and the package's
+fast paths is meaningful.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -109,6 +111,106 @@ def naive_worst_seeded(fn, n, d, m, k, strong=True) -> Fraction:
                 g = seed if strong else None
                 cells[(z, g)] = cells.get((z, g), 0) + 1
         best = max(best, naive_tv_from_uniform(cells, K * (1 << d), m))
+    return best
+
+
+def naive_violations(kind, params, adj) -> int:
+    """Quantifier subsets a gadget fails, recounted from the neighbour
+    sets ``adj``, in the search's own terms."""
+    r, d, l = params["r"], params["d"], params["l"]
+    if kind == "extractor-graph":
+        alpha = params.get("alpha", 0.5)
+        size = round(alpha * r)
+        lo = (alpha - params["eps"]) * d - 1e-9
+        hi = (alpha + params["eps"]) * d + 1e-9
+    else:
+        size = math.ceil(params["delta" if kind == "and-disperser"
+                                else "beta"] * r)
+    bad = 0
+    for subset in itertools.combinations(range(r), size):
+        subset = set(subset)
+        if kind == "and-disperser":
+            inside = sum(1 for a in adj if a <= subset)
+            bad += inside < math.ceil(params["gamma"] * l)
+        elif kind == "expander":
+            avoid = sum(1 for a in adj if not a & subset)
+            bad += avoid >= math.ceil(params["beta"] * l)
+        else:
+            dev = sum(1 for a in adj if not lo <= len(a & subset) <= hi)
+            bad += dev > params["K"]
+    return bad
+
+
+def naive_search_gadget(kind, params, seed=0, attempts=32, steps=6000):
+    """The gadget annealer with a full recount after every swap and no
+    verifier: ``(adjacency as sorted tuples, attempts, steps)`` of the
+    first attempt that reaches zero violations, or None."""
+    import numpy as np  # the search's random stream, nothing else
+
+    l, r, d = params["l"], params["r"], params["d"]
+    total_steps = 0
+    for attempt in range(attempts):
+        rng = np.random.default_rng(
+            np.random.Philox(key=(seed + 0x517CC1B727220A95 * attempt)
+                             & ((1 << 64) - 1)))
+        adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
+               for _ in range(l)]
+        cur = naive_violations(kind, params, adj)
+        temp = 2.0
+        for _ in range(steps):
+            if cur == 0:
+                break
+            total_steps += 1
+            u = int(rng.integers(l))
+            old = adj[u]
+            drop = list(old)[int(rng.integers(d))]
+            outside = [x for x in range(r) if x not in old]
+            add = outside[int(rng.integers(len(outside)))]
+            adj[u] = (old - {drop}) | {add}
+            new = naive_violations(kind, params, adj)
+            if new <= cur or rng.random() < math.exp(-(new - cur)
+                                                     / max(temp, 1e-9)):
+                cur = new
+            else:
+                adj[u] = old
+            temp *= 0.999
+        if cur == 0:
+            return (tuple(tuple(sorted(a)) for a in adj), attempt + 1,
+                    total_steps)
+    return None
+
+
+def naive_worst_leaked_seeded(fn, n, d, m, k, b, strong=True) -> Fraction:
+    """Exact worst case over flat k-sources and every map of the source to
+    ``b`` bits, over its whole domain, jointly with the leak (and the
+    seed when ``strong``)."""
+    best = Fraction(0)
+    for s in itertools.combinations(range(1 << n), 1 << k):
+        for f in itertools.product(range(1 << b), repeat=1 << n):
+            best = max(best, naive_instance_error(
+                fn, m, [s, range(1 << d)], (1,) if strong else (), 0, f))
+    return best
+
+
+def naive_worst_block_general(fn, widths, m, ks) -> Fraction:
+    """Exact worst case of a 3-input function over every block source
+    (flat X1, and a flat conditional support of X2 for each x1) and flat
+    X3, jointly with X1 and X2."""
+    n1, n2, n3 = widths
+    K1, K2, K3 = (1 << k for k in ks)
+    best = Fraction(0)
+    for s1 in itertools.combinations(range(1 << n1), K1):
+        conds = itertools.combinations(range(1 << n2), K2)
+        for s2s in itertools.product(list(conds), repeat=K1):
+            for s3 in itertools.combinations(range(1 << n3), K3):
+                cells = {}
+                for x1, s2 in zip(s1, s2s):
+                    for x2 in s2:
+                        for x3 in s3:
+                            key = (fn(x1, x2, x3), (x1, x2))
+                            cells[key] = cells.get(key, 0) + 1
+                best = max(best, naive_tv_from_uniform(cells, K1 * K2 * K3,
+                                                       m))
     return best
 
 

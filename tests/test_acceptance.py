@@ -69,15 +69,15 @@ def test_criterion_01_toeplitz_lhl_bound():
 def test_criterion_02_ip_bound_and_stability():
     t0 = time.perf_counter()
     h = ip_handle(4)
-    rep1 = worst_case_error_2source(h, 3, 3, None, workers=4)
-    rep2 = worst_case_error_2source(h, 3, 3, None, workers=4)
+    rep1 = worst_case_error_2source(h, 3, 3, None)
+    rep2 = worst_case_error_2source(h, 3, 3, None)
     elapsed = time.perf_counter() - t0
     assert rep1.mode == "exhaustive"
     assert rep1.error == rep2.error == Fraction(3, 16)  # recorded exact value
     assert float(rep1.error) <= 2 ** -0.5
     assert elapsed < 600
     _report(2, f"ip(4;3,3) error = {rep1.error} <= 2^-1/2, stable across "
-               f"runs, {elapsed:.1f}s with 4 workers")
+               f"runs, {elapsed:.1f}s")
 
 
 # ----------------------------------------------------------------------

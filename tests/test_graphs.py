@@ -10,6 +10,8 @@ from extractomat.graphs import (BipartiteGraph, search_gadget,
                                 verify_and_disperser, verify_expander,
                                 verify_extractor_graph)
 
+from helpers_naive import naive_search_gadget
+
 
 def _identity_graph(n):
     return BipartiteGraph(n, n, 1, tuple((i,) for i in range(n)))
@@ -123,6 +125,34 @@ def test_search_unreachable():
         search_gadget("and-disperser",
                       {"l": 4, "r": 4, "d": 3, "delta": 0.25, "gamma": 0.25},
                       seed=0, attempts=2, steps=50)
+
+
+# The benchmark's two searches at their seeds, then ten seeds per kind on
+# smaller instances with short budgets: restarts and unreachable targets.
+SEARCHES = [
+    ("and-disperser", {"l": 12, "r": 8, "d": 2, "delta": 0.5,
+                       "gamma": 0.125}, [4], {}),
+    ("expander", {"l": 10, "r": 10, "d": 4, "beta": 0.3}, [7], {}),
+    ("and-disperser", {"l": 8, "r": 6, "d": 2, "delta": 0.5, "gamma": 0.125},
+     range(10), {"attempts": 3, "steps": 30}),
+    ("expander", {"l": 8, "r": 8, "d": 3, "beta": 0.375}, range(10),
+     {"attempts": 4, "steps": 300}),
+    ("extractor-graph", {"l": 16, "r": 8, "d": 4, "K": 1, "eps": 0.25,
+                         "alpha": 0.5}, range(10), {"attempts": 3, "steps": 60}),
+]
+
+
+@pytest.mark.parametrize("kind,params,seeds,budget", SEARCHES)
+def test_search_trajectory_matches_full_recount(kind, params, seeds, budget):
+    for seed in seeds:
+        expect = naive_search_gadget(kind, params, seed, **budget)
+        try:
+            g, verdict, rec = search_gadget(kind, params, seed, **budget)
+        except TargetUnreachableError:
+            assert expect is None, (kind, seed)
+            continue
+        assert verdict.ok
+        assert (g.adj, rec.attempts, rec.steps) == expect, (kind, seed)
 
 
 def test_disperser_monotone_in_delta():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extractomat import certify
 from extractomat.dist import JointDistribution
 from extractomat.errors import BudgetExceededError, InvalidInputError
 from extractomat.extractors import (deor_handle, ip_handle, table_handle,
@@ -18,8 +19,11 @@ from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
 from extractomat.sources import FlatSource
 
 from helpers_naive import (flat_supports, naive_instance_error,
-                           naive_worst_2source, naive_worst_leaked_2source,
-                           naive_worst_multi, naive_worst_seeded, parity)
+                           naive_tv_from_uniform, naive_worst_2source,
+                           naive_worst_block_general,
+                           naive_worst_leaked_2source,
+                           naive_worst_leaked_seeded, naive_worst_multi,
+                           naive_worst_seeded, parity)
 
 
 def _identity_2source(n):
@@ -466,6 +470,65 @@ def test_multi_matches_naive_with_witnesses():
         rep = worst_case_error_multi(h, ks, b=b)
         assert rep.error == naive_worst_multi(fn, widths, m, ks, b)
         assert _witness_error(fn, m, rep.witness, (0, 1)) == rep.error
+
+
+def test_leaked_seeded_matches_naive_with_witnesses():
+    rng = np.random.default_rng(43)
+    for trial in range(8):
+        n, d = ((2, 1), (2, 2), (3, 1), (3, 2))[trial % 4]
+        m = 1 + trial // 4
+        k = int(rng.integers(0, n))
+        h, fn = _random_table(rng, (n, d), m, "seeded")
+        maps = [rng.integers(0, 2, size=1 << n) for _ in range(3)]
+        for strong in (True, False):
+            revealed = (1,) if strong else ()
+            reps = [(worst_case_error_leaked(h, (k, d), 1, strong=strong),
+                     naive_worst_leaked_seeded(fn, n, d, m, k, 1, strong)),
+                    (worst_case_error_leaked(h, (k, d), 1, strong=strong,
+                                             maps=maps),
+                     max(naive_instance_error(fn, m, [s, range(1 << d)],
+                                              revealed, 0, f)
+                         for s in flat_supports((n,), (k,))[0]
+                         for f in maps))]
+            for rep, expect in reps:
+                assert rep.mode == "exhaustive" and rep.error == expect
+                w = rep.witness
+                assert naive_instance_error(
+                    fn, m, [w["support"], range(1 << d)], revealed, 0,
+                    w["leak_map"]) == rep.error
+            # off the support the witness map is 0
+            off = set(range(1 << n)) - set(reps[0][0].witness["support"])
+            assert all(reps[0][0].witness["leak_map"][x] == 0 for x in off)
+
+
+def test_block_general_matches_naive_with_witnesses():
+    rng = np.random.default_rng(44)
+    for trial in range(6):
+        widths = ((2, 2, 2), (1, 2, 2), (2, 1, 2))[trial % 3]
+        m = 1 + trial % 2
+        ks = tuple(int(rng.integers(0, n + 1)) for n in widths)
+        h, fn = _random_table(rng, widths, m, "t-source")
+        rep = worst_case_error_block_general(h, ks)
+        assert rep.error == naive_worst_block_general(fn, widths, m, ks)
+        w = rep.witness
+        cells = {}
+        for x1 in w["x1_support"]:
+            for x2 in w["x2_conditional_supports"][x1]:
+                for x3 in w["x3_support"]:
+                    key = (fn(x1, x2, x3), (x1, x2))
+                    cells[key] = cells.get(key, 0) + 1
+        assert naive_tv_from_uniform(cells, sum(cells.values()), m) == rep.error
+
+
+def test_leaked_2source_auto_labels_an_exhaustive_run(tmp_path):
+    rep = worst_case_error_leaked(ip_handle(3), (2, 2), 1, mode="auto")
+    assert rep.mode == "exhaustive" and rep.error == Fraction(5, 16)
+    assert rep.error == worst_case_error_leaked(ip_handle(3), (2, 2), 1).error
+    _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=3,
+                                          leak_bits=1, cache_dir=tmp_path)
+    assert rec.mode == "exhaustive" and rec.error_exact == "7/16"
+    sampled = worst_case_error_leaked(ip_handle(3), (2, 2), 1, mode="sampled")
+    assert sampled.mode == "sampled" and isinstance(sampled.error, float)
 
 
 def test_kernel_falls_back_to_supports_past_the_event_count():
