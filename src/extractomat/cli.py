@@ -396,8 +396,10 @@ def cmd_netsim(args) -> int:
                          for pid, rep in mcs.items()}
         rows = [{"player": pid, "distance": rep.estimate, "mode": "sampled"}
                 for pid, rep in sorted(mcs.items())]
-    report["volatile"] = {key: tally[key] for key in
-                          ("worlds", "adversary_calls", "leak_calls")}
+    keys = ["worlds", "adversary_calls", "leak_calls"]
+    if not args.exact:
+        keys += ["estimator_s", "resamples"]
+    report["volatile"] = {key: tally[key] for key in keys}
     report["volatile"]["eval_s"] = time.perf_counter() - t0
 
     summary = io.StringIO(newline="")

@@ -449,19 +449,33 @@ def excess_over_uniform(weights, groups, m: int):
     (uniform on m bits) x rest; cells left out have weight 0 and add
     nothing.  Integer weights give an exact integer, float weights a
     float.
+
+    ``weights`` may carry leading axes, each index of which is one weight
+    vector over the same cells (a bootstrap resample, say); the result
+    is then an array of one excess per vector, int64 for integer weights.
+    Row ``i``'s groups are numbered ``groups + i * (number of groups)``,
+    so one ``np.add.at`` takes every group total of every row.
     """
     weights = np.asarray(weights)
     groups = np.asarray(groups, dtype=np.intp)
     if weights.dtype.kind in "iu":
         weights = weights.astype(np.int64)
-        if int(weights.sum()) << m > MAX_DENOMINATOR:
+        heaviest = (weights.sum() if weights.ndim == 1 else
+                    weights.sum(axis=-1).max(initial=0))
+        if int(heaviest) << m > MAX_DENOMINATOR:
             raise SizeLimitError(
                 f"weights scaled by 2**{m} would pass 2**62")
-    totals = np.zeros(int(groups.max()) + 1 if groups.size else 0,
-                      dtype=weights.dtype)
-    np.add.at(totals, groups, weights)
-    excess = weights * (1 << m) - totals[groups]
-    return excess[excess > 0].sum().item()
+    n_rows = math.prod(weights.shape[:-1])
+    n_groups = int(groups.max()) + 1 if groups.size else 0
+    keys = groups if weights.ndim == 1 else (
+        groups + n_groups * np.arange(n_rows)[:, None]).ravel()
+    flat = weights.reshape(-1)
+    totals = np.zeros(n_rows * n_groups, dtype=weights.dtype)
+    np.add.at(totals, keys, flat)
+    excess = flat * (1 << m) - totals[keys]
+    if weights.ndim == 1:
+        return excess[excess > 0].sum().item()
+    return np.maximum(excess, 0).reshape(weights.shape).sum(axis=-1)
 
 
 def group_ids(keys) -> np.ndarray:

@@ -26,6 +26,7 @@ transcript, and security is measured on cells numbered by ``np.unique``.
 from __future__ import annotations
 
 import math
+import time
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .errors import ConstraintViolatedError, InvalidInputError
 from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
-from .oracle import mc_distance_pairs
+from .oracle import BOOTSTRAP_RESAMPLES, mc_distance_pairs
 from .sources import FlatSource
 
 BOT = None  # the "no private output" symbol
@@ -697,7 +698,7 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
     if exact:
         distance = ratio(column_excess(weights, z, rest, part_w), den << part_w)
     else:
-        distance = _estimate(z, rest, part_w, tol, seed)
+        distance = _estimate(z, rest, part_w, tol, seed, tally)
     return SecurityReport("exact" if exact else "sampled", distance,
                           player_set, s_prime, part_w, len(weights))
 
@@ -719,11 +720,18 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
     return ratio(column_excess(weights, z, rest, m), den << m)
 
 
-def _estimate(z, rest, m: int, tol: float, seed: int):
-    """The plug-in estimate over sampled runs, each rest named by its id."""
+def _estimate(z, rest, m: int, tol: float, seed: int, tally=None):
+    """The plug-in estimate over sampled runs, each rest named by its id.
+    ``tally`` adds up the seconds of the whole estimator call (cell
+    counting, point estimate and bootstrap) and its bootstrap resamples."""
     ids, _ = row_ids(rest, len(z))
-    return mc_distance_pairs(list(zip(z.tolist(), ids.tolist())), m,
-                             tol=tol, seed=seed)
+    t0 = time.perf_counter()
+    rep = mc_distance_pairs(list(zip(z.tolist(), ids.tolist())), m,
+                            tol=tol, seed=seed)
+    if tally is not None:
+        tally.update(estimator_s=time.perf_counter() - t0,
+                     resamples=BOOTSTRAP_RESAMPLES)
+    return rep
 
 
 def player_estimates(protocol: str, cfg: NetworkConfig, sources, scenario,
@@ -738,7 +746,7 @@ def player_estimates(protocol: str, cfg: NetworkConfig, sources, scenario,
                             shared=shared, n_runs=n_runs, seed=seed,
                             tally=tally)
     faulty_seen = b.faulty.any(axis=0)
-    return {pid: _estimate(z, rest, m, tol, seed + pid)
+    return {pid: _estimate(z, rest, m, tol, seed + pid, tally)
             for pid, (z, rest) in sorted(pairs_of(b).items())
             if not faulty_seen[pid - 1]}
 

@@ -33,7 +33,6 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -316,12 +315,10 @@ def _resolve_mode(mode: str, required: int, budget: int) -> str:
 
 
 def _pair_counts(table2d: np.ndarray, s2, m: int) -> np.ndarray:
-    """Counts N[x, z] = #{y in S2 : T[x, y] = z}, as float64 integers."""
-    vals = table2d[:, list(s2)]
-    cnt = np.zeros((table2d.shape[0], 1 << m), dtype=np.float64)
-    for z in range(1 << m):
-        cnt[:, z] = (vals == z).sum(axis=1)
-    return cnt
+    """int64 counts N[x, z] = #{y in S2 : T[x, y] = z}."""
+    rows, M = table2d.shape[0], 1 << m
+    keys = table2d[:, list(s2)] + M * np.arange(rows)[:, None]
+    return np.bincount(keys.ravel(), minlength=rows * M).reshape(rows, M)
 
 
 def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
@@ -337,14 +334,14 @@ def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
         cnt = _pair_counts(table2d, s2, m)
         if strong is None:
             ns = cnt[list(s1)].sum(axis=0)
-            num = int(round(np.maximum(ns * (1 << m) - K1 * K2, 0.0).sum()))
+            num = int(np.maximum(ns * (1 << m) - K1 * K2, 0).sum())
         elif strong == 0:
-            c_num = np.maximum(cnt * (1 << m) - K2, 0.0).sum(axis=1)
-            num = int(round(c_num[list(s1)].sum()))
+            c_num = np.maximum(cnt * (1 << m) - K2, 0).sum(axis=1)
+            num = int(c_num[list(s1)].sum())
         else:
             cntT = _pair_counts(table2d.T, s1, m)
-            c_num = np.maximum(cntT * (1 << m) - K1, 0.0).sum(axis=1)
-            num = int(round(c_num[list(s2)].sum()))
+            c_num = np.maximum(cntT * (1 << m) - K1, 0).sum(axis=1)
+            num = int(c_num[list(s2)].sum())
         nums.append(num)
         if num == max(nums):
             wit = {"supports": [list(s1), list(s2)], "strong": strong}
@@ -516,7 +513,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         n_leak, n_sel = widths[i_star], widths[sel]
         if maps is None:
             _check_map_bits(b)
-        n_maps = (1 << b) ** (1 << n_leak) if maps is None else len(maps)
+        n_maps = (1 << b) ** Ks[i_star] if maps is None else len(maps)
         required = math.comb(1 << n_leak, Ks[i_star]) * n_maps * (
             1 if strong is not None else math.comb(1 << n_sel, Ks[sel]))
         supports2 = supports1 = None
@@ -581,8 +578,7 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     tbl = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2, 1 << n3)
     required = (math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
                 * math.comb(1 << n3, K3))
-    if b > 0:
-        required *= (1 << b) ** (1 << max(n1, n2, n3))
+    required *= (1 << b) ** K3  # leak patterns on S3
     mode = _resolve_mode(mode, required, budget)
     if mode != "exhaustive":
         raise InvalidInputError(
@@ -757,11 +753,17 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
                       seed: int = 0) -> MCReport:
     """Plug-in total-variation estimate against uniform-on-part.
 
-    ``pairs`` holds one ``(part_value, rest_key)`` pair per sample, with
-    ``part_value`` in ``range(2**m)``.  The estimator is the
+    ``pairs`` holds one hashable ``(part_value, rest_key)`` pair per
+    sample, with ``part_value`` in ``range(2**m)``.  The estimator is the
     empirical-joint TV against (uniform on the part) x (empirical rest
     marginal); a 99% bootstrap interval over 200 resamples is attached.
-    Requires ``len(pairs) >= 100 * 2**m / tol**2``.
+    Each resample's cell counts are Multinomial(n, counts / n).  Where
+    the samples spread over many cells (``n <= 4 * cells``) a resample
+    draws ``n`` sample indices with replacement and counts them, which
+    costs O(n); otherwise it is one multinomial draw over the cells,
+    which costs O(cells).  The resamples are drawn and scored a chunk of
+    rows at a time, each chunk in one batched :func:`excess_over_uniform`
+    call.  Requires ``len(pairs) >= 100 * 2**m / tol**2``.
     """
     n_samples = len(pairs)
     needed = 100.0 * (1 << m) / (tol * tol)
@@ -769,19 +771,29 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
         raise InvalidInputError(
             f"N={n_samples} below the sizing rule ceil(100*2^m/tol^2)="
             f"{math.ceil(needed)}")
-    counts = Counter((int(z), rest) for z, rest in pairs)
-    cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    groups = group_ids(rest for _, rest in counts)
+    cell_of: dict = {}
+    cells = np.fromiter((cell_of.setdefault(p, len(cell_of)) for p in pairs),
+                        dtype=np.intp, count=n_samples)
+    groups = group_ids(rest for _, rest in cell_of)
+    cvec = np.bincount(cells)
+    C = cvec.size
     scale = n_samples << m
     estimate = excess_over_uniform(cvec, groups, m) / scale
     rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    probs = cvec / n_samples
-    for i in range(BOOTSTRAP_RESAMPLES):
-        res = rng.multinomial(n_samples, probs)
-        boot[i] = excess_over_uniform(res, groups, m) / scale
-    lo, hi = np.percentile(boot, [50 * (1 - CI_LEVEL),
-                                  100 - 50 * (1 - CI_LEVEL)])
+    by_index = n_samples <= 4 * C
+    rows = max(1, CHUNK_ENTRIES // (n_samples if by_index else C))
+    boot = []
+    for done in range(0, BOOTSTRAP_RESAMPLES, rows):
+        r = min(rows, BOOTSTRAP_RESAMPLES - done)
+        if by_index:
+            keys = cells[rng.integers(0, n_samples, size=(r, n_samples))]
+            keys += C * np.arange(r)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=r * C).reshape(r, C)
+        else:
+            counts = rng.multinomial(n_samples, cvec / n_samples, size=r)
+        boot.append(excess_over_uniform(counts, groups, m))
+    lo, hi = np.percentile(np.concatenate(boot) / scale,
+                           [50 * (1 - CI_LEVEL), 100 - 50 * (1 - CI_LEVEL)])
     return MCReport(estimate=float(estimate), ci=(float(lo), float(hi)),
                     n=n_samples, m=m, tol=tol)
 

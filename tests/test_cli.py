@@ -222,6 +222,23 @@ def test_netsim_report_volatile_block(cache_dir, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
+    from extractomat.oracle import BOOTSTRAP_RESAMPLES
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text("p = 5\nt = 1\nn = 4\nk = 4\nalpha = 0.25\nseed = 3\n"
+                   "protocol = geqr\n")
+    assert run_cli(["netsim", "--config", str(cfg), "--runs", "500"],
+                   cache_dir, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    volatile = report["volatile"]
+    assert set(volatile) == {"worlds", "adversary_calls", "leak_calls",
+                             "eval_s", "estimator_s", "resamples"}
+    players = len(report["output_vs_public"])
+    assert players > 0
+    assert volatile["resamples"] == BOOTSTRAP_RESAMPLES * players
+    assert 0 < volatile["estimator_s"] <= volatile["eval_s"]
+
+
 def test_parser_reuse_matches_fresh_calls(cache_dir, tmp_path, capsys):
     from extractomat import cli
     requests = [

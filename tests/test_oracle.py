@@ -1,13 +1,16 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from extractomat import certify
-from extractomat.dist import JointDistribution
-from extractomat.errors import BudgetExceededError, InvalidInputError
+from extractomat import oracle as oracle_mod
+from extractomat.dist import JointDistribution, excess_over_uniform, group_ids
+from extractomat.errors import (BudgetExceededError, InvalidInputError,
+                                SizeLimitError)
 from extractomat.extractors import (deor_handle, ip_handle, table_handle,
                                     toeplitz_handle)
 from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
@@ -333,6 +336,114 @@ def test_mc_calibration_against_exact():
     assert inside >= trials - 1
 
 
+def _random_pairs(rng, n, m, tuple_keys, rests=None):
+    """``n`` pairs over ``rests`` rest keys (a few by default), ints or
+    tuples, so that groups of one cell and groups of several both occur."""
+    rests = int(rng.integers(1, 40)) if rests is None else rests
+    out = []
+    for _ in range(n):
+        r = int(rng.integers(rests))
+        out.append((int(rng.integers(1 << m)) if r % 3 else 0,
+                    (r, "r") if tuple_keys else r))
+    return out
+
+
+def _parent_estimate(pairs, m):
+    """The plug-in formula as first written: a Counter of cells."""
+    counts = Counter((int(z), rest) for z, rest in pairs)
+    cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    groups = group_ids(rest for _, rest in counts)
+    return excess_over_uniform(cvec, groups, m) / (len(pairs) << m)
+
+
+def _reference_ci(pairs, m, seed):
+    """The bootstrap CI one resample at a time: a multinomial draw over
+    the cells, or ``n`` sample indices where ``n <= 4 * cells``."""
+    counts = Counter(pairs)
+    cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    groups = group_ids(rest for _, rest in counts)
+    cell = {c: i for i, c in enumerate(counts)}
+    cells = np.array([cell[p] for p in pairs])
+    n = len(pairs)
+    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
+    boot = []
+    for _ in range(oracle_mod.BOOTSTRAP_RESAMPLES):
+        if n <= 4 * len(cvec):
+            res = np.bincount(cells[rng.integers(0, n, size=n)],
+                              minlength=len(cvec))
+        else:
+            res = rng.multinomial(n, cvec / n)
+        boot.append(excess_over_uniform(res, groups, m) / (n << m))
+    lo, hi = np.percentile(boot, [0.5, 99.5])
+    return float(lo), float(hi)
+
+
+def test_batched_excess_rows_match_the_one_dimensional_kernel():
+    rng = np.random.default_rng(48)
+    for trial in range(30):
+        m = 1 + trial % 3
+        cells, n_groups = int(rng.integers(1, 60)), int(rng.integers(1, 20))
+        groups = rng.integers(0, n_groups, size=cells)
+        weights = rng.integers(0, 50, size=(int(rng.integers(1, 9)), cells))
+        batched = excess_over_uniform(weights, groups, m)
+        assert batched.dtype == np.int64
+        assert batched.tolist() == [excess_over_uniform(w, groups, m)
+                                    for w in weights]
+        stacked = excess_over_uniform(weights.reshape(1, *weights.shape),
+                                      groups, m)
+        assert stacked.tolist() == [batched.tolist()]
+    with pytest.raises(SizeLimitError):
+        excess_over_uniform(np.full((2, 2), 1 << 60), [0, 0], 2)
+
+
+def test_bootstrap_resamples_and_estimate(monkeypatch):
+    rng = np.random.default_rng(49)
+    for trial in range(12):
+        m, tuple_keys = 1 + trial % 3, trial % 2 == 1
+        n = 1000 + int(rng.integers(0, 500))
+        # few rests: n > 4 * cells (multinomial rows); many: index draws
+        rests = None if trial % 4 < 2 else n
+        pairs = _random_pairs(rng, n, m, tuple_keys, rests)
+        rep = mc_distance_pairs(pairs, m, tol=1.0, seed=trial)
+        assert rep.estimate == _parent_estimate(pairs, m)
+        assert rep.n == n and rep.ci[0] <= rep.ci[1]
+        assert rep.ci == _reference_ci(pairs, m, trial)
+        again = mc_distance_pairs(pairs, m, tol=1.0, seed=trial)
+        assert again.ci == rep.ci and again.estimate == rep.estimate
+        # a smaller chunk bound draws the same stream in more pieces
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle_mod, "CHUNK_ENTRIES", 1 << 10)
+            assert mc_distance_pairs(pairs, m, tol=1.0, seed=trial).ci == rep.ci
+
+
+def test_bootstrap_draw_switches_at_four_samples_per_cell():
+    # 300 cells, 4 samples each: n = 4 * cells draws indices; one more
+    # sample tips it to multinomial rows.
+    cells = [(z, r) for r in range(150) for z in (0, 1)]
+    for pairs in (cells * 4, cells * 4 + cells[:1]):
+        rep = mc_distance_pairs(pairs, 1, tol=1.0, seed=7)
+        assert rep.ci == _reference_ci(pairs, 1, 7)
+
+
+@pytest.mark.parametrize("rests", [20, 1200])
+def test_bootstrap_rows_count_every_draw(monkeypatch, rests):
+    seen = []
+    real = oracle_mod.excess_over_uniform
+
+    def spy(weights, groups, m):
+        if np.ndim(weights) > 1:
+            seen.append(np.asarray(weights))
+        return real(weights, groups, m)
+
+    pairs = _random_pairs(np.random.default_rng(50), 1200, 2, False, rests)
+    monkeypatch.setattr(oracle_mod, "excess_over_uniform", spy)
+    mc_distance_pairs(pairs, 2, tol=1.0, seed=3)
+    rows = np.concatenate(seen)
+    assert rows.shape[0] == oracle_mod.BOOTSTRAP_RESAMPLES
+    assert (rows.sum(axis=1) == len(pairs)).all()
+    assert rows.shape[1] == len(set(pairs)) and (rows >= 0).all()
+
+
 # ----------------------------------------------------------------------
 # lemma checkers
 # ----------------------------------------------------------------------
@@ -529,6 +640,39 @@ def test_leaked_2source_auto_labels_an_exhaustive_run(tmp_path):
     assert rec.mode == "exhaustive" and rec.error_exact == "7/16"
     sampled = worst_case_error_leaked(ip_handle(3), (2, 2), 1, mode="sampled")
     assert sampled.mode == "sampled" and isinstance(sampled.error, float)
+
+
+def test_leak_budgets_count_patterns_on_the_support():
+    # Per leaking side: 70 supports x 2^4 patterns x 70 selected supports,
+    # 78,400 steps; counting every map on {0,1}^3 would need 1,254,400.
+    rep = worst_case_error_leaked(ip_handle(3), (2, 2), 1, budget=100_000)
+    assert rep.mode == "exhaustive" and rep.error == Fraction(5, 16)
+    with pytest.raises(BudgetExceededError) as refused:
+        worst_case_error_leaked(ip_handle(3), (2, 2), 1, budget=78_399)
+    assert refused.value.required == 78_400
+    # Multi-source: 6^3 supports x 2^2 patterns on S3 (every map: 3,456).
+    h, fn = _random_table(np.random.default_rng(46), (2, 2, 2), 1, "t-source")
+    rep = worst_case_error_multi(h, (1, 1, 1), b=1, budget=864)
+    assert rep.error == naive_worst_multi(fn, (2, 2, 2), 1, (1, 1, 1), 1)
+    with pytest.raises(BudgetExceededError) as refused:
+        worst_case_error_multi(h, (1, 1, 1), b=1, budget=863)
+    assert refused.value.required == 864
+
+
+def test_sampled_two_source_max_is_its_witness_error():
+    rng = np.random.default_rng(47)
+    for trial in range(8):
+        widths = ((3, 3), (2, 3), (3, 2), (4, 3))[trial % 4]
+        m = 1 + trial // 4
+        ks = tuple(int(rng.integers(1, n)) for n in widths)
+        h, fn = _random_table(rng, widths, m)
+        for strong in (None, 0, 1):
+            rep = worst_case_error_2source(h, *ks, strong, mode="sampled",
+                                           samples=20, seed=trial)
+            revealed = () if strong is None else (strong,)
+            assert rep.mode == "sampled" and isinstance(rep.error, float)
+            assert Fraction(rep.error) == _witness_error(fn, m, rep.witness,
+                                                         revealed)
 
 
 def test_kernel_falls_back_to_supports_past_the_event_count():
