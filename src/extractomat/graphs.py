@@ -6,10 +6,9 @@ Fractional set sizes round with a ceiling on adversarial sets, which only
 makes the requirement harder, and the applied sizes are reported in the
 verdict.
 
-Search draws seeded random left-regular graphs and repairs violations
-locally (re-aiming the neighborhoods that a witness exposes) until
-verification passes or the attempt budget runs out; every returned graph
-has been re-verified.
+Search draws seeded random left-regular graphs and anneals random
+single-edge swaps against the count of violated subsets until none is
+left or the attempt budget runs out; every returned graph re-verifies.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .errors import (BudgetExceededError, InvalidInputError,
 
 DEFAULT_VERIFY_BUDGET = 50_000_000
 DEFAULT_ATTEMPTS = 32
-DEFAULT_REPAIRS = 400
 
 
 @dataclass(frozen=True)
@@ -194,53 +192,75 @@ class SearchRecord:
                 "attempts": self.attempts, "steps": self.steps}
 
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+def _violation_rows(kind: str, params: dict, budget: int):
+    """Packed violation rows, memoised by neighbourhood mask, and the count
+    of violated quantifier subsets from their sum.
 
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    a = arr.astype(np.int64)
-    return _POP8[a & 0xFF] + _POP8[(a >> 8) & 0xFF] + _POP8[(a >> 16) & 0xFF]
-
-
-def _subset_masks(n: int, size: int) -> np.ndarray:
-    return np.array([_mask(c) for c in _lex_subsets(n, size)],
-                    dtype=np.int64)
-
-
-def _violation_rows(kind: str, params: dict):
-    """Per-vertex 0/1 int64 rows over the quantifier subsets, memoised by
-    neighbourhood mask, and the test on their column totals that marks a
-    subset violated."""
-    r = params["r"]
-    if kind == "and-disperser":
-        vmasks = _subset_masks(r, math.ceil(params["delta"] * r))
-        need = math.ceil(params["gamma"] * params["l"])
-        row_of = lambda mask: (mask & ~vmasks) == 0  # neighbourhood inside
-        violated = lambda tot: tot < need
-    elif kind == "expander":
-        vmasks = _subset_masks(r, math.ceil(params["beta"] * r))
-        u_size = math.ceil(params["beta"] * params["l"])
-        row_of = lambda mask: (mask & vmasks) == 0  # vertex avoids it
-        violated = lambda tot: tot >= u_size
-    elif kind == "extractor-graph":
+    An int holds one ``w``-bit field per subset (lexicographic order) with
+    a guard as its top bit; no sum here carries out of a field, and
+    ``ge(x, c)`` keeps the guards of x's fields that are >= c.  A row is 1
+    where the vertex's neighbours in the subset number outside [lo, hi),
+    and a subset is violated when its total reaches t."""
+    l, r, d = params["l"], params["r"], params["d"]
+    if kind == "and-disperser":  # the neighbourhood is not inside
+        size, t, lo, hi = (math.ceil(params["delta"] * r),
+                           l + 1 - math.ceil(params["gamma"] * l), d, d + 1)
+    elif kind == "expander":  # the vertex avoids the subset
+        size, t, lo, hi = (math.ceil(params["beta"] * r),
+                           math.ceil(params["beta"] * l), 1, d + 1)
+    else:  # the vertex deviates
         alpha = params.get("alpha", 0.5)
-        tmasks = _subset_masks(r, round(alpha * r))
-        lo = (alpha - params["eps"]) * params["d"] - 1e-9
-        hi = (alpha + params["eps"]) * params["d"] + 1e-9
-
-        def row_of(mask):  # vertex deviates
-            hits = _popcount(mask & tmasks)
-            return (hits < lo) | (hits > hi)
-        violated = lambda tot: tot > params["K"]
-    else:
-        raise InvalidInputError(f"unknown gadget kind {kind!r}")
+        size, t = round(alpha * r), params["K"] + 1
+        lo = math.ceil((alpha - params["eps"]) * d - 1e-9)
+        hi = math.floor((alpha + params["eps"]) * d + 1e-9) + 1
+    ncol = math.comb(r, size)
+    if ncol * l > budget:  # what the verifier charges, before any work
+        raise BudgetExceededError(ncol * l, budget, f"{kind} search verification")
+    t, lo, hi = max(t, 0), *(min(max(c, 0), d + 1) for c in (lo, hi))
+    w = max(l, t, d + 1).bit_length() + 1
+    member = [0] * r  # member[x]: 1 in the field of each subset holding x
+    for j, subset in enumerate(_lex_subsets(r, size)):
+        for x in subset:
+            member[x] |= 1 << j * w
+    ones = ((1 << ncol * w) - 1) // ((1 << w) - 1)
+    guard = ones << w - 1
+    ge = lambda tot, c: (tot + ones * ((1 << w - 1) - c)) & guard
     memo = {}
 
-    def row(mask: int) -> np.ndarray:
+    def row(mask: int) -> int:
         if mask not in memo:
-            memo[mask] = row_of(mask).astype(np.int64)
+            hits = sum(member[x] for x in range(r) if mask >> x & 1)
+            memo[mask] = (guard & ~ge(hits, lo) | ge(hits, hi)) >> w - 1
         return memo[mask]
-    return row, lambda tot: int(np.count_nonzero(violated(tot)))
+    return row, lambda tot: ge(tot, t).bit_count()
+
+
+def _raw_stream(bitgen):
+    """numpy's ``Generator.integers(high)`` and ``.random()`` on the raw
+    words of ``bitgen``: Lemire's draw on 32-bit halves, low half first (a
+    half left by earlier draws comes next), and ``(word >> 11) * 2**-53``."""
+    state = bitgen.state
+    half = [state["uinteger"]] if state["has_uint32"] else []
+    word = itertools.chain.from_iterable(  # the words, 1024 at a time
+        iter(lambda: bitgen.random_raw(1024).tolist(), None)).__next__
+
+    def next32():
+        if half:
+            return half.pop()
+        w = word()
+        half.append(w >> 32)
+        return w & 0xFFFFFFFF
+
+    def integers(high):
+        if high == 1:
+            return 0
+        m = next32() * high
+        if m & 0xFFFFFFFF < high:
+            floor = (1 << 32) % high
+            while m & 0xFFFFFFFF < floor:
+                m = next32() * high
+        return m >> 32
+    return integers, lambda: (word() >> 11) * 2.0 ** -53
 
 
 def search_gadget(kind: str, params: dict, seed: int = 0, *,
@@ -254,31 +274,35 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     subsets; a zero count is confirmed with the exhaustive verifier
     before returning.  Fully deterministic in ``seed``.
 
-    The count is kept incremental: an attempt holds each subset's total
-    over the left vertices' rows (see ``_violation_rows``), and a swap at
-    vertex u is scored as ``tot - row(old mask) + row(new mask)``, the
-    new totals being kept only if the step is accepted.
+    The count is kept incremental: ``tot`` packs each subset's total over
+    the rows (``_violation_rows``), a swap at vertex u is scored as
+    ``tot - row(old mask) + row(new mask)``, and the draws are numpy's
+    Philox ``Generator`` stream, read raw (``_raw_stream``).
 
     Returns
     -------
     (BipartiteGraph, Verdict, SearchRecord)
     """
     if kind == "and-disperser":
-        verify = lambda g: verify_and_disperser(
+        names, verify = ("delta", "gamma"), lambda g: verify_and_disperser(
             g, params["delta"], params["gamma"], budget=budget)
     elif kind == "expander":
-        verify = lambda g: verify_expander(g, params["beta"], budget=budget)
+        names, verify = ("beta",), lambda g: verify_expander(
+            g, params["beta"], budget=budget)
     elif kind == "extractor-graph":
-        verify = lambda g: verify_extractor_graph(
+        names, verify = ("K", "eps"), lambda g: verify_extractor_graph(
             g, params["K"], params["eps"], params.get("alpha", 0.5),
             budget=budget)
     else:
         raise InvalidInputError(f"unknown gadget kind {kind!r}")
-    row, count_violations = _violation_rows(kind, params)
+    for name in ("l", "r", "d", *names):
+        if name not in params:
+            raise InvalidInputError(f"{kind} search needs parameter {name!r}")
     l, r, d = params["l"], params["r"], params["d"]
-    cost = math.comb(r, max(1, r // 2)) * l
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, f"{kind} search verification")
+    if l < 1 or not 1 <= d <= r:
+        raise InvalidInputError(f"search needs l >= 1 and 1 <= d <= r, got "
+                                f"l={l}, d={d}, r={r}")
+    row, count_violations = _violation_rows(kind, params, budget)
     total_steps = 0
     for attempt in range(attempts):
         rng = np.random.default_rng(
@@ -286,26 +310,27 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
                              & ((1 << 64) - 1)))
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
+        integers, random = _raw_stream(rng.bit_generator)
         masks = [_mask(a) for a in adj]
         tot = sum(row(mask) for mask in masks)
         cur = count_violations(tot)
         temp = 2.0
         for _ in range(steps):
-            if cur == 0:
+            if cur == 0 or d == r:  # done, or no swap exists
                 break
             total_steps += 1
-            u = int(rng.integers(l))
+            u = integers(l)
             old = adj[u]
-            drop = list(old)[int(rng.integers(d))]
+            drop = list(old)[integers(d)]
             outside = [x for x in range(r) if x not in old]
-            add = outside[int(rng.integers(len(outside)))]
-            swapped = (old - {drop}) | {add}
+            add = outside[integers(len(outside))]
             mask = masks[u] & ~(1 << drop) | 1 << add
             cand = tot - row(masks[u]) + row(mask)
             new = count_violations(cand)
-            if new <= cur or rng.random() < math.exp(-(new - cur)
-                                                     / max(temp, 1e-9)):
-                cur, tot, adj[u], masks[u] = new, cand, swapped, mask
+            if new <= cur or random() < math.exp(-(new - cur)
+                                                 / max(temp, 1e-9)):
+                cur, tot, masks[u] = new, cand, mask
+                adj[u] = (old - {drop}) | {add}
             temp *= 0.999
         if cur == 0:
             g = BipartiteGraph(l, r, d, tuple(tuple(sorted(a)) for a in adj))

@@ -6,7 +6,7 @@ import pytest
 
 from extractomat.errors import (BudgetExceededError, InvalidInputError,
                                 TargetUnreachableError)
-from extractomat.graphs import (BipartiteGraph, search_gadget,
+from extractomat.graphs import (BipartiteGraph, _raw_stream, search_gadget,
                                 verify_and_disperser, verify_expander,
                                 verify_extractor_graph)
 
@@ -139,6 +139,14 @@ SEARCHES = [
      {"attempts": 4, "steps": 300}),
     ("extractor-graph", {"l": 16, "r": 8, "d": 4, "K": 1, "eps": 0.25,
                          "alpha": 0.5}, range(10), {"attempts": 3, "steps": 60}),
+    # r > 8: the order of a neighbour set depends on its insertion order.
+    # An odd l leaves half of a random word unused after the initial draw.
+    ("expander", {"l": 9, "r": 10, "d": 3, "beta": 0.4}, range(10),
+     {"attempts": 3, "steps": 100}),
+    # d = 1: the dropped neighbour is drawn from integers(1), which draws
+    # no random word
+    ("and-disperser", {"l": 9, "r": 8, "d": 1, "delta": 0.5, "gamma": 0.3},
+     range(10), {"attempts": 3, "steps": 60}),
 ]
 
 
@@ -153,6 +161,76 @@ def test_search_trajectory_matches_full_recount(kind, params, seeds, budget):
             continue
         assert verdict.ok
         assert (g.adj, rec.attempts, rec.steps) == expect, (kind, seed)
+
+
+def test_raw_stream_matches_generator():
+    # Long interleaved integers/random sequences after a choice() prefix,
+    # which leaves half of a 64-bit word unused; on odd keys one more
+    # draw uses that half up.  High 2**31 + 1 rejects about half its draws.
+    highs = [1, 2, 3, 7, 12, 2 ** 31 + 1]
+    left_over = set()
+    for key in range(6):
+        ref, own = (np.random.default_rng(np.random.Philox(key=key))
+                    for _ in range(2))
+        for rng in (ref, own):
+            rng.choice(10, size=3, replace=False)
+            if key % 2:
+                rng.integers(7)
+        left_over.add(own.bit_generator.state["has_uint32"])
+        integers, random = _raw_stream(own.bit_generator)
+        plan = np.random.default_rng(100 + key).integers(len(highs) + 1,
+                                                         size=3000)
+        for op in plan.tolist():
+            if op == len(highs):
+                assert random() == ref.random()
+            else:
+                assert integers(highs[op]) == int(ref.integers(highs[op]))
+    assert left_over == {0, 1}
+
+
+def test_search_budget_charges_the_scored_subsets():
+    # Quantifier sets of size ceil(24/12) = 2: C(24, 2) * 40 = 11,040,
+    # what the verifier charges; not C(24, 12) * 40 = 108,166,240.
+    params = {"l": 40, "r": 24, "d": 2, "delta": 1 / 12, "gamma": 0.025}
+    with pytest.raises(BudgetExceededError) as search_err:
+        search_gadget("and-disperser", params, budget=11_039)
+    g = BipartiteGraph.random(40, 24, 2, np.random.default_rng(0))
+    with pytest.raises(BudgetExceededError) as verify_err:
+        verify_and_disperser(g, 1 / 12, 0.025, budget=11_039)
+    assert search_err.value.required == verify_err.value.required == 11_040
+    assert math.comb(24, 12) * 40 == 108_166_240 > 50_000_000
+    with pytest.raises(TargetUnreachableError):  # not refused
+        search_gadget("and-disperser", params, attempts=1, steps=5)
+    # refused before any subset is listed: C(60, 30) * 4 ~ 4.7e17
+    with pytest.raises(BudgetExceededError):
+        search_gadget("expander", {"l": 4, "r": 60, "d": 2, "beta": 0.5})
+
+
+@pytest.mark.parametrize("kind,params,name", [
+    ("expander", {"l": 4, "r": 4, "d": 5, "beta": 0.5}, "d=5"),
+    ("expander", {"l": 4, "r": 4, "d": 0, "beta": 0.5}, "d=0"),
+    ("expander", {"l": 0, "r": 4, "d": 2, "beta": 0.5}, "l=0"),
+    ("expander", {"l": 4, "r": 4, "d": 2}, "'beta'"),
+    ("expander", {"r": 4, "d": 2, "beta": 0.5}, "'l'"),
+    ("and-disperser", {"l": 4, "r": 4, "d": 2, "gamma": 0.5}, "'delta'"),
+    ("and-disperser", {"l": 4, "r": 4, "d": 2, "delta": 0.5}, "'gamma'"),
+    ("extractor-graph", {"l": 4, "r": 4, "d": 2, "eps": 0.25}, "'K'"),
+    ("extractor-graph", {"l": 4, "r": 4, "d": 2, "K": 1}, "'eps'"),
+])
+def test_search_input_errors_are_typed(kind, params, name):
+    with pytest.raises(InvalidInputError, match=name):
+        search_gadget(kind, params)
+
+
+def test_search_with_d_equal_r():
+    # the complete graph is the only one: it passes at step 0, or every
+    # attempt ends at once since no swap exists
+    g, verdict, rec = search_gadget(
+        "expander", {"l": 4, "r": 4, "d": 4, "beta": 0.5}, seed=0)
+    assert verdict.ok and rec.steps == 0 and rec.attempts == 1
+    with pytest.raises(TargetUnreachableError):
+        search_gadget("and-disperser",
+                      {"l": 4, "r": 4, "d": 4, "delta": 0.5, "gamma": 0.25})
 
 
 def test_disperser_monotone_in_delta():

@@ -1,0 +1,142 @@
+"""Record the benchmark of a checkout in ``BENCH_<pr>.json``.
+
+    python3 tools/bench_record.py --pr N [--checkout DIR] [--baseline DIR]
+
+For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` of
+the checkout three times untraced (seeds 0, 1, 2) and once traced
+(seed 0), each for the benchmark's ``run_seconds``, and times the tier-1
+test suite.  With each record go the ``src/`` line count, the git
+revision (``-dirty`` when the tree differs from it) and the length of
+the checkout's path: perfbench's scaled metrics move with that length,
+so compare two records only when their paths are equally long.
+
+``--checkout`` defaults to the repository this script sits in.  With
+``--baseline`` (say, a clone of the parent commit) the baseline is
+recorded the same way, under ``parent``, taking turns with the checkout
+run by run, and ``compare`` holds both sides' medians of every
+end-to-end metric and both traced values of every per-layer metric.
+The file is written at the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+UNTRACED_SEEDS = (0, 1, 2)
+TRACED_SEED = 0
+TIER1 = [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"]
+
+
+def _run(cmd, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def _revision(checkout: Path) -> str | None:
+    out = _run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
+               checkout)
+    return out.stdout.strip() or None
+
+
+def _perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+               trace: int) -> dict:
+    out = _run([sys.executable, "perfbench/run.py", "--workload", workload,
+                "--seed", str(seed), "--seconds", str(seconds),
+                "--trace", str(trace)], checkout)
+    if out.returncode != 0:
+        raise SystemExit(f"{workload} seed {seed} trace {trace} failed in "
+                         f"{checkout}:\n{out.stderr[-2000:]}")
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    metrics = {k: v["value"] for k, v in res["metrics"].items()}
+    return {"seed": seed, "correct": res["correct"],
+            "attempted": res["attempted"], "failed": res["failed"],
+            "metrics": metrics}
+
+
+def _checkout_info(checkout: Path) -> dict:
+    t0 = time.perf_counter()
+    tests = _run(TIER1, checkout)
+    tier1_s = time.perf_counter() - t0
+    src_lines = sum(len(p.read_text().splitlines())
+                    for p in (checkout / "src").rglob("*.py"))
+    return {"path_len": len(str(checkout)),
+            "rev": _revision(checkout), "src_lines": src_lines,
+            "tier1_s": tier1_s, "tier1_exit": tests.returncode,
+            "tier1_summary": (tests.stdout.strip().splitlines() or [""])[-1],
+            "workloads": {}}
+
+
+def record(checkouts: dict, workloads: list, seconds: float) -> dict:
+    """One record per named checkout.  The checkouts take turns run by run,
+    each going first on every other run, so that all meet the same
+    machine phases."""
+    docs = {side: _checkout_info(path) for side, path in checkouts.items()}
+    plan = [(s, 0) for s in UNTRACED_SEEDS] + [(TRACED_SEED, 1)]
+    for name in workloads:
+        runs = {side: [] for side in checkouts}
+        for i, (seed, trace) in enumerate(plan):
+            order = list(checkouts.items())
+            for side, path in order[::-1] if i % 2 else order:
+                runs[side].append(_perfbench(path, name, seed, seconds, trace))
+        for side, (*untraced, traced) in runs.items():
+            median = {k: statistics.median(r["metrics"][k] for r in untraced)
+                      for k in untraced[0]["metrics"]}
+            docs[side]["workloads"][name] = {
+                "untraced": untraced, "median": median, "traced": traced}
+            print(f"# {side} {name}: {json.dumps(median)}", flush=True)
+    return docs
+
+
+def compare(parent: dict, change: dict) -> dict:
+    out = {}
+    for name, new in change["workloads"].items():
+        old = parent["workloads"][name]
+        rows = {k: {"parent": old["median"][k], "change": v}
+                for k, v in new["median"].items()}
+        rows.update({k: {"parent": old["traced"]["metrics"].get(k),
+                         "change": v}
+                     for k, v in new["traced"]["metrics"].items()})
+        out[name] = rows
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--pr", type=int, required=True)
+    p.add_argument("--checkout", type=Path, default=ROOT)
+    p.add_argument("--baseline", type=Path)
+    args = p.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    import numpy
+    doc = {"pr": args.pr, "seconds": seconds,
+           "untraced_seeds": list(UNTRACED_SEEDS), "traced_seed": TRACED_SEED,
+           "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__}}
+    checkouts = {"change": args.checkout.resolve()}
+    if args.baseline:
+        checkouts["parent"] = args.baseline.resolve()
+    doc.update(record(checkouts, workloads, seconds))
+    if args.baseline:
+        doc["compare"] = compare(doc["parent"], doc["change"])
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"# wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
