@@ -559,14 +559,8 @@ def xor_project(j: JointDistribution, label: str, subset) -> JointDistribution:
         raise InvalidInputError("empty XOR subset")
     if subset[0] < 1 or subset[-1] > w:
         raise InvalidInputError(f"XOR subset positions must lie in 1..{w}")
-    mask = 0
-    for i in subset:
-        mask |= 1 << (w - i)
-
-    def _xor(v: int) -> int:
-        return bin(v & mask).count("1") & 1
-
-    return j.apply_to_part(label, _xor, 1)
+    mask = sum(1 << (w - i) for i in subset)
+    return j.apply_to_part(label, lambda v: (v & mask).bit_count() & 1, 1)
 
 
 def _read_header(data: bytes, kind: int) -> int:

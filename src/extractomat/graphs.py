@@ -208,6 +208,9 @@ def _violation_rows(kind: str, params: dict, budget: int):
     elif kind == "expander":  # the vertex avoids the subset
         size, t, lo, hi = (math.ceil(params["beta"] * r),
                            math.ceil(params["beta"] * l), 1, d + 1)
+        if size < 1 or t < 1:  # as verify_expander refuses it
+            raise InvalidInputError(
+                "beta too small: rounded set sizes must be >= 1")
     else:  # the vertex deviates
         alpha = params.get("alpha", 0.5)
         size, t = round(alpha * r), params["K"] + 1

@@ -23,8 +23,8 @@ the lowest-rank S2, then to the first candidate scored.
 
 Sampled mode draws random flat supports and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
-on the true worst case, with a bootstrap confidence interval over the
-draws.
+on the true worst case, with the bootstrap spread of that maximum over
+the draws (not a confidence interval for the worst case).
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dist import (Distribution, JointDistribution, column_excess,
-                   cond_min_entropy, distance_from_uniform_on,
-                   excess_over_uniform, group_ids, min_entropy, ratio,
-                   smooth_cond_min_entropy, xor_project)
+                   cond_min_entropy, excess_over_uniform, group_ids,
+                   neg_log2, ratio, smooth_cond_min_entropy)
 from .errors import BudgetExceededError, InvalidInputError
 from .extractors import ExtractorHandle
 from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
@@ -314,49 +313,47 @@ def _resolve_mode(mode: str, required: int, budget: int) -> str:
     return mode
 
 
-def _pair_counts(table2d: np.ndarray, s2, m: int) -> np.ndarray:
-    """int64 counts N[x, z] = #{y in S2 : T[x, y] = z}."""
-    rows, M = table2d.shape[0], 1 << m
-    keys = table2d[:, list(s2)] + M * np.arange(rows)[:, None]
-    return np.bincount(keys.ravel(), minlength=rows * M).reshape(rows, M)
-
-
 def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
+    """Max of the exact distances of ``samples`` random flat pairs, with
+    its bootstrap spread (not a confidence interval for the worst case)
+    and the last maximal draw as witness.  Per chunk of draws, one
+    bincount over (draw, group, z) keys counts each draw's K1 x K2
+    outputs, the group being the revealed input's position (0 if none)."""
+    if samples < 1:
+        raise InvalidInputError("sampled mode needs samples >= 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2)
-    m = h.m
-    den = K1 * K2 * (1 << m)
-    nums = []
-    wit = None
-    for _ in range(samples):
-        s1 = tuple(sorted(int(v) for v in rng.choice(1 << n1, K1, replace=False)))
-        s2 = tuple(sorted(int(v) for v in rng.choice(1 << n2, K2, replace=False)))
-        cnt = _pair_counts(table2d, s2, m)
-        if strong is None:
-            ns = cnt[list(s1)].sum(axis=0)
-            num = int(np.maximum(ns * (1 << m) - K1 * K2, 0).sum())
-        elif strong == 0:
-            c_num = np.maximum(cnt * (1 << m) - K2, 0).sum(axis=1)
-            num = int(c_num[list(s1)].sum())
-        else:
-            cntT = _pair_counts(table2d.T, s1, m)
-            c_num = np.maximum(cntT * (1 << m) - K1, 0).sum(axis=1)
-            num = int(c_num[list(s2)].sum())
-        nums.append(num)
-        if num == max(nums):
-            wit = {"supports": [list(s1), list(s2)], "strong": strong}
-    err, ci = _max_with_bootstrap(nums, den, seed)
+    s1, s2 = np.empty((samples, K1), np.int64), np.empty((samples, K2), np.int64)
+    for i in range(samples):  # S1 then S2, draw by draw
+        s1[i] = rng.choice(1 << n1, K1, replace=False)
+        s2[i] = rng.choice(1 << n2, K2, replace=False)
+    table = h.table()
+    M, G = 1 << h.m, 1 if strong is None else (K1, K2)[strong]
+    group = 0 if strong is None else M * np.indices((K1, K2))[strong]
+    per, nums = max(1, CHUNK_ENTRIES // (K1 * K2 + G * M)), []
+    for a in range(0, samples, per):
+        z = table[(s1[a:a + per, :, None] << n2) + s2[a:a + per, None, :]]
+        keys = z + group + G * M * np.arange(len(z))[:, None, None]
+        cnt = np.bincount(keys.ravel(), minlength=len(z) * G * M)
+        nums += np.maximum(M * cnt.reshape(len(z), -1) - K1 * K2 // G, 0
+                           ).sum(axis=1).tolist()
+    err, ci = _max_with_bootstrap(nums, K1 * K2 * M, seed)
+    i = samples - 1 - int(np.argmax(nums[::-1]))
+    wit = {"supports": [sorted(s1[i].tolist()), sorted(s2[i].tolist())],
+           "strong": strong}
     return OracleReport("sampled", err, witness=wit, enumerated=samples,
                         ci=ci, notes="sampled max: lower bound on worst case")
 
 
 def _max_with_bootstrap(nums, den, seed):
+    """Max of ``nums / den`` and the 99% bootstrap spread of that maximum
+    over 200 index resamples, drawn a chunk of rows at a time."""
     arr = np.asarray(nums, dtype=np.float64) / den
     rng = np.random.default_rng(np.random.Philox(key=seed ^ 0x5EED))
-    maxes = np.empty(BOOTSTRAP_RESAMPLES)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        pick = rng.integers(0, len(arr), size=len(arr))
-        maxes[i] = arr[pick].max()
+    rows, maxes = max(1, CHUNK_ENTRIES // len(arr)), []
+    for done in range(0, BOOTSTRAP_RESAMPLES, rows):
+        pick = rng.integers(0, len(arr), size=(
+            min(rows, BOOTSTRAP_RESAMPLES - done), len(arr)))
+        maxes.extend(arr[pick].max(axis=1))
     lo, hi = np.percentile(maxes, [50 * (1 - CI_LEVEL), 100 - 50 * (1 - CI_LEVEL)])
     return float(arr.max()), (float(lo), float(hi))
 
@@ -829,41 +826,44 @@ def check_lemma(lemma_id: str, **instance) -> LemmaVerdict:
 
 def _lemma_condition(joint: JointDistribution, eps: float,
                      target: str = "X", given: str = "Y") -> LemmaVerdict:
-    """Pr_y[H(X|Y=y) >= H(X) - log|Y| - log(1/eps)] >= 1 - eps."""
-    hx = min_entropy(joint.marginal_dist(target))
-    wy = joint.part_width(given)
-    bound = hx - wy - math.log2(1.0 / eps)
-    ymarg = joint.marginal_dist(given)
-    good = 0
-    per_y = {}
-    for y in ymarg.support():
-        cond = joint.condition(given, y)
-        hy = min_entropy(cond.marginal_dist(target))
-        per_y[y] = hy
-        if hy >= bound - 1e-9:
-            good += ymarg.numerators[y].item()
-    good = float(ratio(good, ymarg.denominator))
-    ok = good >= 1 - eps - 1e-12
-    return LemmaVerdict("L2.2", ok, good - (1 - eps),
+    """Pr_y[H(X|Y=y) >= H(X) - log|Y| - log(1/eps)] >= 1 - eps, from one
+    (X, Y) numerator matrix: H(X) by its row sums, H(X|Y=y) by column
+    y's maximum over the column's total."""
+    sub = joint.marginal([target, given])
+    num = sub.numerators.reshape(1 << joint.part_width(target), -1)
+    bound = (neg_log2(num.sum(axis=1).max().item(), sub.denominator)
+             - joint.part_width(given) - math.log2(1.0 / eps))
+    good, per_y = 0, {}
+    for y, (top, mass) in enumerate(zip(num.max(axis=0).tolist(),
+                                        num.sum(axis=0).tolist())):
+        if mass:
+            per_y[y] = neg_log2(top, mass)
+            good += mass if per_y[y] >= bound - 1e-9 else 0
+    good = float(ratio(good, sub.denominator))
+    return LemmaVerdict("L2.2", good >= 1 - eps - 1e-12, good - (1 - eps),
                         {"threshold_bits": bound, "per_y_entropy": per_y})
 
 
 def _lemma_xor(joint: JointDistribution, z_label: str = "Z",
                e_label: str = "E") -> LemmaVerdict:
-    """Classical XOR lemma: dist(ZE, UxE)^2 <= 2^min(d,m) sum_S dist^2."""
+    """Classical XOR lemma: dist(ZE, UxE)^2 <= 2^min(d,m) sum_S dist^2.
+
+    Every XOR test r of Z's bits is scored in one integer pass over the
+    (Z, rest) numerator matrix N: ``odd @ N`` is the mass where r.z is
+    odd, and the test's distance is sum_rest |2 (odd @ N) - R| / 2den."""
     if not joint.exact:
         raise InvalidInputError("XOR lemma check requires exact masses")
-    m = joint.part_width(z_label)
-    d = joint.part_width(e_label)
-    lhs = distance_from_uniform_on(joint, z_label) ** 2
-    rhs = 0
-    for r in range(1, 1 << m):
-        subset = [i + 1 for i in range(m) if (r >> (m - 1 - i)) & 1]
-        proj = xor_project(joint, z_label, subset)
-        rhs += distance_from_uniform_on(proj, z_label) ** 2
-    rhs *= 1 << min(d, m)
-    slack = rhs - lhs
-    return LemmaVerdict("L2.5", slack >= 0, slack,
+    m, d = joint.part_width(z_label), joint.part_width(e_label)
+    sub = joint.marginal([z_label, *(lbl for lbl in joint.labels()
+                                     if lbl != z_label)])
+    num, den = sub.numerators.reshape(1 << m, -1), sub.denominator
+    lhs = Fraction(excess_over_uniform(num.ravel(), np.arange(num.size)
+                                       % num.shape[1], m), den << m) ** 2
+    odd = np.bitwise_count(np.arange(1, 1 << m)[:, None] & np.arange(1 << m)) & 1
+    tests = np.abs(2 * (odd @ num) - num.sum(axis=0))
+    rhs = Fraction(sum(e * e for e in tests.sum(axis=1).tolist()) << min(d, m),
+                   (2 * den) ** 2)
+    return LemmaVerdict("L2.5", rhs >= lhs, rhs - lhs,
                         {"lhs_sq": lhs, "rhs": rhs})
 
 

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive (dict counting, Fractions, no
-numpy beyond the gadget search's random stream, no shared code with the
-package) so that an agreement between these functions and the package's
-fast paths is meaningful.
+numpy beyond the random streams of the gadget search and the sampled
+oracle, no shared code with the package) so that an agreement between
+these functions and the package's fast paths is meaningful.
 """
 
 import itertools
@@ -229,6 +229,93 @@ def naive_joint_tv(p: dict, q: dict) -> Fraction:
                 for k in keys
                 if p.get(k, Fraction(0)) > q.get(k, Fraction(0))),
                Fraction(0))
+
+
+# ----------------------------------------------------------------------
+# Lemma checks and the sampled two-source oracle, one atom or draw at a
+# time.  A joint is ``parts`` (a list of (label, width)) and ``atoms``, a
+# dict from per-part value tuples to masses (Fractions, or floats).
+# ----------------------------------------------------------------------
+
+def _bits(p) -> float:
+    """-log2 p, for an exact p by the reduced fraction's two logs."""
+    if isinstance(p, float):
+        return -math.log2(p)
+    p = Fraction(p)
+    return math.log2(p.denominator) - math.log2(p.numerator)
+
+
+def _collect(atoms: dict, key) -> dict:
+    out = {}
+    for vals, p in atoms.items():
+        out[key(vals)] = out.get(key(vals), 0) + p
+    return out
+
+
+def naive_lemma_condition(parts, atoms, eps, target="X", given="Y"):
+    """Min-entropy conditioning (L2.2) by dict sums: ``(good, threshold,
+    per_y)``, ``good`` being the mass of the values y with H(X|Y=y) >=
+    H(X) - |Y| - log2(1/eps), and ``per_y`` each positive-mass y's
+    H(X|Y=y)."""
+    labels = [lbl for lbl, _ in parts]
+    t, g = labels.index(target), labels.index(given)
+    px = _collect(atoms, lambda v: v[t])
+    pxy = _collect(atoms, lambda v: (v[t], v[g]))
+    py = _collect(atoms, lambda v: v[g])
+    threshold = _bits(max(px.values())) - dict(parts)[given] - math.log2(1 / eps)
+    good, per_y = 0, {}
+    for y in sorted(py):
+        if py[y] > 0:
+            top = max(pxy.get((x, y), 0) for x in px)
+            per_y[y] = _bits(top / py[y] if isinstance(top, float)
+                             else Fraction(top) / py[y])
+            if per_y[y] >= threshold - 1e-9:
+                good += py[y]
+    return good, threshold, per_y
+
+
+def naive_xor_lemma(parts, atoms, z="Z", e="E"):
+    """Both sides of the XOR lemma by dict sums over Fractions: ``(lhs,
+    rhs)``, lhs the squared distance of (Z, rest) from (uniform, rest),
+    rhs 2^min(|E|, |Z|) times the sum over nonempty masks r of the
+    squared distance of (parity(r & Z), rest)."""
+    labels = [lbl for lbl, _ in parts]
+    i = labels.index(z)
+    m, d = dict(parts)[z], dict(parts)[e]
+
+    def dist(f, width):
+        cells = _collect(atoms, lambda v: (f(v[i]), v[:i] + v[i + 1:]))
+        return naive_tv_from_uniform(cells, 1, width)
+
+    lhs = dist(lambda v: v, m) ** 2
+    rhs = sum(dist(lambda v, r=r: parity(v & r), 1) ** 2
+              for r in range(1, 1 << m)) * (1 << min(d, m))
+    return lhs, rhs
+
+
+def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
+    """The sampled two-source oracle, draw by draw: the same Philox
+    ``choice`` draws (S1 then S2 per sample), each pair's exact error by
+    dict counting, and the 99% bootstrap of the maximum over 200
+    resamples, one ``integers`` draw each.  Returns ``(error, ci,
+    supports)``: the largest error as a float and the last draw
+    attaining it."""
+    import numpy as np  # the oracle's random streams, nothing else
+
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    errs, best = [], None
+    for _ in range(samples):
+        s1 = sorted(int(v) for v in rng.choice(1 << n1, 1 << k1, replace=False))
+        s2 = sorted(int(v) for v in rng.choice(1 << n2, 1 << k2, replace=False))
+        errs.append(float(naive_instance_error(
+            fn, m, [s1, s2], () if strong is None else (strong,))))
+        if best is None or errs[-1] >= errs[best[0]]:
+            best = (len(errs) - 1, [s1, s2])
+    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0x5EED))
+    maxes = [max(errs[int(j)] for j in rng.integers(0, samples, size=samples))
+             for _ in range(200)]
+    lo, hi = np.percentile(maxes, [50 * (1 - 0.99), 100 - 50 * (1 - 0.99)])
+    return max(errs), (float(lo), float(hi)), best[1]
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,9 @@ def test_search_budget_charges_the_scored_subsets():
     ("and-disperser", {"l": 4, "r": 4, "d": 2, "delta": 0.5}, "'gamma'"),
     ("extractor-graph", {"l": 4, "r": 4, "d": 2, "eps": 0.25}, "'K'"),
     ("extractor-graph", {"l": 4, "r": 4, "d": 2, "K": 1}, "'eps'"),
+    # rounded set sizes of 0: refused before any draw, as the verifier does
+    ("expander", {"l": 10, "r": 10, "d": 3, "beta": 0.0}, "beta too small"),
+    ("expander", {"l": 10, "r": 10, "d": 3, "beta": -0.5}, "beta too small"),
 ])
 def test_search_input_errors_are_typed(kind, params, name):
     with pytest.raises(InvalidInputError, match=name):

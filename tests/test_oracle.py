@@ -22,11 +22,12 @@ from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
 from extractomat.sources import FlatSource
 
 from helpers_naive import (flat_supports, naive_instance_error,
+                           naive_lemma_condition, naive_sampled_2source,
                            naive_tv_from_uniform, naive_worst_2source,
                            naive_worst_block_general,
                            naive_worst_leaked_2source,
                            naive_worst_leaked_seeded, naive_worst_multi,
-                           naive_worst_seeded, parity)
+                           naive_worst_seeded, naive_xor_lemma, parity)
 
 
 def _identity_2source(n):
@@ -477,6 +478,61 @@ def test_lemma_25_on_random_joints():
         assert v.ok and v.slack >= 0
 
 
+def _random_atoms(rng, parts, denom=64, skip=None):
+    """Random masses count / denom on every value tuple, none where
+    ``skip`` (label, value) holds."""
+    labels = [lbl for lbl, _ in parts]
+    keys = [v for v in itertools.product(*(range(1 << w) for _, w in parts))
+            if skip is None or v[labels.index(skip[0])] != skip[1]]
+    counts = rng.multinomial(denom, rng.dirichlet(np.ones(len(keys)) / 2))
+    return {v: Fraction(int(c), denom) for v, c in zip(keys, counts) if c}
+
+
+def _lemma_joints(rng, first, second):
+    """Tiny joints for the lemma cross-checks: both widths in {1, 2, 3},
+    with a third part, with the parts reversed, and with a zero-mass
+    value of the second part."""
+    for w1, w2 in itertools.product((1, 2, 3), repeat=2):
+        parts = [(first, w1), (second, w2)]
+        yield parts, _random_atoms(rng, parts)
+        yield parts[::-1], _random_atoms(rng, parts[::-1], denom=1000)
+        three = parts + [("W", 1)]
+        yield three, _random_atoms(rng, three, denom=3 ** 5)
+        yield parts, _random_atoms(rng, parts, skip=(second, 0))
+
+
+def test_lemma_22_matches_naive():
+    rng = np.random.default_rng(20)
+    for parts, atoms in _lemma_joints(rng, "X", "Y"):
+        for eps in (0.125, 0.25, 0.5):
+            v = check_lemma("L2.2", joint=JointDistribution.from_atoms(
+                parts, atoms), eps=eps)
+            good, threshold, per_y = naive_lemma_condition(parts, atoms, eps)
+            assert v.details == {"threshold_bits": threshold,
+                                 "per_y_entropy": per_y}
+            assert Fraction(v.slack) == Fraction(float(good) - (1 - eps))
+            assert v.ok == (float(good) >= 1 - eps - 1e-12)
+    # float mode: dyadic masses, so every float sum is exact
+    parts = [("X", 3), ("Y", 2)]
+    atoms = {k: float(p) for k, p in _random_atoms(rng, parts, 256).items()}
+    v = check_lemma("L2.2", joint=JointDistribution.from_atoms(
+        parts, atoms, exact=False), eps=0.25)
+    good, threshold, per_y = naive_lemma_condition(parts, atoms, 0.25)
+    assert v.details["threshold_bits"] == pytest.approx(threshold, rel=1e-12)
+    assert v.details["per_y_entropy"] == pytest.approx(per_y, rel=1e-12)
+    assert v.slack == pytest.approx(good - 0.75, abs=1e-12)
+
+
+def test_lemma_25_matches_naive():
+    rng = np.random.default_rng(21)
+    for parts, atoms in _lemma_joints(rng, "Z", "E"):
+        v = check_lemma("L2.5", joint=JointDistribution.from_atoms(parts,
+                                                                   atoms))
+        lhs, rhs = naive_xor_lemma(parts, atoms)
+        assert v.details == {"lhs_sq": lhs, "rhs": rhs}
+        assert v.slack == rhs - lhs and v.ok == (rhs >= lhs)
+
+
 def test_lemma_81_interface():
     v = check_lemma("L8.1", set_error=Fraction(1, 4),
                     individual_errors=[Fraction(1, 8), Fraction(1, 5)])
@@ -659,13 +715,19 @@ def test_leak_budgets_count_patterns_on_the_support():
     assert refused.value.required == 864
 
 
-def test_sampled_two_source_max_is_its_witness_error():
+def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
+    # a small chunk splits both the draws and the bootstrap rows
+    monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 100)
     rng = np.random.default_rng(47)
-    for trial in range(8):
-        widths = ((3, 3), (2, 3), (3, 2), (4, 3))[trial % 4]
-        m = 1 + trial // 4
+    for trial in range(10):
+        widths = ((3, 3), (2, 3), (3, 2), (4, 3), (2, 2))[trial % 5]
+        m = 1 + trial // 5
         ks = tuple(int(rng.integers(1, n)) for n in widths)
         h, fn = _random_table(rng, widths, m)
+        if trial % 5 == 4:  # constant table: every draw ties at the max
+            h = table_handle("c", "2-source", widths, m,
+                             np.zeros(1 << sum(widths), np.uint32))
+            fn = lambda *xs: 0  # noqa: E731
         for strong in (None, 0, 1):
             rep = worst_case_error_2source(h, *ks, strong, mode="sampled",
                                            samples=20, seed=trial)
@@ -673,6 +735,13 @@ def test_sampled_two_source_max_is_its_witness_error():
             assert rep.mode == "sampled" and isinstance(rep.error, float)
             assert Fraction(rep.error) == _witness_error(fn, m, rep.witness,
                                                          revealed)
+            err, ci, supports = naive_sampled_2source(
+                fn, *widths, m, *ks, strong, 20, trial)
+            assert (rep.error, rep.ci) == (err, ci)
+            assert rep.witness == {"supports": supports, "strong": strong}
+    for samples in (0, -3):
+        with pytest.raises(InvalidInputError, match="samples"):
+            worst_case_error_2source(h, 1, 1, mode="sampled", samples=samples)
 
 
 def test_kernel_falls_back_to_supports_past_the_event_count():
