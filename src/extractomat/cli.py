@@ -158,12 +158,10 @@ def _write_text(path: Path, text: str):
 
 def _default(obj):
     from fractions import Fraction
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (Fraction, np.floating)):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"not serializable: {type(obj)}")
@@ -367,13 +365,21 @@ def cmd_netsim(args) -> int:
 
     tally, t0 = Counter(), time.perf_counter()
     if args.exact:
-        rep = ns.evaluate_security(proto_key, cfg, sources, scenario, adv,
-                                   target_set, mode="exact", tally=tally)
+        lift = None
+        if protocol == "geqr" and adv_kind == "qr-analog":
+            rep, ir, bits = ns.ir_to_qr(cfg, sources, scenario, adv,
+                                        target_set, tally=tally)
+            lift = {"rushing_bits": bits, "ir_distance": float(ir),
+                    "qr_distance": float(rep.distance),
+                    "bound": float(ir) * (1 << bits),
+                    "holds": rep.distance <= ir * (1 << bits)}
+        else:
+            rep = ns.evaluate_security(proto_key, cfg, sources, scenario, adv,
+                                       target_set, mode="exact", tally=tally)
         report["exact_distance"] = float(rep.distance)
         report["effective_set"] = list(rep.effective_set)
-        if protocol == "geqr" and adv_kind == "qr-analog":
-            report["ir_to_qr"] = _geqr_ir_baseline(ns, cfg, sources, scenario,
-                                                   adv, target_set, rep, tally)
+        if lift:
+            report["ir_to_qr"] = lift
         rows = [{"player": " ".join(map(str, rep.effective_set)),
                  "distance": float(rep.distance), "mode": "exact"}]
     else:
@@ -426,29 +432,6 @@ def _builtin_adversary(kind: str, cfg, protocol: str):
         faulty, lambda pid, rnd, view, side: sum(side.values()) * 0x55)
 
 
-def _geqr_ir_baseline(ns, cfg, sources, scenario, adv, target_set, qr_rep,
-                      tally):
-    """Exact QR distance against the best constant-slice IR attack."""
-    from fractions import Fraction
-    faulty_groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
-                     if any(p in adv.initial_faulty for p in grp)]
-    width = cfg.geqr_slice * len(faulty_groups)
-    best, mask = Fraction(0), (1 << cfg.geqr_slice) - 1
-    for r in range(1 << width):
-        slices = {gi: (r >> (width - (i + 1) * cfg.geqr_slice)) & mask
-                  for i, gi in enumerate(faulty_groups)}
-        ir = ns.AdversaryStrategy.forced_slice(adv.initial_faulty, slices)
-        rep = ns.evaluate_security("geqr", cfg, sources, scenario, ir,
-                                   target_set, mode="exact", tally=tally)
-        best = max(best, Fraction(rep.distance))
-    factor = 1 << width
-    return {"rushing_bits": width,
-            "ir_distance": float(best),
-            "qr_distance": float(qr_rep.distance),
-            "bound": float(best) * factor,
-            "holds": Fraction(qr_rep.distance) <= factor * best}
-
-
 def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
     """Certify the gadget slots a toy config needs and wire the graphs.
 
@@ -460,13 +443,12 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
     from . import certify as cert
     from .graphs import BipartiteGraph
     from .netsim import GadgetSet, NetworkConfig
-    p = params.get("p", 7)
-    t = params.get("t", 1)
-    n = params.get("n", 6)
-    k = params.get("k", 4)
-    alpha = params.get("alpha", 2.0)
-    delta = params.get("delta", 0.25)
+    t, n, k = params.get("t", 1), params.get("n", 6), params.get("k", 4)
     seed = params.get("seed", 0)
+    sizing = dict(p=params.get("p", 7), t=t, n=n, k=k, seed=seed,
+                  alpha=params.get("alpha", 2.0),
+                  delta=params.get("delta", 0.25),
+                  a_size=params.get("a_size"), b_size=params.get("b_size"))
     cert_samples = params.get("cert_samples", 400)
     digests = []
 
@@ -486,18 +468,12 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         qtext = table(12, (n, s * slice_w), (k, min(k, s * slice_w)),
                       min(2, n), kind="2-source", strong=(1,))
         gadgets = GadgetSet(iext=iext, qtext=qtext)
-        cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=alpha, delta=delta,
-                            gadgets=gadgets, geqr_group=group, geqr_s=s,
-                            seed=seed,
-                            a_size=params.get("a_size"),
-                            b_size=params.get("b_size"))
+        cfg = NetworkConfig(**sizing, gadgets=gadgets, geqr_group=group,
+                            geqr_s=s)
         cfg.validate_geqr()
         return cfg, digests
 
-    cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=alpha, delta=delta,
-                        gamma=params.get("gamma", 0.75), seed=seed,
-                        a_size=params.get("a_size"),
-                        b_size=params.get("b_size"))
+    cfg = NetworkConfig(**sizing, gamma=params.get("gamma", 0.75))
     sw = cfg.slice_width
     m1 = 4
     a = cfg.a_size

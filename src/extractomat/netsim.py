@@ -152,10 +152,8 @@ class NetworkConfig:
         if self.a_size + self.b_size >= self.p:
             raise InvalidInputError(
                 "partition leaves no outer players: |A|+|B| >= p")
-        need = [("iext", g.iext), ("srext", g.srext),
-                ("and_disperser", g.and_disperser), ("expander", g.expander)]
-        for nm, slot in need:
-            if slot is None:
+        for nm in ("iext", "srext", "and_disperser", "expander"):
+            if getattr(g, nm) is None:
                 raise InvalidInputError(f"gadget slot {nm} is empty")
         if g.and_disperser.r != self.a_size:
             raise InvalidInputError(
@@ -275,7 +273,6 @@ class ProtocolRun:
     good_left_count: int = 0
     rounds_interactive: int = 0
     rounds_total: int = 0  # set when a non-interactive step follows
-    callbacks: int = 0  # rushing-callback calls, one per distinct view
 
     def rushing_order_ok(self) -> bool:
         """True iff in every round all honest commits precede all faulty."""
@@ -343,13 +340,15 @@ class Batch:
         return [col for *_, payload, _ in self.rounds[:upto]
                 for col in payload.T]
 
-    def transcript(self, j: int) -> tuple:
-        """World ``j``'s ``(round, sender, payload)`` triples in commit
-        order."""
-        return tuple((rnd, senders[k], sent[k])
-                     for rnd, senders, _, payload, late in self.rounds
-                     for sent, lt in [(payload[j].tolist(), late[j].tolist())]
-                     for k in sorted(range(len(senders)), key=lt.__getitem__))
+    def transcripts(self, rows) -> list:
+        """Worlds ``rows``' (round, sender, payload) triples, commit order."""
+        out = [()] * len(rows)
+        for rnd, senders, _, payload, late in self.rounds:
+            out = [tr + tuple((rnd, senders[k], sent[k]) for k in sorted(
+                range(len(senders)), key=lt.__getitem__))
+                for tr, sent, lt in zip(out, payload[rows].tolist(),
+                                        late[rows].tolist())]
+        return out
 
     def play(self, rnd: int, senders, width: int, adv: AdversaryStrategy,
              honest: np.ndarray | None = None) -> np.ndarray:
@@ -370,21 +369,20 @@ class Batch:
                 if rows.size == 0:
                     continue
                 ids, first = row_ids((col[rows] for col in keys), rows.size)
-                msgs = [adv.message(pid, rnd, self._view(j, senders, width,
-                                                         honest, late),
-                                    {i: int(c[j]) for i, c in self.side.items()})
-                        & ((1 << width) - 1)
-                        for j in rows[first].tolist()]
+                sel = rows[first]
+                cols = [col[sel].tolist() for col in self.side.values()]
+                msgs = [adv.message(pid, rnd, {
+                    "transcript": tr,
+                    "round_honest": tuple([(s, v, width) for s, v, lt
+                                           in zip(senders, hon, lts) if not lt])},
+                    dict(zip(self.side, side))) & ((1 << width) - 1)
+                    for tr, hon, lts, side in zip(
+                        self.transcripts(sel), honest[sel].tolist(),
+                        late[sel].tolist(), zip(*cols) if cols else [()] * sel.size)]
                 payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
                 self.callbacks += first.size
         self.rounds.append((rnd, tuple(senders), width, payload, late))
         return payload
-
-    def _view(self, j, senders, width, honest, late) -> dict:
-        return {"transcript": self.transcript(j),
-                "round_honest": tuple((pid, int(honest[j, k]), width)
-                                      for k, pid in enumerate(senders)
-                                      if not late[j, k])}
 
     def corrupt(self, adv: AdversaryStrategy, t_bound: int, rnd_done: int):
         """Adaptive corruption after round ``rnd_done``: the trigger runs once
@@ -395,9 +393,9 @@ class Batch:
         n, p = self.faulty.shape
         tid, tfirst = row_ids(self.transcript_columns(), n)
         named = np.zeros((tfirst.size, p), dtype=bool)
-        for g, j in enumerate(tfirst.tolist()):
-            named[g, [i - 1 for i in map(int, adv.trigger(
-                rnd_done, self.transcript(j))) if 0 < i <= p]] = True
+        for g, tr in enumerate(self.transcripts(tfirst)):
+            named[g, [i - 1 for i in map(int, adv.trigger(rnd_done, tr))
+                      if 0 < i <= p]] = True
         for k in np.flatnonzero(named.any(axis=0)):  # ascending player ids
             self.faulty[:, k] |= (named[tid, k]
                                   & (self.faulty.sum(axis=1) < t_bound))
@@ -602,15 +600,18 @@ def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int, tally):
         scenario.leak_columns(xs, a, tally)
 
 
-def _run_protocol(protocol: str, cfg, xs, adv, side) -> Batch:
+def _run_protocol(protocol: str, cfg, xs, adv, side, tally) -> Batch:
     if protocol in ("ext_pub", "ext_pub_only"):  # ext_pub_only: no private step
         b = exec_ext_pub(cfg, xs, adv, side)
         if protocol == "ext_pub":
             exec_ext_pri(cfg, b)
-        return b
-    if protocol == "geqr":
-        return exec_geqr(cfg, xs, adv, side)
-    raise InvalidInputError(f"unknown protocol {protocol!r}")
+    elif protocol == "geqr":
+        b = exec_geqr(cfg, xs, adv, side)
+    else:
+        raise InvalidInputError(f"unknown protocol {protocol!r}")
+    if tally is not None:
+        tally.update(worlds=len(b.xs), adversary_calls=b.callbacks)
+    return b
 
 
 def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
@@ -623,7 +624,6 @@ def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
     probability ``weights[j] / den``.  ``n_runs=None`` enumerates every
     source/leak world exactly; else ``n_runs`` worlds keyed by ``seed``.
     ``tally`` adds up the worlds, leak-map calls and rushing callbacks."""
-    tally = Counter() if tally is None else tally
     if len(sources) != cfg.p:
         raise InvalidInputError("one source per player required")
     scenario = scenario or LeakageScenario.trivial([cfg.n] * cfg.p)
@@ -640,9 +640,7 @@ def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
         den, weights, xs, _, es = _draw_worlds(sources, scenario, shared,
                                                n_runs, seed, tally)
     side = {i + 1: es[:, c] for c, i in enumerate(scenario.leaky)}
-    b = _run_protocol(protocol, cfg, xs, adv, side)
-    tally.update(worlds=len(weights), adversary_calls=b.callbacks)
-    return den, weights, b
+    return den, weights, _run_protocol(protocol, cfg, xs, adv, side, tally)
 
 
 # ----------------------------------------------------------------------
@@ -675,15 +673,21 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
     Exact mode executes the protocol on every source/leak combination and
     measures the joint with rational arithmetic; sampled mode runs an
     ensemble of ``n_runs`` worlds keyed by ``seed`` and returns the
-    plug-in estimate with its bootstrap CI.  ``S'`` is the requested set
-    minus the players that are faulty or without output in the first run.
-    """
+    plug-in estimate with its bootstrap spread, not a CI for the distance.
+    ``S'`` is ``player_set`` minus the players faulty or without output
+    in the first run."""
+    exact = mode == "exact"
+    return _security(protocol, cfg, player_set, *protocol_runs(
+        protocol, cfg, sources, scenario, adv, shared=shared,
+        n_runs=None if exact else n_runs, seed=seed, tally=tally),
+        exact, tol, seed, tally)
+
+
+def _security(protocol, cfg, player_set, den, weights, b, exact=True,
+              tol=None, seed=None, tally=None) -> SecurityReport:
+    """:func:`evaluate_security` of the runs in batch ``b``."""
     player_set = tuple(sorted(set(player_set)))
     m_out = output_width(cfg, protocol)
-    exact = mode == "exact"
-    den, weights, b = protocol_runs(
-        protocol, cfg, sources, scenario, adv, shared=shared,
-        n_runs=None if exact else n_runs, seed=seed, tally=tally)
     out = b.outputs
     s_prime = tuple(pid for pid in player_set if 0 < pid <= cfg.p
                     and not b.faulty[0, pid - 1] and out[0, pid - 1] >= 0)
@@ -701,6 +705,25 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
         distance = _estimate(z, rest, part_w, tol, seed, tally)
     return SecurityReport("exact" if exact else "sampled", distance,
                           player_set, s_prime, part_w, len(weights))
+
+
+def ir_to_qr(cfg, sources, scenario, adv, player_set, *, shared=None,
+             tally=None) -> tuple:
+    """Exact geqr security under the QR-analog attack ``adv`` and under
+    the worst IR attack pinning the slices of the groups it corrupts to
+    constants, on one enumeration of the worlds: ``(qr_report,
+    ir_distance, rushing_bits)``."""
+    den, weights, b = protocol_runs("geqr", cfg, sources, scenario, adv,
+                                    shared=shared, tally=tally)
+    groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
+              if adv.initial_faulty.intersection(grp)]
+    sw, width = cfg.geqr_slice, b.rushing_width
+    ir = max(_security("geqr", cfg, player_set, den, weights, _run_protocol(
+        "geqr", cfg, b.xs, AdversaryStrategy.forced_slice(adv.initial_faulty, {
+            gi: (r >> (width - (i + 1) * sw)) & ((1 << sw) - 1)
+            for i, gi in enumerate(groups)}), b.side, tally)).distance
+        for r in range(1 << width))
+    return _security("geqr", cfg, player_set, den, weights, b), ir, width
 
 
 def strong_player_error(protocol: str, cfg: NetworkConfig, sources,

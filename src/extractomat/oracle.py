@@ -130,8 +130,11 @@ def _chunks(supports, size: int, chunk: int):
         yield block.reshape(-1, size)
 
 
-def _sample_supports(space: int, size: int, samples: int,
-                     rng: np.random.Generator):
+def _sample_supports(space: int, size: int, samples: int, key: int):
+    """``samples`` random ``size``-point supports, from Philox(key=key)."""
+    if samples < 1:
+        raise InvalidInputError("sampled mode needs samples >= 1")
+    rng = np.random.default_rng(np.random.Philox(key=key))
     out = []
     for _ in range(samples):
         pick = rng.choice(space, size=size, replace=False)
@@ -449,8 +452,7 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
                        else "seeded enumeration")
         supports = itertools.combinations(range(1 << n), K)
     else:
-        rng = np.random.default_rng(np.random.Philox(key=seed))
-        supports = _sample_supports(1 << n, K, samples, rng)
+        supports = _sample_supports(1 << n, K, samples, seed)
     # M per hit of (x, leak e) in cell (seed, e, z), or (e, z) if marginal
     ind = M * _cell_indicator(table2d.T, M, B)
     if not strong:
@@ -518,11 +520,11 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
             _charge_budget(required, budget, "leaked two-source enumeration")
         else:
             exhaustive = False
-            rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xA1))
-            supports2 = _sample_supports(1 << n_leak, Ks[i_star], samples, rng)
+            supports2 = _sample_supports(1 << n_leak, Ks[i_star], samples,
+                                         seed ^ 0xA1)
             if strong is None:
-                rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB2))
-                supports1 = _sample_supports(1 << n_sel, Ks[sel], samples, rng)
+                supports1 = _sample_supports(1 << n_sel, Ks[sel], samples,
+                                             seed ^ 0xB2)
         num, supports, leak_map, configs, scored, kernel = _selected_worst(
             table2d, Ks, m, strong, i_star, supports2=supports2,
             supports1=supports1, b=b, maps=map_array)
@@ -658,8 +660,7 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
         _charge_budget(required, budget, "block+general enumeration")
         supports3 = itertools.combinations(range(1 << n3), K3)
     else:
-        rng = np.random.default_rng(np.random.Philox(key=seed))
-        supports3 = _sample_supports(1 << n3, K3, samples, rng)
+        supports3 = _sample_supports(1 << n3, K3, samples, seed)
     den, M = K1 * K2 * K3 << m, 1 << m
     by_x3 = np.ascontiguousarray(tbl.transpose(2, 0, 1))
     nums, best = [], None

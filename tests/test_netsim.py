@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,9 @@ from extractomat.graphs import BipartiteGraph
 from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, exec_ext_pri, exec_ext_pub,
-                                exec_geqr, output_width, parse_config_text,
-                                protocol_runs, run_ext_pub, run_geqr,
-                                strong_player_error)
+                                exec_geqr, ir_to_qr, output_width,
+                                parse_config_text, protocol_runs, run_ext_pub,
+                                run_geqr, strong_player_error)
 from extractomat.sources import FlatSource
 from helpers_naive import (naive_protocol_worlds, naive_security,
                            naive_strong_error)
@@ -164,7 +165,7 @@ def test_ir_strategy_cannot_see_side_information(toy_cfg):
     adv = AdversaryStrategy.ir({1}, rushing)
     b1 = exec_ext_pub(toy_cfg, [[1] * 7], adv, side={7: np.array([0])})
     b2 = exec_ext_pub(toy_cfg, [[1] * 7], adv, side={7: np.array([3])})
-    assert b1.transcript(0) == b2.transcript(0)
+    assert b1.transcripts([0]) == b2.transcripts([0])
     assert all(keys == ["round_honest", "transcript"] for keys in calls)
 
 
@@ -323,7 +324,7 @@ def test_batch_of_one_is_deterministic_in_its_seed(micro_geqr):
                              n_runs=1, seed=12)
     outputs3 = {pid: None if v < 0 else v
                 for pid, v in enumerate(b3.outputs[0].tolist(), start=1)}
-    assert r1.transcript_key() == r2.transcript_key() == b3.transcript(0)
+    assert r1.transcript_key() == r2.transcript_key() == b3.transcripts([0])[0]
     assert r1.outputs == r2.outputs == outputs3
 
 
@@ -464,8 +465,67 @@ def _parity_leak(x, a):
     return (x ^ a) & 1
 
 
+def _low_bit(x, a):
+    return x & 1
+
+
+def _high_bit(x, a):
+    return x >> 2
+
+
+# ----------------------------------------------------------------------
+# the exact IR-to-QR comparison
+# ----------------------------------------------------------------------
+
+def test_ir_to_qr_matches_the_per_slice_loop(micro_geqr):
+    # criterion 10's instance: 2-bit rushing, 4 constant-slice attacks
+    sources = [FlatSource(4, range(16)) if pid != 3 else FlatSource(4, [0])
+               for pid in range(1, 6)]
+    scenario = LeakageScenario.oa([4] * 5, 4, lambda x, a: x & 1, 1)
+    qr = AdversaryStrategy.qr_analog(
+        {3}, lambda pid, rnd, view, side: (side.get(5, 0) * 15) & 0xF)
+    tally = Counter()
+    qr_rep, ir, bits = ir_to_qr(micro_geqr, sources, scenario, qr, [5],
+                                tally=tally)
+    ref = evaluate_security("geqr", micro_geqr, sources, scenario, qr, [5])
+    ir_ref = max(evaluate_security(
+        "geqr", micro_geqr, sources, scenario,
+        AdversaryStrategy.forced_slice({3}, {2: r}), [5]).distance
+        for r in range(4))
+    assert bits == 2
+    assert isinstance(qr_rep.distance, Fraction) and isinstance(ir, Fraction)
+    assert (qr_rep.distance, ir) == (ref.distance, ir_ref)
+    assert qr_rep.effective_set == ref.effective_set == (5,)
+    # the worlds are enumerated (and the leak map called) once, and run
+    # under the QR attack and each of the four constant slices
+    assert tally["worlds"] == 5 * 16 ** 4
+    assert tally["leak_calls"] == 16
+
+
+def test_ir_to_qr_matches_naive_per_world():
+    for trial in range(3):
+        rng = np.random.default_rng([trial, 13])
+        cfg = _tiny_geqr(rng)
+        supports = [sorted(rng.choice(8, size=2, replace=False).tolist())
+                    for _ in range(cfg.p)]
+        sources = [FlatSource(cfg.n, sup) for sup in supports]
+        scenario = LeakageScenario.oa([3] * 5, 4, lambda x, a: x & 1, 1)
+        leaks = {5: (lambda x, a: x & 1, 0, 0, 0)}
+        qr = AdversaryStrategy.qr_analog(
+            {3}, lambda pid, rnd, view, side: (
+                side[5] * 3 + sum(v for _, _, v in view["round_honest"])) & 7)
+        spec, m = _naive_spec(cfg, "geqr"), output_width(cfg, "geqr")
+        naive = [naive_security(naive_protocol_worlds(
+            spec, supports, _naive_adv(a), None, leaks), [5], m)
+            for a in [qr] + [AdversaryStrategy.forced_slice({3}, {2: r})
+                             for r in range(2)]]
+        qr_rep, ir, bits = ir_to_qr(cfg, sources, scenario, qr, [5])
+        assert bits == 1
+        assert (qr_rep.distance, ir) == (naive[0], max(naive[1:])), trial
+
+
 @pytest.mark.parametrize("case", ["passive", "forced-slice", "qr-analog",
-                                  "oa-leak", "shared-register",
+                                  "two-leaks", "oa-leak", "shared-register",
                                   "ext-pub-passive", "ext-pub-trigger"])
 def test_exact_security_matches_naive_per_world(case):
     # random tiny instances; every exact value equals the naive per-world
@@ -487,6 +547,15 @@ def test_exact_security_matches_naive_per_world(case):
             adv = AdversaryStrategy.qr_analog(
                 {3}, lambda pid, rnd, view, side: (
                     side[5] * 5 + len(view["round_honest"])
+                    + sum(v for _, _, v in view["round_honest"])) & 7)
+        elif case == "two-leaks":
+            # the side dict holds two columns, players 4 and 5
+            scenario = LeakageScenario((3,) * 5, leak_maps=(
+                None, None, None, _low_bit, _high_bit), e_widths=(0, 0, 0, 1, 1))
+            leaks = {4: (_low_bit, 0, 0, 0), 5: (_high_bit, 0, 0, 0)}
+            adv = AdversaryStrategy.qr_analog(
+                {3}, lambda pid, rnd, view, side: (
+                    side[4] * 3 + side[5] * 5
                     + sum(v for _, _, v in view["round_honest"])) & 7)
         elif case in ("oa-leak", "ext-pub-passive"):
             target = 5 if protocol == "geqr" else 7
@@ -521,6 +590,10 @@ def test_exact_security_matches_naive_per_world(case):
         # the callbacks run once per distinct view, with the same arguments
         assert len(set(calls)) == len(calls)
         assert set(calls) == set(naive_calls)
+        if protocol == "geqr":  # one faulty sender in one round
+            assert calls == list(dict.fromkeys(naive_calls))
+        if case == "two-leaks":
+            assert calls and all(", {4: " in c and ", 5: " in c for c in calls)
         strong = strong_player_error(protocol, cfg, sources, scenario, adv,
                                      target, shared=shared)
         assert strong == naive_strong_error(worlds, target, m), (case, trial)

@@ -744,6 +744,24 @@ def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
             worst_case_error_2source(h, 1, 1, mode="sampled", samples=samples)
 
 
+def test_sampled_seeded_and_block_oracles_refuse_no_samples():
+    rng = np.random.default_rng(48)
+    seeded, _ = _random_table(rng, (3, 2), 1, "seeded")
+    block, _ = _random_table(rng, (2, 2, 2), 1, "t-source")
+    calls = [
+        lambda s: worst_case_error_seeded(seeded, 2, mode="sampled", samples=s),
+        lambda s: worst_case_error_leaked(seeded, (2, 2), 1, mode="sampled",
+                                          samples=s),
+        lambda s: worst_case_error_block_general(block, (1, 1, 1),
+                                                 mode="sampled", samples=s),
+    ]
+    for call in calls:
+        assert call(5).mode == "sampled"
+        for samples in (0, -3):
+            with pytest.raises(InvalidInputError, match="samples"):
+                call(samples)
+
+
 def test_kernel_falls_back_to_supports_past_the_event_count():
     # 2^(2^3) events outnumber the C(8, 4) supports of the selected input;
     # the value is the one the support enumeration always gave.
