@@ -158,10 +158,12 @@ def _write_text(path: Path, text: str):
 
 def _default(obj):
     from fractions import Fraction
-    if isinstance(obj, (Fraction, np.floating)):
+    if isinstance(obj, Fraction):
         return float(obj)
-    if isinstance(obj, np.integer):
+    if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"not serializable: {type(obj)}")
@@ -443,12 +445,13 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
     from . import certify as cert
     from .graphs import BipartiteGraph
     from .netsim import GadgetSet, NetworkConfig
-    t, n, k = params.get("t", 1), params.get("n", 6), params.get("k", 4)
+    p = params.get("p", 7)
+    t = params.get("t", 1)
+    n = params.get("n", 6)
+    k = params.get("k", 4)
+    alpha = params.get("alpha", 2.0)
+    delta = params.get("delta", 0.25)
     seed = params.get("seed", 0)
-    sizing = dict(p=params.get("p", 7), t=t, n=n, k=k, seed=seed,
-                  alpha=params.get("alpha", 2.0),
-                  delta=params.get("delta", 0.25),
-                  a_size=params.get("a_size"), b_size=params.get("b_size"))
     cert_samples = params.get("cert_samples", 400)
     digests = []
 
@@ -468,12 +471,18 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         qtext = table(12, (n, s * slice_w), (k, min(k, s * slice_w)),
                       min(2, n), kind="2-source", strong=(1,))
         gadgets = GadgetSet(iext=iext, qtext=qtext)
-        cfg = NetworkConfig(**sizing, gadgets=gadgets, geqr_group=group,
-                            geqr_s=s)
+        cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=alpha, delta=delta,
+                            gadgets=gadgets, geqr_group=group, geqr_s=s,
+                            seed=seed,
+                            a_size=params.get("a_size"),
+                            b_size=params.get("b_size"))
         cfg.validate_geqr()
         return cfg, digests
 
-    cfg = NetworkConfig(**sizing, gamma=params.get("gamma", 0.75))
+    cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=alpha, delta=delta,
+                        gamma=params.get("gamma", 0.75), seed=seed,
+                        a_size=params.get("a_size"),
+                        b_size=params.get("b_size"))
     sw = cfg.slice_width
     m1 = 4
     a = cfg.a_size

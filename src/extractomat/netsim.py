@@ -152,8 +152,10 @@ class NetworkConfig:
         if self.a_size + self.b_size >= self.p:
             raise InvalidInputError(
                 "partition leaves no outer players: |A|+|B| >= p")
-        for nm in ("iext", "srext", "and_disperser", "expander"):
-            if getattr(g, nm) is None:
+        need = [("iext", g.iext), ("srext", g.srext),
+                ("and_disperser", g.and_disperser), ("expander", g.expander)]
+        for nm, slot in need:
+            if slot is None:
                 raise InvalidInputError(f"gadget slot {nm} is empty")
         if g.and_disperser.r != self.a_size:
             raise InvalidInputError(
@@ -369,16 +371,19 @@ class Batch:
                 if rows.size == 0:
                     continue
                 ids, first = row_ids((col[rows] for col in keys), rows.size)
-                sel = rows[first]
+                sel = rows[first]  # one world per distinct view
                 cols = [col[sel].tolist() for col in self.side.values()]
-                msgs = [adv.message(pid, rnd, {
-                    "transcript": tr,
-                    "round_honest": tuple([(s, v, width) for s, v, lt
-                                           in zip(senders, hon, lts) if not lt])},
-                    dict(zip(self.side, side))) & ((1 << width) - 1)
-                    for tr, hon, lts, side in zip(
-                        self.transcripts(sel), honest[sel].tolist(),
-                        late[sel].tolist(), zip(*cols) if cols else [()] * sel.size)]
+                sides = zip(*cols) if cols else [()] * sel.size
+                msgs = []
+                for tr, hon, lts, side in zip(self.transcripts(sel),
+                                              honest[sel].tolist(),
+                                              late[sel].tolist(), sides):
+                    view = {"transcript": tr,
+                            "round_honest": tuple([(s, v, width) for s, v, lt
+                                                   in zip(senders, hon, lts)
+                                                   if not lt])}
+                    msg = adv.message(pid, rnd, view, dict(zip(self.side, side)))
+                    msgs.append(msg & ((1 << width) - 1))
                 payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
                 self.callbacks += first.size
         self.rounds.append((rnd, tuple(senders), width, payload, late))
@@ -707,23 +712,26 @@ def _security(protocol, cfg, player_set, den, weights, b, exact=True,
                           player_set, s_prime, part_w, len(weights))
 
 
-def ir_to_qr(cfg, sources, scenario, adv, player_set, *, shared=None,
-             tally=None) -> tuple:
+def ir_to_qr(cfg, sources, scenario, adv, player_set, *, tally=None) -> tuple:
     """Exact geqr security under the QR-analog attack ``adv`` and under
     the worst IR attack pinning the slices of the groups it corrupts to
     constants, on one enumeration of the worlds: ``(qr_report,
     ir_distance, rushing_bits)``."""
     den, weights, b = protocol_runs("geqr", cfg, sources, scenario, adv,
-                                    shared=shared, tally=tally)
-    groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
-              if adv.initial_faulty.intersection(grp)]
-    sw, width = cfg.geqr_slice, b.rushing_width
-    ir = max(_security("geqr", cfg, player_set, den, weights, _run_protocol(
-        "geqr", cfg, b.xs, AdversaryStrategy.forced_slice(adv.initial_faulty, {
-            gi: (r >> (width - (i + 1) * sw)) & ((1 << sw) - 1)
-            for i, gi in enumerate(groups)}), b.side, tally)).distance
-        for r in range(1 << width))
-    return _security("geqr", cfg, player_set, den, weights, b), ir, width
+                                    tally=tally)
+    faulty_groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
+                     if any(p in adv.initial_faulty for p in grp)]
+    sw = cfg.geqr_slice
+    width, mask = sw * len(faulty_groups), (1 << sw) - 1
+    ir = []
+    for r in range(1 << width):
+        slices = {gi: (r >> (width - (i + 1) * sw)) & mask
+                  for i, gi in enumerate(faulty_groups)}
+        attack = AdversaryStrategy.forced_slice(adv.initial_faulty, slices)
+        run = _run_protocol("geqr", cfg, b.xs, attack, b.side, tally)
+        rep = _security("geqr", cfg, player_set, den, weights, run)
+        ir.append(rep.distance)
+    return _security("geqr", cfg, player_set, den, weights, b), max(ir), width
 
 
 def strong_player_error(protocol: str, cfg: NetworkConfig, sources,

@@ -492,7 +492,9 @@ def test_ir_to_qr_matches_the_per_slice_loop(micro_geqr):
         "geqr", micro_geqr, sources, scenario,
         AdversaryStrategy.forced_slice({3}, {2: r}), [5]).distance
         for r in range(4))
-    assert bits == 2
+    # the sweep's width is the rushing width the protocol run reports
+    assert bits == 2 == run_geqr(micro_geqr, sources, scenario, qr,
+                                 seed=0).rushing_width
     assert isinstance(qr_rep.distance, Fraction) and isinstance(ir, Fraction)
     assert (qr_rep.distance, ir) == (ref.distance, ir_ref)
     assert qr_rep.effective_set == ref.effective_set == (5,)
