@@ -131,7 +131,6 @@ def certify_random_table(widths, k_profile, m: int, *,
                          strong=(),
                          leak_bits: int = 0,
                          samples: int = _oracle.DEFAULT_SAMPLES,
-                         workers: int = 1,
                          budget: int = _oracle.DEFAULT_BUDGET,
                          cache_dir: Path | None = None,
                          name: str | None = None,
@@ -190,7 +189,7 @@ def certify_random_table(widths, k_profile, m: int, *,
                 k_profile=k_profile, eps=1.0, strong=measured)
             report, strong_reports = _measure(
                 handle, k_profile, measured, leak_bits, mode, samples, seed,
-                workers, budget)
+                budget)
             record = CertificationRecord(
                 digest=digest, kind=kind, widths=widths, k_profile=k_profile,
                 m=m, mode=report.mode, error=float(report.error),
@@ -225,7 +224,7 @@ def _record_matches(rec: CertificationRecord, kind, widths, k_profile, m,
 
 
 def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
-             workers, budget):
+             budget):
     """Headline error plus per-strong-index errors for a fresh table."""
     kind = handle.kind
     if kind == "seeded":
@@ -246,7 +245,7 @@ def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
         else:
             headline = _oracle.worst_case_error_2source(
                 handle, k_profile[0], k_profile[1], None, mode=mode,
-                samples=samples, seed=seed, workers=workers, budget=budget)
+                samples=samples, seed=seed, budget=budget)
         strong_reports = {}
         for i in strong:
             if leak_bits > 0:
@@ -256,7 +255,7 @@ def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
             else:
                 strong_reports[i] = _oracle.worst_case_error_2source(
                     handle, k_profile[0], k_profile[1], i, mode=mode,
-                    samples=samples, seed=seed, workers=workers, budget=budget)
+                    samples=samples, seed=seed, budget=budget)
         return headline, strong_reports
     # t-source: measured via the strong-on-all-but-last composite oracle
     headline = _oracle.worst_case_error_multi(

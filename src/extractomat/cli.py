@@ -193,7 +193,7 @@ def cmd_certify(args) -> int:
     handle, record = cert.certify_random_table(
         widths, ks, args.m, kind=args.kind, mode=args.mode, seed=args.seed,
         target_eps=args.eps, strong=args.strong, leak_bits=args.leak_bits,
-        samples=args.samples, workers=args.threads, cache_dir=args.cache)
+        samples=args.samples, cache_dir=args.cache)
     out_dir = args.out_dir
     report_path = out_dir / f"certify-{record.record_id}.json"
     _write_json(report_path, record.to_json_dict())
@@ -354,30 +354,31 @@ def cmd_netsim(args) -> int:
         out_dir / name for name in ("runs.jsonl", "summary.csv", "report.json"))
 
     if protocol == "extpub":
-        run0, _ = ns.run_ext_pub(cfg, sources, scenario, adv, seed)
-        target_set, proto_key = list(cfg.players_b + cfg.players_c), "ext_pub"
+        target_set = list(cfg.players_b + cfg.players_c)
+        proto_key = "ext_pub" if args.exact else "ext_pub_only"
     else:
-        run0 = ns.run_geqr(cfg, sources, scenario, adv, seed)
         target_set, proto_key = list(cfg.geqr_outer()), "geqr"
-    _write_text(log_path, run0.to_jsonl() + "\n")
-    report["y_width"] = run0.y_width
-    if protocol == "geqr":
-        report["rushing_width"] = run0.rushing_width
-    report["rushing_order_ok"] = run0.rushing_order_ok()
-
     tally, t0 = Counter(), time.perf_counter()
+    den, weights, b = ns.protocol_runs(
+        proto_key, cfg, sources, scenario, adv,
+        n_runs=None if args.exact else runs, seed=seed, tally=tally)
+    _write_text(log_path, b.to_jsonl())
+    report["y_width"] = b.y_width
+    if protocol == "geqr":
+        report["rushing_width"] = b.rushing_width
+    report["rushing_order_ok"] = b.rushing_order_ok()
+
     if args.exact:
         lift = None
         if protocol == "geqr" and adv_kind == "qr-analog":
-            rep, ir, bits = ns.ir_to_qr(cfg, sources, scenario, adv,
-                                        target_set, tally=tally)
+            rep, ir, bits = ns.ir_to_qr(cfg, adv, target_set, den, weights, b,
+                                        tally=tally)
             lift = {"rushing_bits": bits, "ir_distance": float(ir),
                     "qr_distance": float(rep.distance),
                     "bound": float(ir) * (1 << bits),
                     "holds": rep.distance <= ir * (1 << bits)}
         else:
-            rep = ns.evaluate_security(proto_key, cfg, sources, scenario, adv,
-                                       target_set, mode="exact", tally=tally)
+            rep = ns.security(proto_key, cfg, target_set, den, weights, b)
         report["exact_distance"] = float(rep.distance)
         report["effective_set"] = list(rep.effective_set)
         if lift:
@@ -390,16 +391,13 @@ def cmd_netsim(args) -> int:
         tol = max(0.02, 1.001 * (100 * (1 << m) / runs) ** 0.5)
         if protocol == "extpub":
             field = "public_block_quality"
-            mcs = ns.mc_public_block_quality(cfg, sources, scenario, adv,
-                                             n_runs=runs, tol=tol, seed=seed,
+            mcs = ns.mc_public_block_quality(cfg, b, tol=tol, seed=seed,
                                              tally=tally)
         else:
             field = "output_vs_public"
             mcs = ns.player_estimates(
-                proto_key, cfg, sources, scenario, adv,
-                lambda b: {pid: (b.outputs[:, pid - 1], [b.y])
-                           for pid in target_set},
-                m, n_runs=runs, tol=tol, seed=seed, tally=tally)
+                b, {pid: (b.outputs[:, pid - 1], [b.y]) for pid in target_set},
+                m, tol=tol, seed=seed, tally=tally)
         report[field] = {str(pid): rep.to_json_dict()
                          for pid, rep in mcs.items()}
         rows = [{"player": pid, "distance": rep.estimate, "mode": "sampled"}

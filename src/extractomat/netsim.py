@@ -21,21 +21,22 @@ protocol then runs once on the whole :class:`Batch`: honest steps are
 truth-table gathers and shifts on int64 columns, the rushing callback
 runs once per distinct adversary view and a trigger once per distinct
 transcript, and security is measured on cells numbered by ``np.unique``.
+A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run log.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .bits import BitString
 from .dist import Distribution, column_excess, ratio, row_ids
 from .errors import ConstraintViolatedError, InvalidInputError
 from .extractors import ExtractorHandle
@@ -43,8 +44,6 @@ from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
 from .oracle import BOOTSTRAP_RESAMPLES, mc_distance_pairs
 from .sources import FlatSource
-
-BOT = None  # the "no private output" symbol
 
 
 # ----------------------------------------------------------------------
@@ -244,61 +243,18 @@ class AdversaryStrategy:
 # Runs
 # ----------------------------------------------------------------------
 
-@dataclass
-class Message:
-    round: int
-    sender: int
-    payload: int
-    width: int
-    commit_index: int
-    faulty: bool
-
-    def to_json_dict(self):
-        ndigits = (self.width + 3) // 4
-        return {"round": self.round, "sender": self.sender,
-                "message": format(self.payload, f"0{ndigits}x"),
-                "commit": self.commit_index, "faulty": self.faulty}
-
-
-@dataclass
-class ProtocolRun:
-    """One world's run: the log for ``runs.jsonl``, the rushing check."""
-
-    protocol: str
-    seed: int | None
-    messages: list = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
-    faulty: frozenset = frozenset()
-    y: int | None = None
-    y_width: int = 0
-    rushing_width: int = 0
-    good_left_count: int = 0
-    rounds_interactive: int = 0
-    rounds_total: int = 0  # set when a non-interactive step follows
-
-    def rushing_order_ok(self) -> bool:
-        """True iff in every round all honest commits precede all faulty."""
-        for r in {m.round for m in self.messages}:
-            idx = {f: [m.commit_index for m in self.messages
-                       if m.round == r and m.faulty == f] for f in (False, True)}
-            if max(idx[False], default=-1) >= min(idx[True], default=math.inf):
-                return False
-        return True
-
-    def transcript_key(self) -> tuple:
-        return tuple((m.round, m.sender, m.payload) for m in self.messages)
-
-    def to_jsonl(self) -> str:
-        import json
-        return "\n".join(json.dumps(m.to_json_dict()) for m in self.messages)
-
-
 def _concat(cols, width: int, n: int) -> np.ndarray:
     """``n``-long columns of ``width`` bits side by side, first on top."""
     out = np.zeros(n, dtype=np.int64)
     for col in cols:
         out = (out << width) | col
     return out
+
+
+def _commit_order(late: np.ndarray) -> np.ndarray:
+    """The senders of a round in commit order, per world along the last
+    axis: the honest ones, then the faulty (``late``) ones."""
+    return np.argsort(late, axis=-1, kind="stable")
 
 
 @dataclass
@@ -351,6 +307,28 @@ class Batch:
                 for tr, sent, lt in zip(out, payload[rows].tolist(),
                                         late[rows].tolist())]
         return out
+
+    def to_jsonl(self, row: int = 0) -> str:
+        """World ``row``'s messages in commit order, one JSON line each:
+        round, sender, payload in hex, commit index and faulty flag."""
+        lines = []
+        for rnd, senders, width, payload, late in self.rounds:
+            sent, lt = payload[row].tolist(), late[row].tolist()
+            for k in _commit_order(late[row]).tolist():
+                lines.append(json.dumps({
+                    "round": rnd, "sender": senders[k],
+                    "message": format(sent[k], f"0{(width + 3) // 4}x"),
+                    "commit": len(lines), "faulty": lt[k]}))
+        return "\n".join(lines) + "\n"
+
+    def rushing_order_ok(self) -> bool:
+        """True iff in every world and round the commit order puts all
+        honest messages before all faulty ones."""
+        for *_, late in self.rounds:
+            flags = np.take_along_axis(late, _commit_order(late), axis=1)
+            if (flags[:, :-1] > flags[:, 1:]).any():
+                return False
+        return True
 
     def play(self, rnd: int, senders, width: int, adv: AdversaryStrategy,
              honest: np.ndarray | None = None) -> np.ndarray:
@@ -410,25 +388,6 @@ class Batch:
         self.outputs[:, pid - 1] = np.where(
             self.faulty[:, pid - 1], -1,
             h.gather(self.xs[:, pid - 1], y).astype(np.int64))
-
-
-def _protocol_run(protocol: str, b: Batch, seed: int) -> ProtocolRun:
-    """Row 0 of a batch as a run record."""
-    run = ProtocolRun(
-        protocol, seed, y=int(b.y[0]), y_width=b.y_width,
-        faulty=frozenset((np.flatnonzero(b.faulty[0]) + 1).tolist()),
-        rushing_width=b.rushing_width, rounds_interactive=len(b.rounds),
-        rounds_total=b.rounds_total or len(b.rounds),
-        good_left_count=0 if b.good_left is None else int(b.good_left[0]))
-    for rnd, senders, width, payload, late in b.rounds:
-        for k in np.argsort(late[0], kind="stable").tolist():
-            run.messages.append(Message(rnd, senders[k], int(payload[0, k]),
-                                        width, len(run.messages),
-                                        bool(late[0, k])))
-    if b.outputs is not None:
-        run.outputs = {pid: BOT if v < 0 else v
-                       for pid, v in enumerate(b.outputs[0].tolist(), start=1)}
-    return run
 
 
 # ----------------------------------------------------------------------
@@ -516,16 +475,6 @@ def _drop_slices(y, b_size: int, sw: int, index: int):
     return (drop(y >> half_w) << (half_w - sw)) | drop(y & ((1 << half_w) - 1))
 
 
-def run_ext_pub(cfg: NetworkConfig, sources: Sequence, scenario: LeakageScenario,
-                adv: AdversaryStrategy, seed: int, *,
-                shared: Distribution | None = None) -> tuple:
-    """The public block on a sampled ensemble of one: ``(run, y)``."""
-    run = _protocol_run("ext_pub", protocol_runs(
-        "ext_pub_only", cfg, sources, scenario, adv, shared=shared,
-        n_runs=1, seed=seed)[2], seed)
-    return run, BitString(run.y_width, run.y)
-
-
 # ----------------------------------------------------------------------
 # Protocol: one-round grouped extraction
 # ----------------------------------------------------------------------
@@ -568,13 +517,6 @@ def exec_geqr(cfg: NetworkConfig, xs, adv: AdversaryStrategy,
     for pid in cfg.geqr_outer():
         b.private(pid, g.qtext, y)
     return b
-
-
-def run_geqr(cfg, sources, scenario, adv, seed, *,
-             shared: Distribution | None = None) -> ProtocolRun:
-    return _protocol_run("geqr", protocol_runs(
-        "geqr", cfg, sources, scenario, adv, shared=shared, n_runs=1,
-        seed=seed)[2], seed)
 
 
 # ----------------------------------------------------------------------
@@ -680,17 +622,18 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
     ensemble of ``n_runs`` worlds keyed by ``seed`` and returns the
     plug-in estimate with its bootstrap spread, not a CI for the distance.
     ``S'`` is ``player_set`` minus the players faulty or without output
-    in the first run."""
+    in the first world."""
     exact = mode == "exact"
-    return _security(protocol, cfg, player_set, *protocol_runs(
+    return security(protocol, cfg, player_set, *protocol_runs(
         protocol, cfg, sources, scenario, adv, shared=shared,
         n_runs=None if exact else n_runs, seed=seed, tally=tally),
-        exact, tol, seed, tally)
+        exact=exact, tol=tol, seed=seed, tally=tally)
 
 
-def _security(protocol, cfg, player_set, den, weights, b, exact=True,
-              tol=None, seed=None, tally=None) -> SecurityReport:
-    """:func:`evaluate_security` of the runs in batch ``b``."""
+def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
+             tol=None, seed=None, tally=None) -> SecurityReport:
+    """:func:`evaluate_security` of the ensemble ``(den, weights, b)``
+    that :func:`protocol_runs` returns."""
     player_set = tuple(sorted(set(player_set)))
     m_out = output_width(cfg, protocol)
     out = b.outputs
@@ -712,13 +655,11 @@ def _security(protocol, cfg, player_set, den, weights, b, exact=True,
                           player_set, s_prime, part_w, len(weights))
 
 
-def ir_to_qr(cfg, sources, scenario, adv, player_set, *, tally=None) -> tuple:
-    """Exact geqr security under the QR-analog attack ``adv`` and under
-    the worst IR attack pinning the slices of the groups it corrupts to
-    constants, on one enumeration of the worlds: ``(qr_report,
-    ir_distance, rushing_bits)``."""
-    den, weights, b = protocol_runs("geqr", cfg, sources, scenario, adv,
-                                    tally=tally)
+def ir_to_qr(cfg, adv, player_set, den, weights, b, *, tally=None) -> tuple:
+    """Exact geqr security of the enumerated ensemble ``(den, weights,
+    b)`` run under the QR-analog attack ``adv``, and under the worst IR
+    attack pinning the slices of the groups ``adv`` corrupts to constants,
+    run on the same worlds: ``(qr_report, ir_distance, rushing_bits)``."""
     faulty_groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
                      if any(p in adv.initial_faulty for p in grp)]
     sw = cfg.geqr_slice
@@ -729,9 +670,8 @@ def ir_to_qr(cfg, sources, scenario, adv, player_set, *, tally=None) -> tuple:
                   for i, gi in enumerate(faulty_groups)}
         attack = AdversaryStrategy.forced_slice(adv.initial_faulty, slices)
         run = _run_protocol("geqr", cfg, b.xs, attack, b.side, tally)
-        rep = _security("geqr", cfg, player_set, den, weights, run)
-        ir.append(rep.distance)
-    return _security("geqr", cfg, player_set, den, weights, b), max(ir), width
+        ir.append(security("geqr", cfg, player_set, den, weights, run).distance)
+    return security("geqr", cfg, player_set, den, weights, b), max(ir), width
 
 
 def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
@@ -765,44 +705,33 @@ def _estimate(z, rest, m: int, tol: float, seed: int, tally=None):
     return rep
 
 
-def player_estimates(protocol: str, cfg: NetworkConfig, sources, scenario,
-                     adv: AdversaryStrategy, pairs_of: Callable, m: int, *,
-                     n_runs: int, tol: float, seed: int = 0,
-                     shared: Distribution | None = None, tally=None) -> dict:
+def player_estimates(b: Batch, pairs: dict, m: int, *, tol: float,
+                     seed: int = 0, tally=None) -> dict:
     """Per-player Monte-Carlo distance of Z_j from uniform given its rest,
-    from one sampled ensemble: ``pairs_of(batch)`` maps each player to
-    ``(z_j, rest_j)``, a column of ``m``-bit values and a list of columns.
+    on the sampled ensemble ``b``: ``pairs`` maps each player to ``(z_j,
+    rest_j)``, a column of ``m``-bit values and a list of columns.
     Players faulty in any run are skipped."""
-    _, _, b = protocol_runs(protocol, cfg, sources, scenario, adv,
-                            shared=shared, n_runs=n_runs, seed=seed,
-                            tally=tally)
     faulty_seen = b.faulty.any(axis=0)
     return {pid: _estimate(z, rest, m, tol, seed + pid, tally)
-            for pid, (z, rest) in sorted(pairs_of(b).items())
+            for pid, (z, rest) in sorted(pairs.items())
             if not faulty_seen[pid - 1]}
 
 
-def mc_public_block_quality(cfg: NetworkConfig, sources, scenario,
-                            adv: AdversaryStrategy, *, n_runs: int,
-                            tol: float, seed: int = 0,
-                            shared: Distribution | None = None,
-                            tally=None) -> dict:
-    """Per-B-player Monte-Carlo distance of (Y_j, T_1) from uniform x T_1.
+def mc_public_block_quality(cfg: NetworkConfig, b: Batch, *, tol: float,
+                            seed: int = 0, tally=None) -> dict:
+    """Per-B-player Monte-Carlo distance of (Y_j, T_1) from uniform x T_1
+    on the sampled public-block ensemble ``b``.
 
     Y_j is the player's two broadcast slices concatenated; T_1 is the
     first-round transcript.  Faulty B players are skipped.
     """
     sw = cfg.slice_width
-
-    def pairs_of(b):
-        (*_, r2, _), (*_, r3, _) = b.rounds[1:]
-        t1 = b.transcript_columns(1)
-        return {pid: ((r2[:, k] << sw) | r3[:, k], t1)
-                for k, pid in enumerate(cfg.players_b)}
-
-    return player_estimates("ext_pub_only", cfg, sources, scenario, adv,
-                            pairs_of, 2 * sw, n_runs=n_runs, tol=tol,
-                            seed=seed, shared=shared, tally=tally)
+    (*_, r2, _), (*_, r3, _) = b.rounds[1:]
+    t1 = b.transcript_columns(1)
+    return player_estimates(
+        b, {pid: ((r2[:, k] << sw) | r3[:, k], t1)
+            for k, pid in enumerate(cfg.players_b)},
+        2 * sw, tol=tol, seed=seed, tally=tally)
 
 
 # ----------------------------------------------------------------------

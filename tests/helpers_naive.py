@@ -338,8 +338,10 @@ def _lookup(slot, xs) -> int:
     return table[idx]
 
 
-def _naive_round(rnd, senders, honest, width, faulty, adv, transcript, side):
-    """Honest messages first, then each faulty sender's rushing message."""
+def _naive_round(rnd, senders, honest, width, faulty, adv, transcript, side,
+                 log):
+    """Honest messages first, then each faulty sender's rushing message;
+    ``log`` (a list or None) gets (round, sender, payload, faulty) each."""
     round_honest = tuple((s, honest[s], width) for s in senders
                          if s not in faulty)
     sent = {s: honest[s] for s in senders}
@@ -355,6 +357,8 @@ def _naive_round(rnd, senders, honest, width, faulty, adv, transcript, side):
     order = ([s for s in sorted(senders) if s not in faulty]
              + [s for s in sorted(senders) if s in faulty])
     transcript.extend((rnd, s, sent[s]) for s in order)
+    if log is not None:
+        log.extend((rnd, s, sent[s], s in faulty) for s in order)
     return sent
 
 
@@ -367,15 +371,17 @@ def _naive_trigger(adv, rnd, transcript, faulty, t):
         faulty.add(pid)
 
 
-def naive_protocol_run(spec, xs: dict, side: dict, adv) -> tuple:
-    """One world: ``(transcript, outputs, faulty)``; outputs None is BOT."""
+def naive_protocol_run(spec, xs: dict, side: dict, adv, log=None) -> tuple:
+    """One world: ``(transcript, outputs, faulty)``; outputs None is BOT.
+    ``log`` (a list) gets every message as (round, sender, payload,
+    faulty), in commit order."""
     faulty = set(adv["faulty"])
     transcript = []
     outputs = {pid: None for pid in range(1, spec["p"] + 1)}
     if spec["protocol"] == "geqr":
         grouped = [pid for grp in spec["groups"] for pid in grp]
         sent = _naive_round(1, grouped, xs, spec["n"], faulty, adv,
-                            transcript, side)
+                            transcript, side, log)
         w = spec["slice"]
         y = 0
         for gi, grp in enumerate(spec["groups"], start=1):
@@ -391,7 +397,8 @@ def naive_protocol_run(spec, xs: dict, side: dict, adv) -> tuple:
                 outputs[pid] = _lookup(spec["qtext"], [xs[pid], y])
         return tuple(transcript), outputs, faulty
     a_pl, b_pl, sw = spec["A"], spec["B"], spec["sw"]
-    sent = _naive_round(1, a_pl, xs, spec["n"], faulty, adv, transcript, side)
+    sent = _naive_round(1, a_pl, xs, spec["n"], faulty, adv, transcript, side,
+                        log)
     _naive_trigger(adv, 1, transcript, faulty, spec["t"])
     rows = [_lookup(spec["iext"], [sent[a_pl[j]] for j in nb])
             for nb in spec["disperser"]]
@@ -406,7 +413,7 @@ def naive_protocol_run(spec, xs: dict, side: dict, adv) -> tuple:
         shift = spec["srext"][2] - which * sw
         honest = {pid: (part[pid] >> shift) % (1 << sw) for pid in b_pl}
         sent = _naive_round(rnd, b_pl, honest, sw, faulty, adv, transcript,
-                            side)
+                            side, log)
         slices += [sent[pid] for pid in b_pl]
         _naive_trigger(adv, rnd, transcript, faulty, spec["t"])
 

@@ -30,7 +30,7 @@ from extractomat.leakage import LeakageScenario
 from extractomat.ledger import ledger_theorem
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, mc_public_block_quality,
-                                run_ext_pub, strong_player_error)
+                                protocol_runs, strong_player_error)
 from extractomat.oracle import (check_lemma, exact_distance,
                                 worst_case_error_2source,
                                 worst_case_error_block_general,
@@ -246,14 +246,14 @@ def test_criterion_08_ext_pub_quality(cache_dir):
     rng = np.random.default_rng(5)
     sources = [FlatSource.random(6, 4, rng) for _ in range(7)]
     scenario = LeakageScenario.trivial([6] * 7)
-    run, y = run_ext_pub(cfg, sources, scenario, AdversaryStrategy.passive(),
-                         seed=0)
-    assert y.width == 2 * cfg.b_size * math.isqrt(cfg.k)
     n_runs = 100_000
+    _, _, b = protocol_runs("ext_pub_only", cfg, sources, scenario,
+                            AdversaryStrategy.passive(), n_runs=n_runs,
+                            seed=100)
+    assert b.y_width == 2 * cfg.b_size * math.isqrt(cfg.k)
+    assert b.y.min() >= 0 and b.y.max() < 1 << b.y_width
     tol = 1.001 * (100 * (1 << 4) / n_runs) ** 0.5
-    quality = mc_public_block_quality(cfg, sources, scenario,
-                                      AdversaryStrategy.passive(),
-                                      n_runs=n_runs, tol=tol, seed=100)
+    quality = mc_public_block_quality(cfg, b, tol=tol, seed=100)
     eps1 = cfg.gadgets.iext.record.error
     eps2 = cfg.gadgets.srext.record.strong_errors[1]
     elapsed = time.perf_counter() - t0
@@ -279,22 +279,25 @@ def test_criterion_09_rushing_order(cache_dir):
     rng = np.random.default_rng(6)
     sources = [FlatSource.random(6, 4, rng) for _ in range(7)]
     scenario = LeakageScenario.trivial([6] * 7)
-    violations = 0
-    for i in range(10_000):
-        def trigger(rnd_done, transcript, i=i):
-            # transcript-dependent adaptive corruption of one B player
-            if rnd_done == 1:
-                return {4 + (hash(transcript) + i) % 3}
-            return set()
 
-        adv = AdversaryStrategy.ir(
-            set(), lambda p, r, v: sum(x for _, _, x in v["round_honest"]),
-            trigger=trigger)
-        run, _ = run_ext_pub(cfg, sources, scenario, adv, seed=i)
-        if not run.rushing_order_ok():
-            violations += 1
-    assert violations == 0
-    _report(9, "10000 adaptive-corruption runs: zero rushing-order "
+    def trigger(rnd_done, transcript):
+        # transcript-dependent adaptive corruption of one B player (an int
+        # tuple's hash does not depend on the interpreter's hash seed)
+        return {4 + hash(transcript) % 3} if rnd_done == 1 else set()
+
+    adv = AdversaryStrategy.ir(
+        set(), lambda p, r, v: sum(x for _, _, x in v["round_honest"]),
+        trigger=trigger)
+    _, _, b = protocol_runs("ext_pub_only", cfg, sources, scenario, adv,
+                            n_runs=10_000, seed=0)
+    assert b.rushing_order_ok()
+    # every trigger branch ran: players 4, 5 and 6 each turn corrupt in
+    # some world, and the corrupt one sends late in rounds 2 and 3
+    assert b.faulty[:, 3:6].any(axis=0).all()
+    assert (b.faulty.sum(axis=1) == 1).all()
+    assert not b.rounds[0][4].any()
+    assert all((late == b.faulty[:, 3:6]).all() for *_, late in b.rounds[1:])
+    _report(9, "10000 adaptive-corruption worlds: zero rushing-order "
                "violations in the scheduler log")
 
 

@@ -240,6 +240,62 @@ def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
     assert 0 < volatile["estimator_s"] <= volatile["eval_s"]
 
 
+def test_netsim_runs_the_protocol_once_per_request(cache_dir, tmp_path,
+                                                   monkeypatch):
+    import numpy as np
+    from extractomat import cli, netsim
+    from extractomat.leakage import LeakageScenario
+    from extractomat.sources import FlatSource
+    batches = []
+    run_protocol = netsim._run_protocol
+
+    def counted(*args):
+        batches.append(run_protocol(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(netsim, "_run_protocol", counted)
+    toy = tmp_path / "toy.cfg"
+    toy.write_text("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
+                   "seed = 9\ncert_samples = 30\n")
+    micro = tmp_path / "micro.cfg"
+    micro.write_text("p = 5\nt = 1\nn = 3\nk = 3\nalpha = 0.25\nseed = 3\n"
+                     "protocol = geqr\n")
+    for name, argv, runs in [
+            ("extpub", ["--config", str(toy), "--runs", "300"], 300),
+            ("geqr", ["--config", str(micro), "--runs", "300"], 300),
+            ("exact", ["--config", str(micro), "--adv", "qr-analog",
+                       "--exact"], None)]:
+        batches.clear()
+        out = tmp_path / name
+        assert run_cli(["netsim", *argv], cache_dir, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        lift = report.get("ir_to_qr")
+        # one protocol run, plus one per constant slice for the IR sweep
+        assert len(batches) == 1 + (1 << lift["rushing_bits"] if lift else 0)
+        assert report["rushing_order_ok"]
+        assert report["y_width"] == batches[0].y_width
+        # the log is world 0 of the measured ensemble, which the same
+        # inputs give again outside the CLI
+        params = netsim.parse_config_text(Path(argv[1]).read_text())
+        protocol = params.get("protocol", "extpub")
+        cfg, _ = cli.build_toy_network(params, cache_dir=cache_dir,
+                                       protocol=protocol)
+        rng = np.random.default_rng(np.random.Philox(key=params["seed"]))
+        sources = [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
+        adv = cli._builtin_adversary(report["adversary"], cfg, protocol)
+        scenario = None
+        if lift:
+            sources = [FlatSource(cfg.n, [0]) if pid in adv.initial_faulty
+                       else src for pid, src in enumerate(sources, start=1)]
+            scenario = LeakageScenario.oa([cfg.n] * cfg.p,
+                                          cfg.geqr_outer()[0] - 1,
+                                          lambda x, a: x & 1, 1)
+        key = {"extpub": "ext_pub_only", "geqr": "geqr"}[protocol]
+        _, _, b = netsim.protocol_runs(key, cfg, sources, scenario, adv,
+                                       n_runs=runs, seed=params["seed"])
+        assert (out / "runs.jsonl").read_text() == b.to_jsonl(0), name
+
+
 def test_parser_reuse_matches_fresh_calls(cache_dir, tmp_path, capsys):
     from extractomat import cli
     requests = [

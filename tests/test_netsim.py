@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -14,11 +15,11 @@ from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, exec_ext_pri, exec_ext_pub,
                                 exec_geqr, ir_to_qr, output_width,
-                                parse_config_text, protocol_runs, run_ext_pub,
-                                run_geqr, strong_player_error)
+                                parse_config_text, protocol_runs,
+                                strong_player_error)
 from extractomat.sources import FlatSource
-from helpers_naive import (naive_protocol_worlds, naive_security,
-                           naive_strong_error)
+from helpers_naive import (naive_protocol_run, naive_protocol_worlds,
+                           naive_security, naive_strong_error)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,18 @@ def micro_geqr(cache_dir):
 def _toy_sources(cfg, seed=5):
     rng = np.random.default_rng(seed)
     return [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
+
+
+def _one_run(protocol, cfg, sources, adv, seed):
+    """The batch of one world drawn at ``seed``."""
+    return protocol_runs(protocol, cfg, sources, None, adv, n_runs=1,
+                         seed=seed)[2]
+
+
+def _late(b, rnd):
+    """Round ``rnd``'s senders and world 0's faulty flags."""
+    _, senders, _, _, late = b.rounds[rnd - 1]
+    return dict(zip(senders, late[0].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -96,44 +109,44 @@ def test_config_text_parser():
 
 def test_run_is_deterministic(toy_cfg):
     sources = _toy_sources(toy_cfg)
-    sc = LeakageScenario.trivial([6] * 7)
     adv = AdversaryStrategy.passive()
-    r1, y1 = run_ext_pub(toy_cfg, sources, sc, adv, seed=42)
-    r2, y2 = run_ext_pub(toy_cfg, sources, sc, adv, seed=42)
-    assert r1.transcript_key() == r2.transcript_key()
-    assert y1 == y2
-    r3, _ = run_ext_pub(toy_cfg, sources, sc, adv, seed=43)
-    assert r3.transcript_key() != r1.transcript_key()
+    b1 = _one_run("ext_pub", toy_cfg, sources, adv, seed=42)
+    b2 = _one_run("ext_pub", toy_cfg, sources, adv, seed=42)
+    assert b1.transcripts([0]) == b2.transcripts([0])
+    assert b1.y.tolist() == b2.y.tolist()
+    assert b1.outputs.tolist() == b2.outputs.tolist()
+    b3 = _one_run("ext_pub", toy_cfg, sources, adv, seed=43)
+    assert b3.transcripts([0]) != b1.transcripts([0])
 
 
 def test_y_width_and_round_structure(toy_cfg):
     sources = _toy_sources(toy_cfg)
-    run, y = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
-                         AdversaryStrategy.passive(), seed=1)
-    assert y.width == 2 * toy_cfg.b_size * toy_cfg.slice_width
-    rounds = {m.round for m in run.messages}
-    assert rounds == {1, 2, 3}
-    assert run.rounds_interactive == 3
-    assert run.good_left_count == toy_cfg.gadgets.and_disperser.l
+    b = _one_run("ext_pub", toy_cfg, sources, AdversaryStrategy.passive(), 1)
+    assert b.y_width == 2 * toy_cfg.b_size * toy_cfg.slice_width
+    assert 0 <= b.y[0] < 1 << b.y_width
+    assert [rnd for rnd, *_ in b.rounds] == [1, 2, 3]
+    assert b.good_left[0] == toy_cfg.gadgets.and_disperser.l
 
 
 def test_rushing_order_enforced_with_faulty(toy_cfg):
     sources = _toy_sources(toy_cfg)
     adv = AdversaryStrategy.ir(
         {1}, lambda pid, rnd, view: sum(v for _, _, v in view["round_honest"]))
-    run, _ = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
-                         adv, seed=2)
-    assert run.rushing_order_ok()
-    assert any(m.faulty for m in run.messages if m.round == 1)
+    b = _one_run("ext_pub", toy_cfg, sources, adv, seed=2)
+    assert b.rushing_order_ok()
+    assert _late(b, 1) == {1: True, 2: False, 3: False}
+    # the log commits player 1's rushing message after the honest ones
+    log = [json.loads(line) for line in b.to_jsonl().splitlines()]
+    assert [(m["sender"], m["faulty"]) for m in log[:3]] == [
+        (2, False), (3, False), (1, True)]
 
 
 def test_good_left_set_nonempty_under_corruption(toy_cfg):
     sources = _toy_sources(toy_cfg)
     for faulty in (1, 2, 3):
         adv = AdversaryStrategy.ir({faulty}, lambda p, r, v: 0)
-        run, _ = run_ext_pub(toy_cfg, sources,
-                             LeakageScenario.trivial([6] * 7), adv, seed=3)
-        assert run.good_left_count >= 1
+        b = _one_run("ext_pub", toy_cfg, sources, adv, seed=3)
+        assert b.good_left[0] >= 1
 
 
 def test_adaptive_corruption_takes_effect_next_round(toy_cfg):
@@ -143,12 +156,10 @@ def test_adaptive_corruption_takes_effect_next_round(toy_cfg):
         return {4} if rnd_done == 1 else set()
 
     adv = AdversaryStrategy.ir(set(), lambda p, r, v: 0, trigger=trigger)
-    run, _ = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
-                         adv, seed=4)
-    assert not any(m.faulty for m in run.messages if m.round == 1)
-    assert any(m.faulty and m.sender == 4 for m in run.messages
-               if m.round in (2, 3))
-    assert run.rushing_order_ok()
+    b = _one_run("ext_pub", toy_cfg, sources, adv, seed=4)
+    assert not any(_late(b, 1).values())
+    assert _late(b, 2) == _late(b, 3) == {4: True, 5: False, 6: False}
+    assert b.rushing_order_ok()
 
 
 def test_ir_strategy_cannot_see_side_information(toy_cfg):
@@ -188,14 +199,13 @@ def test_ext_pri_excludes_own_slices(toy_cfg):
 def test_geqr_structure_and_rushing_width(micro_geqr):
     cfg = micro_geqr
     sources = [FlatSource(4, range(16)) for _ in range(5)]
-    sc = LeakageScenario.trivial([4] * 5)
-    run = run_geqr(cfg, sources, sc, AdversaryStrategy.passive(), seed=7)
-    assert run.y_width == cfg.geqr_s * cfg.geqr_slice == 4
-    assert run.rushing_width == 0
-    assert run.outputs[1] is None and run.outputs[5] is not None
+    b = _one_run("geqr", cfg, sources, AdversaryStrategy.passive(), seed=7)
+    assert b.y_width == cfg.geqr_s * cfg.geqr_slice == 4
+    assert b.rushing_width == 0
+    assert b.outputs[0, 0] == -1 and b.outputs[0, 4] >= 0  # BOT, output
     adv = AdversaryStrategy.ir({3}, lambda p, r, v: 0)
-    run2 = run_geqr(cfg, sources, sc, adv, seed=7)
-    assert run2.rushing_width == cfg.geqr_slice * 1  # one faulty group
+    b2 = _one_run("geqr", cfg, sources, adv, seed=7)
+    assert b2.rushing_width == cfg.geqr_slice * 1  # one faulty group
 
 
 def test_geqr_all_honest_y_is_deterministic(micro_geqr):
@@ -316,26 +326,24 @@ def test_drawn_values_lie_in_support(micro_geqr):
 
 def test_batch_of_one_is_deterministic_in_its_seed(micro_geqr):
     sources = [FlatSource(4, range(16)) for _ in range(5)]
-    sc = LeakageScenario.trivial([4] * 5)
     adv = AdversaryStrategy.passive()
-    r1 = run_geqr(micro_geqr, sources, sc, adv, seed=12)
-    r2 = run_geqr(micro_geqr, sources, sc, adv, seed=12)
-    _, _, b3 = protocol_runs("geqr", micro_geqr, sources, sc, adv,
-                             n_runs=1, seed=12)
-    outputs3 = {pid: None if v < 0 else v
-                for pid, v in enumerate(b3.outputs[0].tolist(), start=1)}
-    assert r1.transcript_key() == r2.transcript_key() == b3.transcripts([0])[0]
-    assert r1.outputs == r2.outputs == outputs3
+    b1, b2 = (_one_run("geqr", micro_geqr, sources, adv, seed=12)
+              for _ in range(2))
+    assert b1.transcripts([0]) == b2.transcripts([0])
+    assert b1.to_jsonl() == b2.to_jsonl()
+    assert b1.outputs.tolist() == b2.outputs.tolist()
+    # world 0 of a larger ensemble at the same seed is drawn from the
+    # same stream, one N-vector per source
+    b3 = protocol_runs("geqr", micro_geqr, sources, None, adv, n_runs=2,
+                       seed=12)[2]
+    assert b3.xs[0, 0] == b1.xs[0, 0]
 
 
 def test_round_counts_reported_both_ways(toy_cfg):
     sources = _toy_sources(toy_cfg)
-    run, _ = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
-                         AdversaryStrategy.passive(), seed=9)
-    assert run.rounds_interactive == 3
-    _, _, b = protocol_runs("ext_pub_only", toy_cfg, sources,
-                            LeakageScenario.trivial([6] * 7),
-                            AdversaryStrategy.passive(), n_runs=1, seed=9)
+    b = _one_run("ext_pub_only", toy_cfg, sources,
+                 AdversaryStrategy.passive(), seed=9)
+    assert len(b.rounds) == 3 and b.rounds_total == 0
     exec_ext_pri(toy_cfg, b)
     # the private extraction adds no interaction but may be counted as a
     # round depending on presentation; both numbers are available
@@ -375,18 +383,6 @@ def test_micro_ext_pri_exact_within_budget(cache_dir):
                  + cfg.b_size * (g.iext.record.error
                                  + g.srext.record.strong_errors[1]))
     assert float(err) <= budget
-
-
-def test_run_log_jsonl(toy_cfg):
-    sources = _toy_sources(toy_cfg)
-    run, _ = run_ext_pub(toy_cfg, sources, LeakageScenario.trivial([6] * 7),
-                         AdversaryStrategy.passive(), seed=8)
-    import json
-    lines = [json.loads(line) for line in run.to_jsonl().splitlines()]
-    assert all({"round", "sender", "message", "commit", "faulty"} <= set(l)
-               for l in lines)
-    commits = [l["commit"] for l in lines]
-    assert commits == sorted(commits)
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +469,43 @@ def _high_bit(x, a):
     return x >> 2
 
 
+def test_run_log_jsonl():
+    # random rows of a toy extpub and a micro geqr batch under an IR
+    # rushing function with an adaptive trigger: each row's log holds the
+    # naive per-world run's messages, in commit order
+    def rushing(pid, rnd, view):
+        return len(view["transcript"]) + rnd * pid + sum(
+            v for _, _, v in view["round_honest"])
+
+    def trigger(rnd_done, transcript):
+        return {4 + hash(transcript) % 3} if rnd_done == 1 else set()
+
+    for trial in range(3):
+        rng = np.random.default_rng([trial, 37])
+        for cfg, protocol, faulty in ((_tiny_ext_pub(rng), "ext_pub", ()),
+                                      (_tiny_geqr(rng), "geqr", {3})):
+            supports = [sorted(rng.choice(8, size=2, replace=False).tolist())
+                        for _ in range(cfg.p)]
+            adv = AdversaryStrategy.ir(faulty, rushing, trigger=trigger)
+            b = protocol_runs(protocol, cfg, [FlatSource(cfg.n, sup)
+                                              for sup in supports],
+                              None, adv, n_runs=300, seed=trial)[2]
+            assert b.rushing_order_ok()
+            spec = _naive_spec(cfg, protocol)
+            for row in rng.choice(300, size=8, replace=False).tolist():
+                log = [json.loads(line)
+                       for line in b.to_jsonl(row).splitlines()]
+                naive = []
+                naive_protocol_run(spec, dict(enumerate(b.xs[row].tolist(),
+                                                        start=1)),
+                                   {}, _naive_adv(adv), naive)
+                assert [m["commit"] for m in log] == list(range(len(log)))
+                assert [(m["round"], m["sender"], int(m["message"], 16),
+                         m["faulty"]) for m in log] == naive, (trial, row)
+                if protocol == "geqr":
+                    assert all(len(m["message"]) == 1 for m in log)
+
+
 # ----------------------------------------------------------------------
 # the exact IR-to-QR comparison
 # ----------------------------------------------------------------------
@@ -485,7 +518,9 @@ def test_ir_to_qr_matches_the_per_slice_loop(micro_geqr):
     qr = AdversaryStrategy.qr_analog(
         {3}, lambda pid, rnd, view, side: (side.get(5, 0) * 15) & 0xF)
     tally = Counter()
-    qr_rep, ir, bits = ir_to_qr(micro_geqr, sources, scenario, qr, [5],
+    den, weights, b = protocol_runs("geqr", micro_geqr, sources, scenario, qr,
+                                    tally=tally)
+    qr_rep, ir, bits = ir_to_qr(micro_geqr, qr, [5], den, weights, b,
                                 tally=tally)
     ref = evaluate_security("geqr", micro_geqr, sources, scenario, qr, [5])
     ir_ref = max(evaluate_security(
@@ -493,8 +528,7 @@ def test_ir_to_qr_matches_the_per_slice_loop(micro_geqr):
         AdversaryStrategy.forced_slice({3}, {2: r}), [5]).distance
         for r in range(4))
     # the sweep's width is the rushing width the protocol run reports
-    assert bits == 2 == run_geqr(micro_geqr, sources, scenario, qr,
-                                 seed=0).rushing_width
+    assert bits == 2 == b.rushing_width
     assert isinstance(qr_rep.distance, Fraction) and isinstance(ir, Fraction)
     assert (qr_rep.distance, ir) == (ref.distance, ir_ref)
     assert qr_rep.effective_set == ref.effective_set == (5,)
@@ -521,7 +555,8 @@ def test_ir_to_qr_matches_naive_per_world():
             spec, supports, _naive_adv(a), None, leaks), [5], m)
             for a in [qr] + [AdversaryStrategy.forced_slice({3}, {2: r})
                              for r in range(2)]]
-        qr_rep, ir, bits = ir_to_qr(cfg, sources, scenario, qr, [5])
+        qr_rep, ir, bits = ir_to_qr(cfg, qr, [5], *protocol_runs(
+            "geqr", cfg, sources, scenario, qr))
         assert bits == 1
         assert (qr_rep.distance, ir) == (naive[0], max(naive[1:])), trial
 
