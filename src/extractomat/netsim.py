@@ -253,8 +253,11 @@ def _concat(cols, width: int, n: int) -> np.ndarray:
 
 def _commit_order(late: np.ndarray) -> np.ndarray:
     """The senders of a round in commit order, per world along the last
-    axis: the honest ones, then the faulty (``late``) ones."""
-    return np.argsort(late, axis=-1, kind="stable")
+    axis: the honest ones, then the faulty (``late``) ones, each in sender
+    order.  The keys are distinct, which a quicksort keeps in sender order
+    several times faster than a stable sort of the flags alone."""
+    k = late.shape[-1]
+    return np.argsort(late * k + np.arange(k), axis=-1)
 
 
 @dataclass
