@@ -254,8 +254,8 @@ def _concat(cols, width: int, n: int) -> np.ndarray:
 def _commit_order(late: np.ndarray) -> np.ndarray:
     """The senders of a round in commit order, per world along the last
     axis: the honest ones, then the faulty (``late``) ones, each in sender
-    order.  The keys are distinct, which a quicksort keeps in sender order
-    several times faster than a stable sort of the flags alone."""
+    order.  The keys ``late * k + position`` are distinct, so the default
+    sort keeps sender order, several times faster than a stable sort."""
     k = late.shape[-1]
     return np.argsort(late * k + np.arange(k), axis=-1)
 
