@@ -12,14 +12,18 @@ sizes ``K_i`` every probability is an integer count over a common
 denominator, so distances reduce to exact int64 sums and the final
 error is a ``Fraction``.
 
-The two-source, leaked and multi-source oracles use the event form:
-the distance is the max over output events T of P(Z in T) - |T|/2^m, so
-with the enumerated support S2 fixed (and a leak pattern on it: a leak
-map matters only on the support), the best S1 per event is the top-K1
-rows of sum_{z in T} (2^m #{y in S2 : Ext(x, y) = z} - K2).  Each such S1
-is scored exactly, so every numerator is a real witness's value; where
-events outnumber the S1 supports, those are scored instead.  Ties go to
-the lowest-rank S2, then to the first candidate scored.
+The two-source, leaked, seeded and multi-source oracles use the event
+form: the distance is the max over output events T of P(Z in T) -
+|T|/2^m, so with the enumerated support S2 fixed (and a leak pattern on
+it: a leak map matters only on the support), the best S1 per event is
+the top-K1 rows of sum_{z in T} (2^m #{y in S2 : Ext(x, y) = z} - K2).
+Each such S1 is scored exactly, so every numerator is a real witness's
+value; where events outnumber the S1 supports, those are scored
+instead.  Ties go to the lowest-rank S2, then to the first candidate
+scored.  A seeded extractor is a two-source one with a uniform second
+input, so the seeded oracle runs the same kernel, ``_selected_worst``,
+with the seed selected at full size; the multi-source oracle shares
+only its cell counts.
 
 Sampled mode draws random flat supports and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
@@ -135,23 +139,31 @@ def _sample_supports(space: int, size: int, samples: int, key: int):
     if samples < 1:
         raise InvalidInputError("sampled mode needs samples >= 1")
     rng = np.random.default_rng(np.random.Philox(key=key))
-    out = []
-    for _ in range(samples):
-        pick = rng.choice(space, size=size, replace=False)
-        out.append(tuple(sorted(int(v) for v in pick)))
-    return out
+    return [tuple(sorted(int(v) for v in rng.choice(space, size, replace=False)))
+            for _ in range(samples)]
 
 
-def _charge_budget(required: int, budget: int, what: str):
-    if required > budget:
-        raise BudgetExceededError(required, budget, what)
-
-
-def _check_map_bits(b: int):
-    if b > EXHAUSTIVE_MAP_BITS_CAP:
+def _leak_maps(maps, b: int, widths=()):
+    """``(maps, b)`` of a leak family: with no ``maps``, every ``b``-bit
+    pattern (``b`` capped); else ``maps`` as one int64 array of 1-D
+    integer maps >= 0 over the whole domain of the leaking inputs (of
+    ``widths`` bits), with ``b`` widened to the bits their values use."""
+    if maps is None:
+        if b > EXHAUSTIVE_MAP_BITS_CAP:
+            raise InvalidInputError(
+                f"exhaustive leakage families cap e-width at "
+                f"{EXHAUSTIVE_MAP_BITS_CAP}; pass an explicit map list instead")
+        return None, b
+    arrays = [np.asarray(f) for f in maps]
+    shapes = {a.shape for a in arrays} | {(1 << w,) for w in widths}
+    if not arrays or len(shapes) > 1 or len(arrays[0].shape) != 1 or not all(
+            a.dtype.kind in "iu" and a.size and a.min() >= 0 for a in arrays):
         raise InvalidInputError(
-            f"exhaustive leakage families cap e-width at "
-            f"{EXHAUSTIVE_MAP_BITS_CAP}; pass an explicit map list instead")
+            "leak maps must be a non-empty list of integer arrays >= 0 over "
+            "the leaking input's domain (name one input in leak_sources "
+            "when their widths differ)")
+    maps = np.array(arrays, dtype=np.int64)
+    return maps, max(b, int(maps.max()).bit_length())
 
 
 def _leak_patterns(b: int, size: int) -> np.ndarray:
@@ -162,12 +174,13 @@ def _leak_patterns(b: int, size: int) -> np.ndarray:
 
 
 def _cell_indicator(table2d, M: int, B: int) -> np.ndarray:
-    """0/1 int64 matrix, entry (y*B + e, (x*B + e)*M + z) set iff T[x, y]
-    = z: column y with leak e counts in cell (z, e) of row x."""
+    """M-scaled int64 matrix with cells before rows: entry (y*B + e,
+    (e*M + z)*rows + x) is M iff T[x, y] = z, so column y with leak e
+    counts M in cell (z, e) of row x."""
     rows, cols = table2d.shape
-    hot = (table2d.T[:, :, None] == np.arange(M)).astype(np.int64)
-    return np.einsum("yxz,ef->yexfz", hot, np.eye(B, dtype=np.int64)
-                     ).reshape(cols * B, rows * B * M)
+    hot = M * (table2d.T[:, None, :] == np.arange(M)[:, None]).astype(np.int64)
+    return np.einsum("yzx,ef->yefzx", hot, np.eye(B, dtype=np.int64)
+                     ).reshape(cols * B, B * M * rows)
 
 
 def _onehot(supports, space: int) -> np.ndarray:
@@ -188,36 +201,43 @@ def _top_rows(score, K: int) -> np.ndarray:
 
 
 def _cell_counts(ind, block, leak, M: int, B: int):
-    """Per-row counts of the configurations (support in ``block`` (c, K),
-    leak row in ``leak`` (c or 1, P, K)), support-major: ``cnt[i, x, z +
-    M*e]`` = #{y in S : T[x, y] = z, leak e}, and ``me[i, z + M*e]`` =
-    #{y in S : leak e}."""
-    c, P = len(block), leak.shape[1]
-    hot = _onehot((B * block[:, None] + leak).reshape(c * P, -1), len(ind))
-    me = hot.reshape(c * P, -1, B).sum(axis=1)
-    return (hot @ ind).reshape(c * P, -1, M * B), np.repeat(me, M, axis=1)
+    """Per-cell counts of the configurations (support in ``block`` (c, K),
+    leak row in ``leak`` (c or 1, P, K)), support-major, summed over the
+    support's indicator rows: ``cnt[i, z + M*e, x]`` = M #{y in S : T[x,
+    y] = z, leak e}, and ``me[i, z + M*e]`` = #{y in S : leak e}."""
+    idx = B * block[:, None] + leak
+    cnt = ind[idx[..., 0]]
+    for j in range(1, idx.shape[2]):
+        cnt += ind[idx[..., j]]
+    me = (leak[..., None] == np.arange(M * B) // M).sum(axis=2)
+    return (cnt.reshape(-1, M * B, ind.shape[1] // (M * B)),
+            me.repeat(len(block) // len(me), axis=0).reshape(-1, M * B))
 
 
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
-                    supports1=None, b=0, maps=None):
+                    supports1=None, b=0, maps=None, maxima=False):
     """Exact max of the numerator over supports S2 of input ``enum``
     (default all), leak rows on S2 (every ``b``-bit pattern, or the rows
     of the ``maps`` array) and supports S1 of the other input, which
     ``strong`` (None or its index) may reveal.  Returns ``(num,
-    supports, leak_map or None, configurations, candidates, kernel)``."""
+    supports, leak_map or None, configurations, candidates, kernel,
+    maxima)``, the last being each S2's maximum when ``maxima`` is set
+    (for the bootstrap of a sampled run) and None otherwise."""
     if enum == 0:
         table2d = table2d.T
     K1, K2 = Ks[1 - enum], Ks[enum]
     rows, cols = table2d.shape
     M = 1 << m
-    if maps is None:
-        pats = _leak_patterns(b, K2)[None]
-        B, P = 1 << b, pats.shape[1]
-    else:
-        B, P = 1 << max(b, int(maps.max()).bit_length()), len(maps)
+    B, P = 1 << b, 1 << b * K2 if maps is None else len(maps)
+    pats = _leak_patterns(b, K2)[None] if maps is None else None
     J = M * B
-    if strong is not None:
-        kernel, Q = "events", 1
+    ind = _cell_indicator(table2d, M, B)
+    whole, ref = K1 == rows, 1  # whole: S1 is every row, one candidate
+    if strong is not None or whole:
+        kernel, Q = "supports" if strong is None else "events", 1
+        chosen = np.ones((1, 1, rows), np.int64)
+        if strong is None:  # the one S1 counted as a single row
+            ind, ref = ind.reshape(len(ind), J, rows).sum(axis=2), K1
     elif supports1 is None and 1 << J <= math.comb(rows, K1):
         kernel = "events"
         events = (np.arange(1, (1 << J) - 1)[:, None] >> np.arange(J)) & 1
@@ -228,25 +248,29 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
             supports1 = itertools.combinations(range(rows), K1)
         chosen = _onehot(list(supports1), rows)[None]
         Q = chosen.shape[1]
-    chunk = max(1, CHUNK_ENTRIES // (P * max(cols * B, rows * max(Q, J))))
-    ind = _cell_indicator(table2d, M, B)
-    best, configs = None, 0
+    width = ind.shape[1] // J
+    chunk = max(1, CHUNK_ENTRIES // (P * max(J * width, Q * max(width, J))))
+    best, configs, per = None, 0, [] if maxima else None
     if supports2 is None:
         supports2 = itertools.combinations(range(cols), K2)
     for block in _chunks(supports2, K2, chunk):
         leak = pats if maps is None else maps[:, block].transpose(1, 0, 2)
         cnt, me = _cell_counts(ind, block, leak, M, B)
-        excess = M * cnt - me[:, None, :]
-        if strong is not None:
-            score = np.maximum(excess, 0).sum(axis=2)[:, None]
+        excess = cnt - ref * me[:, :, None]
+        if whole:
+            vals = np.maximum(excess, 0, out=excess).sum(axis=(1, 2))[:, None]
+        elif strong is not None:
+            score = np.maximum(excess, 0).sum(axis=1)[:, None]
             chosen = _top_rows(score, K1)
             vals = (chosen * score).sum(axis=2)
         else:
             if kernel == "events":
-                chosen = _top_rows((excess @ events.T).transpose(0, 2, 1), K1)
-            vals = np.maximum(M * (chosen @ cnt) - K1 * me[:, None], 0).sum(
-                axis=2)
+                chosen = _top_rows(events @ excess, K1)
+            vals = np.maximum(cnt @ chosen.transpose(0, 2, 1)
+                              - K1 * me[:, :, None], 0).sum(axis=1)
         configs += len(vals)
+        if maxima:
+            per.extend(vals.reshape(len(block), -1).max(axis=1).tolist())
         i = int(np.argmax(vals))
         if best is None or vals.flat[i] > best[0]:
             ci, q = divmod(i, Q)
@@ -258,7 +282,7 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
                 np.bincount(s2, pats[0, p], minlength=cols).astype(int).tolist())
     supports = [s1, s2.tolist()]
     return (num, supports if enum else supports[::-1], leak_map, configs,
-            configs * Q, kernel)
+            configs * Q, kernel, per)
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +316,10 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     K1, K2 = 1 << k1, 1 << k2
     t0 = time.perf_counter()
     required = math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
-    mode = _resolve_mode(mode, required, budget)
-    if mode == "exhaustive":
-        _charge_budget(required, budget, "two-source enumeration")
+    if _resolve_mode(mode, required, budget,
+                     "two-source enumeration") == "exhaustive":
         table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2)
-        num, supports, _, enumerated, cands, kernel = _selected_worst(
+        num, supports, _, enumerated, cands, kernel, _ = _selected_worst(
             table2d, (K1, K2), h.m, strong, 0 if strong == 1 else 1)
         rep = OracleReport("exhaustive", Fraction(num, K1 * K2 << h.m),
                            witness={"supports": supports, "strong": strong},
@@ -308,11 +331,15 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     return rep
 
 
-def _resolve_mode(mode: str, required: int, budget: int) -> str:
+def _resolve_mode(mode: str, required: int, budget: int, what: str) -> str:
+    """The mode an ``auto`` request runs in; an exhaustive run of
+    ``what`` must fit the budget."""
     if mode == "auto":
-        return "exhaustive" if required <= budget else "sampled"
+        mode = "exhaustive" if required <= budget else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise InvalidInputError("mode must be exhaustive, sampled or auto")
+    if mode == "exhaustive" and required > budget:
+        raise BudgetExceededError(required, budget, what)
     return mode
 
 
@@ -416,9 +443,13 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
             samples=samples, seed=seed, budget=budget)
     t0 = time.perf_counter()
     if h.kind == "seeded":
+        maps, b = _leak_maps(maps, b, h.input_widths[:1])
         rep = _seeded_worst(h, _check_k(k_profile[0]), b, bool(strong), maps,
                             mode, samples, seed, budget)
     elif h.arity == 2:
+        leak_sources = list(leak_sources) if leak_sources is not None else [0, 1]
+        maps, b = _leak_maps(maps, b, [h.input_widths[i] for i in leak_sources
+                                       if i != strong])
         rep = _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                               mode, samples, seed, budget)
     else:
@@ -430,60 +461,34 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
 
 
 def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
-    """Seeded worst case, exact in int64, over flat supports and every
-    ``b``-bit leak pattern on each support (a leak map matters only
-    there; ``b=0`` is leak-free), or the rows of an explicit ``maps``
-    list.  ``strong`` counts per seed, jointly with the seed."""
+    """Seeded worst case on the shared kernel: the source is the
+    enumerated input, with every ``b``-bit leak pattern on its support (a
+    leak map matters only there; ``b=0`` is leak-free) or the rows of the
+    ``maps`` array, and the seed is the selected input at full size,
+    revealed when ``strong``."""
     n, d = h.input_widths
-    K, M = 1 << k, 1 << h.m
-    table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
+    K = 1 << k
     leaky = b > 0 or maps is not None
-    if maps is None:
-        _check_map_bits(b)
-        pats = _leak_patterns(b, K)[None]
-        B, P = 1 << b, pats.shape[1]
-    else:
-        maps = np.array([np.asarray(f) for f in maps], dtype=np.int64)
-        B, P = 1 << max(b, int(maps.max()).bit_length()), len(maps)
-    required = math.comb(1 << n, K) * (P if leaky else 1 << d)
-    mode = _resolve_mode(mode, required, budget)
-    if mode == "exhaustive":
-        _charge_budget(required, budget, "leaked seeded enumeration" if leaky
-                       else "seeded enumeration")
-        supports = itertools.combinations(range(1 << n), K)
-    else:
-        supports = _sample_supports(1 << n, K, samples, seed)
-    # M per hit of (x, leak e) in cell (seed, e, z), or (e, z) if marginal
-    ind = M * _cell_indicator(table2d.T, M, B)
-    if not strong:
-        ind = ind.reshape(len(ind), 1 << d, -1).sum(axis=1)
-    cell_leak = np.arange(ind.shape[1]) // M % B
-    chunk = max(1, CHUNK_ENTRIES // (P * ind.shape[1]))
-    best, per_support = None, []
-    for block in _chunks(supports, K, chunk):
-        leak = pats if maps is None else maps[:, block].transpose(1, 0, 2)
-        rows = B * block[:, None] + leak  # (c, P, K)
-        cnt = sum(ind[rows[..., j]] for j in range(K))
-        # M times a cell's uniform share: the size of its leak group
-        ref = (leak[..., None] == cell_leak).sum(axis=2) << (0 if strong else d)
-        vals = np.maximum(cnt - ref, 0).sum(axis=2)
-        per_support.extend(vals.max(axis=1).tolist())
-        i = int(np.argmax(vals))
-        if best is None or vals.flat[i] > best[0]:
-            best = (int(vals.flat[i]), block[i // P], i % P)
-    num, s, p = best
-    witness = {"support": s.tolist()}
+    required = math.comb(1 << n, K) * (
+        (1 << b * K if maps is None else len(maps)) if leaky else 1 << d)
+    mode = _resolve_mode(mode, required, budget, "leaked seeded enumeration"
+                         if leaky else "seeded enumeration")
+    supports = (None if mode == "exhaustive" else
+                _sample_supports(1 << n, K, samples, seed))
+    table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
+    num, (s, _), leak_map, enumerated, cands, kernel, maxima = _selected_worst(
+        table2d, (K, 1 << d), h.m, 1 if strong else None, 0,
+        supports2=supports, b=b, maps=maps, maxima=mode == "sampled")
+    witness = {"support": s}
     if leaky:
-        leak_map = (maps[p] if maps is not None else
-                    np.bincount(s, pats[0, p], minlength=1 << n).astype(int))
-        witness.update(leak_map=leak_map.tolist(), leak_source=0, e_width=b)
-    den, enumerated = K << (d + h.m), len(per_support) * P
-    if mode == "exhaustive":
-        return OracleReport("exhaustive", Fraction(num, den), witness=witness,
-                            enumerated=enumerated)
-    err, ci = _max_with_bootstrap(per_support, den, seed)
-    return OracleReport("sampled", err, witness=witness, enumerated=enumerated,
-                        ci=ci, notes="sampled max: lower bound on worst case")
+        witness.update(leak_map=leak_map, leak_source=0, e_width=b)
+    den = K << (d + h.m)
+    rep = OracleReport(mode, Fraction(num, den), witness=witness,
+                       enumerated=enumerated, kernel=kernel, candidates=cands)
+    if mode == "sampled":
+        rep.error, rep.ci = _max_with_bootstrap(maxima, den, seed)
+        rep.notes = "sampled max: lower bound on worst case"
+    return rep
 
 
 def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
@@ -491,9 +496,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
     widths = h.input_widths
     k1, k2 = _check_k(k_profile[0]), _check_k(k_profile[1])
     Ks = (1 << k1, 1 << k2)
-    m = h.m
-    leak_sources = list(leak_sources) if leak_sources is not None else [0, 1]
-    den = Ks[0] * Ks[1] << m
+    den = Ks[0] * Ks[1] << h.m
     baseline = worst_case_error_2source(
         h, k1, k2, strong, mode=mode, samples=samples, seed=seed, budget=budget)
     best_err = Fraction(baseline.error)
@@ -502,7 +505,6 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                              {baseline.kernel})
     exhaustive = baseline.mode == "exhaustive"
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(-1, 1 << widths[1])
-    map_array = None if maps is None else np.array([np.asarray(f) for f in maps])
     for i_star in leak_sources:
         if strong is not None and i_star == strong:
             # E is a function of the conditioned input: identical to b=0.
@@ -510,24 +512,21 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         # The leaking input is the enumerated one.
         sel = 1 - i_star
         n_leak, n_sel = widths[i_star], widths[sel]
-        if maps is None:
-            _check_map_bits(b)
         n_maps = (1 << b) ** Ks[i_star] if maps is None else len(maps)
         required = math.comb(1 << n_leak, Ks[i_star]) * n_maps * (
             1 if strong is not None else math.comb(1 << n_sel, Ks[sel]))
         supports2 = supports1 = None
-        if _resolve_mode(mode, required, budget) == "exhaustive":
-            _charge_budget(required, budget, "leaked two-source enumeration")
-        else:
+        if _resolve_mode(mode, required, budget,
+                         "leaked two-source enumeration") == "sampled":
             exhaustive = False
             supports2 = _sample_supports(1 << n_leak, Ks[i_star], samples,
                                          seed ^ 0xA1)
             if strong is None:
                 supports1 = _sample_supports(1 << n_sel, Ks[sel], samples,
                                              seed ^ 0xB2)
-        num, supports, leak_map, configs, scored, kernel = _selected_worst(
-            table2d, Ks, m, strong, i_star, supports2=supports2,
-            supports1=supports1, b=b, maps=map_array)
+        num, supports, leak_map, configs, scored, kernel, _ = _selected_worst(
+            table2d, Ks, h.m, strong, i_star, supports2=supports2,
+            supports1=supports1, b=b, maps=maps)
         total, cands = total + configs, cands + scored
         kernels.add(kernel)
         err = Fraction(num, den)
@@ -578,12 +577,11 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     required = (math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
                 * math.comb(1 << n3, K3))
     required *= (1 << b) ** K3  # leak patterns on S3
-    mode = _resolve_mode(mode, required, budget)
-    if mode != "exhaustive":
+    if _resolve_mode(mode, required, budget,
+                     "multi-source enumeration") != "exhaustive":
         raise InvalidInputError(
             "the multi-source oracle is exhaustive-only; shrink the instance")
-    _charge_budget(required, budget, "multi-source enumeration")
-    _check_map_bits(b)
+    _leak_maps(None, b)
     # Enumerate S3, every leak pattern on it (a leak from a strong input
     # adds nothing; pattern 0 is the leak-free case) and the strong input
     # with fewer supports; the other strong support is a top-K selection.
@@ -602,7 +600,7 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     for block in _chunks(itertools.combinations(range(1 << n3), K3), K3,
                          chunk):
         cnt, me = _cell_counts(ind, block, pats[None], M, 1 << b)
-        g = np.maximum(M * cnt - me[:, None, :], 0).sum(axis=2)
+        g = np.maximum(cnt - me[:, :, None], 0).sum(axis=1)
         score = hot1 @ g.reshape(-1, X1, X2)  # (configs, C1, X2)
         chosen = _top_rows(score, K2)
         vals = (chosen * score).sum(axis=2)
@@ -655,9 +653,8 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     t0 = time.perf_counter()
     tbl = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2, 1 << n3)
     required = math.comb(1 << n3, K3)
-    mode = _resolve_mode(mode, required, budget)
+    mode = _resolve_mode(mode, required, budget, "block+general enumeration")
     if mode == "exhaustive":
-        _charge_budget(required, budget, "block+general enumeration")
         supports3 = itertools.combinations(range(1 << n3), K3)
     else:
         supports3 = _sample_supports(1 << n3, K3, samples, seed)

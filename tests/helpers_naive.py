@@ -318,6 +318,41 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
     return max(errs), (float(lo), float(hi)), best[1]
 
 
+def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
+    """The sampled seeded oracle, draw by draw: the same Philox
+    ``choice`` draws as the two-source sampler's S1, one support per
+    sample; each support's largest exact error by dict counting over
+    every ``b``-bit leak value assignment on it (lexicographic, the
+    smallest support element most significant), jointly with the leak
+    and, when ``strong``, the seed; and the 99% bootstrap of the maximum
+    over 200 resamples, one ``integers`` draw each.  Returns ``(error,
+    ci, witness)``: the largest error as a float and the first draw and
+    assignment attaining it."""
+    import numpy as np  # the oracle's random streams, nothing else
+
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    errs, best = [], None
+    for _ in range(samples):
+        s = sorted(int(v) for v in rng.choice(1 << n, 1 << k, replace=False))
+        per = []
+        for values in itertools.product(range(1 << b), repeat=len(s)):
+            f = [0] * (1 << n)
+            for x, v in zip(s, values):
+                f[x] = v
+            per.append(naive_instance_error(
+                fn, m, [s, range(1 << d)], (1,) if strong else (),
+                0 if b else None, f))
+            if best is None or per[-1] > best[0]:
+                best = (per[-1], {"support": s, **({"leak_map": f,
+                        "leak_source": 0, "e_width": b} if b else {})})
+        errs.append(float(max(per)))
+    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0x5EED))
+    maxes = [max(errs[int(j)] for j in rng.integers(0, samples, size=samples))
+             for _ in range(200)]
+    lo, hi = np.percentile(maxes, [50 * (1 - 0.99), 100 - 50 * (1 - 0.99)])
+    return max(errs), (float(lo), float(hi)), best[1]
+
+
 # ----------------------------------------------------------------------
 # Protocols, one world at a time
 # ----------------------------------------------------------------------

@@ -343,3 +343,14 @@ def test_eval_reports_oracle_kernel(tmp_path, capsys):
     assert report["volatile"] == {**report["volatile"], "kernel": "supports",
                                   "candidates": 70}
     assert report["error_exact"] == "1/4"
+    # toeplitz(4; 2): the seed is the selected input, one full support of
+    # it per C(16, 4) source support, revealed unless --marginal.
+    for flag, kernel, error in (([], "events", "3/16"),
+                                (["--marginal"], "supports", "1/8")):
+        assert run_cli_nocache(["eval", "--extractor", "toeplitz", "--n", "4",
+                                "--k", "2", "--m", "1", *flag],
+                               tmp_path / f"c{len(flag)}") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["volatile"] == {**report["volatile"], "kernel": kernel,
+                                      "candidates": 1820}
+        assert (report["error_exact"], report["enumerated"]) == (error, 1820)

@@ -23,6 +23,7 @@ from extractomat.sources import FlatSource
 
 from helpers_naive import (flat_supports, naive_instance_error,
                            naive_lemma_condition, naive_sampled_2source,
+                           naive_sampled_seeded,
                            naive_tv_from_uniform, naive_worst_2source,
                            naive_worst_block_general,
                            naive_worst_leaked_2source,
@@ -742,6 +743,49 @@ def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
     for samples in (0, -3):
         with pytest.raises(InvalidInputError, match="samples"):
             worst_case_error_2source(h, 1, 1, mode="sampled", samples=samples)
+
+
+def test_sampled_seeded_matches_naive_draw_by_draw(monkeypatch):
+    # a small chunk splits both the supports and the bootstrap rows
+    monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 64)
+    rng = np.random.default_rng(49)
+    for trial in range(6):
+        n, d = ((3, 1), (3, 2), (4, 1))[trial % 3]
+        m, k = 1 + trial // 3, 1 + trial % 2
+        h, fn = _random_table(rng, (n, d), m, "seeded")
+        for strong in (True, False):
+            for b in (0, 1):
+                kw = dict(strong=strong, mode="sampled", samples=15, seed=trial)
+                rep = (worst_case_error_leaked(h, (k, d), b, **kw) if b else
+                       worst_case_error_seeded(h, k, **kw))
+                assert rep.mode == "sampled" and rep.enumerated == 15 << (b << k)
+                assert (rep.error, rep.ci, rep.witness) == naive_sampled_seeded(
+                    fn, n, d, m, k, b, strong, 15, trial)
+
+
+def test_leak_maps_are_validated_in_one_place():
+    # On this table a -1 entry used to act as a third leak value (9/16
+    # where the map relabelled with 2 gives 7/16).
+    table = np.random.default_rng(3).integers(0, 2, size=32, dtype=np.uint32)
+    seeded = table_handle("v", "seeded", (3, 2), 1, table)
+    good = [0, 1, 0, 1, 0, 1, 0, 2]
+    rep = worst_case_error_leaked(seeded, (2, 2), 1, strong=True, maps=[good])
+    assert rep.error == Fraction(7, 16)
+    assert rep.witness["e_width"] == 2  # the width the map's values need
+    two = table_handle("w", "2-source", (3, 3), 1, table.repeat(2))
+    bad = [[0, 1, 0, 1, 0, 1, 0, -1], good + [0], good[:4],
+           np.array(good, dtype=float), np.array(good).reshape(2, 4)]
+    for maps in [[f] for f in bad] + [[]]:
+        with pytest.raises(InvalidInputError, match="leak maps"):
+            worst_case_error_leaked(seeded, (2, 2), 1, strong=True, maps=maps)
+        with pytest.raises(InvalidInputError, match="leak maps"):
+            worst_case_error_leaked(two, (2, 2), 1, maps=maps)
+    # one map list cannot serve inputs of two widths
+    uneven, _ = _random_table(np.random.default_rng(5), (2, 3), 1)
+    with pytest.raises(InvalidInputError, match="leak_sources"):
+        worst_case_error_leaked(uneven, (1, 1), 1, maps=[good])
+    assert worst_case_error_leaked(uneven, (1, 1), 1, maps=[good],
+                                   leak_sources=[1]).mode == "exhaustive"
 
 
 def test_sampled_seeded_and_block_oracles_refuse_no_samples():

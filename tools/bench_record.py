@@ -5,7 +5,11 @@
 For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` of
 the checkout three times untraced (seeds 0, 1, 2) and once traced
 (seed 0), each for the benchmark's ``run_seconds``, and times the tier-1
-test suite.  With each record go the ``src/`` line count, the git
+test suite.  Each untraced run keeps its per-request-type median
+latencies (``op_median_ms``, from perfbench's ``# workload`` line), and
+each workload the median of those over its untraced runs, so that a
+shift in one request type shows even where the end-to-end metrics
+absorb it.  With each record go the ``src/`` line count, the git
 revision (``-dirty`` when the tree differs from it) and the length of
 the checkout's path: perfbench's scaled metrics move with that length,
 so compare two records only when their paths are equally long.
@@ -14,7 +18,8 @@ so compare two records only when their paths are equally long.
 ``--baseline`` (say, a clone of the parent commit) the baseline is
 recorded the same way, under ``parent``, taking turns with the checkout
 run by run, and ``compare`` holds both sides' medians of every
-end-to-end metric and both traced values of every per-layer metric.
+end-to-end metric, of every request type's ``op_median_ms`` and both
+traced values of every per-layer metric.
 The file is written at the repository root.
 """
 
@@ -57,11 +62,18 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float,
     if out.returncode != 0:
         raise SystemExit(f"{workload} seed {seed} trace {trace} failed in "
                          f"{checkout}:\n{out.stderr[-2000:]}")
-    res = json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    res = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in res["metrics"].items()}
-    return {"seed": seed, "correct": res["correct"],
-            "attempted": res["attempted"], "failed": res["failed"],
-            "metrics": metrics}
+    run = {"seed": seed, "correct": res["correct"],
+           "attempted": res["attempted"], "failed": res["failed"],
+           "metrics": metrics}
+    if not trace:
+        head = f"# workload {workload} "
+        info = next(json.loads(line[len(head):]) for line in lines
+                    if line.startswith(head))
+        run["op_median_ms"] = info["op_median_ms"]
+    return run
 
 
 def _checkout_info(checkout: Path) -> dict:
@@ -92,8 +104,12 @@ def record(checkouts: dict, workloads: list, seconds: float) -> dict:
         for side, (*untraced, traced) in runs.items():
             median = {k: statistics.median(r["metrics"][k] for r in untraced)
                       for k in untraced[0]["metrics"]}
+            ops = {op: statistics.median(r["op_median_ms"][op] for r in untraced
+                                         if op in r["op_median_ms"])
+                   for op in untraced[0]["op_median_ms"]}
             docs[side]["workloads"][name] = {
-                "untraced": untraced, "median": median, "traced": traced}
+                "untraced": untraced, "median": median, "op_median_ms": ops,
+                "traced": traced}
             print(f"# {side} {name}: {json.dumps(median)}", flush=True)
     return docs
 
@@ -107,6 +123,9 @@ def compare(parent: dict, change: dict) -> dict:
         rows.update({k: {"parent": old["traced"]["metrics"].get(k),
                          "change": v}
                      for k, v in new["traced"]["metrics"].items()})
+        rows["op_median_ms"] = {
+            op: {"parent": old["op_median_ms"].get(op), "change": v}
+            for op, v in new["op_median_ms"].items()}
         out[name] = rows
     return out
 
