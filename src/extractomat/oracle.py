@@ -427,7 +427,8 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
 
     The family ranges over a choice of leaking source and every
     deterministic map from that source to ``b`` bits (or an explicit
-    ``maps`` list).  ``b=0`` degenerates to the leak-free oracle.
+    ``maps`` list of integer arrays >= 0, one entry per value of the
+    leaking input).  ``b=0`` degenerates to the leak-free oracle.
 
     For a seeded handle the leak is taken from the source; ``strong``
     then means jointly with the seed.  For a 2-source handle ``strong``
