@@ -12,18 +12,22 @@ sizes ``K_i`` every probability is an integer count over a common
 denominator, so distances reduce to exact int64 sums and the final
 error is a ``Fraction``.
 
-The two-source, leaked, seeded and multi-source oracles use the event
-form: the distance is the max over output events T of P(Z in T) -
-|T|/2^m, so with the enumerated support S2 fixed (and a leak pattern on
-it: a leak map matters only on the support), the best S1 per event is
-the top-K1 rows of sum_{z in T} (2^m #{y in S2 : Ext(x, y) = z} - K2).
-Each such S1 is scored exactly, so every numerator is a real witness's
-value; where events outnumber the S1 supports, those are scored
-instead.  Ties go to the lowest-rank S2, then to the first candidate
-scored.  A seeded extractor is a two-source one with a uniform second
-input, so the seeded oracle runs the same kernel, ``_selected_worst``,
-with the seed selected at full size; the multi-source oracle shares
-only its cell counts.
+Every worst-case oracle but the sampled two-source one runs one kernel,
+``_selected_worst``.  It enumerates (or samples) the supports S2 of one
+input, with every leak pattern on them (a leak map matters only on the
+support), takes each row x of the other input's cell excess 2^m #{y in
+S2 : Ext(x, y) = z} - K2, and lets a selection rule pick S1; the oracles
+differ only in that rule.  With S1 hidden, the distance is the max over
+output events T of P(Z in T) - |T|/2^m, so per event the best S1 is the
+top K1 rows of the excess summed over T, scored exactly (or the S1
+supports are scored, where they are fewer than the events).  With S1
+revealed, rows score sum_cells max(excess, 0): the two-source, leaked
+and seeded oracles take the top K1 rows (the seed is the revealed input
+at full size); block+general, on rows (x1, x2), per x1 the top K2 of its
+row scores, then the top K1 of those sums; multi-source composites,
+every S1 of the strong input with fewer supports, then the top K2 of its
+summed scores.  Ties go to the lowest-rank S2, then to the first
+candidate scored, then to the lower row index.
 
 Sampled mode draws random flat supports and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
@@ -145,9 +149,10 @@ def _sample_supports(space: int, size: int, samples: int, key: int):
 
 def _leak_maps(maps, b: int, widths=()):
     """``(maps, b)`` of a leak family: with no ``maps``, every ``b``-bit
-    pattern (``b`` capped); else ``maps`` as one int64 array of 1-D
-    integer maps >= 0 over the whole domain of the leaking inputs (of
-    ``widths`` bits), with ``b`` widened to the bits their values use."""
+    pattern (``b`` capped); else ``maps`` as given, in one int64 array of
+    1-D integer maps >= 0 over the whole domain of the leaking inputs (of
+    ``widths`` bits), with ``b`` widened to the bits that a map's distinct
+    values need once relabelled densely (only its partition matters)."""
     if maps is None:
         if b > EXHAUSTIVE_MAP_BITS_CAP:
             raise InvalidInputError(
@@ -163,7 +168,7 @@ def _leak_maps(maps, b: int, widths=()):
             "the leaking input's domain (name one input in leak_sources "
             "when their widths differ)")
     maps = np.array(arrays, dtype=np.int64)
-    return maps, max(b, int(maps.max()).bit_length())
+    return maps, max(b, (max(len(np.unique(f)) for f in maps) - 1).bit_length())
 
 
 def _leak_patterns(b: int, size: int) -> np.ndarray:
@@ -178,9 +183,11 @@ def _cell_indicator(table2d, M: int, B: int) -> np.ndarray:
     (e*M + z)*rows + x) is M iff T[x, y] = z, so column y with leak e
     counts M in cell (z, e) of row x."""
     rows, cols = table2d.shape
-    hot = M * (table2d.T[:, None, :] == np.arange(M)[:, None]).astype(np.int64)
-    return np.einsum("yzx,ef->yefzx", hot, np.eye(B, dtype=np.int64)
-                     ).reshape(cols * B, B * M * rows)
+    ind = np.zeros((cols, B, B, M, rows), np.int64)  # (y, e, e, z, x)
+    for e in range(B):
+        ind[:, e, e] = table2d.T[:, None, :] == np.arange(M)[:, None]
+    ind *= M
+    return ind.reshape(cols * B, B * M * rows)
 
 
 def _onehot(supports, space: int) -> np.ndarray:
@@ -200,29 +207,50 @@ def _top_rows(score, K: int) -> np.ndarray:
             ).astype(np.int64)
 
 
-def _cell_counts(ind, block, leak, M: int, B: int):
-    """Per-cell counts of the configurations (support in ``block`` (c, K),
+def _top_index(score, K: int) -> list:
+    """Ascending indices of the ``K`` largest entries of a 1-D ``score``."""
+    return np.flatnonzero(_top_rows(score, K)).tolist()
+
+
+def _top_sums(score, K: int) -> np.ndarray:
+    """Sums of the ``K`` largest entries along the last axis."""
+    X = score.shape[-1]
+    return np.partition(score, X - K, axis=-1)[..., X - K:].sum(axis=-1)
+
+
+def _scores(excess) -> np.ndarray:
+    """Row scores sum_cells max(excess, 0), clipping ``excess`` in place."""
+    return np.maximum(excess, 0, out=excess).sum(axis=-2)
+
+
+def _cell_excess(ind, block, leak, M: int, B: int, ref: int = 1):
+    """Per-cell excess of the configurations (support in ``block`` (c, K),
     leak row in ``leak`` (c or 1, P, K)), support-major, summed over the
-    support's indicator rows: ``cnt[i, z + M*e, x]`` = M #{y in S : T[x,
-    y] = z, leak e}, and ``me[i, z + M*e]`` = #{y in S : leak e}."""
+    support's indicator rows: entry ``[i, z + M*e, x]`` is M #{y in S :
+    T[x, y] = z, leak e} - ``ref`` #{y in S : leak e}."""
     idx = B * block[:, None] + leak
     cnt = ind[idx[..., 0]]
     for j in range(1, idx.shape[2]):
         cnt += ind[idx[..., j]]
-    me = (leak[..., None] == np.arange(M * B) // M).sum(axis=2)
-    return (cnt.reshape(-1, M * B, ind.shape[1] // (M * B)),
-            me.repeat(len(block) // len(me), axis=0).reshape(-1, M * B))
+    cnt = cnt.reshape(*idx.shape[:2], M * B, -1)
+    cnt -= ref * (leak[..., None] == np.arange(M * B) // M).sum(axis=2)[..., None]
+    return cnt.reshape(-1, M * B, cnt.shape[-1])
 
 
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
-                    supports1=None, b=0, maps=None, maxima=False):
-    """Exact max of the numerator over supports S2 of input ``enum``
-    (default all), leak rows on S2 (every ``b``-bit pattern, or the rows
-    of the ``maps`` array) and supports S1 of the other input, which
-    ``strong`` (None or its index) may reveal.  Returns ``(num,
-    supports, leak_map or None, configurations, candidates, kernel,
-    maxima)``, the last being each S2's maximum when ``maxima`` is set
-    (for the bootstrap of a sampled run) and None otherwise."""
+                    supports1=None, b=0, maps=None, rule=None, samples=None,
+                    seed=0):
+    """Worst case over supports S2 of input ``enum`` (default all), leak
+    rows on S2 (every ``b``-bit pattern, or the rows of the ``maps``
+    array, relabelled densely) and supports S1 of the other input, which
+    ``strong`` (None or its index) may reveal, chosen by a selection rule
+    (``rule`` if revealed; the default is the top K1 rows).  A rule is
+    (values, pick, entries): (configurations, cells, rows) excess to
+    (configurations, candidates) numerators, one configuration's excess
+    and a candidate to its selection, and working int64 entries per
+    configuration.  Returns ``(report, supports, leak_map or None)``;
+    given ``samples``, S2 is that many random supports, and the report is
+    sampled."""
     if enum == 0:
         table2d = table2d.T
     K1, K2 = Ks[1 - enum], Ks[enum]
@@ -232,57 +260,59 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     pats = _leak_patterns(b, K2)[None] if maps is None else None
     J = M * B
     ind = _cell_indicator(table2d, M, B)
-    whole, ref = K1 == rows, 1  # whole: S1 is every row, one candidate
-    if strong is not None or whole:
-        kernel, Q = "supports" if strong is None else "events", 1
-        chosen = np.ones((1, 1, rows), np.int64)
-        if strong is None:  # the one S1 counted as a single row
-            ind, ref = ind.reshape(len(ind), J, rows).sum(axis=2), K1
+    ref, kernel = 1, "events"
+    if rule is None and K1 == rows:  # one S1, every row
+        if strong is None:  # counted as a single row
+            kernel, ref = "supports", K1
+            ind = ind.reshape(len(ind), J, rows).sum(axis=2)
+        rule = (lambda ex: np.maximum(ex, 0, out=ex).sum(axis=(1, 2))[:, None],
+                lambda ex, q: list(range(rows)), 0)
+    elif strong is not None:
+        rule = rule or (lambda ex: _top_sums(_scores(ex), K1)[:, None],
+                        lambda ex, q: _top_index(_scores(ex), K1), 0)
     elif supports1 is None and 1 << J <= math.comb(rows, K1):
-        kernel = "events"
         events = (np.arange(1, (1 << J) - 1)[:, None] >> np.arange(J)) & 1
-        Q = len(events)
+        rule = (lambda ex: np.maximum(
+                    ex @ _top_rows(events @ ex, K1).swapaxes(1, 2), 0).sum(axis=1),
+                lambda ex, q: _top_index(events[q] @ ex, K1),
+                len(events) * max(rows, J))
     else:
         kernel = "supports"
-        if supports1 is None:
-            supports1 = itertools.combinations(range(rows), K1)
-        chosen = _onehot(list(supports1), rows)[None]
-        Q = chosen.shape[1]
-    width = ind.shape[1] // J
-    chunk = max(1, CHUNK_ENTRIES // (P * max(J * width, Q * max(width, J))))
-    best, configs, per = None, 0, [] if maxima else None
-    if supports2 is None:
+        supports1 = list(supports1 or itertools.combinations(range(rows), K1))
+        hot = _onehot(supports1, rows)
+        rule = (lambda ex: np.maximum(ex @ hot.T, 0).sum(axis=1),
+                lambda ex, q: list(supports1[q]), len(hot) * max(rows, J))
+    values, pick, work = rule
+    chunk = max(1, CHUNK_ENTRIES // (P * max(ind.shape[1], work)))
+    best, configs, cands, per = None, 0, 0, []
+    if samples is not None:
+        supports2 = _sample_supports(cols, K2, samples, seed)
+    elif supports2 is None:
         supports2 = itertools.combinations(range(cols), K2)
+    dense = maps if maps is None else np.array(
+        [np.unique(f, return_inverse=True)[1] for f in maps])
     for block in _chunks(supports2, K2, chunk):
-        leak = pats if maps is None else maps[:, block].transpose(1, 0, 2)
-        cnt, me = _cell_counts(ind, block, leak, M, B)
-        excess = cnt - ref * me[:, :, None]
-        if whole:
-            vals = np.maximum(excess, 0, out=excess).sum(axis=(1, 2))[:, None]
-        elif strong is not None:
-            score = np.maximum(excess, 0).sum(axis=1)[:, None]
-            chosen = _top_rows(score, K1)
-            vals = (chosen * score).sum(axis=2)
-        else:
-            if kernel == "events":
-                chosen = _top_rows(events @ excess, K1)
-            vals = np.maximum(cnt @ chosen.transpose(0, 2, 1)
-                              - K1 * me[:, :, None], 0).sum(axis=1)
-        configs += len(vals)
-        if maxima:
+        leak = pats if maps is None else dense[:, block].transpose(1, 0, 2)
+        excess = _cell_excess(ind, block, leak, M, B, ref)
+        vals = values(excess)
+        configs, cands = configs + len(vals), cands + vals.size
+        if samples is not None:
             per.extend(vals.reshape(len(block), -1).max(axis=1).tolist())
         i = int(np.argmax(vals))
         if best is None or vals.flat[i] > best[0]:
-            ci, q = divmod(i, Q)
-            s1 = chosen[ci if len(chosen) > 1 else 0, q]
-            best = (int(vals.flat[i]), block[ci // P], ci % P,
-                    np.flatnonzero(s1).tolist())
-    num, s2, p, s1 = best
+            ci, q = divmod(i, vals.shape[1])
+            best = (int(vals.flat[i]), block[ci // P], ci % P, excess[ci], q)
+    num, s2, p, ex, q = best
+    den = K1 * K2 << m
+    rep = OracleReport("exhaustive", Fraction(num, den), enumerated=configs,
+                       kernel=kernel, candidates=cands)
+    if samples is not None:
+        rep.mode, rep.notes = "sampled", "sampled max: lower bound on worst case"
+        rep.error, rep.ci = _max_with_bootstrap(per, den, seed)
     leak_map = (maps[p].tolist() if maps is not None else None if not b else
                 np.bincount(s2, pats[0, p], minlength=cols).astype(int).tolist())
-    supports = [s1, s2.tolist()]
-    return (num, supports if enum else supports[::-1], leak_map, configs,
-            configs * Q, kernel, per)
+    supports = [pick(ex, q), s2.tolist()]
+    return rep, supports if enum else supports[::-1], leak_map
 
 
 # ----------------------------------------------------------------------
@@ -319,12 +349,9 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     if _resolve_mode(mode, required, budget,
                      "two-source enumeration") == "exhaustive":
         table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2)
-        num, supports, _, enumerated, cands, kernel, _ = _selected_worst(
+        rep, supports, _ = _selected_worst(
             table2d, (K1, K2), h.m, strong, 0 if strong == 1 else 1)
-        rep = OracleReport("exhaustive", Fraction(num, K1 * K2 << h.m),
-                           witness={"supports": supports, "strong": strong},
-                           enumerated=enumerated, kernel=kernel,
-                           candidates=cands)
+        rep.witness = {"supports": supports, "strong": strong}
     else:
         rep = _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed)
     rep.wall_time = time.perf_counter() - t0
@@ -434,11 +461,7 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
     then means jointly with the seed.  For a 2-source handle ``strong``
     is an input index as in :func:`worst_case_error_2source`.
     """
-    if b == 0 and maps is None:
-        if h.kind == "seeded":
-            return worst_case_error_seeded(
-                h, k_profile[0], strong=bool(strong), mode=mode,
-                samples=samples, seed=seed, budget=budget)
+    if b == 0 and maps is None and h.kind != "seeded":
         return worst_case_error_2source(
             h, k_profile[0], k_profile[1], strong, mode=mode,
             samples=samples, seed=seed, budget=budget)
@@ -474,21 +497,13 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
         (1 << b * K if maps is None else len(maps)) if leaky else 1 << d)
     mode = _resolve_mode(mode, required, budget, "leaked seeded enumeration"
                          if leaky else "seeded enumeration")
-    supports = (None if mode == "exhaustive" else
-                _sample_supports(1 << n, K, samples, seed))
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
-    num, (s, _), leak_map, enumerated, cands, kernel, maxima = _selected_worst(
-        table2d, (K, 1 << d), h.m, 1 if strong else None, 0,
-        supports2=supports, b=b, maps=maps, maxima=mode == "sampled")
-    witness = {"support": s}
+    rep, (s, _), leak_map = _selected_worst(
+        table2d, (K, 1 << d), h.m, 1 if strong else None, 0, b=b, maps=maps,
+        samples=None if mode == "exhaustive" else samples, seed=seed)
+    rep.witness = {"support": s}
     if leaky:
-        witness.update(leak_map=leak_map, leak_source=0, e_width=b)
-    den = K << (d + h.m)
-    rep = OracleReport(mode, Fraction(num, den), witness=witness,
-                       enumerated=enumerated, kernel=kernel, candidates=cands)
-    if mode == "sampled":
-        rep.error, rep.ci = _max_with_bootstrap(maxima, den, seed)
-        rep.notes = "sampled max: lower bound on worst case"
+        rep.witness.update(leak_map=leak_map, leak_source=0, e_width=b)
     return rep
 
 
@@ -497,7 +512,6 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
     widths = h.input_widths
     k1, k2 = _check_k(k_profile[0]), _check_k(k_profile[1])
     Ks = (1 << k1, 1 << k2)
-    den = Ks[0] * Ks[1] << h.m
     baseline = worst_case_error_2source(
         h, k1, k2, strong, mode=mode, samples=samples, seed=seed, budget=budget)
     best_err = Fraction(baseline.error)
@@ -525,14 +539,13 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
             if strong is None:
                 supports1 = _sample_supports(1 << n_sel, Ks[sel], samples,
                                              seed ^ 0xB2)
-        num, supports, leak_map, configs, scored, kernel, _ = _selected_worst(
+        rep, supports, leak_map = _selected_worst(
             table2d, Ks, h.m, strong, i_star, supports2=supports2,
             supports1=supports1, b=b, maps=maps)
-        total, cands = total + configs, cands + scored
-        kernels.add(kernel)
-        err = Fraction(num, den)
-        if err > best_err:
-            best_err = err
+        total, cands = total + rep.enumerated, cands + rep.candidates
+        kernels.add(rep.kernel)
+        if rep.error > best_err:
+            best_err = rep.error
             best_wit = {"supports": supports, "leak_map": leak_map,
                         "leak_source": i_star, "strong": strong}
     rep = OracleReport("exhaustive" if exhaustive else "sampled",
@@ -545,7 +558,8 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
 
 
 # ----------------------------------------------------------------------
-# Multi-source composites, strong on all but the last input
+# Three-input composites, strong on the first two inputs: the kernel on
+# rows (x1, x2) against X3, under a selection rule of their own
 # ----------------------------------------------------------------------
 
 def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
@@ -558,10 +572,10 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
 
     Covers composed multi-source extractors at desk scale: the error is
     measured jointly with the two strong inputs (and the leak register
-    when ``b > 0``, enumerating one-sided leaks from every source).  The
-    strong part being everything except the last input makes the
-    objective additive over the strong supports, so for each S3 and
-    support of one strong input the other is an exact top-K selection.
+    when ``b > 0``, enumerating one-sided leaks from every source; a leak
+    from a strong input adds nothing).  S3 and every leak pattern on it
+    are enumerated, then every support of the strong input with fewer
+    supports, and the other strong support is an exact top-K selection.
     """
     if h.arity != 3:
         raise InvalidInputError("worst_case_error_multi handles 3 inputs")
@@ -569,66 +583,36 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     if strong_set != frozenset({0, 1}):
         raise InvalidInputError(
             "desk-scale multi oracle requires strong on all but the last input")
-    n1, n2, n3 = h.input_widths
-    ks = [_check_k(k) for k in k_profile]
-    K1, K2, K3 = (1 << k for k in ks)
-    m = h.m
+    X1, X2, X3 = (1 << n for n in h.input_widths)
+    K1, K2, K3 = (1 << _check_k(k) for k in k_profile)
     t0 = time.perf_counter()
-    tbl = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2, 1 << n3)
-    required = (math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
-                * math.comb(1 << n3, K3))
+    tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1, X2, X3)
+    required = math.comb(X1, K1) * math.comb(X2, K2) * math.comb(X3, K3)
     required *= (1 << b) ** K3  # leak patterns on S3
     if _resolve_mode(mode, required, budget,
                      "multi-source enumeration") != "exhaustive":
         raise InvalidInputError(
             "the multi-source oracle is exhaustive-only; shrink the instance")
     _leak_maps(None, b)
-    # Enumerate S3, every leak pattern on it (a leak from a strong input
-    # adds nothing; pattern 0 is the leak-free case) and the strong input
-    # with fewer supports; the other strong support is a top-K selection.
-    swap = math.comb(1 << n2, K2) < math.comb(1 << n1, K1)
+    swap = math.comb(X2, K2) < math.comb(X1, K1)
     if swap:
-        tbl, K1, K2 = tbl.transpose(1, 0, 2), K2, K1
-    X1, X2 = tbl.shape[:2]
-    M = 1 << m
-    pats = _leak_patterns(b, K3)
+        tbl, X1, X2, K1, K2 = tbl.transpose(1, 0, 2), X2, X1, K2, K1
     supports1 = list(itertools.combinations(range(X1), K1))
     hot1 = _onehot(supports1, X1)
-    chunk = max(1, CHUNK_ENTRIES // (len(pats) * X2 * max(X1 * M << b,
-                                                          len(supports1))))
-    ind = _cell_indicator(tbl.reshape(X1 * X2, -1), M, 1 << b)
-    best, configs = None, 0
-    for block in _chunks(itertools.combinations(range(1 << n3), K3), K3,
-                         chunk):
-        cnt, me = _cell_counts(ind, block, pats[None], M, 1 << b)
-        g = np.maximum(cnt - me[:, :, None], 0).sum(axis=1)
-        score = hot1 @ g.reshape(-1, X1, X2)  # (configs, C1, X2)
-        chosen = _top_rows(score, K2)
-        vals = (chosen * score).sum(axis=2)
-        configs += vals.size
-        i = int(np.argmax(vals))
-        if best is None or vals.flat[i] > best[0]:
-            ci, q = divmod(i, len(supports1))
-            best = (int(vals.flat[i]),
-                    [list(supports1[q]), np.flatnonzero(chosen[ci, q]).tolist()],
-                    block[ci // len(pats)], ci % len(pats))
-    num, supports, s3, p = best
-    if swap:
-        supports.reverse()
-    witness = {"supports": supports + [s3.tolist()], "leak_map": None}
-    if p:
-        witness.update(leak_map=np.bincount(s3, pats[p], minlength=1 << n3)
-                       .astype(int).tolist(), leak_source=2)
-    rep = OracleReport("exhaustive", Fraction(num, K1 * K2 * K3 << m),
-                       witness=witness, enumerated=configs, kernel="events",
-                       candidates=configs)
+    rep, (s12, s3), leak_map = _selected_worst(  # rule: per S1, the top K2
+        tbl.reshape(X1 * X2, X3), (K1 * K2, K3), h.m, 0, b=b, rule=(
+            lambda ex: _top_sums(hot1 @ _scores(ex).reshape(-1, X1, X2), K2),
+            lambda ex, q: [list(supports1[q]), _top_index(
+                hot1[q] @ _scores(ex).reshape(X1, X2), K2)],
+            len(supports1) * X2))
+    rep.enumerated = rep.candidates  # (S3, leak pattern, S1) triples
+    rep.witness = {"supports": (s12[::-1] if swap else s12) + [s3],
+                   "leak_map": None}
+    if any(leak_map or ()):  # pattern 0 is the leak-free case
+        rep.witness.update(leak_map=leak_map, leak_source=2)
     rep.wall_time = time.perf_counter() - t0
     return rep
 
-
-# ----------------------------------------------------------------------
-# Block + general source worst case (strong on the block)
-# ----------------------------------------------------------------------
 
 def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
                                    mode: str = "exhaustive",
@@ -642,52 +626,28 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     the strong distance is an average of per-(x1,x2) values, the worst
     block source picks, per x1, the K2 conditional values with the
     largest contribution, then the K1 prefixes with the largest row
-    scores; both selections are exact.  Only X3's support is enumerated
-    (or sampled).
+    scores; both selections are exact, so only X3's support is
+    enumerated (or sampled).  Witness supports are in ascending order.
     """
     if h.arity != 3:
         raise InvalidInputError("block+general oracle handles 3 inputs")
-    n1, n2, n3 = h.input_widths
-    k1, k2, k3 = (_check_k(k) for k in k_profile)
-    K1, K2, K3 = 1 << k1, 1 << k2, 1 << k3
-    m = h.m
+    X1, X2, X3 = (1 << n for n in h.input_widths)
+    K1, K2, K3 = (1 << _check_k(k) for k in k_profile)
     t0 = time.perf_counter()
-    tbl = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2, 1 << n3)
-    required = math.comb(1 << n3, K3)
-    mode = _resolve_mode(mode, required, budget, "block+general enumeration")
-    if mode == "exhaustive":
-        supports3 = itertools.combinations(range(1 << n3), K3)
-    else:
-        supports3 = _sample_supports(1 << n3, K3, samples, seed)
-    den, M = K1 * K2 * K3 << m, 1 << m
-    by_x3 = np.ascontiguousarray(tbl.transpose(2, 0, 1))
-    nums, best = [], None
-    for block in _chunks(supports3, K3,
-                         max(1, CHUNK_ENTRIES // (K3 << n1 + n2))):
-        sub = by_x3[block]  # (c, K3, X1, X2)
-        g = sum(np.maximum(M * (sub == z).sum(axis=1) - K3, 0)
-                for z in range(M))
-        rows = -np.sort(-g, axis=2)[:, :, :K2].sum(axis=2)
-        order = np.argsort(-rows, axis=1, kind="stable")[:, :K1]
-        vals = np.take_along_axis(rows, order, axis=1).sum(axis=1)
-        nums.extend(vals.tolist())
-        i = int(np.argmax(vals))
-        if best is None or vals[i] > best[0]:
-            best = (int(vals[i]), block[i], g[i], order[i])
-    num, s3, g, top = best
-    witness = {"x1_support": sorted(top.tolist()),
-               "x2_conditional_supports": {
-                   int(x1): np.argsort(-g[x1], kind="stable")[:K2].tolist()
-                   for x1 in top},
-               "x3_support": s3.tolist()}
-    if mode == "exhaustive":
-        rep = OracleReport("exhaustive", Fraction(num, den),
-                           witness=witness, enumerated=len(nums))
-    else:
-        err, ci = _max_with_bootstrap(nums, den, seed)
-        rep = OracleReport("sampled", err, witness=witness,
-                           enumerated=len(supports3), ci=ci,
-                           notes="sampled max: lower bound on worst case")
+    tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1 * X2, X3)
+    mode = _resolve_mode(mode, math.comb(X3, K3), budget,
+                         "block+general enumeration")
+
+    def pick(ex, q):  # {x1: its x2 support}, ascending
+        row = _scores(ex).reshape(X1, X2)
+        return {x1: _top_index(row[x1], K2)
+                for x1 in _top_index(_top_sums(row, K2), K1)}
+    rep, (x2s, s3), _ = _selected_worst(
+        tbl, (K1 * K2, K3), h.m, 0, rule=(lambda ex: _top_sums(_top_sums(
+            _scores(ex).reshape(-1, X1, X2), K2), K1)[:, None], pick, 0),
+        samples=None if mode == "exhaustive" else samples, seed=seed)
+    rep.witness = {"x1_support": list(x2s), "x2_conditional_supports": x2s,
+                   "x3_support": s3}
     rep.wall_time = time.perf_counter() - t0
     return rep
 

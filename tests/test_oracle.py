@@ -679,6 +679,11 @@ def test_block_general_matches_naive_with_witnesses():
         rep = worst_case_error_block_general(h, ks)
         assert rep.error == naive_worst_block_general(fn, widths, m, ks)
         w = rep.witness
+        # every support is listed in ascending order, like other oracles'
+        conds = w["x2_conditional_supports"]
+        assert w["x1_support"] == sorted(w["x1_support"]) == list(conds)
+        assert all(v == sorted(v) for v in conds.values())
+        assert w["x3_support"] == sorted(w["x3_support"])
         cells = {}
         for x1 in w["x1_support"]:
             for x2 in w["x2_conditional_supports"][x1]:
@@ -818,3 +823,79 @@ def test_kernel_falls_back_to_supports_past_the_event_count():
     assert rep.to_json_dict()["volatile"]["kernel"] == "supports"
     strong = worst_case_error_2source(h, 2, 2, 0)
     assert strong.error == Fraction(23, 32) and strong.kernel == "events"
+
+
+def test_explicit_leak_maps_count_only_their_partition(monkeypatch):
+    # A map's values only name the parts of its partition: 1000 in place
+    # of 1 gives the same worst case, counted on a two-letter leak
+    # alphabet (the distinct values), not on 1,024 (the largest value).
+    alphabets, indicator = [], oracle_mod._cell_indicator
+
+    def counting(table2d, M, B):
+        alphabets.append(B)
+        return indicator(table2d, M, B)
+    monkeypatch.setattr(oracle_mod, "_cell_indicator", counting)
+    seeded = table_handle("v", "seeded", (3, 2), 1, np.random.default_rng(
+        3).integers(0, 2, size=32, dtype=np.uint32))
+    two = table_handle("w", "2-source", (3, 3), 1, np.random.default_rng(
+        5).integers(0, 2, size=64, dtype=np.uint32))
+    small = [0, 1, 0, 0, 1, 0, 1, 0]
+    big = [1000 * v for v in small]
+    for h, kw, err in ((seeded, {"strong": True}, Fraction(7, 16)),
+                       (two, {"leak_sources": [1]}, Fraction(3, 8))):
+        reps = [worst_case_error_leaked(h, (2, 2), 1, maps=[f], **kw)
+                for f in (small, big)]
+        assert reps[0].error == reps[1].error == err
+        assert [r.witness.pop("leak_map") for r in reps] == [small, big]
+        assert reps[0].witness == reps[1].witness  # the map is the one given
+    assert max(alphabets) == 2  # 1 for the two-source leak-free baseline
+    rep = worst_case_error_leaked(seeded, (2, 2), 1, strong=True, maps=[big])
+    assert rep.witness["e_width"] == 1  # the width of the dense relabelling
+
+
+def test_composite_ties_go_to_the_lowest_indices():
+    # Block+general and multi break ties alike: the lowest tied indices.
+    zero = table_handle("z", "t-source", (2, 2, 2), 1, np.zeros(64, np.uint32))
+    block = worst_case_error_block_general(zero, (1, 1, 1))
+    multi = worst_case_error_multi(zero, (1, 1, 1))
+    assert block.error == multi.error == Fraction(1, 2)
+    assert block.witness == {"x1_support": [0, 1],
+                             "x2_conditional_supports": {0: [0, 1], 1: [0, 1]},
+                             "x3_support": [0, 1]}
+    assert multi.witness["supports"] == [[0, 1], [0, 1], [0, 1]]
+    # x1 and x2 come in twin pairs (2i, 2i + 1) with equal rows: an odd
+    # index is picked only next to its even twin.
+    base = np.random.default_rng(50).integers(0, 2, size=(2, 2, 4),
+                                              dtype=np.uint32)
+    twins = table_handle("t", "t-source", (2, 2, 2), 1,
+                         base.repeat(2, axis=0).repeat(2, axis=1).ravel())
+    closed = lambda s: all(x - 1 in s for x in s if x % 2)  # noqa: E731
+    for ks in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)):
+        w = worst_case_error_block_general(twins, ks).witness
+        assert closed(w["x1_support"])
+        assert all(map(closed, w["x2_conditional_supports"].values()))
+        s1, s2, _ = worst_case_error_multi(twins, ks).witness["supports"]
+        assert closed(s1) and closed(s2)
+
+
+def test_composite_oracles_ignore_chunk_boundaries(monkeypatch):
+    # One support per chunk against the default chunks: the same values,
+    # witnesses, counts and bootstrap spread.
+    h, _ = _random_table(np.random.default_rng(46), (2, 2, 2), 1, "t-source")
+    calls = [lambda: worst_case_error_multi(h, (1, 1, 1)),
+             lambda: worst_case_error_multi(h, (1, 1, 1), b=1),
+             lambda: worst_case_error_block_general(h, (1, 1, 1)),
+             lambda: worst_case_error_block_general(
+                 h, (1, 1, 1), mode="sampled", samples=7, seed=5)]
+    runs = []
+    for chunk in (oracle_mod.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", chunk)
+        runs.append([(rep.error, rep.witness, rep.enumerated, rep.ci,
+                      rep.kernel, rep.candidates)
+                     for rep in (call() for call in calls)])
+    assert runs[0] == runs[1]
+    # (S3, leak pattern, S1) triples for multi, S3 supports (or draws)
+    # for block+general, which reports its kernel and candidates too
+    assert [r[2] for r in runs[0]] == [36, 144, 6, 7]
+    vol = worst_case_error_block_general(h, (1, 1, 1)).to_json_dict()["volatile"]
+    assert (vol["kernel"], vol["candidates"]) == ("events", 6)
