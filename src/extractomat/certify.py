@@ -226,37 +226,17 @@ def _record_matches(rec: CertificationRecord, kind, widths, k_profile, m,
 def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
              budget):
     """Headline error plus per-strong-index errors for a fresh table."""
-    kind = handle.kind
-    if kind == "seeded":
-        if leak_bits > 0:
-            headline = _oracle.worst_case_error_leaked(
-                handle, k_profile, leak_bits, strong=True, mode=mode,
-                samples=samples, seed=seed, budget=budget)
-        else:
-            headline = _oracle.worst_case_error_seeded(
-                handle, k_profile[0], strong=True, mode=mode,
-                samples=samples, seed=seed, budget=budget)
+    if handle.kind == "seeded":  # b = 0 is the seeded oracle itself
+        headline = _oracle.worst_case_error_leaked(
+            handle, k_profile, leak_bits, strong=True, mode=mode,
+            samples=samples, seed=seed, budget=budget)
         return headline, {1: headline}
-    if kind == "2-source":
-        if leak_bits > 0:
-            headline = _oracle.worst_case_error_leaked(
-                handle, k_profile, leak_bits, strong=None, mode=mode,
-                samples=samples, seed=seed, budget=budget)
-        else:
-            headline = _oracle.worst_case_error_2source(
-                handle, k_profile[0], k_profile[1], None, mode=mode,
-                samples=samples, seed=seed, budget=budget)
-        strong_reports = {}
-        for i in strong:
-            if leak_bits > 0:
-                strong_reports[i] = _oracle.worst_case_error_leaked(
-                    handle, k_profile, leak_bits, strong=i, mode=mode,
-                    samples=samples, seed=seed, budget=budget)
-            else:
-                strong_reports[i] = _oracle.worst_case_error_2source(
-                    handle, k_profile[0], k_profile[1], i, mode=mode,
-                    samples=samples, seed=seed, budget=budget)
-        return headline, strong_reports
+    if handle.kind == "2-source":  # b = 0 is the two-source oracle
+        reports = {i: _oracle.worst_case_error_leaked(
+                       handle, k_profile, leak_bits, strong=i, mode=mode,
+                       samples=samples, seed=seed, budget=budget)
+                   for i in (None, *strong)}  # None: the marginal headline
+        return reports.pop(None), reports
     # t-source: measured via the strong-on-all-but-last composite oracle
     headline = _oracle.worst_case_error_multi(
         handle, k_profile, b=leak_bits, mode=mode, samples=samples,

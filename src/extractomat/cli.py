@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--strong", type=int, nargs="*", default=())
     c.add_argument("--cache", type=Path, default=None)
     c.add_argument("--out-dir", type=Path, default=Path("."))
-    c.add_argument("--threads", "--workers", dest="threads", type=int, default=1)
+    c.add_argument("--threads", "--workers", type=int, default=1, help="unused")
     c.set_defaults(func=cmd_certify)
 
     e = sub.add_parser("eval", help="run an oracle entry point or lemma check")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--trials", type=int, default=1000)
     e.add_argument("--eps", type=float, default=0.25)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--threads", "--workers", dest="threads", type=int, default=1)
+    e.add_argument("--threads", "--workers", type=int, default=1, help="unused")
     e.add_argument("--out-dir", type=Path, default=Path("."))
     e.set_defaults(func=cmd_eval)
 
@@ -245,26 +245,14 @@ def _load_extractor(args):
 def _eval_extractor(args, handle, oracle, out_dir):
     if handle.kind == "seeded":
         k = args.k if args.k is not None else handle.k_profile[0]
-        if args.leak_bits > 0:
-            rep = oracle.worst_case_error_leaked(
-                handle, (k, handle.k_profile[1]), args.leak_bits,
-                strong=not args.marginal, mode=args.mode,
-                samples=args.samples, seed=args.seed)
-        else:
-            rep = oracle.worst_case_error_seeded(
-                handle, k, strong=not args.marginal, mode=args.mode,
-                samples=args.samples, seed=args.seed)
+        ks, strong = (k, handle.k_profile[1]), not args.marginal
     else:
         k1 = args.k1 if args.k1 is not None else handle.k_profile[0]
         k2 = args.k2 if args.k2 is not None else handle.k_profile[1]
-        if args.leak_bits > 0:
-            rep = oracle.worst_case_error_leaked(
-                handle, (k1, k2), args.leak_bits, strong=args.strong,
-                mode=args.mode, samples=args.samples, seed=args.seed)
-        else:
-            rep = oracle.worst_case_error_2source(
-                handle, k1, k2, args.strong, mode=args.mode,
-                samples=args.samples, seed=args.seed, workers=args.threads)
+        ks, strong = (k1, k2), args.strong
+    rep = oracle.worst_case_error_leaked(  # b = 0: the leak-free oracle
+        handle, ks, args.leak_bits, strong=strong, mode=args.mode,
+        samples=args.samples, seed=args.seed)
     payload = {"extractor": handle.name, **rep.to_json_dict()}
     return payload, out_dir / "eval-report.json"
 

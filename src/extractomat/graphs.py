@@ -1,10 +1,11 @@
 """Bipartite gadgets: AND-dispersers, expanders, extractor graphs.
 
-Verification is exhaustive and exact (pure set counting, no floats);
-subsets enumerate in lexicographic order so witnesses are reproducible.
-Fractional set sizes round with a ceiling on adversarial sets, which only
-makes the requirement harder, and the applied sizes are reported in the
-verdict.
+One rule per property (``_rule``): a left vertex is bad for a right
+subset when its neighbours there number outside an integer window, and
+the subset is violated when enough are bad.  Verification counts that
+exactly on every subset, in lexicographic order so witnesses reproduce;
+fractional set sizes round up on adversarial sets (only harder) and the
+verdict reports them.
 
 Search draws seeded random left-regular graphs and anneals random
 single-edge swaps against the count of violated subsets until none is
@@ -58,9 +59,6 @@ class BipartiteGraph:
                     for _ in range(l))
         return cls(l, r, d, adj)
 
-    def neighbor_masks(self) -> list:
-        return [_mask(nbrs) for nbrs in self.adj]
-
     def to_json(self) -> str:
         return json.dumps({"l": self.l, "r": self.r, "d": self.d,
                            "adj": [list(n) for n in self.adj]})
@@ -78,11 +76,6 @@ def _mask(vertices) -> int:
     return m
 
 
-def _lex_subsets(n: int, k: int):
-    """Size-k subsets of range(n) in lexicographic order."""
-    return itertools.combinations(range(n), k)
-
-
 @dataclass
 class Verdict:
     ok: bool
@@ -95,26 +88,57 @@ class Verdict:
         return self.ok
 
 
+def _rule(kind: str, params: dict):
+    """``kind``'s property as ``(size, lo, hi, t, applied)``: on right subsets
+    of ``size``, a left vertex is bad when its neighbours in the subset number
+    outside ``[lo, hi)``; a subset is violated when ``t`` or more are bad."""
+    l, r, d = params["l"], params["r"], params["d"]
+    if kind == "and-disperser":  # good: the neighbourhood is inside
+        size = math.ceil(params["delta"] * r)
+        need = math.ceil(params["gamma"] * l)
+        return size, d, d + 1, l + 1 - need, {"right_subset_size": size,
+                                              "left_required": need}
+    if kind == "expander":  # good: the vertex does not avoid the subset
+        size, t = math.ceil(params["beta"] * r), math.ceil(params["beta"] * l)
+        if size < 1 or t < 1:
+            raise InvalidInputError(
+                "beta too small: rounded set sizes must be >= 1")
+        return size, 1, d + 1, t, {"left_subset_size": t,
+                                   "right_subset_size": size}
+    # good: within eps of alpha, as counts (1e-9 absorbs float rounding)
+    alpha, eps, K = params.get("alpha", 0.5), params["eps"], params["K"]
+    size = round(alpha * r)
+    return (size, math.ceil((alpha - eps) * d - 1e-9),
+            math.floor((alpha + eps) * d + 1e-9) + 1, K + 1,
+            {"t_size": size, "alpha": alpha, "deviation": "two-sided",
+             "eps": eps, "K": K})
+
+
+def _verify(kind: str, g: BipartiteGraph, params: dict, budget: int,
+            what: str) -> Verdict:
+    """``kind``'s rule on every right subset, in lexicographic order."""
+    size, lo, hi, t, applied = _rule(kind, dict(params, l=g.l, r=g.r, d=g.d))
+    ncol = math.comb(g.r, size)
+    if ncol * g.l > budget:
+        raise BudgetExceededError(ncol * g.l, budget, f"{what} verification")
+    masks = [_mask(nbrs) for nbrs in g.adj]
+    for j, combo in enumerate(itertools.combinations(range(g.r), size)):
+        vmask = _mask(combo)
+        bad = [u for u, m in enumerate(masks)
+               if not lo <= (m & vmask).bit_count() < hi]
+        if len(bad) >= t:
+            witness = combo if kind == "and-disperser" else (
+                tuple(bad[:t] if kind == "expander" else bad), combo)
+            return Verdict(False, witness, applied, checked=j + 1)
+    return Verdict(True, applied=applied, checked=ncol)
+
+
 def verify_and_disperser(g: BipartiteGraph, delta: float, gamma: float, *,
                          budget: int = DEFAULT_VERIFY_BUDGET) -> Verdict:
     """Every right subset of size ceil(delta*r) must fully contain the
     neighborhoods of at least ceil(gamma*l) left vertices."""
-    v_size = math.ceil(delta * g.r)
-    need = math.ceil(gamma * g.l)
-    cost = math.comb(g.r, v_size) * g.l
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, "AND-disperser verification")
-    masks = g.neighbor_masks()
-    applied = {"right_subset_size": v_size, "left_required": need}
-    checked = 0
-    for combo in _lex_subsets(g.r, v_size):
-        vmask = _mask(combo)
-        checked += 1
-        inside = sum(1 for m in masks if m & ~vmask == 0)
-        if inside < need:
-            return Verdict(False, witness=combo, applied=applied,
-                           checked=checked)
-    return Verdict(True, applied=applied, checked=checked)
+    return _verify("and-disperser", g, {"delta": delta, "gamma": gamma},
+                   budget, "AND-disperser")
 
 
 def verify_expander(g: BipartiteGraph, beta: float, *,
@@ -124,24 +148,7 @@ def verify_expander(g: BipartiteGraph, beta: float, *,
     Equivalent check: no right subset V of that size may have
     ceil(beta*l) or more left vertices avoiding it entirely.
     """
-    u_size = math.ceil(beta * g.l)
-    v_size = math.ceil(beta * g.r)
-    if u_size < 1 or v_size < 1:
-        raise InvalidInputError("beta too small: rounded set sizes must be >= 1")
-    cost = math.comb(g.r, v_size) * g.l
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, "expander verification")
-    masks = g.neighbor_masks()
-    applied = {"left_subset_size": u_size, "right_subset_size": v_size}
-    checked = 0
-    for combo in _lex_subsets(g.r, v_size):
-        vmask = _mask(combo)
-        checked += 1
-        avoiders = [u for u, m in enumerate(masks) if m & vmask == 0]
-        if len(avoiders) >= u_size:
-            return Verdict(False, witness=(tuple(avoiders[:u_size]), combo),
-                           applied=applied, checked=checked)
-    return Verdict(True, applied=applied, checked=checked)
+    return _verify("expander", g, {"beta": beta}, budget, "expander")
 
 
 def verify_extractor_graph(g: BipartiteGraph, K: int, eps: float,
@@ -153,26 +160,8 @@ def verify_extractor_graph(g: BipartiteGraph, K: int, eps: float,
     The deviation is checked two-sided, |fraction - alpha| <= eps; that
     reading is recorded in the verdict.
     """
-    t_size = round(alpha * g.r)
-    cost = math.comb(g.r, t_size) * g.l
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, "extractor-graph verification")
-    masks = g.neighbor_masks()
-    applied = {"t_size": t_size, "alpha": alpha, "deviation": "two-sided",
-               "eps": eps, "K": K}
-    checked = 0
-    for combo in _lex_subsets(g.r, t_size):
-        tmask = _mask(combo)
-        checked += 1
-        deviants = []
-        for u, m in enumerate(masks):
-            frac = bin(m & tmask).count("1") / g.d
-            if abs(frac - alpha) > eps + 1e-12:
-                deviants.append(u)
-        if len(deviants) > K:
-            return Verdict(False, witness=(tuple(deviants), combo),
-                           applied=applied, checked=checked)
-    return Verdict(True, applied=applied, checked=checked)
+    return _verify("extractor-graph", g, {"K": K, "eps": eps, "alpha": alpha},
+                   budget, "extractor-graph")
 
 
 # ----------------------------------------------------------------------
@@ -200,29 +189,16 @@ def _violation_rows(kind: str, params: dict, budget: int):
     a guard as its top bit; no sum here carries out of a field, and
     ``ge(x, c)`` keeps the guards of x's fields that are >= c.  A row is 1
     where the vertex's neighbours in the subset number outside [lo, hi),
-    and a subset is violated when its total reaches t."""
+    and a subset is violated when its total reaches t (``_rule``)."""
     l, r, d = params["l"], params["r"], params["d"]
-    if kind == "and-disperser":  # the neighbourhood is not inside
-        size, t, lo, hi = (math.ceil(params["delta"] * r),
-                           l + 1 - math.ceil(params["gamma"] * l), d, d + 1)
-    elif kind == "expander":  # the vertex avoids the subset
-        size, t, lo, hi = (math.ceil(params["beta"] * r),
-                           math.ceil(params["beta"] * l), 1, d + 1)
-        if size < 1 or t < 1:  # as verify_expander refuses it
-            raise InvalidInputError(
-                "beta too small: rounded set sizes must be >= 1")
-    else:  # the vertex deviates
-        alpha = params.get("alpha", 0.5)
-        size, t = round(alpha * r), params["K"] + 1
-        lo = math.ceil((alpha - params["eps"]) * d - 1e-9)
-        hi = math.floor((alpha + params["eps"]) * d + 1e-9) + 1
+    size, lo, hi, t, _ = _rule(kind, params)
     ncol = math.comb(r, size)
     if ncol * l > budget:  # what the verifier charges, before any work
         raise BudgetExceededError(ncol * l, budget, f"{kind} search verification")
     t, lo, hi = max(t, 0), *(min(max(c, 0), d + 1) for c in (lo, hi))
     w = max(l, t, d + 1).bit_length() + 1
     member = [0] * r  # member[x]: 1 in the field of each subset holding x
-    for j, subset in enumerate(_lex_subsets(r, size)):
+    for j, subset in enumerate(itertools.combinations(range(r), size)):
         for x in subset:
             member[x] |= 1 << j * w
     ones = ((1 << ncol * w) - 1) // ((1 << w) - 1)
@@ -266,6 +242,13 @@ def _raw_stream(bitgen):
     return integers, lambda: (word() >> 11) * 2.0 ** -53
 
 
+# Per kind: the public verifier (looked up when called) and its parameters.
+_KINDS = {"and-disperser": (lambda: verify_and_disperser, ("delta", "gamma")),
+          "expander": (lambda: verify_expander, ("beta",)),
+          "extractor-graph": (lambda: verify_extractor_graph,
+                              ("K", "eps", "alpha"))}
+
+
 def search_gadget(kind: str, params: dict, seed: int = 0, *,
                   budget: int = DEFAULT_VERIFY_BUDGET,
                   attempts: int = DEFAULT_ATTEMPTS,
@@ -286,20 +269,11 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     -------
     (BipartiteGraph, Verdict, SearchRecord)
     """
-    if kind == "and-disperser":
-        names, verify = ("delta", "gamma"), lambda g: verify_and_disperser(
-            g, params["delta"], params["gamma"], budget=budget)
-    elif kind == "expander":
-        names, verify = ("beta",), lambda g: verify_expander(
-            g, params["beta"], budget=budget)
-    elif kind == "extractor-graph":
-        names, verify = ("K", "eps"), lambda g: verify_extractor_graph(
-            g, params["K"], params["eps"], params.get("alpha", 0.5),
-            budget=budget)
-    else:
+    if kind not in _KINDS:
         raise InvalidInputError(f"unknown gadget kind {kind!r}")
+    verifier, names = _KINDS[kind]
     for name in ("l", "r", "d", *names):
-        if name not in params:
+        if name not in params and name != "alpha":  # alpha defaults to 0.5
             raise InvalidInputError(f"{kind} search needs parameter {name!r}")
     l, r, d = params["l"], params["r"], params["d"]
     if l < 1 or not 1 <= d <= r:
@@ -337,7 +311,8 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
             temp *= 0.999
         if cur == 0:
             g = BipartiteGraph(l, r, d, tuple(tuple(sorted(a)) for a in adj))
-            verdict = verify(g)
+            verdict = verifier()(g, **{n: params[n] for n in names
+                                       if n in params}, budget=budget)
             if verdict.ok:
                 record = SearchRecord(kind, dict(params), seed, attempt + 1,
                                       total_steps)

@@ -124,9 +124,11 @@ def _jsonable(obj):
 # Support enumeration helpers
 # ----------------------------------------------------------------------
 
-def _check_k(k) -> int:
-    if k != int(k):
-        raise InvalidInputError("oracle entropy levels must be integral")
+def _check_k(k, width: int) -> int:
+    """``k`` as an int: an entropy level of an input of ``width`` bits."""
+    if not 0 <= k <= width or k != int(k):
+        raise InvalidInputError(f"oracle entropy levels must be integers in "
+                                f"0..{width}, got {k}")
     return int(k)
 
 
@@ -153,6 +155,8 @@ def _leak_maps(maps, b: int, widths=()):
     1-D integer maps >= 0 over the whole domain of the leaking inputs (of
     ``widths`` bits), with ``b`` widened to the bits that a map's distinct
     values need once relabelled densely (only its partition matters)."""
+    if b < 0:
+        raise InvalidInputError(f"leak width b must be >= 0, got {b}")
     if maps is None:
         if b > EXHAUSTIVE_MAP_BITS_CAP:
             raise InvalidInputError(
@@ -342,7 +346,7 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     if h.arity != 2:
         raise InvalidInputError("worst_case_error_2source needs a 2-input handle")
     n1, n2 = h.input_widths
-    k1, k2 = _check_k(k1), _check_k(k2)
+    k1, k2 = _check_k(k1, n1), _check_k(k2, n2)
     K1, K2 = 1 << k1, 1 << k2
     t0 = time.perf_counter()
     required = math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
@@ -432,8 +436,8 @@ def worst_case_error_seeded(h: ExtractorHandle, k, strong: bool = True, *,
     if h.kind != "seeded":
         raise InvalidInputError("worst_case_error_seeded needs a seeded handle")
     t0 = time.perf_counter()
-    rep = _seeded_worst(h, _check_k(k), 0, strong, None, mode, samples, seed,
-                        budget)
+    rep = _seeded_worst(h, _check_k(k, h.input_widths[0]), 0, strong, None,
+                        mode, samples, seed, budget)
     rep.wall_time = time.perf_counter() - t0
     return rep
 
@@ -461,15 +465,16 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
     then means jointly with the seed.  For a 2-source handle ``strong``
     is an input index as in :func:`worst_case_error_2source`.
     """
-    if b == 0 and maps is None and h.kind != "seeded":
-        return worst_case_error_2source(
-            h, k_profile[0], k_profile[1], strong, mode=mode,
-            samples=samples, seed=seed, budget=budget)
+    if b == 0 and maps is None:  # the leak-free oracle
+        kw = dict(mode=mode, samples=samples, seed=seed, budget=budget)
+        if h.kind == "seeded":
+            return worst_case_error_seeded(h, k_profile[0], bool(strong), **kw)
+        return worst_case_error_2source(h, *k_profile[:2], strong, **kw)
     t0 = time.perf_counter()
     if h.kind == "seeded":
         maps, b = _leak_maps(maps, b, h.input_widths[:1])
-        rep = _seeded_worst(h, _check_k(k_profile[0]), b, bool(strong), maps,
-                            mode, samples, seed, budget)
+        rep = _seeded_worst(h, _check_k(k_profile[0], h.input_widths[0]), b,
+                            bool(strong), maps, mode, samples, seed, budget)
     elif h.arity == 2:
         leak_sources = list(leak_sources) if leak_sources is not None else [0, 1]
         maps, b = _leak_maps(maps, b, [h.input_widths[i] for i in leak_sources
@@ -510,7 +515,7 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
 def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                     mode, samples, seed, budget):
     widths = h.input_widths
-    k1, k2 = _check_k(k_profile[0]), _check_k(k_profile[1])
+    k1, k2 = (_check_k(k, n) for k, n in zip(k_profile, widths))
     Ks = (1 << k1, 1 << k2)
     baseline = worst_case_error_2source(
         h, k1, k2, strong, mode=mode, samples=samples, seed=seed, budget=budget)
@@ -584,7 +589,9 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
         raise InvalidInputError(
             "desk-scale multi oracle requires strong on all but the last input")
     X1, X2, X3 = (1 << n for n in h.input_widths)
-    K1, K2, K3 = (1 << _check_k(k) for k in k_profile)
+    K1, K2, K3 = (1 << _check_k(k, n)
+                  for k, n in zip(k_profile, h.input_widths))
+    _leak_maps(None, b)
     t0 = time.perf_counter()
     tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1, X2, X3)
     required = math.comb(X1, K1) * math.comb(X2, K2) * math.comb(X3, K3)
@@ -593,7 +600,6 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
                      "multi-source enumeration") != "exhaustive":
         raise InvalidInputError(
             "the multi-source oracle is exhaustive-only; shrink the instance")
-    _leak_maps(None, b)
     swap = math.comb(X2, K2) < math.comb(X1, K1)
     if swap:
         tbl, X1, X2, K1, K2 = tbl.transpose(1, 0, 2), X2, X1, K2, K1
@@ -632,7 +638,8 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     if h.arity != 3:
         raise InvalidInputError("block+general oracle handles 3 inputs")
     X1, X2, X3 = (1 << n for n in h.input_widths)
-    K1, K2, K3 = (1 << _check_k(k) for k in k_profile)
+    K1, K2, K3 = (1 << _check_k(k, n)
+                  for k, n in zip(k_profile, h.input_widths))
     t0 = time.perf_counter()
     tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1 * X2, X3)
     mode = _resolve_mode(mode, math.comb(X3, K3), budget,

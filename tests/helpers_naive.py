@@ -117,6 +117,12 @@ def naive_worst_seeded(fn, n, d, m, k, strong=True) -> Fraction:
 def naive_violations(kind, params, adj) -> int:
     """Quantifier subsets a gadget fails, recounted from the neighbour
     sets ``adj``, in the search's own terms."""
+    return sum(1 for _ in naive_violated_subsets(kind, params, adj))
+
+
+def naive_violated_subsets(kind, params, adj):
+    """The quantifier subsets a gadget fails, as sorted tuples in
+    lexicographic order."""
     r, d, l = params["r"], params["d"], params["l"]
     if kind == "extractor-graph":
         alpha = params.get("alpha", 0.5)
@@ -126,19 +132,19 @@ def naive_violations(kind, params, adj) -> int:
     else:
         size = math.ceil(params["delta" if kind == "and-disperser"
                                 else "beta"] * r)
-    bad = 0
-    for subset in itertools.combinations(range(r), size):
-        subset = set(subset)
+    for combo in itertools.combinations(range(r), size):
+        subset = set(combo)
         if kind == "and-disperser":
             inside = sum(1 for a in adj if a <= subset)
-            bad += inside < math.ceil(params["gamma"] * l)
+            bad = inside < math.ceil(params["gamma"] * l)
         elif kind == "expander":
             avoid = sum(1 for a in adj if not a & subset)
-            bad += avoid >= math.ceil(params["beta"] * l)
+            bad = avoid >= math.ceil(params["beta"] * l)
         else:
             dev = sum(1 for a in adj if not lo <= len(a & subset) <= hi)
-            bad += dev > params["K"]
-    return bad
+            bad = dev > params["K"]
+        if bad:
+            yield combo
 
 
 def naive_search_gadget(kind, params, seed=0, attempts=32, steps=6000):

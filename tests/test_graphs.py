@@ -10,7 +10,8 @@ from extractomat.graphs import (BipartiteGraph, _raw_stream, search_gadget,
                                 verify_and_disperser, verify_expander,
                                 verify_extractor_graph)
 
-from helpers_naive import naive_search_gadget
+from helpers_naive import (naive_search_gadget, naive_violated_subsets,
+                           naive_violations)
 
 
 def _identity_graph(n):
@@ -73,6 +74,61 @@ def test_disperser_verdict_matches_naive(tmp_path):
                 ok = False
                 break
         assert verdict.ok == ok
+
+
+def test_verifiers_match_naive_violations():
+    # Every kind on random graphs: the verdict agrees with the naive
+    # recount, and the witness is its first violated subset in
+    # lexicographic order.  eps = |j/d - alpha| puts (alpha -+ eps) * d on
+    # the integer j, where the window's edge decides.
+    verify = {
+        "and-disperser": lambda g, p: verify_and_disperser(
+            g, p["delta"], p["gamma"]),
+        "expander": lambda g, p: verify_expander(g, p["beta"]),
+        "extractor-graph": lambda g, p: verify_extractor_graph(
+            g, p["K"], p["eps"], p["alpha"]),
+    }
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(60):
+        r = int(rng.integers(2, 8))
+        l, d = int(rng.integers(1, 9)), int(rng.integers(1, r + 1))
+        g = BipartiteGraph.random(l, r, d, rng)
+        adj = [set(a) for a in g.adj]
+        alpha = float(rng.choice([0.25, 0.3, 0.5, 0.75]))
+        eps = abs(int(rng.integers(0, d + 1)) / d - alpha)
+        for kind, p in [
+                ("and-disperser", {"delta": float(rng.choice([0.5, 0.75, 1])),
+                                   "gamma": float(rng.choice([0.1, 0.5]))}),
+                ("expander", {"beta": float(rng.choice([0.25, 0.4, 0.75]))}),
+                ("extractor-graph", {"K": int(rng.integers(0, 3)),
+                                     "eps": eps, "alpha": alpha}),
+                ("extractor-graph", {"K": int(rng.integers(0, 3)),
+                                     "eps": float(rng.choice([0.1, 0.2])),
+                                     "alpha": alpha})]:
+            params = {"l": l, "r": r, "d": d, **p}
+            verdict = verify[kind](g, p)
+            assert verdict.ok == (naive_violations(kind, params, adj) == 0)
+            first = next(naive_violated_subsets(kind, params, adj), None)
+            seen.add((kind, verdict.ok))
+            if first is None:
+                continue
+            subsets = list(itertools.combinations(range(r), len(first)))
+            assert verdict.checked == subsets.index(first) + 1
+            S = set(first)
+            if kind == "and-disperser":
+                assert verdict.witness == first
+            elif kind == "expander":
+                t = math.ceil(p["beta"] * l)
+                avoid = [u for u, a in enumerate(adj) if not a & S]
+                assert verdict.witness == (tuple(avoid[:t]), first)
+            else:
+                lo, hi = ((alpha - p["eps"]) * d - 1e-9,
+                          (alpha + p["eps"]) * d + 1e-9)
+                dev = [u for u, a in enumerate(adj)
+                       if not lo <= len(a & S) <= hi]
+                assert verdict.witness == (tuple(dev), first)
+    assert seen == {(kind, ok) for kind in verify for ok in (True, False)}
 
 
 def test_budget_exceeded():

@@ -123,6 +123,33 @@ def test_non_integral_k_rejected():
         worst_case_error_2source(ip_handle(3), 1.5, 2, None)
 
 
+def test_entropy_levels_outside_the_input_width_rejected():
+    # A (1,1,1)-bit table and a (1,1)-bit one: K = 2^k > 2^width would leave
+    # an empty source class, and k < 0 a fractional support size.
+    h3 = table_handle("w3", "t-source", (1, 1, 1), 1, np.arange(8) % 2)
+    h2 = table_handle("w2", "2-source", (1, 1), 1, np.arange(4) % 2)
+    hs = table_handle("ws", "seeded", (1, 1), 1, np.arange(4) % 2)
+    calls = [
+        lambda: worst_case_error_block_general(h3, (1, 2, 1)),
+        lambda: worst_case_error_multi(h3, (1, 2, 1)),
+        lambda: worst_case_error_multi(h3, (1, 1, -1)),
+        lambda: worst_case_error_2source(h2, -1, 1),
+        lambda: worst_case_error_2source(h2, 2, 1, 0),
+        lambda: worst_case_error_leaked(h2, (1, 2), 1),
+        lambda: worst_case_error_leaked(h2, (1, 1), -1),
+        lambda: worst_case_error_leaked(hs, (2, 1), 1),
+        lambda: worst_case_error_seeded(hs, -1),
+        lambda: worst_case_error_multi(h3, (1, 1, 1), b=-1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError):
+            call()
+    # the edges 0 and width stay valid; the tables output the last input
+    assert worst_case_error_2source(h2, 0, 1).error == 0
+    assert worst_case_error_2source(h2, 1, 0).error == Fraction(1, 2)
+    assert worst_case_error_block_general(h3, (1, 1, 0)).error == Fraction(1, 2)
+
+
 def test_sampled_mode_lower_bounds_exhaustive():
     h = deor_handle(3, 2)
     exact = worst_case_error_2source(h, 1, 1, None).error
