@@ -10,6 +10,11 @@ Tables persist in a content-addressed cache (``EXTRACTOMAT_CACHE``
 overrides the location): the file name is the SHA-256 digest of the raw
 table bytes, so re-runs are byte-stable and auditable.  Writes go
 through a temp file and an atomic rename.
+
+An XTAB file (version 2) is the magic ``XTAB``, a little-endian uint16
+version and uint64 body length, the table as little-endian uint32
+entries, then the JSON :class:`CertificationRecord`: the certificate and
+the only copy of the table's parameters.  Other versions are cache misses.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,11 +35,8 @@ from .extractors import ExtractorHandle, table_handle
 from . import oracle as _oracle
 
 XTAB_MAGIC = b"XTAB"
-XTAB_VERSION = 1
-_KIND_CODES = {"2-source": 0, "t-source": 1, "seeded": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_MODE_CODES = {"exhaustive": 0, "sampled": 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+XTAB_VERSION = 2
+_FRAME = struct.Struct("<4sHQ")  # magic, version, body length in bytes
 # Strong indices each kind's measurement can record: both inputs of a
 # 2-source table, the seed of a seeded one, none of a t-source one.
 _STRONG_INDICES = {"2-source": {0, 1}, "seeded": {1}, "t-source": set()}
@@ -81,33 +83,13 @@ class CertificationRecord:
         return Fraction(self.error)
 
     def to_json_dict(self) -> dict:
-        return {
-            "digest": self.digest,
-            "kind": self.kind,
-            "widths": list(self.widths),
-            "k_profile": list(self.k_profile),
-            "m": self.m,
-            "mode": self.mode,
-            "error": self.error,
-            "error_exact": self.error_exact,
-            "strong_errors": {str(k): v for k, v in self.strong_errors.items()},
-            "leak_bits": self.leak_bits,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "generator": self.generator,
-            "record_id": self.record_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CertificationRecord":
-        return cls(
-            digest=d["digest"], kind=d["kind"], widths=tuple(d["widths"]),
-            k_profile=tuple(d["k_profile"]), m=d["m"], mode=d["mode"],
-            error=d["error"], error_exact=d.get("error_exact"),
-            strong_errors={int(k): v for k, v in d["strong_errors"].items()},
-            leak_bits=d["leak_bits"], seed=d["seed"], attempts=d["attempts"],
-            generator=d.get("generator", "philox-counter"),
-            record_id=d.get("record_id", ""))
+        return cls(**dict(
+            d, widths=tuple(d["widths"]), k_profile=tuple(d["k_profile"]),
+            strong_errors={int(k): v for k, v in d["strong_errors"].items()}))
 
 
 def draw_table(widths, m: int, seed: int, attempt: int = 0) -> np.ndarray:
@@ -132,12 +114,10 @@ def certify_random_table(widths, k_profile, m: int, *,
                          leak_bits: int = 0,
                          samples: int = _oracle.DEFAULT_SAMPLES,
                          budget: int = _oracle.DEFAULT_BUDGET,
-                         cache_dir: Path | None = None,
-                         name: str | None = None,
-                         max_retries: int = MAX_RETRIES):
+                         cache_dir: Path | None = None):
     """Draw, measure, persist, and return a certified-table extractor.
 
-    The table is redrawn (up to ``max_retries`` times, each draw
+    The table is redrawn (up to ``MAX_RETRIES`` times, each draw
     deterministic in ``(seed, attempt)``) until the measured worst-case
     error is at or below ``target_eps``.  The returned handle's declared
     epsilon is the measured one; ``strong`` indices are measured
@@ -169,7 +149,7 @@ def certify_random_table(widths, k_profile, m: int, *,
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
     last = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         table = draw_table(widths, m, seed, attempt)
         digest = table_digest(table)
         cached = _cache_load(cache, digest)
@@ -184,12 +164,9 @@ def certify_random_table(widths, k_profile, m: int, *,
                 # so the rewritten file still serves its earlier requests.
                 measured = tuple(sorted(set(strong)
                                         | set(cached[1].strong_errors)))
-            handle = table_handle(
-                name or f"table[{digest[:8]}]", kind, widths, m, table,
-                k_profile=k_profile, eps=1.0, strong=measured)
             report, strong_reports = _measure(
-                handle, k_profile, measured, leak_bits, mode, samples, seed,
-                budget)
+                table_handle(f"table[{digest[:8]}]", kind, widths, m, table),
+                k_profile, measured, leak_bits, mode, samples, seed, budget)
             record = CertificationRecord(
                 digest=digest, kind=kind, widths=widths, k_profile=k_profile,
                 m=m, mode=report.mode, error=float(report.error),
@@ -198,18 +175,14 @@ def certify_random_table(widths, k_profile, m: int, *,
                 strong_errors={i: float(r.error)
                                for i, r in strong_reports.items()},
                 leak_bits=leak_bits, seed=seed, attempts=attempt + 1)
-            handle = table_handle(
-                name or f"table[{digest[:8]}]", kind, widths, m, table,
-                k_profile=k_profile, eps=min(1.0, max(float(report.error),
-                                                      1e-300)),
-                strong=tuple(record.strong_errors), record=record)
+            handle = _certified(record, table)
             save_xtab(cache / f"{digest}.xtab", handle, record)
         last = (handle, record)
         if target_eps is None or record.error <= target_eps:
             return handle, record
     raise TargetUnreachableError(
-        f"no table reached error <= {target_eps} in {max_retries} draws "
-        f"(best: {last[1].error if last else 'n/a'})", max_retries)
+        f"no table reached error <= {target_eps} in {MAX_RETRIES} draws "
+        f"(best: {last[1].error if last else 'n/a'})", MAX_RETRIES)
 
 
 def _record_matches(rec: CertificationRecord, kind, widths, k_profile, m,
@@ -221,6 +194,20 @@ def _record_matches(rec: CertificationRecord, kind, widths, k_profile, m,
             and rec.k_profile == k_profile and rec.leak_bits == leak_bits
             and mode in ("auto", rec.mode)
             and (kind != "2-source" or set(strong) <= set(rec.strong_errors)))
+
+
+def _certified(record: CertificationRecord, table) -> ExtractorHandle:
+    """The handle ``record`` certifies over ``table``, built from the
+    record alone; a record that does not describe the table is damaged."""
+    try:
+        return table_handle(
+            f"table[{record.digest[:8]}]", record.kind, record.widths,
+            record.m, table, k_profile=record.k_profile,
+            eps=min(1.0, max(float(record.error), 1e-300)),
+            strong=tuple(record.strong_errors), record=record)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(
+            f"damaged certification record ({exc})") from exc
 
 
 def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
@@ -250,16 +237,11 @@ def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
 
 def save_xtab(path: Path, handle: ExtractorHandle,
               record: CertificationRecord) -> None:
-    """Write header + little-endian table + trailing JSON record."""
+    """Write the frame, the little-endian table and the JSON record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    widths = handle.input_widths
-    head = XTAB_MAGIC + struct.pack(
-        "<HBBBBQ", XTAB_VERSION, _KIND_CODES[handle.kind],
-        _MODE_CODES[record.mode], len(widths), handle.m, record.seed)
-    head += struct.pack(f"<{len(widths)}B", *widths)
-    head += struct.pack(f"<{len(widths)}d", *record.k_profile)
     body = np.ascontiguousarray(handle.table(), dtype="<u4").tobytes()
+    head = _FRAME.pack(XTAB_MAGIC, XTAB_VERSION, len(body))
     tail = json.dumps(record.to_json_dict()).encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -275,38 +257,26 @@ def save_xtab(path: Path, handle: ExtractorHandle,
 def load_xtab(path: Path):
     """Read an XTAB file back into (handle, record).
 
-    Raises :class:`InvalidInputError` when the record tail is damaged or
-    the table bytes do not hash to the digest it was certified under.
+    Raises :class:`InvalidInputError` on another XTAB version, a damaged
+    record, or table bytes that do not hash to the record's digest.
     """
     data = Path(path).read_bytes()
-    if data[:4] != XTAB_MAGIC:
+    if len(data) < _FRAME.size or not data.startswith(XTAB_MAGIC):
         raise InvalidInputError(f"{path}: not an XTAB file")
-    version, kind_c, mode_c, arity, m, seed = struct.unpack(
-        "<HBBBBQ", data[4:18])
+    _, version, size = _FRAME.unpack_from(data)
     if version != XTAB_VERSION:
         raise InvalidInputError(f"{path}: unsupported XTAB version {version}")
-    pos = 18
-    widths = struct.unpack(f"<{arity}B", data[pos:pos + arity])
-    pos += arity
-    k_profile = struct.unpack(f"<{arity}d", data[pos:pos + 8 * arity])
-    pos += 8 * arity
-    size = 1 << sum(widths)
-    body = data[pos:pos + 4 * size]
-    table = np.frombuffer(body, dtype="<u4").astype(np.uint32)
-    pos += 4 * size
+    body = data[_FRAME.size:_FRAME.size + size]
     try:
-        record = CertificationRecord.from_json_dict(json.loads(data[pos:]))
-    except (ValueError, KeyError, TypeError) as exc:
+        record = CertificationRecord.from_json_dict(
+            json.loads(data[_FRAME.size + size:]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidInputError(
             f"{path}: damaged certification record ({exc})") from exc
     if hashlib.sha256(body).hexdigest() != record.digest:
         raise InvalidInputError(
-            f"{path}: table does not match its digest {record.digest[:16]}")
-    handle = table_handle(
-        f"table[{record.digest[:8]}]", _KIND_NAMES[kind_c], widths, m, table,
-        k_profile=k_profile, eps=min(1.0, max(record.error, 1e-300)),
-        strong=tuple(record.strong_errors), record=record)
-    return handle, record
+            f"{path}: table does not match its digest {record.record_id}")
+    return _certified(record, np.frombuffer(body, dtype="<u4")), record
 
 
 def _cache_load(cache: Path, digest: str):

@@ -95,6 +95,8 @@ def _rule(kind: str, params: dict):
     l, r, d = params["l"], params["r"], params["d"]
     if kind == "and-disperser":  # good: the neighbourhood is inside
         size = math.ceil(params["delta"] * r)
+        if size < 0:
+            raise InvalidInputError("delta must be >= 0")
         need = math.ceil(params["gamma"] * l)
         return size, d, d + 1, l + 1 - need, {"right_subset_size": size,
                                               "left_required": need}
@@ -108,6 +110,8 @@ def _rule(kind: str, params: dict):
     # good: within eps of alpha, as counts (1e-9 absorbs float rounding)
     alpha, eps, K = params.get("alpha", 0.5), params["eps"], params["K"]
     size = round(alpha * r)
+    if size < 0:
+        raise InvalidInputError("alpha must be >= 0")
     return (size, math.ceil((alpha - eps) * d - 1e-9),
             math.floor((alpha + eps) * d + 1e-9) + 1, K + 1,
             {"t_size": size, "alpha": alpha, "deviation": "two-sided",

@@ -465,6 +465,8 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
     then means jointly with the seed.  For a 2-source handle ``strong``
     is an input index as in :func:`worst_case_error_2source`.
     """
+    if len(k_profile) < h.arity:
+        raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
     if b == 0 and maps is None:  # the leak-free oracle
         kw = dict(mode=mode, samples=samples, seed=seed, budget=budget)
         if h.kind == "seeded":
@@ -567,8 +569,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
 # rows (x1, x2) against X3, under a selection rule of their own
 # ----------------------------------------------------------------------
 
-def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
-                           strong_set=None, b: int = 0,
+def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
                            mode: str = "exhaustive",
                            samples: int = DEFAULT_SAMPLES,
                            seed: int = 0,
@@ -584,10 +585,8 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *,
     """
     if h.arity != 3:
         raise InvalidInputError("worst_case_error_multi handles 3 inputs")
-    strong_set = frozenset(strong_set) if strong_set is not None else frozenset({0, 1})
-    if strong_set != frozenset({0, 1}):
-        raise InvalidInputError(
-            "desk-scale multi oracle requires strong on all but the last input")
+    if len(k_profile) < h.arity:
+        raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
     X1, X2, X3 = (1 << n for n in h.input_widths)
     K1, K2, K3 = (1 << _check_k(k, n)
                   for k, n in zip(k_profile, h.input_widths))
@@ -637,6 +636,8 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     """
     if h.arity != 3:
         raise InvalidInputError("block+general oracle handles 3 inputs")
+    if len(k_profile) < h.arity:
+        raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
     X1, X2, X3 = (1 << n for n in h.input_widths)
     K1, K2, K3 = (1 << _check_k(k, n)
                   for k, n in zip(k_profile, h.input_widths))

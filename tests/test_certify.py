@@ -1,3 +1,5 @@
+import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -181,17 +183,24 @@ def test_xtab_digest_verified(tmp_path, monkeypatch, capsys):
                                           cache_dir=tmp_path)
     path = tmp_path / f"{rec.digest}.xtab"
     good = path.read_bytes()
-    body_start = 18 + 2 + 8 * 2  # header, two widths, two k values
+    body_start = certify._FRAME.size
 
     def flip_body_byte(data):
         data = bytearray(data)
         data[body_start + 5] ^= 1
         return bytes(data)
 
+    def to_version_1(data):  # a header holding kind, mode, arity, m, seed
+        return (certify.XTAB_MAGIC + struct.pack("<HBBBBQ", 1, 0, 0, 2, 1, 71)
+                + struct.pack("<2B2d", 3, 3, 2.0, 2.0) + data[body_start:])
+
     damages = [(flip_body_byte, "digest"),
                (lambda data: data[:-1], "damaged certification record"),
                (lambda data: data.replace(b'"attempts"', b'"attempt"'),
-                "damaged certification record")]
+                "damaged certification record"),
+               (lambda data: re.sub(rb'"error": [^,]*,', b'"error": "x",',
+                                    data), "damaged certification record"),
+               (to_version_1, "unsupported XTAB version 1")]
     calls = _counting_measure(monkeypatch)
     for damage, match in damages:
         path.write_bytes(damage(good))
@@ -199,6 +208,7 @@ def test_xtab_digest_verified(tmp_path, monkeypatch, capsys):
             certify.load_xtab(path)
         assert main(["eval", "--extractor", str(path), "--k1", "2",
                      "--k2", "2", "--out-dir", str(tmp_path / "out")]) == 4
+        assert match in capsys.readouterr().err
         # the cache treats the damaged file as a miss: measure and rewrite
         before = len(calls)
         h2, rec2 = certify.certify_random_table((3, 3), (2, 2), 1, seed=71,
@@ -229,3 +239,47 @@ def test_declared_strong_set_is_the_measured_one(tmp_path):
             certify.certify_random_table(widths, (1,) * len(widths), 1,
                                          kind=kind, seed=83, strong=strong,
                                          cache_dir=tmp_path)
+
+
+def test_tampered_cache_file_never_serves_a_mismatched_handle(tmp_path):
+    # Each parameter the handle reads (kind, widths, m, k_profile) is
+    # edited where a file could hold it: in the record, and at the bytes
+    # of a header in front of the table (kind at byte 6, m at byte 9, the
+    # first k value at bytes 20-27).
+    request = ((3, 3), (2, 2), 1)
+    _, rec = certify.certify_random_table(*request, seed=5,
+                                          cache_dir=tmp_path)
+    path = tmp_path / f"{rec.digest}.xtab"
+    good = path.read_bytes()
+
+    def put(offset, value):
+        return lambda data: data[:offset] + value + data[offset + len(value):]
+
+    def sub(old, new):
+        return lambda data: data.replace(old, new)
+
+    edits = [put(6, b"\x02"), put(9, b"\x03"),
+             put(20, struct.pack("<d", 0.5)),
+             sub(b'"kind": "2-source"', b'"kind": "seeded"'),
+             sub(b'"kind": "2-source"', b'"kind": "t-source"'),
+             sub(b'"kind": "2-source"', b'"kind": "4-source"'),
+             sub(b'"widths": [3, 3]', b'"widths": [2, 4]'),
+             sub(b'"widths": [3, 3]', b'"widths": [3, 2]'),
+             sub(b'"m": 1,', b'"m": 3,'), sub(b'"m": 1,', b'"m": 0,'),
+             sub(b'"k_profile": [2.0, 2.0]', b'"k_profile": [0.5, 2.0]')]
+    for edit in edits:
+        tampered = edit(good)
+        assert tampered != good
+        path.write_bytes(tampered)
+        try:
+            h, r = certify.load_xtab(path)
+        except InvalidInputError:
+            pass
+        else:
+            assert (h.kind, h.input_widths, h.m, h.k_profile, h.strong) == (
+                r.kind, r.widths, r.m, r.k_profile, frozenset(r.strong_errors))
+        h, r = certify.certify_random_table(*request, seed=5,
+                                            cache_dir=tmp_path)
+        assert (h.kind, h.input_widths, h.m, h.k_profile) == (
+            "2-source", (3, 3), 1, (2.0, 2.0))
+        assert r.error_exact == rec.error_exact

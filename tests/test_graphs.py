@@ -275,10 +275,20 @@ def test_search_budget_charges_the_scored_subsets():
     # rounded set sizes of 0: refused before any draw, as the verifier does
     ("expander", {"l": 10, "r": 10, "d": 3, "beta": 0.0}, "beta too small"),
     ("expander", {"l": 10, "r": 10, "d": 3, "beta": -0.5}, "beta too small"),
+    ("extractor-graph", {"l": 2, "r": 2, "d": 1, "eps": 0.1, "K": 0,
+                         "alpha": -0.5}, "alpha must be >= 0"),
 ])
 def test_search_input_errors_are_typed(kind, params, name):
     with pytest.raises(InvalidInputError, match=name):
         search_gadget(kind, params)
+
+
+def test_negative_subset_sizes_refused():
+    g = _identity_graph(2)
+    with pytest.raises(InvalidInputError, match="alpha must be >= 0"):
+        verify_extractor_graph(g, 0, 0.1, alpha=-0.5)
+    with pytest.raises(InvalidInputError, match="delta must be >= 0"):
+        verify_and_disperser(g, -0.5, 0.5)
 
 
 def test_search_with_d_equal_r():

@@ -140,6 +140,10 @@ def test_entropy_levels_outside_the_input_width_rejected():
         lambda: worst_case_error_leaked(hs, (2, 1), 1),
         lambda: worst_case_error_seeded(hs, -1),
         lambda: worst_case_error_multi(h3, (1, 1, 1), b=-1),
+        # fewer entropy levels than inputs
+        lambda: worst_case_error_multi(h3, (1, 1)),
+        lambda: worst_case_error_block_general(h3, (1, 1)),
+        lambda: worst_case_error_leaked(ip_handle(2), (1,), 1),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError):
@@ -262,14 +266,6 @@ def test_map_width_cap():
 # ----------------------------------------------------------------------
 # composite and block oracles
 # ----------------------------------------------------------------------
-
-def test_multi_requires_strong_all_but_last():
-    rng = np.random.default_rng(0)
-    t = rng.integers(0, 2, size=64, dtype=np.uint32)
-    h = table_handle("m", "t-source", (2, 2, 2), 1, t)
-    with pytest.raises(InvalidInputError):
-        worst_case_error_multi(h, (1, 1, 1), strong_set={0})
-
 
 def test_multi_matches_direct_enumeration_tiny():
     rng = np.random.default_rng(5)
