@@ -9,7 +9,8 @@ with the handle as a :class:`CertificationRecord`.
 Tables persist in a content-addressed cache (``EXTRACTOMAT_CACHE``
 overrides the location): the file name is the SHA-256 digest of the raw
 table bytes, so re-runs are byte-stable and auditable.  Writes go
-through a temp file and an atomic rename.
+through a temp file and an atomic rename.  A hit (see :func:`load_xtab`)
+re-measures nothing: the record's error is trusted as stored.
 
 An XTAB file (version 2) is the magic ``XTAB``, a little-endian uint16
 version and uint64 body length, the table as little-endian uint32
@@ -101,8 +102,7 @@ def draw_table(widths, m: int, seed: int, attempt: int = 0) -> np.ndarray:
 
 
 def table_digest(table: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(table, dtype="<u4")
-                          .tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(table, dtype="<u4")).hexdigest()
 
 
 def certify_random_table(widths, k_profile, m: int, *,
@@ -152,7 +152,7 @@ def certify_random_table(widths, k_profile, m: int, *,
     for attempt in range(MAX_RETRIES):
         table = draw_table(widths, m, seed, attempt)
         digest = table_digest(table)
-        cached = _cache_load(cache, digest)
+        cached = _cache_load(cache, table, digest)
         if cached is not None and _record_matches(
                 cached[1], kind, widths, k_profile, m, leak_bits, strong,
                 mode):
@@ -254,11 +254,15 @@ def save_xtab(path: Path, handle: ExtractorHandle,
         raise
 
 
-def load_xtab(path: Path):
+def load_xtab(path: Path, table: np.ndarray | None = None,
+              digest: str | None = None):
     """Read an XTAB file back into (handle, record).
 
+    Alone, the body must hash to the record's digest.  Given the drawn
+    ``table`` and its ``digest`` (a cache lookup), it must equal ``table``
+    and the record must name ``digest``; nothing is hashed.
     Raises :class:`InvalidInputError` on another XTAB version, a damaged
-    record, or table bytes that do not hash to the record's digest.
+    record, or a failed check.
     """
     data = Path(path).read_bytes()
     if len(data) < _FRAME.size or not data.startswith(XTAB_MAGIC):
@@ -266,22 +270,28 @@ def load_xtab(path: Path):
     _, version, size = _FRAME.unpack_from(data)
     if version != XTAB_VERSION:
         raise InvalidInputError(f"{path}: unsupported XTAB version {version}")
-    body = data[_FRAME.size:_FRAME.size + size]
+    body = memoryview(data)[_FRAME.size:_FRAME.size + size]
     try:
         record = CertificationRecord.from_json_dict(
             json.loads(data[_FRAME.size + size:]))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidInputError(
             f"{path}: damaged certification record ({exc})") from exc
-    if hashlib.sha256(body).hexdigest() != record.digest:
+    if table is None:
+        if hashlib.sha256(body).hexdigest() != record.digest:
+            raise InvalidInputError(
+                f"{path}: table does not match its digest {record.record_id}")
+    elif not (record.digest == digest and len(body) == table.nbytes
+              and np.array_equal(np.frombuffer(body, dtype="<u4"), table)):
         raise InvalidInputError(
-            f"{path}: table does not match its digest {record.record_id}")
+            f"{path}: not the table of digest {digest[:16]}")
     return _certified(record, np.frombuffer(body, dtype="<u4")), record
 
 
-def _cache_load(cache: Path, digest: str):
-    """The cached (handle, record), or None; a damaged file is a miss."""
+def _cache_load(cache: Path, table: np.ndarray, digest: str):
+    """The cached (handle, record) of ``table``, or None; a damaged or
+    misnamed file is a miss."""
     try:
-        return load_xtab(cache / f"{digest}.xtab")
+        return load_xtab(cache / f"{digest}.xtab", table, digest)
     except (FileNotFoundError, InvalidInputError):
         return None

@@ -345,6 +345,8 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     """
     if h.arity != 2:
         raise InvalidInputError("worst_case_error_2source needs a 2-input handle")
+    if strong not in (None, 0, 1):
+        raise InvalidInputError(f"strong must be None, 0 or 1, not {strong!r}")
     n1, n2 = h.input_widths
     k1, k2 = _check_k(k1, n1), _check_k(k2, n2)
     K1, K2 = 1 << k1, 1 << k2
@@ -725,9 +727,12 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
     the samples spread over many cells (``n <= 4 * cells``) a resample
     draws ``n`` sample indices with replacement and counts them, which
     costs O(n); otherwise it is one multinomial draw over the cells,
-    which costs O(cells).  The resamples are drawn and scored a chunk of
-    rows at a time, each chunk in one batched :func:`excess_over_uniform`
-    call.  Requires ``len(pairs) >= 100 * 2**m / tol**2``.
+    which costs O(cells).  A cell alone in its rest group scores
+    ``(2**m - 1) * count``, linear in the count, so index draws count all
+    lone cells into one bucket, scored as one cell in a group of its own.
+    The resamples are drawn and scored a chunk of rows at a time, each
+    chunk in one batched :func:`excess_over_uniform` call.  Requires
+    ``len(pairs) >= 100 * 2**m / tol**2``.
     """
     n_samples = len(pairs)
     needed = 100.0 * (1 << m) / (tol * tol)
@@ -745,6 +750,13 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
     estimate = excess_over_uniform(cvec, groups, m) / scale
     rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
     by_index = n_samples <= 4 * C
+    if by_index:  # lone cells, last, share one bucket: a group of its own
+        shared = np.flatnonzero(np.bincount(groups)[groups] > 1)
+        lump = np.full(C, shared.size)
+        lump[shared] = np.arange(shared.size)
+        kept, dense = np.unique(groups[shared], return_inverse=True)
+        cells, groups = lump[cells], np.append(dense, kept.size)
+        C = shared.size + 1
     rows = max(1, CHUNK_ENTRIES // (n_samples if by_index else C))
     boot = []
     for done in range(0, BOOTSTRAP_RESAMPLES, rows):

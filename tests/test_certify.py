@@ -283,3 +283,52 @@ def test_tampered_cache_file_never_serves_a_mismatched_handle(tmp_path):
         assert (h.kind, h.input_widths, h.m, h.k_profile) == (
             "2-source", (3, 3), 1, (2.0, 2.0))
         assert r.error_exact == rec.error_exact
+
+
+@pytest.mark.parametrize("forged", ["copied file", "copied record"])
+def test_cache_file_of_another_table_is_a_miss(tmp_path, monkeypatch, forged):
+    # The seed-5 file, or the seed-6 table under the seed-5 record, put
+    # under the seed-6 draw's name: the seed-6 request re-measures its own
+    # draw and rewrites the file.
+    request = ((3, 3), (2, 2), 1)
+    h5, rec5 = certify.certify_random_table(*request, seed=5,
+                                            cache_dir=tmp_path)
+    table6 = certify.draw_table(request[0], 1, 6)
+    path = tmp_path / f"{certify.table_digest(table6)}.xtab"
+    if forged == "copied file":
+        path.write_bytes((tmp_path / f"{rec5.digest}.xtab").read_bytes())
+    else:
+        certify.save_xtab(path, certify._certified(rec5, table6), rec5)
+    calls = _counting_measure(monkeypatch)
+    h6, rec6 = certify.certify_random_table(*request, seed=6,
+                                            cache_dir=tmp_path)
+    assert len(calls) == 1
+    assert rec6.seed == 6 and rec6.digest == path.stem
+    assert np.array_equal(h6.table(), table6)
+    assert certify.load_xtab(path)[1] == rec6
+
+
+def test_warm_hit_hashes_the_table_once(tmp_path, monkeypatch):
+    request = ((3, 3), (2, 2), 1)
+    h, rec = certify.certify_random_table(*request, seed=5,
+                                          cache_dir=tmp_path)
+    hashed, loads = [], []
+    real_sha256, real_load = certify.hashlib.sha256, certify.load_xtab
+
+    def sha256(data=b""):
+        hashed.append(memoryview(data).nbytes)
+        return real_sha256(data)
+
+    def load_xtab(*args):
+        loads.append(args[0])
+        return real_load(*args)
+
+    monkeypatch.setattr(certify.hashlib, "sha256", sha256)
+    monkeypatch.setattr(certify, "load_xtab", load_xtab)
+    calls = _counting_measure(monkeypatch)
+    h2, rec2 = certify.certify_random_table(*request, seed=5,
+                                            cache_dir=tmp_path)
+    assert calls == [] and rec2 == rec
+    assert hashed == [h.table().nbytes]
+    assert loads == [tmp_path / f"{rec.digest}.xtab"]
+    assert np.array_equal(h2.table(), h.table())

@@ -79,6 +79,13 @@ def test_eval_xtab_file(cache_dir, tmp_path, capsys):
     assert rc == 0
 
 
+def test_eval_strong_index_outside_the_inputs_exits_4(tmp_path, capsys):
+    rc = run_cli_nocache(["eval", "--extractor", "ip", "--n", "3",
+                          "--k1", "2", "--k2", "2", "--strong", "2"], tmp_path)
+    assert rc == 4
+    assert "strong" in capsys.readouterr().err
+
+
 def test_eval_budget_exceeded_exit_3(tmp_path):
     rc = run_cli_nocache(["eval", "--extractor", "ip", "--n", "12",
                           "--k1", "6", "--k2", "6", "--mode", "exhaustive"],
@@ -96,6 +103,37 @@ def test_netsim_geqr_sampled(cache_dir, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["y_width"] == 4
     assert "output_vs_public" in report
+
+
+# Per-player sampled estimates and 99% intervals of the benchmark's toy
+# extpub (seed 17, 500 runs) and micro geqr (seed 3, 1000 runs) requests,
+# pinned bit for bit: a faster estimator must reproduce them exactly.
+GOLDEN_NETSIM = {
+    "extpub": (
+        "p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\nseed = 17\n"
+        "protocol = extpub\n", ["--runs", "500"], "public_block_quality",
+        {"4": (0.930125, [0.929625, 0.935125625]),
+         "5": (0.930125, [0.929874375, 0.9357537499999999]),
+         "6": (0.930375, [0.9297449999999999, 0.935250625])}),
+    "geqr": (
+        "p = 5\nt = 1\nn = 4\nk = 4\nalpha = 0.25\nseed = 3\n"
+        "protocol = geqr\n", ["--adv", "qr-analog", "--runs", "1000"],
+        "output_vs_public", {"5": (0.18675, [0.16622875, 0.24075125])}),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_NETSIM))
+def test_netsim_sampled_estimates_are_pinned(tmp_path, protocol):
+    text, flags, field, pinned = GOLDEN_NETSIM[protocol]
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(text)
+    for temp in ("cold", "warm"):
+        out = tmp_path / temp
+        assert run_cli(["netsim", "--config", str(cfg), *flags],
+                       tmp_path / "cache", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert {pid: (rep["estimate"], rep["ci_99"])
+                for pid, rep in report[field].items()} == pinned
 
 
 def test_netsim_config_runs_and_adv_are_used(cache_dir, tmp_path):

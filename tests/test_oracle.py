@@ -123,6 +123,16 @@ def test_non_integral_k_rejected():
         worst_case_error_2source(ip_handle(3), 1.5, 2, None)
 
 
+@pytest.mark.parametrize("strong", [2, -1, 5])
+def test_strong_index_outside_the_inputs_rejected(strong):
+    h = ip_handle(3)
+    for call in (lambda: worst_case_error_2source(h, 2, 2, strong),
+                 lambda: worst_case_error_leaked(h, (2, 2), 0, strong=strong),
+                 lambda: worst_case_error_leaked(h, (2, 2), 1, strong=strong)):
+        with pytest.raises(InvalidInputError, match="strong"):
+            call()
+
+
 def test_entropy_levels_outside_the_input_width_rejected():
     # A (1,1,1)-bit table and a (1,1)-bit one: K = 2^k > 2^width would leave
     # an empty source class, and k < 0 a fractional support size.
@@ -450,6 +460,26 @@ def test_bootstrap_draw_switches_at_four_samples_per_cell():
         assert rep.ci == _reference_ci(pairs, 1, 7)
 
 
+@pytest.mark.parametrize("lone", ["all", "none", "mixed"])
+def test_index_draws_with_lone_cells_match_the_reference(lone):
+    # n <= 4 * cells, so every resample draws indices; a lone cell is
+    # alone in its rest group and is counted into the shared bucket.
+    rng = np.random.default_rng(51)
+    for m in (1, 2):
+        cells = []
+        for r in range(200):
+            one = lone == "all" or (lone == "mixed" and r % 2)
+            zs = [int(rng.integers(1 << m))] if one else range(1 << m)
+            cells += [(z, r) for z in zs]
+        pairs = [c for c in cells for _ in range(int(rng.integers(1, 5)))]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        assert len(pairs) <= 4 * len(cells)
+        for seed in (0, 9):
+            rep = mc_distance_pairs(pairs, m, tol=1.0, seed=seed)
+            assert rep.estimate == _parent_estimate(pairs, m)
+            assert rep.ci == _reference_ci(pairs, m, seed)
+
+
 @pytest.mark.parametrize("rests", [20, 1200])
 def test_bootstrap_rows_count_every_draw(monkeypatch, rests):
     seen = []
@@ -465,8 +495,14 @@ def test_bootstrap_rows_count_every_draw(monkeypatch, rests):
     mc_distance_pairs(pairs, 2, tol=1.0, seed=3)
     rows = np.concatenate(seen)
     assert rows.shape[0] == oracle_mod.BOOTSTRAP_RESAMPLES
-    assert (rows.sum(axis=1) == len(pairs)).all()
-    assert rows.shape[1] == len(set(pairs)) and (rows >= 0).all()
+    assert (rows.sum(axis=1) == len(pairs)).all() and (rows >= 0).all()
+    # multinomial rows hold every cell; index draws hold the cells that
+    # share a rest group, then one bucket for all lone cells
+    cells = set(pairs)
+    per_rest = Counter(rest for _, rest in cells)
+    shared = sum(per_rest[rest] > 1 for _, rest in cells)
+    assert rows.shape[1] == (len(cells) if len(pairs) > 4 * len(cells)
+                             else shared + 1)
 
 
 # ----------------------------------------------------------------------
