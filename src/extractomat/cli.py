@@ -1,5 +1,6 @@
-"""Batch driver: certify tables, search gadgets, evaluate extractors, run
-protocol simulations, reproduce theorem arithmetic.
+"""Batch driver: certify tables, evaluate extractors, run protocol
+simulations on toy networks (``build_toy_network`` verifies their gadget
+wirings; nothing here searches for gadgets), reproduce theorem arithmetic.
 
 Exit codes are stable API: 0 ok, 2 target unreachable, 3 budget exceeded,
 4 config invariant violated, 5 theorem constraint violated.  Every run

@@ -186,8 +186,8 @@ class SearchRecord:
 
 
 def _violation_rows(kind: str, params: dict, budget: int):
-    """Packed violation rows, memoised by neighbourhood mask, and the count
-    of violated quantifier subsets from their sum.
+    """Packed violation rows, memoised by neighbourhood mask, and ``(add,
+    guard)``: a sum of rows violates ``((sum + add) & guard).bit_count()``.
 
     An int holds one ``w``-bit field per subset (lexicographic order) with
     a guard as its top bit; no sum here carries out of a field, and
@@ -208,42 +208,69 @@ def _violation_rows(kind: str, params: dict, budget: int):
     ones = ((1 << ncol * w) - 1) // ((1 << w) - 1)
     guard = ones << w - 1
     ge = lambda tot, c: (tot + ones * ((1 << w - 1) - c)) & guard
-    memo = {}
 
     def row(mask: int) -> int:
-        if mask not in memo:
-            hits = sum(member[x] for x in range(r) if mask >> x & 1)
-            memo[mask] = (guard & ~ge(hits, lo) | ge(hits, hi)) >> w - 1
-        return memo[mask]
-    return row, lambda tot: ge(tot, t).bit_count()
+        hits = sum(member[x] for x in range(r) if mask >> x & 1)
+        return (guard & ~ge(hits, lo) | ge(hits, hi)) >> w - 1
+    return _Memo(row), ones * ((1 << w - 1) - t), guard
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``fill(key)``, computed on first use."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
 
 
 def _raw_stream(bitgen):
     """numpy's ``Generator.integers(high)`` and ``.random()`` on the raw
     words of ``bitgen``: Lemire's draw on 32-bit halves, low half first (a
-    half left by earlier draws comes next), and ``(word >> 11) * 2**-53``."""
-    state = bitgen.state
-    half = [state["uinteger"]] if state["has_uint32"] else []
-    word = itertools.chain.from_iterable(  # the words, 1024 at a time
-        iter(lambda: bitgen.random_raw(1024).tolist(), None)).__next__
-
-    def next32():
-        if half:
-            return half.pop()
-        w = word()
-        half.append(w >> 32)
-        return w & 0xFFFFFFFF
+    half left by earlier draws comes next), and ``(word >> 11) * 2**-53``.
+    ``draws(a, b, c)`` is ``integers(a), integers(b), integers(c)``, read at
+    once from the block's next three halves when every high is > 1 and no
+    low product half is below its high (none is rejected), else one by one."""
+    M, state = 0xFFFFFFFF, bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    more = lambda: bitgen.random_raw(256).tolist()
+    words, at = more(), 0  # the words, 256 at a time; words[at] is unread
 
     def integers(high):
-        if high == 1:
-            return 0
-        m = next32() * high
-        if m & 0xFFFFFFFF < high:
-            floor = (1 << 32) % high
-            while m & 0xFFFFFFFF < floor:
-                m = next32() * high
-        return m >> 32
-    return integers, lambda: (word() >> 11) * 2.0 ** -53
+        nonlocal words, at, half
+        while high > 1:  # Lemire: reject a low product half < 2**32 % high
+            if half is not None:
+                m, half = half * high, None
+            else:
+                if at == len(words):
+                    words, at = more(), 0
+                m, half, at = (words[at] & M) * high, words[at] >> 32, at + 1
+            if m & M >= high or m & M >= (1 << 32) % high:
+                return m >> 32
+        return 0
+
+    def draws(a, b, c):
+        nonlocal at, half
+        if a > 1 and b > 1 and c > 1 and len(words) - at > 1:
+            w, x = words[at], words[at + 1]
+            if half is None:  # w's halves, then x's low one
+                i, j, k, h = (w & M) * a, (w >> 32) * b, (x & M) * c, x >> 32
+            else:
+                i, j, k, h = half * a, (w & M) * b, (w >> 32) * c, None
+            if i & M >= a and j & M >= b and k & M >= c:
+                at, half = at + (1 if h is None else 2), h
+                return i >> 32, j >> 32, k >> 32
+        return integers(a), integers(b), integers(c)
+
+    def random():
+        nonlocal words, at
+        if at == len(words):
+            words, at = more(), 0
+        at += 1
+        return (words[at - 1] >> 11) * 2.0 ** -53
+    return integers, random, draws
 
 
 # Per kind: the public verifier (looked up when called) and its parameters.
@@ -266,8 +293,10 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
 
     The count is kept incremental: ``tot`` packs each subset's total over
     the rows (``_violation_rows``), a swap at vertex u is scored as
-    ``tot - row(old mask) + row(new mask)``, and the draws are numpy's
-    Philox ``Generator`` stream, read raw (``_raw_stream``).
+    ``tot - row(old mask) + row(new mask)``, and a step reads its three
+    integers at once from the raw words of numpy's Philox ``Generator``
+    with an exact one-by-one fallback (``_raw_stream``): the trajectory is
+    the one ``Generator.integers`` draws.
 
     Returns
     -------
@@ -280,38 +309,39 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
         if name not in params and name != "alpha":  # alpha defaults to 0.5
             raise InvalidInputError(f"{kind} search needs parameter {name!r}")
     l, r, d = params["l"], params["r"], params["d"]
-    if l < 1 or not 1 <= d <= r:
-        raise InvalidInputError(f"search needs l >= 1 and 1 <= d <= r, got "
-                                f"l={l}, d={d}, r={r}")
-    row, count_violations = _violation_rows(kind, params, budget)
-    total_steps = 0
+    if l < 1 or not 1 <= d <= r or attempts < 1 or steps < 0:
+        raise InvalidInputError(
+            f"search needs l >= 1, 1 <= d <= r, attempts >= 1 and steps >= 0, "
+            f"got l={l}, d={d}, r={r}, attempts={attempts}, steps={steps}")
+    rows, add_t, guard = _violation_rows(kind, params, budget)
+    outside = _Memo(lambda mask: [x for x in range(r) if not mask >> x & 1])
+    exp, total_steps = math.exp, 0
     for attempt in range(attempts):
         rng = np.random.default_rng(
             np.random.Philox(key=(seed + 0x517CC1B727220A95 * attempt)
                              & ((1 << 64) - 1)))
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
-        integers, random = _raw_stream(rng.bit_generator)
+        lists = [list(a) for a in adj]  # each set in its iteration order
+        _, random, draws = _raw_stream(rng.bit_generator)
         masks = [_mask(a) for a in adj]
-        tot = sum(row(mask) for mask in masks)
-        cur = count_violations(tot)
-        temp = 2.0
-        for _ in range(steps):
-            if cur == 0 or d == r:  # done, or no swap exists
+        tot = sum(rows[mask] for mask in masks)
+        cur, temp = ((tot + add_t) & guard).bit_count(), 2.0
+        for _ in range(steps if d < r else 0):  # d = r leaves no swap
+            if cur == 0:
                 break
             total_steps += 1
-            u = integers(l)
-            old = adj[u]
-            drop = list(old)[integers(d)]
-            outside = [x for x in range(r) if x not in old]
-            add = outside[integers(len(outside))]
-            mask = masks[u] & ~(1 << drop) | 1 << add
-            cand = tot - row(masks[u]) + row(mask)
-            new = count_violations(cand)
-            if new <= cur or random() < math.exp(-(new - cur)
-                                                 / max(temp, 1e-9)):
+            u, i, j = draws(l, d, r - d)
+            old = masks[u]
+            drop, add = lists[u][i], outside[old][j]
+            mask = old ^ (1 << drop | 1 << add)
+            cand = tot - rows[old] + rows[mask]
+            new = ((cand + add_t) & guard).bit_count()
+            if new <= cur or random() < exp(
+                    -(new - cur) / (temp if temp > 1e-9 else 1e-9)):
                 cur, tot, masks[u] = new, cand, mask
-                adj[u] = (old - {drop}) | {add}
+                adj[u] = (adj[u] - {drop}) | {add}
+                lists[u] = list(adj[u])
             temp *= 0.999
         if cur == 0:
             g = BipartiteGraph(l, r, d, tuple(tuple(sorted(a)) for a in adj))

@@ -233,7 +233,7 @@ def test_raw_stream_matches_generator():
             if key % 2:
                 rng.integers(7)
         left_over.add(own.bit_generator.state["has_uint32"])
-        integers, random = _raw_stream(own.bit_generator)
+        integers, random, _ = _raw_stream(own.bit_generator)
         plan = np.random.default_rng(100 + key).integers(len(highs) + 1,
                                                          size=3000)
         for op in plan.tolist():
@@ -243,6 +243,65 @@ def test_raw_stream_matches_generator():
                 assert integers(highs[op]) == int(ref.integers(highs[op]))
     assert left_over == {0, 1}
 
+
+
+class _Words:
+    """A bit generator stand-in that serves fixed raw words in order."""
+
+    def __init__(self, words, leftover=None):
+        self.words, self.blocks = [int(w) for w in words], []
+        self.state = {"has_uint32": int(leftover is not None),
+                      "uinteger": leftover or 0}
+
+    def random_raw(self, size):
+        self.blocks.append(size)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def _set_half(words, q, value):
+    # half q of the stream: the low half of word q // 2 when q is even
+    shift = 32 * (q % 2)
+    words[q // 2] = words[q // 2] & ~(0xFFFFFFFF << shift) | value << shift
+
+
+@pytest.mark.parametrize("leftover,zero,skip,highs", [
+    # a zero half at each place of a step, without and with a left-over
+    (None, 0, 0, (12, 3, 7)), (None, 1, 0, (12, 3, 7)),
+    (None, 2, 0, (12, 3, 7)), (5, 0, 0, (12, 3, 7)),
+    (5, 1, 0, (12, 3, 7)), (5, 2, 0, (12, 3, 7)),
+    (5, None, 0, (12, 3, 7)), (None, None, 0, (9, 1, 7)),
+    # a step that starts 2 or 1 halves before a block of words ends
+    (None, None, 2, (12, 3, 7)), (None, 2, 2, (12, 3, 7)),
+    (None, None, 1, (12, 3, 7)), (None, 1, 1, (12, 3, 7)),
+])
+def test_step_draws_match_one_at_a_time(leftover, zero, skip, highs):
+    # A zero half is rejected by 12, 3 and 7 alike (2**32 % high > 0);
+    # half 2**32 // 12 + 1 passes 12 with a low product half of 8, below
+    # 12, so the step draws one at a time there too.  Three steps against
+    # three exact draws each on the same raw words, then a few more draws
+    # on both, which agree only if both readers end in the same place.
+    words = np.random.default_rng(5).integers(
+        0, 2 ** 64, size=6000, dtype=np.uint64).tolist()
+    lead = leftover is not None  # the step's first half is the left-over
+    start = 0
+    if skip:
+        probe = _Words(words)
+        _raw_stream(probe)[0](2)  # reads the first block of words
+        start = 2 * probe.blocks[0] - skip
+    if zero == 0 and lead:
+        leftover = 0
+    elif zero is not None:
+        _set_half(words, start + zero - lead, 0)
+    _set_half(words, start + 3 - lead, 2 ** 32 // 12 + 1)  # the next step
+    fast, exact = (_raw_stream(_Words(words, leftover)) for _ in range(2))
+    for integers, _, _ in (fast, exact):
+        for _ in range(start):
+            integers(2)  # one half each
+    for _ in range(3):
+        assert fast[2](*highs) == tuple(exact[0](h) for h in highs)
+    after = lambda s: [s[0](9), s[1](), s[0](5), s[0](2 ** 31 + 1), s[1]()]
+    assert after(fast) == after(exact)
 
 def test_search_budget_charges_the_scored_subsets():
     # Quantifier sets of size ceil(24/12) = 2: C(24, 2) * 40 = 11,040,
@@ -282,6 +341,18 @@ def test_search_input_errors_are_typed(kind, params, name):
     with pytest.raises(InvalidInputError, match=name):
         search_gadget(kind, params)
 
+
+@pytest.mark.parametrize("budget", [{"attempts": 0}, {"attempts": -1},
+                                    {"attempts": 1, "steps": -5}])
+def test_search_empty_budget_refused(budget):
+    # Refused as input, not reported unreachable after no attempt or step.
+    params = {"l": 10, "r": 10, "d": 4, "beta": 0.3}
+    with pytest.raises(InvalidInputError, match="attempts >= 1 and steps >= 0"):
+        search_gadget("expander", params, 7, **budget)
+    # steps=0 stays allowed: an attempt checks its first draw only
+    g, verdict, rec = search_gadget(
+        "expander", {"l": 4, "r": 4, "d": 1, "beta": 1.0}, attempts=1, steps=0)
+    assert verdict.ok and (rec.attempts, rec.steps) == (1, 0)
 
 def test_negative_subset_sizes_refused():
     g = _identity_graph(2)
