@@ -244,7 +244,6 @@ def test_raw_stream_matches_generator():
     assert left_over == {0, 1}
 
 
-
 class _Words:
     """A bit generator stand-in that serves fixed raw words in order."""
 
@@ -287,7 +286,7 @@ def test_step_draws_match_one_at_a_time(leftover, zero, skip, highs):
     start = 0
     if skip:
         probe = _Words(words)
-        _raw_stream(probe)[0](2)  # reads the first block of words
+        _raw_stream(probe)[0](2)  # a first draw reads the first block
         start = 2 * probe.blocks[0] - skip
     if zero == 0 and lead:
         leftover = 0
@@ -298,10 +297,12 @@ def test_step_draws_match_one_at_a_time(leftover, zero, skip, highs):
     for integers, _, _ in (fast, exact):
         for _ in range(start):
             integers(2)  # one half each
+    draws, integers = fast[2], exact[0]
     for _ in range(3):
-        assert fast[2](*highs) == tuple(exact[0](h) for h in highs)
+        assert draws(*highs) == tuple(integers(h) for h in highs)
     after = lambda s: [s[0](9), s[1](), s[0](5), s[0](2 ** 31 + 1), s[1]()]
     assert after(fast) == after(exact)
+
 
 def test_search_budget_charges_the_scored_subsets():
     # Quantifier sets of size ceil(24/12) = 2: C(24, 2) * 40 = 11,040,
@@ -347,12 +348,13 @@ def test_search_input_errors_are_typed(kind, params, name):
 def test_search_empty_budget_refused(budget):
     # Refused as input, not reported unreachable after no attempt or step.
     params = {"l": 10, "r": 10, "d": 4, "beta": 0.3}
-    with pytest.raises(InvalidInputError, match="attempts >= 1 and steps >= 0"):
+    with pytest.raises(InvalidInputError, match="attempts >= 1 and steps"):
         search_gadget("expander", params, 7, **budget)
     # steps=0 stays allowed: an attempt checks its first draw only
     g, verdict, rec = search_gadget(
         "expander", {"l": 4, "r": 4, "d": 1, "beta": 1.0}, attempts=1, steps=0)
     assert verdict.ok and (rec.attempts, rec.steps) == (1, 0)
+
 
 def test_negative_subset_sizes_refused():
     g = _identity_graph(2)
