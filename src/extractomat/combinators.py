@@ -31,7 +31,6 @@ class CompositionConfig:
     """Constants the compositions need but the theory leaves free."""
 
     omega_const: float = 1.0 / 20.0   # 2^-Omega(x) is read as 2^-(omega_const*x)
-    big_o_const: int = 8              # O(d) is read as big_o_const * d
     weak_seed_entropy_factor: float = 1.2
     weak_seed_C: float = 64.0         # d <= k/C gate for the weak-seed transform
 
@@ -317,7 +316,6 @@ def weak_seed_transform(base: ExtractorHandle, delta: float, *,
                         raz_slot: ExtractorHandle,
                         srext_slot: ExtractorHandle,
                         config: CompositionConfig = DEFAULT_CONFIG,
-                        enforce_gate: bool = True,
                         name: str = "weakseed") -> ExtractorHandle:
     """Make a strong seeded extractor tolerate a rate-(1/2+delta) seed.
 
@@ -326,9 +324,6 @@ def weak_seed_transform(base: ExtractorHandle, delta: float, *,
     pipeline turns them plus the main input into a good seed for
     ``base``.  Ledger arithmetic for the entropy/seed-length claims lives
     in the theorem ledger; this builder wires the desk-scale instance.
-
-    ``enforce_gate`` applies the d <= k/C precondition with the
-    configured C; desk instances may disable it and record the override.
     """
     if base.kind != "seeded":
         raise InvalidInputError("weak-seed transform wraps seeded handles")
@@ -336,7 +331,7 @@ def weak_seed_transform(base: ExtractorHandle, delta: float, *,
         raise InvalidInputError("weak seed width must be even for halving")
     n, d = base.input_widths
     k = base.k_profile[0]
-    if enforce_gate and d > k / config.weak_seed_C:
+    if d > k / config.weak_seed_C:
         raise InvalidInputError(
             f"constraint violated: seed width d={d} exceeds k/C = "
             f"{k / config.weak_seed_C}")

@@ -23,7 +23,6 @@ occupies the most significant bits of the composite outcome, matching
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import struct
@@ -356,55 +355,40 @@ def cond_min_entropy(j: JointDistribution, target, given=()) -> float:
 
 
 def smooth_cond_min_entropy(j: JointDistribution, target, given, delta) -> float:
-    """Lower bound on the delta-smooth conditional min-entropy.
+    """The delta-smooth conditional min-entropy: ``-log2`` of the least
+    optimal guessing probability left after removing at most ``delta``
+    total mass (``inf`` when nothing is left to guess).
 
-    Smoothing removes up to ``delta`` total mass, which can only lower
-    the optimal guessing probability.  The removal schedule is the exact
-    greedy optimum (always shave the guessing-column whose current
-    maximum is cheapest to reduce), so the returned value is attained by
-    an explicit delta-close sub-distribution.
+    The guessing probability is the sum over values of ``given`` of each
+    column's maximum.  Lowering a column's maximum from a level ``hi`` to
+    the column's next level ``lo`` is one step: it gains ``hi - lo`` and
+    costs ``i * (hi - lo)`` of mass, ``i`` being the number of the
+    column's entries at or above ``hi``.  Per unit gained a column costs
+    its multiplicity, which only grows as its maximum falls, so taking
+    the steps of all columns cheapest first, by ``(i, -hi, column)``, and
+    the first that does not fit in part, is optimal.
     """
+    if delta < 0:
+        raise InvalidInputError("smoothing distance delta must be >= 0")
     target = [target] if isinstance(target, str) else list(target)
     given = [given] if isinstance(given, str) else list(given)
     sub = j.marginal(target + given)
     tw = sum(j.part_width(lbl) for lbl in target)
-    # One column of numerators per value of ``given``, sorted descending.
-    # Cost of lowering a column's max to level L is sum(max(0, p - L));
-    # greedy picks the column with the fewest tied tops.
-    col_state = {}
-    heap = []
+    steps, total_guess = [], 0
     for e, col in enumerate(sub._num.reshape(1 << tw, -1).T.tolist()):
-        masses = sorted((p for p in col if p > 0), reverse=True)
-        if masses:
-            col_state[e] = (masses, 1)
-            heap.append((1, -masses[0], e))
-    heapq.heapify(heap)
+        levels = sorted(col, reverse=True) + [0]
+        total_guess += levels[0]
+        steps += [(i, -hi, e, hi - lo)
+                  for i, (hi, lo) in enumerate(zip(levels, levels[1:]), 1)
+                  if hi != lo]
     budget = Fraction(delta) * sub._den if sub.exact else float(delta)
-    total_guess = sum(m[0] for m, _ in col_state.values())
-    while budget > 0 and heap:
-        mult, _, e = heapq.heappop(heap)
-        masses, cur_mult = col_state[e]
-        if mult != cur_mult:
-            continue  # stale entry
-        top = masses[0]
-        nxt = masses[mult] if mult < len(masses) else 0
-        drop = top - nxt          # lowering all tied tops to the next level
-        cost = drop * mult
-        if cost <= budget and drop > 0:
-            budget -= cost
-            total_guess -= drop
-            new = [nxt] * mult + masses[mult:]
-            new_mult = mult
-            while new_mult < len(new) and new[new_mult] == nxt:
-                new_mult += 1
-            col_state[e] = (new, new_mult)
-            if nxt > 0:
-                heapq.heappush(heap, (new_mult, -nxt, e))
-        elif drop > 0:
-            total_guess -= budget / mult
-            budget = 0
-        else:
+    for i, _, _, drop in sorted(steps):
+        cost = drop * i
+        if cost > budget:
+            total_guess -= budget / i
             break
+        budget -= cost
+        total_guess -= drop
     if total_guess <= 0:
         return float("inf")
     return neg_log2(total_guess, sub._den)
@@ -476,12 +460,6 @@ def excess_over_uniform(weights, groups, m: int):
     if weights.ndim == 1:
         return excess[excess > 0].sum().item()
     return np.maximum(excess, 0).reshape(weights.shape).sum(axis=-1)
-
-
-def group_ids(keys) -> np.ndarray:
-    """Dense integer ids for hashable group keys, in order of appearance."""
-    ids: dict = {}
-    return np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.intp)
 
 
 def row_ids(cols, n: int) -> tuple:

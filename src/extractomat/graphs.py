@@ -82,7 +82,6 @@ class Verdict:
     witness: tuple | None = None
     applied: dict = field(default_factory=dict)
     checked: int = 0
-    mode: str = "exhaustive"
 
     def __bool__(self):
         return self.ok
@@ -179,10 +178,6 @@ class SearchRecord:
     seed: int
     attempts: int
     steps: int
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "params": self.params, "seed": self.seed,
-                "attempts": self.attempts, "steps": self.steps}
 
 
 def _violation_rows(kind: str, params: dict, budget: int):

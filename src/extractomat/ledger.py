@@ -89,7 +89,7 @@ def ledger_lift_one_bit(n1, k1, n2, k2, m, eps, both_strong: bool = False) -> di
 # Individual theorems
 # ----------------------------------------------------------------------
 
-def _raz_constraints(entry, violations, n1, n2, k1, k2, m, delta, m_name="m"):
+def _raz_constraints(entry, violations, n1, n2, k1, delta):
     _check(entry, violations, "n1 >= 6*log2(n1) + 2*log2(n2)",
            n1 >= 6 * math.log2(n1) + 2 * math.log2(n2),
            n1, 6 * math.log2(n1) + 2 * math.log2(n2))
@@ -106,7 +106,7 @@ def _thm_raz(n1, n2, k1, k2, m=None, delta=0.1):
     if m is None:
         m = m_max
         entry.step("m", "m = delta*min(n1/8, k2/40) - 1", m)
-    _raz_constraints(entry, violations, n1, n2, k1, k2, m, delta)
+    _raz_constraints(entry, violations, n1, n2, k1, delta)
     if k1 < n1:
         _check(entry, violations, "k2 >= 5*log2(n1-k1)",
                k2 >= 5 * math.log2(n1 - k1), k2, 5 * math.log2(n1 - k1))
@@ -132,7 +132,7 @@ def _thm_raz_ge(n1, n2, k1, k2, m=None, delta=0.1):
     if m is None:
         m = m_max
         entry.step("m", "m = (delta/16)*min(n1/8, k2/40) - 1", m)
-    _raz_constraints(entry, violations, n1, n2, k1, k2, m, delta)
+    _raz_constraints(entry, violations, n1, n2, k1, delta)
     if k1 < n1:
         _check(entry, violations, "k2 >= 6*log2(n1-k1)",
                k2 >= 6 * math.log2(n1 - k1), k2, 6 * math.log2(n1 - k1))

@@ -700,8 +700,7 @@ def _estimate(z, rest, m: int, tol: float, seed: int, tally=None):
     counting, point estimate and bootstrap) and its bootstrap resamples."""
     ids, _ = row_ids(rest, len(z))
     t0 = time.perf_counter()
-    rep = mc_distance_pairs(list(zip(z.tolist(), ids.tolist())), m,
-                            tol=tol, seed=seed)
+    rep = mc_distance_pairs((ids << m) | z, m, tol=tol, seed=seed)
     if tally is not None:
         tally.update(estimator_s=time.perf_counter() - t0,
                      resamples=BOOTSTRAP_RESAMPLES)

@@ -48,8 +48,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dist import (Distribution, JointDistribution, column_excess,
-                   cond_min_entropy, excess_over_uniform, group_ids,
-                   neg_log2, ratio, smooth_cond_min_entropy)
+                   cond_min_entropy, excess_over_uniform, neg_log2,
+                   ratio, row_ids, smooth_cond_min_entropy)
 from .errors import BudgetExceededError, InvalidInputError
 from .extractors import ExtractorHandle
 from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
@@ -715,12 +715,15 @@ class MCReport:
                 "part_width": self.m, "tolerance": self.tol}
 
 
-def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
+def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
                       seed: int = 0) -> MCReport:
     """Plug-in total-variation estimate against uniform-on-part.
 
-    ``pairs`` holds one hashable ``(part_value, rest_key)`` pair per
-    sample, with ``part_value`` in ``range(2**m)``.  The estimator is the
+    ``keys`` is an int64 array of one key per sample, ``rest_id << m |
+    part_value``, with ``part_value`` in ``range(2**m)`` and ``rest_id``
+    a non-negative integer naming the sample's rest.  Cells (distinct
+    keys) and their rest groups are numbered in order of first
+    appearance by :func:`~extractomat.dist.row_ids`.  The estimator is the
     empirical-joint TV against (uniform on the part) x (empirical rest
     marginal); a 99% bootstrap interval over 200 resamples is attached.
     Each resample's cell counts are Multinomial(n, counts / n).  Where
@@ -732,18 +735,16 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
     lone cells into one bucket, scored as one cell in a group of its own.
     The resamples are drawn and scored a chunk of rows at a time, each
     chunk in one batched :func:`excess_over_uniform` call.  Requires
-    ``len(pairs) >= 100 * 2**m / tol**2``.
+    ``len(keys) >= 100 * 2**m / tol**2``.
     """
-    n_samples = len(pairs)
+    n_samples = len(keys)
     needed = 100.0 * (1 << m) / (tol * tol)
     if n_samples < needed:
         raise InvalidInputError(
             f"N={n_samples} below the sizing rule ceil(100*2^m/tol^2)="
             f"{math.ceil(needed)}")
-    cell_of: dict = {}
-    cells = np.fromiter((cell_of.setdefault(p, len(cell_of)) for p in pairs),
-                        dtype=np.intp, count=n_samples)
-    groups = group_ids(rest for _, rest in cell_of)
+    cells, first = row_ids([keys], n_samples)
+    groups, _ = row_ids([keys[first] >> m], first.size)
     cvec = np.bincount(cells)
     C = cvec.size
     scale = n_samples << m
@@ -762,9 +763,9 @@ def mc_distance_pairs(pairs: Sequence, m: int, *, tol: float,
     for done in range(0, BOOTSTRAP_RESAMPLES, rows):
         r = min(rows, BOOTSTRAP_RESAMPLES - done)
         if by_index:
-            keys = cells[rng.integers(0, n_samples, size=(r, n_samples))]
-            keys += C * np.arange(r)[:, None]
-            counts = np.bincount(keys.ravel(), minlength=r * C).reshape(r, C)
+            drawn = cells[rng.integers(0, n_samples, size=(r, n_samples))]
+            drawn += C * np.arange(r)[:, None]
+            counts = np.bincount(drawn.ravel(), minlength=r * C).reshape(r, C)
         else:
             counts = rng.multinomial(n_samples, cvec / n_samples, size=r)
         boot.append(excess_over_uniform(counts, groups, m))

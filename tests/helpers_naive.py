@@ -15,6 +15,13 @@ def parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def naive_dense_ids(keys) -> list:
+    """Dense ids of hashable keys, numbered by a dict in order of first
+    appearance."""
+    ids = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
 def naive_tv_from_uniform(cells: dict, total: int, m: int) -> Fraction:
     """TV of {(z, group): count} from U_m x group-marginal, over ``total``."""
     groups = {}
@@ -227,6 +234,26 @@ def naive_cond_min_entropy(atoms: dict) -> Fraction:
         if p > best.get(e, Fraction(0)):
             best[e] = p
     return sum(best.values(), Fraction(0))
+
+
+def naive_smooth_guess(columns, budget) -> Fraction:
+    """The least sum of column maxima after removing at most ``budget``
+    mass, by LP duality: the largest, over lam in {0} and {1/k : 1 <= k <=
+    the longest column's length}, of the sum over columns of the least,
+    over levels v (0 included), of v + lam * (column mass above v), less
+    lam * budget; clipped at 0.  ``columns`` hold masses, one list per
+    value of the side information."""
+    budget = Fraction(budget)
+    longest = max(len(col) for col in columns)
+    best = Fraction(0)
+    for lam in [Fraction(0)] + [Fraction(1, k) for k in range(1, longest + 1)]:
+        total = -lam * budget
+        for col in columns:
+            col = [Fraction(p) for p in col]
+            total += min(v + lam * sum(max(p - v, 0) for p in col)
+                         for v in col + [Fraction(0)])
+        best = max(best, total)
+    return best
 
 
 def naive_joint_tv(p: dict, q: dict) -> Fraction:

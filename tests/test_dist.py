@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from extractomat.dist import (Distribution, JointDistribution,
                               cond_min_entropy, distance_from_uniform_on,
-                              excess_over_uniform, group_ids, min_entropy,
+                              excess_over_uniform, min_entropy,
                               smooth_cond_min_entropy, statistical_distance,
                               xor_project)
 from extractomat.errors import InvalidInputError, SizeLimitError
 from extractomat.leakage import enumerate_worlds
 
-from helpers_naive import naive_cond_min_entropy, naive_tv_from_uniform
+from helpers_naive import (naive_cond_min_entropy, naive_dense_ids,
+                           naive_smooth_guess, naive_tv_from_uniform, parity)
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +227,64 @@ def test_smooth_entropy_removes_peak():
     assert smooth > plain + 0.5
 
 
+def test_smooth_entropy_parity_leak_has_tied_maxima():
+    # X flat on 2 bits, E its parity: each column holds two tied maxima,
+    # so lowering a column's maximum costs twice the mass it gains
+    j = JointDistribution.from_atoms(
+        [("X", 2), ("E", 1)], {(v, parity(v)): Fraction(1, 4) for v in range(4)})
+    assert smooth_cond_min_entropy(j, "X", "E", 0) == 1.0
+    assert smooth_cond_min_entropy(j, "X", "E", Fraction(1, 8)) \
+        == math.log2(16) - math.log2(7)
+    assert smooth_cond_min_entropy(j, "X", "E", Fraction(1, 4)) \
+        == math.log2(8) - math.log2(3)
+    assert smooth_cond_min_entropy(j, "X", "E", 1) == float("inf")
+    with pytest.raises(InvalidInputError):
+        smooth_cond_min_entropy(j, "X", "E", Fraction(-1, 8))
+
+
+def _random_smoothing_case(rng, exact):
+    """A joint of X (1-3 bits) and E (1-2 bits), half of them a flat X with
+    E a function of it (tied column maxima), and a delta in [1/16, 3/4]."""
+    xw, ew = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    if rng.integers(2):
+        support = rng.choice(1 << xw, size=int(rng.integers(1, (1 << xw) + 1)),
+                             replace=False)
+        leak = rng.integers(0, 1 << ew, size=1 << xw)
+        atoms = {(int(x), int(leak[x])): Fraction(1, len(support))
+                 for x in support}
+    else:
+        den = int(rng.choice([6, 16, 60]))
+        counts = rng.multinomial(den, np.full(1 << (xw + ew), 1 / (1 << (xw + ew))))
+        atoms = {(i >> ew, i & ((1 << ew) - 1)): Fraction(int(c), den)
+                 for i, c in enumerate(counts)}
+    j = JointDistribution.from_atoms([("X", xw), ("E", ew)], atoms)
+    if not exact:
+        j = JointDistribution(j.parts, j.as_floats())
+    columns = [[p if exact else float(p)
+                for (x, e), p in atoms.items() if e == col]
+               for col in range(1 << ew)]
+    return j, columns, Fraction(int(rng.integers(1, 13)), 16)
+
+
+def test_smooth_entropy_matches_the_dual_reference_exactly():
+    rng = np.random.default_rng(54)
+    for _ in range(150):
+        j, columns, delta = _random_smoothing_case(rng, exact=True)
+        guess = naive_smooth_guess(columns, delta)
+        expect = (float("inf") if guess == 0 else
+                  math.log2(guess.denominator) - math.log2(guess.numerator))
+        assert smooth_cond_min_entropy(j, "X", "E", delta) == expect
+
+
+def test_smooth_entropy_matches_the_dual_reference_in_float_mode():
+    rng = np.random.default_rng(55)
+    for _ in range(150):
+        j, columns, delta = _random_smoothing_case(rng, exact=False)
+        guess = naive_smooth_guess(columns, delta)
+        got = 2.0 ** -smooth_cond_min_entropy(j, "X", "E", float(delta))
+        assert got == pytest.approx(float(guess), abs=1e-12)
+
+
 def test_serialization_roundtrip():
     d = Distribution(3, np.arange(1, 9) / 36.0)
     d2 = Distribution.from_bytes(d.to_bytes())
@@ -269,7 +329,7 @@ def test_kernel_matches_naive_tv(seed):
         key = (int(rng.integers(0, 1 << m)), int(rng.integers(0, 4)))
         cells[key] = cells.get(key, 0) + int(rng.integers(1, 50))
     total = sum(cells.values())
-    groups = group_ids(g for _, g in cells)
+    groups = naive_dense_ids(g for _, g in cells)
     naive = naive_tv_from_uniform(cells, total, m)
     excess = excess_over_uniform(list(cells.values()), groups, m)
     assert Fraction(excess, total << m) == naive

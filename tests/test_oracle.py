@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from extractomat import certify
+from extractomat import netsim as netsim_mod
 from extractomat import oracle as oracle_mod
-from extractomat.dist import JointDistribution, excess_over_uniform, group_ids
+from extractomat.dist import JointDistribution, excess_over_uniform
 from extractomat.errors import (BudgetExceededError, InvalidInputError,
                                 SizeLimitError)
 from extractomat.extractors import (deor_handle, ip_handle, table_handle,
@@ -21,8 +22,8 @@ from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_seeded)
 from extractomat.sources import FlatSource
 
-from helpers_naive import (flat_supports, naive_instance_error,
-                           naive_lemma_condition, naive_sampled_2source,
+from helpers_naive import (flat_supports, naive_dense_ids,
+                           naive_instance_error, naive_lemma_condition, naive_sampled_2source,
                            naive_sampled_seeded,
                            naive_tv_from_uniform, naive_worst_2source,
                            naive_worst_block_general,
@@ -325,6 +326,14 @@ def test_exact_distance_fixed_instance():
 # Monte Carlo estimator
 # ----------------------------------------------------------------------
 
+def _keys(pairs, m):
+    """The estimator's int64 keys of ``(z, rest)`` pairs: ``rest`` numbered
+    by a dict in order of first appearance, ``id << m | z``."""
+    ids = naive_dense_ids(rest for _, rest in pairs)
+    return np.array([(i << m) | z for i, (z, _) in zip(ids, pairs)],
+                    dtype=np.int64)
+
+
 def _drawn_pairs(sample_fn, n_samples, seed):
     """``n_samples`` pairs from ``sample_fn``, all from one Philox stream
     keyed by ``seed``."""
@@ -334,21 +343,22 @@ def _drawn_pairs(sample_fn, n_samples, seed):
 
 def test_mc_null_case():
     rep = mc_distance_pairs(
-        _drawn_pairs(lambda rng: (int(rng.integers(4)), 0), 4000, 1), 2,
-        tol=0.5, seed=1)
+        _keys(_drawn_pairs(lambda rng: (int(rng.integers(4)), 0), 4000, 1), 2),
+        2, tol=0.5, seed=1)
     assert rep.estimate <= rep.half_width + 0.05
 
 
 def test_mc_point_mass():
-    rep = mc_distance_pairs(_drawn_pairs(lambda rng: (0, 0), 4000, 1), 2,
-                            tol=0.5, seed=1)
+    rep = mc_distance_pairs(
+        _keys(_drawn_pairs(lambda rng: (0, 0), 4000, 1), 2), 2,
+        tol=0.5, seed=1)
     assert rep.estimate >= 1 - 0.25 - rep.half_width - 1e-9
 
 
 def test_mc_sizing_rule():
     with pytest.raises(InvalidInputError):
-        mc_distance_pairs(_drawn_pairs(lambda rng: (0, 0), 100, 0), 4,
-                          tol=0.1)
+        mc_distance_pairs(_keys(_drawn_pairs(lambda rng: (0, 0), 100, 0), 4),
+                          4, tol=0.1)
 
 
 def test_mc_calibration_against_exact():
@@ -359,9 +369,9 @@ def test_mc_calibration_against_exact():
     inside = 0
     trials = 30
     for trial in range(trials):
-        rep = mc_distance_pairs(
-            _drawn_pairs(lambda rng: (int(rng.choice(4, p=probs)), 0), 6000,
-                         trial), 2, tol=0.3, seed=trial)
+        pairs = _drawn_pairs(lambda rng: (int(rng.choice(4, p=probs)), 0),
+                             6000, trial)
+        rep = mc_distance_pairs(_keys(pairs, 2), 2, tol=0.3, seed=trial)
         lo, hi = rep.ci
         # allow the plug-in bias: compare against an interval widened by
         # the estimator's small-sample bias bound 2^m/ (2 sqrt(n))
@@ -387,7 +397,7 @@ def _parent_estimate(pairs, m):
     """The plug-in formula as first written: a Counter of cells."""
     counts = Counter((int(z), rest) for z, rest in pairs)
     cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    groups = group_ids(rest for _, rest in counts)
+    groups = naive_dense_ids(rest for _, rest in counts)
     return excess_over_uniform(cvec, groups, m) / (len(pairs) << m)
 
 
@@ -396,7 +406,7 @@ def _reference_ci(pairs, m, seed):
     the cells, or ``n`` sample indices where ``n <= 4 * cells``."""
     counts = Counter(pairs)
     cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    groups = group_ids(rest for _, rest in counts)
+    groups = naive_dense_ids(rest for _, rest in counts)
     cell = {c: i for i, c in enumerate(counts)}
     cells = np.array([cell[p] for p in pairs])
     n = len(pairs)
@@ -439,16 +449,50 @@ def test_bootstrap_resamples_and_estimate(monkeypatch):
         # few rests: n > 4 * cells (multinomial rows); many: index draws
         rests = None if trial % 4 < 2 else n
         pairs = _random_pairs(rng, n, m, tuple_keys, rests)
-        rep = mc_distance_pairs(pairs, m, tol=1.0, seed=trial)
+        keys = _keys(pairs, m)
+        rep = mc_distance_pairs(keys, m, tol=1.0, seed=trial)
         assert rep.estimate == _parent_estimate(pairs, m)
         assert rep.n == n and rep.ci[0] <= rep.ci[1]
         assert rep.ci == _reference_ci(pairs, m, trial)
-        again = mc_distance_pairs(pairs, m, tol=1.0, seed=trial)
+        again = mc_distance_pairs(keys, m, tol=1.0, seed=trial)
         assert again.ci == rep.ci and again.estimate == rep.estimate
         # a smaller chunk bound draws the same stream in more pieces
         with monkeypatch.context() as mp:
             mp.setattr(oracle_mod, "CHUNK_ENTRIES", 1 << 10)
-            assert mc_distance_pairs(pairs, m, tol=1.0, seed=trial).ci == rep.ci
+            assert mc_distance_pairs(keys, m, tol=1.0, seed=trial).ci == rep.ci
+
+
+@pytest.mark.parametrize("rests", [6, 1500])
+def test_netsim_estimate_keys_match_the_tuple_references(monkeypatch, rests):
+    # int columns with several rest columns: the packed keys must give the
+    # tuple pairs' estimate and CI bit for bit, and one distinct key per cell
+    seen = []
+    real = netsim_mod.mc_distance_pairs
+
+    def spy(keys, m, **kw):
+        seen.append(keys)
+        return real(keys, m, **kw)
+
+    monkeypatch.setattr(netsim_mod, "mc_distance_pairs", spy)
+    rng = np.random.default_rng(52)
+    for m in (1, 2):
+        n = 1500
+        rest = [rng.integers(0, rests, size=n), rng.integers(-3, 2, size=n),
+                rng.choice([0, 1 << 40], size=n)]
+        z = rng.integers(0, 1 << m, size=n)
+        pairs = list(zip(z.tolist(), zip(*(col.tolist() for col in rest))))
+        for seed in (0, 5):
+            rep = netsim_mod._estimate(z, rest, m, 1.0, seed)
+            assert rep.estimate == _parent_estimate(pairs, m)
+            assert rep.ci == _reference_ci(pairs, m, seed)
+            assert len(seen[-1]) == n and len(set(seen[-1])) == len(set(pairs))
+
+
+def test_keys_count_one_per_cell():
+    rng = np.random.default_rng(53)
+    for m in (1, 3):
+        pairs = _random_pairs(rng, 500, m, True)
+        assert len(set(_keys(pairs, m))) == len(set(pairs))
 
 
 def test_bootstrap_draw_switches_at_four_samples_per_cell():
@@ -456,7 +500,7 @@ def test_bootstrap_draw_switches_at_four_samples_per_cell():
     # sample tips it to multinomial rows.
     cells = [(z, r) for r in range(150) for z in (0, 1)]
     for pairs in (cells * 4, cells * 4 + cells[:1]):
-        rep = mc_distance_pairs(pairs, 1, tol=1.0, seed=7)
+        rep = mc_distance_pairs(_keys(pairs, 1), 1, tol=1.0, seed=7)
         assert rep.ci == _reference_ci(pairs, 1, 7)
 
 
@@ -475,7 +519,7 @@ def test_index_draws_with_lone_cells_match_the_reference(lone):
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         assert len(pairs) <= 4 * len(cells)
         for seed in (0, 9):
-            rep = mc_distance_pairs(pairs, m, tol=1.0, seed=seed)
+            rep = mc_distance_pairs(_keys(pairs, m), m, tol=1.0, seed=seed)
             assert rep.estimate == _parent_estimate(pairs, m)
             assert rep.ci == _reference_ci(pairs, m, seed)
 
@@ -492,7 +536,7 @@ def test_bootstrap_rows_count_every_draw(monkeypatch, rests):
 
     pairs = _random_pairs(np.random.default_rng(50), 1200, 2, False, rests)
     monkeypatch.setattr(oracle_mod, "excess_over_uniform", spy)
-    mc_distance_pairs(pairs, 2, tol=1.0, seed=3)
+    mc_distance_pairs(_keys(pairs, 2), 2, tol=1.0, seed=3)
     rows = np.concatenate(seen)
     assert rows.shape[0] == oracle_mod.BOOTSTRAP_RESAMPLES
     assert (rows.sum(axis=1) == len(pairs)).all() and (rows >= 0).all()
