@@ -253,8 +253,8 @@ def _random_smoothing_case(rng, exact):
         atoms = {(int(x), int(leak[x])): Fraction(1, len(support))
                  for x in support}
     else:
-        den = int(rng.choice([6, 16, 60]))
-        counts = rng.multinomial(den, np.full(1 << (xw + ew), 1 / (1 << (xw + ew))))
+        den, n = int(rng.choice([6, 16, 60])), 1 << (xw + ew)
+        counts = rng.multinomial(den, np.full(n, 1 / n))
         atoms = {(i >> ew, i & ((1 << ew) - 1)): Fraction(int(c), den)
                  for i, c in enumerate(counts)}
     j = JointDistribution.from_atoms([("X", xw), ("E", ew)], atoms)
