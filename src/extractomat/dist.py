@@ -466,7 +466,10 @@ def row_ids(cols, n: int) -> tuple:
     """Dense ids of the distinct rows of ``n``-long integer columns, in
     order of first appearance: ``(ids, first)``, ``first[i]`` being the
     first row with id ``i``.  The columns are packed by value range into
-    as few int64 words as fit, so ``np.unique`` mostly sorts one word."""
+    as few int64 words as fit; several words are first replaced by their
+    rows' ids from ``np.unique``.  The one word takes one stable argsort:
+    the first row of each run of equal keys is marked, and the marks, in
+    row order, number the keys."""
     if n == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     words, word, used = [], np.zeros(n, dtype=np.int64), 0
@@ -476,23 +479,34 @@ def row_ids(cols, n: int) -> tuple:
         if used + bits > 62:
             words, word, used = words + [word], np.zeros(n, np.int64), 0
         word, used = (word << bits) | (col - lo), used + bits
-    keys = np.stack(words + [word], axis=1) if words else word
-    _, first, inv = np.unique(keys, axis=0 if words else None,
-                              return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(order.size)
-    return rank[inv.reshape(-1)], first[order]
+    if words:
+        word = np.unique(np.stack(words + [word], axis=1), axis=0,
+                         return_inverse=True)[1].reshape(-1)
+    order = np.argsort(word, kind="stable")
+    ranked = word[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    heads = order[starts]  # each key's first row, in key order
+    is_first = np.zeros(n, dtype=bool)
+    is_first[heads] = True
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = (np.cumsum(is_first) - 1)[heads][np.cumsum(starts) - 1]
+    return ids, np.flatnonzero(is_first)
 
 
 def column_excess(weights, z, rest, m: int):
     """:func:`excess_over_uniform` of per-world columns: world ``j`` has
-    weight ``weights[j]``, part value ``z[j]`` and rest ``rest[*][j]``."""
+    weight ``weights[j]``, part value ``z[j]`` in ``range(2**m)`` and rest
+    ``rest[*][j]``.  The rests are numbered once by :func:`row_ids`.  A
+    cell is a distinct ``rest id << m | z``; the excess does not depend
+    on the cells' order, so ``np.unique`` numbers them in key order.
+    Memory stays linear in the worlds."""
     groups, _ = row_ids(rest, len(z))
-    cells, first = row_ids([z, groups], len(z))
-    totals = np.zeros(first.size, dtype=np.asarray(weights).dtype)
+    keys, cells = np.unique((groups << m) | z, return_inverse=True)
+    totals = np.zeros(keys.size, dtype=np.asarray(weights).dtype)
     np.add.at(totals, cells, weights)
-    return excess_over_uniform(totals, groups[first], m)
+    return excess_over_uniform(totals, keys >> m, m)
 
 
 def ratio(num, den):

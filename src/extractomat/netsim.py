@@ -19,8 +19,9 @@ N-vector from one Philox stream keyed by ``seed ^ WORLD_KEY`` (weight 1,
 ``den = N``), so the ensembles of seeds s and s+1 share no worlds.  The
 protocol then runs once on the whole :class:`Batch`: honest steps are
 truth-table gathers and shifts on int64 columns, the rushing callback
-runs once per distinct adversary view and a trigger once per distinct
-transcript, and security is measured on cells numbered by ``np.unique``.
+runs once per distinct adversary view (the views of one sender built a
+column at a time) and a trigger once per distinct transcript, and
+security is measured on the cells of :func:`~extractomat.dist.column_excess`.
 A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run log.
 """
 
@@ -233,11 +234,6 @@ class AdversaryStrategy:
         """IR attack that pins faulty groups' public slices to constants."""
         return cls("ir", faulty, None, forced_slices=slices)
 
-    def message(self, player: int, rnd: int, view: dict, side_info) -> int:
-        if self.kind == "ir":
-            return int(self.rushing_fn(player, rnd, view))
-        return int(self.rushing_fn(player, rnd, view, side_info))
-
 
 # ----------------------------------------------------------------------
 # Runs
@@ -338,37 +334,73 @@ class Batch:
         """One round: each sender's honest payload (column of ``honest``,
         by default its source), replaced for faulty senders by the rushing
         message, chosen after the honest ones.  The callback runs once per
-        sender and distinct view; a QR-analog view includes the leaks."""
+        sender and distinct view, in order of first appearance; a
+        QR-analog view includes the leaks.  A sender's views are built a
+        column at a time: the honest triples per late pattern, the side
+        dicts per leak column."""
         idx = [pid - 1 for pid in senders]
         late = self.faulty[:, idx]
         honest = self.xs[:, idx] if honest is None else honest
         payload = honest.copy()
         if adv.rushing_fn is not None and late.any():
+            qr = adv.kind == "qr-analog"
             keys = self.transcript_columns() + list(np.where(late, -1, honest).T)
-            if adv.kind == "qr-analog":
+            if qr:
                 keys += list(self.side.values())
+            fn, mask = adv.rushing_fn, (1 << width) - 1
             for k, pid in enumerate(senders):
                 rows = np.flatnonzero(late[:, k])
                 if rows.size == 0:
                     continue
                 ids, first = row_ids((col[rows] for col in keys), rows.size)
                 sel = rows[first]  # one world per distinct view
-                cols = [col[sel].tolist() for col in self.side.values()]
-                sides = zip(*cols) if cols else [()] * sel.size
-                msgs = []
-                for tr, hon, lts, side in zip(self.transcripts(sel),
-                                              honest[sel].tolist(),
-                                              late[sel].tolist(), sides):
-                    view = {"transcript": tr,
-                            "round_honest": tuple([(s, v, width) for s, v, lt
-                                                   in zip(senders, hon, lts)
-                                                   if not lt])}
-                    msg = adv.message(pid, rnd, view, dict(zip(self.side, side)))
-                    msgs.append(msg & ((1 << width) - 1))
+                views = ({"transcript": tr, "round_honest": hon} for tr, hon
+                         in zip(self.transcripts(sel),
+                                self._round_honest(senders, width, honest[sel],
+                                                   late[sel])))
+                if qr:
+                    msgs = [int(fn(pid, rnd, view, side)) & mask
+                            for view, side in zip(views, self._sides(sel))]
+                else:
+                    msgs = [int(fn(pid, rnd, view)) & mask for view in views]
                 payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
                 self.callbacks += first.size
         self.rounds.append((rnd, tuple(senders), width, payload, late))
         return payload
+
+    @staticmethod
+    def _round_honest(senders, width: int, honest, late):
+        """Each view's ``(sender, value, width)`` triples of the honest
+        senders, in view order, ``honest`` and ``late`` holding one row per
+        view.  Views are grouped by their late pattern; a column longer
+        than ``2**width`` shares one triple per value.  One pattern, the
+        usual case, yields its tuples as they are read."""
+        out = [()] * len(late)
+        pattern, heads = row_ids(late.view(np.uint8).T, len(late))
+        for g, head in enumerate(heads.tolist()):
+            at = np.flatnonzero(pattern == g)
+            cols = []
+            for j in np.flatnonzero(~late[head]).tolist():
+                vals, s = honest[at, j].tolist(), senders[j]
+                if len(vals) > 1 << width:
+                    memo = [(s, v, width) for v in range(1 << width)]
+                    cols.append([memo[v] for v in vals])
+                else:
+                    cols.append([(s, v, width) for v in vals])
+            hons = zip(*cols) if cols else [()] * at.size
+            if heads.size == 1:
+                return hons
+            for i, hon in zip(at.tolist(), hons):
+                out[i] = hon
+        return out
+
+    def _sides(self, sel):
+        """A fresh leak dict per world of ``sel``, built a column at a time."""
+        sides = [{} for _ in range(sel.size)]
+        for pid, col in self.side.items():
+            for d, v in zip(sides, col[sel].tolist()):
+                d[pid] = v
+        return sides
 
     def corrupt(self, adv: AdversaryStrategy, t_bound: int, rnd_done: int):
         """Adaptive corruption after round ``rnd_done``: the trigger runs once

@@ -721,9 +721,13 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
 
     ``keys`` is an int64 array of one key per sample, ``rest_id << m |
     part_value``, with ``part_value`` in ``range(2**m)`` and ``rest_id``
-    a non-negative integer naming the sample's rest.  Cells (distinct
-    keys) and their rest groups are numbered in order of first
-    appearance by :func:`~extractomat.dist.row_ids`.  The estimator is the
+    naming the sample's rest.  Rest ids must be dense in order of first
+    appearance (the first sample's is 0, and each new one is one more
+    than the largest before it, as :func:`~extractomat.dist.row_ids`
+    numbers them); other keys raise :class:`InvalidInputError`.  Cells
+    (distinct keys) are numbered in order of first appearance by
+    ``row_ids``, so the rest ids of their first samples number their
+    groups in the same order.  The estimator is the
     empirical-joint TV against (uniform on the part) x (empirical rest
     marginal); a 99% bootstrap interval over 200 resamples is attached.
     Each resample's cell counts are Multinomial(n, counts / n).  Where
@@ -744,7 +748,11 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
             f"N={n_samples} below the sizing rule ceil(100*2^m/tol^2)="
             f"{math.ceil(needed)}")
     cells, first = row_ids([keys], n_samples)
-    groups, _ = row_ids([keys[first] >> m], first.size)
+    groups = keys[first] >> m
+    top = np.maximum.accumulate(groups)
+    if groups[0] != 0 or groups.min() < 0 or (top[1:] - top[:-1] > 1).any():
+        raise InvalidInputError(
+            "rest ids must be dense in order of first appearance")
     cvec = np.bincount(cells)
     C = cvec.size
     scale = n_samples << m

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extractomat.dist import (Distribution, JointDistribution,
+from extractomat.dist import (Distribution, JointDistribution, column_excess,
                               cond_min_entropy, distance_from_uniform_on,
-                              excess_over_uniform, min_entropy,
+                              excess_over_uniform, min_entropy, row_ids,
                               smooth_cond_min_entropy, statistical_distance,
                               xor_project)
 from extractomat.errors import InvalidInputError, SizeLimitError
@@ -400,3 +400,70 @@ def test_over_bound_denominator_raises():
         enumerate_worlds([half, half])
     with pytest.raises(SizeLimitError):
         excess_over_uniform([1 << 61, 1 << 61], [0, 0], 1)
+
+
+# ----------------------------------------------------------------------
+# dense row ids and the excess of per-world columns
+# ----------------------------------------------------------------------
+
+def _check_row_ids(cols):
+    n = len(cols[0])
+    ids, first = row_ids([np.asarray(c) for c in cols], n)
+    naive = naive_dense_ids(zip(*(np.asarray(c).tolist() for c in cols)))
+    assert ids.tolist() == naive
+    assert first.tolist() == [naive.index(i) for i in range(max(naive) + 1)]
+
+
+def test_row_ids_match_naive_dense_ids():
+    rng = np.random.default_rng(60)
+    for _ in range(60):
+        n = int(rng.integers(2, 400))
+        _check_row_ids([rng.integers(-1, int(rng.integers(1, 9)), size=n)
+                        for _ in range(int(rng.integers(1, 5)))])
+
+
+def test_row_ids_of_constant_columns_and_one_row():
+    _check_row_ids([np.full(9, 3), np.full(9, -1)])
+    _check_row_ids([[-1, -1, 4, -1, 4], [2, 2, 2, 2, 2]])
+    _check_row_ids([[5]])
+    _check_row_ids([[-1], [7]])
+
+
+def test_row_ids_of_keys_wider_than_one_word():
+    # 41 + 31 + 2 bits of value range: the rows no longer pack into one
+    # 62-bit word and are numbered through the multi-word path
+    rng = np.random.default_rng(61)
+    for n in (2, 50, 600):
+        _check_row_ids([rng.choice([0, 1 << 40], size=n),
+                        rng.choice([-1, 7, 1 << 30], size=n),
+                        rng.integers(0, 3, size=n)])
+
+
+def _naive_column_excess(weights, z, rest, m):
+    cells, groups = {}, {}
+    for w, v, *r in zip(weights, z, *rest):
+        cells[v, tuple(r)] = cells.get((v, tuple(r)), 0) + w
+        groups[tuple(r)] = groups.get(tuple(r), 0) + w
+    return sum(max(0, (1 << m) * w - groups[r]) for (_, r), w in cells.items())
+
+
+def test_column_excess_matches_a_naive_dict_sum():
+    rng = np.random.default_rng(62)
+    for trial in range(50):
+        m, n = trial % 5, int(rng.integers(2, 300))
+        z = rng.integers(0, 1 << m, size=n)
+        rest = [rng.integers(-1, int(rng.integers(1, 6)), size=n)
+                for _ in range(int(rng.integers(1, 4)))]
+        counts = rng.integers(1, 40, size=n)
+        lists = (counts.tolist(), z.tolist(), [c.tolist() for c in rest])
+        got = column_excess(counts, z, rest, m)
+        assert isinstance(got, int) and got == _naive_column_excess(*lists, m)
+        floats = counts / counts.sum()
+        assert column_excess(floats, z, rest, m) == pytest.approx(
+            _naive_column_excess(floats.tolist(), *lists[1:], m), abs=1e-12)
+
+
+def test_column_excess_refuses_weights_past_the_bound():
+    with pytest.raises(SizeLimitError):
+        column_excess(np.array([1 << 61, 1 << 61]), np.array([0, 1]),
+                      [np.array([0, 0])], 1)

@@ -488,6 +488,16 @@ def test_netsim_estimate_keys_match_the_tuple_references(monkeypatch, rests):
             assert len(seen[-1]) == n and len(set(seen[-1])) == len(set(pairs))
 
 
+@pytest.mark.parametrize("rest_ids", [[1, 0], [0, 2, 1], [0, 1, -1]])
+def test_mc_refuses_rest_ids_not_dense_in_first_seen_order(rest_ids):
+    keys = np.array(rest_ids * 200, dtype=np.int64) << 1
+    with pytest.raises(InvalidInputError, match="dense"):
+        mc_distance_pairs(keys, 1, tol=1.0)
+    # the same rests, renumbered by first appearance, are accepted
+    dense = np.array(naive_dense_ids(rest_ids * 200), dtype=np.int64) << 1
+    assert mc_distance_pairs(dense, 1, tol=1.0).n == len(dense)
+
+
 def test_keys_count_one_per_cell():
     rng = np.random.default_rng(53)
     for m in (1, 3):

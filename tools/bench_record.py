@@ -12,7 +12,10 @@ shift in one request type shows even where the end-to-end metrics
 absorb it.  With each record go the ``src/`` line count, the git
 revision (``-dirty`` when the tree differs from it) and the length of
 the checkout's path: perfbench's scaled metrics move with that length,
-so compare two records only when their paths are equally long.
+so compare two records only when their paths are equally long.  They
+also record the interpreter the runs use and the ``MALLOC_*`` variables
+of the runs' environment, which move small protocol-exact and
+requests-short gaps; neither is set or pinned here.
 
 ``--checkout`` defaults to the repository this script sits in.  With
 ``--baseline`` (say, a clone of the parent commit) the baseline is
@@ -42,9 +45,12 @@ TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 
 
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH="src")
+
+
 def _run(cmd, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH="src")
-    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
+    return subprocess.run(cmd, cwd=cwd, env=_child_env(), capture_output=True,
                           text=True)
 
 
@@ -82,7 +88,11 @@ def _checkout_info(checkout: Path) -> dict:
     tier1_s = time.perf_counter() - t0
     src_lines = sum(len(p.read_text().splitlines())
                     for p in (checkout / "src").rglob("*.py"))
+    env = _child_env()
     return {"path_len": len(str(checkout)),
+            "interpreter": sys.executable,
+            "malloc_env": {k: v for k, v in sorted(env.items())
+                           if k.startswith("MALLOC_")},
             "rev": _revision(checkout), "src_lines": src_lines,
             "tier1_s": tier1_s, "tier1_exit": tests.returncode,
             "tier1_summary": (tests.stdout.strip().splitlines() or [""])[-1],
