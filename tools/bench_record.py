@@ -45,12 +45,9 @@ TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 
 
-def _child_env() -> dict:
-    return dict(os.environ, PYTHONPATH="src")
-
-
 def _run(cmd, cwd: Path) -> subprocess.CompletedProcess:
-    return subprocess.run(cmd, cwd=cwd, env=_child_env(), capture_output=True,
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
                           text=True)
 
 
@@ -88,10 +85,9 @@ def _checkout_info(checkout: Path) -> dict:
     tier1_s = time.perf_counter() - t0
     src_lines = sum(len(p.read_text().splitlines())
                     for p in (checkout / "src").rglob("*.py"))
-    env = _child_env()
     return {"path_len": len(str(checkout)),
             "interpreter": sys.executable,
-            "malloc_env": {k: v for k, v in sorted(env.items())
+            "malloc_env": {k: v for k, v in sorted(os.environ.items())
                            if k.startswith("MALLOC_")},
             "rev": _revision(checkout), "src_lines": src_lines,
             "tier1_s": tier1_s, "tier1_exit": tests.returncode,
