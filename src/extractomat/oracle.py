@@ -14,20 +14,22 @@ error is a ``Fraction``.
 
 Every worst-case oracle but the sampled two-source one runs one kernel,
 ``_selected_worst``.  It enumerates (or samples) the supports S2 of one
-input, with every leak pattern on them (a leak map matters only on the
-support), takes each row x of the other input's cell excess 2^m #{y in
-S2 : Ext(x, y) = z} - K2, and lets a selection rule pick S1; the oracles
-differ only in that rule.  With S1 hidden, the distance is the max over
-output events T of P(Z in T) - |T|/2^m, so per event the best S1 is the
-top K1 rows of the excess summed over T, scored exactly (or the S1
-supports are scored, where they are fewer than the events).  With S1
-revealed, rows score sum_cells max(excess, 0): the two-source, leaked
-and seeded oracles take the top K1 rows (the seed is the revealed input
-at full size); block+general, on rows (x1, x2), per x1 the top K2 of its
-row scores, then the top K1 of those sums; multi-source composites,
-every S1 of the strong input with fewer supports, then the top K2 of its
-summed scores.  Ties go to the lowest-rank S2, then to the first
-candidate scored, then to the lower row index.
+input, with every leak pattern on them when that input leaks (a leak map
+matters only on the support), takes each row x of the other input's cell
+excess 2^m #{y in S2 : Ext(x, y) = z} - K2, and lets a selection rule
+pick S1; the oracles differ only in that rule.  With S1 hidden, the
+distance is the max over output events T of P(Z in T) - |T|/2^m, so per
+event the best S1 is the top K1 rows of the excess summed over T (or the
+S1 supports are scored, where they are fewer than the events).  A leak
+from S1's input needs no patterns: with one output set T_e per leak
+value, each row takes its best e first.  With S1 revealed, rows score
+sum_cells max(excess, 0): the two-source, leaked and seeded oracles take
+the top K1 rows (the seed is the revealed input at full size);
+block+general, on rows (x1, x2), per x1 the top K2 of its row scores,
+then the top K1 of those sums; multi-source composites, every S1 of the
+strong input with fewer supports, then the top K2 of its summed scores.
+Ties go to the lowest-rank S2, then to the first candidate scored, then
+to the lower row index.
 
 Sampled mode draws random flat supports and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
@@ -37,6 +39,7 @@ the draws (not a confidence interval for the worst case).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -57,6 +60,8 @@ from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
 DEFAULT_BUDGET = 20_000_000_000
 EXHAUSTIVE_MAP_BITS_CAP = 2  # leakage maps enumerated exhaustively up to e-width 2
 CHUNK_ENTRIES = 1 << 14  # int64 entries per working array of one S2 chunk
+SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
+EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
 DEFAULT_SAMPLES = 200
 BOOTSTRAP_RESAMPLES = 200
 CI_LEVEL = 0.99
@@ -132,8 +137,29 @@ def _check_k(k, width: int) -> int:
     return int(k)
 
 
-def _chunks(supports, size: int, chunk: int):
-    """``size``-tuples as int64 arrays of at most ``chunk`` rows."""
+@functools.cache
+def _support_table(space: int, K: int) -> np.ndarray:
+    """The ``K``-subsets of ``range(space)``, lexicographic, as a read-only
+    int64 table built once per process.  Kernel spaces and sizes are
+    powers of two: every table under the bound takes 12.6 MB at most."""
+    rows = math.comb(space, K)
+    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(space), K)), np.int64, count=rows * K).reshape(rows, K)
+    table.flags.writeable = False
+    return table
+
+
+def _chunks(supports, space: int, size: int, chunk: int):
+    """``size``-point supports as int64 arrays of at most ``chunk`` rows,
+    read from ``supports`` or, if None, every one in ``range(space)`` in
+    lexicographic order: slices of the cached table up to
+    ``SUPPORT_TABLE_ENTRIES`` entries, streamed past that."""
+    if supports is None:
+        if math.comb(space, size) * size <= SUPPORT_TABLE_ENTRIES:
+            table = _support_table(space, size)
+            yield from (table[a:a + chunk] for a in range(0, len(table), chunk))
+            return
+        supports = itertools.combinations(range(space), size)
     flat = itertools.chain.from_iterable(supports)
     while (block := np.fromiter(itertools.islice(flat, chunk * size),
                                 np.int64)).size:
@@ -202,18 +228,10 @@ def _onehot(supports, space: int) -> np.ndarray:
     return hot
 
 
-def _top_rows(score, K: int) -> np.ndarray:
-    """0/1 int64 mask of the ``K`` largest entries along the last axis;
-    ties go to the lower index."""
-    X = score.shape[-1]
-    key = score * X + np.arange(X - 1, -1, -1)
-    return (key >= np.partition(key, X - K, axis=-1)[..., X - K, None]
-            ).astype(np.int64)
-
-
 def _top_index(score, K: int) -> list:
-    """Ascending indices of the ``K`` largest entries of a 1-D ``score``."""
-    return np.flatnonzero(_top_rows(score, K)).tolist()
+    """Ascending indices of the ``K`` largest entries of a 1-D ``score``;
+    ties go to the lower index."""
+    return sorted(np.argsort(-score, kind="stable")[:K].tolist())
 
 
 def _top_sums(score, K: int) -> np.ndarray:
@@ -241,6 +259,33 @@ def _cell_excess(ind, block, leak, M: int, B: int, ref: int = 1):
     return cnt.reshape(-1, M * B, cnt.shape[-1])
 
 
+def _event_rule(rows: int, K1: int, J: int, B: int = 1):
+    """Marginal selection rule on ``J`` cells with a leak of ``B`` values
+    from the selected input (``B=1``: none).  Per event T = (T_e) of ``B``
+    distinct cell sets (a repeat never scores more; for ``B=1`` neither
+    the empty nor the full set, which score 0), each row takes its best e,
+    scored by its excess summed over T_e, and the top K1 rows give S1.
+    With ``B > 1`` a pick is S1 and its leak map, 0 off S1."""
+    codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.array(
+        list(itertools.combinations(range(1 << J), min(B, 1 << J))))
+    events = (codes[..., None] >> np.arange(J)) & 1  # (event, e, cell)
+    flat = events.reshape(-1, J)
+
+    def pick(ex, q):
+        score = flat @ ex
+        if B == 1:  # the first event whose S1 scores the largest distance
+            key = score * rows + np.arange(rows - 1, -1, -1)
+            top = key >= np.partition(key, rows - K1)[:, rows - K1, None]
+            q = int(np.argmax(np.maximum(ex @ top.T, 0).sum(axis=0)))
+        score = score.reshape(*events.shape[:2], rows)[q]
+        s1 = _top_index(score.max(axis=0), K1)
+        return s1 if B == 1 else (s1, np.bincount(
+            s1, score[:, s1].argmax(axis=0), rows).astype(int).tolist())
+    return (lambda ex: _top_sums((flat @ ex).reshape(
+                len(ex), *events.shape[:2], rows).max(axis=2), K1),
+            pick, len(flat) * rows)
+
+
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
                     supports1=None, b=0, maps=None, rule=None, samples=None,
                     seed=0):
@@ -248,8 +293,8 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     rows on S2 (every ``b``-bit pattern, or the rows of the ``maps``
     array, relabelled densely) and supports S1 of the other input, which
     ``strong`` (None or its index) may reveal, chosen by a selection rule
-    (``rule`` if revealed; the default is the top K1 rows).  A rule is
-    (values, pick, entries): (configurations, cells, rows) excess to
+    (``rule``, by default the top K1 rows, per event if hidden).  A rule
+    is (values, pick, entries): (configurations, cells, rows) excess to
     (configurations, candidates) numerators, one configuration's excess
     and a candidate to its selection, and working int64 entries per
     configuration.  Returns ``(report, supports, leak_map or None)``;
@@ -265,21 +310,19 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     J = M * B
     ind = _cell_indicator(table2d, M, B)
     ref, kernel = 1, "events"
-    if rule is None and K1 == rows:  # one S1, every row
+    if rule is not None:
+        pass  # the caller's selection rule
+    elif K1 == rows:  # one S1, every row
         if strong is None:  # counted as a single row
             kernel, ref = "supports", K1
             ind = ind.reshape(len(ind), J, rows).sum(axis=2)
         rule = (lambda ex: np.maximum(ex, 0, out=ex).sum(axis=(1, 2))[:, None],
                 lambda ex, q: list(range(rows)), 0)
     elif strong is not None:
-        rule = rule or (lambda ex: _top_sums(_scores(ex), K1)[:, None],
-                        lambda ex, q: _top_index(_scores(ex), K1), 0)
+        rule = (lambda ex: _top_sums(_scores(ex), K1)[:, None],
+                lambda ex, q: _top_index(_scores(ex), K1), 0)
     elif supports1 is None and 1 << J <= math.comb(rows, K1):
-        events = (np.arange(1, (1 << J) - 1)[:, None] >> np.arange(J)) & 1
-        rule = (lambda ex: np.maximum(
-                    ex @ _top_rows(events @ ex, K1).swapaxes(1, 2), 0).sum(axis=1),
-                lambda ex, q: _top_index(events[q] @ ex, K1),
-                len(events) * max(rows, J))
+        rule = _event_rule(rows, K1, J)
     else:
         kernel = "supports"
         supports1 = list(supports1 or itertools.combinations(range(rows), K1))
@@ -291,11 +334,9 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     best, configs, cands, per = None, 0, 0, []
     if samples is not None:
         supports2 = _sample_supports(cols, K2, samples, seed)
-    elif supports2 is None:
-        supports2 = itertools.combinations(range(cols), K2)
     dense = maps if maps is None else np.array(
         [np.unique(f, return_inverse=True)[1] for f in maps])
-    for block in _chunks(supports2, K2, chunk):
+    for block in _chunks(supports2, cols, K2, chunk):
         leak = pats if maps is None else dense[:, block].transpose(1, 0, 2)
         excess = _cell_excess(ind, block, leak, M, B, ref)
         vals = values(excess)
@@ -465,7 +506,9 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
 
     For a seeded handle the leak is taken from the source; ``strong``
     then means jointly with the seed.  For a 2-source handle ``strong``
-    is an input index as in :func:`worst_case_error_2source`.
+    is an input index as in :func:`worst_case_error_2source`, and
+    ``leak_sources`` (default both, repeats once) names the inputs that
+    may leak.
     """
     if len(k_profile) < h.arity:
         raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
@@ -480,7 +523,11 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
         rep = _seeded_worst(h, _check_k(k_profile[0], h.input_widths[0]), b,
                             bool(strong), maps, mode, samples, seed, budget)
     elif h.arity == 2:
-        leak_sources = list(leak_sources) if leak_sources is not None else [0, 1]
+        leak_sources = list(dict.fromkeys((0, 1) if leak_sources is None
+                                          else leak_sources))
+        if not set(leak_sources) <= {0, 1}:
+            raise InvalidInputError(f"leak_sources name inputs 0 and 1, "
+                                    f"not {leak_sources}")
         maps, b = _leak_maps(maps, b, [h.input_widths[i] for i in leak_sources
                                        if i != strong])
         rep = _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
@@ -518,6 +565,12 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
 
 def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                     mode, samples, seed, budget):
+    """The leak-free baseline, then each unrevealed leaking input, with
+    budgets counting the candidates scored.  An exhaustive marginal leak
+    of the default family runs map-free where that scores fewer: the
+    other input is enumerated, and ``_event_rule`` selects S1 and its
+    map.  Else the leaking input is enumerated (or sampled, with sampled
+    S1 if marginal) with every leak pattern on its support, or ``maps``."""
     widths = h.input_widths
     k1, k2 = (_check_k(k, n) for k, n in zip(k_profile, widths))
     Ks = (1 << k1, 1 << k2)
@@ -529,28 +582,40 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                              {baseline.kernel})
     exhaustive = baseline.mode == "exhaustive"
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(-1, 1 << widths[1])
+    M, B = 1 << h.m, 1 << b
     for i_star in leak_sources:
         if strong is not None and i_star == strong:
             # E is a function of the conditioned input: identical to b=0.
             continue
-        # The leaking input is the enumerated one.
-        sel = 1 - i_star
-        n_leak, n_sel = widths[i_star], widths[sel]
-        n_maps = (1 << b) ** Ks[i_star] if maps is None else len(maps)
-        required = math.comb(1 << n_leak, Ks[i_star]) * n_maps * (
-            1 if strong is not None else math.comb(1 << n_sel, Ks[sel]))
-        supports2 = supports1 = None
-        if _resolve_mode(mode, required, budget,
+        other = 1 - i_star
+        X, X_other = 1 << widths[i_star], 1 << widths[other]
+        patterns = math.comb(X, Ks[i_star]) * (
+            B ** Ks[i_star] if maps is None else len(maps))
+        # per pattern the kernel scores one S1 if revealed, else the
+        # 2^J - 2 events on J cells where 2^J fits in the S1 supports
+        S1s, J = math.comb(X_other, Ks[other]), M * B
+        required = patterns * (1 if strong is not None else
+                               (1 << J) - 2 if 1 << J <= S1s else S1s)
+        events = math.comb(1 << M, min(B, 1 << M))
+        free = S1s * events
+        mapfree = (strong is None and maps is None and free <= required
+                   and events * min(B, 1 << M) * X <= EVENT_ENTRIES)
+        supports2 = supports1 = rule = None
+        if _resolve_mode(mode, free if mapfree else required, budget,
                          "leaked two-source enumeration") == "sampled":
-            exhaustive = False
-            supports2 = _sample_supports(1 << n_leak, Ks[i_star], samples,
-                                         seed ^ 0xA1)
+            exhaustive = mapfree = False
+            supports2 = _sample_supports(X, Ks[i_star], samples, seed ^ 0xA1)
             if strong is None:
-                supports1 = _sample_supports(1 << n_sel, Ks[sel], samples,
+                supports1 = _sample_supports(X_other, Ks[other], samples,
                                              seed ^ 0xB2)
+        elif mapfree:
+            rule = _event_rule(X, Ks[i_star], M, B)
         rep, supports, leak_map = _selected_worst(
-            table2d, Ks, h.m, strong, i_star, supports2=supports2,
-            supports1=supports1, b=b, maps=maps)
+            table2d, Ks, h.m, strong, other if mapfree else i_star,
+            supports2=supports2, supports1=supports1, b=0 if mapfree else b,
+            maps=maps, rule=rule)
+        if mapfree:
+            supports[i_star], leak_map = supports[i_star]
         total, cands = total + rep.enumerated, cands + rep.candidates
         kernels.add(rep.kernel)
         if rep.error > best_err:
@@ -595,8 +660,9 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
     _leak_maps(None, b)
     t0 = time.perf_counter()
     tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1, X2, X3)
-    required = math.comb(X1, K1) * math.comb(X2, K2) * math.comb(X3, K3)
-    required *= (1 << b) ** K3  # leak patterns on S3
+    # (S3, leak pattern on S3, support of the input with fewer) triples
+    required = math.comb(X3, K3) * (1 << b) ** K3 * min(math.comb(X1, K1),
+                                                       math.comb(X2, K2))
     if _resolve_mode(mode, required, budget,
                      "multi-source enumeration") != "exhaustive":
         raise InvalidInputError(

@@ -818,20 +818,131 @@ def test_leaked_2source_auto_labels_an_exhaustive_run(tmp_path):
 
 
 def test_leak_budgets_count_patterns_on_the_support():
-    # Per leaking side: 70 supports x 2^4 patterns x 70 selected supports,
-    # 78,400 steps; counting every map on {0,1}^3 would need 1,254,400.
-    rep = worst_case_error_leaked(ip_handle(3), (2, 2), 1, budget=100_000)
-    assert rep.mode == "exhaustive" and rep.error == Fraction(5, 16)
+    # Budgets count the candidates the kernel scores.  A marginal leak
+    # from either input of this m=2 table runs map-free: 70 supports of
+    # the other input x C(16, 2) = 120 output events, 8,400 (the
+    # leak-free baseline needs 70 x 70 = 4,900; leak patterns would
+    # score 70 x 2^4 x 70 = 78,400).
+    h, fn = _random_table(np.random.default_rng(45), (3, 3), 2)
+    rep = worst_case_error_leaked(h, (2, 2), 1, budget=8_400)
+    assert rep.mode == "exhaustive"
+    assert rep.error == worst_case_error_leaked(h, (2, 2), 1).error
     with pytest.raises(BudgetExceededError) as refused:
-        worst_case_error_leaked(ip_handle(3), (2, 2), 1, budget=78_399)
-    assert refused.value.required == 78_400
-    # Multi-source: 6^3 supports x 2^2 patterns on S3 (every map: 3,456).
+        worst_case_error_leaked(h, (2, 2), 1, budget=8_399)
+    assert refused.value.required == 8_400
+    # Strong: 70 supports x 4^4 patterns of the leak from X2, one
+    # candidate each (top K1 rows of the revealed input).
+    rep = worst_case_error_leaked(ip_handle(3), (2, 2), 2, strong=0,
+                                  budget=17_920)
+    assert rep.error == worst_case_error_leaked(ip_handle(3), (2, 2), 2,
+                                                strong=0).error
+    with pytest.raises(BudgetExceededError) as refused:
+        worst_case_error_leaked(ip_handle(3), (2, 2), 2, strong=0,
+                                budget=17_919)
+    assert refused.value.required == 17_920
+    # Multi-source: 6 S3 x 2^2 patterns on S3 x 6 supports of the
+    # selected strong input, 144 (864 when every S1 x S2 was counted).
     h, fn = _random_table(np.random.default_rng(46), (2, 2, 2), 1, "t-source")
-    rep = worst_case_error_multi(h, (1, 1, 1), b=1, budget=864)
+    rep = worst_case_error_multi(h, (1, 1, 1), b=1, budget=144)
     assert rep.error == naive_worst_multi(fn, (2, 2, 2), 1, (1, 1, 1), 1)
+    assert rep.candidates == 144
     with pytest.raises(BudgetExceededError) as refused:
-        worst_case_error_multi(h, (1, 1, 1), b=1, budget=863)
-    assert refused.value.required == 864
+        worst_case_error_multi(h, (1, 1, 1), b=1, budget=143)
+    assert refused.value.required == 144
+
+
+def test_mapfree_leak_matches_patterns_naive_and_witnesses(monkeypatch):
+    # A marginal leak of the default family selects the leaking input's
+    # support and its map per output event, with no leak patterns.  On
+    # (3,3) tables it must give the value of every pattern on the leaking
+    # input's support (the path a map-free leak past EVENT_ENTRIES takes);
+    # on (2,2) tables, the naive oracle's over every map of the domain.
+    mapfree, rule = [], oracle_mod._event_rule
+    monkeypatch.setattr(oracle_mod, "_event_rule", lambda *a: (
+        mapfree.append(a) if len(a) > 3 else None) or rule(*a))
+    rng, bound = np.random.default_rng(52), oracle_mod.EVENT_ENTRIES
+    for trial in range(24):
+        m, b = 1 + trial % 2, 1 + trial // 2 % 2
+        ks = ((2, 1), (1, 2), (2, 2))[trial // 4 % 3]
+        h, fn = _random_table(rng, (3, 3), m)
+        for i in (0, 1):
+            reps = []
+            for entries in (0, bound):  # patterns, then map-free
+                monkeypatch.setattr(oracle_mod, "EVENT_ENTRIES", entries)
+                reps.append(worst_case_error_leaked(h, ks, b, leak_sources=[i]))
+            assert reps[0].error == reps[1].error
+            for rep in reps:
+                assert _witness_error(fn, m, rep.witness, ()) == rep.error
+                leak = rep.witness["leak_map"]
+                if leak:  # the map is 0 off the leaking input's support
+                    s = rep.witness["supports"][i]
+                    assert all(leak[x] == 0 for x in range(8) if x not in s)
+    assert len(mapfree) >= 36  # most of the 48 leaks ran map-free
+    for trial in range(4):
+        m, b = 1 + trial % 2, 1 + trial // 2
+        h, fn = _random_table(rng, (2, 2), m)
+        for ks in ((1, 1), (2, 1), (1, 2)):
+            for i in (0, 1):
+                rep = worst_case_error_leaked(h, ks, b, leak_sources=[i])
+                assert rep.error == naive_worst_leaked_2source(
+                    fn, 2, 2, m, *ks, b, None, (i,))
+                assert _witness_error(fn, m, rep.witness, ()) == rep.error
+    # leaked ip(4;3,3) with b=1 fits the default budget
+    rep = worst_case_error_leaked(ip_handle(4), (3, 3), 1)
+    assert rep.mode == "exhaustive" and rep.error == Fraction(13, 64)
+    assert _witness_error(lambda x, y: parity(x & y), 1, rep.witness,
+                          ()) == rep.error
+
+
+def test_leak_sources_are_validated_and_deduplicated():
+    h = ip_handle(2)
+    for sources in ([2], [-1], [0, 2]):
+        with pytest.raises(InvalidInputError, match="leak_sources"):
+            worst_case_error_leaked(h, (1, 1), 1, leak_sources=sources)
+    for strong in (None, 0):
+        once, twice = (worst_case_error_leaked(h, (1, 1), 1, strong=strong,
+                                               leak_sources=sources)
+                       for sources in ([1], [1, 1]))
+        assert twice.enumerated == once.enumerated
+        assert (twice.error, twice.witness) == (once.error, once.witness)
+
+
+def test_support_table_matches_combinations_and_streaming(monkeypatch):
+    for space, K in ((8, 4), (16, 8), (32, 2), (5, 0), (5, 5)):
+        table = oracle_mod._support_table(space, K)
+        assert table.dtype == np.int64
+        assert table.shape == (math.comb(space, K), K)
+        assert list(map(tuple, table.tolist())) == list(
+            itertools.combinations(range(space), K))
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    # enumerations slice the cached table, or stream past the bound
+    block = next(oracle_mod._chunks(None, 16, 8, 100))
+    assert np.shares_memory(block, oracle_mod._support_table(16, 8))
+    assert block.base is not None and not block.flags.writeable
+    block = next(oracle_mod._chunks(None, 64, 8, 100))
+    assert block.tolist() == [list(c) for c in itertools.islice(
+        itertools.combinations(range(64), 8), 100)] and block.flags.writeable
+    # Kernel reports are the same with the tables and with every
+    # enumeration streamed.
+    rng = np.random.default_rng(53)
+    two, _ = _random_table(rng, (3, 3), 2)
+    seeded, _ = _random_table(rng, (3, 2), 1, "seeded")
+    three, _ = _random_table(rng, (2, 2, 2), 1, "t-source")
+    calls = [lambda: worst_case_error_2source(two, 2, 1),
+             lambda: worst_case_error_2source(two, 2, 2, 0),
+             lambda: worst_case_error_leaked(two, (2, 1), 1),
+             lambda: worst_case_error_leaked(two, (1, 2), 1, strong=1),
+             lambda: worst_case_error_leaked(seeded, (2, 2), 1, strong=True),
+             lambda: worst_case_error_multi(three, (1, 1, 1), b=1),
+             lambda: worst_case_error_block_general(three, (1, 1, 1))]
+    runs = []
+    for entries in (oracle_mod.SUPPORT_TABLE_ENTRIES, 0):
+        monkeypatch.setattr(oracle_mod, "SUPPORT_TABLE_ENTRIES", entries)
+        runs.append([(rep.mode, rep.error, rep.witness, rep.enumerated,
+                      rep.kernel, rep.candidates)
+                     for rep in (call() for call in calls)])
+    assert runs[0] == runs[1]
 
 
 def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
