@@ -29,7 +29,9 @@ block+general, on rows (x1, x2), per x1 the top K2 of its row scores,
 then the top K1 of those sums; multi-source composites, every S1 of the
 strong input with fewer supports, then the top K2 of its summed scores.
 Ties go to the lowest-rank S2, then to the first candidate scored, then
-to the lower row index.
+to the lower row index.  Budgets count the candidates scored; one
+support's working array, its leak rows times its cells or candidates,
+is capped apart (``SUPPORT_ENTRIES``).
 
 Sampled mode draws random flat supports and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
@@ -53,7 +55,7 @@ import numpy as np
 from .dist import (Distribution, JointDistribution, column_excess,
                    cond_min_entropy, excess_over_uniform, neg_log2,
                    ratio, row_ids, smooth_cond_min_entropy)
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, SizeLimitError
 from .extractors import ExtractorHandle
 from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
 
@@ -62,6 +64,7 @@ EXHAUSTIVE_MAP_BITS_CAP = 2  # leakage maps enumerated exhaustively up to e-widt
 CHUNK_ENTRIES = 1 << 14  # int64 entries per working array of one S2 chunk
 SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
 EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
+SUPPORT_ENTRIES = 1 << 24  # largest working array of one support, refused past
 DEFAULT_SAMPLES = 200
 BOOTSTRAP_RESAMPLES = 200
 CI_LEVEL = 0.99
@@ -164,6 +167,15 @@ def _chunks(supports, space: int, size: int, chunk: int):
     while (block := np.fromiter(itertools.islice(flat, chunk * size),
                                 np.int64)).size:
         yield block.reshape(-1, size)
+
+
+def _fit(entries: int) -> int:
+    """``entries``, the int64 entries of one support's working array, if
+    at most ``SUPPORT_ENTRIES``: budgets bound the steps, this the memory."""
+    if entries > SUPPORT_ENTRIES:
+        raise SizeLimitError(f"one support's working array needs {entries} "
+                             f"int64 entries, the cap is {SUPPORT_ENTRIES}")
+    return entries
 
 
 def _sample_supports(space: int, size: int, samples: int, key: int):
@@ -272,12 +284,7 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     flat = events.reshape(-1, J)
 
     def pick(ex, q):
-        score = flat @ ex
-        if B == 1:  # the first event whose S1 scores the largest distance
-            key = score * rows + np.arange(rows - 1, -1, -1)
-            top = key >= np.partition(key, rows - K1)[:, rows - K1, None]
-            q = int(np.argmax(np.maximum(ex @ top.T, 0).sum(axis=0)))
-        score = score.reshape(*events.shape[:2], rows)[q]
+        score = (flat @ ex).reshape(*events.shape[:2], rows)[q]
         s1 = _top_index(score.max(axis=0), K1)
         return s1 if B == 1 else (s1, np.bincount(
             s1, score[:, s1].argmax(axis=0), rows).astype(int).tolist())
@@ -297,16 +304,15 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     is (values, pick, entries): (configurations, cells, rows) excess to
     (configurations, candidates) numerators, one configuration's excess
     and a candidate to its selection, and working int64 entries per
-    configuration.  Returns ``(report, supports, leak_map or None)``;
-    given ``samples``, S2 is that many random supports, and the report is
-    sampled."""
+    configuration; one support's, times its leak rows, must ``_fit``.
+    Returns ``(report, supports, leak_map or None)``; given ``samples``,
+    S2 is that many random supports, and the report is sampled."""
     if enum == 0:
         table2d = table2d.T
     K1, K2 = Ks[1 - enum], Ks[enum]
     rows, cols = table2d.shape
     M = 1 << m
     B, P = 1 << b, 1 << b * K2 if maps is None else len(maps)
-    pats = _leak_patterns(b, K2)[None] if maps is None else None
     J = M * B
     ind = _cell_indicator(table2d, M, B)
     ref, kernel = 1, "events"
@@ -330,7 +336,8 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
         rule = (lambda ex: np.maximum(ex @ hot.T, 0).sum(axis=1),
                 lambda ex, q: list(supports1[q]), len(hot) * max(rows, J))
     values, pick, work = rule
-    chunk = max(1, CHUNK_ENTRIES // (P * max(ind.shape[1], work)))
+    chunk = max(1, CHUNK_ENTRIES // _fit(P * max(ind.shape[1], work)))
+    pats = _leak_patterns(b, K2)[None] if maps is None else None
     best, configs, cands, per = None, 0, 0, []
     if samples is not None:
         supports2 = _sample_supports(cols, K2, samples, seed)
@@ -670,6 +677,7 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
     swap = math.comb(X2, K2) < math.comb(X1, K1)
     if swap:
         tbl, X1, X2, K1, K2 = tbl.transpose(1, 0, 2), X2, X1, K2, K1
+    _fit((1 << b) ** K3 * math.comb(X1, K1) * X2)  # before listing the S1
     supports1 = list(itertools.combinations(range(X1), K1))
     hot1 = _onehot(supports1, X1)
     rep, (s12, s3), leak_map = _selected_worst(  # rule: per S1, the top K2

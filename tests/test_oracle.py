@@ -851,6 +851,39 @@ def test_leak_budgets_count_patterns_on_the_support():
     assert refused.value.required == 144
 
 
+def test_working_arrays_past_the_cap_are_refused(monkeypatch):
+    # Budgets count candidates; one support's working array (its leak
+    # patterns times its cells or candidates) is capped on its own.
+    rng = np.random.default_rng(54)
+    three, fn = _random_table(rng, (2, 2, 2), 1, "t-source")
+    # 2^2 patterns x max(4 cells x 16 rows, 6 S1 x 4 rows) = 256 entries
+    monkeypatch.setattr(oracle_mod, "SUPPORT_ENTRIES", 256)
+    assert worst_case_error_multi(three, (1, 1, 1), b=1).error == \
+        naive_worst_multi(fn, (2, 2, 2), 1, (1, 1, 1), 1)
+    monkeypatch.setattr(oracle_mod, "SUPPORT_ENTRIES", 255)
+    with pytest.raises(SizeLimitError, match="256 int64 entries"):
+        worst_case_error_multi(three, (1, 1, 1), b=1)
+    monkeypatch.undo()
+    # Within the default budget, refused before any array is built:
+    # multi, 4^8 patterns on S3 x C(16, 8) S1 x 16 rows, 1.35e10 entries
+    # (8.4e8 candidates);
+    big, _ = _random_table(rng, (4, 4, 3), 1, "t-source")
+    with pytest.raises(SizeLimitError):
+        worst_case_error_multi(big, (3, 3, 3), b=2)
+    # multi, C(32, 16) S1 x 32 rows, before those S1 are listed (1.2e9);
+    wide, _ = _random_table(rng, (5, 5, 1), 1, "t-source")
+    with pytest.raises(SizeLimitError):
+        worst_case_error_multi(wide, (4, 4, 0))
+    # leaked, 4^8 patterns on X1 x 254 events x 64 rows (1.7e7 candidates);
+    two, _ = _random_table(rng, (3, 6), 1)
+    with pytest.raises(SizeLimitError):
+        worst_case_error_leaked(two, (3, 5), 2, leak_sources=[0], mode="auto")
+    # seeded, 4^16 patterns on the one support (4.3e9 candidates).
+    seeded, _ = _random_table(rng, (4, 1), 1, "seeded")
+    with pytest.raises(SizeLimitError):
+        worst_case_error_leaked(seeded, (4, 1), 2)
+
+
 def test_mapfree_leak_matches_patterns_naive_and_witnesses(monkeypatch):
     # A marginal leak of the default family selects the leaking input's
     # support and its map per output event, with no leak patterns.  On
