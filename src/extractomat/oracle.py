@@ -33,7 +33,8 @@ to the lower row index.  Budgets count the candidates scored; one
 support's working array, its leak rows times its cells or candidates,
 is capped apart (``SUPPORT_ENTRIES``).
 
-Sampled mode draws random flat supports and keeps the per-draw exact
+Sampled mode draws random flat supports, all of a path's in one
+vectorised sampler (``_sample_supports``), and keeps the per-draw exact
 distances; the reported error is their maximum, a certified lower bound
 on the true worst case, with the bootstrap spread of that maximum over
 the draws (not a confidence interval for the worst case).
@@ -153,17 +154,16 @@ def _support_table(space: int, K: int) -> np.ndarray:
 
 
 def _chunks(supports, space: int, size: int, chunk: int):
-    """``size``-point supports as int64 arrays of at most ``chunk`` rows,
-    read from ``supports`` or, if None, every one in ``range(space)`` in
-    lexicographic order: slices of the cached table up to
-    ``SUPPORT_TABLE_ENTRIES`` entries, streamed past that."""
-    if supports is None:
-        if math.comb(space, size) * size <= SUPPORT_TABLE_ENTRIES:
-            table = _support_table(space, size)
-            yield from (table[a:a + chunk] for a in range(0, len(table), chunk))
-            return
-        supports = itertools.combinations(range(space), size)
-    flat = itertools.chain.from_iterable(supports)
+    """``size``-point supports as int64 arrays of at most ``chunk`` rows:
+    slices of the ``supports`` array or, if None, of every support of
+    ``range(space)`` in lexicographic order, read from the cached table up
+    to ``SUPPORT_TABLE_ENTRIES`` entries and streamed past that."""
+    if supports is None and math.comb(space, size) * size <= SUPPORT_TABLE_ENTRIES:
+        supports = _support_table(space, size)
+    if supports is not None:
+        yield from (supports[a:a + chunk] for a in range(0, len(supports), chunk))
+        return
+    flat = itertools.chain.from_iterable(itertools.combinations(range(space), size))
     while (block := np.fromiter(itertools.islice(flat, chunk * size),
                                 np.int64)).size:
         yield block.reshape(-1, size)
@@ -178,13 +178,39 @@ def _fit(entries: int) -> int:
     return entries
 
 
-def _sample_supports(space: int, size: int, samples: int, key: int):
-    """``samples`` random ``size``-point supports, from Philox(key=key)."""
+def _philox(key: int) -> np.random.Generator:
+    """A Generator on Philox(key=key): the stream of one sampled path."""
+    return np.random.default_rng(np.random.Philox(key=key))
+
+
+def _sample_supports(space: int, size: int, samples: int, rng) -> np.ndarray:
+    """``samples`` uniform ``size``-point supports of ``range(space)`` as
+    ascending rows of an int64 array, drawn from the Generator ``rng``.
+    One ``integers`` call draws every row's points; each row keeps its
+    distinct values, and one call per round redraws the missing ones of
+    every short row, in row order.  Each row is thus the first ``size``
+    distinct values of a uniform stream, which form a uniform support.
+    Past half the space the rows are the complements of drawn supports."""
     if samples < 1:
         raise InvalidInputError("sampled mode needs samples >= 1")
-    rng = np.random.default_rng(np.random.Philox(key=key))
-    return [tuple(sorted(int(v) for v in rng.choice(space, size, replace=False)))
-            for _ in range(samples)]
+    drawn = min(size, space - size)
+    rows = np.sort(rng.integers(0, space, size=(samples, drawn)), axis=1)
+    short = np.arange(samples)
+    while True:
+        repeat = np.zeros((len(short), drawn), bool)
+        repeat[:, 1:] = rows[short, 1:] == rows[short, :-1]
+        keep = repeat.any(axis=1)
+        short, repeat = short[keep], repeat[keep]
+        if not len(short):
+            break
+        redrawn = rows[short]
+        redrawn[repeat] = rng.integers(0, space, size=int(repeat.sum()))
+        rows[short] = np.sort(redrawn, axis=1)
+    if drawn == size:
+        return rows
+    free = np.ones((samples, space), bool)
+    free[np.arange(samples)[:, None], rows] = False
+    return np.nonzero(free)[1].reshape(samples, size)
 
 
 def _leak_maps(maps, b: int, widths=()):
@@ -221,14 +247,16 @@ def _leak_patterns(b: int, size: int) -> np.ndarray:
 
 
 def _cell_indicator(table2d, M: int, B: int) -> np.ndarray:
-    """M-scaled int64 matrix with cells before rows: entry (y*B + e,
-    (e*M + z)*rows + x) is M iff T[x, y] = z, so column y with leak e
-    counts M in cell (z, e) of row x."""
+    """Excess matrix with cells before rows: entry (y*B + e, (e*M + z)*rows
+    + x) is M - 1 if T[x, y] = z, else -1, and 0 off the leak value e, so
+    column y with leak e adds its excess to each cell (z, e) of row x."""
     rows, cols = table2d.shape
     ind = np.zeros((cols, B, B, M, rows), np.int64)  # (y, e, e, z, x)
     for e in range(B):
-        ind[:, e, e] = table2d.T[:, None, :] == np.arange(M)[:, None]
-    ind *= M
+        block = ind[:, e, e]  # a view: set, scaled and shifted in place
+        block[...] = table2d.T[:, None, :] == np.arange(M)[:, None]
+        block *= M
+        block -= 1
     return ind.reshape(cols * B, B * M * rows)
 
 
@@ -257,18 +285,16 @@ def _scores(excess) -> np.ndarray:
     return np.maximum(excess, 0, out=excess).sum(axis=-2)
 
 
-def _cell_excess(ind, block, leak, M: int, B: int, ref: int = 1):
+def _cell_excess(ind, block, leak, M: int, B: int):
     """Per-cell excess of the configurations (support in ``block`` (c, K),
     leak row in ``leak`` (c or 1, P, K)), support-major, summed over the
-    support's indicator rows: entry ``[i, z + M*e, x]`` is M #{y in S :
-    T[x, y] = z, leak e} - ``ref`` #{y in S : leak e}."""
+    support's rows of ``ind``: entry ``[i, z + M*e, x]`` is M #{y in S :
+    T[x, y] = z, leak e} - #{y in S : leak e}."""
     idx = B * block[:, None] + leak
     cnt = ind[idx[..., 0]]
     for j in range(1, idx.shape[2]):
         cnt += ind[idx[..., j]]
-    cnt = cnt.reshape(*idx.shape[:2], M * B, -1)
-    cnt -= ref * (leak[..., None] == np.arange(M * B) // M).sum(axis=2)[..., None]
-    return cnt.reshape(-1, M * B, cnt.shape[-1])
+    return cnt.reshape(-1, M * B, cnt.shape[-1] // (M * B))
 
 
 def _event_rule(rows: int, K1: int, J: int, B: int = 1):
@@ -293,6 +319,24 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
             pick, len(flat) * rows)
 
 
+def _per_support(rows: int, K1: int, J: int, strong) -> int:
+    """Candidates the default selection rule of ``_selected_worst`` scores
+    per configuration, with S1 of ``K1`` of ``rows`` rows and ``J`` cells:
+    one S1 if revealed, else the 2^J - 2 events where they fit in the S1
+    supports, else every S1."""
+    S1s = math.comb(rows, K1)
+    return 1 if strong is not None else (1 << J) - 2 if 1 << J <= S1s else S1s
+
+
+def _free_events(M: int, B: int, rows: int) -> int:
+    """Candidates of ``_event_rule`` per configuration for a leak of ``B``
+    values from a selected input of ``rows`` rows on ``M`` outputs: its
+    output events (T_e), or 0 where its working array would pass
+    ``EVENT_ENTRIES``."""
+    events = math.comb(1 << M, min(B, 1 << M))
+    return events if events * min(B, 1 << M) * rows <= EVENT_ENTRIES else 0
+
+
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
                     supports1=None, b=0, maps=None, rule=None, samples=None,
                     seed=0):
@@ -315,12 +359,12 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     B, P = 1 << b, 1 << b * K2 if maps is None else len(maps)
     J = M * B
     ind = _cell_indicator(table2d, M, B)
-    ref, kernel = 1, "events"
+    kernel = "events"
     if rule is not None:
         pass  # the caller's selection rule
     elif K1 == rows:  # one S1, every row
         if strong is None:  # counted as a single row
-            kernel, ref = "supports", K1
+            kernel = "supports"
             ind = ind.reshape(len(ind), J, rows).sum(axis=2)
         rule = (lambda ex: np.maximum(ex, 0, out=ex).sum(axis=(1, 2))[:, None],
                 lambda ex, q: list(range(rows)), 0)
@@ -331,21 +375,22 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
         rule = _event_rule(rows, K1, J)
     else:
         kernel = "supports"
-        supports1 = list(supports1 or itertools.combinations(range(rows), K1))
+        if supports1 is None:
+            supports1 = np.array(list(itertools.combinations(range(rows), K1)))
         hot = _onehot(supports1, rows)
         rule = (lambda ex: np.maximum(ex @ hot.T, 0).sum(axis=1),
-                lambda ex, q: list(supports1[q]), len(hot) * max(rows, J))
+                lambda ex, q: supports1[q].tolist(), len(hot) * max(rows, J))
     values, pick, work = rule
     chunk = max(1, CHUNK_ENTRIES // _fit(P * max(ind.shape[1], work)))
     pats = _leak_patterns(b, K2)[None] if maps is None else None
     best, configs, cands, per = None, 0, 0, []
     if samples is not None:
-        supports2 = _sample_supports(cols, K2, samples, seed)
+        supports2 = _sample_supports(cols, K2, samples, _philox(seed))
     dense = maps if maps is None else np.array(
         [np.unique(f, return_inverse=True)[1] for f in maps])
     for block in _chunks(supports2, cols, K2, chunk):
         leak = pats if maps is None else dense[:, block].transpose(1, 0, 2)
-        excess = _cell_excess(ind, block, leak, M, B, ref)
+        excess = _cell_excess(ind, block, leak, M, B)
         vals = values(excess)
         configs, cands = configs + len(vals), cands + vals.size
         if samples is not None:
@@ -399,12 +444,14 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     k1, k2 = _check_k(k1, n1), _check_k(k2, n2)
     K1, K2 = 1 << k1, 1 << k2
     t0 = time.perf_counter()
-    required = math.comb(1 << n1, K1) * math.comb(1 << n2, K2)
+    enum = 0 if strong == 1 else 1
+    X, Ks = (1 << n1, 1 << n2), (K1, K2)
+    required = math.comb(X[enum], Ks[enum]) * _per_support(
+        X[1 - enum], Ks[1 - enum], 1 << h.m, strong)
     if _resolve_mode(mode, required, budget,
                      "two-source enumeration") == "exhaustive":
-        table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n1, 1 << n2)
-        rep, supports, _ = _selected_worst(
-            table2d, (K1, K2), h.m, strong, 0 if strong == 1 else 1)
+        table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
+        rep, supports, _ = _selected_worst(table2d, Ks, h.m, strong, enum)
         rep.witness = {"supports": supports, "strong": strong}
     else:
         rep = _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed)
@@ -430,13 +477,9 @@ def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
     and the last maximal draw as witness.  Per chunk of draws, one
     bincount over (draw, group, z) keys counts each draw's K1 x K2
     outputs, the group being the revealed input's position (0 if none)."""
-    if samples < 1:
-        raise InvalidInputError("sampled mode needs samples >= 1")
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    s1, s2 = np.empty((samples, K1), np.int64), np.empty((samples, K2), np.int64)
-    for i in range(samples):  # S1 then S2, draw by draw
-        s1[i] = rng.choice(1 << n1, K1, replace=False)
-        s2[i] = rng.choice(1 << n2, K2, replace=False)
+    rng = _philox(seed)
+    s1 = _sample_supports(1 << n1, K1, samples, rng)  # every S1, then every S2
+    s2 = _sample_supports(1 << n2, K2, samples, rng)
     table = h.table()
     M, G = 1 << h.m, 1 if strong is None else (K1, K2)[strong]
     group = 0 if strong is None else M * np.indices((K1, K2))[strong]
@@ -449,7 +492,7 @@ def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
                            ).sum(axis=1).tolist()
     err, ci = _max_with_bootstrap(nums, K1 * K2 * M, seed)
     i = samples - 1 - int(np.argmax(nums[::-1]))
-    wit = {"supports": [sorted(s1[i].tolist()), sorted(s2[i].tolist())],
+    wit = {"supports": [s1[i].tolist(), s2[i].tolist()],
            "strong": strong}
     return OracleReport("sampled", err, witness=wit, enumerated=samples,
                         ci=ci, notes="sampled max: lower bound on worst case")
@@ -459,7 +502,7 @@ def _max_with_bootstrap(nums, den, seed):
     """Max of ``nums / den`` and the 99% bootstrap spread of that maximum
     over 200 index resamples, drawn a chunk of rows at a time."""
     arr = np.asarray(nums, dtype=np.float64) / den
-    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0x5EED))
+    rng = _philox(seed ^ 0x5EED)
     rows, maxes = max(1, CHUNK_ENTRIES // len(arr)), []
     for done in range(0, BOOTSTRAP_RESAMPLES, rows):
         pick = rng.integers(0, len(arr), size=(
@@ -552,18 +595,29 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
     enumerated input, with every ``b``-bit leak pattern on its support (a
     leak map matters only there; ``b=0`` is leak-free) or the rows of the
     ``maps`` array, and the seed is the selected input at full size,
-    revealed when ``strong``."""
+    revealed when ``strong``.  An exhaustive marginal leak of the default
+    family runs map-free where that scores fewer candidates: the seed is
+    enumerated as its one full support, and ``_event_rule`` selects the
+    source support and its map."""
     n, d = h.input_widths
-    K = 1 << k
+    K, M, B = 1 << k, 1 << h.m, 1 << b
     leaky = b > 0 or maps is not None
     required = math.comb(1 << n, K) * (
-        (1 << b * K if maps is None else len(maps)) if leaky else 1 << d)
-    mode = _resolve_mode(mode, required, budget, "leaked seeded enumeration"
-                         if leaky else "seeded enumeration")
+        (B ** K if maps is None else len(maps)) if leaky else 1 << d)
+    free = _free_events(M, B, 1 << n)  # the seed is one full support
+    mapfree = not strong and maps is None and b > 0 and 0 < free <= required
+    mode = _resolve_mode(mode, free if mapfree else required, budget,
+                         "leaked seeded enumeration" if leaky
+                         else "seeded enumeration")
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
-    rep, (s, _), leak_map = _selected_worst(
-        table2d, (K, 1 << d), h.m, 1 if strong else None, 0, b=b, maps=maps,
-        samples=None if mode == "exhaustive" else samples, seed=seed)
+    if mapfree and mode == "exhaustive":
+        rep, ((s, leak_map), _), _ = _selected_worst(
+            table2d, (K, 1 << d), h.m, None, rule=_event_rule(1 << n, K, M, B))
+    else:
+        rep, (s, _), leak_map = _selected_worst(
+            table2d, (K, 1 << d), h.m, 1 if strong else None, 0, b=b,
+            maps=maps, samples=None if mode == "exhaustive" else samples,
+            seed=seed)
     rep.witness = {"support": s}
     if leaky:
         rep.witness.update(leak_map=leak_map, leak_source=0, e_width=b)
@@ -598,23 +652,18 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         X, X_other = 1 << widths[i_star], 1 << widths[other]
         patterns = math.comb(X, Ks[i_star]) * (
             B ** Ks[i_star] if maps is None else len(maps))
-        # per pattern the kernel scores one S1 if revealed, else the
-        # 2^J - 2 events on J cells where 2^J fits in the S1 supports
-        S1s, J = math.comb(X_other, Ks[other]), M * B
-        required = patterns * (1 if strong is not None else
-                               (1 << J) - 2 if 1 << J <= S1s else S1s)
-        events = math.comb(1 << M, min(B, 1 << M))
-        free = S1s * events
-        mapfree = (strong is None and maps is None and free <= required
-                   and events * min(B, 1 << M) * X <= EVENT_ENTRIES)
+        required = patterns * _per_support(X_other, Ks[other], M * B, strong)
+        free = math.comb(X_other, Ks[other]) * _free_events(M, B, X)
+        mapfree = strong is None and maps is None and 0 < free <= required
         supports2 = supports1 = rule = None
         if _resolve_mode(mode, free if mapfree else required, budget,
                          "leaked two-source enumeration") == "sampled":
             exhaustive = mapfree = False
-            supports2 = _sample_supports(X, Ks[i_star], samples, seed ^ 0xA1)
+            supports2 = _sample_supports(X, Ks[i_star], samples,
+                                         _philox(seed ^ 0xA1))
             if strong is None:
                 supports1 = _sample_supports(X_other, Ks[other], samples,
-                                             seed ^ 0xB2)
+                                             _philox(seed ^ 0xB2))
         elif mapfree:
             rule = _event_rule(X, Ks[i_star], M, B)
         rep, supports, leak_map = _selected_worst(
@@ -831,7 +880,7 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     C = cvec.size
     scale = n_samples << m
     estimate = excess_over_uniform(cvec, groups, m) / scale
-    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
+    rng = _philox(seed ^ 0xB00)
     by_index = n_samples <= 4 * C
     if by_index:  # lone cells, last, share one bucket: a group of its own
         shared = np.flatnonzero(np.bincount(groups)[groups] > 1)

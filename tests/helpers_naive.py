@@ -326,10 +326,29 @@ def naive_xor_lemma(parts, atoms, z="Z", e="E"):
     return lhs, rhs
 
 
+def naive_sample_supports(space, size, samples, rng) -> list:
+    """The oracle's support sampler, one set per row: a row of ``size``
+    ``integers`` draws each (the complement's ``space - size`` past half
+    the space), then, round by round, the points each short row misses,
+    all short rows from one ``integers`` call in row order, added to the
+    row's set.  Returns the sorted rows as lists."""
+    drawn = min(size, space - size)
+    first = rng.integers(0, space, size=(samples, drawn)).tolist()
+    sets = [set(row) for row in first]
+    while short := [s for s in sets if len(s) < drawn]:
+        more = iter(rng.integers(0, space, size=sum(
+            drawn - len(s) for s in short)).tolist())
+        for s in short:
+            s.update([next(more) for _ in range(drawn - len(s))])
+    if drawn < size:
+        sets = [set(range(space)) - s for s in sets]
+    return [sorted(s) for s in sets]
+
+
 def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
     """The sampled two-source oracle, draw by draw: the same Philox
-    ``choice`` draws (S1 then S2 per sample), each pair's exact error by
-    dict counting, and the 99% bootstrap of the maximum over 200
+    stream through ``naive_sample_supports`` (every S1, then every S2),
+    each pair's exact error by dict counting, and the 99% bootstrap of the maximum over 200
     resamples, one ``integers`` draw each.  Returns ``(error, ci,
     supports)``: the largest error as a float and the last draw
     attaining it."""
@@ -337,9 +356,8 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
     errs, best = [], None
-    for _ in range(samples):
-        s1 = sorted(int(v) for v in rng.choice(1 << n1, 1 << k1, replace=False))
-        s2 = sorted(int(v) for v in rng.choice(1 << n2, 1 << k2, replace=False))
+    for s1, s2 in zip(naive_sample_supports(1 << n1, 1 << k1, samples, rng),
+                      naive_sample_supports(1 << n2, 1 << k2, samples, rng)):
         errs.append(float(naive_instance_error(
             fn, m, [s1, s2], () if strong is None else (strong,))))
         if best is None or errs[-1] >= errs[best[0]]:
@@ -352,9 +370,8 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
 
 
 def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
-    """The sampled seeded oracle, draw by draw: the same Philox
-    ``choice`` draws as the two-source sampler's S1, one support per
-    sample; each support's largest exact error by dict counting over
+    """The sampled seeded oracle, draw by draw: the same Philox stream
+    through ``naive_sample_supports``, one support per sample; each support's largest exact error by dict counting over
     every ``b``-bit leak value assignment on it (lexicographic, the
     smallest support element most significant), jointly with the leak
     and, when ``strong``, the seed; and the 99% bootstrap of the maximum
@@ -365,8 +382,7 @@ def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
     errs, best = [], None
-    for _ in range(samples):
-        s = sorted(int(v) for v in rng.choice(1 << n, 1 << k, replace=False))
+    for s in naive_sample_supports(1 << n, 1 << k, samples, rng):
         per = []
         for values in itertools.product(range(1 << b), repeat=len(s)):
             f = [0] * (1 << n)

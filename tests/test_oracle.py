@@ -23,7 +23,8 @@ from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
 from extractomat.sources import FlatSource
 
 from helpers_naive import (flat_supports, naive_dense_ids,
-                           naive_instance_error, naive_lemma_condition, naive_sampled_2source,
+                           naive_instance_error, naive_lemma_condition,
+                           naive_sample_supports, naive_sampled_2source,
                            naive_sampled_seeded,
                            naive_tv_from_uniform, naive_worst_2source,
                            naive_worst_block_general,
@@ -113,10 +114,27 @@ def test_monotone_in_k():
 
 
 def test_budget_exceeded_reports_required():
+    # The budget counts the candidates the kernel scores: per support of
+    # the enumerated input (X2, X1 when X2 is revealed) one top-K1 pick
+    # if strong, else the 2^(2^m) - 2 output events where they are fewer
+    # than the S1 supports, else every S1 support.
     h = ip_handle(4)
     with pytest.raises(BudgetExceededError) as exc:
         worst_case_error_2source(h, 2, 2, None, budget=10)
-    assert exc.value.required == math.comb(16, 4) ** 2
+    assert exc.value.required == math.comb(16, 4) * 2
+    m3, _ = _random_table(np.random.default_rng(55), (3, 3), 3)
+    for h, strong, kernel, count in (
+            (h, None, "events", math.comb(16, 4) * 2),
+            (h, 1, "events", math.comb(16, 4)),
+            (m3, None, "supports", math.comb(8, 4) * math.comb(8, 4))):
+        rep = worst_case_error_2source(h, 2, 2, strong, budget=count)
+        assert rep.mode == "exhaustive" and rep.candidates == count
+        assert rep.kernel == kernel
+        with pytest.raises(BudgetExceededError) as exc:
+            worst_case_error_2source(h, 2, 2, strong, budget=count - 1)
+        assert exc.value.required == count
+        assert worst_case_error_2source(h, 2, 2, strong, mode="auto",
+                                        budget=count - 1).mode == "sampled"
 
 
 def test_non_integral_k_rejected():
@@ -782,6 +800,56 @@ def test_leaked_seeded_matches_naive_with_witnesses():
             assert all(reps[0][0].witness["leak_map"][x] == 0 for x in off)
 
 
+def test_seeded_marginal_leak_runs_map_free(monkeypatch):
+    # A marginal leak of the default family from the source enumerates
+    # the seed as its one full support; the event rule selects the
+    # source support and its map.  It runs where it scores fewer
+    # candidates than the leak patterns, and the budget counts those.
+    rng = np.random.default_rng(56)
+    paths = set()
+    for trial in range(8):
+        n, d = ((2, 1), (2, 2), (3, 1), (3, 2))[trial % 4]
+        m = 1 + trial // 4
+        k = int(rng.integers(0, n))
+        h, fn = _random_table(rng, (n, d), m, "seeded")
+        expect = naive_worst_leaked_seeded(fn, n, d, m, k, 1, False)
+        events = math.comb(1 << (1 << m), 2)
+        patterns = math.comb(1 << n, 1 << k) << (1 << k)
+        for cap in (oracle_mod.EVENT_ENTRIES, 0):  # 0: leak patterns
+            monkeypatch.setattr(oracle_mod, "EVENT_ENTRIES", cap)
+            mapfree = cap > 0 and events <= patterns
+            paths.add(mapfree)
+            count = events if mapfree else patterns
+            rep = worst_case_error_leaked(h, (k, d), 1, budget=count)
+            assert rep.mode == "exhaustive" and rep.error == expect
+            assert rep.candidates == (events if mapfree else
+                                      math.comb(1 << n, 1 << k) << (1 << k))
+            w = rep.witness
+            assert (w["leak_source"], w["e_width"]) == (0, 1)
+            assert naive_instance_error(fn, m, [w["support"], range(1 << d)],
+                                        (), 0, w["leak_map"]) == expect
+            off = set(range(1 << n)) - set(w["support"])
+            assert all(w["leak_map"][x] == 0 for x in off)
+            with pytest.raises(BudgetExceededError) as exc:
+                worst_case_error_leaked(h, (k, d), 1, budget=count - 1)
+            assert exc.value.required == count
+    assert paths == {True, False}
+    monkeypatch.undo()
+    # A (4, 2) table at k=3: 6 events map-free against 3,294,720 leak
+    # patterns on C(16, 8) supports, and 3/8 at k=2.
+    h, fn = _random_table(np.random.default_rng(11), (4, 2), 1, "seeded")
+    rep = worst_case_error_leaked(h, (3, 2), 1)
+    assert (rep.error, rep.candidates, rep.kernel) == (Fraction(5, 16), 6,
+                                                       "events")
+    assert naive_instance_error(fn, 1, [rep.witness["support"], range(4)], (),
+                                0, rep.witness["leak_map"]) == rep.error
+    monkeypatch.setattr(oracle_mod, "EVENT_ENTRIES", 0)
+    patterns = worst_case_error_leaked(h, (3, 2), 1)
+    assert (patterns.error, patterns.candidates) == (rep.error, 3_294_720)
+    monkeypatch.undo()
+    assert worst_case_error_leaked(h, (2, 2), 1).error == Fraction(3, 8)
+
+
 def test_block_general_matches_naive_with_witnesses():
     rng = np.random.default_rng(44)
     for trial in range(6):
@@ -821,7 +889,7 @@ def test_leak_budgets_count_patterns_on_the_support():
     # Budgets count the candidates the kernel scores.  A marginal leak
     # from either input of this m=2 table runs map-free: 70 supports of
     # the other input x C(16, 2) = 120 output events, 8,400 (the
-    # leak-free baseline needs 70 x 70 = 4,900; leak patterns would
+    # leak-free baseline needs 70 x 14 events = 980; leak patterns would
     # score 70 x 2^4 x 70 = 78,400).
     h, fn = _random_table(np.random.default_rng(45), (3, 3), 2)
     rep = worst_case_error_leaked(h, (2, 2), 1, budget=8_400)
@@ -878,10 +946,12 @@ def test_working_arrays_past_the_cap_are_refused(monkeypatch):
     two, _ = _random_table(rng, (3, 6), 1)
     with pytest.raises(SizeLimitError):
         worst_case_error_leaked(two, (3, 5), 2, leak_sources=[0], mode="auto")
-    # seeded, 4^16 patterns on the one support (4.3e9 candidates).
+    # seeded strong, 4^16 patterns on the one support (4.3e9
+    # candidates); marginal, it runs map-free on C(4, 4) = 1 event.
     seeded, _ = _random_table(rng, (4, 1), 1, "seeded")
     with pytest.raises(SizeLimitError):
-        worst_case_error_leaked(seeded, (4, 1), 2)
+        worst_case_error_leaked(seeded, (4, 1), 2, strong=True)
+    assert worst_case_error_leaked(seeded, (4, 1), 2).candidates == 1
 
 
 def test_mapfree_leak_matches_patterns_naive_and_witnesses(monkeypatch):
@@ -976,6 +1046,41 @@ def test_support_table_matches_combinations_and_streaming(monkeypatch):
                       rep.kernel, rep.candidates)
                      for rep in (call() for call in calls)])
     assert runs[0] == runs[1]
+
+
+def test_sampled_supports_follow_the_documented_rule():
+    # Rows are distinct and ascending, the same key gives the same rows,
+    # and each row is the naive rule's set, draw by draw: on either side
+    # of half the space (6 of 12 drawn, 7 of 12 as complements), at the
+    # edges 0 and space, and where repeats force many rounds.
+    sample = oracle_mod._sample_supports
+    for space, size in ((12, 6), (12, 7), (8, 0), (8, 8), (1, 1), (64, 40),
+                        (1024, 32), (2, 1)):
+        rows = sample(space, size, 300, oracle_mod._philox(space + size))
+        assert rows.shape == (300, size) and rows.dtype == np.int64
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert ((rows >= 0) & (rows < space)).all()
+        assert np.array_equal(rows, sample(space, size, 300,
+                                           oracle_mod._philox(space + size)))
+        assert rows.tolist() == naive_sample_supports(
+            space, size, 300, oracle_mod._philox(space + size))
+    for samples in (0, -1):
+        with pytest.raises(InvalidInputError, match="samples"):
+            sample(8, 2, samples, oracle_mod._philox(0))
+
+
+def test_sampled_supports_are_uniform():
+    # Every support of C(6, 3) (drawn directly) and of C(8, 6) (drawn as
+    # complements) over 60,000 rows at a fixed key: the chi-square
+    # statistic against equal counts stays below its 0.1% critical
+    # value, 43.82 at 19 degrees of freedom and 55.48 at 27.
+    for space, size, bound in ((6, 3, 43.82), (8, 6, 55.48)):
+        rows = oracle_mod._sample_supports(space, size, 60_000,
+                                           oracle_mod._philox(57))
+        _, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(counts) == math.comb(space, size)
+        expect = 60_000 / len(counts)
+        assert ((counts - expect) ** 2 / expect).sum() < bound
 
 
 def test_sampled_two_source_max_is_its_witness_error(monkeypatch):

@@ -9,7 +9,11 @@ test suite.  Each untraced run keeps its per-request-type median
 latencies (``op_median_ms``, from perfbench's ``# workload`` line), and
 each workload the median of those over its untraced runs, so that a
 shift in one request type shows even where the end-to-end metrics
-absorb it.  With each record go the ``src/`` line count, the git
+absorb it.  From the same line each untraced run keeps the unscaled
+numbers (``speed_factor``, ``measured_setup_s`` and
+``measured_requests_per_s``), and each workload their medians under
+``unscaled``: the speed factor is measured in the run's own process and
+moves with it, so a gap in a scaled metric is read against these.  With each record go the ``src/`` line count, the git
 revision (``-dirty`` when the tree differs from it) and the length of
 the checkout's path: perfbench's scaled metrics move with that length,
 so compare two records only when their paths are equally long.  They
@@ -21,8 +25,8 @@ requests-short gaps; neither is set or pinned here.
 ``--baseline`` (say, a clone of the parent commit) the baseline is
 recorded the same way, under ``parent``, taking turns with the checkout
 run by run, and ``compare`` holds both sides' medians of every
-end-to-end metric, of every request type's ``op_median_ms`` and both
-traced values of every per-layer metric.
+end-to-end metric, of every request type's ``op_median_ms``, of the
+unscaled numbers and both traced values of every per-layer metric.
 The file is written at the repository root.
 """
 
@@ -41,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 UNTRACED_SEEDS = (0, 1, 2)
 TRACED_SEED = 0
+UNSCALED = ("speed_factor", "measured_setup_s", "measured_requests_per_s")
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 
@@ -76,6 +81,7 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float,
         info = next(json.loads(line[len(head):]) for line in lines
                     if line.startswith(head))
         run["op_median_ms"] = info["op_median_ms"]
+        run["unscaled"] = {k: info[k] for k in UNSCALED}
     return run
 
 
@@ -113,9 +119,11 @@ def record(checkouts: dict, workloads: list, seconds: float) -> dict:
             ops = {op: statistics.median(r["op_median_ms"][op] for r in untraced
                                          if op in r["op_median_ms"])
                    for op in untraced[0]["op_median_ms"]}
+            unscaled = {k: statistics.median(r["unscaled"][k] for r in untraced)
+                        for k in UNSCALED}
             docs[side]["workloads"][name] = {
                 "untraced": untraced, "median": median, "op_median_ms": ops,
-                "traced": traced}
+                "unscaled": unscaled, "traced": traced}
             print(f"# {side} {name}: {json.dumps(median)}", flush=True)
     return docs
 
@@ -132,6 +140,8 @@ def compare(parent: dict, change: dict) -> dict:
         rows["op_median_ms"] = {
             op: {"parent": old["op_median_ms"].get(op), "change": v}
             for op, v in new["op_median_ms"].items()}
+        rows["unscaled"] = {k: {"parent": old["unscaled"][k], "change": v}
+                            for k, v in new["unscaled"].items()}
         out[name] = rows
     return out
 
