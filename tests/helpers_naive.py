@@ -348,8 +348,8 @@ def naive_sample_supports(space, size, samples, rng) -> list:
 def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
     """The sampled two-source oracle, draw by draw: the same Philox
     stream through ``naive_sample_supports`` (every S1, then every S2),
-    each pair's exact error by dict counting, and the 99% bootstrap of the maximum over 200
-    resamples, one ``integers`` draw each.  Returns ``(error, ci,
+    each pair's exact error by dict counting, and the 99% bootstrap of
+    the maximum over 200 resamples, one ``integers`` draw each.  Returns ``(error, ci,
     supports)``: the largest error as a float and the last draw
     attaining it."""
     import numpy as np  # the oracle's random streams, nothing else
@@ -371,10 +371,11 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
 
 def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
     """The sampled seeded oracle, draw by draw: the same Philox stream
-    through ``naive_sample_supports``, one support per sample; each support's largest exact error by dict counting over
-    every ``b``-bit leak value assignment on it (lexicographic, the
-    smallest support element most significant), jointly with the leak
-    and, when ``strong``, the seed; and the 99% bootstrap of the maximum
+    through ``naive_sample_supports``, one support per sample; each
+    support's largest exact error by dict counting over every ``b``-bit
+    leak value assignment on it (lexicographic, the smallest support
+    element most significant), jointly with the leak and, when
+    ``strong``, the seed; and the 99% bootstrap of the maximum
     over 200 resamples, one ``integers`` draw each.  Returns ``(error,
     ci, witness)``: the largest error as a float and the first draw and
     assignment attaining it."""

@@ -13,10 +13,11 @@ absorb it.  From the same line each untraced run keeps the unscaled
 numbers (``speed_factor``, ``measured_setup_s`` and
 ``measured_requests_per_s``), and each workload their medians under
 ``unscaled``: the speed factor is measured in the run's own process and
-moves with it, so a gap in a scaled metric is read against these.  With each record go the ``src/`` line count, the git
-revision (``-dirty`` when the tree differs from it) and the length of
-the checkout's path: perfbench's scaled metrics move with that length,
-so compare two records only when their paths are equally long.  They
+moves with it, so a gap in a scaled metric is read against these.
+With each record go the ``src/`` line count, the git revision
+(``-dirty`` when the tree differs from it) and the length of the
+checkout's path: perfbench's scaled metrics move with that length, so
+compare two records only when their paths are equally long.  They
 also record the interpreter the runs use and the ``MALLOC_*`` variables
 of the runs' environment, which move small protocol-exact and
 requests-short gaps; neither is set or pinned here.
