@@ -253,7 +253,7 @@ def _cell_indicator(table2d, M: int, B: int) -> np.ndarray:
     rows, cols = table2d.shape
     ind = np.zeros((cols, B, B, M, rows), np.int64)  # (y, e, e, z, x)
     for e in range(B):
-        block = ind[:, e, e]  # a view: set, scaled and shifted in place
+        block = ind[:, e, e]  # in place: no second array of this size
         block[...] = table2d.T[:, None, :] == np.arange(M)[:, None]
         block *= M
         block -= 1
