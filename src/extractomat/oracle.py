@@ -603,7 +603,7 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
     K, M, B = 1 << k, 1 << h.m, 1 << b
     leaky = b > 0 or maps is not None
     required = math.comb(1 << n, K) * (
-        (B ** K if maps is None else len(maps)) if leaky else 1 << d)
+        (B ** K if maps is None else len(maps)) if leaky else 1)
     free = _free_events(M, B, 1 << n)  # the seed is one full support
     mapfree = not strong and maps is None and b > 0 and 0 < free <= required
     mode = _resolve_mode(mode, free if mapfree else required, budget,

@@ -137,6 +137,22 @@ def test_budget_exceeded_reports_required():
                                         budget=count - 1).mode == "sampled"
 
 
+def test_seeded_budget_counts_source_supports():
+    # Leak-free, the seed is selected whole, so the kernel scores one
+    # candidate per source support: C(8, 4) = 70 on a (3, 2) table at
+    # k=2, strong or not, not 70 x 2^2 seeds.
+    h, fn = _random_table(np.random.default_rng(57), (3, 2), 1, "seeded")
+    for strong in (True, False):
+        rep = worst_case_error_seeded(h, 2, strong, budget=70)
+        assert rep.mode == "exhaustive" and rep.candidates == 70
+        assert rep.error == naive_worst_seeded(fn, 3, 2, 1, 2, strong)
+        with pytest.raises(BudgetExceededError) as exc:
+            worst_case_error_seeded(h, 2, strong, budget=69)
+        assert exc.value.required == 70
+        assert worst_case_error_seeded(h, 2, strong, mode="auto",
+                                       budget=69).mode == "sampled"
+
+
 def test_non_integral_k_rejected():
     with pytest.raises(InvalidInputError):
         worst_case_error_2source(ip_handle(3), 1.5, 2, None)
