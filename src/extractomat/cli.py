@@ -41,6 +41,8 @@ EXIT_CONSTRAINT = 5
 
 ADVERSARIES = ("none", "ir", "qr-analog")
 PROTOCOLS = ("extpub", "geqr")
+# what build_toy_network builds: the config names, then the run keys
+NETWORKS = (*PROTOCOLS, "ext_pub", "ext_pub_only")
 
 
 def main(argv=None) -> int:
@@ -307,10 +309,14 @@ def cmd_netsim(args) -> int:
             raise InvalidInputError(f"config key {key}: unknown value {value!r}"
                                     f", allowed: {', '.join(allowed)}")
     seed = params.get("seed", 0)
+    if protocol == "extpub":
+        proto_key = "ext_pub" if args.exact else "ext_pub_only"
+    else:
+        proto_key = "geqr"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg, digests = build_toy_network(params, cache_dir=args.cache,
-                                         protocol=protocol)
+                                         protocol=proto_key)
     for w in caught:
         print(f"config warning: {w.message}", file=sys.stderr)
 
@@ -344,9 +350,8 @@ def cmd_netsim(args) -> int:
 
     if protocol == "extpub":
         target_set = list(cfg.players_b + cfg.players_c)
-        proto_key = "ext_pub" if args.exact else "ext_pub_only"
     else:
-        target_set, proto_key = list(cfg.geqr_outer()), "geqr"
+        target_set = list(cfg.geqr_outer())
     tally, t0 = Counter(), time.perf_counter()
     den, weights, b = ns.protocol_runs(
         proto_key, cfg, sources, scenario, adv,
@@ -424,11 +429,20 @@ def _builtin_adversary(kind: str, cfg, protocol: str):
 def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
     """Certify the gadget slots a toy config needs and wire the graphs.
 
+    ``protocol`` is a config name or a ``protocol_runs`` key, and picks
+    the slots certified: ``"geqr"`` iext and qtext; ``"extpub"`` and
+    ``"ext_pub"`` all four extpub slots; ``"ext_pub_only"``, the public
+    block without the private step, iext and srext alone, leaving oaext
+    and oaext_b empty.  Any other value is refused.
+
     Desk-scale policy: the multi-source, somewhere-random and final
     extraction slots are certified tables (sampled certification once
     exhaustive enumeration exceeds the budget), graphs are fixed verified
     wirings at toy sizes.
     """
+    if protocol not in NETWORKS:
+        raise InvalidInputError(f"unknown protocol {protocol!r}, allowed: "
+                                f"{', '.join(NETWORKS)}")
     from . import certify as cert
     from .graphs import BipartiteGraph
     from .netsim import GadgetSet, NetworkConfig
@@ -490,13 +504,15 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
     iext = table(1, (n, n), (k, k), m1)
     srext = table(2, (n, H.d * m1), (k, m1), 2 * sw, kind="2-source",
                   strong=(1,))
-    oaext = table(3, (n, cfg.y_width), (k, min(k, cfg.y_width)),
-                  min(3, n), kind="2-source", strong=(1,))
-    oaext_b = table(4, (n, 2 * (cfg.b_size - 1) * sw),
-                    (k, min(k, 2 * (cfg.b_size - 1) * sw)), min(3, n),
-                    kind="2-source", strong=(1,))
-    cfg.gadgets = GadgetSet(iext=iext, srext=srext, oaext=oaext,
-                            oaext_b=oaext_b, and_disperser=G, expander=H)
+    private = {}
+    if protocol != "ext_pub_only":  # the private step's two tables
+        yb = 2 * (cfg.b_size - 1) * sw
+        private["oaext"] = table(3, (n, cfg.y_width), (k, min(k, cfg.y_width)),
+                                 min(3, n), kind="2-source", strong=(1,))
+        private["oaext_b"] = table(4, (n, yb), (k, min(k, yb)), min(3, n),
+                                   kind="2-source", strong=(1,))
+    cfg.gadgets = GadgetSet(iext=iext, srext=srext, and_disperser=G,
+                            expander=H, **private)
     cfg.validate_ext_pub()
     return cfg, digests
 

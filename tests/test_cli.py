@@ -195,6 +195,60 @@ def test_netsim_sampled_outputs(cache_dir, tmp_path):
     assert manifest["cache_digests"]
 
 
+MICRO_EXTPUB = ("p = 7\nt = 1\nn = 6\nk = 1\nalpha = 2.0\ndelta = 0.25\n"
+                "seed = 29\ncert_samples = 30\n")
+
+
+def _listed_digests(out: Path) -> list:
+    return json.loads((out / "manifest.json").read_text())["cache_digests"]
+
+
+def test_netsim_extpub_certifies_the_slots_its_run_reads(tmp_path):
+    # A sampled request runs the public block alone: from a cold cache it
+    # certifies and stores iext and srext only.  --exact adds the private
+    # step and certifies all four slots.
+    from extractomat import cli, netsim
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text(MICRO_EXTPUB)
+    cache = tmp_path / "cache"
+    argv = ["netsim", "--config", str(cfg)]
+    assert run_cli([*argv, "--runs", "300"], cache, tmp_path / "sampled") == 0
+    assert len(list(cache.glob("*.xtab"))) == 2
+    # iext, srext, oaext, oaext_b
+    _, digests = cli.build_toy_network(netsim.parse_config_text(MICRO_EXTPUB),
+                                       cache_dir=cache)
+    assert len(set(digests)) == 4
+    assert _listed_digests(tmp_path / "sampled") == sorted(digests[:2])
+    assert run_cli([*argv, "--exact"], cache, tmp_path / "exact") == 0
+    assert _listed_digests(tmp_path / "exact") == sorted(digests)
+
+
+@pytest.mark.parametrize("adv", ["none", "ir", "qr-analog"])
+def test_netsim_sampled_extpub_outputs_match_the_full_network(
+        cache_dir, tmp_path, monkeypatch, adv):
+    from extractomat import cli
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
+                   "seed = 9\ncert_samples = 30\n")
+    argv = ["netsim", "--config", str(cfg), "--runs", "300", "--adv", adv]
+    public, full = tmp_path / "public", tmp_path / "full"
+    assert run_cli(argv, cache_dir, public) == 0
+    build = cli.build_toy_network
+    monkeypatch.setattr(cli, "build_toy_network",
+                        lambda params, cache_dir, protocol:
+                        build(params, cache_dir, "ext_pub"))
+    assert run_cli(argv, cache_dir, full) == 0
+    for name in ("runs.jsonl", "summary.csv"):
+        assert (public / name).read_bytes() == (full / name).read_bytes()
+    reports = [json.loads((out / "report.json").read_text())
+               for out in (public, full)]
+    for report in reports:
+        del report["volatile"]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+    assert len(_listed_digests(public)) == 2
+    assert set(_listed_digests(public)) < set(_listed_digests(full))
+
+
 def test_manifest_replay_bit_identical(cache_dir, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

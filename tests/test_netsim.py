@@ -385,6 +385,38 @@ def test_micro_ext_pri_exact_within_budget(cache_dir):
     assert float(err) <= budget
 
 
+MICRO_EXT_PUB = {"p": 7, "t": 1, "n": 6, "k": 1, "alpha": 2.0,
+                 "delta": 0.25, "seed": 29, "cert_samples": 30}
+
+
+def test_public_block_network_leaves_the_private_slots_empty(cache_dir):
+    # ext_pub_only certifies the two public-block tables, the first two of
+    # the full build, and a private step on that network is refused.
+    cfg, digests = build_toy_network(MICRO_EXT_PUB, cache_dir=cache_dir,
+                                     protocol="ext_pub_only")
+    full = [build_toy_network(MICRO_EXT_PUB, cache_dir=cache_dir,
+                              protocol=key)[1] for key in ("extpub", "ext_pub")]
+    assert full[0] == full[1] and digests == full[0][:2]
+    assert len(set(full[0])) == 4
+    assert cfg.gadgets.oaext is None and cfg.gadgets.oaext_b is None
+    sources = [FlatSource(6, [1, 2]) for _ in range(7)]
+    adv = AdversaryStrategy.passive()
+    b = _one_run("ext_pub_only", cfg, sources, adv, seed=1)
+    with pytest.raises(InvalidInputError, match="^the oaext slot is empty$"):
+        exec_ext_pri(cfg, b)
+    with pytest.raises(InvalidInputError, match="the oaext slot is empty"):
+        _one_run("ext_pub", cfg, sources, adv, seed=1)
+
+
+@pytest.mark.parametrize("protocol", ["ext-pub", "extpub ", "ExtPub", "qr",
+                                      ""])
+def test_build_toy_network_refuses_unknown_protocols(tmp_path, protocol):
+    cache = tmp_path / "cache"
+    with pytest.raises(InvalidInputError, match="unknown protocol"):
+        build_toy_network(MICRO_EXT_PUB, cache_dir=cache, protocol=protocol)
+    assert not cache.exists()  # refused before any certification
+
+
 # ----------------------------------------------------------------------
 # cross-check against the naive per-world evaluator
 # ----------------------------------------------------------------------
