@@ -322,7 +322,7 @@ def cmd_netsim(args) -> int:
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
     sources = [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
-    adv = _builtin_adversary(adv_kind, cfg, protocol)
+    adv = _builtin_adversary(adv_kind, cfg)
     if adv_kind == "qr-analog":
         # leak one bit of the first outer player's source for the
         # QR-analog strategy to act on
@@ -413,7 +413,7 @@ def cmd_netsim(args) -> int:
     return EXIT_OK
 
 
-def _builtin_adversary(kind: str, cfg, protocol: str):
+def _builtin_adversary(kind: str, cfg):
     from .netsim import AdversaryStrategy
     if kind == "none" or cfg.t == 0:
         return AdversaryStrategy.passive()

@@ -25,12 +25,9 @@ import numpy as np
 from .bits import BitString
 from .errors import InvalidInputError, SizeLimitError
 
-_PARITY8 = np.array([bin(i).count("1") & 1 for i in range(256)],
-                    dtype=np.uint8)
-
 
 def parity_int(v: int) -> int:
-    return bin(v).count("1") & 1
+    return v.bit_count() & 1
 
 
 def index_grid(*widths: int) -> tuple:
@@ -39,10 +36,8 @@ def index_grid(*widths: int) -> tuple:
 
 
 def parity_u32(arr: np.ndarray) -> np.ndarray:
-    """Bitwise parity of each element of a uint array (values < 2^24)."""
-    a = arr.astype(np.uint32)
-    return (_PARITY8[a & 0xFF] ^ _PARITY8[(a >> 8) & 0xFF]
-            ^ _PARITY8[(a >> 16) & 0xFF])
+    """Bitwise parity of each element of a uint array, as uint8."""
+    return np.bitwise_count(arr) & 1
 
 
 # ----------------------------------------------------------------------

@@ -301,10 +301,10 @@ class Batch:
         """Worlds ``rows``' (round, sender, payload) triples, commit order."""
         out = [()] * len(rows)
         for rnd, senders, _, payload, late in self.rounds:
-            out = [tr + tuple((rnd, senders[k], sent[k]) for k in sorted(
-                range(len(senders)), key=lt.__getitem__))
-                for tr, sent, lt in zip(out, payload[rows].tolist(),
-                                        late[rows].tolist())]
+            out = [tr + tuple((rnd, senders[k], sent[k]) for k in order)
+                   for tr, sent, order in zip(
+                       out, payload[rows].tolist(),
+                       _commit_order(late[rows]).tolist())]
         return out
 
     def to_jsonl(self, row: int = 0) -> str:
@@ -464,8 +464,8 @@ def exec_ext_pub(cfg: NetworkConfig, xs, adv: AdversaryStrategy,
     return b
 
 
-def exec_ext_pri(cfg: NetworkConfig, b: Batch, y: np.ndarray | None = None,
-                 oaext: ExtractorHandle | None = None) -> np.ndarray:
+def exec_ext_pri(cfg: NetworkConfig, b: Batch,
+                 y: np.ndarray | None = None) -> np.ndarray:
     """Non-interactive private extraction from the public block source
     ``y`` (the batch's own by default); returns and stores the outputs.
 
@@ -473,7 +473,7 @@ def exec_ext_pri(cfg: NetworkConfig, b: Batch, y: np.ndarray | None = None,
     first, so their output never depends on their own broadcast.
     """
     g = cfg.gadgets
-    oaext = oaext or g.oaext
+    oaext = g.oaext
     if oaext is None:
         raise InvalidInputError("the oaext slot is empty")
     if oaext.input_widths[1] != cfg.y_width:

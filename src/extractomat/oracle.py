@@ -34,17 +34,15 @@ support's working array, its leak rows times its cells or candidates,
 is capped apart (``SUPPORT_ENTRIES``).
 
 Sampled mode draws random flat supports, all of a path's in one
-vectorised sampler (``_sample_supports``), and keeps the per-draw exact
-distances; the reported error is their maximum, a certified lower bound
-on the true worst case, with the bootstrap spread of that maximum over
-the draws (not a confidence interval for the worst case).
+vectorised sampler (``_sample_supports``), and scores each draw exactly;
+the reported error is the largest, attained by its witness: a certified
+lower bound on the true worst case, and nothing more is claimed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -67,8 +65,6 @@ SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
 EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
 SUPPORT_ENTRIES = 1 << 24  # largest working array of one support, refused past
 DEFAULT_SAMPLES = 200
-BOOTSTRAP_RESAMPLES = 200
-CI_LEVEL = 0.99
 
 
 @dataclass
@@ -76,57 +72,35 @@ class OracleReport:
     """Result of one oracle run.
 
     ``error`` is a Fraction in exhaustive mode (exact) and a float in
-    sampled mode.  ``strong_errors`` maps each additionally measured
-    strong index to its error.  ``wall_time``, ``kernel`` and
-    ``candidates`` are volatile and excluded from replay comparisons.
+    sampled mode, where it is the largest exact error of the draws and
+    the witness one draw attaining it.  ``enumerated`` counts the
+    configurations of the family searched.  ``wall_time``, ``kernel``
+    and ``candidates`` are volatile and excluded from replay comparisons.
     """
 
     mode: str
     error: object
     witness: dict = field(default_factory=dict)
-    strong_errors: dict = field(default_factory=dict)
     enumerated: int = 0
     wall_time: float = 0.0
-    ci: tuple | None = None
-    notes: str = ""
     kernel: str = ""  # "events" or "supports": how the selected side was chosen
     candidates: int = 0  # selected-side supports scored exactly
 
+    @property
+    def notes(self) -> str:
+        return ("sampled max: lower bound on worst case"
+                if self.mode == "sampled" else "")
+
     def to_json_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "error": float(self.error),
-            "witness": _jsonable(self.witness),
-            "strong_errors": {str(k): float(v)
-                              for k, v in self.strong_errors.items()},
-            "enumerated": self.enumerated,
-            "notes": self.notes,
-        }
+        d = {"mode": self.mode, "error": float(self.error),
+             "witness": self.witness, "enumerated": self.enumerated,
+             "notes": self.notes}
         if isinstance(self.error, Fraction):
             d["error_exact"] = f"{self.error.numerator}/{self.error.denominator}"
-        if self.ci is not None:
-            d["ci_99"] = [float(self.ci[0]), float(self.ci[1])]
         d["volatile"] = {"wall_time": self.wall_time}
         if self.kernel:
             d["volatile"].update(kernel=self.kernel, candidates=self.candidates)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Fraction):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
 
 
 # ----------------------------------------------------------------------
@@ -337,9 +311,8 @@ def _free_events(M: int, B: int, rows: int) -> int:
     return events if events * min(B, 1 << M) * rows <= EVENT_ENTRIES else 0
 
 
-def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
-                    supports1=None, b=0, maps=None, rule=None, samples=None,
-                    seed=0):
+def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None, b=0,
+                    maps=None, rule=None, samples=None, seed=0):
     """Worst case over supports S2 of input ``enum`` (default all), leak
     rows on S2 (every ``b``-bit pattern, or the rows of the ``maps``
     array, relabelled densely) and supports S1 of the other input, which
@@ -350,7 +323,8 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     and a candidate to its selection, and working int64 entries per
     configuration; one support's, times its leak rows, must ``_fit``.
     Returns ``(report, supports, leak_map or None)``; given ``samples``,
-    S2 is that many random supports, and the report is sampled."""
+    S2 is that many random supports drawn from ``Philox(seed)``, and the
+    report is sampled: the best draw's error as a float."""
     if enum == 0:
         table2d = table2d.T
     K1, K2 = Ks[1 - enum], Ks[enum]
@@ -383,29 +357,26 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None,
     values, pick, work = rule
     chunk = max(1, CHUNK_ENTRIES // _fit(P * max(ind.shape[1], work)))
     pats = _leak_patterns(b, K2)[None] if maps is None else None
-    best, configs, cands, per = None, 0, 0, []
-    if samples is not None:
-        supports2 = _sample_supports(cols, K2, samples, _philox(seed))
+    best, configs, cands = None, 0, 0
+    drawn = None if samples is None else _sample_supports(
+        cols, K2, samples, _philox(seed))
     dense = maps if maps is None else np.array(
         [np.unique(f, return_inverse=True)[1] for f in maps])
-    for block in _chunks(supports2, cols, K2, chunk):
+    for block in _chunks(drawn, cols, K2, chunk):
         leak = pats if maps is None else dense[:, block].transpose(1, 0, 2)
         excess = _cell_excess(ind, block, leak, M, B)
         vals = values(excess)
         configs, cands = configs + len(vals), cands + vals.size
-        if samples is not None:
-            per.extend(vals.reshape(len(block), -1).max(axis=1).tolist())
         i = int(np.argmax(vals))
         if best is None or vals.flat[i] > best[0]:
             ci, q = divmod(i, vals.shape[1])
             best = (int(vals.flat[i]), block[ci // P], ci % P, excess[ci], q)
     num, s2, p, ex, q = best
-    den = K1 * K2 << m
-    rep = OracleReport("exhaustive", Fraction(num, den), enumerated=configs,
-                       kernel=kernel, candidates=cands)
+    err = Fraction(num, K1 * K2 << m)
+    rep = OracleReport("exhaustive", err, enumerated=configs, kernel=kernel,
+                       candidates=cands)
     if samples is not None:
-        rep.mode, rep.notes = "sampled", "sampled max: lower bound on worst case"
-        rep.error, rep.ci = _max_with_bootstrap(per, den, seed)
+        rep.mode, rep.error = "sampled", float(err)
     leak_map = (maps[p].tolist() if maps is not None else None if not b else
                 np.bincount(s2, pats[0, p], minlength=cols).astype(int).tolist())
     supports = [pick(ex, q), s2.tolist()]
@@ -473,10 +444,9 @@ def _resolve_mode(mode: str, required: int, budget: int, what: str) -> str:
 
 def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
     """Max of the exact distances of ``samples`` random flat pairs, with
-    its bootstrap spread (not a confidence interval for the worst case)
-    and the last maximal draw as witness.  Per chunk of draws, one
-    bincount over (draw, group, z) keys counts each draw's K1 x K2
-    outputs, the group being the revealed input's position (0 if none)."""
+    the last maximal draw as witness.  Per chunk of draws, one bincount
+    over (draw, group, z) keys counts each draw's K1 x K2 outputs, the
+    group being the revealed input's position (0 if none)."""
     rng = _philox(seed)
     s1 = _sample_supports(1 << n1, K1, samples, rng)  # every S1, then every S2
     s2 = _sample_supports(1 << n2, K2, samples, rng)
@@ -490,26 +460,11 @@ def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
         cnt = np.bincount(keys.ravel(), minlength=len(z) * G * M)
         nums += np.maximum(M * cnt.reshape(len(z), -1) - K1 * K2 // G, 0
                            ).sum(axis=1).tolist()
-    err, ci = _max_with_bootstrap(nums, K1 * K2 * M, seed)
     i = samples - 1 - int(np.argmax(nums[::-1]))
     wit = {"supports": [s1[i].tolist(), s2[i].tolist()],
            "strong": strong}
-    return OracleReport("sampled", err, witness=wit, enumerated=samples,
-                        ci=ci, notes="sampled max: lower bound on worst case")
-
-
-def _max_with_bootstrap(nums, den, seed):
-    """Max of ``nums / den`` and the 99% bootstrap spread of that maximum
-    over 200 index resamples, drawn a chunk of rows at a time."""
-    arr = np.asarray(nums, dtype=np.float64) / den
-    rng = _philox(seed ^ 0x5EED)
-    rows, maxes = max(1, CHUNK_ENTRIES // len(arr)), []
-    for done in range(0, BOOTSTRAP_RESAMPLES, rows):
-        pick = rng.integers(0, len(arr), size=(
-            min(rows, BOOTSTRAP_RESAMPLES - done), len(arr)))
-        maxes.extend(arr[pick].max(axis=1))
-    lo, hi = np.percentile(maxes, [50 * (1 - CI_LEVEL), 100 - 50 * (1 - CI_LEVEL)])
-    return float(arr.max()), (float(lo), float(hi))
+    return OracleReport("sampled", nums[i] / (K1 * K2 * M), witness=wit,
+                        enumerated=samples)
 
 
 # ----------------------------------------------------------------------
@@ -613,6 +568,7 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
     if mapfree and mode == "exhaustive":
         rep, ((s, leak_map), _), _ = _selected_worst(
             table2d, (K, 1 << d), h.m, None, rule=_event_rule(1 << n, K, M, B))
+        rep.enumerated = required  # the family searched, as the patterns
     else:
         rep, (s, _), leak_map = _selected_worst(
             table2d, (K, 1 << d), h.m, 1 if strong else None, 0, b=b,
@@ -655,12 +611,10 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         required = patterns * _per_support(X_other, Ks[other], M * B, strong)
         free = math.comb(X_other, Ks[other]) * _free_events(M, B, X)
         mapfree = strong is None and maps is None and 0 < free <= required
-        supports2 = supports1 = rule = None
+        supports1 = rule = draws = None
         if _resolve_mode(mode, free if mapfree else required, budget,
                          "leaked two-source enumeration") == "sampled":
-            exhaustive = mapfree = False
-            supports2 = _sample_supports(X, Ks[i_star], samples,
-                                         _philox(seed ^ 0xA1))
+            exhaustive, mapfree, draws = False, False, samples
             if strong is None:
                 supports1 = _sample_supports(X_other, Ks[other], samples,
                                              _philox(seed ^ 0xB2))
@@ -668,23 +622,21 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
             rule = _event_rule(X, Ks[i_star], M, B)
         rep, supports, leak_map = _selected_worst(
             table2d, Ks, h.m, strong, other if mapfree else i_star,
-            supports2=supports2, supports1=supports1, b=0 if mapfree else b,
-            maps=maps, rule=rule)
-        if mapfree:
+            supports1=supports1, b=0 if mapfree else b, maps=maps, rule=rule,
+            samples=draws, seed=seed ^ 0xA1)
+        if mapfree:  # the family searched: supports and patterns of i_star
             supports[i_star], leak_map = supports[i_star]
+            rep.enumerated = patterns
         total, cands = total + rep.enumerated, cands + rep.candidates
         kernels.add(rep.kernel)
         if rep.error > best_err:
             best_err = rep.error
             best_wit = {"supports": supports, "leak_map": leak_map,
                         "leak_source": i_star, "strong": strong}
-    rep = OracleReport("exhaustive" if exhaustive else "sampled",
-                       best_err if exhaustive else float(best_err),
-                       witness=best_wit, enumerated=total, candidates=cands,
-                       kernel=max(kernels))  # "supports" > "events" > none
-    if not exhaustive:
-        rep.notes = "sampled max: lower bound on worst case"
-    return rep
+    return OracleReport("exhaustive" if exhaustive else "sampled",
+                        best_err if exhaustive else float(best_err),
+                        witness=best_wit, enumerated=total, candidates=cands,
+                        kernel=max(kernels))  # "supports" > "events" > none
 
 
 # ----------------------------------------------------------------------
@@ -819,6 +771,10 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
 # ----------------------------------------------------------------------
 # Monte-Carlo distance estimation
 # ----------------------------------------------------------------------
+
+BOOTSTRAP_RESAMPLES = 200
+CI_LEVEL = 0.99
+
 
 @dataclass
 class MCReport:

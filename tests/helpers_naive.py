@@ -348,8 +348,7 @@ def naive_sample_supports(space, size, samples, rng) -> list:
 def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
     """The sampled two-source oracle, draw by draw: the same Philox
     stream through ``naive_sample_supports`` (every S1, then every S2),
-    each pair's exact error by dict counting, and the 99% bootstrap of
-    the maximum over 200 resamples, one ``integers`` draw each.  Returns ``(error, ci,
+    each pair's exact error by dict counting.  Returns ``(error,
     supports)``: the largest error as a float and the last draw
     attaining it."""
     import numpy as np  # the oracle's random streams, nothing else
@@ -362,11 +361,7 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
             fn, m, [s1, s2], () if strong is None else (strong,))))
         if best is None or errs[-1] >= errs[best[0]]:
             best = (len(errs) - 1, [s1, s2])
-    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0x5EED))
-    maxes = [max(errs[int(j)] for j in rng.integers(0, samples, size=samples))
-             for _ in range(200)]
-    lo, hi = np.percentile(maxes, [50 * (1 - 0.99), 100 - 50 * (1 - 0.99)])
-    return max(errs), (float(lo), float(hi)), best[1]
+    return max(errs), best[1]
 
 
 def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
@@ -375,10 +370,8 @@ def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
     support's largest exact error by dict counting over every ``b``-bit
     leak value assignment on it (lexicographic, the smallest support
     element most significant), jointly with the leak and, when
-    ``strong``, the seed; and the 99% bootstrap of the maximum
-    over 200 resamples, one ``integers`` draw each.  Returns ``(error,
-    ci, witness)``: the largest error as a float and the first draw and
-    assignment attaining it."""
+    ``strong``, the seed.  Returns ``(error, witness)``: the largest
+    error as a float and the first draw and assignment attaining it."""
     import numpy as np  # the oracle's random streams, nothing else
 
     rng = np.random.default_rng(np.random.Philox(key=seed))
@@ -396,11 +389,7 @@ def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
                 best = (per[-1], {"support": s, **({"leak_map": f,
                         "leak_source": 0, "e_width": b} if b else {})})
         errs.append(float(max(per)))
-    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0x5EED))
-    maxes = [max(errs[int(j)] for j in rng.integers(0, samples, size=samples))
-             for _ in range(200)]
-    lo, hi = np.percentile(maxes, [50 * (1 - 0.99), 100 - 50 * (1 - 0.99)])
-    return max(errs), (float(lo), float(hi)), best[1]
+    return max(errs), best[1]
 
 
 # ----------------------------------------------------------------------

@@ -374,7 +374,7 @@ def test_netsim_runs_the_protocol_once_per_request(cache_dir, tmp_path,
                                        protocol=protocol)
         rng = np.random.default_rng(np.random.Philox(key=params["seed"]))
         sources = [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
-        adv = cli._builtin_adversary(report["adversary"], cfg, protocol)
+        adv = cli._builtin_adversary(report["adversary"], cfg)
         scenario = None
         if lift:
             sources = [FlatSource(cfg.n, [0]) if pid in adv.initial_faulty

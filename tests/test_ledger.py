@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extractomat.errors import ConstraintViolatedError, InvalidInputError
+from extractomat.extractors import deor_declared_eps
 from extractomat.ledger import (known_theorems, ledger_lift_one_bit,
                                 ledger_theorem)
 
@@ -173,3 +174,24 @@ def test_raz_marginal_theorem():
                        k2=60, delta=0.2, m=10)
     names = " ".join(exc.value.violations)
     assert "k2" in names or "m <=" in names
+
+
+def test_marginal_and_combinator_theorems_pinned():
+    # the theorems that only the CLI reaches, output for output
+    assert ledger_theorem("bourgain", n=1000, alpha=0.1).outputs == {
+        "n": 1000, "k": 400.0, "m": 100.0, "eps": 2.0 ** -100,
+        "strong": "both", "security": "marginal"}
+    entry = ledger_theorem("deor", n=10, k1=8, k2=8, m=2)
+    assert entry.outputs == {"n": 10, "k1": 8, "k2": 8, "m": 2,
+                             "eps": 2.0 ** -2.5, "strong": "both",
+                             "security": "marginal"}
+    assert entry.outputs["eps"] == deor_declared_eps(10, 8, 8, 2)
+    assert ledger_theorem("qmext", t=3, n=16, k=12, l=4, eps1=0.01,
+                          eps2=0.02).outputs == {
+        "t": 4, "n": 16, "k": 12, "m": 4, "eps": 0.01 + 0.02,
+        "strong": "S = {1..3}", "security": "OA/GE"}
+    # bext: eps + 2^-(k/20), capped at 1
+    for k, eps, total in ((40, 0.01, 0.01 + 0.25), (0, 0.5, 1.0)):
+        assert ledger_theorem("bext", k=k, eps=eps).outputs == {
+            "eps": total, "strong": "block source",
+            "security": "marginal/OA per final stage"}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -206,7 +207,6 @@ def test_sampled_mode_lower_bounds_exhaustive():
                                        samples=80, seed=4)
     assert sampled.mode == "sampled"
     assert sampled.error <= float(exact) + 1e-12
-    assert sampled.ci is not None
 
 
 # ----------------------------------------------------------------------
@@ -838,6 +838,7 @@ def test_seeded_marginal_leak_runs_map_free(monkeypatch):
             count = events if mapfree else patterns
             rep = worst_case_error_leaked(h, (k, d), 1, budget=count)
             assert rep.mode == "exhaustive" and rep.error == expect
+            assert rep.enumerated == patterns  # the family, either path
             assert rep.candidates == (events if mapfree else
                                       math.comb(1 << n, 1 << k) << (1 << k))
             w = rep.witness
@@ -857,6 +858,7 @@ def test_seeded_marginal_leak_runs_map_free(monkeypatch):
     rep = worst_case_error_leaked(h, (3, 2), 1)
     assert (rep.error, rep.candidates, rep.kernel) == (Fraction(5, 16), 6,
                                                        "events")
+    assert rep.enumerated == 3_294_720
     assert naive_instance_error(fn, 1, [rep.witness["support"], range(4)], (),
                                 0, rep.witness["leak_map"]) == rep.error
     monkeypatch.setattr(oracle_mod, "EVENT_ENTRIES", 0)
@@ -990,6 +992,7 @@ def test_mapfree_leak_matches_patterns_naive_and_witnesses(monkeypatch):
                 monkeypatch.setattr(oracle_mod, "EVENT_ENTRIES", entries)
                 reps.append(worst_case_error_leaked(h, ks, b, leak_sources=[i]))
             assert reps[0].error == reps[1].error
+            assert reps[0].enumerated == reps[1].enumerated
             for rep in reps:
                 assert _witness_error(fn, m, rep.witness, ()) == rep.error
                 leak = rep.witness["leak_map"]
@@ -1006,6 +1009,10 @@ def test_mapfree_leak_matches_patterns_naive_and_witnesses(monkeypatch):
                 assert rep.error == naive_worst_leaked_2source(
                     fn, 2, 2, m, *ks, b, None, (i,))
                 assert _witness_error(fn, m, rep.witness, ()) == rep.error
+    # ip(3;2,2), b=1: 70 leak-free S2, then C(8, 4) * 2^4 leaking
+    # supports and patterns per input, though both leaks run map-free
+    rep = worst_case_error_leaked(ip_handle(3), (2, 2), 1)
+    assert rep.enumerated == 70 + 2 * 70 * 16
     # leaked ip(4;3,3) with b=1 fits the default budget
     rep = worst_case_error_leaked(ip_handle(4), (3, 3), 1)
     assert rep.mode == "exhaustive" and rep.error == Fraction(13, 64)
@@ -1100,7 +1107,7 @@ def test_sampled_supports_are_uniform():
 
 
 def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
-    # a small chunk splits both the draws and the bootstrap rows
+    # a small chunk splits the draws
     monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 100)
     rng = np.random.default_rng(47)
     for trial in range(10):
@@ -1119,9 +1126,9 @@ def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
             assert rep.mode == "sampled" and isinstance(rep.error, float)
             assert Fraction(rep.error) == _witness_error(fn, m, rep.witness,
                                                          revealed)
-            err, ci, supports = naive_sampled_2source(
+            err, supports = naive_sampled_2source(
                 fn, *widths, m, *ks, strong, 20, trial)
-            assert (rep.error, rep.ci) == (err, ci)
+            assert rep.error == err
             assert rep.witness == {"supports": supports, "strong": strong}
     for samples in (0, -3):
         with pytest.raises(InvalidInputError, match="samples"):
@@ -1129,7 +1136,7 @@ def test_sampled_two_source_max_is_its_witness_error(monkeypatch):
 
 
 def test_sampled_seeded_matches_naive_draw_by_draw(monkeypatch):
-    # a small chunk splits both the supports and the bootstrap rows
+    # a small chunk splits the supports
     monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 64)
     rng = np.random.default_rng(49)
     for trial in range(6):
@@ -1142,7 +1149,7 @@ def test_sampled_seeded_matches_naive_draw_by_draw(monkeypatch):
                 rep = (worst_case_error_leaked(h, (k, d), b, **kw) if b else
                        worst_case_error_seeded(h, k, **kw))
                 assert rep.mode == "sampled" and rep.enumerated == 15 << (b << k)
-                assert (rep.error, rep.ci, rep.witness) == naive_sampled_seeded(
+                assert (rep.error, rep.witness) == naive_sampled_seeded(
                     fn, n, d, m, k, b, strong, 15, trial)
 
 
@@ -1258,7 +1265,7 @@ def test_composite_ties_go_to_the_lowest_indices():
 
 def test_composite_oracles_ignore_chunk_boundaries(monkeypatch):
     # One support per chunk against the default chunks: the same values,
-    # witnesses, counts and bootstrap spread.
+    # witnesses and counts.
     h, _ = _random_table(np.random.default_rng(46), (2, 2, 2), 1, "t-source")
     calls = [lambda: worst_case_error_multi(h, (1, 1, 1)),
              lambda: worst_case_error_multi(h, (1, 1, 1), b=1),
@@ -1268,8 +1275,8 @@ def test_composite_oracles_ignore_chunk_boundaries(monkeypatch):
     runs = []
     for chunk in (oracle_mod.CHUNK_ENTRIES, 1):
         monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", chunk)
-        runs.append([(rep.error, rep.witness, rep.enumerated, rep.ci,
-                      rep.kernel, rep.candidates)
+        runs.append([(rep.error, rep.witness, rep.enumerated, rep.kernel,
+                      rep.candidates)
                      for rep in (call() for call in calls)])
     assert runs[0] == runs[1]
     # (S3, leak pattern, S1) triples for multi, S3 supports (or draws)
@@ -1277,3 +1284,37 @@ def test_composite_oracles_ignore_chunk_boundaries(monkeypatch):
     assert [r[2] for r in runs[0]] == [36, 144, 6, 7]
     vol = worst_case_error_block_general(h, (1, 1, 1)).to_json_dict()["volatile"]
     assert (vol["kernel"], vol["candidates"]) == ("events", 6)
+
+
+def test_worst_case_reports_carry_what_was_measured():
+    # One instance per entry point and mode: a report gives its mode,
+    # error, witness, the configurations of the family searched and the
+    # note its mode implies, with the exact fraction when exhaustive and
+    # the timings under volatile; witnesses are plain JSON values.
+    rng = np.random.default_rng(58)
+    two, _ = _random_table(rng, (3, 3), 1)
+    seeded, _ = _random_table(rng, (3, 2), 1, "seeded")
+    three, _ = _random_table(rng, (2, 2, 2), 1, "t-source")
+    calls = {
+        "two-source": lambda **kw: worst_case_error_2source(two, 2, 2, **kw),
+        "seeded": lambda **kw: worst_case_error_seeded(seeded, 2, **kw),
+        "leaked": lambda **kw: worst_case_error_leaked(two, (2, 2), 1, **kw),
+        "leaked seeded": lambda **kw: worst_case_error_leaked(
+            seeded, (2, 2), 1, strong=True, **kw),
+        "block+general": lambda **kw: worst_case_error_block_general(
+            three, (1, 1, 1), **kw),
+        "multi": lambda **kw: worst_case_error_multi(three, (1, 1, 1), b=1,
+                                                     **kw)}
+    keys = ["mode", "error", "witness", "enumerated", "notes"]
+    for name, call in calls.items():
+        for mode in ("exhaustive", "sampled"):
+            if name == "multi" and mode == "sampled":
+                continue  # exhaustive-only
+            rep = call(mode=mode, samples=9, seed=1)
+            d = json.loads(json.dumps(rep.to_json_dict()))
+            exact = ["error_exact"] if mode == "exhaustive" else []
+            assert list(d) == keys + exact + ["volatile"], name
+            assert d["mode"] == mode and d["enumerated"] > 0
+            assert d["notes"] == ("" if mode == "exhaustive" else
+                                  "sampled max: lower bound on worst case")
+            assert isinstance(rep.error, Fraction if exact else float)

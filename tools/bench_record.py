@@ -17,10 +17,13 @@ moves with it, so a gap in a scaled metric is read against these.
 With each record go the ``src/`` line count, the git revision
 (``-dirty`` when the tree differs from it) and the length of the
 checkout's path: perfbench's scaled metrics move with that length, so
-compare two records only when their paths are equally long.  They
-also record the interpreter the runs use and the ``MALLOC_*`` variables
-of the runs' environment, which move small protocol-exact and
-requests-short gaps; neither is set or pinned here.
+a ``--baseline`` whose path is not as long as the checkout's is
+refused.  Every ``__pycache__`` under both checkouts' ``src/`` is
+deleted before the first run, since stale bytecode moves ``setup_s``
+and ``peak_rss_mb`` too.  The records also hold the interpreter the
+runs use and the ``MALLOC_*`` variables of the runs' environment, which
+move small protocol-exact and requests-short gaps; neither is set or
+pinned here.
 
 ``--checkout`` defaults to the repository this script sits in.  With
 ``--baseline`` (say, a clone of the parent commit) the baseline is
@@ -37,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -165,6 +169,13 @@ def main(argv=None) -> int:
     checkouts = {"change": args.checkout.resolve()}
     if args.baseline:
         checkouts["parent"] = args.baseline.resolve()
+        change, parent = (len(str(path)) for path in checkouts.values())
+        if change != parent:
+            p.error(f"the baseline's path has {parent} characters and the "
+                    f"checkout's {change}; compare equally long paths")
+    for path in checkouts.values():
+        for cache in list((path / "src").rglob("__pycache__")):
+            shutil.rmtree(cache)
     doc.update(record(checkouts, workloads, seconds))
     if args.baseline:
         doc["compare"] = compare(doc["parent"], doc["change"])
