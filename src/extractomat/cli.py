@@ -232,6 +232,10 @@ def _load_extractor(args):
     from . import certify as cert
     from .extractors import deor_handle, ip_handle, toeplitz_handle
     name = args.extractor
+    if name is None:
+        raise InvalidInputError("eval needs --extractor or --lemma")
+    if name in ("ip", "deor", "toeplitz") and args.n is None:
+        raise InvalidInputError(f"--extractor {name} needs --n")
     if name == "ip":
         return ip_handle(args.n, args.k1, args.k2), []
     if name == "deor":
@@ -262,6 +266,8 @@ def _eval_extractor(args, handle, oracle, out_dir):
 
 def _eval_lemma(args) -> dict:
     from . import oracle
+    if args.trials < 1:
+        raise InvalidInputError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(np.random.Philox(key=args.seed))
     passed, slacks = 0, []
     for _ in range(args.trials):

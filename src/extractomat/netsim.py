@@ -715,6 +715,8 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
                         shared: Distribution | None = None) -> Fraction:
     """Exact strong security of one player: distance of
     (Z_i, X_{-i}, T, leaks) from uniform x rest."""
+    if not 1 <= player <= cfg.p:
+        raise InvalidInputError(f"player must be in 1..{cfg.p}, not {player}")
     den, weights, b = protocol_runs(protocol, cfg, sources, scenario, adv,
                                     shared=shared)
     z = b.outputs[:, player - 1]

@@ -31,7 +31,10 @@ strong input with fewer supports, then the top K2 of its summed scores.
 Ties go to the lowest-rank S2, then to the first candidate scored, then
 to the lower row index.  Budgets count the candidates scored; one
 support's working array, its leak rows times its cells or candidates,
-is capped apart (``SUPPORT_ENTRIES``).
+is capped apart (``SUPPORT_ENTRIES``).  The two-source, seeded and
+leaked oracles share one enumerate-and-select step, ``_side_worst``,
+which states their budget, resolves their mode and makes their map-free
+choice.
 
 Sampled mode draws random flat supports, all of a path's in one
 vectorised sampler (``_sample_supports``), and scores each draw exactly;
@@ -293,24 +296,6 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
             pick, len(flat) * rows)
 
 
-def _per_support(rows: int, K1: int, J: int, strong) -> int:
-    """Candidates the default selection rule of ``_selected_worst`` scores
-    per configuration, with S1 of ``K1`` of ``rows`` rows and ``J`` cells:
-    one S1 if revealed, else the 2^J - 2 events where they fit in the S1
-    supports, else every S1."""
-    S1s = math.comb(rows, K1)
-    return 1 if strong is not None else (1 << J) - 2 if 1 << J <= S1s else S1s
-
-
-def _free_events(M: int, B: int, rows: int) -> int:
-    """Candidates of ``_event_rule`` per configuration for a leak of ``B``
-    values from a selected input of ``rows`` rows on ``M`` outputs: its
-    output events (T_e), or 0 where its working array would pass
-    ``EVENT_ENTRIES``."""
-    events = math.comb(1 << M, min(B, 1 << M))
-    return events if events * min(B, 1 << M) * rows <= EVENT_ENTRIES else 0
-
-
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None, b=0,
                     maps=None, rule=None, samples=None, seed=0):
     """Worst case over supports S2 of input ``enum`` (default all), leak
@@ -383,6 +368,68 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None, b=0,
     return rep, supports if enum else supports[::-1], leak_map
 
 
+def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
+                samples=DEFAULT_SAMPLES, seed=0, seed1=0, pairs=False,
+                table2d=None):
+    """One two-input request on the kernel: input ``enum`` is enumerated
+    with its leak rows (every ``b``-bit pattern on its support, or the
+    rows of the ``maps`` array) and the other input is selected, revealed
+    when ``strong`` (None or its index).  The budget counts the
+    candidates the selection scores.  A marginal leak of the default
+    family runs map-free where that scores fewer: the other input is
+    enumerated, and ``_event_rule`` selects the leaking support and its
+    map.  Sampled, the enumerated supports are drawn from ``Philox(seed)``
+    and, if marginal, the selected ones from ``Philox(seed1)``; with
+    ``pairs``, ``_two_source_sampled`` scores random pairs instead.
+    ``table2d`` is the int64 table, built from ``h`` when None.  Returns
+    ``(report, supports, leak_map or None)``; an exhaustive report's
+    ``enumerated`` counts the family searched."""
+    X, sel = [1 << w for w in h.input_widths], 1 - enum
+    M, B = 1 << h.m, 1 << b
+    family = math.comb(X[enum], Ks[enum]) * (
+        B ** Ks[enum] if maps is None else len(maps))
+    S1s, J = math.comb(X[sel], Ks[sel]), M * B
+    required = family * (1 if strong is not None else
+                         (1 << J) - 2 if 1 << J <= S1s else S1s)
+    free = 0  # map-free candidates: S1s x output events (T_e)
+    if strong is None and maps is None and b:
+        events = math.comb(1 << M, min(B, 1 << M))
+        if events * min(B, 1 << M) * X[enum] <= EVENT_ENTRIES:
+            free = S1s * events
+    mapfree = 0 < free <= required
+    mode = _resolve_mode(mode, free if mapfree else required, budget, what)
+    if mode == "sampled" and pairs:
+        return _two_source_sampled(h, Ks, strong, samples, seed)
+    if table2d is None:
+        table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
+    if mode == "exhaustive" and mapfree:
+        rep, supports, _ = _selected_worst(
+            table2d, Ks, h.m, None, sel,
+            rule=_event_rule(X[enum], Ks[enum], M, B))
+        supports[enum], leak_map = supports[enum]
+        rep.enumerated = family
+        return rep, supports, leak_map
+    supports1 = None
+    if mode == "sampled" and strong is None and Ks[sel] < X[sel]:
+        supports1 = _sample_supports(X[sel], Ks[sel], samples, _philox(seed1))
+    return _selected_worst(table2d, Ks, h.m, strong, enum,
+                           supports1=supports1, b=b, maps=maps,
+                           samples=None if mode == "exhaustive" else samples,
+                           seed=seed)
+
+
+def _resolve_mode(mode: str, required: int, budget: int, what: str) -> str:
+    """The mode an ``auto`` request runs in; an exhaustive run of
+    ``what`` must fit the budget."""
+    if mode == "auto":
+        mode = "exhaustive" if required <= budget else "sampled"
+    if mode not in ("exhaustive", "sampled"):
+        raise InvalidInputError("mode must be exhaustive, sampled or auto")
+    if mode == "exhaustive" and required > budget:
+        raise BudgetExceededError(required, budget, what)
+    return mode
+
+
 # ----------------------------------------------------------------------
 # Two-source worst case
 # ----------------------------------------------------------------------
@@ -412,47 +459,28 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
     if strong not in (None, 0, 1):
         raise InvalidInputError(f"strong must be None, 0 or 1, not {strong!r}")
     n1, n2 = h.input_widths
-    k1, k2 = _check_k(k1, n1), _check_k(k2, n2)
-    K1, K2 = 1 << k1, 1 << k2
+    Ks = (1 << _check_k(k1, n1), 1 << _check_k(k2, n2))
     t0 = time.perf_counter()
-    enum = 0 if strong == 1 else 1
-    X, Ks = (1 << n1, 1 << n2), (K1, K2)
-    required = math.comb(X[enum], Ks[enum]) * _per_support(
-        X[1 - enum], Ks[1 - enum], 1 << h.m, strong)
-    if _resolve_mode(mode, required, budget,
-                     "two-source enumeration") == "exhaustive":
-        table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
-        rep, supports, _ = _selected_worst(table2d, Ks, h.m, strong, enum)
-        rep.witness = {"supports": supports, "strong": strong}
-    else:
-        rep = _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed)
+    rep, supports, _ = _side_worst(
+        h, Ks, strong, 0 if strong == 1 else 1, mode, budget,
+        "two-source enumeration", samples=samples, seed=seed, pairs=True)
+    rep.witness = {"supports": supports, "strong": strong}
     rep.wall_time = time.perf_counter() - t0
     return rep
 
 
-def _resolve_mode(mode: str, required: int, budget: int, what: str) -> str:
-    """The mode an ``auto`` request runs in; an exhaustive run of
-    ``what`` must fit the budget."""
-    if mode == "auto":
-        mode = "exhaustive" if required <= budget else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise InvalidInputError("mode must be exhaustive, sampled or auto")
-    if mode == "exhaustive" and required > budget:
-        raise BudgetExceededError(required, budget, what)
-    return mode
-
-
-def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
+def _two_source_sampled(h, Ks, strong, samples, seed):
     """Max of the exact distances of ``samples`` random flat pairs, with
     the last maximal draw as witness.  Per chunk of draws, one bincount
     over (draw, group, z) keys counts each draw's K1 x K2 outputs, the
     group being the revealed input's position (0 if none)."""
+    (n1, n2), (K1, K2) = h.input_widths, Ks
     rng = _philox(seed)
     s1 = _sample_supports(1 << n1, K1, samples, rng)  # every S1, then every S2
     s2 = _sample_supports(1 << n2, K2, samples, rng)
     table = h.table()
-    M, G = 1 << h.m, 1 if strong is None else (K1, K2)[strong]
-    group = 0 if strong is None else M * np.indices((K1, K2))[strong]
+    M, G = 1 << h.m, 1 if strong is None else Ks[strong]
+    group = 0 if strong is None else M * np.indices(Ks)[strong]
     per, nums = max(1, CHUNK_ENTRIES // (K1 * K2 + G * M)), []
     for a in range(0, samples, per):
         z = table[(s1[a:a + per, :, None] << n2) + s2[a:a + per, None, :]]
@@ -461,10 +489,8 @@ def _two_source_sampled(h, n1, n2, K1, K2, strong, samples, seed):
         nums += np.maximum(M * cnt.reshape(len(z), -1) - K1 * K2 // G, 0
                            ).sum(axis=1).tolist()
     i = samples - 1 - int(np.argmax(nums[::-1]))
-    wit = {"supports": [s1[i].tolist(), s2[i].tolist()],
-           "strong": strong}
-    return OracleReport("sampled", nums[i] / (K1 * K2 * M), witness=wit,
-                        enumerated=samples)
+    return (OracleReport("sampled", nums[i] / (K1 * K2 * M), enumerated=samples),
+            [s1[i].tolist(), s2[i].tolist()], None)
 
 
 # ----------------------------------------------------------------------
@@ -546,34 +572,14 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
 
 
 def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
-    """Seeded worst case on the shared kernel: the source is the
-    enumerated input, with every ``b``-bit leak pattern on its support (a
-    leak map matters only there; ``b=0`` is leak-free) or the rows of the
-    ``maps`` array, and the seed is the selected input at full size,
-    revealed when ``strong``.  An exhaustive marginal leak of the default
-    family runs map-free where that scores fewer candidates: the seed is
-    enumerated as its one full support, and ``_event_rule`` selects the
-    source support and its map."""
-    n, d = h.input_widths
-    K, M, B = 1 << k, 1 << h.m, 1 << b
+    """Seeded worst case: the source is the enumerated input, with its
+    leak rows (``b=0`` and no ``maps``: leak-free), and the seed the
+    selected input at full size, revealed when ``strong``."""
     leaky = b > 0 or maps is not None
-    required = math.comb(1 << n, K) * (
-        (B ** K if maps is None else len(maps)) if leaky else 1)
-    free = _free_events(M, B, 1 << n)  # the seed is one full support
-    mapfree = not strong and maps is None and b > 0 and 0 < free <= required
-    mode = _resolve_mode(mode, free if mapfree else required, budget,
-                         "leaked seeded enumeration" if leaky
-                         else "seeded enumeration")
-    table2d = np.asarray(h.table(), dtype=np.int64).reshape(1 << n, 1 << d)
-    if mapfree and mode == "exhaustive":
-        rep, ((s, leak_map), _), _ = _selected_worst(
-            table2d, (K, 1 << d), h.m, None, rule=_event_rule(1 << n, K, M, B))
-        rep.enumerated = required  # the family searched, as the patterns
-    else:
-        rep, (s, _), leak_map = _selected_worst(
-            table2d, (K, 1 << d), h.m, 1 if strong else None, 0, b=b,
-            maps=maps, samples=None if mode == "exhaustive" else samples,
-            seed=seed)
+    rep, (s, _), leak_map = _side_worst(
+        h, (1 << k, 1 << h.input_widths[1]), 1 if strong else None, 0, mode,
+        budget, "leaked seeded enumeration" if leaky else "seeded enumeration",
+        b=b, maps=maps, samples=samples, seed=seed)
     rep.witness = {"support": s}
     if leaky:
         rep.witness.update(leak_map=leak_map, leak_source=0, e_width=b)
@@ -582,51 +588,30 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
 
 def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
                     mode, samples, seed, budget):
-    """The leak-free baseline, then each unrevealed leaking input, with
-    budgets counting the candidates scored.  An exhaustive marginal leak
-    of the default family runs map-free where that scores fewer: the
-    other input is enumerated, and ``_event_rule`` selects S1 and its
-    map.  Else the leaking input is enumerated (or sampled, with sampled
-    S1 if marginal) with every leak pattern on its support, or ``maps``."""
+    """The leak-free baseline, then each unrevealed leaking input as the
+    enumerated input of ``_side_worst``, its sampled supports drawn from
+    ``Philox(seed ^ 0xA1)`` and, if marginal, the other input's from
+    ``Philox(seed ^ 0xB2)``."""
     widths = h.input_widths
-    k1, k2 = (_check_k(k, n) for k, n in zip(k_profile, widths))
-    Ks = (1 << k1, 1 << k2)
+    Ks = tuple(1 << _check_k(k, n) for k, n in zip(k_profile, widths))
     baseline = worst_case_error_2source(
-        h, k1, k2, strong, mode=mode, samples=samples, seed=seed, budget=budget)
+        h, *k_profile[:2], strong, mode=mode, samples=samples, seed=seed,
+        budget=budget)
     best_err = Fraction(baseline.error)
     best_wit = {**baseline.witness, "leak_map": None}
     total, cands, kernels = (baseline.enumerated, baseline.candidates,
                              {baseline.kernel})
     exhaustive = baseline.mode == "exhaustive"
     table2d = np.asarray(h.table(), dtype=np.int64).reshape(-1, 1 << widths[1])
-    M, B = 1 << h.m, 1 << b
     for i_star in leak_sources:
-        if strong is not None and i_star == strong:
+        if i_star == strong:
             # E is a function of the conditioned input: identical to b=0.
             continue
-        other = 1 - i_star
-        X, X_other = 1 << widths[i_star], 1 << widths[other]
-        patterns = math.comb(X, Ks[i_star]) * (
-            B ** Ks[i_star] if maps is None else len(maps))
-        required = patterns * _per_support(X_other, Ks[other], M * B, strong)
-        free = math.comb(X_other, Ks[other]) * _free_events(M, B, X)
-        mapfree = strong is None and maps is None and 0 < free <= required
-        supports1 = rule = draws = None
-        if _resolve_mode(mode, free if mapfree else required, budget,
-                         "leaked two-source enumeration") == "sampled":
-            exhaustive, mapfree, draws = False, False, samples
-            if strong is None:
-                supports1 = _sample_supports(X_other, Ks[other], samples,
-                                             _philox(seed ^ 0xB2))
-        elif mapfree:
-            rule = _event_rule(X, Ks[i_star], M, B)
-        rep, supports, leak_map = _selected_worst(
-            table2d, Ks, h.m, strong, other if mapfree else i_star,
-            supports1=supports1, b=0 if mapfree else b, maps=maps, rule=rule,
-            samples=draws, seed=seed ^ 0xA1)
-        if mapfree:  # the family searched: supports and patterns of i_star
-            supports[i_star], leak_map = supports[i_star]
-            rep.enumerated = patterns
+        rep, supports, leak_map = _side_worst(
+            h, Ks, strong, i_star, mode, budget, "leaked two-source enumeration",
+            b=b, maps=maps, samples=samples, seed=seed ^ 0xA1,
+            seed1=seed ^ 0xB2, table2d=table2d)
+        exhaustive &= rep.mode == "exhaustive"
         total, cands = total + rep.enumerated, cands + rep.candidates
         kernels.add(rep.kernel)
         if rep.error > best_err:
@@ -756,6 +741,9 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
     if len(dists) != h.arity:
         raise InvalidInputError(f"{h.name} takes {h.arity} inputs")
     strong = sorted(set(strong))
+    if any(not 0 <= i < h.arity for i in strong):
+        raise InvalidInputError(f"strong indices name inputs 0.."
+                                f"{h.arity - 1}, not {strong}")
     den, weights, xs, _, es = enumerate_worlds(dists, scenario, shared)
     if den is None:
         raise InvalidInputError("exact_distance needs exact sources and an "
@@ -820,6 +808,8 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     chunk in one batched :func:`excess_over_uniform` call.  Requires
     ``len(keys) >= 100 * 2**m / tol**2``.
     """
+    if not tol > 0:
+        raise InvalidInputError(f"tolerance must be > 0, got {tol}")
     n_samples = len(keys)
     needed = 100.0 * (1 << m) / (tol * tol)
     if n_samples < needed:
@@ -896,6 +886,8 @@ def _lemma_condition(joint: JointDistribution, eps: float,
     """Pr_y[H(X|Y=y) >= H(X) - log|Y| - log(1/eps)] >= 1 - eps, from one
     (X, Y) numerator matrix: H(X) by its row sums, H(X|Y=y) by column
     y's maximum over the column's total."""
+    if not 0 < eps <= 1:
+        raise InvalidInputError(f"L2.2 takes eps in (0, 1], got {eps}")
     sub = joint.marginal([target, given])
     num = sub.numerators.reshape(1 << joint.part_width(target), -1)
     bound = (neg_log2(num.sum(axis=1).max().item(), sub.denominator)

@@ -364,6 +364,49 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
     return max(errs), best[1]
 
 
+def naive_sampled_leaked_2source(fn, n1, n2, m, k1, k2, b, strong, samples,
+                                 seed, leak_sources=(0, 1)):
+    """The sampled leaked two-source oracle, draw by draw: the leak-free
+    ``naive_sampled_2source``, then each leaking input i that ``strong``
+    does not reveal.  Input i's supports are ``samples`` draws from
+    Philox(seed ^ 0xA1) through ``naive_sample_supports``, each with every
+    ``b``-bit leak value assignment on it (lexicographic, the smallest
+    support element most significant); the other input's are every flat
+    support if revealed, else ``samples`` draws from Philox(seed ^ 0xB2).
+    Returns ``(error, witness)``: the largest error as a float and the
+    first instance attaining it, the baseline's unless a leak beats it."""
+    import numpy as np  # the oracle's random streams, nothing else
+
+    def draws(key, n, k):
+        rng = np.random.default_rng(np.random.Philox(key=key))
+        return naive_sample_supports(1 << n, 1 << k, samples, rng)
+
+    widths, ks = (n1, n2), (k1, k2)
+    revealed = () if strong is None else (strong,)
+    err, supports = naive_sampled_2source(fn, n1, n2, m, k1, k2, strong,
+                                          samples, seed)
+    best = Fraction(err)
+    witness = {"supports": supports, "strong": strong, "leak_map": None}
+    for i in leak_sources:
+        if i == strong:
+            continue
+        o = 1 - i
+        others = ([list(s) for s in flat_supports((widths[o],), (ks[o],))[0]]
+                  if strong == o else draws(seed ^ 0xB2, widths[o], ks[o]))
+        for s in draws(seed ^ 0xA1, widths[i], ks[i]):
+            for values in itertools.product(range(1 << b), repeat=len(s)):
+                f = [0] * (1 << widths[i])
+                for x, v in zip(s, values):
+                    f[x] = v
+                for t in others:
+                    sups = [s, t] if i == 0 else [t, s]
+                    e = naive_instance_error(fn, m, sups, revealed, i, f)
+                    if e > best:
+                        best, witness = e, {"supports": sups, "leak_map": f,
+                                            "leak_source": i, "strong": strong}
+    return float(best), witness
+
+
 def naive_sampled_seeded(fn, n, d, m, k, b, strong, samples, seed):
     """The sampled seeded oracle, draw by draw: the same Philox stream
     through ``naive_sample_supports``, one support per sample; each

@@ -70,6 +70,18 @@ def test_eval_lemma_pass_rate(tmp_path):
     assert report["pass_rate"] >= 0.875
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval"],  # neither --extractor nor --lemma
+    ["eval", "--extractor", "ip"],  # no --n
+    ["eval", "--lemma", "L2.5", "--trials", "0"],
+    ["eval", "--lemma", "L2.2", "--trials", "-3"],
+    ["eval", "--lemma", "L2.2", "--eps", "0"],
+])
+def test_eval_input_errors_exit_4(argv, tmp_path, capsys):
+    assert run_cli_nocache(argv, tmp_path) == 4
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_eval_xtab_file(cache_dir, tmp_path, capsys):
     run_cli(["certify", "--arity", "2", "--n", "3", "--k", "2", "--m", "1",
              "--seed", "9"], cache_dir, tmp_path)

@@ -252,6 +252,18 @@ def test_evaluate_security_exact_all_honest(micro_geqr):
     assert rep.distance <= e5
 
 
+@pytest.mark.parametrize("player", [0, 6])
+def test_strong_player_error_refuses_players_outside_1_to_p(micro_geqr, player):
+    # player 0 used to measure player 5's output with its own source in
+    # the rest, and player 6 raised a bare IndexError
+    rng = np.random.default_rng(23)
+    sources = [FlatSource.random(4, 2, rng) for _ in range(5)]
+    with pytest.raises(InvalidInputError, match="player"):
+        strong_player_error("geqr", micro_geqr, sources,
+                            LeakageScenario.trivial([4] * 5),
+                            AdversaryStrategy.passive(), player)
+
+
 def test_evaluate_security_sampled_brackets_exact(micro_geqr):
     cfg = micro_geqr
     rng = np.random.default_rng(23)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from extractomat.sources import FlatSource
 from helpers_naive import (flat_supports, naive_dense_ids,
                            naive_instance_error, naive_lemma_condition,
                            naive_sample_supports, naive_sampled_2source,
-                           naive_sampled_seeded,
+                           naive_sampled_leaked_2source, naive_sampled_seeded,
                            naive_tv_from_uniform, naive_worst_2source,
                            naive_worst_block_general,
                            naive_worst_leaked_2source,
@@ -152,6 +153,33 @@ def test_seeded_budget_counts_source_supports():
         assert exc.value.required == 70
         assert worst_case_error_seeded(h, 2, strong, mode="auto",
                                        budget=69).mode == "sampled"
+
+
+def test_budgets_equal_the_candidates_scored():
+    # An exhaustive run fits a budget of exactly the candidates it scores
+    # and is refused one below, with that count as required: two-source
+    # marginal and strong on either input, seeded strong and marginal
+    # with b = 0, 1, 2 (map-free where that scores fewer).
+    rng, mapfree = np.random.default_rng(58), 0
+    for trial in range(40):
+        (n, d), m = ((2, 2), (2, 3), (3, 2), (3, 1))[trial % 4], 1 + trial % 3 // 2
+        two, _ = _random_table(rng, (n, d), m)
+        seeded, _ = _random_table(rng, (n, d), m, "seeded")
+        k1, k2 = int(rng.integers(0, n + 1)), int(rng.integers(0, d + 1))
+        calls = [functools.partial(worst_case_error_2source, two, k1, k2, s)
+                 for s in (None, 0, 1)]
+        calls += [functools.partial(worst_case_error_leaked, seeded, (k1, d),
+                                    b, strong=s)
+                  for s in (True, False) for b in (0, 1, 2)]
+        for call in calls:
+            count = call().candidates
+            rep = call(budget=count)
+            assert rep.mode == "exhaustive" and rep.candidates == count
+            with pytest.raises(BudgetExceededError) as exc:
+                call(budget=count - 1)
+            assert exc.value.required == count
+            mapfree += rep.candidates < rep.enumerated and rep.kernel == "events"
+    assert mapfree
 
 
 def test_non_integral_k_rejected():
@@ -356,6 +384,14 @@ def test_exact_distance_fixed_instance():
     assert d == total / 4
 
 
+@pytest.mark.parametrize("strong", [(-1,), (2,), (0, 2)])
+def test_exact_distance_refuses_strong_indices_outside_the_inputs(strong):
+    # -1 used to reveal input 1, and 2 raised a bare IndexError
+    sources = [FlatSource(3, [0, 1, 2, 3]), FlatSource(3, [1, 3, 5, 7])]
+    with pytest.raises(InvalidInputError, match="strong"):
+        exact_distance(ip_handle(3), sources, strong=strong)
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo estimator
 # ----------------------------------------------------------------------
@@ -393,6 +429,10 @@ def test_mc_sizing_rule():
     with pytest.raises(InvalidInputError):
         mc_distance_pairs(_keys(_drawn_pairs(lambda rng: (0, 0), 100, 0), 4),
                           4, tol=0.1)
+    keys = _keys(_drawn_pairs(lambda rng: (0, 0), 100, 0), 1)
+    for tol in (0.0, -0.5):  # 0 used to divide by zero in the sizing rule
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            mc_distance_pairs(keys, 1, tol=tol)
 
 
 def test_mc_calibration_against_exact():
@@ -693,6 +733,14 @@ def test_lemma_81_interface():
 def test_unknown_lemma():
     with pytest.raises(InvalidInputError):
         check_lemma("L9.9")
+
+
+@pytest.mark.parametrize("eps", [0, -0.25, 1.5])
+def test_lemma_22_takes_eps_in_the_unit_interval(eps):
+    joint = _random_exact_joint(np.random.default_rng(8), [("X", 2), ("Y", 1)])
+    with pytest.raises(InvalidInputError, match="eps"):
+        check_lemma("L2.2", joint=joint, eps=eps)
+    assert check_lemma("L2.2", joint=joint, eps=1).ok
 
 
 # ----------------------------------------------------------------------
@@ -1151,6 +1199,26 @@ def test_sampled_seeded_matches_naive_draw_by_draw(monkeypatch):
                 assert rep.mode == "sampled" and rep.enumerated == 15 << (b << k)
                 assert (rep.error, rep.witness) == naive_sampled_seeded(
                     fn, n, d, m, k, b, strong, 15, trial)
+
+
+def test_sampled_leaked_matches_naive_draw_by_draw(monkeypatch):
+    # The leaking input's draws come from Philox(seed ^ 0xA1) and, when
+    # marginal, the other input's from Philox(seed ^ 0xB2); the leak-free
+    # baseline is the sampled two-source oracle.  A small chunk splits
+    # the draws.
+    monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 64)
+    rng = np.random.default_rng(59)
+    for trial in range(6):
+        m, ks = 1 + trial % 2, ((1, 2), (2, 1), (1, 1))[trial % 3]
+        h, fn = _random_table(rng, (3, 3), m)
+        for strong, source in ((None, 0), (None, 1), (1, 0), (0, 1)):
+            rep = worst_case_error_leaked(h, ks, 1, strong=strong,
+                                          leak_sources=[source],
+                                          mode="sampled", samples=10,
+                                          seed=trial)
+            assert rep.mode == "sampled"
+            assert (rep.error, rep.witness) == naive_sampled_leaked_2source(
+                fn, 3, 3, m, *ks, 1, strong, 10, trial, (source,))
 
 
 def test_leak_maps_are_validated_in_one_place():
