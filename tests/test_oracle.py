@@ -1207,7 +1207,7 @@ def test_sampled_leaked_matches_naive_draw_by_draw(monkeypatch):
     # baseline is the sampled two-source oracle.  A small chunk splits
     # the draws.
     monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 64)
-    rng = np.random.default_rng(59)
+    rng, leaks = np.random.default_rng(59), set()
     for trial in range(6):
         m, ks = 1 + trial % 2, ((1, 2), (2, 1), (1, 1))[trial % 3]
         h, fn = _random_table(rng, (3, 3), m)
@@ -1219,6 +1219,8 @@ def test_sampled_leaked_matches_naive_draw_by_draw(monkeypatch):
             assert rep.mode == "sampled"
             assert (rep.error, rep.witness) == naive_sampled_leaked_2source(
                 fn, 3, 3, m, *ks, 1, strong, 10, trial, (source,))
+            leaks.add((strong, rep.witness.get("leak_source")))
+    assert {(None, 0), (None, 1), (1, 0), (0, 1)} <= leaks  # leaks that win
 
 
 def test_leak_maps_are_validated_in_one_place():
