@@ -23,6 +23,8 @@ from .dist import (MAX_TOTAL_WIDTH, Distribution, JointDistribution,
                    check_denominator, neg_log2, row_ids)
 from .errors import InvalidInputError, SizeLimitError
 
+MAX_WORLDS = 1 << 24  # the largest product of support sizes enumerated
+
 
 @dataclass(frozen=True)
 class LeakageScenario:
@@ -195,7 +197,8 @@ def enumerate_worlds(sources: Sequence[Distribution],
     :meth:`LeakageScenario.leak_columns` for ``tally``), and world ``j``'s
     probability ``weights[j] / den``.  When every distribution is exact
     the weights are int64 over one common denominator ``den``; else
-    ``den`` is None and the weights are float64 probabilities.
+    ``den`` is None and the weights are float64 probabilities.  More than
+    ``MAX_WORLDS`` combinations raise :class:`SizeLimitError`.
     """
     dists = list(sources)
     if sc is not None and sc.shared_width > 0:
@@ -211,6 +214,10 @@ def enumerate_worlds(sources: Sequence[Distribution],
     if all(d.exact for d in dists):
         den = check_denominator(math.prod(d.denominator for d in dists))
     supports = [np.array(d.support(), dtype=np.int64) for d in dists]
+    worlds = math.prod(s.size for s in supports)
+    if worlds > MAX_WORLDS:
+        raise SizeLimitError(f"exact enumeration needs {worlds} worlds, the "
+                             f"cap is {MAX_WORLDS}")
     grid = [g.ravel() for g in np.meshgrid(
         *(np.arange(s.size) for s in supports), indexing="ij")]
     cols = [s[g] for s, g in zip(supports, grid)]

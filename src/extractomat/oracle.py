@@ -34,7 +34,9 @@ support's working array, its leak rows times its cells or candidates,
 is capped apart (``SUPPORT_ENTRIES``).  The two-source, seeded and
 leaked oracles share one enumerate-and-select step, ``_side_worst``,
 which states their budget, resolves their mode and makes their map-free
-choice.
+choice.  A handle may declare the inner product's GL(n,2) symmetry; once
+the table is checked, its leak-free exhaustive requests enumerate one or
+more supports per orbit instead of every support.
 
 Sampled mode draws random flat supports, all of a path's in one
 vectorised sampler (``_sample_supports``), and scores each draw exactly;
@@ -88,6 +90,8 @@ class OracleReport:
     wall_time: float = 0.0
     kernel: str = ""  # "events" or "supports": how the selected side was chosen
     candidates: int = 0  # selected-side supports scored exactly
+    symmetry: str = ""  # the table symmetry that reduced the enumeration
+    representatives: int = 0  # enumerated supports under that reduction
 
     @property
     def notes(self) -> str:
@@ -103,6 +107,9 @@ class OracleReport:
         d["volatile"] = {"wall_time": self.wall_time}
         if self.kernel:
             d["volatile"].update(kernel=self.kernel, candidates=self.candidates)
+        if self.symmetry:
+            d["volatile"].update(symmetry=self.symmetry,
+                                 representatives=self.representatives)
         return d
 
 
@@ -118,32 +125,97 @@ def _check_k(k, width: int) -> int:
     return int(k)
 
 
+def _subsets(space: int, size: int, orbits: bool = False):
+    """The ``size``-point supports of ``range(space)`` as a stream of
+    tuples: every one, lexicographic, or with ``orbits`` one or more per
+    orbit of GL(n,2) on F_2^n = ``range(space)``.  Those are, for each span
+    dimension d, the supports inside span(e_1..e_d) = ``range(2^d)`` that
+    hold e_1..e_d (the powers of two below 2^d), which come first in each
+    tuple.  A support spanning d dimensions holds d independent points,
+    and a linear map sending them to e_1..e_d lands it among those."""
+    if not orbits:
+        return itertools.combinations(range(space), size)
+    return itertools.chain.from_iterable(
+        map(tuple(1 << i for i in range(d)).__add__, itertools.combinations(
+            [v for v in range(1 << d) if v & (v - 1) or not v], size - d))
+        for d in range(min(space.bit_length() - 1, size) + 1))
+
+
 @functools.cache
-def _support_table(space: int, K: int) -> np.ndarray:
-    """The ``K``-subsets of ``range(space)``, lexicographic, as a read-only
-    int64 table built once per process.  Kernel spaces and sizes are
-    powers of two: every table under the bound takes 12.6 MB at most."""
-    rows = math.comb(space, K)
-    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
-        range(space), K)), np.int64, count=rows * K).reshape(rows, K)
+def _count(space: int, size: int, orbits: bool = False) -> int:
+    """The length of ``_subsets(space, size, orbits)``: C(space, size), or
+    with ``orbits`` the sum over d of C(2^d - d, size - d)."""
+    if not orbits:
+        return math.comb(space, size)
+    return sum(math.comb((1 << d) - d, size - d)
+               for d in range(min(space.bit_length() - 1, size) + 1))
+
+
+@functools.cache
+def _support_table(space: int, K: int, orbits: bool = False) -> np.ndarray:
+    """``_subsets(space, K, orbits)`` as a read-only int64 table built once
+    per process.  Kernel spaces and sizes are powers of two: every table
+    under the bound takes 12.6 MB at most."""
+    rows = _count(space, K, orbits)
+    table = np.fromiter(itertools.chain.from_iterable(
+        _subsets(space, K, orbits)), np.int64, count=rows * K).reshape(rows, K)
     table.flags.writeable = False
     return table
 
 
+def _supports(space: int, size: int, orbits: bool = False):
+    """``_subsets(space, size, orbits)``: the cached table up to
+    ``SUPPORT_TABLE_ENTRIES`` entries, the stream past that."""
+    if _count(space, size, orbits) * size > SUPPORT_TABLE_ENTRIES:
+        return _subsets(space, size, orbits)
+    # one cache key per table
+    return _support_table(space, size, True) if orbits else _support_table(
+        space, size)
+
+
 def _chunks(supports, space: int, size: int, chunk: int):
     """``size``-point supports as int64 arrays of at most ``chunk`` rows:
-    slices of the ``supports`` array or, if None, of every support of
-    ``range(space)`` in lexicographic order, read from the cached table up
-    to ``SUPPORT_TABLE_ENTRIES`` entries and streamed past that."""
-    if supports is None and math.comb(space, size) * size <= SUPPORT_TABLE_ENTRIES:
-        supports = _support_table(space, size)
-    if supports is not None:
+    slices of the ``supports`` array, or blocks of its tuples; if None,
+    of ``_supports(space, size)``, every support of ``range(space)``."""
+    if supports is None:
+        supports = _supports(space, size)
+    if isinstance(supports, np.ndarray):
         yield from (supports[a:a + chunk] for a in range(0, len(supports), chunk))
         return
-    flat = itertools.chain.from_iterable(itertools.combinations(range(space), size))
+    flat = itertools.chain.from_iterable(supports)
     while (block := np.fromiter(itertools.islice(flat, chunk * size),
                                 np.int64)).size:
         yield block.reshape(-1, size)
+
+
+@functools.cache
+def _transvections(n: int) -> tuple:
+    """Value maps of the n(n-1) transvections of F_2^n, one row each: bit
+    i of x flips where bit j is set, and bit j of y where bit i is (i !=
+    j), i.e. x -> Ax and y -> A^-T y.  They generate GL(n,2).  Returns
+    ``(xs, ys, moved)``, ``moved`` the table positions (Ax, A^-T y) of
+    every (x, y) and transvection where they fit in
+    ``SUPPORT_TABLE_ENTRIES`` entries, else None."""
+    v = np.arange(1 << n)
+    i, j = np.array(list(itertools.permutations(range(n), 2)),
+                    np.int64).reshape(-1, 2).T[:, :, None]
+    xs, ys = v ^ ((v >> j) & 1) << i, v ^ ((v >> i) & 1) << j
+    fits = len(xs) << 2 * n <= SUPPORT_TABLE_ENTRIES
+    return xs, ys, xs[:, :, None] << n | ys[:, None, :] if fits else None
+
+
+def _gl_invariant(table2d) -> bool:
+    """Whether T[Ax, A^-T y] = T[x, y] for every A in GL(n,2), on a square
+    table of 2^n rows: checked on the generators, the table read through
+    each transvection against itself in integers; past the cached
+    positions, one transvection and ``CHUNK_ENTRIES`` entries at a time."""
+    N = len(table2d)
+    xs, ys, moved = _transvections(N.bit_length() - 1)
+    if moved is not None:
+        return bool((table2d.take(moved) == table2d).all())
+    rows = max(1, CHUNK_ENTRIES // N)
+    return all((table2d[x[r:r + rows, None], y] == table2d[r:r + rows]).all()
+               for x, y in zip(xs, ys) for r in range(0, N, rows))
 
 
 def _fit(entries: int) -> int:
@@ -296,11 +368,13 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
             pick, len(flat) * rows)
 
 
-def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None, b=0,
-                    maps=None, rule=None, samples=None, seed=0):
-    """Worst case over supports S2 of input ``enum`` (default all), leak
-    rows on S2 (every ``b``-bit pattern, or the rows of the ``maps``
-    array, relabelled densely) and supports S1 of the other input, which
+def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
+                    supports2=None, b=0, maps=None, rule=None, samples=None,
+                    seed=0):
+    """Worst case over supports S2 of input ``enum`` (the ``supports2``
+    int64 array or stream of tuples; default all), leak rows on S2 (every
+    ``b``-bit pattern, or the rows of the ``maps`` array, relabelled
+    densely) and supports S1 of the other input, which
     ``strong`` (None or its index) may reveal, chosen by a selection rule
     (``rule``, by default the top K1 rows, per event if hidden).  A rule
     is (values, pick, entries): (configurations, cells, rows) excess to
@@ -343,11 +417,11 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None, b=0,
     chunk = max(1, CHUNK_ENTRIES // _fit(P * max(ind.shape[1], work)))
     pats = _leak_patterns(b, K2)[None] if maps is None else None
     best, configs, cands = None, 0, 0
-    drawn = None if samples is None else _sample_supports(
-        cols, K2, samples, _philox(seed))
+    if samples is not None:
+        supports2 = _sample_supports(cols, K2, samples, _philox(seed))
     dense = maps if maps is None else np.array(
         [np.unique(f, return_inverse=True)[1] for f in maps])
-    for block in _chunks(drawn, cols, K2, chunk):
+    for block in _chunks(supports2, cols, K2, chunk):
         leak = pats if maps is None else dense[:, block].transpose(1, 0, 2)
         excess = _cell_excess(ind, block, leak, M, B)
         vals = values(excess)
@@ -383,25 +457,55 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
     ``pairs``, ``_two_source_sampled`` scores random pairs instead.
     ``table2d`` is the int64 table, built from ``h`` when None.  Returns
     ``(report, supports, leak_map or None)``; an exhaustive report's
-    ``enumerated`` counts the family searched."""
+    ``enumerated`` counts the family searched.
+
+    A leak-free request on a handle that declares its ``symmetry``
+    (T[Ax, A^-T y] = T[x, y] for every A in GL(n,2)) enumerates one or
+    more supports per orbit, ``_subsets(..., orbits=True)``, where that
+    runs exhaustively, the check reads fewer table entries than the rows
+    of the supports it skips, and ``_gl_invariant`` proves the
+    declaration on the table.  (Ax, A^-T y) relabels both inputs'
+    values, and the selected input ranges over all its rows, so the
+    worst case at an enumerated support is constant on its orbit.  The
+    budget and ``candidates`` count those supports' candidates.  Else,
+    and for every table that fails the check, the request runs as
+    undeclared."""
     X, sel = [1 << w for w in h.input_widths], 1 - enum
     M, B = 1 << h.m, 1 << b
     family = math.comb(X[enum], Ks[enum]) * (
         B ** Ks[enum] if maps is None else len(maps))
     S1s, J = math.comb(X[sel], Ks[sel]), M * B
-    required = family * (1 if strong is not None else
-                         (1 << J) - 2 if 1 << J <= S1s else S1s)
+    per = (1 if strong is not None else
+           (1 << J) - 2 if 1 << J <= S1s else S1s)  # candidates per support
+    required = family * per
     free = 0  # map-free candidates: S1s x output events (T_e)
     if strong is None and maps is None and b:
         events = math.comb(1 << M, min(B, 1 << M))
         if events * min(B, 1 << M) * X[enum] <= EVENT_ENTRIES:
             free = S1s * events
     mapfree = 0 < free <= required
-    mode = _resolve_mode(mode, free if mapfree else required, budget, what)
+    reps = 0  # enumerated supports, one or more per GL(n,2) orbit
+    if h.symmetry and not b and maps is None:
+        count = _count(X[enum], Ks[enum], orbits=True)
+        n = h.input_widths[enum]  # the check reads n(n-1) 4^n entries
+        if (n * (n - 1) << n < (family - count) * Ks[enum] and _resolve_mode(
+                mode, count * per, budget, what) == "exhaustive"):
+            table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
+            reps = count if _gl_invariant(table2d) else 0
+    mode = "exhaustive" if reps else _resolve_mode(
+        mode, free if mapfree else required, budget, what)
     if mode == "sampled" and pairs:
         return _two_source_sampled(h, Ks, strong, samples, seed)
     if table2d is None:
         table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
+    if reps:  # a witness support is a representative, listed ascending
+        rep, supports, _ = _selected_worst(
+            table2d, Ks, h.m, strong, enum,
+            supports2=_supports(X[enum], Ks[enum], orbits=True))
+        supports[enum] = sorted(supports[enum])
+        rep.enumerated, rep.symmetry, rep.representatives = (
+            family, h.symmetry, reps)
+        return rep, supports, None
     if mode == "exhaustive" and mapfree:
         rep, supports, _ = _selected_worst(
             table2d, Ks, h.m, None, sel,

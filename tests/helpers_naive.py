@@ -70,6 +70,28 @@ def naive_instance_error(fn, m, supports, strong=(), leak_source=None,
     return naive_tv_from_uniform(cells, total, m)
 
 
+def naive_gl_orbits(n, K) -> list:
+    """The orbits of GL(n,2) acting on the ``K``-subsets of F_2^n (as
+    integers below 2^n), each a set of sorted tuples.  A matrix is the
+    tuple of its column images; the invertible ones are those whose map
+    x -> Ax hits every value."""
+    def apply(cols, x):
+        y = 0
+        for i, c in enumerate(cols):
+            if x >> i & 1:
+                y ^= c
+        return y
+    group = [cols for cols in itertools.product(range(1 << n), repeat=n)
+             if len({apply(cols, x) for x in range(1 << n)}) == 1 << n]
+    orbits, seen = [], set()
+    for s in itertools.combinations(range(1 << n), K):
+        if s not in seen:
+            orbit = {tuple(sorted(apply(g, x) for x in s)) for g in group}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
 def flat_supports(widths, ks):
     """Every flat support of each input, in ``itertools.combinations``
     order."""

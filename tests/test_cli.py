@@ -327,6 +327,18 @@ def test_netsim_report_volatile_block(cache_dir, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_netsim_exact_refuses_more_worlds_than_the_cap(cache_dir, tmp_path,
+                                                       capsys):
+    # The toy extpub config enumerates 16^7 = 2^28 worlds exactly: refused
+    # with the count (exit 4) instead of allocating them.
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
+                   "seed = 17\nprotocol = extpub\n")
+    assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache_dir,
+                   tmp_path / "out") == 4
+    assert "268435456 worlds" in capsys.readouterr().err
+
+
 def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
     from extractomat.oracle import BOOTSTRAP_RESAMPLES
     cfg = tmp_path / "micro.cfg"
@@ -432,14 +444,30 @@ def test_parser_reuse_matches_fresh_calls(cache_dir, tmp_path, capsys):
     assert shared == fresh
 
 
-def test_eval_reports_oracle_kernel(tmp_path, capsys):
-    # ip(4; 3, 2): 4 output events against C(16, 8) supports.
-    assert run_cli_nocache(["eval", "--extractor", "ip", "--n", "4", "--k1",
-                            "3", "--k2", "2"], tmp_path / "a") == 0
+def test_eval_reports_oracle_kernel(tmp_path, capsys, monkeypatch):
+    # ip(4; 3, 2) on a handle that does not declare its GL(4,2) symmetry:
+    # 2 output events (of 4 cells) against C(16, 8) supports, per each of
+    # the C(16, 4) supports of X2.
+    from extractomat import extractors
+    ip = extractors.ip_handle
+    monkeypatch.setattr(extractors, "ip_handle", lambda n, k1, k2: (
+        extractors.table_handle("ip", "2-source", (n, n), 1, ip(n).table())))
+    argv = ["eval", "--extractor", "ip", "--n", "4", "--k1", "3", "--k2", "2"]
+    assert run_cli_nocache(argv, tmp_path / "a") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["volatile"]["kernel"] == "events"
     assert report["volatile"]["candidates"] == 2 * 1820
+    assert "symmetry" not in report["volatile"]
     assert report["error_exact"] == "5/16"
+    # ip_handle declares it: 7 supports of X2 cover every orbit.
+    monkeypatch.undo()
+    assert run_cli_nocache(argv, tmp_path / "a2") == 0
+    declared = json.loads(capsys.readouterr().out)
+    assert declared["volatile"] == {**declared["volatile"], "kernel": "events",
+                                    "candidates": 2 * 7, "symmetry": "GL(n,2)",
+                                    "representatives": 7}
+    for key in ("mode", "error", "error_exact", "enumerated"):
+        assert declared[key] == report[key]
     # deor(3, 2; 3, 2): 16 events against a single full-entropy support.
     assert run_cli_nocache(["eval", "--extractor", "deor", "--n", "3", "--m",
                             "2", "--k1", "3", "--k2", "2"], tmp_path / "b") == 0

@@ -402,6 +402,21 @@ def test_over_bound_denominator_raises():
         excess_over_uniform([1 << 61, 1 << 61], [0, 0], 1)
 
 
+def test_enumerate_worlds_counts_the_worlds_before_building_them(
+        monkeypatch):
+    # The product of the support sizes is checked against MAX_WORLDS
+    # before any array is built: 16^7 = 2^28 worlds refuse at once.
+    from extractomat import leakage
+    from extractomat.sources import FlatSource
+    flat = FlatSource(6, range(16)).to_distribution(exact=True)
+    with pytest.raises(SizeLimitError, match="268435456 worlds"):
+        enumerate_worlds([flat] * 7)
+    monkeypatch.setattr(leakage, "MAX_WORLDS", 16 ** 3)
+    assert len(enumerate_worlds([flat] * 3)[1]) == 16 ** 3
+    with pytest.raises(SizeLimitError, match="65536 worlds"):
+        enumerate_worlds([flat] * 4)
+
+
 # ----------------------------------------------------------------------
 # dense row ids and the excess of per-world columns
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from extractomat import oracle as oracle_mod
 from extractomat.dist import JointDistribution, excess_over_uniform
 from extractomat.errors import (BudgetExceededError, InvalidInputError,
                                 SizeLimitError)
-from extractomat.extractors import (deor_handle, ip_handle, table_handle,
+from extractomat.extractors import (GL_SYMMETRY, ExtractorHandle,
+                                    deor_handle, ip_handle, table_handle,
                                     toeplitz_handle)
 from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_2source,
@@ -32,7 +33,8 @@ from helpers_naive import (flat_supports, naive_dense_ids,
                            naive_worst_block_general,
                            naive_worst_leaked_2source,
                            naive_worst_leaked_seeded, naive_worst_multi,
-                           naive_worst_seeded, naive_xor_lemma, parity)
+                           naive_worst_seeded, naive_xor_lemma, parity,
+                           naive_gl_orbits)
 
 
 def _identity_2source(n):
@@ -119,8 +121,10 @@ def test_budget_exceeded_reports_required():
     # The budget counts the candidates the kernel scores: per support of
     # the enumerated input (X2, X1 when X2 is revealed) one top-K1 pick
     # if strong, else the 2^(2^m) - 2 output events where they are fewer
-    # than the S1 supports, else every S1 support.
-    h = ip_handle(4)
+    # than the S1 supports, else every S1 support.  The inner product's
+    # table on a handle that does not declare its GL(4,2) symmetry:
+    ip = ip_handle(4)
+    h = table_handle("ip", "2-source", (4, 4), 1, ip.table())
     with pytest.raises(BudgetExceededError) as exc:
         worst_case_error_2source(h, 2, 2, None, budget=10)
     assert exc.value.required == math.comb(16, 4) * 2
@@ -128,10 +132,15 @@ def test_budget_exceeded_reports_required():
     for h, strong, kernel, count in (
             (h, None, "events", math.comb(16, 4) * 2),
             (h, 1, "events", math.comb(16, 4)),
-            (m3, None, "supports", math.comb(8, 4) * math.comb(8, 4))):
+            (m3, None, "supports", math.comb(8, 4) * math.comb(8, 4)),
+            # ip_handle declares it: 7 supports of the enumerated input
+            (ip, None, "events", 7 * 2),
+            (ip, 1, "events", 7)):
         rep = worst_case_error_2source(h, 2, 2, strong, budget=count)
         assert rep.mode == "exhaustive" and rep.candidates == count
         assert rep.kernel == kernel
+        assert rep.representatives == (7 if h is ip else 0)
+        assert rep.enumerated == math.comb(8 if h is m3 else 16, 4)
         with pytest.raises(BudgetExceededError) as exc:
             worst_case_error_2source(h, 2, 2, strong, budget=count - 1)
         assert exc.value.required == count
@@ -1388,3 +1397,149 @@ def test_worst_case_reports_carry_what_was_measured():
             assert d["notes"] == ("" if mode == "exhaustive" else
                                   "sampled max: lower bound on worst case")
             assert isinstance(rep.error, Fraction if exact else float)
+
+
+# ----------------------------------------------------------------------
+# GL(n,2) symmetry: one or more enumerated supports per orbit
+# ----------------------------------------------------------------------
+
+def _undeclared(h):
+    return table_handle(h.name, "2-source", h.input_widths, h.m, h.table())
+
+
+def _declared(n, table):
+    return ExtractorHandle("gl", "2-source", (n, n), 1, (n, n), 1.0,
+                           table=table, symmetry=GL_SYMMETRY)
+
+
+def _equal_reports(a, b):
+    da, db = a.to_json_dict(), b.to_json_dict()
+    del da["volatile"], db["volatile"]
+    return da == db
+
+
+def test_orbit_supports_cover_every_orbit():
+    # For n <= 3 and every K: the supports are distinct K-subsets, their
+    # count is sum_d C(2^d - d, K - d), and each orbit of GL(n,2) (found
+    # by brute force over the group) holds at least one of them.
+    for n in (1, 2, 3):
+        for K in range(1, (1 << n) + 1):
+            count = oracle_mod._count(1 << n, K, True)
+            reps = [tuple(sorted(s)) for s in oracle_mod._subsets(1 << n, K,
+                                                                   True)]
+            assert len(reps) == len(set(reps)) == count == sum(
+                math.comb((1 << d) - d, K - d) for d in range(min(n, K) + 1))
+            assert all(len(set(s)) == K and max(s) < 1 << n for s in reps)
+            orbits = naive_gl_orbits(n, K)
+            assert all(orbit & set(reps) for orbit in orbits)
+            assert count >= len(orbits)
+    table = oracle_mod._supports(16, 4, True)
+    assert table.shape == (7, 4) and not table.flags.writeable
+    assert table is oracle_mod._supports(16, 4, True)
+
+
+def test_declared_symmetry_equals_the_plain_oracle():
+    # Every n <= 4 instance (each k1, k2 and strong None/0/1): the declared
+    # handle reports what an undeclared one over the same table does, but
+    # for the witness, which re-scores to the error.  n = 2, and enumerated
+    # inputs of one point or one support, run plain: the check would read
+    # more entries than the enumeration it saves.
+    reduced = 0
+    for n in (2, 3, 4):
+        h = ip_handle(n)
+        plain = _undeclared(h)
+        fn = lambda x, y: parity(x & y)
+        for k1, k2, strong in itertools.product(range(n + 1), range(n + 1),
+                                                (None, 0, 1)):
+            rep = worst_case_error_2source(h, k1, k2, strong)
+            ref = worst_case_error_2source(plain, k1, k2, strong)
+            assert (rep.mode, rep.error, rep.enumerated) == (
+                ref.mode, ref.error, ref.enumerated)
+            supports = rep.witness["supports"]
+            assert [len(s) for s in supports] == [1 << k1, 1 << k2]
+            assert all(s == sorted(set(s)) for s in supports)
+            assert naive_instance_error(
+                fn, 1, supports, () if strong is None else (strong,)
+            ) == rep.error
+            if rep.symmetry:
+                reduced += 1
+                assert rep.representatives < rep.enumerated
+                assert rep.candidates < ref.candidates
+                assert rep.to_json_dict()["volatile"]["representatives"] == (
+                    rep.representatives)
+            else:
+                assert _equal_reports(rep, ref)
+                assert "symmetry" not in rep.to_json_dict()["volatile"]
+    assert reduced == 24 + 45  # k of the enumerated input: 1-2 (n=3), 1-3
+
+
+def test_deor_one_bit_declares_the_inner_product_symmetry():
+    # deor(n, 1) is the inner product's table bit for bit, and the check
+    # proves its declaration; m >= 2 declares nothing.
+    assert deor_handle(4, 2).symmetry is None
+    for n in (3, 4):
+        h = deor_handle(n, 1)
+        assert h.symmetry == GL_SYMMETRY
+        assert np.array_equal(h.table(), ip_handle(n).table())
+        assert oracle_mod._gl_invariant(
+            h.table().astype(np.int64).reshape(1 << n, -1))
+        plain = _undeclared(h)
+        for k1, k2, strong in itertools.product(range(1, n), range(1, n),
+                                                (None, 0, 1)):
+            rep = worst_case_error_2source(h, k1, k2, strong)
+            ref = worst_case_error_2source(plain, k1, k2, strong)
+            assert rep.error == ref.error and rep.representatives > 0
+            assert exact_distance(
+                h, [FlatSource(n, s) for s in rep.witness["supports"]],
+                strong=() if strong is None else (strong,)) == rep.error
+
+
+def test_a_table_that_fails_the_check_runs_plain():
+    # The inner product with one entry flipped, and random tables, declared
+    # symmetric: the check refuses them, and the reports equal an
+    # undeclared handle's, witness and candidates included.
+    rng = np.random.default_rng(61)
+    tables = []
+    for n in (3, 4):
+        t = ip_handle(n).table().copy()
+        t[rng.integers(1, 1 << 2 * n)] ^= 1
+        tables += [(n, t)] + [(n, rng.integers(0, 2, 1 << 2 * n,
+                                                dtype=np.uint32))
+                              for _ in range(3)]
+    for n, t in tables:
+        assert not oracle_mod._gl_invariant(
+            t.astype(np.int64).reshape(1 << n, -1))
+        h = _declared(n, t)
+        for k1, k2, strong in ((2, 2, None), (n - 1, 2, 0), (2, n - 1, 1)):
+            rep = worst_case_error_2source(h, k1, k2, strong)
+            ref = worst_case_error_2source(_undeclared(h), k1, k2, strong)
+            assert _equal_reports(rep, ref)
+            assert (rep.symmetry, rep.representatives, rep.candidates) == (
+                "", 0, ref.candidates)
+
+
+def test_declared_symmetry_reaches_ip5_and_ip6():
+    # ip(5; 3, 3) and ip(6; 5, 3), pinned: 3,421 and 5,074 supports of the
+    # enumerated input instead of C(32, 8) and C(64, 8).
+    for n, k1, k2, strong, error, reps in (
+            (5, 3, 3, None, Fraction(5, 16), 3421),
+            (5, 3, 3, 0, Fraction(5, 16), 3421),
+            (6, 5, 3, None, Fraction(13, 64), 5074)):
+        h = ip_handle(n)
+        rep = worst_case_error_2source(h, k1, k2, strong)
+        assert (rep.mode, rep.error, rep.representatives) == (
+            "exhaustive", error, reps)
+        assert rep.enumerated == math.comb(1 << n, 1 << k2)
+        assert exact_distance(
+            h, [FlatSource(n, s) for s in rep.witness["supports"]],
+            strong=() if strong is None else (strong,)) == error
+
+
+def test_handles_refuse_a_symmetry_they_cannot_have():
+    t = ip_handle(2).table()
+    for kind, widths, symmetry in (("2-source", (2, 2), "S_n"),
+                                   ("seeded", (2, 2), GL_SYMMETRY),
+                                   ("2-source", (3, 1), GL_SYMMETRY)):
+        with pytest.raises(InvalidInputError, match="symmetry"):
+            ExtractorHandle("x", kind, widths, 1, widths, 1.0, table=t,
+                            symmetry=symmetry)
