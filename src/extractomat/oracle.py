@@ -154,8 +154,8 @@ def _count(space: int, size: int, orbits: bool = False) -> int:
 @functools.cache
 def _support_table(space: int, K: int, orbits: bool = False) -> np.ndarray:
     """``_subsets(space, K, orbits)`` as a read-only int64 table built once
-    per process.  Kernel spaces and sizes are powers of two: every table
-    under the bound takes 12.6 MB at most."""
+    per process; ``_supports`` keeps it within ``SUPPORT_TABLE_ENTRIES``
+    entries (2 MiB)."""
     rows = _count(space, K, orbits)
     table = np.fromiter(itertools.chain.from_iterable(
         _subsets(space, K, orbits)), np.int64, count=rows * K).reshape(rows, K)
