@@ -100,7 +100,6 @@ def _toeplitz_rows(n: int, m: int, seed) -> list:
 # ----------------------------------------------------------------------
 
 KINDS = ("seeded", "2-source", "t-source")
-GL_SYMMETRY = "GL(n,2)"  # T[Ax, A^-T y] = T[x, y] for every A in GL(n, 2)
 
 
 class ExtractorHandle:
@@ -131,17 +130,12 @@ class ExtractorHandle:
     table : array or callable
         The truth table, or a zero-argument function that builds it on
         first use.
-    symmetry : str or None
-        ``"GL(n,2)"`` declares T[Ax, A^-T y] = T[x, y] for every invertible
-        A over GF(2) (two inputs of equal width), as the inner product
-        satisfies; the oracle checks the table before it relies on it.
     """
 
     def __init__(self, name: str, kind: str, input_widths, m: int,
                  k_profile, eps: float, strong: Iterable[int] = (),
                  provenance: str = "explicit", record=None,
-                 table: np.ndarray | Callable[[], np.ndarray] | None = None,
-                 symmetry: str | None = None):
+                 table: np.ndarray | Callable[[], np.ndarray] | None = None):
         if kind not in KINDS:
             raise InvalidInputError(f"kind must be one of {KINDS}")
         input_widths = tuple(int(w) for w in input_widths)
@@ -161,11 +155,6 @@ class ExtractorHandle:
             raise InvalidInputError("strong indices must name inputs")
         if table is None:
             raise InvalidInputError("a handle needs a truth table")
-        if symmetry is not None and (symmetry != GL_SYMMETRY
-                                     or kind != "2-source"
-                                     or len(set(input_widths)) != 1):
-            raise InvalidInputError(f"symmetry must be None or {GL_SYMMETRY} "
-                                    f"on a 2-source handle of equal widths")
         self.name = name
         self.kind = kind
         self.input_widths = input_widths
@@ -175,7 +164,6 @@ class ExtractorHandle:
         self.strong = strong
         self.provenance = provenance
         self.record = record
-        self.symmetry = symmetry
         self._build = table if callable(table) else None
         self._table = None if callable(table) else self._checked(table)
 
@@ -292,7 +280,7 @@ def ip_handle(n: int, k1: float | None = None, k2: float | None = None) -> Extra
     return ExtractorHandle(
         f"ip[n={n}]", "2-source", (n, n), 1, (k1, k2),
         deor_declared_eps(n, k1, k2, 1), strong=(0, 1),
-        provenance="explicit", table=build, symmetry=GL_SYMMETRY)
+        provenance="explicit", table=build)
 
 
 def deor_handle(n: int, m: int, k1: float | None = None,
@@ -314,8 +302,7 @@ def deor_handle(n: int, m: int, k1: float | None = None,
     return ExtractorHandle(
         f"deor[n={n},m={m}]", "2-source", (n, n), m, (k1, k2),
         deor_declared_eps(n, k1, k2, m), strong=(0, 1),
-        provenance="explicit", table=build,
-        symmetry=GL_SYMMETRY if m == 1 else None)  # m = 1: the inner product
+        provenance="explicit", table=build)
 
 
 def toeplitz_handle(n: int, m: int, k: float | None = None) -> ExtractorHandle:

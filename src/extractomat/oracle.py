@@ -34,9 +34,10 @@ support's working array, its leak rows times its cells or candidates,
 is capped apart (``SUPPORT_ENTRIES``).  The two-source, seeded and
 leaked oracles share one enumerate-and-select step, ``_side_worst``,
 which states their budget, resolves their mode and makes their map-free
-choice.  A handle may declare the inner product's GL(n,2) symmetry; once
-the table is checked, its leak-free exhaustive requests enumerate one or
-more supports per orbit instead of every support.
+choice.  On a square table that has the inner product's GL(n,2)
+symmetry, checked before it is relied on, leak-free exhaustive two-source
+requests enumerate one or more supports per orbit instead of every
+support.
 
 Sampled mode draws random flat supports, all of a path's in one
 vectorised sampler (``_sample_supports``), and scores each draw exactly;
@@ -70,6 +71,7 @@ SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
 EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
 SUPPORT_ENTRIES = 1 << 24  # largest working array of one support, refused past
 DEFAULT_SAMPLES = 200
+GL_SYMMETRY = "GL(n,2)"  # T[Ax, A^-T y] = T[x, y] for every A in GL(n,2)
 
 
 @dataclass
@@ -190,32 +192,30 @@ def _chunks(supports, space: int, size: int, chunk: int):
 
 @functools.cache
 def _transvections(n: int) -> tuple:
-    """Value maps of the n(n-1) transvections of F_2^n, one row each: bit
-    i of x flips where bit j is set, and bit j of y where bit i is (i !=
-    j), i.e. x -> Ax and y -> A^-T y.  They generate GL(n,2).  Returns
-    ``(xs, ys, moved)``, ``moved`` the table positions (Ax, A^-T y) of
-    every (x, y) and transvection where they fit in
-    ``SUPPORT_TABLE_ENTRIES`` entries, else None."""
+    """The n(n-1) transvections of F_2^n, which generate GL(n,2), as the
+    rows (t, x) of the check: ``ts`` numbers the transvection, ``xs`` the
+    value x and ``axs`` holds Ax (bit i of x flipped where bit j is set);
+    ``ys[t]`` maps every y to A^-T y (bit j flipped where bit i is set),
+    i != j."""
     v = np.arange(1 << n)
     i, j = np.array(list(itertools.permutations(range(n), 2)),
                     np.int64).reshape(-1, 2).T[:, :, None]
-    xs, ys = v ^ ((v >> j) & 1) << i, v ^ ((v >> i) & 1) << j
-    fits = len(xs) << 2 * n <= SUPPORT_TABLE_ENTRIES
-    return xs, ys, xs[:, :, None] << n | ys[:, None, :] if fits else None
+    ts, xs = np.divmod(np.arange(len(i) << n), 1 << n)
+    return ts, xs, (v ^ ((v >> j) & 1) << i).ravel(), v ^ ((v >> i) & 1) << j
 
 
 def _gl_invariant(table2d) -> bool:
     """Whether T[Ax, A^-T y] = T[x, y] for every A in GL(n,2), on a square
-    table of 2^n rows: checked on the generators, the table read through
-    each transvection against itself in integers; past the cached
-    positions, one transvection and ``CHUNK_ENTRIES`` entries at a time."""
+    table of 2^n rows: checked on the generators, row x of the table
+    against row Ax read through A^-T, in integers, ``CHUNK_ENTRIES``
+    entries at a time in transvection order, up to the first mismatch."""
     N = len(table2d)
-    xs, ys, moved = _transvections(N.bit_length() - 1)
-    if moved is not None:
-        return bool((table2d.take(moved) == table2d).all())
-    rows = max(1, CHUNK_ENTRIES // N)
-    return all((table2d[x[r:r + rows, None], y] == table2d[r:r + rows]).all()
-               for x, y in zip(xs, ys) for r in range(0, N, rows))
+    n = N.bit_length() - 1
+    ts, xs, axs, ys = _transvections(n)
+    flat, rows = table2d.ravel(), max(1, CHUNK_ENTRIES // N)
+    return all((flat.take(axs[a:a + rows, None] << n | ys[ts[a:a + rows]])
+                == table2d[xs[a:a + rows]]).all()
+               for a in range(0, xs.size, rows))
 
 
 def _fit(entries: int) -> int:
@@ -459,17 +459,17 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
     ``(report, supports, leak_map or None)``; an exhaustive report's
     ``enumerated`` counts the family searched.
 
-    A leak-free request on a handle that declares its ``symmetry``
-    (T[Ax, A^-T y] = T[x, y] for every A in GL(n,2)) enumerates one or
-    more supports per orbit, ``_subsets(..., orbits=True)``, where that
-    runs exhaustively, the check reads fewer table entries than the rows
-    of the supports it skips, and ``_gl_invariant`` proves the
-    declaration on the table.  (Ax, A^-T y) relabels both inputs'
-    values, and the selected input ranges over all its rows, so the
-    worst case at an enumerated support is constant on its orbit.  The
-    budget and ``candidates`` count those supports' candidates.  Else,
-    and for every table that fails the check, the request runs as
-    undeclared."""
+    A leak-free two-source request on a square table enumerates one or
+    more supports per orbit of GL(n,2), ``_subsets(..., orbits=True)``,
+    where their candidates fit the budget of an exhaustive or auto run,
+    the check reads fewer table entries than the supports it skips, and
+    ``_gl_invariant`` finds T[Ax, A^-T y] = T[x, y] for every A in
+    GL(n,2), as the inner product's table satisfies.  (Ax, A^-T y)
+    relabels both inputs' values, and the selected input ranges over all
+    its rows, so the worst case at an enumerated support is constant on
+    its orbit.  ``candidates`` counts those supports' candidates.  Every
+    other request, a refused one included, states the plain count: the
+    check is not run on a table the request will not read."""
     X, sel = [1 << w for w in h.input_widths], 1 - enum
     M, B = 1 << h.m, 1 << b
     family = math.comb(X[enum], Ks[enum]) * (
@@ -485,11 +485,14 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
             free = S1s * events
     mapfree = 0 < free <= required
     reps = 0  # enumerated supports, one or more per GL(n,2) orbit
-    if h.symmetry and not b and maps is None:
+    if (h.kind == "2-source" and X[0] == X[1] and not b and maps is None
+            and mode in ("exhaustive", "auto")):
         count = _count(X[enum], Ks[enum], orbits=True)
-        n = h.input_widths[enum]  # the check reads n(n-1) 4^n entries
-        if (n * (n - 1) << n < (family - count) * Ks[enum] and _resolve_mode(
-                mode, count * per, budget, what) == "exhaustive"):
+        # the check reads n(n-1) 2^n rows of 2^n entries, a skipped
+        # support K rows of the same length
+        n = h.input_widths[enum]
+        if (count * per <= budget
+                and n * (n - 1) << n < (family - count) * Ks[enum]):
             table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
             reps = count if _gl_invariant(table2d) else 0
     mode = "exhaustive" if reps else _resolve_mode(
@@ -504,7 +507,7 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
             supports2=_supports(X[enum], Ks[enum], orbits=True))
         supports[enum] = sorted(supports[enum])
         rep.enumerated, rep.symmetry, rep.representatives = (
-            family, h.symmetry, reps)
+            family, GL_SYMMETRY, reps)
         return rep, supports, None
     if mode == "exhaustive" and mapfree:
         rep, supports, _ = _selected_worst(

@@ -70,26 +70,45 @@ def naive_instance_error(fn, m, supports, strong=(), leak_source=None,
     return naive_tv_from_uniform(cells, total, m)
 
 
+def _gl_apply(cols, x) -> int:
+    """A x over GF(2), the matrix A given as the tuple of its columns."""
+    y = 0
+    for i, c in enumerate(cols):
+        if x >> i & 1:
+            y ^= c
+    return y
+
+
+def naive_gl_group(n) -> list:
+    """Every invertible n x n matrix over GF(2) as the tuple of its column
+    images: those whose map x -> Ax hits every value."""
+    return [cols for cols in itertools.product(range(1 << n), repeat=n)
+            if len({_gl_apply(cols, x) for x in range(1 << n)}) == 1 << n]
+
+
 def naive_gl_orbits(n, K) -> list:
     """The orbits of GL(n,2) acting on the ``K``-subsets of F_2^n (as
-    integers below 2^n), each a set of sorted tuples.  A matrix is the
-    tuple of its column images; the invertible ones are those whose map
-    x -> Ax hits every value."""
-    def apply(cols, x):
-        y = 0
-        for i, c in enumerate(cols):
-            if x >> i & 1:
-                y ^= c
-        return y
-    group = [cols for cols in itertools.product(range(1 << n), repeat=n)
-             if len({apply(cols, x) for x in range(1 << n)}) == 1 << n]
+    integers below 2^n), each a set of sorted tuples."""
+    group = naive_gl_group(n)
     orbits, seen = [], set()
     for s in itertools.combinations(range(1 << n), K):
         if s not in seen:
-            orbit = {tuple(sorted(apply(g, x) for x in s)) for g in group}
+            orbit = {tuple(sorted(_gl_apply(g, x) for x in s)) for g in group}
             seen |= orbit
             orbits.append(orbit)
     return orbits
+
+
+def naive_gl_invariant(fn, n) -> bool:
+    """Whether fn(Ax, A^-T y) = fn(x, y) for every invertible A over
+    GF(2), checked over the whole group in the equivalent form
+    fn(Ax, y) = fn(x, A^T y), where bit i of A^T y is <A e_i, y>."""
+    for cols in naive_gl_group(n):
+        for x, y in itertools.product(range(1 << n), repeat=2):
+            aty = sum(parity(c & y) << i for i, c in enumerate(cols))
+            if fn(_gl_apply(cols, x), y) != fn(x, aty):
+                return False
+    return True
 
 
 def flat_supports(widths, ks):

@@ -445,13 +445,11 @@ def test_parser_reuse_matches_fresh_calls(cache_dir, tmp_path, capsys):
 
 
 def test_eval_reports_oracle_kernel(tmp_path, capsys, monkeypatch):
-    # ip(4; 3, 2) on a handle that does not declare its GL(4,2) symmetry:
-    # 2 output events (of 4 cells) against C(16, 8) supports, per each of
-    # the C(16, 4) supports of X2.
-    from extractomat import extractors
-    ip = extractors.ip_handle
-    monkeypatch.setattr(extractors, "ip_handle", lambda n, k1, k2: (
-        extractors.table_handle("ip", "2-source", (n, n), 1, ip(n).table())))
+    # ip(4; 3, 2) with its GL(4,2) symmetry check failing: 2 output events
+    # (of 4 cells) against C(16, 8) supports, per each of the C(16, 4)
+    # supports of X2.
+    from extractomat import oracle
+    monkeypatch.setattr(oracle, "_gl_invariant", lambda table2d: False)
     argv = ["eval", "--extractor", "ip", "--n", "4", "--k1", "3", "--k2", "2"]
     assert run_cli_nocache(argv, tmp_path / "a") == 0
     report = json.loads(capsys.readouterr().out)
@@ -459,7 +457,7 @@ def test_eval_reports_oracle_kernel(tmp_path, capsys, monkeypatch):
     assert report["volatile"]["candidates"] == 2 * 1820
     assert "symmetry" not in report["volatile"]
     assert report["error_exact"] == "5/16"
-    # ip_handle declares it: 7 supports of X2 cover every orbit.
+    # The check passes: 7 supports of X2 cover every orbit.
     monkeypatch.undo()
     assert run_cli_nocache(argv, tmp_path / "a2") == 0
     declared = json.loads(capsys.readouterr().out)

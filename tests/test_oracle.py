@@ -14,8 +14,7 @@ from extractomat import oracle as oracle_mod
 from extractomat.dist import JointDistribution, excess_over_uniform
 from extractomat.errors import (BudgetExceededError, InvalidInputError,
                                 SizeLimitError)
-from extractomat.extractors import (GL_SYMMETRY, ExtractorHandle,
-                                    deor_handle, ip_handle, table_handle,
+from extractomat.extractors import (deor_handle, ip_handle, table_handle,
                                     toeplitz_handle)
 from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_2source,
@@ -34,7 +33,7 @@ from helpers_naive import (flat_supports, naive_dense_ids,
                            naive_worst_leaked_2source,
                            naive_worst_leaked_seeded, naive_worst_multi,
                            naive_worst_seeded, naive_xor_lemma, parity,
-                           naive_gl_orbits)
+                           naive_gl_invariant, naive_gl_orbits)
 
 
 def _identity_2source(n):
@@ -122,20 +121,24 @@ def test_budget_exceeded_reports_required():
     # the enumerated input (X2, X1 when X2 is revealed) one top-K1 pick
     # if strong, else the 2^(2^m) - 2 output events where they are fewer
     # than the S1 supports, else every S1 support.  The inner product's
-    # table on a handle that does not declare its GL(4,2) symmetry:
+    # table with one entry flipped lacks its GL(4,2) symmetry, so every
+    # support is enumerated:
     ip = ip_handle(4)
-    h = table_handle("ip", "2-source", (4, 4), 1, ip.table())
+    t = ip.table().copy()
+    t[0x5a] ^= 1
+    h = table_handle("ip-flipped", "2-source", (4, 4), 1, t)
     with pytest.raises(BudgetExceededError) as exc:
         worst_case_error_2source(h, 2, 2, None, budget=10)
     assert exc.value.required == math.comb(16, 4) * 2
     m3, _ = _random_table(np.random.default_rng(55), (3, 3), 3)
-    for h, strong, kernel, count in (
-            (h, None, "events", math.comb(16, 4) * 2),
-            (h, 1, "events", math.comb(16, 4)),
-            (m3, None, "supports", math.comb(8, 4) * math.comb(8, 4)),
-            # ip_handle declares it: 7 supports of the enumerated input
-            (ip, None, "events", 7 * 2),
-            (ip, 1, "events", 7)):
+    for h, strong, kernel, count, plain in (
+            (h, None, "events", math.comb(16, 4) * 2, None),
+            (h, 1, "events", math.comb(16, 4), None),
+            (m3, None, "supports", math.comb(8, 4) * math.comb(8, 4), None),
+            # the inner product: 7 supports of the enumerated input, and a
+            # refusal states the plain count
+            (ip, None, "events", 7 * 2, math.comb(16, 4) * 2),
+            (ip, 1, "events", 7, math.comb(16, 4))):
         rep = worst_case_error_2source(h, 2, 2, strong, budget=count)
         assert rep.mode == "exhaustive" and rep.candidates == count
         assert rep.kernel == kernel
@@ -143,7 +146,7 @@ def test_budget_exceeded_reports_required():
         assert rep.enumerated == math.comb(8 if h is m3 else 16, 4)
         with pytest.raises(BudgetExceededError) as exc:
             worst_case_error_2source(h, 2, 2, strong, budget=count - 1)
-        assert exc.value.required == count
+        assert exc.value.required == (plain or count)
         assert worst_case_error_2source(h, 2, 2, strong, mode="auto",
                                         budget=count - 1).mode == "sampled"
 
@@ -1403,19 +1406,22 @@ def test_worst_case_reports_carry_what_was_measured():
 # GL(n,2) symmetry: one or more enumerated supports per orbit
 # ----------------------------------------------------------------------
 
-def _undeclared(h):
-    return table_handle(h.name, "2-source", h.input_widths, h.m, h.table())
-
-
-def _declared(n, table):
-    return ExtractorHandle("gl", "2-source", (n, n), 1, (n, n), 1.0,
-                           table=table, symmetry=GL_SYMMETRY)
+def _plain(monkeypatch, h, *args):
+    """The report of the oracle with the symmetry check failing."""
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle_mod, "_gl_invariant", lambda table2d: False)
+        return worst_case_error_2source(h, *args)
 
 
 def _equal_reports(a, b):
     da, db = a.to_json_dict(), b.to_json_dict()
     del da["volatile"], db["volatile"]
     return da == db
+
+
+def _square(table):
+    return np.asarray(table, dtype=np.int64).reshape(
+        1 << (len(table).bit_length() - 1) // 2, -1)
 
 
 def test_orbit_supports_cover_every_orbit():
@@ -1438,21 +1444,76 @@ def test_orbit_supports_cover_every_orbit():
     assert table is oracle_mod._supports(16, 4, True)
 
 
-def test_declared_symmetry_equals_the_plain_oracle():
-    # Every n <= 4 instance (each k1, k2 and strong None/0/1): the declared
-    # handle reports what an undeclared one over the same table does, but
-    # for the witness, which re-scores to the error.  n = 2, and enumerated
-    # inputs of one point or one support, run plain: the check would read
-    # more entries than the enumeration it saves.
+def _class_table(n, m, rng):
+    """A random m-bit function of the GL(n,2) orbit of (x, y): x = 0,
+    y = 0, and ip(x, y) when neither is."""
+    out = rng.integers(0, 1 << m, 5)
+    x, y = np.divmod(np.arange(1 << 2 * n), 1 << n)
+    ip = np.array([parity(int(v)) for v in x & y])
+    return out[np.where(x == 0, np.where(y == 0, 0, 1),
+                        np.where(y == 0, 2, 3 + ip))].astype(np.uint32)
+
+
+def test_gl_check_agrees_with_the_whole_group():
+    # The check on the n(n-1) transvections against the brute-force check
+    # over every invertible matrix (n <= 3), on the inner product, on
+    # random functions of the orbit of (x, y), which have the symmetry,
+    # on those with one entry flipped and on random tables; in one read
+    # and in reads of one to a few rows, which split transvections.
+    rng = np.random.default_rng(67)
+    tables = []
+    for n in (2, 3):
+        ip = ip_handle(n).table()
+        flipped = ip.copy()
+        flipped[rng.integers(1, 1 << 2 * n)] ^= 1
+        tables += [(n, ip), (n, flipped)]
+        for m in (1, 2):
+            sym = _class_table(n, m, rng)
+            tables += [(n, sym), (n, rng.integers(0, 1 << m, 1 << 2 * n))]
+    verdicts = []
+    for n, t in tables:
+        expect = naive_gl_invariant(lambda x, y: int(t[x << n | y]), n)
+        verdicts.append(expect)
+        for chunk in (oracle_mod.CHUNK_ENTRIES, 1, 3 << n, 5 << n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle_mod, "CHUNK_ENTRIES", chunk)
+                assert oracle_mod._gl_invariant(_square(t)) == expect
+    assert verdicts.count(True) >= 6 and verdicts.count(False) >= 4
+
+
+def test_gl_check_in_reads_of_a_few_rows(monkeypatch):
+    # n = 3, 4 in reads of 1, 2 and 3 rows: the inner product passes; one
+    # entry flipped anywhere, and random tables, fail.
+    rng = np.random.default_rng(71)
+    for n in (3, 4):
+        ip = ip_handle(n).table()
+        flips = rng.choice(np.arange(1, 1 << 2 * n), 8, replace=False)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", rows << n)
+            assert oracle_mod._gl_invariant(_square(ip))
+            for i in flips:
+                t = ip.copy()
+                t[i] ^= 1
+                assert not oracle_mod._gl_invariant(_square(t))
+            for _ in range(3):
+                assert not oracle_mod._gl_invariant(
+                    _square(rng.integers(0, 2, 1 << 2 * n)))
+
+
+def test_symmetric_tables_equal_the_plain_oracle(monkeypatch):
+    # Every n <= 4 instance of the inner product (each k1, k2 and strong
+    # None/0/1) reports what the plain oracle does over the same table,
+    # but for the witness, which re-scores to the error.  n = 2, and
+    # enumerated inputs of one point or one support, run plain: the check
+    # would read more entries than the enumeration it saves.
     reduced = 0
     for n in (2, 3, 4):
         h = ip_handle(n)
-        plain = _undeclared(h)
         fn = lambda x, y: parity(x & y)
         for k1, k2, strong in itertools.product(range(n + 1), range(n + 1),
                                                 (None, 0, 1)):
             rep = worst_case_error_2source(h, k1, k2, strong)
-            ref = worst_case_error_2source(plain, k1, k2, strong)
+            ref = _plain(monkeypatch, h, k1, k2, strong)
             assert (rep.mode, rep.error, rep.enumerated) == (
                 ref.mode, ref.error, ref.enumerated)
             supports = rep.witness["supports"]
@@ -1471,33 +1532,44 @@ def test_declared_symmetry_equals_the_plain_oracle():
                 assert _equal_reports(rep, ref)
                 assert "symmetry" not in rep.to_json_dict()["volatile"]
     assert reduced == 24 + 45  # k of the enumerated input: 1-2 (n=3), 1-3
+    # Two-bit functions of the orbit of (x, y) reduce as well.
+    rng = np.random.default_rng(73)
+    for n in (3, 4):
+        t = _class_table(n, 2, rng)
+        h = table_handle("orbit-fn", "2-source", (n, n), 2, t)
+        fn = lambda x, y: int(t[x << n | y])
+        for k1, k2, strong in ((2, 1, None), (n - 1, 2, 0), (2, 2, 1)):
+            rep = worst_case_error_2source(h, k1, k2, strong)
+            assert rep.symmetry == "GL(n,2)"
+            assert rep.error == _plain(monkeypatch, h, k1, k2, strong).error
+            assert naive_instance_error(
+                fn, 2, rep.witness["supports"],
+                () if strong is None else (strong,)) == rep.error
 
 
-def test_deor_one_bit_declares_the_inner_product_symmetry():
+def test_deor_one_bit_reduces_as_the_inner_product(monkeypatch):
     # deor(n, 1) is the inner product's table bit for bit, and the check
-    # proves its declaration; m >= 2 declares nothing.
-    assert deor_handle(4, 2).symmetry is None
+    # finds its symmetry; deor(n, 2) lacks it and runs plain.
     for n in (3, 4):
         h = deor_handle(n, 1)
-        assert h.symmetry == GL_SYMMETRY
         assert np.array_equal(h.table(), ip_handle(n).table())
-        assert oracle_mod._gl_invariant(
-            h.table().astype(np.int64).reshape(1 << n, -1))
-        plain = _undeclared(h)
+        assert not oracle_mod._gl_invariant(_square(deor_handle(n, 2).table()))
+        rep2 = worst_case_error_2source(deor_handle(n, 2), 2, 2, None)
+        assert rep2.representatives == 0 and rep2.symmetry == ""
         for k1, k2, strong in itertools.product(range(1, n), range(1, n),
                                                 (None, 0, 1)):
             rep = worst_case_error_2source(h, k1, k2, strong)
-            ref = worst_case_error_2source(plain, k1, k2, strong)
+            ref = _plain(monkeypatch, h, k1, k2, strong)
             assert rep.error == ref.error and rep.representatives > 0
             assert exact_distance(
                 h, [FlatSource(n, s) for s in rep.witness["supports"]],
                 strong=() if strong is None else (strong,)) == rep.error
 
 
-def test_a_table_that_fails_the_check_runs_plain():
-    # The inner product with one entry flipped, and random tables, declared
-    # symmetric: the check refuses them, and the reports equal an
-    # undeclared handle's, witness and candidates included.
+def test_a_table_that_fails_the_check_runs_plain(monkeypatch):
+    # The inner product with one entry flipped, and random tables: the
+    # check refuses them, and the reports equal the plain oracle's,
+    # witness and candidates included.
     rng = np.random.default_rng(61)
     tables = []
     for n in (3, 4):
@@ -1507,18 +1579,26 @@ def test_a_table_that_fails_the_check_runs_plain():
                                                 dtype=np.uint32))
                               for _ in range(3)]
     for n, t in tables:
-        assert not oracle_mod._gl_invariant(
-            t.astype(np.int64).reshape(1 << n, -1))
-        h = _declared(n, t)
+        assert not oracle_mod._gl_invariant(_square(t))
+        h = table_handle("x", "2-source", (n, n), 1, t)
         for k1, k2, strong in ((2, 2, None), (n - 1, 2, 0), (2, n - 1, 1)):
             rep = worst_case_error_2source(h, k1, k2, strong)
-            ref = worst_case_error_2source(_undeclared(h), k1, k2, strong)
+            ref = _plain(monkeypatch, h, k1, k2, strong)
             assert _equal_reports(rep, ref)
             assert (rep.symmetry, rep.representatives, rep.candidates) == (
                 "", 0, ref.candidates)
+        # At a budget of the reduced count, exhaustive refuses with the
+        # plain count, the one a run of this table needs.
+        count = oracle_mod._count(1 << n, 4, True)
+        with pytest.raises(BudgetExceededError) as exc:
+            worst_case_error_2source(h, 2, 2, 1, budget=count)
+        assert exc.value.required == math.comb(1 << n, 4)
+        with pytest.raises(BudgetExceededError) as exc:
+            worst_case_error_2source(h, 2, 2, 1, budget=count - 1)
+        assert exc.value.required == math.comb(1 << n, 4)
 
 
-def test_declared_symmetry_reaches_ip5_and_ip6():
+def test_symmetry_reaches_ip5_and_ip6():
     # ip(5; 3, 3) and ip(6; 5, 3), pinned: 3,421 and 5,074 supports of the
     # enumerated input instead of C(32, 8) and C(64, 8).
     for n, k1, k2, strong, error, reps in (
@@ -1533,13 +1613,3 @@ def test_declared_symmetry_reaches_ip5_and_ip6():
         assert exact_distance(
             h, [FlatSource(n, s) for s in rep.witness["supports"]],
             strong=() if strong is None else (strong,)) == error
-
-
-def test_handles_refuse_a_symmetry_they_cannot_have():
-    t = ip_handle(2).table()
-    for kind, widths, symmetry in (("2-source", (2, 2), "S_n"),
-                                   ("seeded", (2, 2), GL_SYMMETRY),
-                                   ("2-source", (3, 1), GL_SYMMETRY)):
-        with pytest.raises(InvalidInputError, match="symmetry"):
-            ExtractorHandle("x", kind, widths, 1, widths, 1.0, table=t,
-                            symmetry=symmetry)
