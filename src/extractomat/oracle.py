@@ -194,14 +194,15 @@ def _chunks(supports, space: int, size: int, chunk: int):
 def _transvections(n: int) -> tuple:
     """The n(n-1) transvections of F_2^n, which generate GL(n,2), as the
     rows (t, x) of the check: ``ts`` numbers the transvection, ``xs`` the
-    value x and ``axs`` holds Ax (bit i of x flipped where bit j is set);
-    ``ys[t]`` maps every y to A^-T y (bit j flipped where bit i is set),
-    i != j."""
+    value x and the column ``axs`` holds the flat table offset of row Ax
+    (bit i of x flipped where bit j is set); ``ys[t]`` maps every y to
+    A^-T y (bit j flipped where bit i is set), i != j."""
     v = np.arange(1 << n)
     i, j = np.array(list(itertools.permutations(range(n), 2)),
                     np.int64).reshape(-1, 2).T[:, :, None]
     ts, xs = np.divmod(np.arange(len(i) << n), 1 << n)
-    return ts, xs, (v ^ ((v >> j) & 1) << i).ravel(), v ^ ((v >> i) & 1) << j
+    return (ts, xs, ((v ^ ((v >> j) & 1) << i) << n).reshape(-1, 1),
+            v ^ ((v >> i) & 1) << j)
 
 
 def _gl_invariant(table2d) -> bool:
@@ -210,10 +211,9 @@ def _gl_invariant(table2d) -> bool:
     against row Ax read through A^-T, in integers, ``CHUNK_ENTRIES``
     entries at a time in transvection order, up to the first mismatch."""
     N = len(table2d)
-    n = N.bit_length() - 1
-    ts, xs, axs, ys = _transvections(n)
+    ts, xs, axs, ys = _transvections(N.bit_length() - 1)
     flat, rows = table2d.ravel(), max(1, CHUNK_ENTRIES // N)
-    return all((flat.take(axs[a:a + rows, None] << n | ys[ts[a:a + rows]])
+    return all((flat.take(axs[a:a + rows] | ys[ts[a:a + rows]])
                 == table2d[xs[a:a + rows]]).all()
                for a in range(0, xs.size, rows))
 
