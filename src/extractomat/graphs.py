@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (BudgetExceededError, InvalidInputError,
 
 DEFAULT_VERIFY_BUDGET = 50_000_000
 DEFAULT_ATTEMPTS = 32
+_SCAN_CHUNK = 1024  # steps that one array pass of a frozen-state scan reads
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,10 @@ class BipartiteGraph:
     @classmethod
     def from_json(cls, s: str) -> "BipartiteGraph":
         d = json.loads(s)
+        missing = [k for k in ("l", "r", "d", "adj")
+                   if not isinstance(d, dict) or k not in d]
+        if missing:
+            raise InvalidInputError(f"graph JSON lacks {', '.join(missing)}")
         return cls(d["l"], d["r"], d["d"], tuple(tuple(n) for n in d["adj"]))
 
 
@@ -87,6 +93,13 @@ class Verdict:
         return self.ok
 
 
+def _fits(name: str, size: int, side: int) -> None:
+    """Refuse a rounded set size above its side, which no set can have."""
+    if size > side:
+        raise InvalidInputError(f"{name} too large: a rounded set size of "
+                                f"{size} exceeds its side of {side}")
+
+
 def _rule(kind: str, params: dict):
     """``kind``'s property as ``(size, lo, hi, t, applied)``: on right subsets
     of ``size``, a left vertex is bad when its neighbours in the subset number
@@ -96,6 +109,7 @@ def _rule(kind: str, params: dict):
         size = math.ceil(params["delta"] * r)
         if size < 0:
             raise InvalidInputError("delta must be >= 0")
+        _fits("delta", size, r)
         need = math.ceil(params["gamma"] * l)
         return size, d, d + 1, l + 1 - need, {"right_subset_size": size,
                                               "left_required": need}
@@ -104,6 +118,8 @@ def _rule(kind: str, params: dict):
         if size < 1 or t < 1:
             raise InvalidInputError(
                 "beta too small: rounded set sizes must be >= 1")
+        _fits("beta", size, r)
+        _fits("beta", t, l)
         return size, 1, d + 1, t, {"left_subset_size": t,
                                    "right_subset_size": size}
     # good: within eps of alpha, as counts (1e-9 absorbs float rounding)
@@ -111,6 +127,7 @@ def _rule(kind: str, params: dict):
     size = round(alpha * r)
     if size < 0:
         raise InvalidInputError("alpha must be >= 0")
+    _fits("alpha", size, r)
     return (size, math.ceil((alpha - eps) * d - 1e-9),
             math.floor((alpha + eps) * d + 1e-9) + 1, K + 1,
             {"t_size": size, "alpha": alpha, "deviation": "two-sided",
@@ -178,6 +195,7 @@ class SearchRecord:
     seed: int
     attempts: int
     steps: int
+    scanned: int  # steps that ``_raw_stream``'s scan skipped, within steps
 
 
 def _violation_rows(kind: str, params: dict, budget: int):
@@ -227,7 +245,20 @@ def _raw_stream(bitgen):
     half left by earlier draws comes next), and ``(word >> 11) * 2**-53``.
     ``draws(a, b, c)`` is ``integers(a), integers(b), integers(c)``, read at
     once from the block's next three halves when every high is > 1 and no
-    low product half is below its high (none is rejected), else one by one."""
+    low product half is below its high (none is rejected), else one by one.
+
+    ``scan(deltas, temp, limit)`` skips, in one array pass per chunk, the
+    annealing steps of a frozen state that are certain rejections, at most
+    ``limit`` of them; ``deltas[u, i, j]`` is the change of the violated
+    count by swap (u, i, j), with highs ``deltas.shape``, all > 1.  Such a
+    step reads ``draws(*deltas.shape)`` and one ``random()``; the scan stops
+    before the first step whose low product half is below ``2**32 % high``
+    (a Lemire rejection) or whose uniform is <= its bound
+    ``exp(-max(delta, 0) / max(temp, 1e-9))`` with a slack of 1e-9 that
+    covers ``np.exp`` against ``math.exp`` (a delta <= 0 has bound 1, above
+    every uniform).  It returns the steps skipped and the temperature after
+    them (``np.multiply.accumulate`` multiplies in order, as ``temp *=
+    0.999`` does)."""
     M, state = 0xFFFFFFFF, bitgen.state
     half = state["uinteger"] if state["has_uint32"] else None
     more = lambda: bitgen.random_raw(256).tolist()
@@ -265,7 +296,60 @@ def _raw_stream(bitgen):
             words, at = more(), 0
         at += 1
         return (words[at - 1] >> 11) * 2.0 ** -53
-    return integers, random, draws
+
+    def scan(deltas, temp, limit):
+        nonlocal words, at, half
+        highs = np.array(deltas.shape, dtype=np.uint64)
+        floors = np.array([(1 << 32) % h for h in deltas.shape], np.uint64)
+        buf, done = np.array(words[at:], dtype=np.uint64), 0
+        while done < limit:
+            # From a step without a left-over half, two steps read five
+            # words: the first takes word 0's halves, word 1's low half and
+            # word 2 as its uniform, the second word 1's high half, word
+            # 3's halves and word 4.  A left-over half is the high half of
+            # a virtual word 1, three words before the buffer.
+            lead, k = half is not None, min(limit - done, _SCAN_CHUNK)
+            pairs = (lead + k + 1) // 2
+            need = 5 * pairs - 3 * lead
+            if len(buf) < need:
+                fresh = bitgen.random_raw(need - len(buf))
+                buf = np.concatenate([buf, fresh])
+            v = buf[:need]
+            if lead:
+                virtual = np.array([0, half << 32, 0], np.uint64)
+                v = np.concatenate([virtual, v])
+            v = v.reshape(pairs, 5)
+            halves = np.stack([v & M, v >> 32], axis=2)[:, [0, 1, 3]]
+            prod = halves.reshape(-1, 3)[lead:lead + k] * highs
+            uniform = (v[:, 2::2].reshape(-1)[lead:lead + k] >> 11) * 2.0**-53
+            gap = deltas[tuple((prod >> 32).T)]
+            temps = np.multiply.accumulate(np.r_[temp, np.full(k, 0.999)])
+            stop = ((prod & M < floors).any(axis=1)
+                    | (uniform <= np.exp(-np.maximum(gap, 0)
+                                         / np.maximum(temps[:k], 1e-9))
+                       * (1 + 1e-9)))
+            n = int(stop.argmax()) if stop.any() else k
+            s = lead + n  # steps from the virtual start
+            half = int(v[s // 2, 1] >> 32) if s % 2 else None
+            buf = buf[5 * (s // 2) + 3 * (s % 2) - 3 * lead:]
+            temp, done = float(temps[n]), done + n
+            if n < k:
+                break
+        words, at = buf.tolist(), 0
+        return done, temp
+    return integers, random, draws, scan
+
+
+def _deltas(rows, masks, lists, outside, tot, add_t, guard, width):
+    """The violated count after each swap (u, i, j) of the state, as an
+    int64 array of shape (l, d, width): vertex u drops ``lists[u][i]`` and
+    adds ``outside[masks[u]][j]``."""
+    counts = []
+    for old, nbrs in zip(masks, lists):
+        base = tot - rows[old] + add_t
+        counts += [((base + rows[old ^ (1 << drop | 1 << add)]) & guard)
+                   .bit_count() for drop in nbrs for add in outside[old]]
+    return np.array(counts, dtype=np.int64).reshape(len(masks), -1, width)
 
 
 # Per kind: the public verifier (looked up when called) and its parameters.
@@ -291,7 +375,11 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     ``tot - row(old mask) + row(new mask)``, and a step reads its three
     integers at once from the raw words of numpy's Philox ``Generator``
     with an exact one-by-one fallback (``_raw_stream``): the trajectory is
-    the one ``Generator.integers`` draws.
+    the one ``Generator.integers`` draws.  Once as many steps in a row as
+    the state has moves were rejected, the state's count after every move
+    is tabled once (``_deltas``) and ``_raw_stream``'s scan skips the steps
+    that are certain rejections in one array pass; the step it stops at
+    runs as above, and only such a step changes the state.
 
     Returns
     -------
@@ -303,6 +391,11 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     for name in ("l", "r", "d", *names):
         if name not in params and name != "alpha":  # alpha defaults to 0.5
             raise InvalidInputError(f"{kind} search needs parameter {name!r}")
+    for name in ("l", "r", "d"):
+        if not isinstance(params[name], numbers.Integral):
+            raise InvalidInputError(f"search needs integer l, r and d, got "
+                                    f"{name}={params[name]!r}")
+    params = dict(params, **{n: int(params[n]) for n in ("l", "r", "d")})
     l, r, d = params["l"], params["r"], params["d"]
     if l < 1 or not 1 <= d <= r or attempts < 1 or steps < 0:
         raise InvalidInputError(
@@ -310,7 +403,11 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
             f"got l={l}, d={d}, r={r}, attempts={attempts}, steps={steps}")
     rows, add_t, guard = _violation_rows(kind, params, budget)
     outside = _Memo(lambda mask: [x for x in range(r) if not mask >> x & 1])
-    exp, total_steps = math.exp, 0
+    # A frozen state is scanned after as many rejections in a row as it has
+    # moves; integers(1) draws no word, so a high of 1 leaves it unscanned.
+    moves = l * d * (r - d) if min(l, d, r - d) > 1 else None
+    walk = steps if d < r else 0  # d = r leaves no swap
+    exp, total_steps, scanned = math.exp, 0, 0
     for attempt in range(attempts):
         rng = np.random.default_rng(
             np.random.Philox(key=(seed + 0x517CC1B727220A95 * attempt)
@@ -318,14 +415,18 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
         lists = [list(a) for a in adj]  # each set in its iteration order
-        _, random, draws = _raw_stream(rng.bit_generator)
+        _, random, draws, scan = _raw_stream(rng.bit_generator)
         masks = [_mask(a) for a in adj]
         tot = sum(rows[mask] for mask in masks)
         cur, temp = ((tot + add_t) & guard).bit_count(), 2.0
-        for _ in range(steps if d < r else 0):  # d = r leaves no swap
-            if cur == 0:
-                break
-            total_steps += 1
+        left, run, deltas = walk, 0, None
+        while left and cur:
+            if deltas is not None:
+                n, temp = scan(deltas, temp, left)
+                left, scanned = left - n, scanned + n
+                if not left:
+                    break
+            left -= 1
             u, i, j = draws(l, d, r - d)
             old = masks[u]
             drop, add = lists[u][i], outside[old][j]
@@ -337,14 +438,21 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
                 cur, tot, masks[u] = new, cand, mask
                 adj[u] = (adj[u] - {drop}) | {add}
                 lists[u] = list(adj[u])
+                run, deltas = 0, None
+            else:
+                run += 1
+                if run == moves:
+                    deltas = _deltas(rows, masks, lists, outside, tot, add_t,
+                                     guard, r - d) - cur
             temp *= 0.999
+        total_steps += walk - left
         if cur == 0:
             g = BipartiteGraph(l, r, d, tuple(tuple(sorted(a)) for a in adj))
             verdict = verifier()(g, **{n: params[n] for n in names
                                        if n in params}, budget=budget)
             if verdict.ok:
-                record = SearchRecord(kind, dict(params), seed, attempt + 1,
-                                      total_steps)
+                record = SearchRecord(kind, params, seed, attempt + 1,
+                                      total_steps, scanned)
                 return g, verdict, record
     raise TargetUnreachableError(
         f"no {kind} found at {params} after {attempts} attempts", attempts)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -203,6 +204,19 @@ SEARCHES = [
     # no random word
     ("and-disperser", {"l": 9, "r": 8, "d": 1, "delta": 0.5, "gamma": 0.3},
      range(10), {"attempts": 3, "steps": 60}),
+    # Attempts that freeze, so that the scan skips their rejected steps and
+    # stops where a step may be accepted: unreachable targets, short
+    # stretches at high temperatures, and a target found after two attempts
+    # froze.
+    ("and-disperser", {"l": 8, "r": 6, "d": 2, "delta": 0.5, "gamma": 0.25},
+     range(4), {"attempts": 2, "steps": 1500}),
+    ("extractor-graph", {"l": 2, "r": 4, "d": 2, "K": 0, "eps": 0.25,
+                         "alpha": 0.5}, range(10),
+     {"attempts": 2, "steps": 300}),
+    ("expander", {"l": 2, "r": 8, "d": 3, "beta": 0.25}, range(10),
+     {"attempts": 2, "steps": 300}),
+    ("and-disperser", {"l": 12, "r": 8, "d": 2, "delta": 0.5,
+                       "gamma": 0.125}, [5], {"attempts": 3, "steps": 2500}),
 ]
 
 
@@ -233,7 +247,7 @@ def test_raw_stream_matches_generator():
             if key % 2:
                 rng.integers(7)
         left_over.add(own.bit_generator.state["has_uint32"])
-        integers, random, _ = _raw_stream(own.bit_generator)
+        integers, random, _, _ = _raw_stream(own.bit_generator)
         plan = np.random.default_rng(100 + key).integers(len(highs) + 1,
                                                          size=3000)
         for op in plan.tolist():
@@ -294,7 +308,7 @@ def test_step_draws_match_one_at_a_time(leftover, zero, skip, highs):
         _set_half(words, start + zero - lead, 0)
     _set_half(words, start + 3 - lead, 2 ** 32 // 12 + 1)  # the next step
     fast, exact = (_raw_stream(_Words(words, leftover)) for _ in range(2))
-    for integers, _, _ in (fast, exact):
+    for integers, *_ in (fast, exact):
         for _ in range(start):
             integers(2)  # one half each
     draws, integers = fast[2], exact[0]
@@ -302,6 +316,120 @@ def test_step_draws_match_one_at_a_time(leftover, zero, skip, highs):
         assert draws(*highs) == tuple(integers(h) for h in highs)
     after = lambda s: [s[0](9), s[1](), s[0](5), s[0](2 ** 31 + 1), s[1]()]
     assert after(fast) == after(exact)
+
+
+def _step_places(nsteps, at, left):
+    # Where each step of a frozen stretch reads: three halves, a left-over
+    # one first, as (word, shift), or "stub" for the stub's own left-over
+    # half; then the word of its uniform.
+    places = []
+    for _ in range(nsteps):
+        halves = []
+        for _ in range(3):
+            if left is None:
+                halves.append((at, 0))
+                left, at = (at, 32), at + 1
+            else:
+                halves.append(left)
+                left = None
+        places.append((halves, at))
+        at += 1
+    return places
+
+
+@pytest.mark.parametrize("lead,stop,at", [
+    ("stub", None, None), ("word", None, None),  # a left-over half first
+    (None, 0, 700), (None, 2, 701), ("word", 1, 350),  # a rejecting half
+    ("stub", 0, 0),  # the left-over half itself rejects: nothing skipped
+    (None, "delta", 1030), ("stub", "delta", 5),  # a swap that is not worse
+    (None, "below", 700), (None, "above", 700),  # the uniform at its bound
+    ("word", "below", 333), ("word", "above", 333),
+])
+def test_scan_matches_one_at_a_time(lead, stop, at):
+    # Every delta is 2 but the last one, -1, and every uniform is the
+    # largest, so a stretch of 1,100 steps (2,750 words, across 256-word
+    # blocks and the scan's 1,024-step chunks) rejects all its steps unless
+    # step ``at`` is crafted to stop it: a zero half (rejected by 12, 3 and
+    # 7 alike), halves 2**32 - 1 that draw the last swap (all others draw
+    # below 2**31), or a uniform just below or just above exp(-2 / temp).
+    # A scan and the exact one-at-a-time reader run the stretch side by
+    # side: the steps the scan skips must be certain rejections at the same
+    # temperatures, and both readers must stop on the same words.
+    # The scan starts 40 words into a block, or at its start after the
+    # stub's left-over half.
+    highs, limit, pre = (12, 3, 7), 1100, 0 if lead == "stub" else 40
+    words = (np.random.default_rng(9).integers(0, 2 ** 64, size=6000,
+                                               dtype=np.uint64)
+             & np.uint64(0x7FFFFFFF7FFFFFFF)).tolist()
+    leftover = 5 if lead == "stub" else None
+    left = {"stub": "stub", "word": (pre, 32), None: None}[lead]
+    places = _step_places(limit + 1, pre + (lead == "word"), left)
+    for _, w in places:
+        words[w] = 2 ** 64 - 1
+
+    def set_half(place, value):
+        nonlocal leftover
+        if place == "stub":
+            leftover = value
+        else:
+            _set_half(words, 2 * place[0] + place[1] // 32, value)
+    if stop in (0, 1, 2):
+        set_half(places[at][0][stop], 0)
+    elif stop == "delta":
+        for place in places[at][0]:
+            set_half(place, 2 ** 32 - 1)
+    elif stop is not None:
+        temp = 2.0
+        for _ in range(at):
+            temp *= 0.999
+        bound = math.exp(-2 / temp) * 2 ** 53
+        q = math.ceil(bound) - 1 if stop == "below" else math.floor(bound) + 1
+        words[places[at][1]] = q << 11
+    delta = np.full(highs, 2, dtype=np.int64)
+    delta[-1, -1, -1] = -1
+    fast, exact = (_raw_stream(_Words(words, leftover)) for _ in range(2))
+    for integers, *_ in (fast, exact):
+        for _ in range(2 * pre + (lead == "word")):
+            integers(2)  # one half each
+    _, random, draws, scan = fast
+    integers, exact_random = exact[:2]
+    done, temp, stops = 0, 2.0, []
+    while done < limit:
+        n, scan_temp = scan(delta, temp, limit - done)
+        for _ in range(n):
+            gap = int(delta[tuple(integers(h) for h in highs)])
+            assert gap > 0 and exact_random() >= math.exp(-gap / temp)
+            temp *= 0.999
+        assert scan_temp == temp
+        done += n
+        if done == limit:
+            break
+        stops.append(done)  # the stopping step, as the search runs it
+        step = draws(*highs)
+        assert step == tuple(integers(h) for h in highs)
+        gap = int(delta[step])
+        if gap > 0:
+            uniform = random()
+            assert uniform == exact_random()
+            if done == at and stop in ("below", "above"):
+                assert (uniform < math.exp(-gap / temp)) == (stop == "below")
+        done, temp = done + 1, temp * 0.999
+    assert stops[:1] == ([] if stop is None else [at])
+    after = lambda s: [s[0](9), s[1](), s[0](5), s[0](2 ** 31 + 1), s[1]()]
+    assert after(fast) == after(exact)
+
+
+def test_search_records_the_scanned_steps():
+    # The benchmark's searches: the AND-disperser's first two attempts
+    # freeze and the scan skips 8,574 of its 14,140 steps; the expander's
+    # longest run of rejections (211) is shorter than its 240 moves.
+    for kind, params, seed, expect in [
+            ("and-disperser", {"l": 12, "r": 8, "d": 2, "delta": 0.5,
+                               "gamma": 0.125}, 4, (3, 14_140, 8_574)),
+            ("expander", {"l": 10, "r": 10, "d": 4, "beta": 0.3}, 7,
+             (1, 2_913, 0))]:
+        _, _, rec = search_gadget(kind, params, seed)
+        assert (rec.attempts, rec.steps, rec.scanned) == expect
 
 
 def test_search_budget_charges_the_scored_subsets():
@@ -337,6 +465,17 @@ def test_search_budget_charges_the_scored_subsets():
     ("expander", {"l": 10, "r": 10, "d": 3, "beta": -0.5}, "beta too small"),
     ("extractor-graph", {"l": 2, "r": 2, "d": 1, "eps": 0.1, "K": 0,
                          "alpha": -0.5}, "alpha must be >= 0"),
+    # rounded set sizes above their side: no set has them
+    ("expander", {"l": 2, "r": 3, "d": 1, "beta": 1.5}, "beta too large"),
+    ("and-disperser", {"l": 4, "r": 4, "d": 2, "delta": 1.5, "gamma": 0.5},
+     "delta too large"),
+    ("extractor-graph", {"l": 2, "r": 2, "d": 1, "eps": 0.1, "K": 0,
+                         "alpha": 1.5}, "alpha too large"),
+    # l, r and d must be integers
+    ("expander", {"l": 10.0, "r": 10, "d": 4, "beta": 0.3}, "l=10.0"),
+    ("expander", {"l": 10, "r": 10.0, "d": 4, "beta": 0.3}, "r=10.0"),
+    ("expander", {"l": 10, "r": 10, "d": 4.0, "beta": 0.3}, "d=4.0"),
+    ("expander", {"l": 10, "r": 10, "d": "4", "beta": 0.3}, "d='4'"),
 ])
 def test_search_input_errors_are_typed(kind, params, name):
     with pytest.raises(InvalidInputError, match=name):
@@ -362,6 +501,22 @@ def test_negative_subset_sizes_refused():
         verify_extractor_graph(g, 0, 0.1, alpha=-0.5)
     with pytest.raises(InvalidInputError, match="delta must be >= 0"):
         verify_and_disperser(g, -0.5, 0.5)
+
+
+def test_subset_sizes_above_their_side_refused():
+    # At the parent each passed with checked=0: no subset of that size.
+    g = _identity_graph(3)
+    with pytest.raises(InvalidInputError, match="beta too large"):
+        verify_expander(g, 1.5)
+    with pytest.raises(InvalidInputError, match="delta too large"):
+        verify_and_disperser(g, 1.5, 0.5)
+    with pytest.raises(InvalidInputError, match="alpha too large"):
+        verify_extractor_graph(g, 0, 0.1, alpha=1.5)
+    # the whole side is still a set
+    assert verify_expander(g, 1.0).checked == 1
+    assert verify_and_disperser(g, 1.0, 1.0).ok
+    assert verify_extractor_graph(_complete_graph(3, 3), 0, 0.1,
+                                  alpha=1.0).ok
 
 
 def test_search_with_d_equal_r():
@@ -395,3 +550,13 @@ def test_json_roundtrip():
     g = _identity_graph(4)
     g2 = BipartiteGraph.from_json(g.to_json())
     assert g2 == g
+
+
+def test_from_json_refuses_a_missing_key():
+    doc = json.loads(_identity_graph(4).to_json())
+    for key in doc:
+        broken = json.dumps({k: v for k, v in doc.items() if k != key})
+        with pytest.raises(InvalidInputError, match=f"lacks {key}$"):
+            BipartiteGraph.from_json(broken)
+    with pytest.raises(InvalidInputError, match="lacks l, r, d, adj"):
+        BipartiteGraph.from_json("[]")

@@ -30,7 +30,9 @@ pinned here.
 recorded the same way, under ``parent``, taking turns with the checkout
 run by run, and ``compare`` holds both sides' medians of every
 end-to-end metric, of every request type's ``op_median_ms``, of the
-unscaled numbers and both traced values of every per-layer metric.
+unscaled numbers and both traced values of every per-layer metric; each
+end-to-end metric also has the parent runs' ``[min, max]`` and the
+number of same-seed runs in which the change reads better.
 The file is written at the repository root.
 """
 
@@ -133,12 +135,27 @@ def record(checkouts: dict, workloads: list, seconds: float) -> dict:
     return docs
 
 
-def compare(parent: dict, change: dict) -> dict:
+def compare(parent: dict, change: dict, end_to_end: list) -> dict:
+    """Both sides' medians per workload.  Each end-to-end metric (the
+    ``end_to_end`` entries of BENCHMARK.json) also gets the parent runs'
+    ``[min, max]`` and ``wins``: in how many of the same-seed untraced
+    pairs the change reads better, in the metric's ``better`` direction
+    (a tie is no win), out of ``pairs``."""
+    better = {m["name"]: m["better"] for m in end_to_end}
     out = {}
     for name, new in change["workloads"].items():
         old = parent["workloads"][name]
         rows = {k: {"parent": old["median"][k], "change": v}
                 for k, v in new["median"].items()}
+        ours = {r["seed"]: r["metrics"] for r in new["untraced"]}
+        for k in better.keys() & rows.keys():
+            runs = [r["metrics"][k] for r in old["untraced"]]
+            pairs = [(r["metrics"][k], ours[r["seed"]][k])
+                     for r in old["untraced"] if r["seed"] in ours]
+            sign = 1 if better[k] == "higher" else -1
+            rows[k].update(parent_range=[min(runs), max(runs)],
+                           wins=sum(sign * (c - p) > 0 for p, c in pairs),
+                           pairs=len(pairs))
         rows.update({k: {"parent": old["traced"]["metrics"].get(k),
                          "change": v}
                      for k, v in new["traced"]["metrics"].items()})
@@ -178,7 +195,8 @@ def main(argv=None) -> int:
             shutil.rmtree(cache)
     doc.update(record(checkouts, workloads, seconds))
     if args.baseline:
-        doc["compare"] = compare(doc["parent"], doc["change"])
+        doc["compare"] = compare(doc["parent"], doc["change"],
+                                 bench["end_to_end"])
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"# wrote {out}")
