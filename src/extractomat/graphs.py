@@ -40,11 +40,21 @@ class BipartiteGraph:
     adj: tuple
 
     def __post_init__(self):
+        for name in ("l", "r", "d"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidInputError(
+                    f"graph size {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if len(self.adj) != self.l:
             raise InvalidInputError("one neighbor list per left vertex")
         cleaned = []
         for nbrs in self.adj:
-            ns = tuple(sorted(int(v) for v in nbrs))
+            ns = tuple(nbrs)
+            if not all(isinstance(v, numbers.Integral) for v in ns):
+                raise InvalidInputError(
+                    f"neighbor indices must be integers, got {ns!r}")
+            ns = tuple(sorted(map(int, ns)))
             if len(set(ns)) != self.d:
                 raise InvalidInputError(
                     f"every left vertex needs exactly {self.d} distinct neighbors")
@@ -105,6 +115,10 @@ def _rule(kind: str, params: dict):
     of ``size``, a left vertex is bad when its neighbours in the subset number
     outside ``[lo, hi)``; a subset is violated when ``t`` or more are bad."""
     l, r, d = params["l"], params["r"], params["d"]
+    for name in ("delta", "gamma", "beta", "alpha", "eps", "K"):
+        if name in params and not math.isfinite(params[name]):
+            raise InvalidInputError(
+                f"{name} must be finite, got {params[name]!r}")
     if kind == "and-disperser":  # good: the neighbourhood is inside
         size = math.ceil(params["delta"] * r)
         if size < 0:

@@ -1,10 +1,11 @@
 """Parameter ledger: the (n, k, m, eps) arithmetic of every lifting step.
 
-Each entry records inputs, every formula step applied (verbatim, with the
-computed value), the constraint checks, and the output parameter record.
-Re-running an entry's theorem on its stored inputs reproduces the outputs
-bit-exactly; constraint violations are collected and reported by name,
-never silently clipped.
+A theorem's signature states its inputs and defaults; a request binds to
+it.  Each entry records the bound inputs, every formula step applied
+(verbatim, with the computed value), the constraint checks, and the output
+parameter record.  Re-running an entry's theorem on its stored inputs
+reproduces the outputs bit-exactly; constraint violations are reported by
+name, never silently clipped.
 
 Asymptotic constants that the theory leaves open (Omega/O constants, the
 weak-seed gate C) are explicit inputs with defaults, and the defaults are
@@ -13,6 +14,7 @@ flagged as such in the serialized entry.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ _DEFAULT_EXPANDER_C = 1.0
 class LedgerEntry:
     theorem: str
     inputs: dict
-    outputs: dict
+    outputs: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
     notes: str = ""
@@ -38,10 +40,18 @@ class LedgerEntry:
     def step(self, name: str, formula: str, value) -> None:
         self.trace.append({"step": name, "formula": formula, "value": value})
 
+    def check(self, name: str, ok: bool, lhs, rhs) -> None:
+        self.constraints.append({"name": name, "ok": bool(ok),
+                                 "lhs": lhs, "rhs": rhs})
+
+    def require(self) -> None:
+        """Raise :class:`ConstraintViolatedError` naming every failed check."""
+        failed = [c["name"] for c in self.constraints if not c["ok"]]
+        if failed:
+            raise ConstraintViolatedError(failed)
+
     def to_json_dict(self) -> dict:
-        return {"theorem": self.theorem, "inputs": self.inputs,
-                "outputs": self.outputs, "trace": self.trace,
-                "constraints": self.constraints, "notes": self.notes}
+        return dict(vars(self))  # shallow: asdict's deep copy costs ~40 us
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -50,19 +60,6 @@ class LedgerEntry:
         """Recompute from the stored inputs; outputs must match bit-exactly."""
         fresh = ledger_theorem(self.theorem, **self.inputs)
         return fresh.outputs == self.outputs
-
-
-def _check(entry: LedgerEntry, violations: list, name: str, ok: bool,
-           lhs, rhs) -> None:
-    entry.constraints.append({"name": name, "ok": bool(ok),
-                              "lhs": lhs, "rhs": rhs})
-    if not ok:
-        violations.append(name)
-
-
-def _finish_constraints(violations):
-    if violations:
-        raise ConstraintViolatedError(violations)
 
 
 def ledger_lift_one_bit(n1, k1, n2, k2, m, eps, both_strong: bool = False) -> dict:
@@ -89,60 +86,43 @@ def ledger_lift_one_bit(n1, k1, n2, k2, m, eps, both_strong: bool = False) -> di
 # Individual theorems
 # ----------------------------------------------------------------------
 
-def _raz_constraints(entry, violations, n1, n2, k1, delta):
-    _check(entry, violations, "n1 >= 6*log2(n1) + 2*log2(n2)",
-           n1 >= 6 * math.log2(n1) + 2 * math.log2(n2),
-           n1, 6 * math.log2(n1) + 2 * math.log2(n2))
-    _check(entry, violations, "k1 >= (0.5+delta)*n1 + 3*log2(n1) + log2(n2)",
-           k1 >= (0.5 + delta) * n1 + 3 * math.log2(n1) + math.log2(n2),
-           k1, (0.5 + delta) * n1 + 3 * math.log2(n1) + math.log2(n2))
-
-
-def _thm_raz(n1, n2, k1, k2, m=None, delta=0.1):
-    entry = LedgerEntry("raz", {"n1": n1, "n2": n2, "k1": k1, "k2": k2,
-                                "m": m, "delta": delta}, {})
-    violations = []
-    m_max = delta * min(n1 / 8.0, k2 / 40.0) - 1.0
+def _raz_constraints(entry, n1, n2, k1, k2, m, delta, text, scale, factor):
+    """The preconditions that raz and raz-ge share, where ``scale`` (written
+    ``text``) is delta or delta/16 in ``m <= scale*min(n1/8, k2/40) - 1``
+    and ``factor`` is 5 or 6 in ``k2 >= factor*log2(n1-k1)``.  Returns m,
+    the bound itself when omitted."""
+    m_max = scale * min(n1 / 8.0, k2 / 40.0) - 1.0
     if m is None:
         m = m_max
-        entry.step("m", "m = delta*min(n1/8, k2/40) - 1", m)
-    _raz_constraints(entry, violations, n1, n2, k1, delta)
+        entry.step("m", f"m = {text}*min(n1/8, k2/40) - 1", m)
+    rhs = 6 * math.log2(n1) + 2 * math.log2(n2)
+    entry.check("n1 >= 6*log2(n1) + 2*log2(n2)", n1 >= rhs, n1, rhs)
+    rhs = (0.5 + delta) * n1 + 3 * math.log2(n1) + math.log2(n2)
+    entry.check("k1 >= (0.5+delta)*n1 + 3*log2(n1) + log2(n2)", k1 >= rhs,
+                k1, rhs)
     if k1 < n1:
-        _check(entry, violations, "k2 >= 5*log2(n1-k1)",
-               k2 >= 5 * math.log2(n1 - k1), k2, 5 * math.log2(n1 - k1))
+        rhs = factor * math.log2(n1 - k1)
+        entry.check(f"k2 >= {factor}*log2(n1-k1)", k2 >= rhs, k2, rhs)
     else:
-        _check(entry, violations, "k1 < n1 (log2(n1-k1) defined)",
-               False, k1, n1)
-    _check(entry, violations, "m <= delta*min(n1/8, k2/40) - 1",
-           m <= m_max + 1e-12, m, m_max)
-    _finish_constraints(violations)
+        entry.check("k1 < n1 (log2(n1-k1) defined)", False, k1, n1)
+    entry.check(f"m <= {text}*min(n1/8, k2/40) - 1", m <= m_max + 1e-12,
+                m, m_max)
+    entry.require()
+    return m
+
+
+def _thm_raz(entry, n1, n2, k1, k2, m=None, delta=0.1):
+    m = _raz_constraints(entry, n1, n2, k1, k2, m, delta, "delta", delta, 5)
     eps = 2.0 ** (-1.5 * m)
     entry.step("eps", "eps = 2^(-1.5*m)", eps)
     entry.outputs = {"n1": n1, "k1": k1, "n2": n2, "k2": k2, "m": m,
                      "eps": eps, "strong": "both", "security": "marginal"}
-    return entry
 
 
-def _thm_raz_ge(n1, n2, k1, k2, m=None, delta=0.1):
+def _thm_raz_ge(entry, n1, n2, k1, k2, m=None, delta=0.1):
     """The two-source lift chain for the unequal-length construction."""
-    entry = LedgerEntry("raz-ge", {"n1": n1, "n2": n2, "k1": k1, "k2": k2,
-                                   "m": m, "delta": delta}, {})
-    violations = []
-    m_max = (delta / 16.0) * min(n1 / 8.0, k2 / 40.0) - 1.0
-    if m is None:
-        m = m_max
-        entry.step("m", "m = (delta/16)*min(n1/8, k2/40) - 1", m)
-    _raz_constraints(entry, violations, n1, n2, k1, delta)
-    if k1 < n1:
-        _check(entry, violations, "k2 >= 6*log2(n1-k1)",
-               k2 >= 6 * math.log2(n1 - k1), k2, 6 * math.log2(n1 - k1))
-    else:
-        _check(entry, violations, "k1 < n1 (log2(n1-k1) defined)",
-               False, k1, n1)
-    _check(entry, violations, "m <= (delta/16)*min(n1/8, k2/40) - 1",
-           m <= m_max + 1e-12, m, m_max)
-    _finish_constraints(violations)
-
+    m = _raz_constraints(entry, n1, n2, k1, k2, m, delta, "(delta/16)",
+                         delta / 16.0, 6)
     k1p = k1 - 5 * m
     entry.step("k1'", "k1' = k1 - 5m", k1p)
     k2p = k2 - 5 * m
@@ -177,11 +157,9 @@ def _thm_raz_ge(n1, n2, k1, k2, m=None, delta=0.1):
                      "k2": k2_out, "m": m, "eps": eps,
                      "eps_lifted": eps_lifted, "strong": "both",
                      "security": "GE"}
-    return entry
 
 
-def _thm_bourgain(n, alpha=0.1):
-    entry = LedgerEntry("bourgain", {"n": n, "alpha": alpha}, {})
+def _thm_bourgain(entry, n, alpha=0.1):
     k = (0.5 - alpha) * n
     m = alpha * n
     eps = 2.0 ** (-alpha * n)
@@ -190,11 +168,9 @@ def _thm_bourgain(n, alpha=0.1):
     entry.step("eps", "eps = 2^(-alpha*n)", eps)
     entry.outputs = {"n": n, "k": k, "m": m, "eps": eps, "strong": "both",
                      "security": "marginal"}
-    return entry
 
 
-def _thm_bourgain_ge(n, alpha=0.1):
-    entry = LedgerEntry("bourgain-ge", {"n": n, "alpha": alpha}, {})
+def _thm_bourgain_ge(entry, n, alpha=0.1):
     beta = alpha / 5.0
     entry.step("beta", "beta = alpha/5", beta)
     kp = (0.5 - alpha) * n
@@ -210,24 +186,18 @@ def _thm_bourgain_ge(n, alpha=0.1):
     eps = 2.0 ** (-beta * n)
     entry.outputs = {"n": n, "k": k, "m": m, "eps": eps, "strong": "both",
                      "security": "GE"}
-    return entry
 
 
-def _thm_deor(n, k1, k2, m):
-    entry = LedgerEntry("deor", {"n": n, "k1": k1, "k2": k2, "m": m}, {})
+def _thm_deor(entry, n, k1, k2, m):
     eps = 2.0 ** (-(k1 + k2 + 1 - n - m) / 2.0)
     entry.step("eps", "eps = 2^(-(k1+k2+1-n-m)/2)", eps)
     entry.outputs = {"n": n, "k1": k1, "k2": k2, "m": m, "eps": eps,
                      "strong": "both", "security": "marginal"}
-    return entry
 
 
-def _thm_deor_ge(n, k1, k2):
-    entry = LedgerEntry("deor-ge", {"n": n, "k1": k1, "k2": k2}, {})
-    violations = []
-    _check(entry, violations, "k1 + k2 > n - 1", k1 + k2 > n - 1,
-           k1 + k2, n - 1)
-    _finish_constraints(violations)
+def _thm_deor_ge(entry, n, k1, k2):
+    entry.check("k1 + k2 > n - 1", k1 + k2 > n - 1, k1 + k2, n - 1)
+    entry.require()
     m = min((k1 + k2 + 1 - n) / 20.0, k1 / 4.0, k2 / 4.0)
     entry.step("m", "m = min((k1+k2+1-n)/20, k1/4, k2/4)", m)
     k1p = k1 - 4 * m
@@ -245,22 +215,16 @@ def _thm_deor_ge(n, k1, k2):
     eps = 2.0 ** (-m)
     entry.outputs = {"n": n, "k1": lifted["k1"], "k2": lifted["k2"], "m": m,
                      "eps": eps, "strong": "both", "security": "GE"}
-    return entry
 
 
-def _thm_qmext(t, n, k, l, eps1, eps2):
-    entry = LedgerEntry("qmext", {"t": t, "n": n, "k": k, "l": l,
-                                  "eps1": eps1, "eps2": eps2}, {})
+def _thm_qmext(entry, t, n, k, l, eps1, eps2):
     eps = eps1 + eps2
     entry.step("eps", "eps = eps1 + eps2", eps)
     entry.outputs = {"t": t + 1, "n": n, "k": k, "m": l, "eps": eps,
                      "strong": f"S = {{1..{t}}}", "security": "OA/GE"}
-    return entry
 
 
-def _thm_qbext(eps1, eps2, eps3, k3, omega_const=_DEFAULT_OMEGA):
-    entry = LedgerEntry("qbext", {"eps1": eps1, "eps2": eps2, "eps3": eps3,
-                                  "k3": k3, "omega_const": omega_const}, {})
+def _thm_qbext(entry, eps1, eps2, eps3, k3, omega_const=_DEFAULT_OMEGA):
     residual = 2.0 ** (-omega_const * k3)
     entry.step("residual", "2^-Omega(k3), Omega constant is a default",
                residual)
@@ -268,12 +232,9 @@ def _thm_qbext(eps1, eps2, eps3, k3, omega_const=_DEFAULT_OMEGA):
     entry.step("eps", "eps = 4*eps1 + 2*eps2 + eps3 + 2^-Omega(k3)", eps)
     entry.outputs = {"eps": min(1.0, eps), "strong": "block source",
                      "security": "OA/GE"}
-    return entry
 
 
-def _thm_bext(k, eps, omega_const=_DEFAULT_OMEGA):
-    entry = LedgerEntry("bext", {"k": k, "eps": eps,
-                                 "omega_const": omega_const}, {})
+def _thm_bext(entry, k, eps, omega_const=_DEFAULT_OMEGA):
     residual = 2.0 ** (-omega_const * k)
     entry.step("residual", "2^-Omega(k), Omega constant is a default",
                residual)
@@ -281,18 +242,12 @@ def _thm_bext(k, eps, omega_const=_DEFAULT_OMEGA):
     entry.step("eps", "eps_total = 2^-Omega(k) + eps", total)
     entry.outputs = {"eps": total, "strong": "block source",
                      "security": "marginal/OA per final stage"}
-    return entry
 
 
-def _thm_weak_seed(k, eps, d, delta, C=_DEFAULT_WEAKSEED_C,
+def _thm_weak_seed(entry, k, eps, d, delta, C=_DEFAULT_WEAKSEED_C,
                    big_o_const=_DEFAULT_BIG_O, omega_const=_DEFAULT_OMEGA):
-    entry = LedgerEntry("weak-seed", {"k": k, "eps": eps, "d": d,
-                                      "delta": delta, "C": C,
-                                      "big_o_const": big_o_const,
-                                      "omega_const": omega_const}, {})
-    violations = []
-    _check(entry, violations, "d <= k/C", d <= k / C, d, k / C)
-    _finish_constraints(violations)
+    entry.check("d <= k/C", d <= k / C, d, k / C)
+    entry.require()
     d_prime = big_o_const * d
     entry.step("d'", "d' = O(d), O constant is a default", d_prime)
     entry.step("block split", "halves form a (delta*d', delta*d'/2) block "
@@ -303,29 +258,22 @@ def _thm_weak_seed(k, eps, d, delta, C=_DEFAULT_WEAKSEED_C,
     entry.outputs = {"k": 1.2 * k, "eps": min(1.0, out_eps), "d": d_prime,
                      "seed_entropy": (0.5 + delta) * d_prime,
                      "security": "strong, weak seed"}
-    return entry
 
 
-def _thm_three_source(k, eps, delta):
-    entry = LedgerEntry("three-source", {"k": k, "eps": eps, "delta": delta}, {})
+def _thm_three_source(entry, k, eps, delta):
     m = 0.9 * k
     entry.step("m", "m = 0.9*k", m)
     entry.outputs = {"m": m, "eps": eps, "strong": "the two short seeds",
                      "security": "GE"}
-    return entry
 
 
-def _thm_ir_to_qr(eps, rush_bits):
-    entry = LedgerEntry("ir-to-qr", {"eps": eps, "rush_bits": rush_bits}, {})
+def _thm_ir_to_qr(entry, eps, rush_bits):
     out = (2.0 ** rush_bits) * eps
     entry.step("eps_qr", "eps_qr = 2^rush_bits * eps_ir", out)
     entry.outputs = {"eps_qr": out}
-    return entry
 
 
-def _thm_and_disperser(alpha, D, M, c=_DEFAULT_DISPERSER_C):
-    entry = LedgerEntry("and-disperser", {"alpha": alpha, "D": D, "M": M,
-                                          "c": c}, {})
+def _thm_and_disperser(entry, alpha, D, M, c=_DEFAULT_DISPERSER_C):
     d = c * alpha ** (-8)
     mu = alpha * alpha / 3.0
     entry.step("d", "d = c*alpha^-8", d)
@@ -336,18 +284,22 @@ def _thm_and_disperser(alpha, D, M, c=_DEFAULT_DISPERSER_C):
     entry.step("beta bound", "beta > mu^D", beta_lower)
     entry.outputs = {"d": d, "mu": mu, "N_upper": n_upper,
                      "beta_lower": beta_lower}
-    return entry
 
 
-def _thm_expander(beta, C=_DEFAULT_EXPANDER_C):
-    entry = LedgerEntry("expander", {"beta": beta, "C": C}, {})
+def _thm_expander(entry, beta, C=_DEFAULT_EXPANDER_C):
     d = C / (beta * beta)
     entry.step("d", "d(beta) < O(1/beta^2), O constant is a default", d)
     entry.outputs = {"degree_bound": d}
-    return entry
 
 
-_THEOREMS = {
+def _inputs(fn) -> inspect.Signature:
+    """``fn``'s signature without its leading entry parameter."""
+    sig = inspect.signature(fn)
+    return sig.replace(parameters=list(sig.parameters.values())[1:])
+
+
+# theorem id -> (theorem, the signature that states its inputs)
+_THEOREMS = {tid: (fn, _inputs(fn)) for tid, fn in {
     "raz": _thm_raz,
     "raz-ge": _thm_raz_ge,
     "bourgain": _thm_bourgain,
@@ -362,20 +314,38 @@ _THEOREMS = {
     "ir-to-qr": _thm_ir_to_qr,
     "and-disperser": _thm_and_disperser,
     "expander": _thm_expander,
-}
+}.items()}
 
 
 def ledger_theorem(theorem_id: str, **inputs) -> LedgerEntry:
     """Evaluate one theorem's parameter arithmetic.
 
-    Raises :class:`ConstraintViolatedError` naming every violated
-    precondition.  Unknown ids list the known ones.
+    The request binds to the theorem's signature, whose defaults the entry
+    records.  Raises :class:`ConstraintViolatedError` naming every violated
+    precondition, and :class:`InvalidInputError` for an unknown id, an
+    input the theorem does not take, a missing one, or arithmetic outside
+    the theorem's domain.
     """
-    fn = _THEOREMS.get(theorem_id)
-    if fn is None:
+    if theorem_id not in _THEOREMS:
         raise InvalidInputError(
             f"unknown theorem id {theorem_id!r}; known: {sorted(_THEOREMS)}")
-    return fn(**inputs)
+    fn, sig = _THEOREMS[theorem_id]
+    try:
+        bound = sig.bind(**inputs)
+    except TypeError as exc:
+        raise InvalidInputError(
+            f"theorem {theorem_id!r} takes {sig}: {exc}") from None
+    bound.apply_defaults()
+    entry = LedgerEntry(theorem_id, bound.arguments)
+    try:
+        fn(entry, **entry.inputs)
+    except (ConstraintViolatedError, InvalidInputError):
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        given = ", ".join(f"{k}={v!r}" for k, v in entry.inputs.items())
+        raise InvalidInputError(f"theorem {theorem_id!r} is undefined at "
+                                f"{given}: {exc}") from exc
+    return entry
 
 
 def known_theorems() -> list:

@@ -183,6 +183,29 @@ def test_ledger_writes_entry(tmp_path, capsys):
     assert entry["outputs"]["eps_qr"] == pytest.approx(1.024e-3)
 
 
+@pytest.mark.parametrize("argv,inputs", [
+    # an input the theorem does not take, and a missing one
+    ("deor --n 10 --k1 6 --k2 6 --m 1 --alpha 0.1", "(n, k1, k2, m)"),
+    ("ir-to-qr --eps 0.1", "(eps, rush_bits)"),
+    # arithmetic outside the theorem's domain
+    ("expander --beta 0", "beta=0.0, C=1.0"),
+    ("and-disperser --alpha 0 --D 2 --M 3", "alpha=0.0, D=2, M=3, c=1.0"),
+    ("weak-seed --k 100 --eps 0.1 --d 1 --delta 0.1 --C 0", "C=0.0"),
+    ("raz --n1 0 --n2 8 --k1 0 --k2 4", "n1=0.0, n2=8.0"),
+    ("ir-to-qr --eps 0.1 --rush-bits 2000", "eps=0.1, rush_bits=2000.0"),
+    ("bourgain --n 1e6 --alpha -0.5", "n=1000000.0, alpha=-0.5"),
+])
+def test_ledger_bad_request_exits_4_naming_the_inputs(tmp_path, capsys,
+                                                       argv, inputs):
+    theorem, *rest = argv.split()
+    rc = run_cli_nocache(["ledger", "--theorem", theorem, *rest], tmp_path)
+    assert rc == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid input: ")
+    assert f"theorem {theorem!r}" in err[0] and inputs in err[0]
+    assert not (tmp_path / f"ledger-{theorem}.json").exists()
+
+
 def test_netsim_config_violation_exit_4(cache_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\na_size = 2\n")

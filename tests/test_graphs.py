@@ -560,3 +560,51 @@ def test_from_json_refuses_a_missing_key():
             BipartiteGraph.from_json(broken)
     with pytest.raises(InvalidInputError, match="lacks l, r, d, adj"):
         BipartiteGraph.from_json("[]")
+
+
+def test_graph_refuses_non_integral_sizes_and_indices():
+    # At the parent the first came back with neighbour 1 and the second
+    # was built, then failed in the verifier with a bare TypeError.
+    with pytest.raises(InvalidInputError, match=r"integers, got \(1\.7,\)"):
+        BipartiteGraph.from_json('{"l": 2, "r": 3, "d": 1, "adj": [[0], [1.7]]}')
+    with pytest.raises(InvalidInputError, match="l must be an integer"):
+        BipartiteGraph(2.0, 3.0, 1, ((0,), (1,)))
+    with pytest.raises(InvalidInputError, match="d must be an integer"):
+        BipartiteGraph.from_json('{"l": 2, "r": 3, "d": 1.0, "adj": [[0], [1]]}')
+    # numpy integers are integers, and come out as ints
+    g = BipartiteGraph(np.int64(2), 3, 1, ((np.int64(0),), (1,)))
+    assert (g.l, g.adj) == (2, ((0,), (1,))) and type(g.l) is int
+    assert BipartiteGraph.from_json(g.to_json()) == g
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("verify,name", [
+    (lambda g, x: verify_expander(g, x), "beta"),
+    (lambda g, x: verify_and_disperser(g, x, 0.5), "delta"),
+    (lambda g, x: verify_and_disperser(g, 0.5, x), "gamma"),
+    (lambda g, x: verify_extractor_graph(g, 0, 0.1, alpha=x), "alpha"),
+    (lambda g, x: verify_extractor_graph(g, 0, x), "eps"),
+    # a NaN K passed every graph at the parent: no count reaches NaN
+    (lambda g, x: verify_extractor_graph(g, x, 0.1), "K"),
+])
+def test_verifiers_refuse_non_finite_fractions(verify, name, value):
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+        verify(_identity_graph(4), value)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("kind,params,name", [
+    ("expander", {"beta": None}, "beta"),
+    ("and-disperser", {"delta": None, "gamma": 0.5}, "delta"),
+    ("and-disperser", {"delta": 0.5, "gamma": None}, "gamma"),
+    ("extractor-graph", {"K": 1, "eps": 0.25, "alpha": None}, "alpha"),
+    ("extractor-graph", {"K": 1, "eps": None}, "eps"),
+    ("extractor-graph", {"K": None, "eps": 0.25}, "K"),
+])
+def test_search_refuses_non_finite_fractions(kind, params, name, value):
+    params = {"l": 4, "r": 4, "d": 2, **params, name: value}
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+        search_gadget(kind, params)

@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,29 @@ def test_unknown_theorem():
     assert "raz-ge" in known_theorems()
 
 
+def test_request_binds_to_the_theorems_signature():
+    with pytest.raises(InvalidInputError, match=r"takes \(n, k1, k2\)"):
+        ledger_theorem("deor-ge", n=1000, k1=600, k2=600, m=1)
+    with pytest.raises(InvalidInputError, match="missing .* 'k2'"):
+        ledger_theorem("deor-ge", n=1000, k1=600)
+    # omitted defaults are recorded, and replay reads them back
+    entry = ledger_theorem("weak-seed", k=640, eps=0.01, d=10, delta=0.1)
+    assert entry.inputs["C"] == 64.0 and entry.replay()
+
+
+def test_arithmetic_outside_the_domain_is_invalid_input():
+    with pytest.raises(InvalidInputError, match="'expander' is undefined at "
+                       "beta=0, C=1.0") as exc:
+        ledger_theorem("expander", beta=0)
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+    # the typed errors a theorem raises itself pass through unchanged
+    with pytest.raises(InvalidInputError, match=r"eps must lie in \(0, 1\]"):
+        ledger_theorem("bourgain-ge", n=1000, alpha=-0.1)
+    with pytest.raises(ConstraintViolatedError) as exc:
+        ledger_theorem("raz", n1=1 << 10, n2=1 << 10, k1=2048, k2=10)
+    assert "k1 < n1 (log2(n1-k1) defined)" in exc.value.violations
+
+
 # ----------------------------------------------------------------------
 # the raz-ge chain (exercised fully by the acceptance suite)
 # ----------------------------------------------------------------------
@@ -195,3 +221,359 @@ def test_marginal_and_combinator_theorems_pinned():
         assert ledger_theorem("bext", k=k, eps=eps).outputs == {
             "eps": total, "strong": "block source",
             "security": "marginal/OA per final stage"}
+
+
+# ----------------------------------------------------------------------
+# golden pins: every theorem's full entry, byte for byte
+# ----------------------------------------------------------------------
+
+# One full entry per theorem, generated from the ledger before its inputs
+# were bound to the theorems' signatures: inputs (defaults applied), trace,
+# constraints and outputs, compared as the JSON text the CLI writes.
+GOLDEN = [
+    ('raz', dict(n1=262144, n2=262144, k1=209715.2, k2=20000, delta=0.2),
+     {'theorem': 'raz',
+      'inputs': {'n1': 262144,
+                 'n2': 262144,
+                 'k1': 209715.2,
+                 'k2': 20000,
+                 'm': None,
+                 'delta': 0.2},
+      'outputs': {'n1': 262144,
+                  'k1': 209715.2,
+                  'n2': 262144,
+                  'k2': 20000,
+                  'm': 99.0,
+                  'eps': 1.981735293180747e-45,
+                  'strong': 'both',
+                  'security': 'marginal'},
+      'trace': [{'step': 'm',
+                 'formula': 'm = delta*min(n1/8, k2/40) - 1',
+                 'value': 99.0},
+                {'step': 'eps',
+                 'formula': 'eps = 2^(-1.5*m)',
+                 'value': 1.981735293180747e-45}],
+      'constraints': [{'name': 'n1 >= 6*log2(n1) + 2*log2(n2)',
+                       'ok': True,
+                       'lhs': 262144,
+                       'rhs': 144.0},
+                      {'name': 'k1 >= (0.5+delta)*n1 + 3*log2(n1) + '
+                               'log2(n2)',
+                       'ok': True,
+                       'lhs': 209715.2,
+                       'rhs': 183572.8},
+                      {'name': 'k2 >= 5*log2(n1-k1)',
+                       'ok': True,
+                       'lhs': 20000,
+                       'rhs': 78.39035952556318},
+                      {'name': 'm <= delta*min(n1/8, k2/40) - 1',
+                       'ok': True,
+                       'lhs': 99.0,
+                       'rhs': 99.0}],
+      'notes': ''}),
+    ('raz-ge', dict(n1=1048576.0, n2=1048576.0, k1=734003.2, k2=200000.0),
+     {'theorem': 'raz-ge',
+      'inputs': {'n1': 1048576.0,
+                 'n2': 1048576.0,
+                 'k1': 734003.2,
+                 'k2': 200000.0,
+                 'm': None,
+                 'delta': 0.1},
+      'outputs': {'n1': 1048576.0,
+                  'k1': 734003.2,
+                  'n2': 1048576.0,
+                  'k2': 200000.0,
+                  'm': 30.25,
+                  'eps': 2.191613398008401e-14,
+                  'eps_lifted': 2.191613398008401e-14,
+                  'strong': 'both',
+                  'security': 'GE'},
+      'trace': [{'step': 'm',
+                 'formula': 'm = (delta/16)*min(n1/8, k2/40) - 1',
+                 'value': 30.25},
+                {'step': "k1'",
+                 'formula': "k1' = k1 - 5m",
+                 'value': 733851.95},
+                {'step': "k2'",
+                 'formula': "k2' = k2 - 5m",
+                 'value': 199848.75},
+                {'step': "delta'",
+                 'formula': "delta' = delta/2",
+                 'value': 0.05},
+                {'step': "eps'",
+                 'formula': "eps' = 2^(-5m)",
+                 'value': 2.9458671383781845e-46},
+                {'step': "base-k1' check",
+                 'formula': "k1' >= (0.5+delta')*n1 + 3*log2(n1) + log2(n2)",
+                 'value': True},
+                {'step': "base-k2' check",
+                 'formula': "k2' >= 5*log2(n1-k1)",
+                 'value': True},
+                {'step': 'lift',
+                 'formula': "(k' + log2(1/eps'), 2^m*sqrt(eps'))",
+                 'value': {'k1': 734003.2,
+                           'k2': 200000.0,
+                           'eps': 2.191613398008401e-14}},
+                {'step': 'oa-to-ge',
+                 'formula': 'identity on parameters (strong, |S| = t-1)',
+                 'value': None},
+                {'step': 'eps',
+                 'formula': 'eps = 2^(-1.5*m)',
+                 'value': 2.191613398008401e-14}],
+      'constraints': [{'name': 'n1 >= 6*log2(n1) + 2*log2(n2)',
+                       'ok': True,
+                       'lhs': 1048576.0,
+                       'rhs': 160.0},
+                      {'name': 'k1 >= (0.5+delta)*n1 + 3*log2(n1) + '
+                               'log2(n2)',
+                       'ok': True,
+                       'lhs': 734003.2,
+                       'rhs': 629225.6},
+                      {'name': 'k2 >= 6*log2(n1-k1)',
+                       'ok': True,
+                       'lhs': 200000.0,
+                       'rhs': 109.57820643500276},
+                      {'name': 'm <= (delta/16)*min(n1/8, k2/40) - 1',
+                       'ok': True,
+                       'lhs': 30.25,
+                       'rhs': 30.25}],
+      'notes': ''}),
+    ('bourgain', dict(n=1000, alpha=0.1),
+     {'theorem': 'bourgain',
+      'inputs': {'n': 1000, 'alpha': 0.1},
+      'outputs': {'n': 1000,
+                  'k': 400.0,
+                  'm': 100.0,
+                  'eps': 7.888609052210118e-31,
+                  'strong': 'both',
+                  'security': 'marginal'},
+      'trace': [{'step': 'k',
+                 'formula': 'k = (0.5-alpha)*n',
+                 'value': 400.0},
+                {'step': 'm', 'formula': 'm = alpha*n', 'value': 100.0},
+                {'step': 'eps',
+                 'formula': 'eps = 2^(-alpha*n)',
+                 'value': 7.888609052210118e-31}],
+      'constraints': [],
+      'notes': ''}),
+    ('bourgain-ge', dict(n=1000.0),
+     {'theorem': 'bourgain-ge',
+      'inputs': {'n': 1000.0, 'alpha': 0.1},
+      'outputs': {'n': 1000.0,
+                  'k': 480.0,
+                  'm': 20.0,
+                  'eps': 9.5367431640625e-07,
+                  'strong': 'both',
+                  'security': 'GE'},
+      'trace': [{'step': 'beta', 'formula': 'beta = alpha/5', 'value': 0.02},
+                {'step': "k'",
+                 'formula': "k' = (0.5-alpha)*n",
+                 'value': 400.0},
+                {'step': "eps''",
+                 'formula': "eps'' = 2^(-4*beta*n)",
+                 'value': 8.271806125530277e-25},
+                {'step': 'lift',
+                 'formula': "(k' + log2(1/eps''), 2^m*sqrt(eps''))",
+                 'value': {'k': 480.0, 'eps': 9.5367431640625e-07}}],
+      'constraints': [],
+      'notes': ''}),
+    ('deor', dict(n=10, k1=8, k2=8, m=2),
+     {'theorem': 'deor',
+      'inputs': {'n': 10, 'k1': 8, 'k2': 8, 'm': 2},
+      'outputs': {'n': 10,
+                  'k1': 8,
+                  'k2': 8,
+                  'm': 2,
+                  'eps': 0.1767766952966369,
+                  'strong': 'both',
+                  'security': 'marginal'},
+      'trace': [{'step': 'eps',
+                 'formula': 'eps = 2^(-(k1+k2+1-n-m)/2)',
+                 'value': 0.1767766952966369}],
+      'constraints': [],
+      'notes': ''}),
+    ('deor-ge', dict(n=1000.0, k1=600.0, k2=600.0),
+     {'theorem': 'deor-ge',
+      'inputs': {'n': 1000.0, 'k1': 600.0, 'k2': 600.0},
+      'outputs': {'n': 1000.0,
+                  'k1': 600.0,
+                  'k2': 600.0,
+                  'm': 10.05,
+                  'eps': 0.000943297196215669,
+                  'strong': 'both',
+                  'security': 'GE'},
+      'trace': [{'step': 'm',
+                 'formula': 'm = min((k1+k2+1-n)/20, k1/4, k2/4)',
+                 'value': 10.05},
+                {'step': "k1'", 'formula': "k1' = k1 - 4m", 'value': 559.8},
+                {'step': "k2'", 'formula': "k2' = k2 - 4m", 'value': 559.8},
+                {'step': "eps'",
+                 'formula': "eps' = 2^(-4m)",
+                 'value': 7.917611249432616e-13},
+                {'step': 'base check',
+                 'formula': "2^(-(k1'+k2'+1-n-m)/2) <= eps'",
+                 'value': True},
+                {'step': 'lift',
+                 'formula': "(k' + log2(1/eps'), 2^m*sqrt(eps'))",
+                 'value': {'k1': 600.0,
+                           'k2': 600.0,
+                           'eps': 0.0009432971962156691}}],
+      'constraints': [{'name': 'k1 + k2 > n - 1',
+                       'ok': True,
+                       'lhs': 1200.0,
+                       'rhs': 999.0}],
+      'notes': ''}),
+    ('qmext', dict(t=3, n=16, k=12, l=4, eps1=0.01, eps2=0.02),
+     {'theorem': 'qmext',
+      'inputs': {'t': 3,
+                 'n': 16,
+                 'k': 12,
+                 'l': 4,
+                 'eps1': 0.01,
+                 'eps2': 0.02},
+      'outputs': {'t': 4,
+                  'n': 16,
+                  'k': 12,
+                  'm': 4,
+                  'eps': 0.03,
+                  'strong': 'S = {1..3}',
+                  'security': 'OA/GE'},
+      'trace': [{'step': 'eps',
+                 'formula': 'eps = eps1 + eps2',
+                 'value': 0.03}],
+      'constraints': [],
+      'notes': ''}),
+    ('qbext', dict(eps1=0.01, eps2=0.02, eps3=0.03, k3=40.0),
+     {'theorem': 'qbext',
+      'inputs': {'eps1': 0.01,
+                 'eps2': 0.02,
+                 'eps3': 0.03,
+                 'k3': 40.0,
+                 'omega_const': 0.05},
+      'outputs': {'eps': 0.36,
+                  'strong': 'block source',
+                  'security': 'OA/GE'},
+      'trace': [{'step': 'residual',
+                 'formula': '2^-Omega(k3), Omega constant is a default',
+                 'value': 0.25},
+                {'step': 'eps',
+                 'formula': 'eps = 4*eps1 + 2*eps2 + eps3 + 2^-Omega(k3)',
+                 'value': 0.36}],
+      'constraints': [],
+      'notes': ''}),
+    ('bext', dict(k=40, eps=0.01),
+     {'theorem': 'bext',
+      'inputs': {'k': 40, 'eps': 0.01, 'omega_const': 0.05},
+      'outputs': {'eps': 0.26,
+                  'strong': 'block source',
+                  'security': 'marginal/OA per final stage'},
+      'trace': [{'step': 'residual',
+                 'formula': '2^-Omega(k), Omega constant is a default',
+                 'value': 0.25},
+                {'step': 'eps',
+                 'formula': 'eps_total = 2^-Omega(k) + eps',
+                 'value': 0.26}],
+      'constraints': [],
+      'notes': ''}),
+    ('weak-seed', dict(k=640.0, eps=0.01, d=10.0, delta=0.1),
+     {'theorem': 'weak-seed',
+      'inputs': {'k': 640.0,
+                 'eps': 0.01,
+                 'd': 10.0,
+                 'delta': 0.1,
+                 'C': 64.0,
+                 'big_o_const': 8,
+                 'omega_const': 0.05},
+      'outputs': {'k': 768.0,
+                  'eps': 0.7171067811865476,
+                  'd': 80.0,
+                  'seed_entropy': 48.0,
+                  'security': 'strong, weak seed'},
+      'trace': [{'step': "d'",
+                 'formula': "d' = O(d), O constant is a default",
+                 'value': 80.0},
+                {'step': 'block split',
+                 'formula': "halves form a (delta*d', delta*d'/2) block "
+                            "source up to 2^-Omega(d')",
+                 'value': {'k_block1': 8.0, 'k_block2': 4.0}},
+                {'step': 'eps',
+                 'formula': "eps' = eps + 2^-Omega(d)",
+                 'value': 0.7171067811865476}],
+      'constraints': [{'name': 'd <= k/C',
+                       'ok': True,
+                       'lhs': 10.0,
+                       'rhs': 10.0}],
+      'notes': ''}),
+    ('three-source', dict(k=100.0, eps=0.01, delta=0.1),
+     {'theorem': 'three-source',
+      'inputs': {'k': 100.0, 'eps': 0.01, 'delta': 0.1},
+      'outputs': {'m': 90.0,
+                  'eps': 0.01,
+                  'strong': 'the two short seeds',
+                  'security': 'GE'},
+      'trace': [{'step': 'm', 'formula': 'm = 0.9*k', 'value': 90.0}],
+      'constraints': [],
+      'notes': ''}),
+    ('ir-to-qr', dict(eps=1e-06, rush_bits=10.0),
+     {'theorem': 'ir-to-qr',
+      'inputs': {'eps': 1e-06, 'rush_bits': 10.0},
+      'outputs': {'eps_qr': 0.001024},
+      'trace': [{'step': 'eps_qr',
+                 'formula': 'eps_qr = 2^rush_bits * eps_ir',
+                 'value': 0.001024}],
+      'constraints': [],
+      'notes': ''}),
+    ('and-disperser', dict(alpha=0.5, D=3, M=64),
+     {'theorem': 'and-disperser',
+      'inputs': {'alpha': 0.5, 'D': 3, 'M': 64, 'c': 1.0},
+      'outputs': {'d': 256.0,
+                  'mu': 0.08333333333333333,
+                  'N_upper': 1073741824.0,
+                  'beta_lower': 0.0005787037037037036},
+      'trace': [{'step': 'd', 'formula': 'd = c*alpha^-8', 'value': 256.0},
+                {'step': 'mu',
+                 'formula': 'mu = alpha^2/3',
+                 'value': 0.08333333333333333},
+                {'step': 'N bound',
+                 'formula': 'M < N <= M*d^D',
+                 'value': 1073741824.0},
+                {'step': 'beta bound',
+                 'formula': 'beta > mu^D',
+                 'value': 0.0005787037037037036}],
+      'constraints': [],
+      'notes': ''}),
+    ('expander', dict(beta=0.3),
+     {'theorem': 'expander',
+      'inputs': {'beta': 0.3, 'C': 1.0},
+      'outputs': {'degree_bound': 11.11111111111111},
+      'trace': [{'step': 'd',
+                 'formula': 'd(beta) < O(1/beta^2), O constant is a default',
+                 'value': 11.11111111111111}],
+      'constraints': [],
+      'notes': ''}),
+]
+
+
+@pytest.mark.parametrize("theorem,inputs,entry", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_entry_matches_its_golden_pin(theorem, inputs, entry):
+    got = ledger_theorem(theorem, **inputs)
+    assert got.to_json() == json.dumps(entry, indent=2)
+    assert got.replay()
+
+
+def test_golden_pins_cover_every_theorem():
+    assert sorted(g[0] for g in GOLDEN) == known_theorems()
+
+
+def test_ledger_grid_tool_agrees_with_itself():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "ledger_grid", root / "tools" / "ledger_grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    assert set(grid.PARAMS) == set(known_theorems())
+    src = str(root / "src")
+    counts = grid.compare(src, src, per_theorem=3)
+    assert sum(counts.values()) == 3 * 14 and not counts["mismatch"]
+    assert counts["ok"] and counts["InvalidInputError"]

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -681,3 +682,85 @@ def test_exact_security_matches_naive_per_world(case):
         if case == "ext-pub-trigger":
             late = [w for w in worlds if 5 in w[5]]
             assert late and all(w[3][-1][:2] == (3, 5) for w in late)
+
+
+# ----------------------------------------------------------------------
+# wiring checks: each violation is refused by name
+# ----------------------------------------------------------------------
+
+_RING = tuple((i, (i + 1) % 3) for i in range(3))
+
+
+def _slots(**specs):
+    """Replace gadget slots: a graph, None, or ``(widths, m)`` for a fresh
+    random table."""
+    def mutate(cfg, rng):
+        cfg.gadgets = replace(cfg.gadgets, **{
+            nm: _random_slot(rng, nm, *s) if isinstance(s, tuple) else s
+            for nm, s in specs.items()})
+    return mutate
+
+
+def _set(**fields):
+    def mutate(cfg, rng):
+        for name, value in fields.items():
+            setattr(cfg, name, value)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (_set(p=6), r"no outer players: \|A\|\+\|B\| >= p"),
+    (_slots(iext=None), "gadget slot iext is empty"),
+    (_slots(srext=None), "gadget slot srext is empty"),
+    (_slots(and_disperser=None), "gadget slot and_disperser is empty"),
+    (_slots(expander=None), "gadget slot expander is empty"),
+    (_slots(and_disperser=BipartiteGraph(3, 4, 2, _RING)),
+     "disperser right set must be the A players"),
+    (_slots(and_disperser=BipartiteGraph(3, 3, 1, ((0,), (1,), (2,)))),
+     "disperser left degree must match the multi-source arity"),
+    (_slots(expander=BipartiteGraph(3, 4, 2, _RING)),
+     "expander right set must be the disperser left set"),
+    (_slots(expander=BipartiteGraph(2, 3, 2, _RING[:2])),
+     "expander left set must cover B"),
+    (_slots(srext=((3, 3), 2)), "somewhere-random input must be d2 rows"),
+    (_slots(srext=((3, 4), 1)), "somewhere-random output too narrow"),
+])
+def test_ext_pub_wiring_violations_named(mutate, match):
+    rng = np.random.default_rng(3)
+    cfg = _tiny_ext_pub(rng)
+    mutate(cfg, rng)
+    with pytest.raises(InvalidInputError, match=match):
+        cfg.validate_ext_pub()
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (_slots(iext=None), "geqr needs the iext and qtext slots"),
+    (_slots(qtext=None), "geqr needs the iext and qtext slots"),
+    (_set(geqr_group=3), "group size must match the iext arity"),
+    (_set(p=4), r"p must exceed s\*d"),
+    (_slots(qtext=((3, 3), 1)), r"qtext seed width must be s\*floor\(k/s\) = 2"),
+])
+def test_geqr_wiring_violations_named(mutate, match):
+    rng = np.random.default_rng(4)
+    cfg = _tiny_geqr(rng)
+    cfg.validate_geqr()
+    mutate(cfg, rng)
+    with pytest.raises(InvalidInputError, match=match):
+        cfg.validate_geqr()
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (_slots(oaext=None), "the oaext slot is empty"),
+    (_slots(oaext=((3, 5), 1)), "oaext must read a 6-bit public string"),
+    (_slots(oaext_b=None), "the oaext_b slot is empty"),
+    (_slots(oaext_b=((3, 5), 1)), "oaext_b must read a 4-bit public string"),
+])
+def test_ext_pri_slot_violations_named(mutate, match):
+    rng = np.random.default_rng(5)
+    cfg = _tiny_ext_pub(rng)
+    _, _, b = protocol_runs("ext_pub_only", cfg, _toy_sources(cfg), None,
+                            AdversaryStrategy.passive(), n_runs=1)
+    exec_ext_pri(cfg, b)
+    mutate(cfg, rng)
+    with pytest.raises(InvalidInputError, match=match):
+        exec_ext_pri(cfg, b)
