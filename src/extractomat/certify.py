@@ -237,16 +237,17 @@ def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
 
 def save_xtab(path: Path, handle: ExtractorHandle,
               record: CertificationRecord) -> None:
-    """Write the frame, the little-endian table and the JSON record."""
+    """Write the frame, the table from its own buffer and the JSON record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = np.ascontiguousarray(handle.table(), dtype="<u4").tobytes()
-    head = _FRAME.pack(XTAB_MAGIC, XTAB_VERSION, len(body))
+    body = np.ascontiguousarray(handle.table(), dtype="<u4")
     tail = json.dumps(record.to_json_dict()).encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(head + body + tail)
+            f.write(_FRAME.pack(XTAB_MAGIC, XTAB_VERSION, body.nbytes))
+            f.write(body)
+            f.write(tail)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -467,18 +467,21 @@ def row_ids(cols, n: int) -> tuple:
     order of first appearance: ``(ids, first)``, ``first[i]`` being the
     first row with id ``i``.  The columns are packed by value range into
     as few int64 words as fit; several words are first replaced by their
-    rows' ids from ``np.unique``.  The one word takes one stable argsort:
-    the first row of each run of equal keys is marked, and the marks, in
-    row order, number the keys."""
+    rows' ids from ``np.unique``; a constant column packs to nothing, and
+    one whose minimum is 0 is packed as it is.  The one word takes one
+    stable argsort: the first row of each run of equal keys is marked, and
+    the marks, in row order, number the keys."""
     if n == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     words, word, used = [], np.zeros(n, dtype=np.int64), 0
     for col in cols:
         lo = np.min(col)
         bits = int(np.max(col) - lo).bit_length()
+        if not bits:
+            continue
         if used + bits > 62:
             words, word, used = words + [word], np.zeros(n, np.int64), 0
-        word, used = (word << bits) | (col - lo), used + bits
+        word, used = (word << bits) | (col - lo if lo else col), used + bits
     if words:
         word = np.unique(np.stack(words + [word], axis=1), axis=0,
                          return_inverse=True)[1].reshape(-1)

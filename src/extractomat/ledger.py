@@ -324,7 +324,7 @@ def ledger_theorem(theorem_id: str, **inputs) -> LedgerEntry:
     records.  Raises :class:`ConstraintViolatedError` naming every violated
     precondition, and :class:`InvalidInputError` for an unknown id, an
     input the theorem does not take, a missing one, or arithmetic outside
-    the theorem's domain.
+    the theorem's domain, a complex result included.
     """
     if theorem_id not in _THEOREMS:
         raise InvalidInputError(
@@ -339,6 +339,9 @@ def ledger_theorem(theorem_id: str, **inputs) -> LedgerEntry:
     entry = LedgerEntry(theorem_id, bound.arguments)
     try:
         fn(entry, **entry.inputs)
+        if any(isinstance(v, complex) for v in [
+                *entry.outputs.values(), *(s["value"] for s in entry.trace)]):
+            raise ValueError("a result leaves the reals")
     except (ConstraintViolatedError, InvalidInputError):
         raise
     except (ArithmeticError, ValueError) as exc:

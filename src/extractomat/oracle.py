@@ -29,9 +29,9 @@ block+general, on rows (x1, x2), per x1 the top K2 of its row scores,
 then the top K1 of those sums; multi-source composites, every S1 of the
 strong input with fewer supports, then the top K2 of its summed scores.
 Ties go to the lowest-rank S2, then to the first candidate scored, then
-to the lower row index.  Budgets count the candidates scored; one
-support's working array, its leak rows times its cells or candidates,
-is capped apart (``SUPPORT_ENTRIES``).  The two-source, seeded and
+to the lower row index.  Budgets count the candidates scored; the
+bytes of the arrays a request builds, counted from its sizes before any
+is built, are capped apart (``SUPPORT_BYTES``).  The two-source, seeded and
 leaked oracles share one enumerate-and-select step, ``_side_worst``,
 which states their budget, resolves their mode and makes their map-free
 choice.  On a square table that has the inner product's GL(n,2)
@@ -69,7 +69,7 @@ EXHAUSTIVE_MAP_BITS_CAP = 2  # leakage maps enumerated exhaustively up to e-widt
 CHUNK_ENTRIES = 1 << 14  # int64 entries per working array of one S2 chunk
 SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
 EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
-SUPPORT_ENTRIES = 1 << 24  # largest working array of one support, refused past
+SUPPORT_BYTES = 8 << 24  # largest kernel request's arrays, refused past
 DEFAULT_SAMPLES = 200
 GL_SYMMETRY = "GL(n,2)"  # T[Ax, A^-T y] = T[x, y] for every A in GL(n,2)
 
@@ -81,8 +81,9 @@ class OracleReport:
     ``error`` is a Fraction in exhaustive mode (exact) and a float in
     sampled mode, where it is the largest exact error of the draws and
     the witness one draw attaining it.  ``enumerated`` counts the
-    configurations of the family searched.  ``wall_time``, ``kernel``
-    and ``candidates`` are volatile and excluded from replay comparisons.
+    configurations of the family searched.  ``wall_time``, ``kernel``,
+    ``candidates`` and ``memory_bytes`` are volatile and excluded from
+    replay comparisons.
     """
 
     mode: str
@@ -92,6 +93,7 @@ class OracleReport:
     wall_time: float = 0.0
     kernel: str = ""  # "events" or "supports": how the selected side was chosen
     candidates: int = 0  # selected-side supports scored exactly
+    memory_bytes: int = 0  # the kernel's arrays, counted before they were built
     symmetry: str = ""  # the table symmetry that reduced the enumeration
     representatives: int = 0  # enumerated supports under that reduction
 
@@ -108,7 +110,8 @@ class OracleReport:
             d["error_exact"] = f"{self.error.numerator}/{self.error.denominator}"
         d["volatile"] = {"wall_time": self.wall_time}
         if self.kernel:
-            d["volatile"].update(kernel=self.kernel, candidates=self.candidates)
+            d["volatile"].update(kernel=self.kernel, candidates=self.candidates,
+                                 memory_bytes=self.memory_bytes)
         if self.symmetry:
             d["volatile"].update(symmetry=self.symmetry,
                                  representatives=self.representatives)
@@ -153,11 +156,8 @@ def _count(space: int, size: int, orbits: bool = False) -> int:
                for d in range(min(space.bit_length() - 1, size) + 1))
 
 
-@functools.cache
-def _support_table(space: int, K: int, orbits: bool = False) -> np.ndarray:
-    """``_subsets(space, K, orbits)`` as a read-only int64 table built once
-    per process; ``_supports`` keeps it within ``SUPPORT_TABLE_ENTRIES``
-    entries (2 MiB)."""
+def _subset_table(space: int, K: int, orbits: bool = False) -> np.ndarray:
+    """``_subsets(space, K, orbits)`` as a read-only int64 table."""
     rows = _count(space, K, orbits)
     table = np.fromiter(itertools.chain.from_iterable(
         _subsets(space, K, orbits)), np.int64, count=rows * K).reshape(rows, K)
@@ -165,9 +165,12 @@ def _support_table(space: int, K: int, orbits: bool = False) -> np.ndarray:
     return table
 
 
+_support_table = functools.cache(_subset_table)  # once per process
+
+
 def _supports(space: int, size: int, orbits: bool = False):
     """``_subsets(space, size, orbits)``: the cached table up to
-    ``SUPPORT_TABLE_ENTRIES`` entries, the stream past that."""
+    ``SUPPORT_TABLE_ENTRIES`` entries (2 MiB), the stream past that."""
     if _count(space, size, orbits) * size > SUPPORT_TABLE_ENTRIES:
         return _subsets(space, size, orbits)
     # one cache key per table
@@ -218,13 +221,16 @@ def _gl_invariant(table2d) -> bool:
                for a in range(0, xs.size, rows))
 
 
-def _fit(entries: int) -> int:
-    """``entries``, the int64 entries of one support's working array, if
-    at most ``SUPPORT_ENTRIES``: budgets bound the steps, this the memory."""
-    if entries > SUPPORT_ENTRIES:
-        raise SizeLimitError(f"one support's working array needs {entries} "
-                             f"int64 entries, the cap is {SUPPORT_ENTRIES}")
-    return entries
+def _fit(**arrays) -> int:
+    """The total of ``arrays``, the bytes of each array a kernel request
+    will build, counted from its sizes before any is built, if at most
+    ``SUPPORT_BYTES``: budgets bound the steps, this the memory."""
+    total = sum(arrays.values())
+    if total > SUPPORT_BYTES:
+        parts = ", ".join(f"{name} {size}" for name, size in arrays.items())
+        raise SizeLimitError(f"the kernel's arrays need an estimated {total} "
+                             f"bytes ({parts}), the cap is {SUPPORT_BYTES}")
+    return total
 
 
 def _philox(key: int) -> np.random.Generator:
@@ -295,23 +301,20 @@ def _leak_patterns(b: int, size: int) -> np.ndarray:
     return (codes >> (b * np.arange(size - 1, -1, -1))) & ((1 << b) - 1)
 
 
-def _cell_indicator(table2d, M: int, B: int) -> np.ndarray:
-    """Excess matrix with cells before rows: entry (y*B + e, (e*M + z)*rows
-    + x) is M - 1 if T[x, y] = z, else -1, and 0 off the leak value e, so
-    column y with leak e adds its excess to each cell (z, e) of row x."""
+def _cell_indicator(table2d, M: int, dtype) -> np.ndarray:
+    """Excess rows by column, of ``dtype``: entry (y, z*rows + x) is M - 1
+    if T[x, y] = z, else -1, which column y with leak e adds to the cells
+    (z, e) of ``_cell_excess``."""
     rows, cols = table2d.shape
-    ind = np.zeros((cols, B, B, M, rows), np.int64)  # (y, e, e, z, x)
-    for e in range(B):
-        block = ind[:, e, e]  # in place: no second array of this size
-        block[...] = table2d.T[:, None, :] == np.arange(M)[:, None]
-        block *= M
-        block -= 1
-    return ind.reshape(cols * B, B * M * rows)
+    ind = np.full((cols, M, rows), -1, dtype)
+    for z in range(M):  # one table-sized mask at a time
+        ind[:, z][table2d.T == z] = M - 1
+    return ind.reshape(cols, M * rows)
 
 
 def _onehot(supports, space: int) -> np.ndarray:
-    """0/1 int64 rows marking each of the ``supports`` (a list)."""
-    idx = np.array(supports, dtype=np.int64).reshape(len(supports), -1)
+    """0/1 int64 rows marking each of the ``supports`` (rows of an array)."""
+    idx = np.asarray(supports, dtype=np.int64).reshape(len(supports), -1)
     hot = np.zeros((len(idx), space), dtype=np.int64)
     np.put_along_axis(hot, idx, 1, axis=1)
     return hot
@@ -336,14 +339,18 @@ def _scores(excess) -> np.ndarray:
 
 def _cell_excess(ind, block, leak, M: int, B: int):
     """Per-cell excess of the configurations (support in ``block`` (c, K),
-    leak row in ``leak`` (c or 1, P, K)), support-major, summed over the
-    support's rows of ``ind``: entry ``[i, z + M*e, x]`` is M #{y in S :
-    T[x, y] = z, leak e} - #{y in S : leak e}."""
-    idx = B * block[:, None] + leak
-    cnt = ind[idx[..., 0]]
-    for j in range(1, idx.shape[2]):
-        cnt += ind[idx[..., j]]
-    return cnt.reshape(-1, M * B, cnt.shape[-1] // (M * B))
+    leak row in ``leak`` (c or 1, P, K)), support-major: each support
+    element adds its row of ``ind`` to the cells of its leak value, in
+    ``ind``'s type, which holds every sum of K rows.  Entry ``[i, z + M*e,
+    x]`` is M #{y in S : T[x, y] = z, leak e} - #{y in S : leak e}."""
+    c, P = len(block), leak.shape[1]
+    cnt = np.zeros((c, P, B, ind.shape[1]), ind.dtype)
+    if B > 1:  # (c or 1, P, B, K): 1 where the element's leak value is e
+        hot = (leak[..., None, :] == np.arange(B)[:, None]).astype(ind.dtype)
+    for j in range(block.shape[1]):
+        row = ind[block[:, j], None, None]
+        cnt += row if B == 1 else hot[..., j, None] * row
+    return cnt.reshape(c * P, B * M, -1)
 
 
 def _event_rule(rows: int, K1: int, J: int, B: int = 1):
@@ -352,20 +359,25 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     distinct cell sets (a repeat never scores more; for ``B=1`` neither
     the empty nor the full set, which score 0), each row takes its best e,
     scored by its excess summed over T_e, and the top K1 rows give S1.
-    With ``B > 1`` a pick is S1 and its leak map, 0 off S1."""
-    codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.array(
-        list(itertools.combinations(range(1 << J), min(B, 1 << J))))
-    events = (codes[..., None] >> np.arange(J)) & 1  # (event, e, cell)
-    flat = events.reshape(-1, J)
+    With ``B > 1`` a pick is S1 and its leak map, 0 off S1.  The events
+    are built by the rule's ``build``, once the kernel has counted them."""
+    W = min(B, 1 << J)  # cell sets per event
+    E = (1 << J) - 2 if B == 1 else math.comb(1 << J, W)
 
-    def pick(ex, q):
-        score = (flat @ ex).reshape(*events.shape[:2], rows)[q]
-        s1 = _top_index(score.max(axis=0), K1)
-        return s1 if B == 1 else (s1, np.bincount(
-            s1, score[:, s1].argmax(axis=0), rows).astype(int).tolist())
-    return (lambda ex: _top_sums((flat @ ex).reshape(
-                len(ex), *events.shape[:2], rows).max(axis=2), K1),
-            pick, len(flat) * rows)
+    def build():
+        codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.array(
+            list(itertools.combinations(range(1 << J), W)))
+        events = (codes[..., None] >> np.arange(J)) & 1  # (event, e, cell)
+        flat = events.reshape(-1, J)
+
+        def pick(ex, q):
+            score = (flat @ ex).reshape(*events.shape[:2], rows)[q]
+            s1 = _top_index(score.max(axis=0), K1)
+            return s1 if B == 1 else (s1, np.bincount(
+                s1, score[:, s1].argmax(axis=0), rows).astype(int).tolist())
+        return (lambda ex: _top_sums((flat @ ex).reshape(
+                    len(ex), *events.shape[:2], rows).max(axis=2), K1), pick)
+    return build, E * W * rows, E * W * J * 8
 
 
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
@@ -377,10 +389,13 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     densely) and supports S1 of the other input, which
     ``strong`` (None or its index) may reveal, chosen by a selection rule
     (``rule``, by default the top K1 rows, per event if hidden).  A rule
-    is (values, pick, entries): (configurations, cells, rows) excess to
-    (configurations, candidates) numerators, one configuration's excess
-    and a candidate to its selection, and working int64 entries per
-    configuration; one support's, times its leak rows, must ``_fit``.
+    is (build, work, held): ``build()`` gives (values, pick), from
+    (configurations, cells, rows) excess to (configurations, candidates)
+    numerators and from one configuration's excess and a candidate to its
+    selection; ``work`` counts its int64 working entries per configuration
+    and ``held`` the bytes of the arrays ``build`` makes.  Those, the
+    indicator, the supports and one chunk's working arrays must ``_fit``
+    before any of them is built.
     Returns ``(report, supports, leak_map or None)``; given ``samples``,
     S2 is that many random supports drawn from ``Philox(seed)``, and the
     report is sampled: the best draw's error as a float."""
@@ -390,31 +405,43 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     rows, cols = table2d.shape
     M = 1 << m
     B, P = 1 << b, 1 << b * K2 if maps is None else len(maps)
-    J = M * B
-    ind = _cell_indicator(table2d, M, B)
-    kernel = "events"
+    J, cells, kernel = M * B, rows, "events"
     if rule is not None:
         pass  # the caller's selection rule
     elif K1 == rows:  # one S1, every row
         if strong is None:  # counted as a single row
-            kernel = "supports"
-            ind = ind.reshape(len(ind), J, rows).sum(axis=2)
-        rule = (lambda ex: np.maximum(ex, 0, out=ex).sum(axis=(1, 2))[:, None],
-                lambda ex, q: list(range(rows)), 0)
+            kernel, cells = "supports", 1
+        rule = (lambda: (
+            lambda ex: np.maximum(ex, 0, out=ex).sum(axis=(1, 2))[:, None],
+            lambda ex, q: list(range(rows))), 0, 0)
     elif strong is not None:
-        rule = (lambda ex: _top_sums(_scores(ex), K1)[:, None],
-                lambda ex, q: _top_index(_scores(ex), K1), 0)
+        rule = (lambda: (lambda ex: _top_sums(_scores(ex), K1)[:, None],
+                         lambda ex, q: _top_index(_scores(ex), K1)), 0, 0)
     elif supports1 is None and 1 << J <= math.comb(rows, K1):
         rule = _event_rule(rows, K1, J)
     else:
         kernel = "supports"
-        if supports1 is None:
-            supports1 = np.array(list(itertools.combinations(range(rows), K1)))
-        hot = _onehot(supports1, rows)
-        rule = (lambda ex: np.maximum(ex @ hot.T, 0).sum(axis=1),
-                lambda ex, q: supports1[q].tolist(), len(hot) * max(rows, J))
-    values, pick, work = rule
-    chunk = max(1, CHUNK_ENTRIES // _fit(P * max(ind.shape[1], work)))
+        S1s = math.comb(rows, K1) if supports1 is None else len(supports1)
+
+        def build(s1=supports1):
+            s1 = _subset_table(rows, K1) if s1 is None else s1
+            hot = _onehot(s1, rows)
+            return (lambda ex: np.maximum(ex @ hot.T, 0).sum(axis=1),
+                    lambda ex, q: s1[q].tolist())
+        rule = build, S1s * max(rows, J), S1s * (rows + K1) * 8
+    build, work, held = rule
+    dtype = np.min_scalar_type(-K2 * M)  # holds every count of K2 rows
+    chunk = max(1, CHUNK_ENTRIES // (P * max(J * cells, work)))
+    S2s = samples or math.comb(cols, K2)  # drawn, or at most one table
+    memory = _fit(  # the indicator with its mask; the excess, an addend
+        indicator=cols * rows * (M * dtype.itemsize + 1), rule=held,
+        supports=8 * K2 * (S2s if samples else min(
+            S2s, SUPPORT_TABLE_ENTRIES // K2)),
+        chunk=min(chunk, S2s) * P * (2 * J * cells * dtype.itemsize + 8 * work))
+    ind = _cell_indicator(table2d, M, dtype)
+    if cells == 1:
+        ind = ind.reshape(cols, M, rows).sum(axis=2)
+    values, pick = build()
     pats = _leak_patterns(b, K2)[None] if maps is None else None
     best, configs, cands = None, 0, 0
     if samples is not None:
@@ -433,7 +460,7 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     num, s2, p, ex, q = best
     err = Fraction(num, K1 * K2 << m)
     rep = OracleReport("exhaustive", err, enumerated=configs, kernel=kernel,
-                       candidates=cands)
+                       candidates=cands, memory_bytes=memory)
     if samples is not None:
         rep.mode, rep.error = "sampled", float(err)
     leak_map = (maps[p].tolist() if maps is not None else None if not b else
@@ -455,7 +482,7 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
     map.  Sampled, the enumerated supports are drawn from ``Philox(seed)``
     and, if marginal, the selected ones from ``Philox(seed1)``; with
     ``pairs``, ``_two_source_sampled`` scores random pairs instead.
-    ``table2d`` is the int64 table, built from ``h`` when None.  Returns
+    ``table2d`` is ``h``'s table as a matrix, that view when None.  Returns
     ``(report, supports, leak_map or None)``; an exhaustive report's
     ``enumerated`` counts the family searched.
 
@@ -493,14 +520,14 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
         n = h.input_widths[enum]
         if (count * per <= budget
                 and n * (n - 1) << n < (family - count) * Ks[enum]):
-            table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
+            table2d = h.table().reshape(X)
             reps = count if _gl_invariant(table2d) else 0
     mode = "exhaustive" if reps else _resolve_mode(
         mode, free if mapfree else required, budget, what)
     if mode == "sampled" and pairs:
         return _two_source_sampled(h, Ks, strong, samples, seed)
     if table2d is None:
-        table2d = np.asarray(h.table(), dtype=np.int64).reshape(X)
+        table2d = h.table().reshape(X)
     if reps:  # a witness support is a representative, listed ascending
         rep, supports, _ = _selected_worst(
             table2d, Ks, h.m, strong, enum,
@@ -706,10 +733,10 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         budget=budget)
     best_err = Fraction(baseline.error)
     best_wit = {**baseline.witness, "leak_map": None}
-    total, cands, kernels = (baseline.enumerated, baseline.candidates,
-                             {baseline.kernel})
+    total, cands, memory, kernels = (baseline.enumerated, baseline.candidates,
+                                     baseline.memory_bytes, {baseline.kernel})
     exhaustive = baseline.mode == "exhaustive"
-    table2d = np.asarray(h.table(), dtype=np.int64).reshape(-1, 1 << widths[1])
+    table2d = h.table().reshape(-1, 1 << widths[1])
     for i_star in leak_sources:
         if i_star == strong:
             # E is a function of the conditioned input: identical to b=0.
@@ -720,6 +747,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
             seed1=seed ^ 0xB2, table2d=table2d)
         exhaustive &= rep.mode == "exhaustive"
         total, cands = total + rep.enumerated, cands + rep.candidates
+        memory = max(memory, rep.memory_bytes)
         kernels.add(rep.kernel)
         if rep.error > best_err:
             best_err = rep.error
@@ -728,7 +756,8 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
     return OracleReport("exhaustive" if exhaustive else "sampled",
                         best_err if exhaustive else float(best_err),
                         witness=best_wit, enumerated=total, candidates=cands,
-                        kernel=max(kernels))  # "supports" > "events" > none
+                        kernel=max(kernels),  # "supports" > "events" > none
+                        memory_bytes=memory)
 
 
 # ----------------------------------------------------------------------
@@ -759,7 +788,7 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
                   for k, n in zip(k_profile, h.input_widths))
     _leak_maps(None, b)
     t0 = time.perf_counter()
-    tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1, X2, X3)
+    tbl = h.table().reshape(X1, X2, X3)
     # (S3, leak pattern on S3, support of the input with fewer) triples
     required = math.comb(X3, K3) * (1 << b) ** K3 * min(math.comb(X1, K1),
                                                        math.comb(X2, K2))
@@ -770,15 +799,17 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
     swap = math.comb(X2, K2) < math.comb(X1, K1)
     if swap:
         tbl, X1, X2, K1, K2 = tbl.transpose(1, 0, 2), X2, X1, K2, K1
-    _fit((1 << b) ** K3 * math.comb(X1, K1) * X2)  # before listing the S1
-    supports1 = list(itertools.combinations(range(X1), K1))
-    hot1 = _onehot(supports1, X1)
+    S1s = math.comb(X1, K1)
+
+    def build():  # every S1, listed once the kernel has counted them
+        supports1 = _subset_table(X1, K1)
+        hot1 = _onehot(supports1, X1)
+        return (lambda ex: _top_sums(hot1 @ _scores(ex).reshape(-1, X1, X2), K2),
+                lambda ex, q: [supports1[q].tolist(), _top_index(
+                    hot1[q] @ _scores(ex).reshape(X1, X2), K2)])
     rep, (s12, s3), leak_map = _selected_worst(  # rule: per S1, the top K2
-        tbl.reshape(X1 * X2, X3), (K1 * K2, K3), h.m, 0, b=b, rule=(
-            lambda ex: _top_sums(hot1 @ _scores(ex).reshape(-1, X1, X2), K2),
-            lambda ex, q: [list(supports1[q]), _top_index(
-                hot1[q] @ _scores(ex).reshape(X1, X2), K2)],
-            len(supports1) * X2))
+        tbl.reshape(X1 * X2, X3), (K1 * K2, K3), h.m, 0, b=b,
+        rule=(build, S1s * X2, S1s * (X1 + K1) * 8))
     rep.enumerated = rep.candidates  # (S3, leak pattern, S1) triples
     rep.witness = {"supports": (s12[::-1] if swap else s12) + [s3],
                    "leak_map": None}
@@ -811,7 +842,7 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     K1, K2, K3 = (1 << _check_k(k, n)
                   for k, n in zip(k_profile, h.input_widths))
     t0 = time.perf_counter()
-    tbl = np.asarray(h.table(), dtype=np.int64).reshape(X1 * X2, X3)
+    tbl = h.table().reshape(X1 * X2, X3)
     mode = _resolve_mode(mode, math.comb(X3, K3), budget,
                          "block+general enumeration")
 
@@ -820,8 +851,9 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
         return {x1: _top_index(row[x1], K2)
                 for x1 in _top_index(_top_sums(row, K2), K1)}
     rep, (x2s, s3), _ = _selected_worst(
-        tbl, (K1 * K2, K3), h.m, 0, rule=(lambda ex: _top_sums(_top_sums(
-            _scores(ex).reshape(-1, X1, X2), K2), K1)[:, None], pick, 0),
+        tbl, (K1 * K2, K3), h.m, 0, rule=(lambda: (lambda ex: _top_sums(
+            _top_sums(_scores(ex).reshape(-1, X1, X2), K2), K1)[:, None],
+            pick), 0, 0),
         samples=None if mode == "exhaustive" else samples, seed=seed)
     rep.witness = {"x1_support": list(x2s), "x2_conditional_supports": x2s,
                    "x3_support": s3}

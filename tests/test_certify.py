@@ -1,5 +1,7 @@
+import json
 import re
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -332,3 +334,40 @@ def test_warm_hit_hashes_the_table_once(tmp_path, monkeypatch):
     assert hashed == [h.table().nbytes]
     assert loads == [tmp_path / f"{rec.digest}.xtab"]
     assert np.array_equal(h2.table(), h.table())
+
+
+def _record_of(table, widths, m):
+    return certify.CertificationRecord(
+        digest=certify.table_digest(table), kind="2-source", widths=widths,
+        k_profile=(1.0, 1.0), m=m, mode="sampled", error=0.25,
+        error_exact=None, strong_errors={}, leak_bits=0, seed=0, attempts=1)
+
+
+def test_xtab_bytes_are_the_frame_the_table_and_the_record(cache_dir):
+    # Version 2: magic, little-endian uint16 version and uint64 body
+    # length, the table as little-endian uint32, then the JSON record.
+    h, rec = certify.certify_random_table((3, 3), (2, 2), 2, seed=7,
+                                          cache_dir=cache_dir)
+    body = h.table().astype("<u4").tobytes()
+    head = struct.pack("<4sHQ", b"XTAB", 2, len(body))
+    tail = json.dumps(rec.to_json_dict()).encode()
+    assert (cache_dir / f"{rec.digest}.xtab").read_bytes() == head + body + tail
+
+
+def test_saving_a_table_makes_no_copy_of_it(tmp_path):
+    # A 2^18-word table (1 MiB) is written from its own buffer: beyond the
+    # record's JSON, saving allocates less than 64 KiB.
+    widths = (9, 9)
+    table = certify.draw_table(widths, 1, 0)
+    rec = _record_of(table, widths, 1)
+    h = certify._certified(rec, table)
+    h.table()
+    record_bytes = len(json.dumps(rec.to_json_dict()))
+    tracemalloc.start()
+    try:
+        certify.save_xtab(tmp_path / "t.xtab", h, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < record_bytes + (64 << 10)
+    assert certify.load_xtab(tmp_path / "t.xtab")[1] == rec

@@ -454,6 +454,23 @@ def test_row_ids_of_keys_wider_than_one_word():
                         rng.integers(0, 3, size=n)])
 
 
+def test_row_ids_of_mixed_columns_match_naive_dense_ids():
+    # Constant columns (packed to nothing), zero-minimum ones (packed as
+    # they are), negative and wide ones, in runs that cross the 62-bit
+    # word boundary at random places.
+    rng = np.random.default_rng(63)
+    kinds = [lambda n: np.full(n, int(rng.integers(-5, 6))),
+             lambda n: rng.integers(0, 4, size=n),
+             lambda n: rng.integers(-3, 2, size=n),
+             lambda n: rng.choice([0, 1 << int(rng.integers(20, 41))],
+                                  size=n) - int(rng.integers(0, 2)),
+             lambda n: rng.integers(0, 1 << 31, size=n)]
+    for _ in range(80):
+        n = int(rng.integers(2, 300))
+        _check_row_ids([kinds[k](n) for k in rng.integers(
+            0, len(kinds), size=int(rng.integers(1, 9)))])
+
+
 def _naive_column_excess(weights, z, rest, m):
     cells, groups = {}, {}
     for w, v, *r in zip(weights, z, *rest):

@@ -132,6 +132,18 @@ def test_arithmetic_outside_the_domain_is_invalid_input():
     assert "k1 < n1 (log2(n1-k1) defined)" in exc.value.violations
 
 
+def test_a_result_off_the_reals_is_invalid_input():
+    # c*alpha^-8 < 0 raised to a non-integer D is complex: refused by
+    # name, never an entry whose to_json() raises a bare TypeError.
+    with pytest.raises(InvalidInputError, match="'and-disperser' is undefined "
+                       r"at alpha=0.785, D=-0.5, M=0, c=-3.0: a result "
+                       "leaves the reals"):
+        ledger_theorem("and-disperser", alpha=0.785, D=-0.5, M=0, c=-3.0)
+    # a negative d to an integer power stays real
+    entry = ledger_theorem("and-disperser", alpha=0.785, D=3, M=1, c=-3.0)
+    assert json.loads(entry.to_json())["outputs"]["N_upper"] < 0
+
+
 # ----------------------------------------------------------------------
 # the raz-ge chain (exercised fully by the acceptance suite)
 # ----------------------------------------------------------------------

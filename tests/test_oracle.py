@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from extractomat.errors import (BudgetExceededError, InvalidInputError,
                                 SizeLimitError)
 from extractomat.extractors import (deor_handle, ip_handle, table_handle,
                                     toeplitz_handle)
+from extractomat.leakage import LeakageScenario
 from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_2source,
                                 worst_case_error_block_general,
@@ -998,16 +1000,22 @@ def test_leak_budgets_count_patterns_on_the_support():
 
 
 def test_working_arrays_past_the_cap_are_refused(monkeypatch):
-    # Budgets count candidates; one support's working array (its leak
-    # patterns times its cells or candidates) is capped on its own.
+    # Budgets count candidates; the bytes of the arrays a kernel request
+    # builds are capped on their own, counted before any is built.
     rng = np.random.default_rng(54)
     three, fn = _random_table(rng, (2, 2, 2), 1, "t-source")
-    # 2^2 patterns x max(4 cells x 16 rows, 6 S1 x 4 rows) = 256 entries
-    monkeypatch.setattr(oracle_mod, "SUPPORT_ENTRIES", 256)
+    # int8 indicator of 4 columns x 16 rows x (2 cells + 1 mask) = 192;
+    # 6 S1 x (4 one-hot + 2 listed) int64 = 288; 6 S3 x 2 int64 = 96; and
+    # 6 S3 x 2^2 patterns x (2 x 4 cells x 16 rows int8 + 6 S1 x 4 rows
+    # int64) = 7,680 bytes
+    need = 192 + 288 + 96 + 7_680
+    rep = worst_case_error_multi(three, (1, 1, 1), b=1)
+    assert rep.to_json_dict()["volatile"]["memory_bytes"] == need
+    monkeypatch.setattr(oracle_mod, "SUPPORT_BYTES", need)
     assert worst_case_error_multi(three, (1, 1, 1), b=1).error == \
-        naive_worst_multi(fn, (2, 2, 2), 1, (1, 1, 1), 1)
-    monkeypatch.setattr(oracle_mod, "SUPPORT_ENTRIES", 255)
-    with pytest.raises(SizeLimitError, match="256 int64 entries"):
+        naive_worst_multi(fn, (2, 2, 2), 1, (1, 1, 1), 1) == rep.error
+    monkeypatch.setattr(oracle_mod, "SUPPORT_BYTES", need - 1)
+    with pytest.raises(SizeLimitError, match=f"estimated {need} bytes"):
         worst_case_error_multi(three, (1, 1, 1), b=1)
     monkeypatch.undo()
     # Within the default budget, refused before any array is built:
@@ -1296,12 +1304,12 @@ def test_explicit_leak_maps_count_only_their_partition(monkeypatch):
     # A map's values only name the parts of its partition: 1000 in place
     # of 1 gives the same worst case, counted on a two-letter leak
     # alphabet (the distinct values), not on 1,024 (the largest value).
-    alphabets, indicator = [], oracle_mod._cell_indicator
+    alphabets, excess = [], oracle_mod._cell_excess
 
-    def counting(table2d, M, B):
+    def counting(ind, block, leak, M, B):
         alphabets.append(B)
-        return indicator(table2d, M, B)
-    monkeypatch.setattr(oracle_mod, "_cell_indicator", counting)
+        return excess(ind, block, leak, M, B)
+    monkeypatch.setattr(oracle_mod, "_cell_excess", counting)
     seeded = table_handle("v", "seeded", (3, 2), 1, np.random.default_rng(
         3).integers(0, 2, size=32, dtype=np.uint32))
     two = table_handle("w", "2-source", (3, 3), 1, np.random.default_rng(
@@ -1613,3 +1621,109 @@ def test_symmetry_reaches_ip5_and_ip6():
         assert exact_distance(
             h, [FlatSource(n, s) for s in rep.witness["supports"]],
             strong=() if strong is None else (strong,)) == error
+
+
+# ----------------------------------------------------------------------
+# The kernel's compact indicator and its memory count
+# ----------------------------------------------------------------------
+
+def _rescored(h, supports, strong=(), leak_source=None, leak_map=None):
+    """``exact_distance`` of flat sources on ``supports``, jointly with the
+    inputs in ``strong`` and, given a map, the leak of ``leak_source``."""
+    scenario = None if leak_map is None else LeakageScenario.oa(
+        h.input_widths, leak_source, lambda x, a: leak_map[x],
+        max(1, max(leak_map).bit_length()))
+    return exact_distance(h, [FlatSource(n, s) for n, s in zip(
+        h.input_widths, supports)], strong=strong, scenario=scenario)
+
+
+def _rescored_witness(h, w, strong):
+    return _rescored(h, w["supports"], strong, w.get("leak_source"),
+                     w.get("leak_map"))
+
+
+def test_compact_kernel_matches_naive_and_exact_distance():
+    # Random tiny tables through every entry point of the kernel: leak
+    # widths 0..2, explicit maps, each strong setting, seeded, multi and
+    # block+general; counts held in int8, int16 and int32 indicators.
+    rng = np.random.default_rng(64)
+    for widths, m, bs in (((2, 2), 1, (0, 1)), ((2, 2), 2, (0, 1)),
+                          ((1, 2), 1, (0, 1, 2)), ((2, 1), 2, (0, 1, 2))):
+        ks = tuple(int(rng.integers(0, 2)) for _ in widths)
+        h, fn = _random_table(rng, widths, m)
+        for strong in (None, 0, 1):
+            revealed = () if strong is None else (strong,)
+            for b in bs:
+                rep = worst_case_error_leaked(h, ks, b, strong=strong)
+                assert rep.error == (naive_worst_2source(
+                    fn, *widths, m, *ks, strong) if b == 0 else max(
+                    naive_worst_leaked_2source(fn, *widths, m, *ks, b,
+                                               strong, (i,))
+                    for i in (0, 1)))
+                assert _rescored_witness(h, rep.witness, revealed) == rep.error
+            maps = [rng.integers(0, 3, size=1 << widths[1]) for _ in range(2)]
+            rep = worst_case_error_leaked(h, ks, 1, strong=strong, maps=maps,
+                                          leak_sources=[1])
+            assert rep.error == max(
+                naive_instance_error(fn, m, sups, revealed, src, f)
+                for sups in itertools.product(*flat_supports(widths, ks))
+                for src, f in [(None, None)] + [(1, f) for f in maps])
+            assert _rescored_witness(h, rep.witness, revealed) == rep.error
+    for n, d, m, k, b in ((2, 1, 1, 1, 1), (2, 2, 2, 0, 2), (2, 1, 2, 1, 2)):
+        h, fn = _random_table(rng, (n, d), m, "seeded")
+        for strong in (True, False):
+            rep = worst_case_error_leaked(h, (k, d), b, strong=strong)
+            assert rep.error == naive_worst_leaked_seeded(fn, n, d, m, k, b,
+                                                          strong)
+            w = rep.witness
+            assert _rescored(h, [w["support"], range(1 << d)],
+                             (1,) if strong else (), 0,
+                             w["leak_map"]) == rep.error
+    for widths, ks in (((1, 2, 2), (0, 1, 1)), ((2, 1, 2), (1, 0, 1))):
+        h, fn = _random_table(rng, widths, 2, "t-source")
+        rep = worst_case_error_multi(h, ks, b=1)
+        assert rep.error == naive_worst_multi(fn, widths, 2, ks, 1)
+        assert _rescored_witness(h, rep.witness, (0, 1)) == rep.error
+        rep = worst_case_error_block_general(h, ks)
+        assert rep.error == naive_worst_block_general(fn, widths, 2, ks)
+        w = rep.witness  # the block source is an average over its x1
+        assert sum(_rescored(h, [[x1], w["x2_conditional_supports"][x1],
+                                 w["x3_support"]], (0, 1))
+                   for x1 in w["x1_support"]) / len(w["x1_support"]) \
+            == rep.error
+    # one full support of 256 or 32,768 points: int16 and int32 counts
+    # (exact_distance stops at 12 bits: the wide table re-scores naively)
+    for widths, m, k1 in (((2, 8), 2, 1), ((1, 15), 1, 0)):
+        h, fn = _random_table(rng, widths, m)
+        for strong in (None, 0, 1):
+            rep = worst_case_error_2source(h, k1, widths[1], strong)
+            revealed = () if strong is None else (strong,)
+            assert rep.error == naive_worst_2source(fn, *widths, m, k1,
+                                                    widths[1], strong)
+            assert (_witness_error(fn, m, rep.witness, revealed)
+                    if widths[1] > 8 else
+                    _rescored_witness(h, rep.witness, revealed)) == rep.error
+
+
+def test_refused_requests_are_counted_not_built(monkeypatch):
+    # Past the byte cap a request is refused with its estimate, before the
+    # kernel builds anything: less is traced than the estimate.
+    h = ip_handle(10)
+    h.table()
+    call = lambda: worst_case_error_leaked(  # noqa: E731
+        h, (1, 1), 1, strong=0, mode="sampled", samples=5)
+    need = call().memory_bytes
+    # 1,024 columns x 1,024 rows x (2 int8 cells + 1 mask byte)
+    assert need > 3 << 20
+    monkeypatch.setattr(oracle_mod, "SUPPORT_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError,
+                           match=rf"need an estimated {need} bytes "
+                                 r"\(indicator 3145728, .*the cap is") as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
+    assert str(need - 1) in str(exc.value)
