@@ -443,9 +443,8 @@ def excess_over_uniform(weights, groups, m: int):
     weights = np.asarray(weights)
     groups = np.asarray(groups, dtype=np.intp)
     if weights.dtype.kind in "iu":
-        weights = weights.astype(np.int64)
-        heaviest = (weights.sum() if weights.ndim == 1 else
-                    weights.sum(axis=-1).max(initial=0))
+        weights = weights.astype(np.int64, copy=False)
+        heaviest = weights.sum(axis=-1).max(initial=0)
         if int(heaviest) << m > MAX_DENOMINATOR:
             raise SizeLimitError(
                 f"weights scaled by 2**{m} would pass 2**62")
@@ -456,10 +455,10 @@ def excess_over_uniform(weights, groups, m: int):
     flat = weights.reshape(-1)
     totals = np.zeros(n_rows * n_groups, dtype=weights.dtype)
     np.add.at(totals, keys, flat)
-    excess = flat * (1 << m) - totals[keys]
+    excess = flat * (1 << m) - totals.take(keys)
     if weights.ndim == 1:
         return excess[excess > 0].sum().item()
-    return np.maximum(excess, 0).reshape(weights.shape).sum(axis=-1)
+    return np.maximum(excess, 0, out=excess).reshape(weights.shape).sum(-1)
 
 
 def row_ids(cols, n: int) -> tuple:

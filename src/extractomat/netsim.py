@@ -685,7 +685,8 @@ def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
     if exact:
         distance = ratio(column_excess(weights, z, rest, part_w), den << part_w)
     else:
-        distance = _estimate(z, rest, part_w, tol, seed, tally)
+        distance = _estimate(z, row_ids(rest, len(z))[0], part_w, tol, seed,
+                             tally)
     return SecurityReport("exact" if exact else "sampled", distance,
                           player_set, s_prime, part_w, len(weights))
 
@@ -728,11 +729,10 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
     return ratio(column_excess(weights, z, rest, m), den << m)
 
 
-def _estimate(z, rest, m: int, tol: float, seed: int, tally=None):
-    """The plug-in estimate over sampled runs, each rest named by its id.
-    ``tally`` adds up the seconds of the whole estimator call (cell
-    counting, point estimate and bootstrap) and its bootstrap resamples."""
-    ids, _ = row_ids(rest, len(z))
+def _estimate(z, ids, m: int, tol: float, seed: int, tally=None):
+    """The plug-in estimate over sampled runs, each rest named by its dense
+    id.  ``tally`` adds its resamples and, as ``estimator_s``, the seconds of
+    :func:`mc_distance_pairs` (cells, estimate and bootstrap; no rest ids)."""
     t0 = time.perf_counter()
     rep = mc_distance_pairs((ids << m) | z, m, tol=tol, seed=seed)
     if tally is not None:
@@ -745,12 +745,15 @@ def player_estimates(b: Batch, pairs: dict, m: int, *, tol: float,
                      seed: int = 0, tally=None) -> dict:
     """Per-player Monte-Carlo distance of Z_j from uniform given its rest,
     on the sampled ensemble ``b``: ``pairs`` maps each player to ``(z_j,
-    rest_j)``, a column of ``m``-bit values and a list of columns.
-    Players faulty in any run are skipped."""
-    faulty_seen = b.faulty.any(axis=0)
-    return {pid: _estimate(z, rest, m, tol, seed + pid, tally)
-            for pid, (z, rest) in sorted(pairs.items())
-            if not faulty_seen[pid - 1]}
+    rest_j)``, ``m``-bit values and a list of columns, numbered once per
+    list of the same columns.  Players faulty in any run are skipped."""
+    faulty_seen, ids, out = b.faulty.any(axis=0), {}, {}
+    for pid, (z, rest) in sorted(pairs.items()):
+        if not faulty_seen[pid - 1]:
+            if (key := tuple(map(id, rest))) not in ids:
+                ids[key] = row_ids(rest, len(z))[0]
+            out[pid] = _estimate(z, ids[key], m, tol, seed + pid, tally)
+    return out
 
 
 def mc_public_block_quality(cfg: NetworkConfig, b: Batch, *, tol: float,

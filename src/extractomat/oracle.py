@@ -193,32 +193,24 @@ def _chunks(supports, space: int, size: int, chunk: int):
         yield block.reshape(-1, size)
 
 
-@functools.cache
-def _transvections(n: int) -> tuple:
-    """The n(n-1) transvections of F_2^n, which generate GL(n,2), as the
-    rows (t, x) of the check: ``ts`` numbers the transvection, ``xs`` the
-    value x and the column ``axs`` holds the flat table offset of row Ax
-    (bit i of x flipped where bit j is set); ``ys[t]`` maps every y to
-    A^-T y (bit j flipped where bit i is set), i != j."""
+def _gl_generators(n: int) -> tuple:
+    """The standard two generators of SL(n,2) = GL(n,2) as value maps ``(A
+    x, A^-T y)`` on ``range(2^n)``: the transvection e_1 -> e_1 + e_0 and
+    the cyclic shift of the coordinates (A^-T = A); at n = 1 identities."""
     v = np.arange(1 << n)
-    i, j = np.array(list(itertools.permutations(range(n), 2)),
-                    np.int64).reshape(-1, 2).T[:, :, None]
-    ts, xs = np.divmod(np.arange(len(i) << n), 1 << n)
-    return (ts, xs, ((v ^ ((v >> j) & 1) << i) << n).reshape(-1, 1),
-            v ^ ((v >> i) & 1) << j)
+    shift = (v << 1 | v >> (n - 1)) & v[-1]
+    return (v ^ (v >> 1 & 1), (v ^ (v & 1) << 1) & v[-1]), (shift, shift)
 
 
 def _gl_invariant(table2d) -> bool:
     """Whether T[Ax, A^-T y] = T[x, y] for every A in GL(n,2), on a square
-    table of 2^n rows: checked on the generators, row x of the table
-    against row Ax read through A^-T, in integers, ``CHUNK_ENTRIES``
-    entries at a time in transvection order, up to the first mismatch."""
-    N = len(table2d)
-    ts, xs, axs, ys = _transvections(N.bit_length() - 1)
-    flat, rows = table2d.ravel(), max(1, CHUNK_ENTRIES // N)
-    return all((flat.take(axs[a:a + rows] | ys[ts[a:a + rows]])
-                == table2d[xs[a:a + rows]]).all()
-               for a in range(0, xs.size, rows))
+    table of 2^n rows: row x against row Ax read through A^-T for the two
+    generators, ``CHUNK_ENTRIES`` entries at a time, to the first mismatch."""
+    N, rows = len(table2d), max(1, CHUNK_ENTRIES // len(table2d))
+    return all((table2d.take(ax[a:a + rows], axis=0).take(ay, axis=1)
+                == table2d[a:a + rows]).all()
+               for ax, ay in _gl_generators(N.bit_length() - 1)
+               for a in range(0, N, rows))
 
 
 def _fit(**arrays) -> int:
@@ -515,11 +507,9 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
     if (h.kind == "2-source" and X[0] == X[1] and not b and maps is None
             and mode in ("exhaustive", "auto")):
         count = _count(X[enum], Ks[enum], orbits=True)
-        # the check reads n(n-1) 2^n rows of 2^n entries, a skipped
-        # support K rows of the same length
-        n = h.input_widths[enum]
+        # the check reads 2 * 2^n rows, a skipped support K, of 2^n entries
         if (count * per <= budget
-                and n * (n - 1) << n < (family - count) * Ks[enum]):
+                and 2 * X[enum] < (family - count) * Ks[enum]):
             table2d = h.table().reshape(X)
             reps = count if _gl_invariant(table2d) else 0
     mode = "exhaustive" if reps else _resolve_mode(
@@ -923,39 +913,41 @@ class MCReport:
 
 def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
                       seed: int = 0) -> MCReport:
-    """Plug-in total-variation estimate against uniform-on-part.
+    """Plug-in total-variation estimate against uniform-on-part, and its
+    bootstrap spread ``ci`` (0.5th and 99.5th percentiles over 200
+    resamples), not a confidence interval for the distance.
 
-    ``keys`` is an int64 array of one key per sample, ``rest_id << m |
-    part_value``, with ``part_value`` in ``range(2**m)`` and ``rest_id``
-    naming the sample's rest.  Rest ids must be dense in order of first
-    appearance (the first sample's is 0, and each new one is one more
-    than the largest before it, as :func:`~extractomat.dist.row_ids`
-    numbers them); other keys raise :class:`InvalidInputError`.  Cells
-    (distinct keys) are numbered in order of first appearance by
-    ``row_ids``, so the rest ids of their first samples number their
-    groups in the same order.  The estimator is the
-    empirical-joint TV against (uniform on the part) x (empirical rest
-    marginal); a 99% bootstrap interval over 200 resamples is attached.
-    Each resample's cell counts are Multinomial(n, counts / n).  Where
-    the samples spread over many cells (``n <= 4 * cells``) a resample
-    draws ``n`` sample indices with replacement and counts them, which
-    costs O(n); otherwise it is one multinomial draw over the cells,
-    which costs O(cells).  A cell alone in its rest group scores
-    ``(2**m - 1) * count``, linear in the count, so index draws count all
-    lone cells into one bucket, scored as one cell in a group of its own.
-    The resamples are drawn and scored a chunk of rows at a time, each
-    chunk in one batched :func:`excess_over_uniform` call.  Requires
-    ``len(keys) >= 100 * 2**m / tol**2``.
+    ``keys``: a 1-D integer array of ``rest_id << m | part_value``, one per
+    sample, for an integer ``m >= 0``; rest ids and cells (distinct keys)
+    are dense in order of first appearance, as
+    :func:`~extractomat.dist.row_ids` numbers them, else
+    :class:`InvalidInputError`.  A resample's cell counts are
+    Multinomial(n, counts / n): one multinomial draw over the cells, or
+    where ``n <= 4 * cells``, ``n`` int32 sample indices drawn with
+    replacement (the values of int64 draws).  A cell alone in its rest
+    group scores ``(2**m - 1) * count``, so index draws, keyed cell + row
+    offset in the smallest signed type that holds a chunk's keys, count
+    only the shared cells (one ``bincount`` per chunk, after dropping the
+    lone cells' draws where those hold half the samples or more), and the
+    lone cells' bucket, one cell in a group of its own, gets ``n`` minus
+    the row's shared counts.  A chunk takes at most the bytes of
+    ``CHUNK_ENTRIES`` int64 entries and is scored in one
+    :func:`excess_over_uniform` call.  Needs ``len(keys) >= 100 * 2**m /
+    tol**2``.
     """
+    keys = np.asarray(keys)
+    if (keys.ndim != 1 or keys.dtype.kind not in "iu"
+            or not isinstance(m, (int, np.integer)) or m < 0):
+        raise InvalidInputError(f"keys must be a 1-D integer array and m an "
+                                f"int >= 0: {keys.ndim}-D {keys.dtype}, {m!r}")
     if not tol > 0:
         raise InvalidInputError(f"tolerance must be > 0, got {tol}")
-    n_samples = len(keys)
+    n = len(keys)
     needed = 100.0 * (1 << m) / (tol * tol)
-    if n_samples < needed:
-        raise InvalidInputError(
-            f"N={n_samples} below the sizing rule ceil(100*2^m/tol^2)="
-            f"{math.ceil(needed)}")
-    cells, first = row_ids([keys], n_samples)
+    if n < needed:
+        raise InvalidInputError(f"N={n} below the sizing rule "
+                                f"ceil(100*2^m/tol^2)={math.ceil(needed)}")
+    cells, first = row_ids([keys], n)
     groups = keys[first] >> m
     top = np.maximum.accumulate(groups)
     if groups[0] != 0 or groups.min() < 0 or (top[1:] - top[:-1] > 1).any():
@@ -963,32 +955,38 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
             "rest ids must be dense in order of first appearance")
     cvec = np.bincount(cells)
     C = cvec.size
-    scale = n_samples << m
+    scale = n << m
     estimate = excess_over_uniform(cvec, groups, m) / scale
     rng = _philox(seed ^ 0xB00)
-    by_index = n_samples <= 4 * C
-    if by_index:  # lone cells, last, share one bucket: a group of its own
-        shared = np.flatnonzero(np.bincount(groups)[groups] > 1)
-        lump = np.full(C, shared.size)
-        lump[shared] = np.arange(shared.size)
-        kept, dense = np.unique(groups[shared], return_inverse=True)
-        cells, groups = lump[cells], np.append(dense, kept.size)
-        C = shared.size + 1
-    rows = max(1, CHUNK_ENTRIES // (n_samples if by_index else C))
+    by_index = n <= 4 * C
+    rows = max(1, 8 * CHUNK_ENTRIES // (4 * n if by_index else 8 * C))
+    if by_index:  # shared cells are 0..S-1, lone ones share bucket S
+        sizes = np.bincount(groups)
+        shared, kept = np.flatnonzero(sizes[groups] > 1), sizes > 1
+        S, C = shared.size, shared.size + 1
+        groups = np.append(np.cumsum(kept)[groups[shared]] - 1, kept.sum())
+        lone = -rows * C if 2 * cvec[shared].sum() <= n else S
+        lump = np.full(cvec.size, lone, np.min_scalar_type(-rows * C - 1))
+        lump[shared] = np.arange(S)
+        cells = lump[cells]
     boot = []
     for done in range(0, BOOTSTRAP_RESAMPLES, rows):
         r = min(rows, BOOTSTRAP_RESAMPLES - done)
         if by_index:
-            drawn = cells[rng.integers(0, n_samples, size=(r, n_samples))]
-            drawn += C * np.arange(r)[:, None]
-            counts = np.bincount(drawn.ravel(), minlength=r * C).reshape(r, C)
+            drawn = cells.take(rng.integers(0, n, size=(r, n), dtype=np.int32))
+            drawn += C * np.arange(r, dtype=drawn.dtype)[:, None]
+            drawn = drawn.ravel()  # cell + C * row, below 0 if left out
+            if lone < 0:
+                drawn = drawn.compress(drawn >= 0)
+            counts = np.bincount(drawn, minlength=r * C).reshape(r, C)
+            counts[:, S] = n - counts[:, :S].sum(axis=1)
         else:
-            counts = rng.multinomial(n_samples, cvec / n_samples, size=r)
+            counts = rng.multinomial(n, cvec / n, size=r)
         boot.append(excess_over_uniform(counts, groups, m))
     lo, hi = np.percentile(np.concatenate(boot) / scale,
                            [50 * (1 - CI_LEVEL), 100 - 50 * (1 - CI_LEVEL)])
     return MCReport(estimate=float(estimate), ci=(float(lo), float(hi)),
-                    n=n_samples, m=m, tol=tol)
+                    n=n, m=m, tol=tol)
 
 
 # ----------------------------------------------------------------------

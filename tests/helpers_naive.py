@@ -38,6 +38,64 @@ def naive_tv_from_uniform(cells: dict, total: int, m: int) -> Fraction:
     return dist / total
 
 
+def naive_cell_excess(counts: dict, m: int) -> int:
+    """sum over cells of max(0, 2^m count - its rest's total), for counts
+    {(z, rest): count}: the plug-in distance times 2^m times the total."""
+    totals = {}
+    for (_, rest), c in counts.items():
+        totals[rest] = totals.get(rest, 0) + c
+    return sum(max(0, (c << m) - totals[rest])
+               for (_, rest), c in counts.items())
+
+
+def naive_plugin_estimate(pairs, m: int) -> float:
+    """The plug-in distance of ``(z, rest)`` pairs from uniform on the
+    m-bit part given the rest: a dict of cells."""
+    cells = {}
+    for z, rest in pairs:
+        cells[int(z), rest] = cells.get((int(z), rest), 0) + 1
+    return naive_cell_excess(cells, m) / (len(pairs) << m)
+
+
+def naive_percentile(values, q: float) -> float:
+    """The ``q``-th percentile of ``values``, interpolated linearly between
+    the two sorted values around rank (len - 1) * q / 100 (numpy's default
+    method, with its rounding: b - (b - a)(1 - g) from g = 1/2 up)."""
+    ranked = sorted(values)
+    v = (len(ranked) - 1) * (q / 100)
+    i = min(math.floor(v), len(ranked) - 1)
+    a, b, g = ranked[i], ranked[min(i + 1, len(ranked) - 1)], v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def naive_bootstrap_ci(pairs, m: int, seed: int, resamples: int = 200):
+    """The estimator's bootstrap spread one resample at a time, scored by
+    dicts of cells: each resample draws ``n`` sample indices where ``n <=
+    4 * cells``, else one multinomial over the cells in order of first
+    appearance, from the Philox stream keyed by ``seed ^ 0xB00``; returns
+    the 99% level's two tail percentiles, q = 50 * (1 - 0.99) (which is
+    0.5 + 4e-16 in floats) and 100 - q."""
+    import numpy as np  # the estimator's random stream, nothing else
+
+    counts = {}
+    for p in pairs:
+        counts[p] = counts.get(p, 0) + 1
+    cells, n = list(counts), len(pairs)
+    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
+    boot = []
+    for _ in range(resamples):
+        res = {}
+        if n <= 4 * len(cells):
+            for i in rng.integers(0, n, size=n).tolist():
+                res[pairs[i]] = res.get(pairs[i], 0) + 1
+        else:
+            drawn = rng.multinomial(n, [counts[c] / n for c in cells])
+            res = dict(zip(cells, drawn.tolist()))
+        boot.append(naive_cell_excess(res, m) / (n << m))
+    q = 50 * (1 - 0.99)
+    return naive_percentile(boot, q), naive_percentile(boot, 100 - q)
+
+
 def naive_worst_2source(fn, n1, n2, m, k1, k2, strong=None) -> Fraction:
     """Exact worst-case (strong) error by full flat-pair enumeration."""
     best = Fraction(0)

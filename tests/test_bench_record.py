@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
     "bench_record", ROOT / "tools" / "bench_record.py")
@@ -53,3 +55,36 @@ def test_compare_ranges_and_same_seed_wins():
     assert rows["peak_rss_mb"] == {"parent": 41.0, "change": 40.0}
     assert rows["graphs.search.steps"] == {"parent": 17053, "change": 17053}
     assert rows["op_median_ms"] == {"op": {"parent": 1.0, "change": 1.0}}
+
+
+def test_record_takes_turns_over_the_seeds_asked_for(monkeypatch):
+    # Five untraced seeds and the traced one, the two checkouts taking
+    # turns going first; each side's medians come from its five runs.
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        run = {"seed": seed, "metrics": {"setup_s": float(seed)}}
+        if not trace:
+            run.update(op_median_ms={"op": 1.0},
+                       unscaled=dict.fromkeys(bench_record.UNSCALED, 1.0))
+        return run
+
+    monkeypatch.setattr(bench_record, "_perfbench", fake_run)
+    monkeypatch.setattr(bench_record, "_checkout_info",
+                        lambda path: {"workloads": {}})
+    docs = bench_record.record({"change": Path("a"), "parent": Path("b")},
+                               ["w"], 1, seeds=range(5))
+    assert calls[:4] == [("a", 0, 0), ("b", 0, 0), ("b", 1, 0), ("a", 1, 0)]
+    assert calls[-2:] == [("b", 0, 1), ("a", 0, 1)]
+    assert len(calls) == 12
+    for side in ("change", "parent"):
+        w = docs[side]["workloads"]["w"]
+        assert [r["seed"] for r in w["untraced"]] == [0, 1, 2, 3, 4]
+        assert w["median"] == {"setup_s": 2.0}
+
+
+def test_seeds_below_one_are_refused(capsys):
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "1", "--seeds", "0"])
+    assert "--seeds must be at least 1" in capsys.readouterr().err

@@ -764,3 +764,41 @@ def test_ext_pri_slot_violations_named(mutate, match):
     mutate(cfg, rng)
     with pytest.raises(InvalidInputError, match=match):
         exec_ext_pri(cfg, b)
+
+
+def test_player_estimates_number_each_rest_once(monkeypatch):
+    # Players given the same rest columns share one numbering of them;
+    # equal columns that are other objects, and other columns, get their
+    # own.  Each estimate equals the one from its rest numbered alone, and
+    # a player faulty in some run is skipped.
+    from extractomat import netsim
+    calls, seen = [], {}
+    real_ids, real_estimate = netsim.row_ids, netsim._estimate
+
+    def ids_spy(cols, n):
+        calls.append(cols)
+        return real_ids(cols, n)
+
+    def estimate_spy(z, ids, m, tol, seed, tally=None):
+        seen[seed] = ids
+        return real_estimate(z, ids, m, tol, seed, tally)
+
+    monkeypatch.setattr(netsim, "row_ids", ids_spy)
+    monkeypatch.setattr(netsim, "_estimate", estimate_spy)
+    rng = np.random.default_rng(77)
+    n, m = 1200, 2
+    t1 = [rng.integers(0, 30, n), rng.integers(0, 3, n)]
+    pairs = {pid: (rng.integers(0, 1 << m, n), rest) for pid, rest in
+             [(1, t1), (2, t1), (3, [c.copy() for c in t1]),
+              (4, [rng.integers(0, 40, n)]), (5, t1), (6, t1)]}
+    faulty = np.zeros((n, 6), dtype=bool)
+    faulty[7, 5] = True
+    reps = netsim.player_estimates(type("B", (), {"faulty": faulty}), pairs,
+                                   m, tol=1.0, seed=10)
+    assert sorted(reps) == [1, 2, 3, 4, 5] and len(calls) == 3
+    assert seen[11] is seen[12] is seen[15]
+    assert seen[13] is not seen[11] and np.array_equal(seen[13], seen[11])
+    for pid, rep in reps.items():
+        z, rest = pairs[pid]
+        alone = real_estimate(z, real_ids(rest, n)[0], m, 1.0, 10 + pid)
+        assert (rep.estimate, rep.ci) == (alone.estimate, alone.ci)

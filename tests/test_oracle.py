@@ -12,7 +12,7 @@ import pytest
 from extractomat import certify
 from extractomat import netsim as netsim_mod
 from extractomat import oracle as oracle_mod
-from extractomat.dist import JointDistribution, excess_over_uniform
+from extractomat.dist import JointDistribution, excess_over_uniform, row_ids
 from extractomat.errors import (BudgetExceededError, InvalidInputError,
                                 SizeLimitError)
 from extractomat.extractors import (deor_handle, ip_handle, table_handle,
@@ -26,8 +26,9 @@ from extractomat.oracle import (check_lemma, exact_distance, mc_distance_pairs,
                                 worst_case_error_seeded)
 from extractomat.sources import FlatSource
 
-from helpers_naive import (flat_supports, naive_dense_ids,
-                           naive_instance_error, naive_lemma_condition,
+from helpers_naive import (flat_supports, naive_bootstrap_ci,
+                           naive_dense_ids, naive_instance_error,
+                           naive_lemma_condition, naive_plugin_estimate,
                            naive_sample_supports, naive_sampled_2source,
                            naive_sampled_leaked_2source, naive_sampled_seeded,
                            naive_tv_from_uniform, naive_worst_2source,
@@ -35,7 +36,8 @@ from helpers_naive import (flat_supports, naive_dense_ids,
                            naive_worst_leaked_2source,
                            naive_worst_leaked_seeded, naive_worst_multi,
                            naive_worst_seeded, naive_xor_lemma, parity,
-                           naive_gl_invariant, naive_gl_orbits)
+                           naive_gl_group, naive_gl_invariant,
+                           naive_gl_orbits)
 
 
 def _identity_2source(n):
@@ -481,36 +483,6 @@ def _random_pairs(rng, n, m, tuple_keys, rests=None):
     return out
 
 
-def _parent_estimate(pairs, m):
-    """The plug-in formula as first written: a Counter of cells."""
-    counts = Counter((int(z), rest) for z, rest in pairs)
-    cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    groups = naive_dense_ids(rest for _, rest in counts)
-    return excess_over_uniform(cvec, groups, m) / (len(pairs) << m)
-
-
-def _reference_ci(pairs, m, seed):
-    """The bootstrap CI one resample at a time: a multinomial draw over
-    the cells, or ``n`` sample indices where ``n <= 4 * cells``."""
-    counts = Counter(pairs)
-    cvec = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    groups = naive_dense_ids(rest for _, rest in counts)
-    cell = {c: i for i, c in enumerate(counts)}
-    cells = np.array([cell[p] for p in pairs])
-    n = len(pairs)
-    rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
-    boot = []
-    for _ in range(oracle_mod.BOOTSTRAP_RESAMPLES):
-        if n <= 4 * len(cvec):
-            res = np.bincount(cells[rng.integers(0, n, size=n)],
-                              minlength=len(cvec))
-        else:
-            res = rng.multinomial(n, cvec / n)
-        boot.append(excess_over_uniform(res, groups, m) / (n << m))
-    lo, hi = np.percentile(boot, [0.5, 99.5])
-    return float(lo), float(hi)
-
-
 def test_batched_excess_rows_match_the_one_dimensional_kernel():
     rng = np.random.default_rng(48)
     for trial in range(30):
@@ -539,9 +511,9 @@ def test_bootstrap_resamples_and_estimate(monkeypatch):
         pairs = _random_pairs(rng, n, m, tuple_keys, rests)
         keys = _keys(pairs, m)
         rep = mc_distance_pairs(keys, m, tol=1.0, seed=trial)
-        assert rep.estimate == _parent_estimate(pairs, m)
+        assert rep.estimate == naive_plugin_estimate(pairs, m)
         assert rep.n == n and rep.ci[0] <= rep.ci[1]
-        assert rep.ci == _reference_ci(pairs, m, trial)
+        assert rep.ci == naive_bootstrap_ci(pairs, m, trial)
         again = mc_distance_pairs(keys, m, tol=1.0, seed=trial)
         assert again.ci == rep.ci and again.estimate == rep.estimate
         # a smaller chunk bound draws the same stream in more pieces
@@ -552,8 +524,9 @@ def test_bootstrap_resamples_and_estimate(monkeypatch):
 
 @pytest.mark.parametrize("rests", [6, 1500])
 def test_netsim_estimate_keys_match_the_tuple_references(monkeypatch, rests):
-    # int columns with several rest columns: the packed keys must give the
-    # tuple pairs' estimate and CI bit for bit, and one distinct key per cell
+    # int columns with several rest columns, numbered by row_ids as
+    # player_estimates numbers them: the packed keys must give the tuple
+    # pairs' estimate and CI bit for bit, and one distinct key per cell
     seen = []
     real = netsim_mod.mc_distance_pairs
 
@@ -570,9 +543,9 @@ def test_netsim_estimate_keys_match_the_tuple_references(monkeypatch, rests):
         z = rng.integers(0, 1 << m, size=n)
         pairs = list(zip(z.tolist(), zip(*(col.tolist() for col in rest))))
         for seed in (0, 5):
-            rep = netsim_mod._estimate(z, rest, m, 1.0, seed)
-            assert rep.estimate == _parent_estimate(pairs, m)
-            assert rep.ci == _reference_ci(pairs, m, seed)
+            rep = netsim_mod._estimate(z, row_ids(rest, n)[0], m, 1.0, seed)
+            assert rep.estimate == naive_plugin_estimate(pairs, m)
+            assert rep.ci == naive_bootstrap_ci(pairs, m, seed)
             assert len(seen[-1]) == n and len(set(seen[-1])) == len(set(pairs))
 
 
@@ -599,27 +572,69 @@ def test_bootstrap_draw_switches_at_four_samples_per_cell():
     cells = [(z, r) for r in range(150) for z in (0, 1)]
     for pairs in (cells * 4, cells * 4 + cells[:1]):
         rep = mc_distance_pairs(_keys(pairs, 1), 1, tol=1.0, seed=7)
-        assert rep.ci == _reference_ci(pairs, 1, 7)
+        assert rep.ci == naive_bootstrap_ci(pairs, 1, 7)
 
 
-@pytest.mark.parametrize("lone", ["all", "none", "mixed"])
-def test_index_draws_with_lone_cells_match_the_reference(lone):
+@pytest.mark.parametrize("lone", ["all", "none", "mixed", "most"])
+def test_index_draws_with_lone_cells_match_the_reference(monkeypatch, lone):
     # n <= 4 * cells, so every resample draws indices; a lone cell is
     # alone in its rest group and is counted into the shared bucket.
+    # Where lone cells hold at least half the samples ("all", "most")
+    # their draws are left out before the count, else all are counted;
+    # in reads of whole chunks and of one row at a time.
     rng = np.random.default_rng(51)
     for m in (1, 2):
         cells = []
         for r in range(200):
-            one = lone == "all" or (lone == "mixed" and r % 2)
+            one = (lone == "all" or (lone == "mixed" and r % 2)
+                   or (lone == "most" and r % 8))
             zs = [int(rng.integers(1 << m))] if one else range(1 << m)
             cells += [(z, r) for z in zs]
         pairs = [c for c in cells for _ in range(int(rng.integers(1, 5)))]
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         assert len(pairs) <= 4 * len(cells)
+        per_rest = Counter(rest for _, rest in set(pairs))
+        in_lone = sum(per_rest[rest] == 1 for _, rest in pairs)
+        assert (2 * in_lone >= len(pairs)) == (lone in ("all", "most"))
         for seed in (0, 9):
             rep = mc_distance_pairs(_keys(pairs, m), m, tol=1.0, seed=seed)
-            assert rep.estimate == _parent_estimate(pairs, m)
-            assert rep.ci == _reference_ci(pairs, m, seed)
+            assert rep.estimate == naive_plugin_estimate(pairs, m)
+            assert rep.ci == naive_bootstrap_ci(pairs, m, seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle_mod, "CHUNK_ENTRIES", 1)
+                assert mc_distance_pairs(_keys(pairs, m), m, tol=1.0,
+                                         seed=seed) == rep
+
+
+@pytest.mark.parametrize("rests, extra", [
+    ((1 << 14) - 1, 0), ((1 << 14) - 1, 1), (1 << 14, 0), (1 << 15, 0)])
+def test_index_draw_keys_past_int16_match_the_reference(monkeypatch, rests,
+                                                        extra):
+    # One sample in each of two cells per rest (and in one more cell of
+    # the last rest): every cell shared, one row per chunk, keys in [0,
+    # cells], the bucket's included.  They are int16 up to 2^15 - 1 cells
+    # and int32 from 2^15 on (where C = 2^15 itself leaves int16); 2^15
+    # rests hold 2^16 shared cells.  Three resamples keep the reference
+    # short.
+    monkeypatch.setattr(oracle_mod, "BOOTSTRAP_RESAMPLES", 3)
+    pairs = [(z, r) for r in range(rests) for z in (0, 1)]
+    pairs += [(2, rests - 1)] * extra
+    pairs = [pairs[i] for i in np.random.default_rng(rests).permutation(
+        len(pairs))]
+    rep = mc_distance_pairs(_keys(pairs, 2), 2, tol=2.0, seed=rests)
+    assert rep.estimate == naive_plugin_estimate(pairs, 2)
+    assert rep.ci == naive_bootstrap_ci(pairs, 2, rests, resamples=3)
+
+
+@pytest.mark.parametrize("keys, m", [
+    (np.zeros(400, np.int64), -1), (np.zeros(400, np.int64), 1.0),
+    (np.zeros(400, np.int64), "1"), (np.zeros(400), 1),
+    (np.zeros((20, 20), np.int64), 1), (np.zeros(400, bool), 1)])
+def test_mc_refuses_malformed_keys_and_widths(keys, m):
+    # a negative shift count, float keys and a 2-D array's truth value
+    # used to raise ValueError and TypeError from numpy
+    with pytest.raises(InvalidInputError, match="1-D integer array and m"):
+        mc_distance_pairs(keys, m, tol=1.0)
 
 
 @pytest.mark.parametrize("rests", [20, 1200])
@@ -1462,12 +1477,37 @@ def _class_table(n, m, rng):
                         np.where(y == 0, 2, 3 + ip))].astype(np.uint32)
 
 
+def test_gl_generators_generate_the_whole_group():
+    # Each generator's y map is the inverse transpose of its x map (it
+    # keeps <x, y>), and the x maps generate every invertible matrix:
+    # their closure has |GL(n,2)| elements, counted naively for n <= 3
+    # and from prod(2^n - 2^i) at n = 4.
+    for n in range(1, 5):
+        gens = oracle_mod._gl_generators(n)
+        for ax, ay in gens:
+            assert sorted(ax.tolist()) == sorted(ay.tolist()) == list(
+                range(1 << n))
+            assert all(parity(int(ax[x]) & int(ay[y])) == parity(x & y)
+                       for x in range(1 << n) for y in range(1 << n))
+        maps = [tuple(ax.tolist()) for ax, _ in gens]
+        group, frontier = {tuple(range(1 << n))}, [tuple(range(1 << n))]
+        while frontier:
+            frontier = [h for h in {tuple(g[v] for v in e)
+                                    for e in frontier for g in maps}
+                        if h not in group]
+            group.update(frontier)
+        order = math.prod((1 << n) - (1 << i) for i in range(n))
+        assert len(group) == order
+        if n <= 3:
+            assert order == len(naive_gl_group(n))
+
+
 def test_gl_check_agrees_with_the_whole_group():
-    # The check on the n(n-1) transvections against the brute-force check
+    # The check on the two generators against the brute-force check
     # over every invertible matrix (n <= 3), on the inner product, on
     # random functions of the orbit of (x, y), which have the symmetry,
     # on those with one entry flipped and on random tables; in one read
-    # and in reads of one to a few rows, which split transvections.
+    # and in reads of one to a few rows, which split a generator's reads.
     rng = np.random.default_rng(67)
     tables = []
     for n in (2, 3):

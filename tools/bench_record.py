@@ -1,13 +1,15 @@
 """Record the benchmark of a checkout in ``BENCH_<pr>.json``.
 
     python3 tools/bench_record.py --pr N [--checkout DIR] [--baseline DIR]
+                                  [--workload NAME ...] [--seeds N]
 
-For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` of
-the checkout three times untraced (seeds 0, 1, 2) and once traced
-(seed 0), each for the benchmark's ``run_seconds``, and times the tier-1
-test suite.  Each untraced run keeps its per-request-type median
-latencies (``op_median_ms``, from perfbench's ``# workload`` line), and
-each workload the median of those over its untraced runs, so that a
+For each workload in ``BENCHMARK.json`` (or each ``--workload`` named) it
+runs ``perfbench/run.py`` of the checkout ``--seeds`` times untraced
+(seeds 0, 1, ..., three by default) and once traced (seed 0), each for
+the benchmark's ``run_seconds``, and times the tier-1 test suite.  Each
+untraced run keeps its per-request-type median latencies
+(``op_median_ms``, from perfbench's ``# workload`` line), and each
+workload the median of those over its untraced runs, so that a
 shift in one request type shows even where the end-to-end metrics
 absorb it.  From the same line each untraced run keeps the unscaled
 numbers (``speed_factor``, ``measured_setup_s`` and
@@ -108,12 +110,13 @@ def _checkout_info(checkout: Path) -> dict:
             "workloads": {}}
 
 
-def record(checkouts: dict, workloads: list, seconds: float) -> dict:
-    """One record per named checkout.  The checkouts take turns run by run,
-    each going first on every other run, so that all meet the same
-    machine phases."""
+def record(checkouts: dict, workloads: list, seconds: float,
+           seeds=UNTRACED_SEEDS) -> dict:
+    """One record per named checkout, with untraced runs on ``seeds``.  The
+    checkouts take turns run by run, each going first on every other run,
+    so that all meet the same machine phases."""
     docs = {side: _checkout_info(path) for side, path in checkouts.items()}
-    plan = [(s, 0) for s in UNTRACED_SEEDS] + [(TRACED_SEED, 1)]
+    plan = [(s, 0) for s in seeds] + [(TRACED_SEED, 1)]
     for name in workloads:
         runs = {side: [] for side in checkouts}
         for i, (seed, trace) in enumerate(plan):
@@ -173,13 +176,21 @@ def main(argv=None) -> int:
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--checkout", type=Path, default=ROOT)
     p.add_argument("--baseline", type=Path)
-    args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
+    p.add_argument("--workload", action="append", choices=names,
+                   help="a workload to run (repeatable; default: all)")
+    p.add_argument("--seeds", type=int, default=len(UNTRACED_SEEDS),
+                   help="untraced runs per workload and checkout")
+    args = p.parse_args(argv)
+    if args.seeds < 1:
+        p.error("--seeds must be at least 1")
+    workloads = args.workload or names
+    seeds = tuple(range(args.seeds))
     seconds = bench["run_seconds"]
     import numpy
     doc = {"pr": args.pr, "seconds": seconds,
-           "untraced_seeds": list(UNTRACED_SEEDS), "traced_seed": TRACED_SEED,
+           "untraced_seeds": list(seeds), "traced_seed": TRACED_SEED,
            "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__}}
@@ -193,7 +204,7 @@ def main(argv=None) -> int:
     for path in checkouts.values():
         for cache in list((path / "src").rglob("__pycache__")):
             shutil.rmtree(cache)
-    doc.update(record(checkouts, workloads, seconds))
+    doc.update(record(checkouts, workloads, seconds, seeds))
     if args.baseline:
         doc["compare"] = compare(doc["parent"], doc["change"],
                                  bench["end_to_end"])
