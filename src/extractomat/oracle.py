@@ -914,12 +914,13 @@ class MCReport:
 def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
                       seed: int = 0) -> MCReport:
     """Plug-in total-variation estimate against uniform-on-part, and its
-    bootstrap spread ``ci`` (0.5th and 99.5th percentiles over 200
-    resamples), not a confidence interval for the distance.
+    bootstrap spread ``ci``, not a confidence interval for the distance:
+    the 99% level's tail percentiles of 200 resamples, interpolated as
+    numpy's default ("linear") method interpolates them.
 
     ``keys``: a 1-D integer array of ``rest_id << m | part_value``, one per
-    sample, for an integer ``m >= 0``; rest ids and cells (distinct keys)
-    are dense in order of first appearance, as
+    sample (n), for an integer ``m >= 0``; rest ids and cells (distinct
+    keys) dense in order of first appearance, as
     :func:`~extractomat.dist.row_ids` numbers them, else
     :class:`InvalidInputError`.  A resample's cell counts are
     Multinomial(n, counts / n): one multinomial draw over the cells, or
@@ -932,8 +933,7 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     lone cells' bucket, one cell in a group of its own, gets ``n`` minus
     the row's shared counts.  A chunk takes at most the bytes of
     ``CHUNK_ENTRIES`` int64 entries and is scored in one
-    :func:`excess_over_uniform` call.  Needs ``len(keys) >= 100 * 2**m /
-    tol**2``.
+    :func:`excess_over_uniform` call.  Needs n >= 100 * 2**m / tol**2.
     """
     keys = np.asarray(keys)
     if (keys.ndim != 1 or keys.dtype.kind not in "iu"
@@ -955,9 +955,7 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
             "rest ids must be dense in order of first appearance")
     cvec = np.bincount(cells)
     C = cvec.size
-    scale = n << m
-    estimate = excess_over_uniform(cvec, groups, m) / scale
-    rng = _philox(seed ^ 0xB00)
+    estimate = excess_over_uniform(cvec, groups, m) / (n << m)
     by_index = n <= 4 * C
     rows = max(1, 8 * CHUNK_ENTRIES // (4 * n if by_index else 8 * C))
     if by_index:  # shared cells are 0..S-1, lone ones share bucket S
@@ -969,7 +967,7 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
         lump = np.full(cvec.size, lone, np.min_scalar_type(-rows * C - 1))
         lump[shared] = np.arange(S)
         cells = lump[cells]
-    boot = []
+    rng, boot = _philox(seed ^ 0xB00), []
     for done in range(0, BOOTSTRAP_RESAMPLES, rows):
         r = min(rows, BOOTSTRAP_RESAMPLES - done)
         if by_index:
@@ -983,8 +981,10 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
         else:
             counts = rng.multinomial(n, cvec / n, size=r)
         boot.append(excess_over_uniform(counts, groups, m))
-    lo, hi = np.percentile(np.concatenate(boot) / scale,
-                           [50 * (1 - CI_LEVEL), 100 - 50 * (1 - CI_LEVEL)])
+    boot, q = np.sort(np.concatenate(boot)) / (n << m), 50 * (1 - CI_LEVEL)
+    v = (boot.size - 1) * (np.array([q, 100 - q]) / 100)  # numpy's "linear"
+    a, b, g = boot[v.astype(int)], boot[np.ceil(v).astype(int)], v % 1
+    lo, hi = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
     return MCReport(estimate=float(estimate), ci=(float(lo), float(hi)),
                     n=n, m=m, tol=tol)
 

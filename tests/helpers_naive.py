@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive (dict counting, Fractions, no
-numpy beyond the random streams of the gadget search and the sampled
-oracle, no shared code with the package) so that an agreement between
-these functions and the package's fast paths is meaningful.
+numpy beyond the random streams of the gadget search, the sampled oracle
+and the estimator's bootstrap, no shared code with the package) so that
+an agreement between these functions and the package's fast paths is
+meaningful.
 """
 
 import itertools

@@ -483,6 +483,21 @@ def _random_pairs(rng, n, m, tuple_keys, rests=None):
     return out
 
 
+def test_naive_percentile_is_numpys_linear_percentile():
+    # The reference spread's percentile, interpolated in Python, against
+    # numpy's on random vectors with and without ties, at the estimator's
+    # two tails (the lower one 0.5 + 4e-16, not 0.5) and a few others.
+    from helpers_naive import naive_percentile
+    rng = np.random.default_rng(54)
+    q = 50 * (1 - oracle_mod.CI_LEVEL)
+    for trial in range(400):
+        x = rng.random(int(rng.integers(1, 300))) * 10.0 ** (trial % 7 - 3)
+        if trial % 2:
+            x = np.round(x, 2)
+        for pct in (q, 100 - q, 0.5, 50, 100 * rng.random()):
+            assert naive_percentile(x.tolist(), pct) == np.percentile(x, pct)
+
+
 def test_batched_excess_rows_match_the_one_dimensional_kernel():
     rng = np.random.default_rng(48)
     for trial in range(30):
