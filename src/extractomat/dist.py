@@ -37,6 +37,7 @@ MAX_TOTAL_WIDTH = 24
 MAX_EXACT_WIDTH = 12
 MAX_DENOMINATOR = 1 << 62
 NORM_TOL = 1e-12
+DENSE_ROWS = 4  # row_ids and column_excess address keys up to 4x the rows
 
 _MAGIC = b"XDIS"
 _VERSION = 1
@@ -464,18 +465,22 @@ def excess_over_uniform(weights, groups, m: int):
 def row_ids(cols, n: int) -> tuple:
     """Dense ids of the distinct rows of ``n``-long integer columns, in
     order of first appearance: ``(ids, first)``, ``first[i]`` being the
-    first row with id ``i``.  The columns are packed by value range into
-    as few int64 words as fit; several words are first replaced by their
-    rows' ids from ``np.unique``; a constant column packs to nothing, and
-    one whose minimum is 0 is packed as it is.  The one word takes one
-    stable argsort: the first row of each run of equal keys is marked, and
-    the marks, in row order, number the keys."""
-    if n == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    first row with id ``i``; empty for ``n = 0``.  The columns are packed
+    by value range into as few int64 words as fit, one column at a time
+    (a stacked copy would double the memory of a large ensemble); several
+    words are first replaced by their rows' ids from ``np.unique``; a
+    constant column packs to nothing, and one whose minimum is 0 is packed
+    as it is.  A key space of at most ``DENSE_ROWS`` times the rows is
+    numbered by address: each key's first row by one ``np.minimum.at``
+    scatter, its id by a rank table.  A wider one takes one stable
+    argsort: the first row of each run of equal keys is marked, and the
+    marks, in row order, number the keys."""
+    if n <= 1:
+        return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     words, word, used = [], np.zeros(n, dtype=np.int64), 0
-    for col in cols:
-        lo = np.min(col)
-        bits = int(np.max(col) - lo).bit_length()
+    for col in map(np.asarray, cols):
+        lo = int(col.min())
+        bits = (int(col.max()) - lo).bit_length()
         if not bits:
             continue
         if used + bits > 62:
@@ -484,6 +489,13 @@ def row_ids(cols, n: int) -> tuple:
     if words:
         word = np.unique(np.stack(words + [word], axis=1), axis=0,
                          return_inverse=True)[1].reshape(-1)
+        used = int(word.max()).bit_length()
+    if 1 << used <= DENSE_ROWS * n:
+        at = np.full(1 << used, n, dtype=np.intp)
+        np.minimum.at(at, word, np.arange(n))
+        first = np.sort(at[at < n])
+        at[word[first]] = np.arange(first.size)  # now each key's id
+        return at[word], first
     order = np.argsort(word, kind="stable")
     ranked = word[order]
     starts = np.empty(n, dtype=bool)
@@ -500,12 +512,19 @@ def row_ids(cols, n: int) -> tuple:
 def column_excess(weights, z, rest, m: int):
     """:func:`excess_over_uniform` of per-world columns: world ``j`` has
     weight ``weights[j]``, part value ``z[j]`` in ``range(2**m)`` and rest
-    ``rest[*][j]``.  The rests are numbered once by :func:`row_ids`.  A
-    cell is a distinct ``rest id << m | z``; the excess does not depend
-    on the cells' order, so ``np.unique`` numbers them in key order.
-    Memory stays linear in the worlds."""
-    groups, _ = row_ids(rest, len(z))
-    keys, cells = np.unique((groups << m) | z, return_inverse=True)
+    ``rest[*][j]``; 0 for no worlds.  The rests are numbered once by
+    :func:`row_ids`, and a cell is a ``rest id << m | z``.  Where there are
+    at most ``DENSE_ROWS`` times as many cells as worlds, every cell has
+    its address in one table, empty ones weighing 0; else ``np.unique``
+    numbers the cells that occur, in key order.  The excess depends on
+    neither the cells' order nor the empty ones, and memory stays linear
+    in the worlds."""
+    groups, first = row_ids(rest, len(z))
+    keys = (groups << m) | np.asarray(z, dtype=np.int64)
+    if first.size << m <= DENSE_ROWS * len(z):
+        keys, cells = np.arange(first.size << m), keys
+    else:
+        keys, cells = np.unique(keys, return_inverse=True)
     totals = np.zeros(keys.size, dtype=np.asarray(weights).dtype)
     np.add.at(totals, cells, weights)
     return excess_over_uniform(totals, keys >> m, m)

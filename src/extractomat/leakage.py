@@ -218,12 +218,12 @@ def enumerate_worlds(sources: Sequence[Distribution],
     if worlds > MAX_WORLDS:
         raise SizeLimitError(f"exact enumeration needs {worlds} worlds, the "
                              f"cap is {MAX_WORLDS}")
-    grid = [g.ravel() for g in np.meshgrid(
-        *(np.arange(s.size) for s in supports), indexing="ij")]
+    grid = np.indices([s.size for s in supports]).reshape(len(supports), -1)
     cols = [s[g] for s, g in zip(supports, grid)]
-    weights = np.ones(grid[0].size, dtype=np.int64 if den else np.float64)
-    for d, s, g in zip(dists, supports, grid):
-        weights = weights * (d.numerators if den else d.as_floats())[s][g]
+    weights = np.ones(1, dtype=np.int64 if den else np.float64)
+    for d, s in zip(dists, supports):
+        weights = np.multiply.outer(
+            weights, (d.numerators if den else d.as_floats())[s]).ravel()
     xs = np.stack(cols[:-1], axis=1)
     es = (sc.leak_columns(xs, cols[-1], tally) if sc is not None
           else np.zeros((xs.shape[0], 0), dtype=np.int64))

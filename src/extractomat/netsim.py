@@ -21,8 +21,10 @@ protocol then runs once on the whole :class:`Batch`: honest steps are
 truth-table gathers and shifts on int64 columns, the rushing callback
 runs once per distinct adversary view (the views of one sender built a
 column at a time) and a trigger once per distinct transcript, and
-security is measured on the cells of :func:`~extractomat.dist.column_excess`.
-A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run log.
+security is measured on the cells of :func:`~extractomat.dist.column_excess`,
+whose worlds and cells are numbered by address where their keys are
+dense.  A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run
+log.
 """
 
 from __future__ import annotations
@@ -322,8 +324,11 @@ class Batch:
 
     def rushing_order_ok(self) -> bool:
         """True iff in every world and round the commit order puts all
-        honest messages before all faulty ones."""
+        honest messages before all faulty ones.  The order depends on the
+        world only through its late pattern, so each distinct pattern of a
+        round is checked once, on its first world."""
         for *_, late in self.rounds:
+            late = late[row_ids(late.view(np.uint8).T, len(late))[1]]
             flags = np.take_along_axis(late, _commit_order(late), axis=1)
             if (flags[:, :-1] > flags[:, 1:]).any():
                 return False
@@ -354,15 +359,16 @@ class Batch:
                     continue
                 ids, first = row_ids((col[rows] for col in keys), rows.size)
                 sel = rows[first]  # one world per distinct view
-                views = ({"transcript": tr, "round_honest": hon} for tr, hon
-                         in zip(self.transcripts(sel),
-                                self._round_honest(senders, width, honest[sel],
-                                                   late[sel])))
+                seen = zip(self.transcripts(sel), self._round_honest(
+                    senders, width, honest[sel], late[sel]))
                 if qr:
-                    msgs = [int(fn(pid, rnd, view, side)) & mask
-                            for view, side in zip(views, self._sides(sel))]
+                    msgs = [int(fn(pid, rnd, {"transcript": tr,
+                                              "round_honest": hon}, side)) & mask
+                            for (tr, hon), side in zip(seen, self._sides(sel))]
                 else:
-                    msgs = [int(fn(pid, rnd, view)) & mask for view in views]
+                    msgs = [int(fn(pid, rnd, {"transcript": tr,
+                                              "round_honest": hon})) & mask
+                            for tr, hon in seen]
                 payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
                 self.callbacks += first.size
         self.rounds.append((rnd, tuple(senders), width, payload, late))
@@ -666,9 +672,10 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
 
 
 def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
-             tol=None, seed=None, tally=None) -> SecurityReport:
+             tol=None, seed=None, tally=None, ids=None) -> SecurityReport:
     """:func:`evaluate_security` of the ensemble ``(den, weights, b)``
-    that :func:`protocol_runs` returns."""
+    that :func:`protocol_runs` returns.  ``ids``, the :func:`row_ids` of
+    ``b``'s transcript and leak columns if given, stand in for them."""
     player_set = tuple(sorted(set(player_set)))
     m_out = output_width(cfg, protocol)
     out = b.outputs
@@ -680,7 +687,8 @@ def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
                 f"player {pid} of S' has no private output in some world")
     z = _concat([out[:, pid - 1] for pid in s_prime], m_out, len(weights))
     rest = [out[:, i - 1] for i in range(1, cfg.p + 1) if i not in s_prime]
-    rest += b.transcript_columns() + list(b.side.values())
+    rest += (b.transcript_columns() + list(b.side.values()) if ids is None
+             else [ids])
     part_w = m_out * len(s_prime)
     if exact:
         distance = ratio(column_excess(weights, z, rest, part_w), den << part_w)
@@ -695,18 +703,24 @@ def ir_to_qr(cfg, adv, player_set, den, weights, b, *, tally=None) -> tuple:
     """Exact geqr security of the enumerated ensemble ``(den, weights,
     b)`` run under the QR-analog attack ``adv``, and under the worst IR
     attack pinning the slices of the groups ``adv`` corrupts to constants,
-    run on the same worlds: ``(qr_report, ir_distance, rushing_bits)``."""
+    run on the same worlds: ``(qr_report, ir_distance, rushing_bits)``.
+    Every IR run broadcasts the honest round, so their transcript and leak
+    columns are one, numbered once; only the outputs differ."""
     faulty_groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
                      if any(p in adv.initial_faulty for p in grp)]
     sw = cfg.geqr_slice
     width, mask = sw * len(faulty_groups), (1 << sw) - 1
-    ir = []
+    ir, ids = [], None
     for r in range(1 << width):
         slices = {gi: (r >> (width - (i + 1) * sw)) & mask
                   for i, gi in enumerate(faulty_groups)}
         attack = AdversaryStrategy.forced_slice(adv.initial_faulty, slices)
         run = _run_protocol("geqr", cfg, b.xs, attack, b.side, tally)
-        ir.append(security("geqr", cfg, player_set, den, weights, run).distance)
+        if ids is None:
+            ids = row_ids(run.transcript_columns() + list(run.side.values()),
+                          len(weights))[0]
+        ir.append(security("geqr", cfg, player_set, den, weights, run,
+                           ids=ids).distance)
     return security("geqr", cfg, player_set, den, weights, b), max(ir), width
 
 

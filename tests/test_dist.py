@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extractomat import dist
 from extractomat.dist import (Distribution, JointDistribution, column_excess,
                               cond_min_entropy, distance_from_uniform_on,
                               excess_over_uniform, min_entropy, row_ids,
@@ -471,6 +472,75 @@ def test_row_ids_of_mixed_columns_match_naive_dense_ids():
             0, len(kinds), size=int(rng.integers(1, 9)))])
 
 
+def _numbered_by(monkeypatch, cols, n):
+    """``row_ids(cols, n)`` and whether it took the stable argsort."""
+    sorts = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1)
+                        or real(*a, **kw))
+    out = row_ids(cols, n)
+    monkeypatch.setattr(np, "argsort", real)
+    return out, bool(sorts)
+
+
+def _dense_and_sorted_cases(rng):
+    """Column sets: negative minima, constant columns, keys wider than one
+    62-bit word, one row, and random mixes."""
+    yield [np.full(9, 3), np.full(9, -1)]
+    yield [np.array([-1, -1, 4, -1, 4]), np.full(5, 2)]
+    yield [np.array([5])]
+    yield [np.array([-1]), np.array([7])]
+    for n in (2, 50, 300):
+        yield [rng.choice([0, 1 << 40], size=n),
+               rng.choice([-1, 7, 1 << 30], size=n), rng.integers(0, 3, size=n)]
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        yield [rng.integers(int(rng.integers(-9, 1)), int(rng.integers(1, 40)),
+                            size=n) for _ in range(int(rng.integers(1, 6)))]
+
+
+@pytest.mark.parametrize("dense_rows", [0, 4, 1 << 12])
+def test_dense_and_sorted_row_ids_match_naive_dense_ids(monkeypatch,
+                                                        dense_rows):
+    # DENSE_ROWS = 0 sends every key through the stable argsort, 4 is the
+    # shipped cut, 2**12 addresses keys of up to 12 bits more than the rows
+    monkeypatch.setattr(dist, "DENSE_ROWS", dense_rows)
+    for cols in _dense_and_sorted_cases(np.random.default_rng(64)):
+        _check_row_ids(cols)
+        n = len(cols[0])
+        (ids, first), sorted_ = _numbered_by(monkeypatch, cols, n)
+        assert ids.dtype == first.dtype == np.intp
+        # several words are renumbered below n by np.unique first
+        bits = sum(int(c.max() - c.min()).bit_length() for c in cols)
+        key_space = 2 * n if bits > 62 else 1 << bits
+        assert sorted_ == (n > 1 and key_space > dense_rows * n)
+
+
+@pytest.mark.parametrize("n, bits, dense", [(64, 8, True), (63, 8, False),
+                                            (64, 9, False), (65, 8, True)])
+def test_row_ids_cut_between_address_and_sort(monkeypatch, n, bits, dense):
+    # A key space of 2**bits is addressed while it is at most 4 times the
+    # rows: 256 keys over 64 rows sit at the cut, over 63 rows one past it
+    rng = np.random.default_rng([n, bits])
+    col = rng.integers(-7, (1 << bits) - 7, size=n)
+    col[:2] = -7, (1 << bits) - 8  # the whole range: exactly `bits` bits
+    cols = [col, np.full(n, 9)]
+    _check_row_ids(cols)
+    assert _numbered_by(monkeypatch, cols, n)[1] == (not dense)
+
+
+def test_row_ids_and_column_excess_of_zero_rows():
+    empty = np.zeros(0, dtype=np.int64)
+    for cols in ([], [empty], [empty, empty - 3]):
+        ids, first = row_ids(cols, 0)
+        assert ids.dtype == first.dtype == np.intp
+        assert ids.size == first.size == 0
+    for rest in ([], [empty], [empty, empty]):
+        got = column_excess(empty, empty, rest, 2)
+        assert got == 0 and isinstance(got, int)
+    assert column_excess([], [], [[]], 1) == 0
+
+
 def _naive_column_excess(weights, z, rest, m):
     cells, groups = {}, {}
     for w, v, *r in zip(weights, z, *rest):
@@ -493,6 +563,24 @@ def test_column_excess_matches_a_naive_dict_sum():
         floats = counts / counts.sum()
         assert column_excess(floats, z, rest, m) == pytest.approx(
             _naive_column_excess(floats.tolist(), *lists[1:], m), abs=1e-12)
+
+
+@pytest.mark.parametrize("dense_rows", [0, 1 << 12])
+def test_dense_and_unique_column_excess_match_a_naive_dict_sum(monkeypatch,
+                                                               dense_rows):
+    # every cell of a rest addressed (2**12 covers 2**m * rests here), or
+    # only the cells that occur numbered by np.unique (0)
+    monkeypatch.setattr(dist, "DENSE_ROWS", dense_rows)
+    rng = np.random.default_rng(65)
+    for trial in range(40):
+        m, n = trial % 5, int(rng.integers(1, 300))
+        z = rng.integers(0, 1 << m, size=n)
+        rest = [rng.integers(-3, int(rng.integers(1, 9)), size=n)
+                for _ in range(int(rng.integers(0, 4)))]
+        counts = rng.integers(1, 1 << 40, size=n)
+        lists = (counts.tolist(), z.tolist(), [c.tolist() for c in rest])
+        got = column_excess(counts, z, rest, m)
+        assert isinstance(got, int) and got == _naive_column_excess(*lists, m)
 
 
 def test_column_excess_refuses_weights_past_the_bound():

@@ -551,6 +551,62 @@ def test_run_log_jsonl():
                     assert all(len(m["message"]) == 1 for m in log)
 
 
+def _order_ok_per_world(b):
+    """The commit order checked world by world, as a reference."""
+    from extractomat import netsim
+    for *_, late in b.rounds:
+        for row in late:
+            flags = row[netsim._commit_order(row)]
+            if (flags[:-1] > flags[1:]).any():
+                return False
+    return True
+
+
+def test_rushing_order_ok_per_pattern_matches_per_world(monkeypatch):
+    # Random late arrays, a few patterns each, under the real commit order
+    # and under orders broken for some patterns: the answer checked once
+    # per distinct pattern equals the one checked world by world.
+    from extractomat import netsim
+    real = netsim._commit_order
+
+    def broken(late):  # reversed where a pattern's first two flags are 1, 0
+        order = real(late)
+        flip = (late[..., 0] & ~late[..., 1])[..., None] if \
+            late.shape[-1] > 1 else np.zeros(late.shape[:-1] + (1,), bool)
+        return np.where(flip, order[..., ::-1], order)
+
+    rng = np.random.default_rng(66)
+    answers = Counter()
+    for trial in range(60):
+        n, k = int(rng.integers(1, 200)), int(rng.integers(0, 5))
+        patterns = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k))
+        rounds = [(r, tuple(range(1, k + 1)), 3, np.zeros((n, k), np.int64),
+                   patterns[rng.integers(0, len(patterns), size=n)]
+                   .astype(bool)) for r in range(1, int(rng.integers(1, 4)))]
+        b = netsim.Batch(np.zeros((n, 1), np.int64), {}, np.zeros((n, 1), bool),
+                         rounds)
+        for order in (real, broken):
+            monkeypatch.setattr(netsim, "_commit_order", order)
+            answers[b.rushing_order_ok()] += 1
+            assert b.rushing_order_ok() == _order_ok_per_world(b), trial
+    assert answers[True] and answers[False]
+
+
+def test_rushing_order_ok_on_worlds_the_trigger_splits():
+    # An adaptive trigger corrupts a player in some worlds only, so round 2
+    # holds two late patterns; each is checked, and agrees per world.
+    rng = np.random.default_rng(67)
+    cfg = _tiny_ext_pub(rng)
+    adv = AdversaryStrategy.ir(set(), lambda pid, rnd, view: rnd,
+                               trigger=lambda rnd, tr: {4} if rnd == 1
+                               and sum(v for *_, v in tr) & 1 else set())
+    b = protocol_runs("ext_pub", cfg, [FlatSource(cfg.n, [0, 1, 6, 7])] * cfg.p,
+                      None, adv, n_runs=400, seed=3)[2]
+    late = b.rounds[1][4]
+    assert len({tuple(row) for row in late.tolist()}) == 2
+    assert b.rushing_order_ok() is True == _order_ok_per_world(b)
+
+
 # ----------------------------------------------------------------------
 # the exact IR-to-QR comparison
 # ----------------------------------------------------------------------
@@ -604,6 +660,59 @@ def test_ir_to_qr_matches_naive_per_world():
             "geqr", cfg, sources, scenario, qr))
         assert bits == 1
         assert (qr_rep.distance, ir) == (naive[0], max(naive[1:])), trial
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ir_to_qr_shared_ids_match_the_per_slice_loop(monkeypatch, n):
+    # p=6 leaves outer players 5 and 6; S' = {5} puts player 6's output,
+    # which depends on each run's y, in the rest next to the shared ids
+    from extractomat import netsim
+    rng = np.random.default_rng([n, 41])
+    g = GadgetSet(iext=_random_slot(rng, "iext", (n, n), 2),
+                  qtext=_random_slot(rng, "qtext", (n, 2), 2))
+    cfg = NetworkConfig(p=6, t=1, n=n, k=2, alpha=0.25, gadgets=g,
+                        geqr_group=2, geqr_s=2)
+    sources = [FlatSource(n, [0]) if pid == 3 else FlatSource(
+        n, sorted(rng.choice(1 << n, size=4, replace=False).tolist()))
+        for pid in range(1, 7)]
+    scenario = LeakageScenario.oa([n] * 6, 5, lambda x, a: x & 1, 1)
+    qr = AdversaryStrategy.qr_analog(
+        {3}, lambda pid, rnd, view, side: (side[6] * 5 + sum(
+            v for _, _, v in view["round_honest"])) & ((1 << n) - 1))
+    attacks = [qr] + [AdversaryStrategy.forced_slice({3}, {2: r})
+                      for r in range(2)]
+    calls, rests = [], []
+    real_ids, real_excess = netsim.row_ids, netsim.column_excess
+
+    def excess_spy(weights, z, rest, m):
+        rests.append(real_ids(rest, len(z))[0])
+        return real_excess(weights, z, rest, m)
+
+    for player_set in ([5], [5, 6], [6]):
+        ensemble = protocol_runs("geqr", cfg, sources, scenario, qr)
+        monkeypatch.setattr(netsim, "row_ids",
+                            lambda *a: calls.append(1) or real_ids(*a))
+        monkeypatch.setattr(netsim, "column_excess", excess_spy)
+        qr_rep, ir, bits = ir_to_qr(cfg, qr, player_set, *ensemble)
+        monkeypatch.setattr(netsim, "row_ids", real_ids)
+        monkeypatch.setattr(netsim, "column_excess", real_excess)
+        assert len(calls) == 1  # the IR family's shared columns, once
+        ref = [evaluate_security("geqr", cfg, sources, scenario, a, player_set)
+               for a in attacks]
+        assert bits == 1
+        assert qr_rep.effective_set == ref[0].effective_set == tuple(player_set)
+        assert (qr_rep.distance, ir) == (ref[0].distance,
+                                         max(r.distance for r in ref[1:]))
+        # each IR run's rest, shared ids and its own outputs, is numbered
+        # as its full rest columns are
+        for got, attack in zip(rests, attacks[1:]):
+            run = protocol_runs("geqr", cfg, sources, scenario, attack)[2]
+            full = [run.outputs[:, i - 1] for i in range(1, 7)
+                    if i not in player_set]
+            full += run.transcript_columns() + list(run.side.values())
+            assert np.array_equal(got, real_ids(full, len(got))[0])
+        calls.clear()
+        rests.clear()
 
 
 @pytest.mark.parametrize("case", ["passive", "forced-slice", "qr-analog",
