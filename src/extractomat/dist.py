@@ -471,10 +471,11 @@ def row_ids(cols, n: int) -> tuple:
     words are first replaced by their rows' ids from ``np.unique``; a
     constant column packs to nothing, and one whose minimum is 0 is packed
     as it is.  A key space of at most ``DENSE_ROWS`` times the rows is
-    numbered by address: each key's first row by one ``np.minimum.at``
-    scatter, its id by a rank table.  A wider one takes one stable
-    argsort: the first row of each run of equal keys is marked, and the
-    marks, in row order, number the keys."""
+    numbered by address: each key's first row by one scatter of the rows
+    in reverse (numpy writes a repeated index in order, so the first row
+    is written last), its id by a rank table.  A wider one takes one
+    stable argsort: the first row of each run of equal keys is marked,
+    and the marks, in row order, number the keys."""
     if n <= 1:
         return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     words, word, used = [], np.zeros(n, dtype=np.int64), 0
@@ -492,7 +493,7 @@ def row_ids(cols, n: int) -> tuple:
         used = int(word.max()).bit_length()
     if 1 << used <= DENSE_ROWS * n:
         at = np.full(1 << used, n, dtype=np.intp)
-        np.minimum.at(at, word, np.arange(n))
+        at[word[::-1]] = np.arange(n - 1, -1, -1)
         first = np.sort(at[at < n])
         at[word[first]] = np.arange(first.size)  # now each key's id
         return at[word], first

@@ -218,8 +218,9 @@ def enumerate_worlds(sources: Sequence[Distribution],
     if worlds > MAX_WORLDS:
         raise SizeLimitError(f"exact enumeration needs {worlds} worlds, the "
                              f"cap is {MAX_WORLDS}")
-    grid = np.indices([s.size for s in supports]).reshape(len(supports), -1)
-    cols = [s[g] for s, g in zip(supports, grid)]
+    shape = [s.size for s in supports]
+    cols = [np.broadcast_to(s[g], shape).ravel()
+            for s, g in zip(supports, np.indices(shape, sparse=True))]
     weights = np.ones(1, dtype=np.int64 if den else np.float64)
     for d, s in zip(dists, supports):
         weights = np.multiply.outer(
