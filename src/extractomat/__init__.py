@@ -10,27 +10,23 @@ instance fits, and against seeded sampling where it does not.
 
 __version__ = "0.1.0"
 
-from .bits import BitString, concat_all
 from .dist import (Distribution, JointDistribution, cond_min_entropy,
                    min_entropy, statistical_distance, xor_project)
 from .errors import (BudgetExceededError, ConstraintViolatedError,
                      InvalidInputError, SizeLimitError,
                      TargetUnreachableError)
-from .extractors import (ExtractorHandle, deor_extract, ip_extract,
-                         strong_projection, toeplitz_extract)
+from .extractors import ExtractorHandle, strong_projection
 from .leakage import LeakageScenario, leakage_apply
 from .sources import (BlockSourceSpec, FlatSource, SomewhereRandomSpec,
                       check_block_source)
 
 __all__ = [
-    "BitString", "concat_all",
     "Distribution", "JointDistribution",
     "min_entropy", "cond_min_entropy", "statistical_distance", "xor_project",
     "FlatSource", "BlockSourceSpec", "SomewhereRandomSpec",
     "check_block_source",
     "LeakageScenario", "leakage_apply",
-    "ExtractorHandle", "ip_extract", "deor_extract", "toeplitz_extract",
-    "strong_projection",
+    "ExtractorHandle", "strong_projection",
     "InvalidInputError", "SizeLimitError", "BudgetExceededError",
     "TargetUnreachableError", "ConstraintViolatedError",
     "__version__",

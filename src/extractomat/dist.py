@@ -15,10 +15,10 @@ Every operation is one numpy expression on the numerators in both modes.
 ``Fraction`` appears only at the edges: exact inputs, exact return values
 and the ``mass`` accessor.
 
-Outcome ``v`` of a width-``w`` distribution corresponds to the
-``BitString(w, v)`` word.  In a :class:`JointDistribution` the first part
-occupies the most significant bits of the composite outcome, matching
-``BitString.concat`` order.
+Outcome ``v`` of a width-``w`` distribution is the ``w``-bit word whose
+bits, most significant first, are the binary digits of ``v``.  In a
+:class:`JointDistribution` the first part occupies the most significant
+bits of the composite outcome, each later part the bits below it.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ stand in for heavyweight research constructions) arrives as a certified
 random table built in :mod:`extractomat.certify`.
 
 A handle has one evaluation path, its truth table; the explicit handles
-build theirs with numpy.  The ``BitString`` functions below are the
-scalar definitions the tests compare those tables against.
+build theirs with numpy, and ``eval_int`` reads one entry of it.
 
 Conventions: input 1 occupies the most significant bits of a composite
 truth-table index; output bit ``j`` of a multi-bit extractor sits at the
@@ -18,16 +17,12 @@ named).
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .bits import BitString
 from .errors import InvalidInputError, SizeLimitError
-
-
-def parity_int(v: int) -> int:
-    return v.bit_count() & 1
 
 
 def index_grid(*widths: int) -> tuple:
@@ -40,59 +35,14 @@ def parity_u32(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr) & 1
 
 
-# ----------------------------------------------------------------------
-# Explicit constructions
-# ----------------------------------------------------------------------
-
-def ip_extract(x: BitString, y: BitString) -> BitString:
-    """GF(2) inner product of two equal-width words: one output bit."""
-    if x.width != y.width:
-        raise InvalidInputError("inner product requires equal widths")
-    return BitString(1, parity_int(x.value & y.value))
-
-
-def deor_extract(x: BitString, y: BitString, m: int) -> BitString:
-    """Shifted-inner-product family: bit j is ``<x, rotl(y, j)>``.
-
-    The cyclic-shift matrices realize the multi-bit two-source family at
-    desk scale; whether a given instantiation is strong is decided by the
-    oracle per table, never assumed.
-    """
-    if x.width != y.width:
-        raise InvalidInputError("inputs must have equal widths")
-    if not 1 <= m <= x.width:
-        raise InvalidInputError(f"output width m={m} must be in 1..{x.width}")
-    v = 0
-    for j in range(m):
-        v = (v << 1) | parity_int(x.value & y.rotate_left(j).value)
-    return BitString(m, v)
-
-
-def toeplitz_extract(x: BitString, seed: BitString, m: int) -> BitString:
-    """Toeplitz hash ``T.x`` over GF(2).
-
-    The m-by-n matrix T reads its first row from seed bits 1..n and its
-    first column from seed bit 1 followed by seed bits n+1..n+m-1.
-    """
-    n = x.width
-    if seed.width != n + m - 1:
+def _integer(v, what: str) -> int:
+    """``v`` as an int if it is one of any integer type, numpy's included;
+    a float, a string or None is invalid input."""
+    try:
+        return operator.index(v)
+    except TypeError:
         raise InvalidInputError(
-            f"seed must have width n+m-1 = {n + m - 1}, got {seed.width}")
-    rows = _toeplitz_rows(n, m, seed.value)
-    v = 0
-    for r in rows:
-        v = (v << 1) | parity_int(r & x.value)
-    return BitString(m, v)
-
-
-def _toeplitz_rows(n: int, m: int, seed) -> list:
-    """Rows of the Toeplitz matrix of ``seed`` (an int or a uint array)."""
-    first_row = (seed >> (m - 1)) & ((1 << n) - 1)
-    rows = [first_row]
-    for i in range(1, m):
-        col_bit = (seed >> (m - 1 - i)) & 1
-        rows.append((rows[-1] >> 1) | (col_bit << (n - 1)))
-    return rows
+            f"{what} must be an integer, got {v!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +58,7 @@ class ExtractorHandle:
     Immutable by convention.  The truth table over composite input
     indices is the handle's only evaluation path and the canonical object
     the worst-case oracle certifies: ``table()`` materializes it once,
-    and ``eval_int``/``evaluate`` read entries from it.
+    and ``eval_int`` reads one entry from it.
 
     Parameters
     ----------
@@ -117,8 +67,9 @@ class ExtractorHandle:
         One of ``"seeded"``, ``"2-source"``, ``"t-source"``.  A seeded
         handle's second input is the seed.
     input_widths : tuple of int
+        Widths of the inputs, each a non-negative integer.
     m : int
-        Output width.
+        Output width, a positive integer.
     k_profile : tuple of float
         Declared min-entropy per input.
     eps : float
@@ -138,7 +89,11 @@ class ExtractorHandle:
                  table: np.ndarray | Callable[[], np.ndarray] | None = None):
         if kind not in KINDS:
             raise InvalidInputError(f"kind must be one of {KINDS}")
-        input_widths = tuple(int(w) for w in input_widths)
+        input_widths = tuple(_integer(w, "an input width")
+                             for w in input_widths)
+        if min(input_widths, default=0) < 0:
+            raise InvalidInputError(
+                f"input widths must be non-negative, got {input_widths}")
         if kind == "seeded" and len(input_widths) != 2:
             raise InvalidInputError("seeded handles take (source, seed)")
         if kind == "2-source" and len(input_widths) != 2:
@@ -146,6 +101,7 @@ class ExtractorHandle:
         total = sum(input_widths)
         if total > 24:
             raise SizeLimitError(f"total input width {total} exceeds 24")
+        m = _integer(m, "the output width")
         if m < 1:
             raise InvalidInputError("output width must be at least 1")
         if not 0 < eps <= 1:
@@ -194,23 +150,12 @@ class ExtractorHandle:
     def eval_int(self, *xs: int) -> int:
         if len(xs) != self.arity:
             raise InvalidInputError(f"{self.name} takes {self.arity} inputs")
+        xs = [_integer(v, "an input") for v in xs]
         for v, w in zip(xs, self.input_widths):
             if not 0 <= v < (1 << w):
                 raise InvalidInputError(f"input {v} exceeds width {w}")
         table = self._table if self._table is not None else self.table()
         return int(table[self.index(*xs)])
-
-    def evaluate(self, *xs: BitString) -> BitString:
-        if len(xs) != self.arity:
-            raise InvalidInputError(f"{self.name} takes {self.arity} inputs")
-        for x, w in zip(xs, self.input_widths):
-            if x.width != w:
-                raise InvalidInputError(
-                    f"{self.name} expects widths {self.input_widths}")
-        return BitString(self.m, self.eval_int(*(x.value for x in xs)))
-
-    def __call__(self, *xs: BitString) -> BitString:
-        return self.evaluate(*xs)
 
     def gather(self, *xs) -> np.ndarray:
         """The table at every point of the broadcast grid of input values
@@ -270,6 +215,7 @@ def lhl_declared_eps(k: float, m: int) -> float:
 
 
 def ip_handle(n: int, k1: float | None = None, k2: float | None = None) -> ExtractorHandle:
+    n = _integer(n, "the input width")
     k1 = n if k1 is None else k1
     k2 = n if k2 is None else k2
 
@@ -285,6 +231,13 @@ def ip_handle(n: int, k1: float | None = None, k2: float | None = None) -> Extra
 
 def deor_handle(n: int, m: int, k1: float | None = None,
                 k2: float | None = None) -> ExtractorHandle:
+    """Shifted-inner-product family: output bit j is ``<x, rotl(y, j)>``.
+
+    The cyclic-shift matrices realize the multi-bit two-source family at
+    desk scale; whether a given instantiation is strong is decided by the
+    oracle per table, never assumed.
+    """
+    n, m = _integer(n, "the input width"), _integer(m, "the output width")
     k1 = n if k1 is None else k1
     k2 = n if k2 is None else k2
     if not 1 <= m <= n:
@@ -305,7 +258,20 @@ def deor_handle(n: int, m: int, k1: float | None = None,
         provenance="explicit", table=build)
 
 
+def _toeplitz_rows(n: int, m: int, seed: np.ndarray) -> list:
+    """Rows of the Toeplitz matrix of each entry of the uint array
+    ``seed``: the first row is seed bits 1..n, the first column seed bit
+    1 followed by seed bits n+1..n+m-1."""
+    first_row = (seed >> (m - 1)) & ((1 << n) - 1)
+    rows = [first_row]
+    for i in range(1, m):
+        col_bit = (seed >> (m - 1 - i)) & 1
+        rows.append((rows[-1] >> 1) | (col_bit << (n - 1)))
+    return rows
+
+
 def toeplitz_handle(n: int, m: int, k: float | None = None) -> ExtractorHandle:
+    n, m = _integer(n, "the input width"), _integer(m, "the output width")
     k = n if k is None else k
     d = n + m - 1
 
@@ -328,6 +294,6 @@ def table_handle(name: str, kind: str, input_widths, m: int, table,
                  record=None) -> ExtractorHandle:
     input_widths = tuple(input_widths)
     if k_profile is None:
-        k_profile = tuple(float(w) for w in input_widths)
+        k_profile = input_widths
     return ExtractorHandle(name, kind, input_widths, m, k_profile, eps,
                            strong, provenance, record, table=table)

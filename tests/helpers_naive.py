@@ -16,6 +16,35 @@ def parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def naive_ip(x: int, y: int) -> int:
+    """GF(2) inner product of two words: one output bit."""
+    return parity(x & y)
+
+
+def naive_deor(x: int, y: int, n: int, m: int) -> int:
+    """Shifted inner product of two n-bit words: output bit j, most
+    significant first, is <x, y rotated left by j>."""
+    v = 0
+    for j in range(m):
+        v = (v << 1) | parity(x & (((y << j) | (y >> (n - j))) & ((1 << n) - 1)))
+    return v
+
+
+def naive_toeplitz(x: int, seed: int, n: int, m: int) -> int:
+    """Toeplitz hash T.x of an n-bit word, output bit 1 most significant.
+    T is m by n and constant along its diagonals: row 1 is seed bits 1..n,
+    column 1 is seed bit 1 then bits n+1..n+m-1, counting the n+m-1 seed
+    bits from the most significant."""
+    def bit(p):
+        return (seed >> (n + m - 1 - p)) & 1
+    v = 0
+    for i in range(m):
+        row = sum(bit(1 + j - i if j >= i else n + i - j) << (n - 1 - j)
+                  for j in range(n))
+        v = (v << 1) | parity(row & x)
+    return v
+
+
 def naive_dense_ids(keys) -> list:
     """Dense ids of hashable keys, numbered by a dict in order of first
     appearance."""

@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from extractomat.bits import BitString
 from extractomat.errors import InvalidInputError
-from extractomat.extractors import (deor_extract, deor_handle, ip_extract,
-                                    ip_handle, strong_projection,
-                                    table_handle, toeplitz_extract,
-                                    toeplitz_handle)
-
-
-def B(s):
-    return BitString.from_str(s)
+from extractomat.extractors import (deor_handle, ip_handle, strong_projection,
+                                    table_handle, toeplitz_handle)
+from helpers_naive import naive_deor, naive_ip, naive_toeplitz
 
 
 # ----------------------------------------------------------------------
@@ -19,26 +13,24 @@ def B(s):
 # ----------------------------------------------------------------------
 
 def test_ip_direct():
-    assert ip_extract(B("1010"), B("1100")).value == 1
+    assert ip_handle(4).eval_int(0b1010, 0b1100) == 1
 
 
 def test_ip_zero_vector():
+    h = ip_handle(4)
     for x in range(16):
-        assert ip_extract(BitString(4, x), B("0000")).value == 0
+        assert h.eval_int(x, 0) == 0
 
 
 def test_ip_width_mismatch():
     with pytest.raises(InvalidInputError):
-        ip_extract(B("101"), B("1000"))
+        ip_handle(3).eval_int(0b101, 0b1000)
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def test_ip_is_bilinear(x, y1, y2):
-    n = 8
-    lhs = ip_extract(BitString(n, x), BitString(n, y1 ^ y2)).value
-    rhs = (ip_extract(BitString(n, x), BitString(n, y1)).value
-           ^ ip_extract(BitString(n, x), BitString(n, y2)).value)
-    assert lhs == rhs
+    h = ip_handle(8)
+    assert h.eval_int(x, y1 ^ y2) == h.eval_int(x, y1) ^ h.eval_int(x, y2)
 
 
 # ----------------------------------------------------------------------
@@ -47,48 +39,46 @@ def test_ip_is_bilinear(x, y1, y2):
 
 def test_deor_worked_example():
     # bit0 = <1010,1100> = 1; bit1 = <1010, rotl(1100)=1001> = 1
-    assert str(deor_extract(B("1010"), B("1100"), 2)) == "11"
+    assert deor_handle(4, 2).eval_int(0b1010, 0b1100) == 0b11
 
 
 def test_deor_m1_equals_ip_exhaustively():
-    for x in range(16):
-        for y in range(16):
-            bx, by = BitString(4, x), BitString(4, y)
-            assert deor_extract(bx, by, 1) == ip_extract(bx, by)
+    assert np.array_equal(deor_handle(4, 1).table(), ip_handle(4).table())
 
 
 def test_deor_m_bounds():
     with pytest.raises(InvalidInputError):
-        deor_extract(B("101"), B("110"), 4)
+        deor_handle(3, 4)
+    with pytest.raises(InvalidInputError):
+        deor_handle(3, 0)
 
 
 def test_deor_handle_matches_function():
     h = deor_handle(4, 3)
     for x in range(16):
         for y in range(16):
-            assert h.eval_int(x, y) == deor_extract(BitString(4, x),
-                                                    BitString(4, y), 3).value
+            assert h.eval_int(x, y) == naive_deor(x, y, 4, 3)
 
 
 def _assert_table_matches(h, scalar):
     n1, n2 = h.input_widths
     t = h.table()
     for idx in range(1 << (n1 + n2)):
-        x, y = BitString(n1, idx >> n2), BitString(n2, idx & ((1 << n2) - 1))
-        assert int(t[idx]) == scalar(x, y).value, (h.name, idx)
+        x, y = idx >> n2, idx & ((1 << n2) - 1)
+        assert int(t[idx]) == scalar(x, y), (h.name, idx)
 
 
 def test_vectorized_tables_match_scalar():
     for n in range(1, 5):
-        _assert_table_matches(ip_handle(n), ip_extract)
+        _assert_table_matches(ip_handle(n), naive_ip)
         for m in range(1, 4):
             _assert_table_matches(
                 toeplitz_handle(n, m),
-                lambda x, s, m=m: toeplitz_extract(x, s, m))
+                lambda x, s, n=n, m=m: naive_toeplitz(x, s, n, m))
     for n in (3, 4):
         for m in range(1, n + 1):
             _assert_table_matches(
-                deor_handle(n, m), lambda x, y, m=m: deor_extract(x, y, m))
+                deor_handle(n, m), lambda x, y, n=n, m=m: naive_deor(x, y, n, m))
 
 
 # ----------------------------------------------------------------------
@@ -96,33 +86,32 @@ def test_vectorized_tables_match_scalar():
 # ----------------------------------------------------------------------
 
 def test_toeplitz_zero_seed_kills_everything():
+    h = toeplitz_handle(4, 2)
     for x in range(16):
-        z = toeplitz_extract(BitString(4, x), BitString(5, 0), 2)
-        assert z.value == 0
+        assert h.eval_int(x, 0) == 0
 
 
 def test_toeplitz_1x1():
+    h = toeplitz_handle(1, 1)
     for s in (0, 1):
         for x in (0, 1):
-            assert toeplitz_extract(BitString(1, x), BitString(1, s), 1).value \
-                == s * x
+            assert h.eval_int(x, s) == s * x
 
 
 def test_toeplitz_seed_width_enforced():
+    h = toeplitz_handle(4, 2)
+    assert h.input_widths == (4, 5)  # the seed has n+m-1 bits
     with pytest.raises(InvalidInputError):
-        toeplitz_extract(B("1010"), B("1010"), 2)  # needs n+m-1 = 5
+        h.eval_int(0b1010, 1 << 5)
 
 
 def test_toeplitz_matrix_structure():
     # T[i, j] = T[i-1, j-1]: check via explicit matrix reconstruction
     n, m = 4, 3
-    seed = BitString(n + m - 1, 0b110101)
-    rows = []
-    for x_bit in range(n):
-        col = BitString(n, 1 << (n - 1 - x_bit))
-        z = toeplitz_extract(col, seed, m)
-        rows.append([z.bit(i) for i in range(1, m + 1)])
-    T = np.array(rows).T  # m x n
+    h = toeplitz_handle(n, m)
+    seed = 0b110101
+    cols = [h.eval_int(1 << (n - 1 - j), seed) for j in range(n)]
+    T = np.array([[(z >> (m - 1 - i)) & 1 for z in cols] for i in range(m)])
     for i in range(1, m):
         for j in range(1, n):
             assert T[i, j] == T[i - 1, j - 1]
@@ -130,11 +119,9 @@ def test_toeplitz_matrix_structure():
 
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 31))
 def test_toeplitz_linearity(x1, x2, seed):
-    s = BitString(5, seed)
-    lhs = toeplitz_extract(BitString(4, x1 ^ x2), s, 2).value
-    rhs = (toeplitz_extract(BitString(4, x1), s, 2).value
-           ^ toeplitz_extract(BitString(4, x2), s, 2).value)
-    assert lhs == rhs
+    h = toeplitz_handle(4, 2)
+    assert (h.eval_int(x1 ^ x2, seed)
+            == h.eval_int(x1, seed) ^ h.eval_int(x2, seed))
 
 
 # ----------------------------------------------------------------------
@@ -151,11 +138,39 @@ def test_handle_is_pure_and_deterministic():
 def test_handle_validates_inputs():
     h = ip_handle(3)
     with pytest.raises(InvalidInputError):
-        h.evaluate(B("101"))
+        h.eval_int(0b101)
     with pytest.raises(InvalidInputError):
-        h.evaluate(B("1010"), B("1010"))
+        h.eval_int(0b101, 0b101, 0b101)
     with pytest.raises(InvalidInputError):
         h.eval_int(8, 0)
+    with pytest.raises(InvalidInputError):
+        h.eval_int(-1, 0)
+    for bad in (1.5, "1", None, 1.0):
+        with pytest.raises(InvalidInputError):
+            h.eval_int(bad, 0)
+    assert h.eval_int(np.int64(5), np.uint8(2)) == 0
+    assert h.eval_int(np.int64(5), np.uint8(3)) == 1
+
+
+def test_handle_validates_widths():
+    t = np.zeros(16, dtype=np.uint32)
+    for widths, m in (((2.5, 2), 1), ((-1, 5), 1), (("2", 2), 1),
+                      ((2, 2), 1.5), ((2, 2), None)):
+        with pytest.raises(InvalidInputError):
+            table_handle("t", "2-source", widths, m, t)
+    for bad in (2.0, -1, "2"):
+        with pytest.raises(InvalidInputError):
+            ip_handle(bad)
+    for n, m in ((4.0, 2), (4, 2.0), (-1, 1)):
+        with pytest.raises(InvalidInputError):
+            deor_handle(n, m)
+        with pytest.raises(InvalidInputError):
+            toeplitz_handle(n, m)
+    h = table_handle("t", "2-source", (np.int64(2), np.uint8(2)),
+                     np.int32(1), t)
+    assert h.input_widths == (2, 2) and h.m == 1
+    assert type(h.m) is int and all(type(w) is int for w in h.input_widths)
+    assert np.array_equal(ip_handle(np.int64(3)).table(), ip_handle(3).table())
 
 
 def test_strong_projection_identity_on_one_bit():
@@ -169,10 +184,8 @@ def test_strong_projection_deor_full_subset():
     p = strong_projection(h, {1, 2})
     for x in range(16):
         for y in range(16):
-            bx, by = BitString(4, x), BitString(4, y)
-            expect = (ip_extract(bx, by).value
-                      ^ ip_extract(bx, by.rotate_left(1)).value)
-            assert p.eval_int(x, y) == expect
+            rotl = ((y << 1) | (y >> 3)) & 0xF
+            assert p.eval_int(x, y) == naive_ip(x, y) ^ naive_ip(x, rotl)
 
 
 def test_strong_projection_bounds():

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from extractomat import certify
-from extractomat.bits import BitString
 from extractomat.combinators import (CompositionConfig, CondenserHandle,
                                      build_three_source_handle,
                                      weak_seed_transform)
 from extractomat.errors import InvalidInputError
+from extractomat.extractors import ip_handle
 from extractomat.leakage import LeakageScenario
 from extractomat.oracle import exact_distance
-from extractomat.pa import pa_one_source, pa_two_sources
+from extractomat.pa import pa_distance
 from extractomat.sources import FlatSource
 
 
@@ -45,53 +45,60 @@ def three_source_handle(cache_dir):
                                      d=3, k=4)
 
 
-def test_one_source_keys_agree(weak_handle):
+def test_pa_distance_refuses_unknown_protocol(weak_handle):
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        x = BitString(6, int(rng.integers(64)))
-        y = BitString(4, int(rng.integers(16)))
-        s = pa_one_source(x, x, y, weak_handle)
-        assert s.keys_agree
-        assert [lbl for lbl, _ in s.transcript] == ["Y"]
-
-
-def test_one_source_requires_shared_secret(weak_handle):
+    sources = [FlatSource.random(6, 4, rng), FlatSource.random(4, 3, rng)]
     with pytest.raises(InvalidInputError):
-        pa_one_source(BitString(6, 1), BitString(6, 2), BitString(4, 0),
-                      weak_handle)
+        pa_distance("three-sources", weak_handle, sources)
+
+
+def test_one_source_requires_seeded_handle(three_source_handle):
+    rng = np.random.default_rng(1)
+    sources = [FlatSource.random(3, 2, rng), FlatSource.random(3, 2, rng),
+               FlatSource.random(6, 4, rng)]
+    with pytest.raises(InvalidInputError):
+        pa_distance("one-source", three_source_handle, sources)
+    ip = ip_handle(3)  # two inputs, but not a seeded handle
+    with pytest.raises(InvalidInputError):
+        pa_distance("one-source", ip, sources[:2])
+
+
+def test_two_sources_requires_three_inputs(weak_handle):
+    rng = np.random.default_rng(1)
+    sources = [FlatSource.random(6, 4, rng), FlatSource.random(4, 3, rng)]
+    with pytest.raises(InvalidInputError):
+        pa_distance("two-sources", weak_handle, sources)
 
 
 def test_one_source_width_checked(weak_handle):
+    rng = np.random.default_rng(1)
+    x = FlatSource.random(6, 4, rng)
+    with pytest.raises(InvalidInputError):  # seeds of 5 bits, the handle's 4
+        pa_distance("one-source", weak_handle, [x, FlatSource(5, range(16, 24))])
     with pytest.raises(InvalidInputError):
-        pa_one_source(BitString(6, 1), BitString(6, 1), BitString(5, 0),
-                      weak_handle)
+        pa_distance("one-source", weak_handle, [x])
 
 
-def test_two_sources_keys_agree_and_transcript(three_source_handle):
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        x = BitString(6, int(rng.integers(64)))
-        y1 = BitString(3, int(rng.integers(8)))
-        y2 = BitString(3, int(rng.integers(8)))
-        s = pa_two_sources(x, y1, y2, three_source_handle)
-        assert s.keys_agree
-        assert [lbl for lbl, _ in s.transcript] == ["Y1", "Y2"]
-
-
-def test_two_sources_order_invariance(three_source_handle):
-    # the key is a fixed function of the triple, so who speaks first
-    # cannot matter
-    x, y1, y2 = BitString(6, 33), BitString(3, 5), BitString(3, 2)
-    s1 = pa_two_sources(x, y1, y2, three_source_handle)
-    s2 = pa_two_sources(x, y1, y2, three_source_handle)
-    assert s1.alice_key == s2.bob_key
+def test_pa_distance_is_exact_distance_of_the_transcript(weak_handle,
+                                                        three_source_handle):
+    # the transcript reveals Y in one-source and (Y1, Y2) in two-sources
+    rng = np.random.default_rng(6)
+    x = FlatSource.random(6, 4, rng)
+    y = FlatSource.random(4, 3, rng)
+    y1, y2 = FlatSource.random(3, 2, rng), FlatSource.random(3, 2, rng)
+    sc = LeakageScenario.oa([6, 4], 0, lambda xx, a: xx >> 5, 1)
+    assert (pa_distance("one-source", weak_handle, [x, y], sc)
+            == exact_distance(weak_handle, [x, y], strong=(1,), scenario=sc))
+    assert (pa_distance("two-sources", three_source_handle, [y1, y2, x])
+            == exact_distance(three_source_handle, [y1, y2, x],
+                              strong=(0, 1)))
 
 
 def test_eavesdropper_distance_within_budget(weak_handle):
     rng = np.random.default_rng(3)
     x = FlatSource.random(6, 4, rng)
     y = FlatSource.random(4, 3, rng)  # seed entropy rate 3/4 > 1/2
-    d = exact_distance(weak_handle, [x, y], strong=(1,))
+    d = pa_distance("one-source", weak_handle, [x, y])
     assert float(d) <= weak_handle.budget.total() + 1e-12
 
 
@@ -100,7 +107,7 @@ def test_eavesdropper_distance_two_sources(three_source_handle):
     y1 = FlatSource.random(3, 2, rng)
     y2 = FlatSource.random(3, 2, rng)
     x = FlatSource.random(6, 4, rng)
-    d = exact_distance(three_source_handle, [y1, y2, x], strong=(0, 1))
+    d = pa_distance("two-sources", three_source_handle, [y1, y2, x])
     assert float(d) <= three_source_handle.budget.total() + 1e-12
 
 
@@ -114,16 +121,5 @@ def test_leakage_monotone_in_width(weak_handle):
     for b in (0, 1, 2):
         sc = None if b == 0 else LeakageScenario.oa(
             [6, 4], 0, lambda xx, a, b=b: xx >> (6 - b), b)
-        dists.append(exact_distance(weak_handle, [x, y], strong=(1,),
-                                    scenario=sc))
+        dists.append(pa_distance("one-source", weak_handle, [x, y], sc))
     assert dists[0] <= dists[1] <= dists[2]
-
-
-def test_session_json_withholds_keys(weak_handle):
-    s = pa_one_source(BitString(6, 9), BitString(6, 9), BitString(4, 4),
-                      weak_handle)
-    import json
-    hidden = json.loads(s.to_json())
-    assert "alice_key" not in hidden
-    shown = json.loads(s.to_json(reveal=True))
-    assert shown["alice_key"] == shown["bob_key"]
