@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, TargetUnreachableError
-from .extractors import ExtractorHandle, table_handle
+from .extractors import ExtractorHandle, _integer, table_handle
 from . import oracle as _oracle
 
 XTAB_MAGIC = b"XTAB"
@@ -132,14 +132,14 @@ def certify_random_table(widths, k_profile, m: int, *,
     """
     widths = tuple(int(w) for w in widths)
     k_profile = tuple(float(k) for k in k_profile)
-    if len(k_profile) != len(widths):
-        raise InvalidInputError("one entropy level per input required")
+    if len(k_profile) != len(widths) or not np.isfinite(k_profile).all():
+        raise InvalidInputError("one finite entropy level per input required")
     if kind is None:
         kind = "2-source" if len(widths) == 2 else "t-source"
     if target_eps is not None and target_eps <= 0:
         raise TargetUnreachableError(
             f"target error {target_eps} is unreachable for a finite table", 0)
-    strong = tuple(sorted(set(int(i) for i in strong)))
+    strong = tuple(sorted(set(_integer(i, "a strong index") for i in strong)))
     if kind not in _STRONG_INDICES:
         raise InvalidInputError(f"unknown table kind {kind!r}")
     if not set(strong) <= _STRONG_INDICES[kind]:

@@ -17,6 +17,7 @@ named).
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable, Iterable
 
@@ -106,7 +107,7 @@ class ExtractorHandle:
             raise InvalidInputError("output width must be at least 1")
         if not 0 < eps <= 1:
             raise InvalidInputError("declared error must lie in (0, 1]")
-        strong = frozenset(int(i) for i in strong)
+        strong = frozenset(_integer(i, "a strong index") for i in strong)
         if any(i < 0 or i >= len(input_widths) for i in strong):
             raise InvalidInputError("strong indices must name inputs")
         if table is None:
@@ -116,6 +117,8 @@ class ExtractorHandle:
         self.input_widths = input_widths
         self.m = m
         self.k_profile = tuple(float(k) for k in k_profile)
+        if not all(map(math.isfinite, self.k_profile)):
+            raise InvalidInputError(f"k_profile must be finite, got {k_profile}")
         self.eps = float(eps)
         self.strong = strong
         self.provenance = provenance
@@ -182,7 +185,7 @@ def strong_projection(h: ExtractorHandle, subset) -> ExtractorHandle:
     first.  The projection inherits the parent's declared parameters and
     strongness set.
     """
-    subset = sorted(set(int(i) for i in subset))
+    subset = sorted(set(_integer(i, "a projection position") for i in subset))
     if not subset:
         raise InvalidInputError("projection subset must be non-empty")
     if subset[0] < 1 or subset[-1] > h.m:

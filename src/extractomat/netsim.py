@@ -36,13 +36,14 @@ import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .dist import Distribution, column_excess, ratio, row_ids
 from .errors import ConstraintViolatedError, InvalidInputError
-from .extractors import ExtractorHandle
+from .extractors import ExtractorHandle, _integer
 from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
 from .oracle import BOOTSTRAP_RESAMPLES, mc_distance_pairs
@@ -145,9 +146,13 @@ class NetworkConfig:
         return [tuple(range((i - 1) * d + 1, i * d + 1))
                 for i in range(1, self.geqr_s + 1)]
 
+    def geqr_faulty(self, faulty) -> list:
+        """The (1-based) groups holding a player of the set ``faulty``."""
+        return [gi for gi, grp in enumerate(self.geqr_groups(), start=1)
+                if not faulty.isdisjoint(grp)]
+
     def geqr_outer(self) -> tuple:
-        grouped = {pid for g in self.geqr_groups() for pid in g}
-        return tuple(pid for pid in range(1, self.p + 1) if pid not in grouped)
+        return tuple(range(self.geqr_s * self.geqr_group + 1, self.p + 1))
 
     def validate_ext_pub(self) -> None:
         g = self.gadgets
@@ -214,7 +219,8 @@ class AdversaryStrategy:
         if kind not in ("ir", "qr-analog"):
             raise InvalidInputError("adversary kind must be ir or qr-analog")
         self.kind = kind
-        self.initial_faulty = frozenset(int(i) for i in faulty)
+        self.initial_faulty = frozenset(_integer(i, "a faulty player")
+                                        for i in faulty)
         self.rushing_fn = rushing_fn
         self.trigger = trigger
         self.forced_slices = dict(forced_slices) if forced_slices else None
@@ -241,9 +247,9 @@ class AdversaryStrategy:
 # Runs
 # ----------------------------------------------------------------------
 
-def _concat(cols, width: int, n: int) -> np.ndarray:
-    """``n``-long columns of ``width`` bits side by side, first on top."""
-    out = np.zeros(n, dtype=np.int64)
+def _concat(cols, width: int, shape) -> np.ndarray:
+    """Columns of ``width`` bits side by side, first on top, in ``shape``."""
+    out = np.zeros(shape, dtype=np.int64)
     for col in cols:
         out = (out << width) | col
     return out
@@ -379,8 +385,8 @@ class Batch:
         """Each view's ``(sender, value, width)`` triples of the honest
         senders, in view order, ``honest`` and ``late`` holding one row per
         view.  Views are grouped by their late pattern; a column longer
-        than ``2**width`` shares one triple per value.  One pattern, the
-        usual case, yields its tuples as they are read."""
+        than ``2**width`` shares one triple per value, by ``itemgetter``.
+        One pattern, the usual case, yields its tuples as they are read."""
         out = [()] * len(late)
         pattern, heads = row_ids(late.view(np.uint8).T, len(late))
         for g, head in enumerate(heads.tolist()):
@@ -388,11 +394,9 @@ class Batch:
             cols = []
             for j in np.flatnonzero(~late[head]).tolist():
                 vals, s = honest[at, j].tolist(), senders[j]
-                if len(vals) > 1 << width:
-                    memo = [(s, v, width) for v in range(1 << width)]
-                    cols.append([memo[v] for v in vals])
-                else:
-                    cols.append([(s, v, width) for v in vals])
+                cols.append(itemgetter(*vals)([(s, v, width) for v in range(
+                    1 << width)]) if len(vals) > 1 << width
+                    else [(s, v, width) for v in vals])
             hons = zip(*cols) if cols else [()] * at.size
             if heads.size == 1:
                 return hons
@@ -401,10 +405,13 @@ class Batch:
         return out
 
     def _sides(self, sel):
-        """A fresh leak dict per world of ``sel``, built a column at a time."""
-        sides = [{} for _ in range(sel.size)]
-        for pid, col in self.side.items():
-            for d, v in zip(sides, col[sel].tolist()):
+        """A fresh leak dict per world of ``sel``: a dict display of the first
+        leaking player's value, the others' added a column at a time."""
+        cols = [(pid, col[sel].tolist()) for pid, col in self.side.items()]
+        sides = ([{cols[0][0]: v} for v in cols[0][1]] if cols
+                 else [{} for _ in range(sel.size)])
+        for pid, vals in cols[1:]:
+            for d, v in zip(sides, vals):
                 d[pid] = v
         return sides
 
@@ -532,32 +539,33 @@ def exec_geqr(cfg: NetworkConfig, xs, adv: AdversaryStrategy,
     constant, realizing the attacks the guessing argument enumerates.
     """
     cfg.validate_geqr()
-    g = cfg.gadgets
     b = Batch.start(cfg, xs, adv, side)
-    groups = cfg.geqr_groups()
-    slice_w = cfg.geqr_slice
-    grouped = [pid for grp in groups for pid in grp]
+    grouped = [pid for grp in cfg.geqr_groups() for pid in grp]
     sent = dict(zip(grouped, b.play(1, grouped, cfg.n, adv).T))
-
-    slices, rushing = [], 0
-    for gi, grp in enumerate(groups, start=1):
-        has_faulty = any(pid in adv.initial_faulty for pid in grp)
-        rushing += slice_w * has_faulty
-        if has_faulty and adv.forced_slices is not None and gi in adv.forced_slices:
-            slices.append(adv.forced_slices[gi] & ((1 << slice_w) - 1))
-        else:
-            slices.append(g.iext.gather(*(sent[pid] for pid in grp))
-                          >> (g.iext.m - slice_w))
-    y = _concat(slices, slice_w, len(b.xs))
-    if rushing > slice_w * cfg.t:
+    faulty = cfg.geqr_faulty(adv.initial_faulty)
+    rushing, pinned = cfg.geqr_slice * len(faulty), adv.forced_slices or {}
+    if rushing > cfg.geqr_slice * cfg.t:
         raise ConstraintViolatedError([
             f"rushing width {rushing} exceeds the k t / s bound "
-            f"{slice_w * cfg.t}"])
-    b.y, b.y_width, b.rushing_width = y, cfg.geqr_s * slice_w, rushing
+            f"{cfg.geqr_slice * cfg.t}"])
+    b.y = _public_string(cfg, sent, {gi: pinned[gi] for gi in faulty
+                                     if gi in pinned}, len(b.xs))
+    b.y_width, b.rushing_width = cfg.geqr_s * cfg.geqr_slice, rushing
     b.outputs = np.full(b.xs.shape, -1, dtype=np.int64)
     for pid in cfg.geqr_outer():
-        b.private(pid, g.qtext, y)
+        b.private(pid, cfg.gadgets.qtext, b.y)
     return b
+
+
+def _public_string(cfg: NetworkConfig, sent: dict, forced: dict, shape):
+    """geqr's public string in ``shape``: group i's slice is the first
+    floor(k/s) bits of iext on its members' ``sent`` columns, or
+    ``forced[i]`` (a constant, or one per row) cut to the slice width."""
+    g, sw = cfg.gadgets, cfg.geqr_slice
+    return _concat([forced[gi] & ((1 << sw) - 1) if gi in forced else
+                    g.iext.gather(*(sent[p] for p in grp)) >> (g.iext.m - sw)
+                    for gi, grp in enumerate(cfg.geqr_groups(), start=1)],
+                   sw, shape)
 
 
 # ----------------------------------------------------------------------
@@ -672,10 +680,9 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
 
 
 def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
-             tol=None, seed=None, tally=None, ids=None) -> SecurityReport:
+             tol=None, seed=None, tally=None) -> SecurityReport:
     """:func:`evaluate_security` of the ensemble ``(den, weights, b)``
-    that :func:`protocol_runs` returns.  ``ids``, the :func:`row_ids` of
-    ``b``'s transcript and leak columns if given, stand in for them."""
+    that :func:`protocol_runs` returns."""
     player_set = tuple(sorted(set(player_set)))
     m_out = output_width(cfg, protocol)
     out = b.outputs
@@ -687,8 +694,7 @@ def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
                 f"player {pid} of S' has no private output in some world")
     z = _concat([out[:, pid - 1] for pid in s_prime], m_out, len(weights))
     rest = [out[:, i - 1] for i in range(1, cfg.p + 1) if i not in s_prime]
-    rest += (b.transcript_columns() + list(b.side.values()) if ids is None
-             else [ids])
+    rest += b.transcript_columns() + list(b.side.values())
     part_w = m_out * len(s_prime)
     if exact:
         distance = ratio(column_excess(weights, z, rest, part_w), den << part_w)
@@ -699,29 +705,41 @@ def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
                           player_set, s_prime, part_w, len(weights))
 
 
+def forced_slice_distances(cfg, adv, player_set, den, weights, b) -> list:
+    """Exact geqr security of each IR attack pinning the slices of the
+    groups ``adv`` corrupts (entry r: to r's bits, the first group's on
+    top) on the worlds of the ensemble ``(den, weights, b)``, in one pass
+    on their shared honest round: only the public string and the outer
+    players' outputs change per attack, p attacks to a block of rows."""
+    n, m, sw = len(weights), output_width(cfg, "geqr"), cfg.geqr_slice
+    sent = {pid: b.xs[:, pid - 1] for grp in cfg.geqr_groups() for pid in grp}
+    ids = row_ids(list(sent.values()) + list(b.side.values()), n)[0]
+    outer = [pid for pid in cfg.geqr_outer() if not b.faulty[0, pid - 1]]
+    inside = sorted(set(player_set).intersection(outer))  # S'
+    forced = cfg.geqr_faulty(adv.initial_faulty)
+    width, part_w, out = sw * len(forced), m * len(inside), []
+    for lo in range(0, 1 << width, cfg.p):
+        r = np.arange(lo, min(lo + cfg.p, 1 << width))[:, None]
+        y = _public_string(cfg, sent, {gi: r >> sw * k for k, gi in
+                                       enumerate(forced[::-1])}, (r.size, n))
+        outs = {p: cfg.gadgets.qtext.gather(b.xs[:, p - 1], y) for p in outer}
+        z = _concat([outs.pop(pid) for pid in inside], m, y.shape)
+        out += [ratio(column_excess(weights, z[i], [ids] + [
+            o[i] for o in outs.values()], part_w), den << part_w)
+            for i in range(r.size)]
+    return out
+
+
 def ir_to_qr(cfg, adv, player_set, den, weights, b, *, tally=None) -> tuple:
-    """Exact geqr security of the enumerated ensemble ``(den, weights,
-    b)`` run under the QR-analog attack ``adv``, and under the worst IR
-    attack pinning the slices of the groups ``adv`` corrupts to constants,
-    run on the same worlds: ``(qr_report, ir_distance, rushing_bits)``.
-    Every IR run broadcasts the honest round, so their transcript and leak
-    columns are one, numbered once; only the outputs differ."""
-    faulty_groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
-                     if any(p in adv.initial_faulty for p in grp)]
-    sw = cfg.geqr_slice
-    width, mask = sw * len(faulty_groups), (1 << sw) - 1
-    ir, ids = [], None
-    for r in range(1 << width):
-        slices = {gi: (r >> (width - (i + 1) * sw)) & mask
-                  for i, gi in enumerate(faulty_groups)}
-        attack = AdversaryStrategy.forced_slice(adv.initial_faulty, slices)
-        run = _run_protocol("geqr", cfg, b.xs, attack, b.side, tally)
-        if ids is None:
-            ids = row_ids(run.transcript_columns() + list(run.side.values()),
-                          len(weights))[0]
-        ir.append(security("geqr", cfg, player_set, den, weights, run,
-                           ids=ids).distance)
-    return security("geqr", cfg, player_set, den, weights, b), max(ir), width
+    """``(qr_report, ir_distance, rushing_bits)``: exact geqr security of
+    the ensemble ``(den, weights, b)`` run under the QR-analog attack
+    ``adv``, and the worst of :func:`forced_slice_distances` on it.
+    ``tally`` counts one ensemble of worlds per IR attack."""
+    ir = forced_slice_distances(cfg, adv, player_set, den, weights, b)
+    if tally is not None:
+        tally.update(worlds=len(weights) * len(ir))
+    return (security("geqr", cfg, player_set, den, weights, b), max(ir),
+            len(ir).bit_length() - 1)
 
 
 def strong_player_error(protocol: str, cfg: NetworkConfig, sources,

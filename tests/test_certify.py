@@ -243,6 +243,25 @@ def test_declared_strong_set_is_the_measured_one(tmp_path):
                                          cache_dir=tmp_path)
 
 
+def test_certify_refuses_fractional_strong_indices(tmp_path):
+    for bad in (0.7, 1.5):
+        with pytest.raises(InvalidInputError, match="strong index"):
+            certify.certify_random_table((2, 2), (1, 1), 1, seed=84,
+                                         strong=(bad,), cache_dir=tmp_path)
+    h, rec = certify.certify_random_table((2, 2), (1, 1), 1, seed=84,
+                                          strong=(np.int64(1),),
+                                          cache_dir=tmp_path)
+    assert h.strong == {1} and set(rec.strong_errors) == {1}
+
+
+def test_certify_refuses_non_finite_min_entropies(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="finite"):
+            certify.certify_random_table((2, 2), (bad, 1), 1, seed=85,
+                                         cache_dir=tmp_path)
+    assert not list(tmp_path.iterdir())  # refused before any measuring
+
+
 def test_tampered_cache_file_never_serves_a_mismatched_handle(tmp_path):
     # Each parameter the handle reads (kind, widths, m, k_profile) is
     # edited where a file could hold it: in the record, and at the bytes

@@ -173,6 +173,25 @@ def test_handle_validates_widths():
     assert np.array_equal(ip_handle(np.int64(3)).table(), ip_handle(3).table())
 
 
+def test_handle_refuses_fractional_strong_indices():
+    # 0.7 used to be truncated to a declared strong index 0
+    t = np.zeros(16, dtype=np.uint32)
+    for bad in (0.7, 1.5, 1.0, "1"):
+        with pytest.raises(InvalidInputError, match="strong index"):
+            table_handle("t", "2-source", (2, 2), 1, t, strong=(bad,))
+    h = table_handle("t", "2-source", (2, 2), 1, t, strong=(np.int64(1),))
+    assert h.strong == {1} and all(type(i) is int for i in h.strong)
+
+
+def test_handle_refuses_non_finite_min_entropies():
+    t = np.zeros(16, dtype=np.uint32)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidInputError, match="finite"):
+            table_handle("t", "2-source", (2, 2), 1, t, k_profile=(bad, 2))
+    h = table_handle("t", "2-source", (2, 2), 1, t, k_profile=(np.int8(1), 2))
+    assert h.k_profile == (1.0, 2.0)
+
+
 def test_strong_projection_identity_on_one_bit():
     h = ip_handle(3)
     p = strong_projection(h, {1})
@@ -194,6 +213,15 @@ def test_strong_projection_bounds():
         strong_projection(h, set())
     with pytest.raises(InvalidInputError):
         strong_projection(h, {3})
+
+
+def test_strong_projection_refuses_fractional_positions():
+    h = deor_handle(4, 2)
+    for bad in (1.5, 0.7, 2.0):
+        with pytest.raises(InvalidInputError, match="projection position"):
+            strong_projection(h, {bad})
+    assert np.array_equal(strong_projection(h, {np.int64(2)}).table(),
+                          strong_projection(h, {2}).table())
 
 
 def test_strong_projection_inherits_declared_parameters():

@@ -15,7 +15,8 @@ from extractomat.graphs import BipartiteGraph
 from extractomat.leakage import LeakageScenario
 from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
                                 evaluate_security, exec_ext_pri, exec_ext_pub,
-                                exec_geqr, ir_to_qr, output_width,
+                                exec_geqr, forced_slice_distances,
+                                ir_to_qr, output_width,
                                 parse_config_text, protocol_runs,
                                 strong_player_error)
 from extractomat.sources import FlatSource
@@ -221,6 +222,16 @@ def test_geqr_all_honest_y_is_deterministic(micro_geqr):
         yi = g.iext.eval_int(*(xvals[p] for p in grp)) >> (g.iext.m - cfg.geqr_slice)
         expect = (expect << cfg.geqr_slice) | yi
     assert r1.y[0] == expect
+
+
+def test_adversary_refuses_fractional_faulty_ids():
+    # 1.5 used to be truncated to player 1
+    for bad in (1.5, 0.7, "1"):
+        with pytest.raises(InvalidInputError, match="faulty player"):
+            AdversaryStrategy.ir({bad})
+    adv = AdversaryStrategy.forced_slice({np.int64(3)}, {2: 1})
+    assert adv.initial_faulty == {3}
+    assert all(type(i) is int for i in adv.initial_faulty)
 
 
 def test_forced_slice_override(micro_geqr):
@@ -592,6 +603,55 @@ def test_rushing_order_ok_per_pattern_matches_per_world(monkeypatch):
     assert answers[True] and answers[False]
 
 
+def test_rushing_views_match_a_naive_per_world_build():
+    # Two late patterns (player 3 faulty in a few worlds only, so one
+    # pattern's columns are longer than 2**width and the other's are not)
+    # and two leaking players: over two rounds, the callbacks see exactly
+    # the distinct views built world by world, once each, every side
+    # dict a fresh object, and each world gets its view's message.
+    from extractomat import netsim
+    rng = np.random.default_rng(69)
+    n, width, senders = 300, 2, (1, 2, 3, 4)
+    xs = rng.integers(0, 1 << width, size=(n, 5))
+    side = {4: rng.integers(0, 2, n), 5: rng.integers(0, 3, n)}
+    faulty = np.zeros((n, 5), dtype=bool)
+    faulty[:, 0] = True
+    faulty[rng.choice(n, size=3, replace=False), 2] = True
+    b = netsim.Batch(xs, side, faulty)
+    calls = []
+
+    def fn(pid, rnd, view, side_info):
+        calls.append((pid, view, side_info))
+        return sum(v for *_, v in view["round_honest"]) + 3 * side_info[5]
+
+    def key(pid, view, side_info):
+        return (pid, view["transcript"], tuple(view["round_honest"]),
+                tuple(side_info.items()))
+
+    adv = AdversaryStrategy.qr_analog({1}, fn)
+    for rnd in (1, 2):
+        before, late = list(b.rounds), faulty[:, :4]
+        calls.clear()
+        payload = b.play(rnd, senders, width, adv)
+        expect = set()
+        for w in range(n):
+            tr = ()
+            for r, snd, _, sent, lt in before:
+                order = sorted(range(len(snd)), key=lambda k: lt[w, k])
+                tr += tuple((r, snd[k], int(sent[w, k])) for k in order)
+            hon = tuple((s, int(xs[w, j]), width)
+                        for j, s in enumerate(senders) if not late[w, j])
+            leaks = {pid: int(col[w]) for pid, col in side.items()}
+            for k in np.flatnonzero(late[w]).tolist():
+                view = {"transcript": tr, "round_honest": hon}
+                expect.add(key(senders[k], view, leaks))
+                assert payload[w, k] == fn(senders[k], rnd, view, leaks) & 3
+                calls.pop()
+        got = [key(*call) for call in calls]
+        assert len(got) == len(set(got)) and set(got) == expect, rnd
+        assert len({id(call[2]) for call in calls}) == len(calls)
+
+
 def test_rushing_order_ok_on_worlds_the_trigger_splits():
     # An adaptive trigger corrupts a player in some worlds only, so round 2
     # holds two late patterns; each is checked, and agrees per world.
@@ -662,11 +722,31 @@ def test_ir_to_qr_matches_naive_per_world():
         assert (qr_rep.distance, ir) == (naive[0], max(naive[1:])), trial
 
 
+def _per_slice_loop(cfg, sources, scenario, faulty, player_set, shared=None):
+    """Each constant-slice IR attack's exact distance, one protocol run
+    and one security evaluation per attack: attack r pins the faulty
+    groups' slices to r's bits, the first group's on top."""
+    sw = cfg.geqr_slice
+    groups = [gi for gi, grp in enumerate(cfg.geqr_groups(), start=1)
+              if set(grp) & set(faulty)]
+    width = sw * len(groups)
+    return [evaluate_security("geqr", cfg, sources, scenario,
+                              AdversaryStrategy.forced_slice(faulty, {
+                                  gi: (r >> (width - (i + 1) * sw))
+                                  & ((1 << sw) - 1)
+                                  for i, gi in enumerate(groups)}),
+                              player_set, shared=shared).distance
+            for r in range(1 << width)]
+
+
 @pytest.mark.parametrize("n", [3, 4])
-def test_ir_to_qr_shared_ids_match_the_per_slice_loop(monkeypatch, n):
+def test_ir_to_qr_shared_ids_match_the_per_slice_loop(n):
     # p=6 leaves outer players 5 and 6; S' = {5} puts player 6's output,
-    # which depends on each run's y, in the rest next to the shared ids
-    from extractomat import netsim
+    # which depends on each attack's y, in the rest next to the shared
+    # honest round.  Both leak their parity with one shared bit, so given
+    # the leaks player 6's output says something of player 5's.  Every
+    # slice's distance, not only the worst, equals the one of its own
+    # protocol run.
     rng = np.random.default_rng([n, 41])
     g = GadgetSet(iext=_random_slot(rng, "iext", (n, n), 2),
                   qtext=_random_slot(rng, "qtext", (n, 2), 2))
@@ -675,44 +755,68 @@ def test_ir_to_qr_shared_ids_match_the_per_slice_loop(monkeypatch, n):
     sources = [FlatSource(n, [0]) if pid == 3 else FlatSource(
         n, sorted(rng.choice(1 << n, size=4, replace=False).tolist()))
         for pid in range(1, 7)]
-    scenario = LeakageScenario.oa([n] * 6, 5, lambda x, a: x & 1, 1)
+    scenario = LeakageScenario((n,) * 6, 1, ((0, 1),) * 6, (None,) * 4 + (
+        _parity_leak,) * 2, (0,) * 4 + (1, 1))
+    shared = Distribution.uniform(1, exact=True)
     qr = AdversaryStrategy.qr_analog(
         {3}, lambda pid, rnd, view, side: (side[6] * 5 + sum(
             v for _, _, v in view["round_honest"])) & ((1 << n) - 1))
-    attacks = [qr] + [AdversaryStrategy.forced_slice({3}, {2: r})
-                      for r in range(2)]
-    calls, rests = [], []
-    real_ids, real_excess = netsim.row_ids, netsim.column_excess
-
-    def excess_spy(weights, z, rest, m):
-        rests.append(real_ids(rest, len(z))[0])
-        return real_excess(weights, z, rest, m)
-
+    ensemble = protocol_runs("geqr", cfg, sources, scenario, qr,
+                             shared=shared)
     for player_set in ([5], [5, 6], [6]):
-        ensemble = protocol_runs("geqr", cfg, sources, scenario, qr)
-        monkeypatch.setattr(netsim, "row_ids",
-                            lambda *a: calls.append(1) or real_ids(*a))
-        monkeypatch.setattr(netsim, "column_excess", excess_spy)
+        ref = _per_slice_loop(cfg, sources, scenario, {3}, player_set,
+                              shared)
+        got = forced_slice_distances(cfg, qr, player_set, *ensemble)
+        assert len(ref) == 2 and got == ref, player_set
         qr_rep, ir, bits = ir_to_qr(cfg, qr, player_set, *ensemble)
-        monkeypatch.setattr(netsim, "row_ids", real_ids)
-        monkeypatch.setattr(netsim, "column_excess", real_excess)
-        assert len(calls) == 1  # the IR family's shared columns, once
-        ref = [evaluate_security("geqr", cfg, sources, scenario, a, player_set)
-               for a in attacks]
         assert bits == 1
-        assert qr_rep.effective_set == ref[0].effective_set == tuple(player_set)
-        assert (qr_rep.distance, ir) == (ref[0].distance,
-                                         max(r.distance for r in ref[1:]))
-        # each IR run's rest, shared ids and its own outputs, is numbered
-        # as its full rest columns are
-        for got, attack in zip(rests, attacks[1:]):
-            run = protocol_runs("geqr", cfg, sources, scenario, attack)[2]
-            full = [run.outputs[:, i - 1] for i in range(1, 7)
-                    if i not in player_set]
-            full += run.transcript_columns() + list(run.side.values())
-            assert np.array_equal(got, real_ids(full, len(got))[0])
-        calls.clear()
-        rests.clear()
+        assert qr_rep.effective_set == tuple(player_set)
+        assert qr_rep.distance == evaluate_security(
+            "geqr", cfg, sources, scenario, qr, player_set,
+            shared=shared).distance
+        assert ir == max(ref)
+
+
+@pytest.mark.parametrize("case", ["p5-width1", "p6-width2", "two-groups",
+                                  "two-blocks"])
+def test_forced_slice_distances_match_the_per_slice_loop(monkeypatch, case):
+    # Rushing widths 1 and 2 (one faulty group of 2-bit slices, or two
+    # groups of 1-bit slices), p = 5 and 6, and 8 slices of 3 bits, more
+    # than the p = 5 a block holds.  Each block's public strings have at
+    # most p rows.  The seeds give every slice its own distance, so a
+    # slice scored as another one shows.
+    from extractomat import netsim
+    n, k, p, t, faulty, seed = {"p5-width1": (3, 2, 5, 1, {3}, 44),
+                                "p6-width2": (3, 4, 6, 1, {1}, 43),
+                                "two-groups": (3, 2, 5, 2, {2, 4}, 89),
+                                "two-blocks": (2, 6, 5, 1, {4}, 49)}[case]
+    rng = np.random.default_rng([p, k, t, seed])
+    s = 2
+    g = GadgetSet(iext=_random_slot(rng, "iext", (n, n), max(2, k // s)),
+                  qtext=_random_slot(rng, "qtext", (n, s * (k // s)), 2))
+    cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=0.25, gadgets=g,
+                        geqr_group=2, geqr_s=s)
+    sources = [FlatSource(n, sorted(rng.choice(
+        1 << n, size=2 << pid % 2, replace=False).tolist()))
+        for pid in range(1, p + 1)]
+    scenario = LeakageScenario.oa([n] * p, 4, lambda x, a: x & 1, 1)
+    qr = AdversaryStrategy.qr_analog(faulty, lambda pid, rnd, view, side: (
+        side[5] + pid * len(view["round_honest"])) & ((1 << n) - 1))
+    rows, real = [], netsim._public_string
+
+    def spy(cfg, sent, forced, shape):
+        rows.append(shape[0] if isinstance(shape, tuple) else 1)
+        return real(cfg, sent, forced, shape)
+
+    ensemble = protocol_runs("geqr", cfg, sources, scenario, qr)
+    monkeypatch.setattr(netsim, "_public_string", spy)
+    got = forced_slice_distances(cfg, qr, [5], *ensemble)
+    monkeypatch.setattr(netsim, "_public_string", real)
+    width = cfg.geqr_slice * len({(pid - 1) // 2 for pid in faulty})
+    assert width == {"p5-width1": 1, "two-blocks": 3}.get(case, 2)
+    assert got == _per_slice_loop(cfg, sources, scenario, faulty, [5])
+    assert len(set(got)) == len(got) == 1 << width and max(rows) <= p
+    assert len(rows) == (2 if case == "two-blocks" else 1)
 
 
 @pytest.mark.parametrize("case", ["passive", "forced-slice", "qr-analog",
