@@ -620,9 +620,12 @@ def test_rushing_views_match_a_naive_per_world_build():
     b = netsim.Batch(xs, side, faulty)
     calls = []
 
+    def message(view, side_info):
+        return sum(v for *_, v in view["round_honest"]) + 3 * side_info[5]
+
     def fn(pid, rnd, view, side_info):
         calls.append((pid, view, side_info))
-        return sum(v for *_, v in view["round_honest"]) + 3 * side_info[5]
+        return message(view, side_info)
 
     def key(pid, view, side_info):
         return (pid, view["transcript"], tuple(view["round_honest"]),
@@ -645,8 +648,7 @@ def test_rushing_views_match_a_naive_per_world_build():
             for k in np.flatnonzero(late[w]).tolist():
                 view = {"transcript": tr, "round_honest": hon}
                 expect.add(key(senders[k], view, leaks))
-                assert payload[w, k] == fn(senders[k], rnd, view, leaks) & 3
-                calls.pop()
+                assert payload[w, k] == message(view, leaks) & 3
         got = [key(*call) for call in calls]
         assert len(got) == len(set(got)) and set(got) == expect, rnd
         assert len({id(call[2]) for call in calls}) == len(calls)
