@@ -130,7 +130,7 @@ def certify_random_table(widths, k_profile, m: int, *,
     -------
     (ExtractorHandle, CertificationRecord)
     """
-    widths = tuple(int(w) for w in widths)
+    widths = tuple(_integer(w, "an input width") for w in widths)
     k_profile = tuple(float(k) for k in k_profile)
     if len(k_profile) != len(widths) or not np.isfinite(k_profile).all():
         raise InvalidInputError("one finite entropy level per input required")

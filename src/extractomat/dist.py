@@ -510,17 +510,17 @@ def row_ids(cols, n: int) -> tuple:
     return ids, np.flatnonzero(is_first)
 
 
-def column_excess(weights, z, rest, m: int):
+def column_excess(weights, z, rest, m: int, numbered=None):
     """:func:`excess_over_uniform` of per-world columns: world ``j`` has
     weight ``weights[j]``, part value ``z[j]`` in ``range(2**m)`` and rest
     ``rest[*][j]``; 0 for no worlds.  The rests are numbered once by
-    :func:`row_ids`, and a cell is a ``rest id << m | z``.  Where there are
-    at most ``DENSE_ROWS`` times as many cells as worlds, every cell has
-    its address in one table, empty ones weighing 0; else ``np.unique``
-    numbers the cells that occur, in key order.  The excess depends on
-    neither the cells' order nor the empty ones, and memory stays linear
-    in the worlds."""
-    groups, first = row_ids(rest, len(z))
+    :func:`row_ids` (or ``numbered``, its output), and a cell is a ``rest
+    id << m | z``.  Where there are at most ``DENSE_ROWS`` times as many
+    cells as worlds, every cell has its address in one table, empty ones
+    weighing 0; else ``np.unique`` numbers the cells that occur, in key
+    order.  The excess depends on neither the cells' order nor the empty
+    ones, and memory stays linear in the worlds."""
+    groups, first = numbered or row_ids(rest, len(z))
     keys = (groups << m) | np.asarray(z, dtype=np.int64)
     if first.size << m <= DENSE_ROWS * len(z):
         keys, cells = np.arange(first.size << m), keys

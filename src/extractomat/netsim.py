@@ -713,7 +713,7 @@ def forced_slice_distances(cfg, adv, player_set, den, weights, b) -> list:
     players' outputs change per attack, p attacks to a block of rows."""
     n, m, sw = len(weights), output_width(cfg, "geqr"), cfg.geqr_slice
     sent = {pid: b.xs[:, pid - 1] for grp in cfg.geqr_groups() for pid in grp}
-    ids = row_ids(list(sent.values()) + list(b.side.values()), n)[0]
+    ids = row_ids(list(sent.values()) + list(b.side.values()), n)
     outer = [pid for pid in cfg.geqr_outer() if not b.faulty[0, pid - 1]]
     inside = sorted(set(player_set).intersection(outer))  # S'
     forced = cfg.geqr_faulty(adv.initial_faulty)
@@ -724,9 +724,9 @@ def forced_slice_distances(cfg, adv, player_set, den, weights, b) -> list:
                                        enumerate(forced[::-1])}, (r.size, n))
         outs = {p: cfg.gadgets.qtext.gather(b.xs[:, p - 1], y) for p in outer}
         z = _concat([outs.pop(pid) for pid in inside], m, y.shape)
-        out += [ratio(column_excess(weights, z[i], [ids] + [
-            o[i] for o in outs.values()], part_w), den << part_w)
-            for i in range(r.size)]
+        out += [ratio(column_excess(  # S' holds every outer player: ids as is
+            weights, z[i], [ids[0]] + [o[i] for o in outs.values()], part_w,
+            None if outs else ids), den << part_w) for i in range(r.size)]
     return out
 
 

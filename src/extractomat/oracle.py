@@ -57,16 +57,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dist import (Distribution, JointDistribution, column_excess,
-                   cond_min_entropy, excess_over_uniform, neg_log2,
-                   ratio, row_ids, smooth_cond_min_entropy)
+from .dist import (Distribution, JointDistribution, check_denominator,
+                   column_excess, cond_min_entropy, excess_over_uniform,
+                   neg_log2, ratio, row_ids, smooth_cond_min_entropy)
 from .errors import BudgetExceededError, InvalidInputError, SizeLimitError
 from .extractors import ExtractorHandle
 from .leakage import LeakageScenario, enumerate_worlds, leakage_apply
 
 DEFAULT_BUDGET = 20_000_000_000
 EXHAUSTIVE_MAP_BITS_CAP = 2  # leakage maps enumerated exhaustively up to e-width 2
-CHUNK_ENTRIES = 1 << 14  # int64 entries per working array of one S2 chunk
+CHUNK_ENTRIES = 1 << 14  # int64 entries (or 8x as many bytes) per working array
 SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
 EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
 SUPPORT_BYTES = 8 << 24  # largest kernel request's arrays, refused past
@@ -319,14 +319,16 @@ def _top_index(score, K: int) -> list:
 
 
 def _top_sums(score, K: int) -> np.ndarray:
-    """Sums of the ``K`` largest entries along the last axis."""
+    """int64 sums of the ``K`` largest entries along the last axis."""
     X = score.shape[-1]
-    return np.partition(score, X - K, axis=-1)[..., X - K:].sum(axis=-1)
+    return np.partition(score, X - K, axis=-1)[..., X - K:].sum(-1, np.int64)
 
 
 def _scores(excess) -> np.ndarray:
-    """Row scores sum_cells max(excess, 0), clipping ``excess`` in place."""
-    return np.maximum(excess, 0, out=excess).sum(axis=-2)
+    """Row scores sum_cells max(excess, 0), clipping ``excess`` in place,
+    in the smallest signed type that holds cells x the excess type's max."""
+    top = excess.shape[-2] * int(np.iinfo(excess.dtype).max)
+    return np.maximum(excess, 0, out=excess).sum(-2, np.min_scalar_type(-top))
 
 
 def _cell_excess(ind, block, leak, M: int, B: int):
@@ -423,13 +425,14 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
         rule = build, S1s * max(rows, J), S1s * (rows + K1) * 8
     build, work, held = rule
     dtype = np.min_scalar_type(-K2 * M)  # holds every count of K2 rows
-    chunk = max(1, CHUNK_ENTRIES // (P * max(J * cells, work)))
+    item = 8 if cells == 1 else dtype.itemsize  # the excess's, in bytes
+    chunk = max(1, 8 * CHUNK_ENTRIES // (P * max(J * cells * item, 8 * work)))
     S2s = samples or math.comb(cols, K2)  # drawn, or at most one table
     memory = _fit(  # the indicator with its mask; the excess, an addend
         indicator=cols * rows * (M * dtype.itemsize + 1), rule=held,
         supports=8 * K2 * (S2s if samples else min(
             S2s, SUPPORT_TABLE_ENTRIES // K2)),
-        chunk=min(chunk, S2s) * P * (2 * J * cells * dtype.itemsize + 8 * work))
+        chunk=min(chunk, S2s) * P * (2 * J * cells * item + 8 * work))
     ind = _cell_indicator(table2d, M, dtype)
     if cells == 1:
         ind = ind.reshape(cols, M, rows).sum(axis=2)
@@ -1004,12 +1007,13 @@ class LemmaVerdict:
         return self.ok
 
 
-def check_lemma(lemma_id: str, **instance) -> LemmaVerdict:
+def check_lemma(lemma_id: str, **instance):
     """Evaluate both sides of a named inequality exactly on an instance.
 
     Supported ids: ``L2.2`` (min-entropy conditioning), ``L2.5``
     (classical XOR lemma), ``P3.2`` (entropy additivity up to the smooth
     slack), ``L8.1`` (per-player strong errors union to set error).
+    ``L2.2`` and ``L2.5`` check a ``joint`` or, per trial, a stack.
     """
     fn = _LEMMAS.get(lemma_id)
     if fn is None:
@@ -1018,49 +1022,68 @@ def check_lemma(lemma_id: str, **instance) -> LemmaVerdict:
     return fn(**instance)
 
 
-def _lemma_condition(joint: JointDistribution, eps: float,
-                     target: str = "X", given: str = "Y") -> LemmaVerdict:
-    """Pr_y[H(X|Y=y) >= H(X) - log|Y| - log(1/eps)] >= 1 - eps, from one
-    (X, Y) numerator matrix: H(X) by its row sums, H(X|Y=y) by column
+def _lemma_stack(numerators, den, joint=None, labels=()) -> tuple:
+    """``(num, den)``: a (trials, 2^a, 2^b) stack of ``numerators`` over
+    ``den``, one exact joint per trial, or the one matrix of ``joint``:
+    rows ``labels[0]``, columns the other ``labels``."""
+    if joint is not None:
+        sub = joint.marginal(labels)
+        return sub.numerators.reshape(1, 1 << sub.parts[0][1], -1), sub.denominator
+    num = np.asarray(numerators)
+    if (num.dtype.kind not in "iu" or num.ndim != 3 or (num < 0).any()
+            or any(s < 1 or s & (s - 1) for s in num.shape[1:])
+            or (num.sum(axis=(1, 2)) != den).any()):
+        raise InvalidInputError("a lemma stack is (trials, 2^a, 2^b) "
+                                "non-negative counts over its denominator")
+    return num.astype(np.int64, copy=False), check_denominator(int(den))
+
+
+def _lemma_condition(joint=None, *, eps: float, target: str = "X",
+                     given: str = "Y", numerators=None, denominator=1):
+    """Pr_y[H(X|Y=y) >= H(X) - log|Y| - log(1/eps)] >= 1 - eps, from
+    (X, Y) numerator matrices: H(X) by the row sums, H(X|Y=y) by column
     y's maximum over the column's total."""
     if not 0 < eps <= 1:
         raise InvalidInputError(f"L2.2 takes eps in (0, 1], got {eps}")
-    sub = joint.marginal([target, given])
-    num = sub.numerators.reshape(1 << joint.part_width(target), -1)
-    bound = (neg_log2(num.sum(axis=1).max().item(), sub.denominator)
-             - joint.part_width(given) - math.log2(1.0 / eps))
-    good, per_y = 0, {}
-    for y, (top, mass) in enumerate(zip(num.max(axis=0).tolist(),
-                                        num.sum(axis=0).tolist())):
-        if mass:
-            per_y[y] = neg_log2(top, mass)
-            good += mass if per_y[y] >= bound - 1e-9 else 0
-    good = float(ratio(good, sub.denominator))
-    return LemmaVerdict("L2.2", good >= 1 - eps - 1e-12, good - (1 - eps),
-                        {"threshold_bits": bound, "per_y_entropy": per_y})
+    num, den = _lemma_stack(numerators, denominator, joint, [target, given])
+    d, out = num.shape[2].bit_length() - 1, []
+    for x, tops, masses in zip(num.sum(axis=2).max(axis=1).tolist(),
+                               num.max(axis=1).tolist(), num.sum(axis=1).tolist()):
+        bound = neg_log2(x, den) - d - math.log2(1.0 / eps)
+        good, per_y = 0, {}
+        for y, (top, mass) in enumerate(zip(tops, masses)):
+            if mass:
+                per_y[y] = neg_log2(top, mass)
+                good += mass if per_y[y] >= bound - 1e-9 else 0
+        good = float(ratio(good, den))
+        out.append(LemmaVerdict("L2.2", good >= 1 - eps - 1e-12, good - (1 - eps),
+                                {"threshold_bits": bound, "per_y_entropy": per_y}))
+    return out if joint is None else out[0]
 
 
-def _lemma_xor(joint: JointDistribution, z_label: str = "Z",
-               e_label: str = "E") -> LemmaVerdict:
+def _lemma_xor(joint=None, z_label: str = "Z", e_label: str = "E", *,
+               numerators=None, denominator=1):
     """Classical XOR lemma: dist(ZE, UxE)^2 <= 2^min(d,m) sum_S dist^2.
 
     Every XOR test r of Z's bits is scored in one integer pass over the
-    (Z, rest) numerator matrix N: ``odd @ N`` is the mass where r.z is
+    (Z, rest) numerator matrices N: ``odd @ N`` is the mass where r.z is
     odd, and the test's distance is sum_rest |2 (odd @ N) - R| / 2den."""
-    if not joint.exact:
+    if joint is not None and not joint.exact:
         raise InvalidInputError("XOR lemma check requires exact masses")
-    m, d = joint.part_width(z_label), joint.part_width(e_label)
-    sub = joint.marginal([z_label, *(lbl for lbl in joint.labels()
-                                     if lbl != z_label)])
-    num, den = sub.numerators.reshape(1 << m, -1), sub.denominator
-    lhs = Fraction(excess_over_uniform(num.ravel(), np.arange(num.size)
-                                       % num.shape[1], m), den << m) ** 2
-    odd = np.bitwise_count(np.arange(1, 1 << m)[:, None] & np.arange(1 << m)) & 1
-    tests = np.abs(2 * (odd @ num) - num.sum(axis=0))
-    rhs = Fraction(sum(e * e for e in tests.sum(axis=1).tolist()) << min(d, m),
-                   (2 * den) ** 2)
-    return LemmaVerdict("L2.5", rhs >= lhs, rhs - lhs,
-                        {"lhs_sq": lhs, "rhs": rhs})
+    rest = [] if joint is None else [lb for lb in joint.labels() if lb != z_label]
+    num, den = _lemma_stack(numerators, denominator, joint, [z_label, *rest])
+    (T, Z, R), out = num.shape, []
+    m = Z.bit_length() - 1
+    d = R.bit_length() - 1 if joint is None else joint.part_width(e_label)
+    lhs = excess_over_uniform(num.reshape(T, -1), np.arange(Z * R) % R, m)
+    odd = np.bitwise_count(np.arange(1, Z)[:, None] & np.arange(Z)) & 1
+    tests = np.abs(2 * (odd @ num) - num.sum(axis=1, keepdims=True))
+    for ex, row in zip(lhs.tolist(), tests.sum(axis=2).tolist()):
+        lhs_sq = Fraction(ex, den << m) ** 2
+        rhs = Fraction(sum(e * e for e in row) << min(d, m), (2 * den) ** 2)
+        out.append(LemmaVerdict("L2.5", rhs >= lhs_sq, rhs - lhs_sq,
+                                {"lhs_sq": lhs_sq, "rhs": rhs}))
+    return out if joint is None else out[0]
 
 
 def _lemma_additivity(sources, scenario: LeakageScenario,
@@ -1068,27 +1091,21 @@ def _lemma_additivity(sources, scenario: LeakageScenario,
                       eps: float = 0.25, subset=None) -> LemmaVerdict:
     """Smooth min-entropy of X_S given the leaks >= sum k_i - slack."""
     res = leakage_apply(sources, scenario, shared)
-    t = scenario.t
-    subset = list(range(t)) if subset is None else sorted(subset)
+    subset = list(range(scenario.t)) if subset is None else sorted(subset)
     s = len(subset)
-    slack_term = (s - 1) * math.log2(2.0 / (eps * eps))
-    rhs = sum(res.k[i] for i in subset) - slack_term
+    rhs = sum(res.k[i] for i in subset) - (s - 1) * math.log2(2.0 / (eps * eps))
     targets = [f"X{i + 1}" for i in subset]
     given = [lbl for lbl in res.joint.labels() if lbl.startswith("E")]
-    plain = cond_min_entropy(res.joint, targets, given)
-    if plain >= rhs - 1e-9:
-        lhs = plain
-    else:
-        lhs = smooth_cond_min_entropy(res.joint, targets, given,
-                                      (s - 1) * eps)
+    lhs = cond_min_entropy(res.joint, targets, given)
+    if lhs < rhs - 1e-9:  # the plain entropy falls short: smooth it
+        lhs = smooth_cond_min_entropy(res.joint, targets, given, (s - 1) * eps)
     return LemmaVerdict("P3.2", lhs >= rhs - 1e-9, lhs - rhs,
                         {"k": res.k, "smooth_entropy": lhs, "rhs": rhs})
 
 
 def _lemma_hybrid_union(set_error: Fraction, individual_errors) -> LemmaVerdict:
     """Set error is at most the sum of individual strong errors."""
-    total = sum(individual_errors)
-    slack = total - set_error
+    slack = sum(individual_errors) - set_error
     return LemmaVerdict("L8.1", slack >= 0, slack,
                         {"set_error": set_error,
                          "individual": list(individual_errors)})

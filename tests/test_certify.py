@@ -254,6 +254,19 @@ def test_certify_refuses_fractional_strong_indices(tmp_path):
     assert h.strong == {1} and set(rec.strong_errors) == {1}
 
 
+def test_certify_refuses_fractional_widths(tmp_path):
+    # 2.5 was truncated to 2 and certified a (2, 2) table
+    for bad in ((2.5, 2), (2, 1.5), ("2", 2)):
+        with pytest.raises(InvalidInputError, match="input width"):
+            certify.certify_random_table(bad, (1, 1), 1, seed=3,
+                                         cache_dir=tmp_path)
+    assert not list(tmp_path.iterdir())  # refused before any measuring
+    h, _ = certify.certify_random_table((np.int64(2), np.int32(2)), (1, 1), 1,
+                                        seed=3, cache_dir=tmp_path)
+    assert h.input_widths == (2, 2)
+    assert all(type(w) is int for w in h.input_widths)
+
+
 def test_certify_refuses_non_finite_min_entropies(tmp_path):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidInputError, match="finite"):

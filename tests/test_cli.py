@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from extractomat import cli as cli_mod
 from extractomat.cli import main
 
 
@@ -76,10 +77,97 @@ def test_eval_lemma_pass_rate(tmp_path):
     ["eval", "--lemma", "L2.5", "--trials", "0"],
     ["eval", "--lemma", "L2.2", "--trials", "-3"],
     ["eval", "--lemma", "L2.2", "--eps", "0"],
+    ["eval", "--lemma", "P3.2"],  # no randomized-trial driver
+    ["eval", "--lemma", "L2.2", "--eps", "nan"],
 ])
 def test_eval_input_errors_exit_4(argv, tmp_path, capsys):
     assert run_cli_nocache(argv, tmp_path) == 4
     assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("argv", [["eval", "--lemma", "P3.2"],
+                                  ["eval", "--lemma", "L2.2", "--eps", "nan"]])
+def test_eval_lemma_refuses_before_it_draws(argv, tmp_path, capsys,
+                                            monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+    monkeypatch.setattr(cli_mod.np.random, "Philox", no_draws)
+    assert run_cli_nocache(argv, tmp_path) == 4
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+# The outputs of the per-trial loop that built one joint per trial, which
+# the blocked driver must reproduce byte for byte.
+LEMMA_PINS = [
+    (["--lemma", "L2.2", "--trials", "10", "--eps", "0.125", "--seed", "1"],
+     '{"lemma": "L2.2", "trials": 10, "eps": 0.125, "pass_rate": 1.0, '
+     '"min_slack": 0.125, "seed": 1}'),
+    (["--lemma", "L2.5", "--trials", "10", "--seed", "1"],
+     '{"lemma": "L2.5", "trials": 10, "eps": 0.25, "pass_rate": 1.0, '
+     '"min_slack": 0.00010514259338378906, "seed": 1}'),
+    (["--lemma", "L2.2", "--trials", "1000", "--eps", "0.125"],
+     '{"lemma": "L2.2", "trials": 1000, "eps": 0.125, "pass_rate": 1.0, '
+     '"min_slack": 0.125, "seed": 0}'),
+    (["--lemma", "L2.5", "--trials", "1000"],
+     '{"lemma": "L2.5", "trials": 1000, "eps": 0.25, "pass_rate": 1.0, '
+     '"min_slack": 3.814697265625e-06, "seed": 0}'),
+]
+
+
+@pytest.mark.parametrize("argv,expect", LEMMA_PINS)
+def test_eval_lemma_outputs_are_pinned(argv, expect, tmp_path, capsys):
+    assert run_cli_nocache(["eval", *argv], tmp_path) == 0
+    assert capsys.readouterr().out.strip() == expect
+
+
+def test_eval_lemma_block_verdicts_match_one_joint_each(tmp_path,
+                                                       monkeypatch):
+    # Every verdict of the driver's check_lemma calls, in blocks of 4
+    # trials, equals check_lemma on a JointDistribution of the same counts.
+    from extractomat import oracle
+    from extractomat.dist import JointDistribution
+    calls, check = [], oracle.check_lemma
+
+    def spy(lemma, **kw):
+        calls.append((lemma, kw, check(lemma, **kw)))
+        return calls[-1][2]
+    monkeypatch.setattr(oracle, "check_lemma", spy)
+    monkeypatch.setattr(cli_mod, "LEMMA_BLOCK", 4)
+    for seed in range(4):
+        for argv in (["L2.2", "--eps", "0.25"], ["L2.5"]):
+            assert run_cli_nocache(["eval", "--lemma", *argv, "--trials", "10",
+                                    "--seed", str(seed)], tmp_path) == 0
+    trials, widths = {"L2.2": 0, "L2.5": 0}, set()
+    for lemma, kw, verdicts in calls:
+        num, den = kw.pop("numerators"), kw.pop("denominator")
+        m, d = (s.bit_length() - 1 for s in num.shape[1:])
+        parts = [("X", m), ("Y", d)] if lemma == "L2.2" else [("Z", m), ("E", d)]
+        assert len(num) == len(verdicts) <= 4
+        for row, v in zip(num, verdicts):
+            one = check(lemma, joint=JointDistribution.from_numerators(
+                parts, row.ravel(), den), **kw)
+            assert (v.ok, v.slack) == (one.ok, one.slack)
+        trials[lemma] += len(num)
+        widths.add((lemma, m))
+    assert trials == {"L2.2": 40, "L2.5": 40}
+    assert widths == {("L2.2", 4), ("L2.5", 1), ("L2.5", 2), ("L2.5", 3)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lemma", "L2.2", "--trials", "37", "--eps", "0.5", "--seed", "3"],
+    ["--lemma", "L2.5", "--trials", "37", "--seed", "3"],
+    ["--lemma", "L2.5", "--trials", "10", "--seed", "1"],
+])
+def test_eval_lemma_blocks_do_not_change_the_output(argv, tmp_path, capsys,
+                                                    monkeypatch):
+    # Blocks of 4 trials: several check_lemma calls per Z width, a short
+    # last block, and one Philox stream across the blocks.
+    outputs = []
+    for block in (cli_mod.LEMMA_BLOCK, 4):
+        monkeypatch.setattr(cli_mod, "LEMMA_BLOCK", block)
+        assert run_cli_nocache(["eval", *argv], tmp_path) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_xtab_file(cache_dir, tmp_path, capsys):

@@ -765,6 +765,48 @@ def test_lemma_25_matches_naive():
         assert v.slack == rhs - lhs and v.ok == (rhs >= lhs)
 
 
+def test_lemma_stacks_match_one_joint_per_trial():
+    # Each verdict on a stack of numerator matrices equals the verdict on
+    # the joint built from the same counts: zero-mass columns, counts the
+    # joint reduces by their gcd, and denominators not a power of two.
+    rng = np.random.default_rng(22)
+    for trial in range(12):
+        T, den = int(rng.integers(1, 9)), (4096, 1000, 3 ** 5)[trial % 3]
+        for lemma, (w1, w2), kw in (("L2.2", (4, 2), {"eps": 0.125}),
+                                    ("L2.2", (2, 3), {"eps": 0.5}),
+                                    ("L2.5", (1 + trial % 3, 2), {}),
+                                    ("L2.5", (3, 1), {})):
+            cells = 1 << (w1 + w2)
+            p = rng.dirichlet(np.ones(cells) / 2)
+            counts = rng.multinomial(den // 2, p, size=T) * 2 if trial % 2 \
+                else rng.multinomial(den, p, size=T)
+            counts[:, -1] += den - counts.sum(axis=1)
+            parts = [("XZ"[lemma == "L2.5"], w1), ("YE"[lemma == "L2.5"], w2)]
+            got = check_lemma(lemma, numerators=counts.reshape(
+                T, 1 << w1, 1 << w2), denominator=den, **kw)
+            assert len(got) == T
+            for row, v in zip(counts, got):
+                one = check_lemma(lemma, joint=JointDistribution.from_numerators(
+                    parts, row, den), **kw)
+                assert (v.ok, v.slack, v.details) == (one.ok, one.slack,
+                                                      one.details)
+                assert type(v.slack) is type(one.slack)
+
+
+@pytest.mark.parametrize("numerators,denominator", [
+    (np.full((2, 4, 2), 0.125), 1),        # not integer counts
+    (np.full((4, 2), 1), 8),               # not a stack
+    (np.full((2, 3, 2), 1), 6),            # 3 rows: no part width
+    (np.array([[[2, -1], [0, 3]]]), 4),    # a negative count
+    (np.full((2, 2, 2), 1), 8),            # counts summing to 4, not 8
+])
+def test_lemma_stacks_are_checked(numerators, denominator):
+    for lemma, kw in (("L2.2", {"eps": 0.25}), ("L2.5", {})):
+        with pytest.raises(InvalidInputError, match="lemma stack"):
+            check_lemma(lemma, numerators=numerators,
+                        denominator=denominator, **kw)
+
+
 def test_lemma_81_interface():
     v = check_lemma("L8.1", set_error=Fraction(1, 4),
                     individual_errors=[Fraction(1, 8), Fraction(1, 5)])
@@ -1381,6 +1423,28 @@ def test_composite_ties_go_to_the_lowest_indices():
         assert all(map(closed, w["x2_conditional_supports"].values()))
         s1, s2, _ = worst_case_error_multi(twins, ks).witness["supports"]
         assert closed(s1) and closed(s2)
+
+
+def test_row_scores_sum_narrow_and_top_sums_in_int64():
+    # The kernel's row scores take the smallest signed type that holds
+    # cells x the excess type's max; their top-K sums, which can pass it,
+    # are int64.
+    rng = np.random.default_rng(61)
+    for cells, dtype in ((2, np.int8), (16, np.int8), (300, np.int8),
+                         (4, np.int16)):
+        info = np.iinfo(dtype)
+        ex = rng.integers(info.min, info.max, size=(3, cells, 50),
+                          dtype=dtype, endpoint=True)
+        want = np.maximum(ex.astype(np.int64), 0).sum(axis=-2)
+        got = oracle_mod._scores(ex)
+        assert got.dtype == np.min_scalar_type(-cells * int(info.max))
+        assert got.dtype.itemsize < 8 and (got == want).all()
+        top = oracle_mod._top_sums(got, 40)
+        assert top.dtype == np.int64
+        assert (top == np.sort(want, axis=-1)[:, -40:].sum(axis=-1)).all()
+    full = np.full((1, 16, 50), 127, dtype=np.int8)  # int16 scores of 2,032
+    assert oracle_mod._top_sums(oracle_mod._scores(full), 40).tolist() == [
+        40 * 2032]  # past int16
 
 
 def test_composite_oracles_ignore_chunk_boundaries(monkeypatch):
