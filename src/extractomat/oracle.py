@@ -1013,7 +1013,7 @@ def check_lemma(lemma_id: str, **instance):
     Supported ids: ``L2.2`` (min-entropy conditioning), ``L2.5``
     (classical XOR lemma), ``P3.2`` (entropy additivity up to the smooth
     slack), ``L8.1`` (per-player strong errors union to set error).
-    ``L2.2`` and ``L2.5`` check a ``joint`` or, per trial, a stack.
+    ``L2.2`` and ``L2.5`` check a ``joint``, or list a stack's verdicts.
     """
     fn = _LEMMAS.get(lemma_id)
     if fn is None:

@@ -114,7 +114,8 @@ LEMMA_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv,expect", LEMMA_PINS)
+@pytest.mark.parametrize("argv,expect", LEMMA_PINS, ids=[
+    "L2.2-10", "L2.5-10", "L2.2-1000", "L2.5-1000"])
 def test_eval_lemma_outputs_are_pinned(argv, expect, tmp_path, capsys):
     assert run_cli_nocache(["eval", *argv], tmp_path) == 0
     assert capsys.readouterr().out.strip() == expect
