@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, TargetUnreachableError
-from .extractors import ExtractorHandle, _integer, table_handle
+from .errors import InvalidInputError, TargetUnreachableError, _integer
+from .extractors import ExtractorHandle, table_handle
 from . import oracle as _oracle
 
 XTAB_MAGIC = b"XTAB"

@@ -1,19 +1,12 @@
 """Explicit probability mass functions over small bit-string spaces.
 
-Masses are stored as one numerator array over one denominator:
-
-* **exact mode** -- int64 numerators over a positive integer denominator,
-  summing to it exactly; widths up to 12.  Certification verdicts are
-  computed in this mode so that float drift can never flip a comparison.
-  A common denominator above ``2**62`` raises :class:`SizeLimitError`
-  instead of letting a numerator wrap.
-* **float mode** -- float64 masses over the denominator 1, normalized to
-  1 within ``1e-12``.  This is the default and is used everywhere speed
-  matters.
-
-Every operation is one numpy expression on the numerators in both modes.
-``Fraction`` appears only at the edges: exact inputs, exact return values
-and the ``mass`` accessor.
+Masses are int64 numerators over one positive integer denominator,
+summing to it exactly, on outcome spaces of widths 1..12.  Every
+operation is one numpy expression on the numerators, so float drift can
+never flip a comparison, and a common denominator above ``2**62`` raises
+:class:`SizeLimitError` instead of letting a numerator wrap.  A float
+mass is refused: ``Fraction`` (or an integer) appears at the edges, in
+inputs, exact return values and the ``mass`` accessor.
 
 Outcome ``v`` of a width-``w`` distribution is the ``w``-bit word whose
 bits, most significant first, are the binary digits of ``v``.  In a
@@ -23,69 +16,48 @@ bits of the composite outcome, each later part the bits below it.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, _integer
 
-MAX_TOTAL_WIDTH = 24
-MAX_EXACT_WIDTH = 12
+MAX_WIDTH = 12
 MAX_DENOMINATOR = 1 << 62
-NORM_TOL = 1e-12
 DENSE_ROWS = 4  # row_ids and column_excess address keys up to 4x the rows
-
-_MAGIC = b"XDIS"
-_VERSION = 1
 
 
 class _Masses:
-    """Masses ``_num / _den``: int64 numerators over a positive integer
-    (exact mode) or float64 masses over 1 (float mode)."""
+    """Masses ``_num / _den``: int64 numerators over a positive integer."""
 
     __slots__ = ("_num", "_den")
     numerators = property(lambda self: self._num, doc="Read-only numerators.")
-    denominator = property(lambda self: self._den, doc="1 in float mode.")
-    exact = property(lambda self: self._num.dtype.kind == "i")
+    denominator = property(lambda self: self._den)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _store(self, width: int, num: np.ndarray, den) -> None:
-        exact = num.dtype.kind == "i"
-        _check_width(width, exact)
+    def _store(self, width: int, num: np.ndarray, den: int) -> None:
+        """Keep ``num / den`` over a checked ``width``, reduced."""
         if num.shape != (1 << width,):
             raise InvalidInputError("mass length must be 2**width")
         if (num < 0).any():
             raise InvalidInputError("negative mass")
-        if exact:
-            if int(num.sum()) != den:
-                raise InvalidInputError("exact masses must sum to exactly 1")
-            g = math.gcd(int(np.gcd.reduce(num)), den)
-            num, den = num // g, den // g
-        elif abs(float(num.sum()) - 1.0) > NORM_TOL:
-            raise InvalidInputError(
-                f"masses sum to {num.sum()}, expected 1 within {NORM_TOL}")
+        if int(num.sum()) != den:
+            raise InvalidInputError("masses must sum to exactly 1")
+        g = math.gcd(int(np.gcd.reduce(num)), den)
+        num, den = num // g, den // g
         num.setflags(write=False)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
     @property
-    def mass(self):
-        """A tuple of Fractions in exact mode, the float64 array otherwise."""
-        if self.exact:
-            return tuple(Fraction(n, self._den) for n in self._num.tolist())
-        return self._num
-
-    def as_floats(self) -> np.ndarray:
-        return self._num / self._den if self.exact else self._num
-
-    def to_bytes(self) -> bytes:
-        return self._header() + self.as_floats().astype("<f8").tobytes()
+    def mass(self) -> tuple:
+        """One Fraction per outcome."""
+        return tuple(Fraction(n, self._den) for n in self._num.tolist())
 
 
 class Distribution(_Masses):
@@ -94,54 +66,51 @@ class Distribution(_Masses):
     Parameters
     ----------
     width : int
-        Bit width of the outcome space (1..24; 1..12 in exact mode).
+        Bit width of the outcome space, 1..12.
     mass : sequence
-        One probability per outcome, length ``2**width``.  Floats select
-        float mode; Fractions (or ints) select exact mode.
+        One Fraction (or integer) probability per outcome, length
+        ``2**width``.
     """
 
     __slots__ = ("width",)
 
-    def __init__(self, width: int, mass, exact: bool | None = None):
-        object.__setattr__(self, "width", width)
-        self._store(width, *_numerators(mass, exact))
+    def __init__(self, width: int, mass):
+        self._store(_check_width(width), *_numerators(mass))
+
+    def _store(self, width: int, num: np.ndarray, den: int) -> None:
+        object.__setattr__(self, "width", _check_width(width))
+        super()._store(self.width, num, den)
 
     @classmethod
-    def _make(cls, width: int, num: np.ndarray, den) -> "Distribution":
+    def _make(cls, width: int, num: np.ndarray, den: int) -> "Distribution":
         d = object.__new__(cls)
-        object.__setattr__(d, "width", width)
         d._store(width, num, den)
         return d
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def uniform(cls, width: int, exact: bool = False) -> "Distribution":
-        return cls._flat(width, slice(None), 1 << width, exact)
+    def uniform(cls, width: int) -> "Distribution":
+        width = _check_width(width)
+        return cls._flat(width, slice(None), 1 << width)
 
     @classmethod
-    def point_mass(cls, width: int, value: int, exact: bool = False) -> "Distribution":
-        if not 0 <= value < 1 << width:
-            raise InvalidInputError("point outside outcome space")
-        return cls._flat(width, value, 1, exact)
+    def point_mass(cls, width: int, value: int) -> "Distribution":
+        return cls.flat(width, [value])
 
     @classmethod
-    def flat(cls, width: int, support: Iterable[int], exact: bool = False) -> "Distribution":
+    def flat(cls, width: int, support: Iterable[int]) -> "Distribution":
         """Uniform distribution on an explicit support set."""
-        support = sorted(set(support))
-        if not support:
-            raise InvalidInputError("empty support")
-        if support[-1] >= 1 << width:
-            raise InvalidInputError("support element outside outcome space")
-        return cls._flat(width, support, len(support), exact)
+        width = _check_width(width)
+        support = _support(width, support)
+        return cls._flat(width, support, len(support))
 
     @classmethod
-    def _flat(cls, width: int, where, size: int, exact: bool) -> "Distribution":
+    def _flat(cls, width: int, where, size: int) -> "Distribution":
         """Uniform on the ``size`` outcomes that the index ``where`` selects."""
-        _check_width(width, exact)
         counts = np.zeros(1 << width, dtype=np.int64)
         counts[where] = 1
-        return cls._make(width, *_over(counts, size, exact))
+        return cls._make(width, counts, check_denominator(size))
 
     # -- basic queries -------------------------------------------------
 
@@ -149,21 +118,7 @@ class Distribution(_Masses):
         return np.flatnonzero(self._num).tolist()
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        return rng.choice(1 << self.width, size=size, p=self.as_floats())
-
-    # -- serialization -------------------------------------------------
-
-    def _header(self) -> bytes:
-        return _MAGIC + struct.pack("<HBB", _VERSION, 0, self.width)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Distribution":
-        width = _read_header(data, 0)
-        return cls(width, np.frombuffer(data[8:], dtype="<f8").astype(np.float64))
-
-    def to_json(self) -> str:
-        return json.dumps({"width": self.width,
-                           "mass": self.as_floats().tolist()})
+        return rng.choice(1 << self.width, size=size, p=self._num / self._den)
 
 
 class JointDistribution(_Masses):
@@ -180,13 +135,11 @@ class JointDistribution(_Masses):
 
     __slots__ = ("parts", "_widths")
 
-    def __init__(self, parts, mass, exact: bool | None = None):
-        self._init(parts, *_numerators(mass, exact))
+    def __init__(self, parts, mass):
+        self._init(_parts(parts), *_numerators(mass))
 
-    def _init(self, parts, num: np.ndarray, den) -> None:
-        parts = tuple((str(lbl), int(w)) for lbl, w in parts)
-        if len(dict(parts)) != len(parts):
-            raise InvalidInputError("duplicate part labels")
+    def _init(self, parts, num: np.ndarray, den: int) -> None:
+        parts = _parts(parts)
         self._store(sum(w for _, w in parts), num, den)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_widths", dict(parts))
@@ -195,37 +148,34 @@ class JointDistribution(_Masses):
 
     @classmethod
     def from_numerators(cls, parts, numerators, denominator=1) -> "JointDistribution":
-        """Masses ``numerators / denominator``: integer numerators give
-        exact mode over that denominator, float ones float mode."""
+        """Masses ``numerators / denominator``, the numerators integers."""
         num = np.asarray(numerators)
+        if num.dtype.kind not in "iu":
+            raise InvalidInputError("numerators must be integers, not "
+                                    f"{num.dtype}")
         j = object.__new__(cls)
-        j._init(parts, *_over(num, denominator, num.dtype.kind in "iu"))
+        j._init(parts, num.astype(np.int64),
+                check_denominator(_integer(denominator, "a denominator")))
         return j
 
     @classmethod
-    def product(cls, labelled: Sequence[tuple], exact: bool | None = None) -> "JointDistribution":
+    def product(cls, labelled: Sequence[tuple]) -> "JointDistribution":
         """Product of independent distributions, given as (label, Distribution)."""
-        parts = [(lbl, d.width) for lbl, d in labelled]
-        if exact is None:
-            exact = all(d.exact for _, d in labelled)
-        _check_width(sum(w for _, w in parts), exact)
-        if exact and not all(d.exact for _, d in labelled):
-            raise InvalidInputError("an exact product needs exact factors")
-        den = check_denominator(math.prod(d._den for _, d in labelled)) \
-            if exact else 1
-        num = np.ones(1, dtype=np.int64 if exact else np.float64)
+        parts = _parts((lbl, d.width) for lbl, d in labelled)
+        den = check_denominator(math.prod(d._den for _, d in labelled))
+        num = np.ones(1, dtype=np.int64)
         for _, d in labelled:
-            num = np.multiply.outer(num, d._num if exact else d.as_floats())
+            num = np.multiply.outer(num, d._num)
         return cls.from_numerators(parts, num.reshape(-1), den)
 
     @classmethod
-    def from_atoms(cls, parts, atoms: dict, exact: bool = True) -> "JointDistribution":
+    def from_atoms(cls, parts, atoms: dict) -> "JointDistribution":
         """Build from a mapping of per-part value tuples to masses."""
-        shape = [1 << int(w) for _, w in parts]
-        _check_width(sum(int(w) for _, w in parts), exact)
+        parts = _parts(parts)
+        shape = [1 << w for _, w in parts]
         index = [np.ravel_multi_index(values, shape) for values in atoms]
-        vals, den = _numerators(list(atoms.values()), exact)
-        num = np.zeros(math.prod(shape), dtype=vals.dtype)
+        vals, den = _numerators(list(atoms.values()))
+        num = np.zeros(math.prod(shape), dtype=np.int64)
         np.add.at(num, np.array(index, dtype=np.intp), vals)
         return cls.from_numerators(parts, num, den)
 
@@ -278,19 +228,13 @@ class JointDistribution(_Masses):
         tw = sum(self.part_width(lbl) for lbl in target)
         return sub._num.reshape(1 << tw, -1).max(axis=0).sum().item(), sub._den
 
-    def guessing_probability(self, target, given=()):
-        """Optimal probability of guessing ``target`` from ``given``.
-
-        Returns a Fraction in exact mode, a float otherwise.
-        """
-        return ratio(*self._guess(target, given))
-
     def condition(self, label: str, value: int) -> "JointDistribution":
         """Condition on ``label == value``; the part is removed."""
         axis = self._axis(label)
         rest = [p for p in self.parts if p[0] != label]
         if not rest:
             raise InvalidInputError("cannot condition away every part")
+        value = _integer(value, "a conditioning value")
         if not 0 <= value < 1 << self.parts[axis][1]:
             raise InvalidInputError("conditioning value outside the part")
         num = np.take(self._tensor(), value, axis=axis).reshape(-1)
@@ -306,7 +250,7 @@ class JointDistribution(_Masses):
         w = self.parts[axis][1]
         new_parts = list(self.parts)
         new_parts[axis] = (new_label or label, new_width)
-        _check_width(sum(pw for _, pw in new_parts), self.exact)
+        _check_width(sum(pw for _, pw in new_parts))
         fmap = np.array([fn(v) for v in range(1 << w)], dtype=np.int64)
         if fmap.min() < 0 or fmap.max() >= (1 << new_width):
             raise InvalidInputError("part map output exceeds declared width")
@@ -315,30 +259,6 @@ class JointDistribution(_Masses):
         np.add.at(out, fmap, moved)
         num = np.moveaxis(out, 0, axis).reshape(-1)
         return JointDistribution.from_numerators(new_parts, num, self._den)
-
-    # -- serialization -------------------------------------------------
-
-    def _header(self) -> bytes:
-        head = _MAGIC + struct.pack("<HBB", _VERSION, 1, len(self.parts))
-        for lbl, w in self.parts:
-            enc = lbl.encode()
-            head += struct.pack("<BB", len(enc), w) + enc
-        return head
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "JointDistribution":
-        pos = 8
-        parts = []
-        for _ in range(_read_header(data, 1)):
-            ln, w = struct.unpack("<BB", data[pos:pos + 2])
-            parts.append((data[pos + 2:pos + 2 + ln].decode(), w))
-            pos += 2 + ln
-        mass = np.frombuffer(data[pos:], dtype="<f8").astype(np.float64)
-        return cls(parts, mass)
-
-    def to_json(self) -> str:
-        return json.dumps({"parts": [[lbl, w] for lbl, w in self.parts],
-                           "mass": self.as_floats().tolist()})
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +302,7 @@ def smooth_cond_min_entropy(j: JointDistribution, target, given, delta) -> float
         steps += [(i, -hi, e, hi - lo)
                   for i, (hi, lo) in enumerate(zip(levels, levels[1:]), 1)
                   if hi != lo]
-    budget = Fraction(delta) * sub._den if sub.exact else float(delta)
+    budget = Fraction(delta) * sub._den
     for i, _, _, drop in sorted(steps):
         cost = drop * i
         if cost > budget:
@@ -392,35 +312,20 @@ def smooth_cond_min_entropy(j: JointDistribution, target, given, delta) -> float
         total_guess -= drop
     if total_guess <= 0:
         return float("inf")
-    return neg_log2(total_guess, sub._den)
+    return neg_log2(total_guess.numerator, total_guess.denominator * sub._den)
 
 
-def statistical_distance(p: Distribution, q: Distribution):
-    """Total variation distance, exact if both inputs are exact.
+def statistical_distance(p: Distribution, q: Distribution) -> Fraction:
+    """Total variation distance, exactly.
 
     Computed as ``sum over outcomes with p > q of (p - q)``, which equals
     half the L1 distance.
     """
     if p.width != q.width:
         raise InvalidInputError("distributions must have equal widths")
-    if p.exact and q.exact:
-        den = check_denominator(math.lcm(p._den, q._den))
-        diff = p._num * (den // p._den) - q._num * (den // q._den)
-    else:
-        den = 1
-        diff = p.as_floats() - q.as_floats()
+    den = check_denominator(math.lcm(p._den, q._den))
+    diff = p._num * (den // p._den) - q._num * (den // q._den)
     return ratio(diff[diff > 0].sum().item(), den)
-
-
-def distance_from_uniform_on(j: JointDistribution, part_labels):
-    """Distance of a joint from (uniform on ``part_labels``) x (the rest)."""
-    part_labels = [part_labels] if isinstance(part_labels, str) else list(part_labels)
-    rest = [lbl for lbl in j.labels() if lbl not in part_labels]
-    sub = j.marginal(part_labels + rest)
-    pw = sum(j.part_width(lbl) for lbl in part_labels)
-    rw = sub.total_width - pw
-    groups = np.arange(1 << sub.total_width) & ((1 << rw) - 1)
-    return ratio(excess_over_uniform(sub._num, groups, pw), sub._den << pw)
 
 
 def excess_over_uniform(weights, groups, m: int):
@@ -531,25 +436,21 @@ def column_excess(weights, z, rest, m: int, numbered=None):
     return excess_over_uniform(totals, keys >> m, m)
 
 
-def ratio(num, den):
-    """``num / den``: a Fraction for an integer numerator, a float otherwise."""
-    if isinstance(num, (int, np.integer)):
-        return Fraction(int(num), int(den))
-    return float(num) / den
+def ratio(num, den) -> Fraction:
+    """``num / den`` for integer operands, numpy's included."""
+    return Fraction(int(num), int(den))
 
 
-def neg_log2(num, den=1) -> float:
-    """``-log2(num / den)`` in bits, for a positive ratio.
+def neg_log2(num: int, den: int = 1) -> float:
+    """``-log2(num / den)`` in bits, for positive integers.
 
-    Exact operands are reduced first, so the float returned does not
+    The operands are reduced first, so the float returned does not
     depend on which common denominator carried them.
     """
     if num <= 0:
         raise InvalidInputError("log2 of non-positive value")
-    if isinstance(num, float):
-        return -math.log2(num / den)
-    p = Fraction(num, den)
-    return math.log2(p.denominator) - math.log2(p.numerator)
+    g = math.gcd(num, den)
+    return math.log2(den // g) - math.log2(num // g)
 
 
 def check_denominator(den: int) -> int:
@@ -577,49 +478,49 @@ def xor_project(j: JointDistribution, label: str, subset) -> JointDistribution:
     return j.apply_to_part(label, lambda v: (v & mask).bit_count() & 1, 1)
 
 
-def _read_header(data: bytes, kind: int) -> int:
-    """Check a serialized header and return its width or part count."""
-    if data[:4] != _MAGIC:
-        raise InvalidInputError("bad magic, not a serialized distribution")
-    version, got, value = struct.unpack("<HBB", data[4:8])
-    if version != _VERSION or got != kind:
-        raise InvalidInputError(f"unsupported version/kind {version}/{got}")
-    return value
+def _check_width(width) -> int:
+    """``width`` as an int in ``1..MAX_WIDTH``."""
+    width = _integer(width, "a width")
+    if not 1 <= width <= MAX_WIDTH:
+        raise SizeLimitError(f"total width {width} outside 1..{MAX_WIDTH}")
+    return width
 
 
-def _check_width(width: int, exact: bool) -> None:
-    if not 1 <= width <= MAX_TOTAL_WIDTH:
-        raise SizeLimitError(f"total width {width} outside 1..{MAX_TOTAL_WIDTH}")
-    if exact and width > MAX_EXACT_WIDTH:
-        raise SizeLimitError(
-            f"exact mode supports total widths up to {MAX_EXACT_WIDTH}")
+def _parts(parts) -> tuple:
+    """Labelled parts as ``(str, int)`` pairs: distinct labels, widths
+    non-negative and totalling ``1..MAX_WIDTH``."""
+    parts = tuple((str(lbl), _integer(w, "a part width")) for lbl, w in parts)
+    if any(w < 0 for _, w in parts):
+        raise InvalidInputError("negative part width")
+    if len(dict(parts)) != len(parts):
+        raise InvalidInputError("duplicate part labels")
+    _check_width(sum(w for _, w in parts))
+    return parts
 
 
-def _numerators(mass, exact: bool | None) -> tuple:
-    """Input masses as (numerators, denominator): rationals over their
-    least common denominator, or floats over 1.  Always a new array, so
-    freezing it never freezes the caller's."""
-    if exact is None:
-        exact = _looks_exact(mass)
-    if not exact:
-        return np.array(mass, dtype=np.float64), 1
+def _support(width: int, support) -> list:
+    """The distinct elements of ``support`` in ascending order: at least
+    one, each an integer in ``range(2**width)``."""
+    support = sorted(set(_integer(v, "a support element") for v in support))
+    if not support:
+        raise InvalidInputError("empty support")
+    if support[0] < 0 or support[-1] >= 1 << width:
+        raise InvalidInputError("support element outside outcome space")
+    return support
+
+
+def _numerators(mass) -> tuple:
+    """Input masses, Fractions or integers, as int64 numerators over their
+    least common denominator.  Always a new array, so freezing it never
+    freezes the caller's."""
+    mass = list(mass)
+    if any(not isinstance(x, Rational) for x in mass):
+        raise InvalidInputError("masses must be Fractions or integers")
     fracs = [Fraction(x) for x in mass]
     den = check_denominator(math.lcm(*(f.denominator for f in fracs)))
     nums = [f.numerator * (den // f.denominator) for f in fracs]
     if min(nums, default=0) < 0:
         raise InvalidInputError("negative mass")
     if sum(nums) != den:
-        raise InvalidInputError("exact masses must sum to exactly 1")
+        raise InvalidInputError("masses must sum to exactly 1")
     return np.array(nums, dtype=np.int64), den
-
-
-def _over(num: np.ndarray, den, exact: bool) -> tuple:
-    """``num / den`` as (numerators, denominator) in the given mode."""
-    if exact:
-        return num.astype(np.int64), check_denominator(int(den))
-    return (num / den).astype(np.float64, copy=False), 1
-
-
-def _looks_exact(mass) -> bool:
-    return not isinstance(mass, np.ndarray) and \
-        isinstance(next(iter(mass), None), (Fraction, int))

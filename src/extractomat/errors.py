@@ -5,9 +5,21 @@ failures map to 4, ConstraintViolatedError to 5, BudgetExceededError to 3,
 TargetUnreachableError to 2.
 """
 
+import operator
+
 
 class InvalidInputError(ValueError):
     """An operation was called with inputs violating its preconditions."""
+
+
+def _integer(v, what: str) -> int:
+    """``v`` as an int if it is one of any integer type, numpy's included;
+    a float, a string or None is invalid input."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InvalidInputError(
+            f"{what} must be an integer, got {v!r}") from None
 
 
 class SizeLimitError(InvalidInputError):

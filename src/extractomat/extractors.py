@@ -18,12 +18,11 @@ named).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, _integer
 
 
 def index_grid(*widths: int) -> tuple:
@@ -34,16 +33,6 @@ def index_grid(*widths: int) -> tuple:
 def parity_u32(arr: np.ndarray) -> np.ndarray:
     """Bitwise parity of each element of a uint array, as uint8."""
     return np.bitwise_count(arr) & 1
-
-
-def _integer(v, what: str) -> int:
-    """``v`` as an int if it is one of any integer type, numpy's included;
-    a float, a string or None is invalid input."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise InvalidInputError(
-            f"{what} must be an integer, got {v!r}") from None
 
 
 # ----------------------------------------------------------------------

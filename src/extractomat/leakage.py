@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import (MAX_TOTAL_WIDTH, Distribution, JointDistribution,
+from .dist import (MAX_WIDTH, Distribution, JointDistribution,
                    check_denominator, neg_log2, row_ids)
 from .errors import InvalidInputError, SizeLimitError
 
@@ -169,8 +169,9 @@ def leakage_apply(sources: Sequence[Distribution], sc: LeakageScenario,
     parts = [(f"X{i + 1}", sc.source_widths[i]) for i in range(t)] + \
         [(f"E{i + 1}", sc.e_widths[i]) for i in sc.leaky]
     total = sum(w for _, w in parts)
-    if total > MAX_TOTAL_WIDTH:
-        raise SizeLimitError(f"joint over {total} bits exceeds the desk cap")
+    if total > MAX_WIDTH:
+        raise SizeLimitError(f"joint over {total} bits exceeds the desk cap "
+                             f"of {MAX_WIDTH}")
 
     den, weights, xs, _, es = enumerate_worlds(sources, sc, shared)
     idx = np.zeros(len(weights), dtype=np.int64)
@@ -178,7 +179,7 @@ def leakage_apply(sources: Sequence[Distribution], sc: LeakageScenario,
         idx = (idx << w) | col
     num = np.zeros(1 << total, dtype=weights.dtype)
     np.add.at(num, idx, weights)
-    joint = JointDistribution.from_numerators(parts, num, den or 1)
+    joint = JointDistribution.from_numerators(parts, num, den)
     ks = [_entropy_at_imaginary_step(sources[i], sc, shared, i)
           for i in range(t)]
     return LeakageResult(joint=joint, k=ks)
@@ -195,10 +196,9 @@ def enumerate_worlds(sources: Sequence[Distribution],
     ``a`` (0 when ``sc`` uses none), the (N, len(sc.leaky)) leak columns
     ``es`` (no columns without ``sc``; see
     :meth:`LeakageScenario.leak_columns` for ``tally``), and world ``j``'s
-    probability ``weights[j] / den``.  When every distribution is exact
-    the weights are int64 over one common denominator ``den``; else
-    ``den`` is None and the weights are float64 probabilities.  More than
-    ``MAX_WORLDS`` combinations raise :class:`SizeLimitError`.
+    probability ``weights[j] / den``, the weights int64 over the product
+    of the denominators.  More than ``MAX_WORLDS`` combinations raise
+    :class:`SizeLimitError`.
     """
     dists = list(sources)
     if sc is not None and sc.shared_width > 0:
@@ -209,10 +209,8 @@ def enumerate_worlds(sources: Sequence[Distribution],
             raise InvalidInputError("shared register width mismatch")
         dists.append(shared)
     else:
-        dists.append(Distribution.point_mass(1, 0, exact=True))
-    den = None
-    if all(d.exact for d in dists):
-        den = check_denominator(math.prod(d.denominator for d in dists))
+        dists.append(Distribution.point_mass(1, 0))
+    den = check_denominator(math.prod(d.denominator for d in dists))
     supports = [np.array(d.support(), dtype=np.int64) for d in dists]
     worlds = math.prod(s.size for s in supports)
     if worlds > MAX_WORLDS:
@@ -221,10 +219,9 @@ def enumerate_worlds(sources: Sequence[Distribution],
     shape = [s.size for s in supports]
     cols = [np.broadcast_to(s[g], shape).ravel()
             for s, g in zip(supports, np.indices(shape, sparse=True))]
-    weights = np.ones(1, dtype=np.int64 if den else np.float64)
+    weights = np.ones(1, dtype=np.int64)
     for d, s in zip(dists, supports):
-        weights = np.multiply.outer(
-            weights, (d.numerators if den else d.as_floats())[s]).ravel()
+        weights = np.multiply.outer(weights, d.numerators[s]).ravel()
     xs = np.stack(cols[:-1], axis=1)
     es = (sc.leak_columns(xs, cols[-1], tally) if sc is not None
           else np.zeros((xs.shape[0], 0), dtype=np.int64))
@@ -242,7 +239,7 @@ def _entropy_at_imaginary_step(source, sc, shared, i) -> float:
     mass, best = np.zeros((2, first.size), dtype=weights.dtype)
     np.add.at(mass, cells, weights)
     np.maximum.at(best, guess[first], mass)
-    return neg_log2(sum(best.tolist()), den or 1)
+    return neg_log2(sum(best.tolist()), den)
 
 
 def _default_slices(t: int, shared_width: int) -> tuple:

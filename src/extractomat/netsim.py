@@ -42,8 +42,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dist import Distribution, column_excess, ratio, row_ids
-from .errors import ConstraintViolatedError, InvalidInputError
-from .extractors import ExtractorHandle, _integer
+from .errors import ConstraintViolatedError, InvalidInputError, _integer
+from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
 from .oracle import BOOTSTRAP_RESAMPLES, mc_distance_pairs
@@ -575,8 +575,8 @@ def _public_string(cfg: NetworkConfig, sent: dict, forced: dict, shape):
 WORLD_KEY = 0x5EED << 32  # worlds of seed s come from Philox(key=s ^ WORLD_KEY)
 
 
-def _as_distribution(src, exact=False) -> Distribution:
-    return src.to_distribution(exact) if isinstance(src, FlatSource) else src
+def _as_distribution(src) -> Distribution:
+    return src.to_distribution() if isinstance(src, FlatSource) else src
 
 
 def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int, tally):
@@ -625,11 +625,7 @@ def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
     scenario = scenario or LeakageScenario.trivial([cfg.n] * cfg.p)
     if n_runs is None:
         den, weights, xs, _, es = enumerate_worlds(
-            [_as_distribution(s, exact=True) for s in sources], scenario,
-            shared, tally)
-        if den is None:
-            raise InvalidInputError("exact enumeration needs exact source "
-                                    "and shared register distributions")
+            [_as_distribution(s) for s in sources], scenario, shared, tally)
     elif n_runs < 1:
         raise InvalidInputError("an ensemble needs at least one run")
     else:

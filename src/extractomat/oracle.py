@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dist import (Distribution, JointDistribution, check_denominator,
+from .dist import (Distribution, check_denominator,
                    column_excess, cond_min_entropy, excess_over_uniform,
                    neg_log2, ratio, row_ids, smooth_cond_min_entropy)
 from .errors import BudgetExceededError, InvalidInputError, SizeLimitError
@@ -865,10 +865,10 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
     """Exact distance of (output, strong inputs, leak register) from
     uniform x rest, for one fixed tuple of source distributions.
 
-    ``sources`` may hold Distributions or FlatSources.  All masses must
-    be exact; the result is a Fraction.
+    ``sources`` may hold Distributions or FlatSources; the result is a
+    Fraction.
     """
-    dists = [s.to_distribution(exact=True) if hasattr(s, "to_distribution")
+    dists = [s.to_distribution() if hasattr(s, "to_distribution")
              else s for s in sources]
     if len(dists) != h.arity:
         raise InvalidInputError(f"{h.name} takes {h.arity} inputs")
@@ -877,9 +877,6 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
         raise InvalidInputError(f"strong indices name inputs 0.."
                                 f"{h.arity - 1}, not {strong}")
     den, weights, xs, _, es = enumerate_worlds(dists, scenario, shared)
-    if den is None:
-        raise InvalidInputError("exact_distance needs exact sources and an "
-                                "exact shared register distribution")
     if (xs >> np.array(h.input_widths)).any():
         raise InvalidInputError(f"a source value exceeds its input width "
                                 f"{h.input_widths}")
@@ -1068,8 +1065,6 @@ def _lemma_xor(joint=None, z_label: str = "Z", e_label: str = "E", *,
     Every XOR test r of Z's bits is scored in one integer pass over the
     (Z, rest) numerator matrices N: ``odd @ N`` is the mass where r.z is
     odd, and the test's distance is sum_rest |2 (odd @ N) - R| / 2den."""
-    if joint is not None and not joint.exact:
-        raise InvalidInputError("XOR lemma check requires exact masses")
     rest = [] if joint is None else [lb for lb in joint.labels() if lb != z_label]
     num, den = _lemma_stack(numerators, denominator, joint, [z_label, *rest])
     (T, Z, R), out = num.shape, []

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Distribution, JointDistribution, neg_log2, ratio
+from .dist import (Distribution, JointDistribution, _check_width, _support,
+                   neg_log2, ratio)
 from .errors import InvalidInputError
 
 
@@ -23,19 +24,17 @@ class FlatSource:
     Parameters
     ----------
     width : int
-        Bit width of the outcome space.
+        Bit width of the outcome space, 1..12 as for a Distribution.
     support : iterable of int
-        The support set; its size must be a power of two.
+        The support set, in ``range(2**width)``; its size must be a power
+        of two.
     """
 
     __slots__ = ("width", "support", "k")
 
     def __init__(self, width: int, support):
-        support = tuple(sorted(set(support)))
-        if not support:
-            raise InvalidInputError("empty support")
-        if support[-1] >= (1 << width):
-            raise InvalidInputError("support element exceeds width")
+        width = _check_width(width)
+        support = tuple(_support(width, support))
         k = len(support).bit_length() - 1
         if (1 << k) != len(support):
             raise InvalidInputError(
@@ -47,8 +46,8 @@ class FlatSource:
     def __setattr__(self, *_):
         raise AttributeError("FlatSource is immutable")
 
-    def to_distribution(self, exact: bool = False) -> Distribution:
-        return Distribution.flat(self.width, self.support, exact=exact)
+    def to_distribution(self) -> Distribution:
+        return Distribution.flat(self.width, self.support)
 
     @classmethod
     def random(cls, width: int, k: int, rng: np.random.Generator) -> "FlatSource":
@@ -152,24 +151,21 @@ class SomewhereRandomSpec:
     rows: int
     row_width: int
 
-    def check(self, j: JointDistribution, tol: float = 1e-12) -> tuple:
+    def check(self, j: JointDistribution) -> tuple:
         """Verdict plus the index of the first uniform row, if any.
 
         Only the elementary case is decided: some row's marginal must be
-        exactly uniform (within ``tol`` in float mode, exactly in exact
-        mode).  Convex combinations of elementary sources are out of
-        desk-scale reach and return ``(False, None)`` unless a row is
-        itself uniform.
+        exactly uniform.  Convex combinations of elementary sources are
+        out of desk-scale reach and return ``(False, None)`` unless a row
+        is itself uniform.
         """
         if len(j.parts) != self.rows:
             raise InvalidInputError(f"expected {self.rows} rows")
         if any(w != self.row_width for _, w in j.parts):
             raise InvalidInputError(f"rows must be {self.row_width} bits wide")
-        slack = 0 if j.exact else tol * (1 << self.row_width)
         for i, (lbl, _) in enumerate(j.parts):
             d = j.marginal_dist(lbl)
             # uniform iff every numerator is 2**-width of the denominator
-            off = np.abs(d.numerators * (1 << d.width) - d.denominator)
-            if np.all(off <= slack):
+            if np.all(d.numerators << d.width == d.denominator):
                 return True, i
         return False, None

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from extractomat import dist
 from extractomat.dist import (Distribution, JointDistribution, column_excess,
-                              cond_min_entropy, distance_from_uniform_on,
-                              excess_over_uniform, min_entropy, row_ids,
+                              cond_min_entropy, excess_over_uniform,
+                              min_entropy, row_ids,
                               smooth_cond_min_entropy, statistical_distance,
                               xor_project)
 from extractomat.errors import InvalidInputError, SizeLimitError
@@ -31,31 +31,55 @@ def test_min_entropy_point_mass():
 
 
 def test_min_entropy_mixed():
-    d = Distribution(2, [0.5, 0.25, 0.25, 0.0])
-    assert min_entropy(d) == pytest.approx(1.0)
+    d = Distribution(2, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0])
+    assert min_entropy(d) == 1.0
 
 
 def test_mass_must_normalize():
+    quarter = Fraction(1, 4)
     with pytest.raises(InvalidInputError):
-        Distribution(2, [0.5, 0.25, 0.25, 0.1])
+        Distribution(2, [2 * quarter, quarter, quarter, Fraction(1, 10)])
     with pytest.raises(InvalidInputError):
         Distribution(1, [Fraction(1, 3), Fraction(1, 3)])
     with pytest.raises(InvalidInputError):
-        Distribution(1, [-0.5, 1.5])
+        Distribution(1, [Fraction(-1, 2), Fraction(3, 2)])
+    # one representation, numerators over a denominator: floats are refused
+    for bad in ([0.5, 0.5], np.array([0.5, 0.5]), [Fraction(1, 2), 0.5]):
+        with pytest.raises(InvalidInputError):
+            Distribution(1, bad)
+        with pytest.raises(InvalidInputError):
+            JointDistribution([("X", 1)], bad)
+    with pytest.raises(InvalidInputError):
+        JointDistribution.from_numerators([("X", 1)], np.array([0.5, 0.5]))
 
 
-def test_float_constructors_leave_the_callers_array_writable():
-    a = np.array([0.5, 0.25, 0.25, 0.0])
-    d = Distribution(2, a)
-    j = JointDistribution([("X", 1), ("Y", 1)], a)
-    a[0], a[3] = 0.0, 0.5  # must not raise, nor reach the stored masses
-    assert d.mass.tolist() == j.mass.tolist() == [0.5, 0.25, 0.25, 0.0]
-    assert not d.mass.flags.writeable
+def test_constructors_leave_the_callers_array_writable():
+    a, b = np.array([2, 1, 1, 0]), np.array([1, 0, 0, 0])
+    j = JointDistribution.from_numerators([("X", 1), ("Y", 1)], a, 4)
+    d = Distribution(2, b)
+    a[0], a[3], b[0] = 0, 2, 0  # must not raise, nor reach the stored masses
+    assert j.mass == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0)
+    assert d.mass == (1, 0, 0, 0)
+    assert not j.numerators.flags.writeable
+    assert not d.numerators.flags.writeable
 
 
 def test_exact_mode_width_cap():
     with pytest.raises(SizeLimitError):
         Distribution(13, [Fraction(1, 1 << 13)] * (1 << 13))
+    # each part fits, the joint over 13 bits does not
+    with pytest.raises(SizeLimitError):
+        JointDistribution([("A", 8), ("B", 5)],
+                          [Fraction(1, 1 << 13)] * (1 << 13))
+    # a width is an integer: 2.5 is neither truncated nor a bare TypeError
+    for make in (lambda: Distribution.uniform(2.5),
+                 lambda: Distribution.flat(2.5, [0]),
+                 lambda: Distribution(2.5, [Fraction(1, 4)] * 4),
+                 lambda: JointDistribution([("X", 2.5)], [Fraction(1, 4)] * 4),
+                 lambda: JointDistribution.from_atoms([("X", 2.5)],
+                                                      {(0,): Fraction(1)})):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            make()
 
 
 # ----------------------------------------------------------------------
@@ -68,14 +92,14 @@ def test_distance_identity():
 
 
 def test_distance_point_vs_uniform_1bit():
-    p = Distribution.point_mass(1, 0, exact=True)
-    assert statistical_distance(p, Distribution.uniform(1, exact=True)) \
+    p = Distribution.point_mass(1, 0)
+    assert statistical_distance(p, Distribution.uniform(1)) \
         == Fraction(1, 2)
 
 
 def test_distance_half_support_vs_uniform():
     p = Distribution(2, [Fraction(1, 2), Fraction(1, 2), 0, 0])
-    q = Distribution.uniform(2, exact=True)
+    q = Distribution.uniform(2)
     assert statistical_distance(p, q) == Fraction(1, 2)
 
 
@@ -86,7 +110,7 @@ def test_distance_width_mismatch():
 
 def _random_dist(rng, width):
     counts = rng.multinomial(200, np.full(1 << width, 1 / (1 << width)))
-    return Distribution(width, counts / 200.0)
+    return Distribution(width, [Fraction(int(c), 200) for c in counts])
 
 
 @given(st.integers(0, 10_000))
@@ -95,10 +119,10 @@ def test_distance_is_a_metric(seed):
     rng = np.random.default_rng(seed)
     p, q, r = (_random_dist(rng, 3) for _ in range(3))
     dpq = statistical_distance(p, q)
-    assert dpq == pytest.approx(statistical_distance(q, p))
-    assert 0.0 <= dpq <= 1.0
-    assert statistical_distance(p, r) <= dpq + statistical_distance(q, r) + 1e-12
-    assert statistical_distance(p, p) == 0.0
+    assert dpq == statistical_distance(q, p)
+    assert 0 <= dpq <= 1
+    assert statistical_distance(p, r) <= dpq + statistical_distance(q, r)
+    assert statistical_distance(p, p) == 0
 
 
 @given(st.integers(0, 10_000))
@@ -110,12 +134,11 @@ def test_distance_monotone_under_postprocessing(seed):
     fmap = rng.integers(0, 4, size=8)
 
     def push(d):
-        out = np.zeros(4)
-        np.add.at(out, fmap, d.as_floats())
-        return Distribution(2, out)
+        out = np.zeros(4, dtype=np.int64)
+        np.add.at(out, fmap, d.numerators)
+        return Distribution(2, [Fraction(int(c), d.denominator) for c in out])
 
-    assert statistical_distance(push(p), push(q)) \
-        <= statistical_distance(p, q) + 1e-12
+    assert statistical_distance(push(p), push(q)) <= statistical_distance(p, q)
 
 
 # ----------------------------------------------------------------------
@@ -134,8 +157,8 @@ def test_cond_min_entropy_one_bit_revealed():
 
 def test_cond_min_entropy_independence():
     j = JointDistribution.product(
-        [("X", Distribution.uniform(3, exact=True)),
-         ("E", Distribution.point_mass(1, 0, exact=True))])
+        [("X", Distribution.uniform(3)),
+         ("E", Distribution.point_mass(1, 0))])
     assert cond_min_entropy(j, "X", ["E"]) == pytest.approx(3.0)
 
 
@@ -159,7 +182,13 @@ def test_guessing_probability_matches_naive(seed):
     atoms = {(i >> 2, i & 3): Fraction(int(c), denom)
              for i, c in enumerate(counts) if c}
     j = JointDistribution.from_atoms([("X", 2), ("E", 2)], atoms)
-    assert j.guessing_probability("X", ["E"]) == naive_cond_min_entropy(atoms)
+    assert cond_min_entropy(j, "X", ["E"]) == \
+        _neg_log2(naive_cond_min_entropy(atoms))
+
+
+def _neg_log2(p: Fraction) -> float:
+    """``-log2(p)`` of a reduced Fraction, as the library computes it."""
+    return math.log2(p.denominator) - math.log2(p.numerator)
 
 
 def test_condition_and_marginal():
@@ -171,11 +200,8 @@ def test_condition_and_marginal():
     with pytest.raises(InvalidInputError):
         JointDistribution.from_atoms(
             [("X", 1), ("E", 1)], {(0, 0): Fraction(1)}).condition("E", 1)
-
-
-def test_joint_size_cap():
-    with pytest.raises(SizeLimitError):
-        JointDistribution([("A", 20), ("B", 8)], np.zeros(1 << 28))
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        j.condition("E", 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +209,7 @@ def test_joint_size_cap():
 # ----------------------------------------------------------------------
 
 def test_xor_project_uniform_stays_uniform():
-    j = JointDistribution.product([("Z", Distribution.uniform(3, exact=True))])
+    j = JointDistribution.product([("Z", Distribution.uniform(3))])
     p = xor_project(j, "Z", {1, 2})
     assert p.marginal_dist("Z").mass == (Fraction(1, 2), Fraction(1, 2))
 
@@ -207,7 +233,7 @@ def test_xor_project_empty_subset_rejected():
 
 
 # ----------------------------------------------------------------------
-# smoothing and serialization
+# smoothing
 # ----------------------------------------------------------------------
 
 def test_smooth_entropy_at_least_plain():
@@ -243,7 +269,7 @@ def test_smooth_entropy_parity_leak_has_tied_maxima():
         smooth_cond_min_entropy(j, "X", "E", Fraction(-1, 8))
 
 
-def _random_smoothing_case(rng, exact):
+def _random_smoothing_case(rng):
     """A joint of X (1-3 bits) and E (1-2 bits), half of them a flat X with
     E a function of it (tied column maxima), and a delta in [1/16, 3/4]."""
     xw, ew = int(rng.integers(1, 4)), int(rng.integers(1, 3))
@@ -259,10 +285,7 @@ def _random_smoothing_case(rng, exact):
         atoms = {(i >> ew, i & ((1 << ew) - 1)): Fraction(int(c), den)
                  for i, c in enumerate(counts)}
     j = JointDistribution.from_atoms([("X", xw), ("E", ew)], atoms)
-    if not exact:
-        j = JointDistribution(j.parts, j.as_floats())
-    columns = [[p if exact else float(p)
-                for (x, e), p in atoms.items() if e == col]
+    columns = [[p for (x, e), p in atoms.items() if e == col]
                for col in range(1 << ew)]
     return j, columns, Fraction(int(rng.integers(1, 13)), 16)
 
@@ -270,50 +293,10 @@ def _random_smoothing_case(rng, exact):
 def test_smooth_entropy_matches_the_dual_reference_exactly():
     rng = np.random.default_rng(54)
     for _ in range(150):
-        j, columns, delta = _random_smoothing_case(rng, exact=True)
+        j, columns, delta = _random_smoothing_case(rng)
         guess = naive_smooth_guess(columns, delta)
-        expect = (float("inf") if guess == 0 else
-                  math.log2(guess.denominator) - math.log2(guess.numerator))
+        expect = float("inf") if guess == 0 else _neg_log2(guess)
         assert smooth_cond_min_entropy(j, "X", "E", delta) == expect
-
-
-def test_smooth_entropy_matches_the_dual_reference_in_float_mode():
-    rng = np.random.default_rng(55)
-    for _ in range(150):
-        j, columns, delta = _random_smoothing_case(rng, exact=False)
-        guess = naive_smooth_guess(columns, delta)
-        got = 2.0 ** -smooth_cond_min_entropy(j, "X", "E", float(delta))
-        assert got == pytest.approx(float(guess), abs=1e-12)
-
-
-def test_serialization_roundtrip():
-    d = Distribution(3, np.arange(1, 9) / 36.0)
-    d2 = Distribution.from_bytes(d.to_bytes())
-    assert np.allclose(d.mass, d2.mass)
-    j = JointDistribution.product(
-        [("X", Distribution.uniform(2)), ("Y", d)])
-    j2 = JointDistribution.from_bytes(j.to_bytes())
-    assert j2.parts == j.parts
-    assert np.allclose(j.as_floats(), j2.as_floats())
-
-
-def test_serialization_magic_checked():
-    with pytest.raises(InvalidInputError):
-        Distribution.from_bytes(b"NOPE" + b"\0" * 12)
-
-
-def test_json_debug_form():
-    d = Distribution.uniform(2)
-    import json
-    payload = json.loads(d.to_json())
-    assert payload["width"] == 2 and len(payload["mass"]) == 4
-
-
-def test_distance_from_uniform_on_part():
-    # (Z, E) with Z = E: distance from U x E is 1/2 for 1-bit Z
-    j = JointDistribution.from_atoms(
-        [("Z", 1), ("E", 1)], {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-    assert distance_from_uniform_on(j, "Z") == Fraction(1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -363,16 +346,14 @@ def test_int_exact_ops_match_fraction_reference(seed):
     def add(table, key, p):
         table[key] = table.get(key, 0) + p
 
-    ca, ab, a_rest = {}, {}, {}
+    ca, ab = {}, {}
     for (a, b, c), p in atoms.items():
         add(ca, (c, a), p)
         add(ab, (a, b), p)
-        add(a_rest, (a, (b, c)), p)
     assert j.marginal(["C", "A"]).mass == tuple(
         ca.get(_values(i, [wc, wa]), 0) for i in range(1 << (wc + wa)))
-    assert j.guessing_probability("A", "B") == naive_cond_min_entropy(ab)
-    assert distance_from_uniform_on(j, "A") == \
-        naive_tv_from_uniform(a_rest, 1, wa)
+    assert cond_min_entropy(j, "A", "B") == \
+        _neg_log2(naive_cond_min_entropy(ab))
 
     b = max(range(1 << wb), key=lambda v: sum(
         p for (_, bv, _), p in atoms.items() if bv == v))
@@ -409,7 +390,7 @@ def test_enumerate_worlds_counts_the_worlds_before_building_them(
     # before any array is built: 16^7 = 2^28 worlds refuse at once.
     from extractomat import leakage
     from extractomat.sources import FlatSource
-    flat = FlatSource(6, range(16)).to_distribution(exact=True)
+    flat = FlatSource(6, range(16)).to_distribution()
     with pytest.raises(SizeLimitError, match="268435456 worlds"):
         enumerate_worlds([flat] * 7)
     monkeypatch.setattr(leakage, "MAX_WORLDS", 16 ** 3)

@@ -13,8 +13,7 @@ from helpers_naive import naive_cond_min_entropy
 
 def test_trivial_leakage_is_product_and_full_entropy():
     sc = LeakageScenario.trivial([2, 3])
-    res = leakage_apply([Distribution.uniform(2, exact=True),
-                         Distribution.uniform(3, exact=True)], sc)
+    res = leakage_apply([Distribution.uniform(2), Distribution.uniform(3)], sc)
     assert res.k[0] == pytest.approx(2.0)
     assert res.k[1] == pytest.approx(3.0)
     assert res.joint.labels() == ("X1", "X2")
@@ -25,7 +24,7 @@ def test_parity_leak_of_uniform_3bit_source():
     # guessing-probability enumeration: two parity classes of 4 outcomes,
     # best guess 1/8 each, total 1/4, so k = 2 exactly
     sc = LeakageScenario.oa([3], 0, lambda x, a: bin(x).count("1") & 1, 1)
-    res = leakage_apply([Distribution.uniform(3, exact=True)], sc)
+    res = leakage_apply([Distribution.uniform(3)], sc)
     atoms = {(x, bin(x).count("1") & 1): Fraction(1, 8) for x in range(8)}
     assert naive_cond_min_entropy(atoms) == Fraction(1, 4)
     assert res.k[0] == pytest.approx(2.0)
@@ -36,14 +35,14 @@ def test_xor_counterexample_entropy_is_zero():
     # its source xor its copy; at the measuring step X is fully determined
     n = 3
     support = [(r << n) | r for r in range(1 << n)]
-    shared = Distribution.flat(2 * n, support, exact=True)
+    shared = Distribution.flat(2 * n, support)
     sc = LeakageScenario(
         source_widths=(n, n), shared_width=2 * n,
         slices=((0, n), (n, n)),
         leak_maps=(lambda x, a: x ^ a, lambda x, a: x ^ a),
         e_widths=(n, n), model="GE")
-    res = leakage_apply([Distribution.uniform(n, exact=True),
-                         Distribution.uniform(n, exact=True)], sc, shared)
+    res = leakage_apply([Distribution.uniform(n), Distribution.uniform(n)], sc,
+                        shared)
     assert res.k[0] == pytest.approx(0.0)
     assert res.k[1] == pytest.approx(0.0)
     # yet given only the final leaks, each source still looks fully random
@@ -61,7 +60,7 @@ def test_oa_allows_single_leak_only():
 def test_leak_width_enforced():
     sc = LeakageScenario.oa([2], 0, lambda x, a: x, 1)  # 2-bit value, 1-bit slot
     with pytest.raises(InvalidInputError):
-        leakage_apply([Distribution.uniform(2, exact=True)], sc)
+        leakage_apply([Distribution.uniform(2)], sc)
 
 
 def test_k_never_exceeds_final_conditional_entropy():
@@ -71,8 +70,7 @@ def test_k_never_exceeds_final_conditional_entropy():
         table = rng.integers(0, 2, size=8)
         sc = LeakageScenario.oa([3, 2], 0,
                                 lambda x, a, t=table: int(t[x]), 1)
-        srcs = [Distribution.uniform(3, exact=True),
-                Distribution.uniform(2, exact=True)]
+        srcs = [Distribution.uniform(3), Distribution.uniform(2)]
         res = leakage_apply(srcs, sc)
         h_final = cond_min_entropy(res.joint, "X1", ["E1"])
         assert res.k[0] <= h_final + 1e-9
@@ -88,8 +86,7 @@ def test_additivity_up_to_smooth_slack():
             source_widths=(3, 3),
             leak_maps=(lambda x, a, t=t1: int(t[x]), None),
             e_widths=(1, 0), model="GE")
-        srcs = [Distribution.uniform(3, exact=True),
-                Distribution.uniform(3, exact=True)]
+        srcs = [Distribution.uniform(3), Distribution.uniform(3)]
         verdict = check_lemma("P3.2", sources=srcs, scenario=sc, eps=0.25)
         assert verdict.ok
 
@@ -100,4 +97,4 @@ def test_shared_register_required_when_declared():
                          leak_maps=(lambda x, a: (x ^ a) & 1,),
                          e_widths=(1,), model="GE")
     with pytest.raises(InvalidInputError):
-        leakage_apply([Distribution.uniform(2, exact=True)], sc)
+        leakage_apply([Distribution.uniform(2)], sc)

@@ -759,7 +759,7 @@ def test_ir_to_qr_shared_ids_match_the_per_slice_loop(n):
         for pid in range(1, 7)]
     scenario = LeakageScenario((n,) * 6, 1, ((0, 1),) * 6, (None,) * 4 + (
         _parity_leak,) * 2, (0,) * 4 + (1, 1))
-    shared = Distribution.uniform(1, exact=True)
+    shared = Distribution.uniform(1)
     qr = AdversaryStrategy.qr_analog(
         {3}, lambda pid, rnd, view, side: (side[6] * 5 + sum(
             v for _, _, v in view["round_honest"])) & ((1 << n) - 1))
@@ -863,7 +863,7 @@ def test_exact_security_matches_naive_per_world(case):
         elif case == "shared-register":
             scenario = LeakageScenario.oa([3] * 5, 4, _parity_leak, 1,
                                           shared_width=1, slices=[(0, 1)] * 5)
-            shared = Distribution.uniform(1, exact=True)
+            shared = Distribution.uniform(1)
             shared_atoms = [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
             leaks = {5: (_parity_leak, 0, 1, 1)}
         elif case == "ext-pub-trigger":

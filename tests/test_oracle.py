@@ -744,15 +744,6 @@ def test_lemma_22_matches_naive():
                                  "per_y_entropy": per_y}
             assert Fraction(v.slack) == Fraction(float(good) - (1 - eps))
             assert v.ok == (float(good) >= 1 - eps - 1e-12)
-    # float mode: dyadic masses, so every float sum is exact
-    parts = [("X", 3), ("Y", 2)]
-    atoms = {k: float(p) for k, p in _random_atoms(rng, parts, 256).items()}
-    v = check_lemma("L2.2", joint=JointDistribution.from_atoms(
-        parts, atoms, exact=False), eps=0.25)
-    good, threshold, per_y = naive_lemma_condition(parts, atoms, 0.25)
-    assert v.details["threshold_bits"] == pytest.approx(threshold, rel=1e-12)
-    assert v.details["per_y_entropy"] == pytest.approx(per_y, rel=1e-12)
-    assert v.slack == pytest.approx(good - 0.75, abs=1e-12)
 
 
 def test_lemma_25_matches_naive():

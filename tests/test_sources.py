@@ -13,7 +13,7 @@ from extractomat.sources import (BlockSourceSpec, FlatSource,
 def test_flat_source_entropy_is_exact():
     f = FlatSource(4, [1, 3, 5, 7])
     assert f.k == 2
-    assert min_entropy(f.to_distribution(exact=True)) == pytest.approx(2.0)
+    assert min_entropy(f.to_distribution()) == pytest.approx(2.0)
 
 
 def test_flat_source_rejects_bad_sizes():
@@ -21,6 +21,28 @@ def test_flat_source_rejects_bad_sizes():
         FlatSource(3, [0, 1, 2])  # size 3 not a power of two
     with pytest.raises(InvalidInputError):
         FlatSource(2, [0, 5])
+    # widths and support elements are integers, widths at least 1
+    for width, support in ((2.5, [0]), (2, [0.5, 1]), (2, ["1"]), (0, [0])):
+        with pytest.raises(InvalidInputError):
+            FlatSource(width, support)
+    for width, support in ((2.5, [0]), (2, [0.5, 1])):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            Distribution.flat(width, support)
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        Distribution.point_mass(2, 1.0)
+
+
+def test_negative_support_elements_are_refused():
+    # numpy reads index -1 as the last outcome, so a kept -1 would turn
+    # FlatSource(2, [-1, 0]) into the uniform distribution on {0, 3}
+    for width, support in ((2, [-1, 0]), (3, [-8, 1]), (1, [-1])):
+        with pytest.raises(InvalidInputError, match="outside outcome space"):
+            FlatSource(width, support)
+        with pytest.raises(InvalidInputError, match="outside outcome space"):
+            Distribution.flat(width, support)
+    with pytest.raises(InvalidInputError):
+        Distribution.point_mass(2, -1)
+    assert FlatSource(2, [3, 0]).to_distribution().support() == [0, 3]
 
 
 def test_flat_enumeration_count():
@@ -33,8 +55,7 @@ def test_flat_enumeration_count():
 
 def _product_joint(w1, w2):
     return JointDistribution.product(
-        [("B1", Distribution.uniform(w1, exact=True)),
-         ("B2", Distribution.uniform(w2, exact=True))])
+        [("B1", Distribution.uniform(w1)), ("B2", Distribution.uniform(w2))])
 
 
 def test_independent_uniform_blocks_pass():
@@ -115,6 +136,6 @@ def test_sr_no_uniform_row():
 
 def test_sr_shape_checked():
     j = JointDistribution.product(
-        [("R1", Distribution.uniform(2, exact=True))])
+        [("R1", Distribution.uniform(2))])
     with pytest.raises(InvalidInputError):
         SomewhereRandomSpec(2, 2).check(j)
