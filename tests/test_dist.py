@@ -67,10 +67,6 @@ def test_constructors_leave_the_callers_array_writable():
 def test_exact_mode_width_cap():
     with pytest.raises(SizeLimitError):
         Distribution(13, [Fraction(1, 1 << 13)] * (1 << 13))
-    # each part fits, the joint over 13 bits does not
-    with pytest.raises(SizeLimitError):
-        JointDistribution([("A", 8), ("B", 5)],
-                          [Fraction(1, 1 << 13)] * (1 << 13))
     # a width is an integer: 2.5 is neither truncated nor a bare TypeError
     for make in (lambda: Distribution.uniform(2.5),
                  lambda: Distribution.flat(2.5, [0]),
@@ -80,6 +76,16 @@ def test_exact_mode_width_cap():
                                                       {(0,): Fraction(1)})):
         with pytest.raises(InvalidInputError, match="must be an integer"):
             make()
+
+
+def test_joint_size_cap():
+    # each part fits, the joint over 13 bits does not
+    with pytest.raises(SizeLimitError):
+        JointDistribution([("A", 8), ("B", 5)],
+                          [Fraction(1, 1 << 13)] * (1 << 13))
+    # the width is refused before any table of 2**28 masses is read
+    with pytest.raises(SizeLimitError):
+        JointDistribution([("A", 20), ("B", 8)], [Fraction(1)])
 
 
 # ----------------------------------------------------------------------
