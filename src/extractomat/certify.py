@@ -25,7 +25,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,7 +84,8 @@ class CertificationRecord:
         return Fraction(self.error)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # shallow: asdict's deep copy costs ~25 us, this ~1 us
+        return {**vars(self), "strong_errors": dict(self.strong_errors)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CertificationRecord":

@@ -47,7 +47,7 @@ LEMMA_BLOCK = 1024  # eval --lemma trials drawn and checked per block
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except TargetUnreachableError as exc:
@@ -64,6 +64,19 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args``, a command parsed by its subparser."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # empty, -h, --version, -- or an unknown command
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:],
+                                       argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process and shared: parsing never mutates it."""
@@ -72,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="extractor certification, evaluation and simulation")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # name -> subparser, read by main
 
     c = sub.add_parser("certify", help="certify a random-table extractor")
     c.add_argument("--arity", type=int, default=2)
@@ -147,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_text(path, json.dumps(payload, indent=2, default=_default) + "\n")
 
 
@@ -155,9 +168,14 @@ def _write_text(path: Path, text: str):
     """Write ``text`` over the old bytes of ``path`` and cut the rest: a
     file truncated to zero and refilled makes ext4 start writeback on
     close, and a short request would wait on the disk (0.1 ms and up)."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(text.encode())
-        f.truncate()
+    data = memoryview(text.encode())
+    size, fd = len(data), os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:  # os.write may write fewer bytes than it is given
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def _default(obj):
@@ -200,6 +218,7 @@ def cmd_certify(args) -> int:
         samples=args.samples, cache_dir=args.cache)
     out_dir = args.out_dir
     report_path = out_dir / f"certify-{record.record_id}.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report_path, record.to_json_dict())
     cache = args.cache if args.cache else cert.default_cache_dir()
     print(json.dumps({"digest": record.digest, "error": record.error,
@@ -223,6 +242,7 @@ def cmd_eval(args) -> int:
     else:
         handle, digests = _load_extractor(args)
         payload, out = _eval_extractor(args, handle, oracle, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out, payload)
     print(json.dumps(payload, default=_default))
     _manifest(args, out_dir, digests, [out])
@@ -531,8 +551,10 @@ def cmd_ledger(args) -> int:
               and k not in ("command", "func", "theorem", "out_dir")}
     entry = ledger.ledger_theorem(args.theorem, **kwargs)
     out = args.out_dir / f"ledger-{args.theorem}.json"
-    _write_json(out, entry.to_json_dict())
-    print(entry.to_json())
+    text = entry.to_json()  # encoded once, for the file and for stdout
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(out, text + "\n")
+    print(text)
     _manifest(args, args.out_dir, [], [out])
     return EXIT_OK
 

@@ -173,6 +173,12 @@ class JointDistribution(_Masses):
         """Build from a mapping of per-part value tuples to masses."""
         parts = _parts(parts)
         shape = [1 << w for _, w in parts]
+        for values in atoms:  # one integer per part, each inside its part
+            if not (isinstance(values, tuple) and len(values) == len(shape)
+                    and all(0 <= _integer(v, "an atom value") < size
+                            for v, size in zip(values, shape))):
+                raise InvalidInputError(f"atom {values!r} is not one value "
+                                        "per part inside the part")
         index = [np.ravel_multi_index(values, shape) for values in atoms]
         vals, den = _numerators(list(atoms.values()))
         num = np.zeros(math.prod(shape), dtype=np.int64)
@@ -251,7 +257,8 @@ class JointDistribution(_Masses):
         new_parts = list(self.parts)
         new_parts[axis] = (new_label or label, new_width)
         _check_width(sum(pw for _, pw in new_parts))
-        fmap = np.array([fn(v) for v in range(1 << w)], dtype=np.int64)
+        fmap = np.array([_integer(fn(v), "a part map output")
+                         for v in range(1 << w)], dtype=np.int64)
         if fmap.min() < 0 or fmap.max() >= (1 << new_width):
             raise InvalidInputError("part map output exceeds declared width")
         moved = np.moveaxis(self._tensor(), axis, 0)
@@ -468,7 +475,7 @@ def xor_project(j: JointDistribution, label: str, subset) -> JointDistribution:
     ``subset`` holds 1-based bit positions counted from the most
     significant end of the part.
     """
-    subset = sorted(set(subset))
+    subset = sorted(set(_integer(i, "an XOR position") for i in subset))
     w = j.part_width(label)
     if not subset:
         raise InvalidInputError("empty XOR subset")

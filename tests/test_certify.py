@@ -403,3 +403,22 @@ def test_saving_a_table_makes_no_copy_of_it(tmp_path):
         tracemalloc.stop()
     assert peak < record_bytes + (64 << 10)
     assert certify.load_xtab(tmp_path / "t.xtab")[1] == rec
+
+
+def test_record_json_dict_is_asdict_and_owns_its_strong_errors(tmp_path):
+    import dataclasses
+    import hashlib
+    _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=5,
+                                          strong=(0,), cache_dir=tmp_path)
+    d = rec.to_json_dict()
+    assert d == dataclasses.asdict(rec)
+    assert list(d) == [f.name for f in dataclasses.fields(rec)]
+    d["strong_errors"][1] = 0.5
+    d["strong_errors"].pop(0)
+    assert rec.strong_errors == dataclasses.asdict(rec)["strong_errors"] \
+        and list(rec.strong_errors) == [0]
+    # the cached file's bytes, as written before the record's dict was
+    # built shallowly
+    xtab = (tmp_path / f"{rec.digest}.xtab").read_bytes()
+    assert hashlib.sha256(xtab).hexdigest() == (
+        "922c20d55e4a839b505479919f3ddff64ae86b5a91a079bb0e66fd8bf9d353d0")

@@ -597,3 +597,74 @@ def test_eval_reports_oracle_kernel(tmp_path, capsys, monkeypatch):
         assert report["volatile"] == {**report["volatile"], "kernel": kernel,
                                       "candidates": 1820}
         assert (report["error_exact"], report["enumerated"]) == (error, 1820)
+
+
+DISPATCH_OK = [
+    ["certify", "--n", "3", "--k", "2", "--m", "1"],
+    ["certify", "--arity", "3", "--n", "3", "4", "5", "--k", "2", "2.5", "3",
+     "--m", "1", "--strong", "--seed", "9", "--kind", "t-source"],
+    ["certify", "--n", "3", "--k", "2", "--m", "1", "--strong", "0", "1",
+     "--workers", "2", "--leak-bits", "1", "--cache", "c", "--out-dir", "o"],
+    ["certify", "--m=1", "--n=3", "--k", "2", "--strong"],
+    ["eval", "--extractor", "ip", "--n", "3"],
+    ["eval", "--lemma", "L2.5", "--trials", "10", "--seed", "-3",
+     "--marginal", "--strong-seed", "--threads", "2", "--mode", "sampled"],
+    ["eval", "--extractor", "toeplitz", "--n", "4", "--k", "2", "--m", "1",
+     "--strong", "0", "--eps", "0.5", "--out-dir", "x y"],
+    ["netsim", "--config", "toy.cfg"],
+    ["netsim", "--config", "toy.cfg", "--protocol", "geqr", "--adv",
+     "qr-analog", "--runs", "50", "--exact", "--cache", "c"],
+    ["ledger", "--theorem", "deor-ge", "--n", "1000", "--k1", "600",
+     "--k2", "600", "--rush-bits", "2", "--D", "3", "--t", "1"],
+    ["ledger", "--theorem", "ir-to-qr"],
+]
+DISPATCH_EXIT = [
+    [], ["nope"], ["--version"], ["-h"], ["eval", "-h"], ["eval", "--bogus"],
+    ["eval", "--n"], ["eval", "--n", "3", "extra"], ["--", "eval", "--n", "3"],
+    ["certify", "--n", "3", "--k", "2"], ["eval", "--mode", "fast"],
+    ["netsim", "--config", "c", "--protocol", "x", "--", "--y"],
+    ["ledger", "--theorem", "t", "--n", "1", "--bogus", "2", "tail"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_OK, ids=" ".join)
+def test_dispatch_parses_as_the_full_parser(argv):
+    # same items in the same order: manifest.json's args keep their order
+    full = cli_mod.build_parser().parse_args(argv)
+    assert list(vars(cli_mod._parse(argv)).items()) == list(vars(full).items())
+
+
+@pytest.mark.parametrize("argv", DISPATCH_EXIT, ids=" ".join)
+def test_dispatch_exits_as_the_full_parser(argv, capsys):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+    assert outcome(cli_mod._parse) == outcome(cli_mod.build_parser().parse_args)
+
+
+def test_certify_report_bytes_are_pinned(tmp_path):
+    import hashlib
+    argv = ["certify", "--n", "3", "--k", "2", "--m", "1", "--seed", "5",
+            "--strong", "0"]
+    assert run_cli(argv, tmp_path / "cache", tmp_path / "o") == 0
+    report, = (tmp_path / "o").glob("certify-*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "e9085f92640bbd9f4290273de2bb59ec9de8c71ec7a4e2b677b0123d642519cb")
+
+
+def test_write_text_writes_every_byte_and_cuts_the_old_tail(tmp_path,
+                                                            monkeypatch):
+    import os
+    path, real_write, calls = tmp_path / "f.json", os.write, []
+
+    def short_write(fd, data):  # at most 7 bytes per call
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+    path.write_text("x" * 100 + "\n")
+    text = '{"a": "é' + "b" * 40 + '"}\n'
+    monkeypatch.setattr(os, "write", short_write)
+    cli_mod._write_text(path, text)
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == text
+    assert len(calls) == -(-len(text.encode()) // 7)

@@ -574,3 +574,35 @@ def test_column_excess_refuses_weights_past_the_bound():
     with pytest.raises(SizeLimitError):
         column_excess(np.array([1 << 61, 1 << 61]), np.array([0, 1]),
                       [np.array([0, 0])], 1)
+
+
+def test_from_atoms_refuses_malformed_atoms():
+    parts = [("X", 1), ("E", 1)]
+    for atom, match in (((2, 0), "one value per part"),
+                        ((0, -1), "one value per part"),
+                        ((0,), "one value per part"),
+                        ((0, 0, 0), "one value per part"),
+                        (0, "one value per part"),
+                        ((0.5, 0), "must be an integer")):
+        with pytest.raises(InvalidInputError, match=match):
+            JointDistribution.from_atoms(parts, {atom: Fraction(1)})
+    # numpy integers are integers; the last part varies fastest
+    j = JointDistribution.from_atoms([("X", 2), ("E", 1)],
+                                     {(np.int64(2), 1): Fraction(1)})
+    assert j.mass == (0,) * 5 + (1, 0, 0)
+
+
+def test_xor_project_refuses_fractional_positions():
+    j = JointDistribution.from_atoms([("Z", 2)], {(0,): Fraction(1)})
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        xor_project(j, "Z", {1.5})
+
+
+def test_part_map_outputs_must_be_integers():
+    j = JointDistribution.product([("Z", Distribution.uniform(2))])
+    for fn in (lambda v: 0.5, lambda v: 1.7, lambda v: "1"):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            j.apply_to_part("Z", fn, 1)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for fn in (lambda v: v & 1 == 1, lambda v: np.int64(v >> 1)):
+        assert j.apply_to_part("Z", fn, 1).mass == half
