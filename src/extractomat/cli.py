@@ -65,7 +65,7 @@ def main(argv=None) -> int:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """``build_parser().parse_args``, a command parsed by its subparser."""
+    """``build_parser().parse_args(argv)``; a command goes to its subparser."""
     parser = build_parser()
     sub = parser.commands.get(argv[0]) if argv else None
     if sub is None:  # empty, -h, --version, -- or an unknown command
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="extractor certification, evaluation and simulation")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    p.commands = sub.choices  # name -> subparser, read by main
+    p.commands = sub.choices  # name -> subparser, read by _parse
 
     c = sub.add_parser("certify", help="certify a random-table extractor")
     c.add_argument("--arity", type=int, default=2)

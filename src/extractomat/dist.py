@@ -177,8 +177,8 @@ class JointDistribution(_Masses):
             if not (isinstance(values, tuple) and len(values) == len(shape)
                     and all(0 <= _integer(v, "an atom value") < size
                             for v, size in zip(values, shape))):
-                raise InvalidInputError(f"atom {values!r} is not one value "
-                                        "per part inside the part")
+                raise InvalidInputError(f"atom {values!r} is not one integer "
+                                        "per part, each inside its part")
         index = [np.ravel_multi_index(values, shape) for values in atoms]
         vals, den = _numerators(list(atoms.values()))
         num = np.zeros(math.prod(shape), dtype=np.int64)

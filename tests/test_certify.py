@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -406,8 +408,6 @@ def test_saving_a_table_makes_no_copy_of_it(tmp_path):
 
 
 def test_record_json_dict_is_asdict_and_owns_its_strong_errors(tmp_path):
-    import dataclasses
-    import hashlib
     _, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=5,
                                           strong=(0,), cache_dir=tmp_path)
     d = rec.to_json_dict()

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -640,11 +642,11 @@ def test_dispatch_exits_as_the_full_parser(argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parse(argv)
         return exc.value.code, capsys.readouterr()
-    assert outcome(cli_mod._parse) == outcome(cli_mod.build_parser().parse_args)
+    full = cli_mod.build_parser().parse_args
+    assert outcome(cli_mod._parse) == outcome(full)
 
 
 def test_certify_report_bytes_are_pinned(tmp_path):
-    import hashlib
     argv = ["certify", "--n", "3", "--k", "2", "--m", "1", "--seed", "5",
             "--strong", "0"]
     assert run_cli(argv, tmp_path / "cache", tmp_path / "o") == 0
@@ -655,7 +657,6 @@ def test_certify_report_bytes_are_pinned(tmp_path):
 
 def test_write_text_writes_every_byte_and_cuts_the_old_tail(tmp_path,
                                                             monkeypatch):
-    import os
     path, real_write, calls = tmp_path / "f.json", os.write, []
 
     def short_write(fd, data):  # at most 7 bytes per call

@@ -578,11 +578,11 @@ def test_column_excess_refuses_weights_past_the_bound():
 
 def test_from_atoms_refuses_malformed_atoms():
     parts = [("X", 1), ("E", 1)]
-    for atom, match in (((2, 0), "one value per part"),
-                        ((0, -1), "one value per part"),
-                        ((0,), "one value per part"),
-                        ((0, 0, 0), "one value per part"),
-                        (0, "one value per part"),
+    for atom, match in (((2, 0), "one integer per part"),
+                        ((0, -1), "one integer per part"),
+                        ((0,), "one integer per part"),
+                        ((0, 0, 0), "one integer per part"),
+                        (0, "one integer per part"),
                         ((0.5, 0), "must be an integer")):
         with pytest.raises(InvalidInputError, match=match):
             JointDistribution.from_atoms(parts, {atom: Fraction(1)})
