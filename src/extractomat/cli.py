@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -43,6 +44,9 @@ ADVERSARIES = ("none", "ir", "qr-analog")
 PROTOCOLS = ("extpub", "geqr")
 # what build_toy_network builds: the config names, then the run keys
 NETWORKS = (*PROTOCOLS, "ext_pub", "ext_pub_only")
+# the toy network where a config gives no value: NetworkConfig has no
+# default for p, t, n and k, and another one for alpha
+TOY_SIZES = {"p": 7, "t": 1, "n": 6, "k": 4, "alpha": 2.0}
 LEMMA_BLOCK = 1024  # eval --lemma trials drawn and checked per block
 
 
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: Path, payload: dict):
-    _write_text(path, json.dumps(payload, indent=2, default=_default) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _write_text(path: Path, text: str):
@@ -176,19 +180,6 @@ def _write_text(path: Path, text: str):
         os.ftruncate(fd, size)
     finally:
         os.close(fd)
-
-
-def _default(obj):
-    from fractions import Fraction
-    if isinstance(obj, Fraction):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _manifest(args, out_dir: Path, digests, outputs):
@@ -244,7 +235,7 @@ def cmd_eval(args) -> int:
         payload, out = _eval_extractor(args, handle, oracle, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out, payload)
-    print(json.dumps(payload, default=_default))
+    print(json.dumps(payload))
     _manifest(args, out_dir, digests, [out])
     return EXIT_OK
 
@@ -271,16 +262,21 @@ def _load_extractor(args):
 
 
 def _eval_extractor(args, handle, oracle, out_dir):
+    if args.strong_seed and args.marginal:
+        raise InvalidInputError("--strong-seed and --marginal exclude each other")
     if handle.kind == "seeded":
         k = args.k if args.k is not None else handle.k_profile[0]
         ks, strong = (k, handle.k_profile[1]), not args.marginal
     else:
         k1 = args.k1 if args.k1 is not None else handle.k_profile[0]
         k2 = args.k2 if args.k2 is not None else handle.k_profile[1]
-        ks, strong = (k1, k2), args.strong
-    rep = oracle.worst_case_error_leaked(  # b = 0: the leak-free oracle
-        handle, ks, args.leak_bits, strong=strong, mode=args.mode,
-        samples=args.samples, seed=args.seed)
+        ks, strong = (k1, k2, *handle.k_profile[2:]), args.strong
+    kw = dict(mode=args.mode, samples=args.samples, seed=args.seed)
+    if handle.kind == "t-source":  # strong in its first two inputs
+        rep = oracle.worst_case_error_multi(handle, ks, b=args.leak_bits, **kw)
+    else:  # b = 0: the leak-free oracle
+        rep = oracle.worst_case_error_leaked(handle, ks, args.leak_bits,
+                                             strong=strong, **kw)
     payload = {"extractor": handle.name, **rep.to_json_dict()}
     return payload, out_dir / "eval-report.json"
 
@@ -333,10 +329,8 @@ def cmd_netsim(args) -> int:
             raise InvalidInputError(f"config key {key}: unknown value {value!r}"
                                     f", allowed: {', '.join(allowed)}")
     seed = params.get("seed", 0)
-    if protocol == "extpub":
-        proto_key = "ext_pub" if args.exact else "ext_pub_only"
-    else:
-        proto_key = "geqr"
+    geqr = protocol == "geqr"
+    proto_key = "geqr" if geqr else "ext_pub" if args.exact else "ext_pub_only"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg, digests = build_toy_network(params, cache_dir=args.cache,
@@ -347,12 +341,12 @@ def cmd_netsim(args) -> int:
     rng = np.random.default_rng(np.random.Philox(key=seed))
     sources = [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
     adv = _builtin_adversary(adv_kind, cfg)
+    outer = cfg.geqr_outer() if geqr else cfg.players_c
+    target_set = list(outer if geqr else cfg.players_b + outer)
     if adv_kind == "qr-analog":
         # leak one bit of the first outer player's source for the
         # QR-analog strategy to act on
-        target = (cfg.geqr_outer()[0] if protocol == "geqr"
-                  else cfg.players_c[0]) - 1
-        scenario = LeakageScenario.oa([cfg.n] * cfg.p, target,
+        scenario = LeakageScenario.oa([cfg.n] * cfg.p, outer[0] - 1,
                                       lambda x, a: x & 1, 1)
     else:
         scenario = LeakageScenario.trivial([cfg.n] * cfg.p)
@@ -372,23 +366,19 @@ def cmd_netsim(args) -> int:
     log_path, csv_path, report_path = (
         out_dir / name for name in ("runs.jsonl", "summary.csv", "report.json"))
 
-    if protocol == "extpub":
-        target_set = list(cfg.players_b + cfg.players_c)
-    else:
-        target_set = list(cfg.geqr_outer())
     tally, t0 = Counter(), time.perf_counter()
     den, weights, b = ns.protocol_runs(
         proto_key, cfg, sources, scenario, adv,
         n_runs=None if args.exact else runs, seed=seed, tally=tally)
     _write_text(log_path, b.to_jsonl())
     report["y_width"] = b.y_width
-    if protocol == "geqr":
+    if geqr:
         report["rushing_width"] = b.rushing_width
     report["rushing_order_ok"] = b.rushing_order_ok()
 
     if args.exact:
         lift = None
-        if protocol == "geqr" and adv_kind == "qr-analog":
+        if geqr and adv_kind == "qr-analog":
             rep, ir, bits = ns.ir_to_qr(cfg, adv, target_set, den, weights, b,
                                         tally=tally)
             lift = {"rushing_bits": bits, "ir_distance": float(ir),
@@ -404,18 +394,15 @@ def cmd_netsim(args) -> int:
         rows = [{"player": " ".join(map(str, rep.effective_set)),
                  "distance": float(rep.distance), "mode": "exact"}]
     else:
-        m = (2 * cfg.slice_width if protocol == "extpub"
-             else ns.output_width(cfg, proto_key))
+        m = ns.output_width(cfg, proto_key) if geqr else 2 * cfg.slice_width
         tol = max(0.02, 1.001 * (100 * (1 << m) / runs) ** 0.5)
-        if protocol == "extpub":
-            field = "public_block_quality"
-            mcs = ns.mc_public_block_quality(cfg, b, tol=tol, seed=seed,
-                                             tally=tally)
-        else:
-            field = "output_vs_public"
-            mcs = ns.player_estimates(
+        if geqr:
+            field, mcs = "output_vs_public", ns.player_estimates(
                 b, {pid: (b.outputs[:, pid - 1], [b.y]) for pid in target_set},
                 m, tol=tol, seed=seed, tally=tally)
+        else:
+            field, mcs = "public_block_quality", ns.mc_public_block_quality(
+                cfg, b, tol=tol, seed=seed, tally=tally)
         report[field] = {str(pid): rep.to_json_dict()
                          for pid, rep in mcs.items()}
         rows = [{"player": pid, "distance": rep.estimate, "mode": "sampled"}
@@ -432,7 +419,7 @@ def cmd_netsim(args) -> int:
     writer.writerows(rows)
     _write_text(csv_path, summary.getvalue())
     _write_json(report_path, report)
-    print(json.dumps(report, default=_default))
+    print(json.dumps(report))
     _manifest(args, out_dir, digests, [log_path, csv_path, report_path])
     return EXIT_OK
 
@@ -468,14 +455,12 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         raise InvalidInputError(f"unknown protocol {protocol!r}, allowed: "
                                 f"{', '.join(NETWORKS)}")
     from . import certify as cert
-    from .graphs import BipartiteGraph
+    from .graphs import BipartiteGraph, verify_and_disperser, verify_expander
     from .netsim import GadgetSet, NetworkConfig
-    p = params.get("p", 7)
-    t = params.get("t", 1)
-    n = params.get("n", 6)
-    k = params.get("k", 4)
-    alpha = params.get("alpha", 2.0)
-    delta = params.get("delta", 0.25)
+    keys = {f.name for f in dataclasses.fields(NetworkConfig)}
+    cfg = NetworkConfig(**(TOY_SIZES | {
+        key: value for key, value in params.items() if key in keys}))
+    n, k, t = cfg.n, cfg.k, cfg.t
     seed = params.get("seed", 0)
     cert_samples = params.get("cert_samples", 400)
     digests = []
@@ -488,26 +473,15 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         return handle
 
     if protocol == "geqr":
-        group = params.get("geqr_group", 2)
-        s = params.get("geqr_s", max(1, 2 * t))
-        slice_w = max(1, k // s)
-        iext = table(11, (n,) * group, (k,) * group, max(slice_w, 2),
+        group, width = cfg.geqr_group, cfg.geqr_s * cfg.geqr_slice
+        iext = table(11, (n,) * group, (k,) * group, max(cfg.geqr_slice, 2),
                      kind="t-source" if group > 2 else "2-source")
-        qtext = table(12, (n, s * slice_w), (k, min(k, s * slice_w)),
-                      min(2, n), kind="2-source", strong=(1,))
-        gadgets = GadgetSet(iext=iext, qtext=qtext)
-        cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=alpha, delta=delta,
-                            gadgets=gadgets, geqr_group=group, geqr_s=s,
-                            seed=seed,
-                            a_size=params.get("a_size"),
-                            b_size=params.get("b_size"))
+        qtext = table(12, (n, width), (k, min(k, width)), min(2, n),
+                      kind="2-source", strong=(1,))
+        cfg.gadgets = GadgetSet(iext=iext, qtext=qtext)
         cfg.validate_geqr()
         return cfg, digests
 
-    cfg = NetworkConfig(p=p, t=t, n=n, k=k, alpha=alpha, delta=delta,
-                        gamma=params.get("gamma", 0.75), seed=seed,
-                        a_size=params.get("a_size"),
-                        b_size=params.get("b_size"))
     sw = cfg.slice_width
     m1 = 4
     a = cfg.a_size
@@ -516,7 +490,6 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         tuple(sorted(((i) % a, (i + 1) % a))) for i in range(a)))
     H = BipartiteGraph(cfg.b_size, a, 2, tuple(
         tuple(sorted(((j) % a, (j + 1) % a))) for j in range(cfg.b_size)))
-    from .graphs import verify_and_disperser, verify_expander
     if t > 0:
         if not verify_and_disperser(G, (a - t) / a, 1.0 / G.l):
             raise InvalidInputError(

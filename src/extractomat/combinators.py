@@ -44,7 +44,8 @@ class ErrorBudget:
 
     ``terms`` holds ``(coefficient, symbol, value)`` triples; ``residuals``
     holds ``(name, parameter, constant)`` triples evaluated as
-    ``2^-(constant * parameter)``.  Totals are capped at 1.
+    ``2^-(constant * parameter)``.  ``total()`` is capped at 1 and
+    ``total_uncapped()`` is not.
     """
 
     terms: list = field(default_factory=list)
@@ -60,9 +61,12 @@ class ErrorBudget:
         return self
 
     def total(self) -> float:
+        return min(1.0, self.total_uncapped())
+
+    def total_uncapped(self) -> float:
         t = sum(c * v for c, _, v in self.terms)
-        t += sum(2.0 ** (-(const * param)) for _, param, const in self.residuals)
-        return min(1.0, t)
+        return t + sum(2.0 ** (-(const * param))
+                       for _, param, const in self.residuals)
 
     def describe(self) -> dict:
         return {
@@ -73,6 +77,7 @@ class ErrorBudget:
                            "constant_is_default": True}
                           for n, p, c in self.residuals],
             "total_capped_at_1": self.total(),
+            "total_uncapped": self.total_uncapped(),
         }
 
 
@@ -156,7 +161,7 @@ def build_qmext_handle(iext: ExtractorHandle, extq: ExtractorHandle,
     budget = qmext_budget(iext, extq)
     h = ExtractorHandle(
         name, "t-source" if len(widths) > 2 else "2-source", widths, extq.m,
-        iext.k_profile + (extq.k_profile[0],), min(1.0, budget.total()),
+        iext.k_profile + (extq.k_profile[0],), budget.total(),
         strong=range(t), provenance="composite", table=build)
     h.budget = budget
     return h
@@ -212,7 +217,7 @@ def build_qbext_handle(bext: ExtractorHandle, extc: ExtractorHandle,
     h = ExtractorHandle(
         name, "t-source", (n1, n2, n3), extq.m,
         (bext.k_profile[0], extc.k_profile[0], k3),
-        min(1.0, budget.total()), strong=(0, 1), provenance="composite",
+        budget.total(), strong=(0, 1), provenance="composite",
         table=build)
     h.budget = budget
     return h
@@ -260,7 +265,7 @@ def build_bext_handle(cond: CondenserHandle, raz_slot: ExtractorHandle,
                          min(k1, k2, k3), config)
     h = ExtractorHandle(
         name, "t-source", (n1, n2, n3), ext_last.m,
-        (float(k1), float(k2), float(k3)), min(1.0, budget.total()),
+        (float(k1), float(k2), float(k3)), budget.total(),
         strong=(0, 1), provenance="composite", table=build)
     h.budget = budget
     return h
@@ -363,7 +368,7 @@ def weak_seed_transform(base: ExtractorHandle, delta: float, *,
     h = ExtractorHandle(
         name, "seeded", (n, d_prime), base.m,
         (config.weak_seed_entropy_factor * k, (0.5 + delta) * d_prime),
-        min(1.0, budget.total()), strong=(1,), provenance="composite",
+        budget.total(), strong=(1,), provenance="composite",
         table=build)
     h.budget = budget
     return h

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings as _warnings
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,8 +89,6 @@ class NetworkConfig:
     geqr_group: int = 2        # players per group in the one-round protocol
     geqr_s: int | None = None  # number of groups
     gadgets: GadgetSet = field(default_factory=GadgetSet)
-    seed: int = 0
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         expected_a = math.ceil((1 + self.alpha) * self.t)
@@ -108,13 +106,13 @@ class NetworkConfig:
         if self.geqr_s is None:
             self.geqr_s = max(1, self.t * 2)
         if self.k <= 4 * math.log2(max(self.p, 2)):
-            self.warnings.append(
+            warnings.warn(
                 f"k={self.k} is at or below 4*log2(p)={4 * math.log2(self.p):.2f}; "
-                "the entropy floor for distributed use is k > C log p")
+                "the entropy floor for distributed use is k > C log p",
+                stacklevel=2)
         if not self.alpha < self.gamma:
-            self.warnings.append("alpha < gamma is expected for the partition")
-        for w in self.warnings:
-            _warnings.warn(w, stacklevel=2)
+            warnings.warn("alpha < gamma is expected for the partition",
+                          stacklevel=2)
 
     # players are 1-based ids
     @property

@@ -182,6 +182,38 @@ def test_eval_xtab_file(cache_dir, tmp_path, capsys):
     assert rc == 0
 
 
+def test_eval_reads_the_t_source_xtab_certify_writes(tmp_path, capsys):
+    from extractomat import certify, oracle
+    assert run_cli(["certify", "--arity", "3", "--n", "2", "--k", "1",
+                    "--m", "1"], tmp_path / "cache", tmp_path / "c") == 0
+    xtab = json.loads(capsys.readouterr().out)["xtab"]
+    handle, record = certify.load_xtab(Path(xtab))
+    assert record.kind == "t-source" and record.error_exact == "1/2"
+    assert run_cli_nocache(["eval", "--extractor", xtab], tmp_path / "e") == 0
+    report = json.loads((tmp_path / "e" / "eval-report.json").read_text())
+    assert report["error_exact"] == record.error_exact
+    assert _listed_digests(tmp_path / "e") == [record.digest]
+    # --k1 and --k2 replace the first two recorded levels, --leak-bits is b
+    assert run_cli_nocache(["eval", "--extractor", xtab, "--k1", "2",
+                            "--leak-bits", "1"], tmp_path / "k") == 0
+    report = json.loads((tmp_path / "k" / "eval-report.json").read_text())
+    expect = oracle.worst_case_error_multi(handle, (2, 1, 1), b=1)
+    assert report["error_exact"] == str(expect.error)
+
+
+def test_eval_refuses_strong_seed_with_marginal(tmp_path, capsys):
+    # apart, each flag is read (the strong default gives 3/16 here)
+    argv = ["eval", "--extractor", "toeplitz", "--n", "3", "--m", "1",
+            "--k", "2"]
+    assert run_cli_nocache([*argv, "--strong-seed"], tmp_path / "s") == 0
+    assert json.loads(capsys.readouterr().out)["error_exact"] == "3/16"
+    out = tmp_path / "both"
+    assert run_cli_nocache([*argv, "--marginal", "--strong-seed"], out) == 4
+    err = capsys.readouterr().err
+    assert "--strong-seed" in err and "--marginal" in err
+    assert not out.exists()
+
+
 def test_eval_strong_index_outside_the_inputs_exits_4(tmp_path, capsys):
     rc = run_cli_nocache(["eval", "--extractor", "ip", "--n", "3",
                           "--k1", "2", "--k2", "2", "--strong", "2"], tmp_path)
@@ -237,6 +269,52 @@ def test_netsim_sampled_estimates_are_pinned(tmp_path, protocol):
         report = json.loads((out / "report.json").read_text())
         assert {pid: (rep["estimate"], rep["ci_99"])
                 for pid, rep in report[field].items()} == pinned
+
+
+# sha256 of every output of an exact micro geqr request and a sampled toy
+# extpub request, pinned: report.json without volatile (re-encoded with
+# indent=2), and stderr, which holds the config warnings.
+NETSIM_BYTES = {
+    "exact-geqr": (
+        "p = 5\nt = 1\nn = 3\nk = 3\nalpha = 0.25\nseed = 3\n",
+        ["--protocol", "geqr", "--adv", "qr-analog", "--exact"], {
+            "runs.jsonl": "077c47af8ea182063d3a6c2ab32d9d17"
+                          "f37dbad753dbd8af95ebd846d5d20d55",
+            "summary.csv": "9d5d662faf35c235899c7c8081de6a55"
+                           "88bfd3950a88b878369ec445f0aa0200",
+            "report.json": "823929e8ad0bbe0fa96eb0990ec50411"
+                           "bdc18a24b4d802c99c09eb60a745a26b",
+            "stderr": "429374942dcbe04dfcd507db3e2dbfb3"
+                      "9a39f2a2c3d2c1764bdad704402a5e11"}),
+    "sampled-extpub": (
+        "p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\nseed = 17\n",
+        ["--protocol", "extpub", "--runs", "500"], {
+            "runs.jsonl": "862214e4b4788001d24d771965dcd093"
+                          "451bfbf558e61643b654dae9b68fd789",
+            "summary.csv": "7235544f7d147b3e799a060e708e8373"
+                           "6214e9c82cc71027e6fe5de408a26a0f",
+            "report.json": "f60a3c15bda71e029fc11774881c751c"
+                           "31d8b5d48a69f3b5de7db7fa0aaa3eb8",
+            "stderr": "28adcbf4102bc32344fb935a1333e48f"
+                      "fdd25988e0597ed4097512c47b02c638"}),
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(NETSIM_BYTES))
+def test_netsim_output_bytes_are_pinned(tmp_path, capsys, request_name):
+    text, flags, pinned = NETSIM_BYTES[request_name]
+    cfg, out = tmp_path / "net.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    assert run_cli(["netsim", "--config", str(cfg), *flags],
+                   tmp_path / "cache", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    del report["volatile"]
+    data = {"runs.jsonl": (out / "runs.jsonl").read_bytes(),
+            "summary.csv": (out / "summary.csv").read_bytes(),
+            "report.json": json.dumps(report, indent=2).encode(),
+            "stderr": capsys.readouterr().err.encode()}
+    assert {name: hashlib.sha256(data[name]).hexdigest()
+            for name in data} == pinned
 
 
 def test_netsim_config_runs_and_adv_are_used(cache_dir, tmp_path):
@@ -302,6 +380,21 @@ def test_netsim_config_violation_exit_4(cache_dir, tmp_path):
     cfg.write_text("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\na_size = 2\n")
     rc = run_cli(["netsim", "--config", str(cfg)], cache_dir, tmp_path)
     assert rc == 4
+
+
+def test_netsim_geqr_config_is_checked_before_any_table(tmp_path, capsys):
+    micro = "p = 5\nt = 1\nn = 2\nk = 2\nalpha = 0.25\nprotocol = geqr\n"
+    cfg, cache = tmp_path / "geqr.cfg", tmp_path / "cache"
+    cfg.write_text(micro + "a_size = 3\n")  # |A| = ceil(1.25) = 2
+    assert run_cli(["netsim", "--config", str(cfg)], cache, tmp_path) == 4
+    assert "|A|" in capsys.readouterr().err
+    assert not list(cache.glob("*.xtab"))
+    # the config's gamma reaches the partition warning
+    cfg.write_text(micro + "gamma = 0.2\n")
+    assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache,
+                   tmp_path) == 0
+    assert ("config warning: alpha < gamma is expected for the partition\n"
+            in capsys.readouterr().err)
 
 
 def test_netsim_sampled_outputs(cache_dir, tmp_path):

@@ -243,6 +243,8 @@ def test_error_budget_caps_at_one():
     assert b.total() == 1.0
     d = b.describe()
     assert d["total_capped_at_1"] == 1.0
+    # the uncapped sum shows how far past 1 the terms go
+    assert d["total_uncapped"] == b.total_uncapped() == 1.6 + 2 ** -0.1
 
 
 def test_bext_pipeline_oracle_at_toy_widths(rng, cache_dir):

@@ -14,11 +14,11 @@ its own, with an empty certificate cache of its own:
   config, p=7, n=6, k=4) under each adversary, at several config seeds
   and run counts.
 
-For every request the exit code, ``report.json`` without its ``volatile``
-key, ``runs.jsonl`` and ``summary.csv`` must be byte-identical between
-the trees.  ``--limit N`` answers only the first N requests.  Prints the
-number of requests and mismatches, names each mismatch, and exits 1 on
-any.
+For every request the exit code, stdout and ``report.json`` without their
+``volatile`` keys, stderr (which holds the config warnings), ``runs.jsonl``
+and ``summary.csv`` must be byte-identical between the trees.  ``--limit
+N`` answers only the first N requests.  Prints the number of requests and
+mismatches, names each mismatch, and exits 1 on any.
 """
 
 from __future__ import annotations
@@ -75,6 +75,13 @@ def requests() -> list:
     return out
 
 
+def _stable(text: str) -> str:
+    """A JSON report without its ``volatile`` key, in one spelling."""
+    report = json.loads(text)
+    report.pop("volatile", None)
+    return json.dumps(report, indent=2)
+
+
 def answer(limit: int | None) -> None:
     """One JSON line per request, from the package importable here."""
     from extractomat import cli
@@ -85,16 +92,17 @@ def answer(limit: int | None) -> None:
             cfg.write_text(config)
             argv = ["netsim", "--config", str(cfg), *flags,
                     "--cache", str(work / "cache"), "--out-dir", str(out_dir)]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             files = {nm: (out_dir / nm).read_text()
                      for nm in OUTPUTS if (out_dir / nm).exists()}
             if "report.json" in files:
-                report = json.loads(files["report.json"])
-                report.pop("volatile", None)
-                files["report.json"] = json.dumps(report, indent=2)
-            print(json.dumps({"request": name, "exit": code, **files}))
+                files["report.json"] = _stable(files["report.json"])
+            print(json.dumps({
+                "request": name, "exit": code, "stderr": err.getvalue(),
+                "stdout": [_stable(line) for line in out.getvalue().splitlines()],
+                **files}))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
