@@ -48,6 +48,10 @@ NETWORKS = (*PROTOCOLS, "ext_pub", "ext_pub_only")
 # default for p, t, n and k, and another one for alpha
 TOY_SIZES = {"p": 7, "t": 1, "n": 6, "k": 4, "alpha": 2.0}
 LEMMA_BLOCK = 1024  # eval --lemma trials drawn and checked per block
+# eval flags a handle kind does not read: refused rather than ignored
+IGNORED_FLAGS = {"2-source": ("k", "marginal", "strong_seed"),
+                 "t-source": ("k", "marginal", "strong_seed", "strong"),
+                 "seeded": ("k1", "k2", "strong")}
 
 
 def main(argv=None) -> int:
@@ -262,6 +266,11 @@ def _load_extractor(args):
 
 
 def _eval_extractor(args, handle, oracle, out_dir):
+    ignored = [f"--{flag.replace('_', '-')}" for flag in IGNORED_FLAGS[
+        handle.kind] if (v := getattr(args, flag)) is not None and v is not False]
+    if ignored:
+        raise InvalidInputError(f"{handle.kind} handle {handle.name} takes "
+                                f"no {', '.join(ignored)}")
     if args.strong_seed and args.marginal:
         raise InvalidInputError("--strong-seed and --marginal exclude each other")
     if handle.kind == "seeded":
@@ -409,7 +418,7 @@ def cmd_netsim(args) -> int:
                 for pid, rep in sorted(mcs.items())]
     keys = ["worlds", "adversary_calls", "leak_calls"]
     if not args.exact:
-        keys += ["estimator_s", "resamples"]
+        keys += ["estimator_s", "resamples", "bootstrap_draws", "lone_groups"]
     report["volatile"] = {key: tally[key] for key in keys}
     report["volatile"]["eval_s"] = time.perf_counter() - t0
 

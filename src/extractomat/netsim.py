@@ -105,6 +105,10 @@ class NetworkConfig:
                                     f"{self.b_size} != {expected_b}")
         if self.geqr_s is None:
             self.geqr_s = max(1, self.t * 2)
+        for key, least in (("geqr_s", 1), ("geqr_group", 2)):
+            if getattr(self, key) < least:
+                raise InvalidInputError(f"config key {key} must be >= {least}"
+                                        f", got {getattr(self, key)}")
         if self.k <= 4 * math.log2(max(self.p, 2)):
             warnings.warn(
                 f"k={self.k} is at or below 4*log2(p)={4 * math.log2(self.p):.2f}; "
@@ -757,13 +761,16 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
 
 def _estimate(z, ids, m: int, tol: float, seed: int, tally=None):
     """The plug-in estimate over sampled runs, each rest named by its dense
-    id.  ``tally`` adds its resamples and, as ``estimator_s``, the seconds of
-    :func:`mc_distance_pairs` (cells, estimate and bootstrap; no rest ids)."""
+    id.  ``tally`` adds its resamples, the runs they draw
+    (``bootstrap_draws``), its rest groups of one cell (``lone_groups``)
+    and, as ``estimator_s``, the seconds of :func:`mc_distance_pairs`
+    (cells, estimate and bootstrap; no rest ids)."""
     t0 = time.perf_counter()
     rep = mc_distance_pairs((ids << m) | z, m, tol=tol, seed=seed)
     if tally is not None:
         tally.update(estimator_s=time.perf_counter() - t0,
-                     resamples=BOOTSTRAP_RESAMPLES)
+                     resamples=BOOTSTRAP_RESAMPLES, bootstrap_draws=rep.draws,
+                     lone_groups=rep.lone_groups)
     return rep
 
 

@@ -900,6 +900,8 @@ class MCReport:
     n: int
     m: int
     tol: float
+    draws: int = 0        # runs drawn over all resamples (volatile)
+    lone_groups: int = 0  # rest groups holding one cell (volatile)
 
     @property
     def half_width(self) -> float:
@@ -923,17 +925,21 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     keys) dense in order of first appearance, as
     :func:`~extractomat.dist.row_ids` numbers them, else
     :class:`InvalidInputError`.  A resample's cell counts are
-    Multinomial(n, counts / n): one multinomial draw over the cells, or
-    where ``n <= 4 * cells``, ``n`` int32 sample indices drawn with
-    replacement (the values of int64 draws).  A cell alone in its rest
-    group scores ``(2**m - 1) * count``, so index draws, keyed cell + row
-    offset in the smallest signed type that holds a chunk's keys, count
-    only the shared cells (one ``bincount`` per chunk, after dropping the
-    lone cells' draws where those hold half the samples or more), and the
-    lone cells' bucket, one cell in a group of its own, gets ``n`` minus
-    the row's shared counts.  A chunk takes at most the bytes of
-    ``CHUNK_ENTRIES`` int64 entries and is scored in one
-    :func:`excess_over_uniform` call.  Needs n >= 100 * 2**m / tol**2.
+    Multinomial(n, counts / n), drawn in two steps.  A cell alone in its
+    rest group scores ``(2**m - 1) * count``, so the lone cells need only
+    their total: each resample first draws how many of its n samples fall
+    in the S shared cells, N ~ Binomial(n, W / n) for the W samples held
+    there (all 200 N at once; N = W undrawn where W is 0 or n), then
+    those cells' counts, Multinomial(N, held / W): N int32 indices over
+    the W shared samples in sample order where ``W <= 4 * S``, else one
+    multinomial over the S cells; the lone cells add ``(2**m - 1) * (n -
+    N)``.  Without lone cells these are the draws of one step over all
+    cells, and a stream read in chunks is the stream read whole.  A chunk
+    takes the bytes of about ``CHUNK_ENTRIES`` int64 entries (a row's
+    indices number W on average) and is scored in one
+    :func:`excess_over_uniform` call.  ``draws`` counts the N, and
+    ``lone_groups`` the groups of one cell.  Needs n >= 100 * 2**m /
+    tol**2.
     """
     keys = np.asarray(keys)
     if (keys.ndim != 1 or keys.dtype.kind not in "iu"
@@ -954,39 +960,33 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
         raise InvalidInputError(
             "rest ids must be dense in order of first appearance")
     cvec = np.bincount(cells)
-    C = cvec.size
     estimate = excess_over_uniform(cvec, groups, m) / (n << m)
-    by_index = n <= 4 * C
-    rows = max(1, 8 * CHUNK_ENTRIES // (4 * n if by_index else 8 * C))
-    if by_index:  # shared cells are 0..S-1, lone ones share bucket S
-        sizes = np.bincount(groups)
-        shared, kept = np.flatnonzero(sizes[groups] > 1), sizes > 1
-        S, C = shared.size, shared.size + 1
-        groups = np.append(np.cumsum(kept)[groups[shared]] - 1, kept.sum())
-        lone = -rows * C if 2 * cvec[shared].sum() <= n else S
-        lump = np.full(cvec.size, lone, np.min_scalar_type(-rows * C - 1))
-        lump[shared] = np.arange(S)
-        cells = lump[cells]
-    rng, boot = _philox(seed ^ 0xB00), []
-    for done in range(0, BOOTSTRAP_RESAMPLES, rows):
-        r = min(rows, BOOTSTRAP_RESAMPLES - done)
-        if by_index:
-            drawn = cells.take(rng.integers(0, n, size=(r, n), dtype=np.int32))
-            drawn += C * np.arange(r, dtype=drawn.dtype)[:, None]
-            drawn = drawn.ravel()  # cell + C * row, below 0 if left out
-            if lone < 0:
-                drawn = drawn.compress(drawn >= 0)
-            counts = np.bincount(drawn, minlength=r * C).reshape(r, C)
-            counts[:, S] = n - counts[:, :S].sum(axis=1)
+    sizes = np.bincount(groups)
+    held, lone = sizes[groups] > 1, int((sizes == 1).sum())  # shared cells
+    S, W = int(held.sum()), int(cvec[held].sum())
+    runs = (np.cumsum(held) - 1)[cells[held[cells]]]  # shared samples' cells
+    groups = (np.cumsum(sizes > 1) - 1)[groups[held]]
+    rng, B = _philox(seed ^ 0xB00), BOOTSTRAP_RESAMPLES
+    N = np.full(B, W) if W in (0, n) else rng.binomial(n, W / n, B)
+    boot = ((1 << m) - 1) * (n - N)  # the lone cells' excess
+    by_index = W <= 4 * S
+    rows = max(1, 8 * CHUNK_ENTRIES // max(1, 4 * W if by_index else 8 * S))
+    for lo in range(0, B if W else 0, rows):
+        got = N[lo:lo + rows]
+        if by_index:  # shared cell + S * row, one bincount per chunk
+            drawn = runs.take(rng.integers(0, W, got.sum(), dtype=np.int32))
+            drawn += np.repeat(S * np.arange(got.size), got)
+            counts = np.bincount(drawn, minlength=got.size * S).reshape(-1, S)
         else:
-            counts = rng.multinomial(n, cvec / n, size=r)
-        boot.append(excess_over_uniform(counts, groups, m))
-    boot, q = np.sort(np.concatenate(boot)) / (n << m), 50 * (1 - CI_LEVEL)
+            counts = rng.multinomial(n if W == n else got, cvec[held] / W,
+                                     size=got.size)
+        boot[lo:lo + rows] += excess_over_uniform(counts, groups, m)
+    boot, q = np.sort(boot) / (n << m), 50 * (1 - CI_LEVEL)
     v = (boot.size - 1) * (np.array([q, 100 - q]) / 100)  # numpy's "linear"
     a, b, g = boot[v.astype(int)], boot[np.ceil(v).astype(int)], v % 1
     lo, hi = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
     return MCReport(estimate=float(estimate), ci=(float(lo), float(hi)),
-                    n=n, m=m, tol=tol)
+                    n=n, m=m, tol=tol, draws=int(N.sum()), lone_groups=lone)
 
 
 # ----------------------------------------------------------------------

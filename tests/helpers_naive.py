@@ -100,30 +100,66 @@ def naive_percentile(values, q: float) -> float:
 
 def naive_bootstrap_ci(pairs, m: int, seed: int, resamples: int = 200):
     """The estimator's bootstrap spread one resample at a time, scored by
-    dicts of cells: each resample draws ``n`` sample indices where ``n <=
-    4 * cells``, else one multinomial over the cells in order of first
-    appearance, from the Philox stream keyed by ``seed ^ 0xB00``; returns
-    the 99% level's two tail percentiles, q = 50 * (1 - 0.99) (which is
-    0.5 + 4e-16 in floats) and 100 - q."""
+    dicts of cells.  Cells alone in their rest group are lone; the W
+    samples in the others are shared.  From the Philox stream keyed by
+    ``seed ^ 0xB00``, every resample's count N of shared samples is
+    drawn first, Binomial(n, W / n) (N = W undrawn where W is 0 or n);
+    then, resample by resample, N indices over the shared samples in
+    sample order where W <= 4 * shared cells, else one multinomial of N
+    over the shared cells in order of first appearance.  The n - N lone
+    samples go to one cell of a rest of their own.  Returns the 99%
+    level's two tail percentiles, q = 50 * (1 - 0.99) (which is 0.5 +
+    4e-16 in floats) and 100 - q."""
     import numpy as np  # the estimator's random stream, nothing else
 
-    counts = {}
+    counts, rests = {}, {}
     for p in pairs:
         counts[p] = counts.get(p, 0) + 1
-    cells, n = list(counts), len(pairs)
+    for _, rest in counts:
+        rests[rest] = rests.get(rest, 0) + 1
+    shared = [p for p in pairs if rests[p[1]] > 1]
+    cells = [c for c in counts if rests[c[1]] > 1]
+    n, w = len(pairs), len(shared)
     rng = np.random.default_rng(np.random.Philox(key=seed ^ 0xB00))
+    drawn_n = ([w] * resamples if w in (0, n)
+               else rng.binomial(n, w / n, size=resamples).tolist())
     boot = []
-    for _ in range(resamples):
-        res = {}
-        if n <= 4 * len(cells):
-            for i in rng.integers(0, n, size=n).tolist():
-                res[pairs[i]] = res.get(pairs[i], 0) + 1
+    for got in drawn_n:
+        res = {(0, "lone"): n - got}  # a rest no pair has
+        if not w:
+            pass
+        elif w <= 4 * len(cells):
+            for i in rng.integers(0, w, size=got).tolist():
+                res[shared[i]] = res.get(shared[i], 0) + 1
         else:
-            drawn = rng.multinomial(n, [counts[c] / n for c in cells])
-            res = dict(zip(cells, drawn.tolist()))
+            drawn = rng.multinomial(got, [counts[c] / w for c in cells])
+            res.update(zip(cells, drawn.tolist()))
         boot.append(naive_cell_excess(res, m) / (n << m))
     q = 50 * (1 - 0.99)
     return naive_percentile(boot, q), naive_percentile(boot, 100 - q)
+
+
+def naive_resample_law(pairs, m: int) -> dict:
+    """The exact law of one resample's :func:`naive_cell_excess` when its
+    cell counts are Multinomial(n, counts / n): ``{excess: probability}``,
+    every count vector enumerated with its Fraction probability."""
+    counts = {}
+    for p in pairs:
+        counts[p] = counts.get(p, 0) + 1
+    cells, n, law = list(counts), len(pairs), {}
+
+    def place(i, left, prob, res):  # prob: n! prod p^k / k! so far
+        if i == len(cells):
+            if not left:
+                key = naive_cell_excess(res, m)
+                law[key] = law.get(key, 0) + prob
+            return
+        for k in range(left + 1):
+            place(i + 1, left - k, prob * Fraction(counts[cells[i]], n) ** k
+                  / math.factorial(k), {**res, cells[i]: k})
+
+    place(0, n, Fraction(math.factorial(n)), {})
+    return law
 
 
 def naive_worst_2source(fn, n1, n2, m, k1, k2, strong=None) -> Fraction:

@@ -201,6 +201,54 @@ def test_eval_reads_the_t_source_xtab_certify_writes(tmp_path, capsys):
     assert report["error_exact"] == str(expect.error)
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--marginal"], ["--marginal"]), (["--k", "1"], ["--k"]),
+    (["--strong-seed", "--k", "1"], ["--k", "--strong-seed"])])
+def test_eval_refuses_flags_a_two_source_handle_ignores(tmp_path, capsys,
+                                                        flags, named):
+    # ip(3; 2, 2) reads --k1 and --k2: 5/16 with or without these flags
+    argv = ["eval", "--extractor", "ip", "--n", "3", "--k1", "2", "--k2", "2"]
+    assert run_cli_nocache(argv, tmp_path / "ok") == 0
+    assert json.loads(capsys.readouterr().out)["error_exact"] == "5/16"
+    out = tmp_path / "refused"
+    assert run_cli_nocache([*argv, *flags], out) == 4
+    err = capsys.readouterr().err
+    assert f"2-source handle ip[n=3] takes no {', '.join(named)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--k1", "1"], ["--k1"]), (["--strong", "0"], ["--strong"]),
+    (["--k1", "1", "--k2", "1", "--strong", "0"],
+     ["--k1", "--k2", "--strong"])])
+def test_eval_refuses_flags_a_seeded_handle_ignores(tmp_path, capsys, flags,
+                                                    named):
+    # toeplitz(4; 2) reads --k and --marginal: 3/16 with or without these
+    argv = ["eval", "--extractor", "toeplitz", "--n", "4", "--k", "2",
+            "--m", "1"]
+    assert run_cli_nocache([*argv, *flags], tmp_path / "refused") == 4
+    assert (f"seeded handle toeplitz[n=4,m=1] takes no {', '.join(named)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "refused").exists()
+
+
+def test_eval_refuses_flags_a_t_source_handle_ignores(tmp_path, capsys):
+    # a t-source handle is strong in its first two inputs: no --strong,
+    # and no seeded flag either
+    assert run_cli(["certify", "--arity", "3", "--n", "2", "--k", "1",
+                    "--m", "1"], tmp_path / "cache", tmp_path / "c") == 0
+    xtab = json.loads(capsys.readouterr().out)["xtab"]
+    for flags, named in ((["--strong", "1"], "--strong"),
+                         (["--k", "1", "--marginal"], "--k, --marginal"),
+                         (["--strong-seed"], "--strong-seed")):
+        out = tmp_path / named
+        assert run_cli_nocache(["eval", "--extractor", xtab, *flags],
+                               out) == 4
+        err = capsys.readouterr().err
+        assert "t-source handle" in err and f"takes no {named}" in err
+        assert not out.exists()
+
+
 def test_eval_refuses_strong_seed_with_marginal(tmp_path, capsys):
     # apart, each flag is read (the strong default gives 3/16 here)
     argv = ["eval", "--extractor", "toeplitz", "--n", "3", "--m", "1",
@@ -243,13 +291,15 @@ def test_netsim_geqr_sampled(cache_dir, tmp_path):
 # Per-player sampled estimates and 99% intervals of the benchmark's toy
 # extpub (seed 17, 500 runs) and micro geqr (seed 3, 1000 runs) requests,
 # pinned bit for bit: a faster estimator must reproduce them exactly.
+# extpub's spreads are those of the two-step draw (shared-run count, then
+# the shared cells); geqr has no lone cell and draws as one step did.
 GOLDEN_NETSIM = {
     "extpub": (
         "p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\nseed = 17\n"
         "protocol = extpub\n", ["--runs", "500"], "public_block_quality",
-        {"4": (0.930125, [0.929625, 0.935125625]),
-         "5": (0.930125, [0.929874375, 0.9357537499999999]),
-         "6": (0.930375, [0.9297449999999999, 0.935250625])}),
+        {"4": (0.930125, [0.930249375, 0.9351275]),
+         "5": (0.930125, [0.9289931250000001, 0.935500625]),
+         "6": (0.930375, [0.93024625, 0.9353756249999999])}),
     "geqr": (
         "p = 5\nt = 1\nn = 4\nk = 4\nalpha = 0.25\nseed = 3\n"
         "protocol = geqr\n", ["--adv", "qr-analog", "--runs", "1000"],
@@ -293,8 +343,8 @@ NETSIM_BYTES = {
                           "451bfbf558e61643b654dae9b68fd789",
             "summary.csv": "7235544f7d147b3e799a060e708e8373"
                            "6214e9c82cc71027e6fe5de408a26a0f",
-            "report.json": "f60a3c15bda71e029fc11774881c751c"
-                           "31d8b5d48a69f3b5de7db7fa0aaa3eb8",
+            "report.json": "c661a9d553c23e0584ad412d776a48d6"
+                           "cac006fed004c9ab0d6efcc8062b3b15",
             "stderr": "28adcbf4102bc32344fb935a1333e48f"
                       "fdd25988e0597ed4097512c47b02c638"}),
 }
@@ -532,6 +582,19 @@ def test_netsim_report_volatile_block(cache_dir, tmp_path):
     assert 0 < volatile[0]["adversary_calls"] < 8 ** 4
     assert volatile[0]["leak_calls"] == 8
     assert reports[0] == reports[1]
+    # a sampled toy extpub request adds the bootstrap's counters: most of
+    # its rest groups hold one cell, so its resamples draw few runs
+    cfg.write_text("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
+                   "seed = 17\nprotocol = extpub\n")
+    assert run_cli(["netsim", "--config", str(cfg), "--runs", "500"],
+                   cache_dir, tmp_path / "c") == 0
+    volatile = json.loads((tmp_path / "c" / "report.json").read_text())[
+        "volatile"]
+    assert set(volatile) == {"worlds", "adversary_calls", "leak_calls",
+                             "eval_s", "estimator_s", "resamples",
+                             "bootstrap_draws", "lone_groups"}
+    assert volatile["lone_groups"] > 3 * 400
+    assert 0 < volatile["bootstrap_draws"] < 3 * 100 * 200
 
 
 def test_netsim_exact_refuses_more_worlds_than_the_cap(cache_dir, tmp_path,
@@ -546,6 +609,21 @@ def test_netsim_exact_refuses_more_worlds_than_the_cap(cache_dir, tmp_path,
     assert "268435456 worlds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", [
+    ("geqr_s = 0", "geqr_s"), ("geqr_s = -1", "geqr_s"),
+    ("geqr_group = 0", "geqr_group"), ("geqr_group = 1", "geqr_group")])
+def test_netsim_refuses_geqr_partitions_without_groups(cache_dir, tmp_path,
+                                                       capsys, line, key):
+    # no group, or groups of fewer than two players: exit 4 naming the key
+    # (geqr_s = 0 used to end in a ZeroDivisionError traceback)
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text("p = 5\nt = 1\nn = 3\nk = 3\nalpha = 0.25\nseed = 3\n"
+                   f"protocol = geqr\n{line}\n")
+    assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache_dir,
+                   tmp_path / "out") == 4
+    assert f"config key {key} must be >= " in capsys.readouterr().err
+
+
 def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
     from extractomat.oracle import BOOTSTRAP_RESAMPLES
     cfg = tmp_path / "micro.cfg"
@@ -556,11 +634,16 @@ def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     volatile = report["volatile"]
     assert set(volatile) == {"worlds", "adversary_calls", "leak_calls",
-                             "eval_s", "estimator_s", "resamples"}
+                             "eval_s", "estimator_s", "resamples",
+                             "bootstrap_draws", "lone_groups"}
     players = len(report["output_vs_public"])
     assert players > 0
     assert volatile["resamples"] == BOOTSTRAP_RESAMPLES * players
     assert 0 < volatile["estimator_s"] <= volatile["eval_s"]
+    # geqr's 16 rest groups (the public string) all hold several cells:
+    # every resample draws all 500 runs
+    assert volatile["lone_groups"] == 0
+    assert volatile["bootstrap_draws"] == 500 * BOOTSTRAP_RESAMPLES * players
 
 
 def test_netsim_runs_the_protocol_once_per_request(cache_dir, tmp_path,

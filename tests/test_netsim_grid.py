@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -24,7 +26,7 @@ def test_netsim_grid_agrees_with_itself_on_two_requests():
 def test_netsim_grid_names_the_requests_a_changed_tree_answers_otherwise(
         tmp_path):
     # a copy whose exact excess is one too large changes both requests'
-    # exact distances
+    # exact distances, in stdout, report.json and summary.csv
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -35,18 +37,22 @@ def test_netsim_grid_names_the_requests_a_changed_tree_answers_otherwise(
     dist_py.write_text(text.replace(line, line.rstrip() + " + 1\n"))
     out = _grid(ROOT / "src", changed)
     assert out.returncode == 1, out.stderr
+    named = ["  stdout: 0.exact_distance", "  report.json: exact_distance",
+             "  summary.csv"]
     assert out.stdout.splitlines() == [
-        "2 requests, 2 mismatches", "mismatch: exact-geqr-n2-s3-none",
-        "mismatch: exact-geqr-n2-s3-ir"]
+        "2 requests, 2 mismatches", "mismatch: exact-geqr-n2-s3-none", *named,
+        "mismatch: exact-geqr-n2-s3-ir", *named]
 
 
-@pytest.mark.parametrize("old, new", [
+@pytest.mark.parametrize("old, new, named", [
     # stderr alone: the config warnings' prefix
-    ('print(f"config warning: {w.message}"', 'print(f"config note: {w.message}"'),
+    ('print(f"config warning: {w.message}"', 'print(f"config note: {w.message}"',
+     "  stderr"),
     # stdout alone: the printed report, not report.json
-    ("print(json.dumps(report))", "print(json.dumps({**report, 'p': 0}))"),
+    ("print(json.dumps(report))", "print(json.dumps({**report, 'p': 0}))",
+     "  stdout: 0.p"),
 ], ids=["stderr", "stdout"])
-def test_netsim_grid_compares_stdout_and_stderr(tmp_path, old, new):
+def test_netsim_grid_compares_stdout_and_stderr(tmp_path, old, new, named):
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -57,5 +63,36 @@ def test_netsim_grid_compares_stdout_and_stderr(tmp_path, old, new):
     out = _grid(ROOT / "src", changed)
     assert out.returncode == 1, out.stderr
     assert out.stdout.splitlines() == [
-        "2 requests, 2 mismatches", "mismatch: exact-geqr-n2-s3-none",
-        "mismatch: exact-geqr-n2-s3-ir"]
+        "2 requests, 2 mismatches", "mismatch: exact-geqr-n2-s3-none", named,
+        "mismatch: exact-geqr-n2-s3-ir", named]
+
+
+def test_netsim_grid_names_the_key_paths_that_differ():
+    # a sampled report whose spread alone moved: its ci_99 and half_width
+    # paths, in report.json and stdout's line 0; a key only one side has,
+    # a nested value and a text output are named too
+    spec = importlib.util.spec_from_file_location("netsim_grid", GRID)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    rep = {"public_block_quality": {
+        str(pid): {"estimate": 0.93, "ci_99": [0.92, 0.94],
+                   "half_width": 0.01, "samples": 500} for pid in (4, 5)},
+        "y_width": 12}
+    moved = json.loads(json.dumps(rep))
+    moved["public_block_quality"]["4"].update(ci_99=[0.925, 0.94],
+                                              half_width=0.0075)
+
+    def answer(report, **extra):
+        text = json.dumps(report, indent=2)
+        return {"request": "r", "exit": 0, "stderr": "", "stdout": [text],
+                "report.json": text, "summary.csv": "x", **extra}
+
+    spread = "public_block_quality.4.ci_99, public_block_quality.4.half_width"
+    assert grid.differences(answer(rep), answer(moved)) == [
+        f"stdout: 0.{spread.replace(', ', ', 0.')}", f"report.json: {spread}"]
+    assert grid.differences(answer(rep), answer(rep)) == []
+    assert grid.differences(answer(rep), answer(
+        {**rep, "extra": {"a": 1}}, **{"summary.csv": "y"})) == [
+        "stdout: 0.extra", "report.json: extra", "summary.csv"]
+    assert grid.differences(answer(rep), answer(rep, stdout=[])) == [
+        "stdout: 0"]

@@ -582,8 +582,8 @@ def test_keys_count_one_per_cell():
 
 
 def test_bootstrap_draw_switches_at_four_samples_per_cell():
-    # 300 cells, 4 samples each: n = 4 * cells draws indices; one more
-    # sample tips it to multinomial rows.
+    # 300 cells, 4 samples each, every cell shared: n = 4 * cells draws
+    # indices; one more sample tips it to multinomial rows.
     cells = [(z, r) for r in range(150) for z in (0, 1)]
     for pairs in (cells * 4, cells * 4 + cells[:1]):
         rep = mc_distance_pairs(_keys(pairs, 1), 1, tol=1.0, seed=7)
@@ -592,10 +592,9 @@ def test_bootstrap_draw_switches_at_four_samples_per_cell():
 
 @pytest.mark.parametrize("lone", ["all", "none", "mixed", "most"])
 def test_index_draws_with_lone_cells_match_the_reference(monkeypatch, lone):
-    # n <= 4 * cells, so every resample draws indices; a lone cell is
-    # alone in its rest group and is counted into the shared bucket.
-    # Where lone cells hold at least half the samples ("all", "most")
-    # their draws are left out before the count, else all are counted;
+    # n <= 4 * cells; a lone cell is alone in its rest group and only the
+    # shared samples are drawn, N of them per resample ("none": all n,
+    # undrawn; "all": none), as indices wherever W <= 4 * shared cells;
     # in reads of whole chunks and of one row at a time.
     rng = np.random.default_rng(51)
     for m in (1, 2):
@@ -626,11 +625,9 @@ def test_index_draws_with_lone_cells_match_the_reference(monkeypatch, lone):
 def test_index_draw_keys_past_int16_match_the_reference(monkeypatch, rests,
                                                         extra):
     # One sample in each of two cells per rest (and in one more cell of
-    # the last rest): every cell shared, one row per chunk, keys in [0,
-    # cells], the bucket's included.  They are int16 up to 2^15 - 1 cells
-    # and int32 from 2^15 on (where C = 2^15 itself leaves int16); 2^15
-    # rests hold 2^16 shared cells.  Three resamples keep the reference
-    # short.
+    # the last rest): every cell shared, one row per chunk, 2^15 - 1 to
+    # 2^16 cells, so a chunk's keys (cell + row offset) pass 2^15 and
+    # 2^16.  Three resamples keep the reference short.
     monkeypatch.setattr(oracle_mod, "BOOTSTRAP_RESAMPLES", 3)
     pairs = [(z, r) for r in range(rests) for z in (0, 1)]
     pairs += [(2, rests - 1)] * extra
@@ -664,17 +661,111 @@ def test_bootstrap_rows_count_every_draw(monkeypatch, rests):
 
     pairs = _random_pairs(np.random.default_rng(50), 1200, 2, False, rests)
     monkeypatch.setattr(oracle_mod, "excess_over_uniform", spy)
-    mc_distance_pairs(_keys(pairs, 2), 2, tol=1.0, seed=3)
+    rep = mc_distance_pairs(_keys(pairs, 2), 2, tol=1.0, seed=3)
     rows = np.concatenate(seen)
     assert rows.shape[0] == oracle_mod.BOOTSTRAP_RESAMPLES
-    assert (rows.sum(axis=1) == len(pairs)).all() and (rows >= 0).all()
-    # multinomial rows hold every cell; index draws hold the cells that
-    # share a rest group, then one bucket for all lone cells
-    cells = set(pairs)
-    per_rest = Counter(rest for _, rest in cells)
-    shared = sum(per_rest[rest] > 1 for _, rest in cells)
-    assert rows.shape[1] == (len(cells) if len(pairs) > 4 * len(cells)
-                             else shared + 1)
+    # rows hold the cells that share a rest group, N ~ Binomial(n, W / n)
+    # draws each; the report counts them, and the rest groups of one cell
+    per_rest = Counter(rest for _, rest in set(pairs))
+    shared = [p for p in pairs if per_rest[p[1]] > 1]
+    assert rows.shape[1] == len({p for p in shared})
+    assert (rows >= 0).all() and (rows.sum(axis=1) <= len(pairs)).all()
+    assert rep.draws == rows.sum() and rep.lone_groups == sum(
+        c == 1 for c in per_rest.values())
+    assert 0 < rep.lone_groups and 0 < len(shared) < len(pairs)
+    mean, spread = len(shared), (len(shared) * (1 - len(shared) / 1200)) ** .5
+    assert abs(rows.sum(axis=1).mean() - mean) < 4 * spread / 200 ** 0.5
+
+
+def _lone_and_shared(n, rng):
+    """``n`` pairs over four rests, m = 2: rests 0 and 2 hold any cell,
+    rest 0 two at least, rests 1 and 3 one cell each."""
+    pairs = [(0, 0), (1, 0)]
+    while len(pairs) < n:
+        r = int(rng.integers(4))
+        pairs.append((int(rng.integers(4)) if r % 2 == 0 else 3, r))
+    return [pairs[i] for i in rng.permutation(n)]
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (7, 2), (8, 3), (12, None)])
+def test_bootstrap_statistic_has_the_multinomial_law(monkeypatch, n, seed):
+    # 20,000 resamples of a key set with lone and shared cells against
+    # the exact law of the resample's excess over Multinomial(n, counts /
+    # n), enumerated count vector by count vector.  The excess is
+    # re-scored from each row: its shared counts as drawn, n minus their
+    # sum in one lone cell.  Bins below 5 expected resamples are pooled
+    # with their neighbours; the chi-square statistic stays below its
+    # 0.1% critical value (Wilson-Hilferty, z = 3.09).  The n = 12 set
+    # holds 5 samples per shared cell, 6 and 4: multinomial rows.
+    from helpers_naive import naive_cell_excess, naive_resample_law
+    pairs = ([(0, 0)] * 6 + [(1, 0)] * 4 + [(3, 1), (2, 2)] if seed is None
+             else _lone_and_shared(n, np.random.default_rng(seed)))
+    per_rest = Counter(rest for _, rest in set(pairs))
+    cells = list(dict.fromkeys(p for p in pairs if per_rest[p[1]] > 1))
+    shared = sum(per_rest[rest] > 1 for _, rest in pairs)
+    assert 0 < len(cells) < len(set(pairs)) and len(pairs) == n
+    assert (shared > 4 * len(cells)) == (seed is None)
+    seen = []
+    real = oracle_mod.excess_over_uniform
+
+    def spy(weights, groups, m):
+        if np.ndim(weights) > 1:
+            seen.append(np.asarray(weights))
+        return real(weights, groups, m)
+
+    monkeypatch.setattr(oracle_mod, "excess_over_uniform", spy)
+    monkeypatch.setattr(oracle_mod, "BOOTSTRAP_RESAMPLES", 20_000)
+    mc_distance_pairs(_keys(pairs, 2), 2, tol=10.0, seed=n)
+    drawn = Counter(naive_cell_excess(
+        {(0, "lone"): n - int(row.sum()), **dict(zip(cells, row.tolist()))},
+        2) for row in np.concatenate(seen))
+    law = naive_resample_law(pairs, 2)
+    assert sum(law.values()) == 1 and set(drawn) <= set(law)
+    bins, observed, expected = [], 0, 0.0
+    for value in sorted(law):
+        observed, expected = observed + drawn[value], expected + 20_000 * float(
+            law[value])
+        if expected >= 5:
+            bins.append((observed, expected))
+            observed, expected = 0, 0.0
+    if expected:
+        o, e = bins.pop()
+        bins.append((o + observed, e + expected))
+    chi2 = sum((o - e) ** 2 / e for o, e in bins)
+    k = len(bins) - 1
+    assert k >= 2
+    assert chi2 < k * (1 - 2 / (9 * k) + 3.09 * (2 / (9 * k)) ** 0.5) ** 3
+
+
+@pytest.mark.parametrize("case", ["all-lone", "all-shared", "one-group"])
+def test_bootstrap_edge_cases_match_the_reference(monkeypatch, case):
+    # W = 0: every cell lone, each resample's excess is the estimate's,
+    # nothing is drawn; W = n: no lone cell, n draws per resample; one
+    # shared group next to lone ones.  One row per chunk changes nothing.
+    m, rests = 2, range(300)
+    if case == "all-lone":
+        pairs = [(r % 4, r) for r in rests for _ in range(r % 3 + 1)]
+    elif case == "all-shared":
+        pairs = [(z, r) for r in rests for z in (0, r % 4 or 1)]
+    else:
+        pairs = [(z, 0) for z in range(4) for _ in range(9)]
+        pairs += [(1, r) for r in rests[1:] for _ in range(r % 2 + 1)]
+    pairs = [pairs[i] for i in np.random.default_rng(8).permutation(
+        len(pairs))]
+    rep = mc_distance_pairs(_keys(pairs, m), m, tol=1.0, seed=4)
+    assert rep.estimate == naive_plugin_estimate(pairs, m)
+    assert rep.ci == naive_bootstrap_ci(pairs, m, 4)
+    B, lone = oracle_mod.BOOTSTRAP_RESAMPLES, len(rests) - 1
+    if case == "all-lone":
+        assert rep.ci == (rep.estimate, rep.estimate) and rep.draws == 0
+        assert rep.lone_groups == len(rests)
+    elif case == "all-shared":
+        assert rep.draws == B * len(pairs) and rep.lone_groups == 0
+    else:
+        assert 0 < rep.draws < B * len(pairs) and rep.lone_groups == lone
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle_mod, "CHUNK_ENTRIES", 1)
+        assert mc_distance_pairs(_keys(pairs, m), m, tol=1.0, seed=4) == rep
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,9 @@ For every request the exit code, stdout and ``report.json`` without their
 ``volatile`` keys, stderr (which holds the config warnings), ``runs.jsonl``
 and ``summary.csv`` must be byte-identical between the trees.  ``--limit
 N`` answers only the first N requests.  Prints the number of requests and
-mismatches, names each mismatch, and exits 1 on any.
+mismatches, names each mismatch with one indented line per output that
+differs (for ``report.json`` and stdout, the key paths that differ, such
+as ``public_block_quality.4.ci_99``), and exits 1 on any.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ TOY = ("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
        "seed = {seed}\n")
 ADVERSARIES = ("none", "ir", "qr-analog")
 OUTPUTS = ("report.json", "runs.jsonl", "summary.csv")
+_GONE = object()  # a key one JSON value has and the other lacks
 
 
 def requests() -> list:
@@ -117,11 +120,40 @@ def _answers(src: str, limit: int | None) -> list:
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
+def _paths(a, b, at=()) -> list:
+    """The dot-joined key paths where two JSON values differ: dicts key
+    by key, anything else as a whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in dict.fromkeys([*a, *b])
+                for p in _paths(a.get(k, _GONE), b.get(k, _GONE), (*at, k))]
+    return [] if a == b else [".".join(map(str, at))]
+
+
+def differences(old: dict, new: dict) -> list:
+    """One line per output two answers to a request disagree on: its
+    name, then for ``report.json`` and stdout (line number first) the
+    key paths that differ."""
+    lines = []
+    for key in dict.fromkeys([*old, *new]):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        paths = []
+        if key == "report.json" and a and b:
+            paths = _paths(json.loads(a), json.loads(b))
+        elif key == "stdout":
+            paths = _paths(*({i: json.loads(line) for i, line in enumerate(x)}
+                             for x in (a, b)))
+        lines.append(f"{key}: {', '.join(paths)}" if any(paths) else key)
+    return lines
+
+
 def compare(old_src: str, new_src: str, limit: int | None = None) -> tuple:
-    """``(requests answered, names of the requests whose answers differ)``."""
+    """``(requests answered, [(request, its differences)] where the
+    answers differ)``."""
     old, new = _answers(old_src, limit), _answers(new_src, limit)
-    return len(old), [a["request"] for a, b in zip(old, new, strict=True)
-                      if a != b]
+    return len(old), [(a["request"], differences(a, b))
+                      for a, b in zip(old, new, strict=True) if a != b]
 
 
 def main(argv=None) -> int:
@@ -138,8 +170,10 @@ def main(argv=None) -> int:
         p.error("give the old and the new src directory")
     total, mismatches = compare(args.old_src, args.new_src, args.limit)
     print(f"{total} requests, {len(mismatches)} mismatches")
-    for name in mismatches:
+    for name, lines in mismatches:
         print(f"mismatch: {name}")
+        for line in lines:
+            print(f"  {line}")
     return 1 if mismatches else 0
 
 
