@@ -971,16 +971,16 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     boot = ((1 << m) - 1) * (n - N)  # the lone cells' excess
     by_index = W <= 4 * S
     rows = max(1, 8 * CHUNK_ENTRIES // max(1, 4 * W if by_index else 8 * S))
-    for lo in range(0, B if W else 0, rows):
-        got = N[lo:lo + rows]
+    for i in range(0, B if W else 0, rows):
+        got = N[i:i + rows]
         if by_index:  # shared cell + S * row, one bincount per chunk
             drawn = runs.take(rng.integers(0, W, got.sum(), dtype=np.int32))
             drawn += np.repeat(S * np.arange(got.size), got)
             counts = np.bincount(drawn, minlength=got.size * S).reshape(-1, S)
-        else:
+        else:  # a scalar n draws the same rows as an array of n, faster
             counts = rng.multinomial(n if W == n else got, cvec[held] / W,
                                      size=got.size)
-        boot[lo:lo + rows] += excess_over_uniform(counts, groups, m)
+        boot[i:i + rows] += excess_over_uniform(counts, groups, m)
     boot, q = np.sort(boot) / (n << m), 50 * (1 - CI_LEVEL)
     v = (boot.size - 1) * (np.array([q, 100 - q]) / 100)  # numpy's "linear"
     a, b, g = boot[v.astype(int)], boot[np.ceil(v).astype(int)], v % 1
