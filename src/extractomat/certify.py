@@ -227,8 +227,7 @@ def _measure(handle, k_profile, strong, leak_bits, mode, samples, seed,
         return reports.pop(None), reports
     # t-source: measured via the strong-on-all-but-last composite oracle
     headline = _oracle.worst_case_error_multi(
-        handle, k_profile, b=leak_bits, mode=mode, samples=samples,
-        seed=seed, budget=budget)
+        handle, k_profile, b=leak_bits, mode=mode, budget=budget)
     return headline, {}
 
 

@@ -25,7 +25,6 @@ import os
 import sys
 import time
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -280,12 +279,13 @@ def _eval_extractor(args, handle, oracle, out_dir):
         k1 = args.k1 if args.k1 is not None else handle.k_profile[0]
         k2 = args.k2 if args.k2 is not None else handle.k_profile[1]
         ks, strong = (k1, k2, *handle.k_profile[2:]), args.strong
-    kw = dict(mode=args.mode, samples=args.samples, seed=args.seed)
     if handle.kind == "t-source":  # strong in its first two inputs
-        rep = oracle.worst_case_error_multi(handle, ks, b=args.leak_bits, **kw)
+        rep = oracle.worst_case_error_multi(handle, ks, b=args.leak_bits,
+                                            mode=args.mode)
     else:  # b = 0: the leak-free oracle
-        rep = oracle.worst_case_error_leaked(handle, ks, args.leak_bits,
-                                             strong=strong, **kw)
+        rep = oracle.worst_case_error_leaked(
+            handle, ks, args.leak_bits, strong=strong, mode=args.mode,
+            samples=args.samples, seed=args.seed)
     payload = {"extractor": handle.name, **rep.to_json_dict()}
     return payload, out_dir / "eval-report.json"
 
@@ -328,6 +328,7 @@ def cmd_netsim(args) -> int:
     from . import netsim as ns
     from .sources import FlatSource
     from .leakage import LeakageScenario
+    from .oracle import BOOTSTRAP_RESAMPLES
     params = ns.parse_config_text(args.config.read_text())
     protocol = args.protocol or params.get("protocol", "extpub")
     runs = args.runs if args.runs is not None else params.get("runs", 1000)
@@ -352,11 +353,13 @@ def cmd_netsim(args) -> int:
     adv = _builtin_adversary(adv_kind, cfg)
     outer = cfg.geqr_outer() if geqr else cfg.players_c
     target_set = list(outer if geqr else cfg.players_b + outer)
+    leaked = []  # one entry per leak-map call
     if adv_kind == "qr-analog":
         # leak one bit of the first outer player's source for the
         # QR-analog strategy to act on
-        scenario = LeakageScenario.oa([cfg.n] * cfg.p, outer[0] - 1,
-                                      lambda x, a: x & 1, 1)
+        scenario = LeakageScenario.oa(
+            [cfg.n] * cfg.p, outer[0] - 1,
+            lambda x, a: leaked.append(x) or x & 1, 1)
     else:
         scenario = LeakageScenario.trivial([cfg.n] * cfg.p)
     if args.exact:
@@ -375,10 +378,11 @@ def cmd_netsim(args) -> int:
     log_path, csv_path, report_path = (
         out_dir / name for name in ("runs.jsonl", "summary.csv", "report.json"))
 
-    tally, t0 = Counter(), time.perf_counter()
+    t0 = time.perf_counter()
     den, weights, b = ns.protocol_runs(
         proto_key, cfg, sources, scenario, adv,
-        n_runs=None if args.exact else runs, seed=seed, tally=tally)
+        n_runs=None if args.exact else runs, seed=seed)
+    worlds = len(weights)
     _write_text(log_path, b.to_jsonl())
     report["y_width"] = b.y_width
     if geqr:
@@ -388,8 +392,8 @@ def cmd_netsim(args) -> int:
     if args.exact:
         lift = None
         if geqr and adv_kind == "qr-analog":
-            rep, ir, bits = ns.ir_to_qr(cfg, adv, target_set, den, weights, b,
-                                        tally=tally)
+            rep, ir, bits = ns.ir_to_qr(cfg, adv, target_set, den, weights, b)
+            worlds += len(weights) << bits  # one ensemble per IR attack
             lift = {"rushing_bits": bits, "ir_distance": float(ir),
                     "qr_distance": float(rep.distance),
                     "bound": float(ir) * (1 << bits),
@@ -408,19 +412,23 @@ def cmd_netsim(args) -> int:
         if geqr:
             field, mcs = "output_vs_public", ns.player_estimates(
                 b, {pid: (b.outputs[:, pid - 1], [b.y]) for pid in target_set},
-                m, tol=tol, seed=seed, tally=tally)
+                m, tol=tol, seed=seed)
         else:
             field, mcs = "public_block_quality", ns.mc_public_block_quality(
-                cfg, b, tol=tol, seed=seed, tally=tally)
+                cfg, b, tol=tol, seed=seed)
         report[field] = {str(pid): rep.to_json_dict()
                          for pid, rep in mcs.items()}
         rows = [{"player": pid, "distance": rep.estimate, "mode": "sampled"}
                 for pid, rep in sorted(mcs.items())]
-    keys = ["worlds", "adversary_calls", "leak_calls"]
+    volatile = {"worlds": worlds, "adversary_calls": b.callbacks,
+                "leak_calls": len(leaked)}
     if not args.exact:
-        keys += ["estimator_s", "resamples", "bootstrap_draws", "lone_groups"]
-    report["volatile"] = {key: tally[key] for key in keys}
-    report["volatile"]["eval_s"] = time.perf_counter() - t0
+        reps = mcs.values()
+        volatile.update(estimator_s=sum(r.seconds for r in reps),
+                        resamples=BOOTSTRAP_RESAMPLES * len(reps),
+                        bootstrap_draws=sum(r.draws for r in reps),
+                        lone_groups=sum(r.lone_groups for r in reps))
+    report["volatile"] = {**volatile, "eval_s": time.perf_counter() - t0}
 
     summary = io.StringIO(newline="")
     writer = csv.DictWriter(summary, fieldnames=["player", "distance", "mode"])

@@ -24,15 +24,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .extractors import ExtractorHandle, index_grid
+from .ledger import DEFAULT_OMEGA, DEFAULT_WEAKSEED_C, WEAKSEED_FACTOR
 
 
 @dataclass(frozen=True)
 class CompositionConfig:
     """Constants the compositions need but the theory leaves free."""
 
-    omega_const: float = 1.0 / 20.0   # 2^-Omega(x) is read as 2^-(omega_const*x)
-    weak_seed_entropy_factor: float = 1.2
-    weak_seed_C: float = 64.0         # d <= k/C gate for the weak-seed transform
+    omega_const: float = DEFAULT_OMEGA  # 2^-Omega(x) is 2^-(omega_const*x)
+    weak_seed_entropy_factor: float = WEAKSEED_FACTOR
+    weak_seed_C: float = DEFAULT_WEAKSEED_C  # d <= k/C: weak-seed gate
 
 
 DEFAULT_CONFIG = CompositionConfig()

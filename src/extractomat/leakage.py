@@ -117,18 +117,15 @@ class LeakageScenario:
         """Indices of the sources whose leak has a non-zero width."""
         return tuple(i for i in range(self.t) if self.e_widths[i] > 0)
 
-    def leak_columns(self, xs: np.ndarray, a: np.ndarray,
-                     tally=None) -> np.ndarray:
+    def leak_columns(self, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The non-trivial leaks of worlds ``xs[j]``, ``a[j]``: one column
         per leaky source, each map called once per distinct ``(x_i, A_i)``
-        pair.  ``tally["leak_calls"]`` counts the calls."""
+        pair."""
         cols = []
         for i in self.leaky:
             ids, first = row_ids([xs[:, i], self.slice_value(a, i)], len(a))
             vals = [self.leak_value(i, int(xs[j, i]), int(a[j])) for j in first]
             cols.append(np.array(vals, dtype=np.int64)[ids])
-            if tally is not None:
-                tally["leak_calls"] += len(first)
         return np.array(cols, dtype=np.int64).reshape(-1, len(a)).T
 
     def leak_value(self, i: int, x: int, a: int) -> int:
@@ -187,17 +184,16 @@ def leakage_apply(sources: Sequence[Distribution], sc: LeakageScenario,
 
 def enumerate_worlds(sources: Sequence[Distribution],
                      sc: LeakageScenario | None = None,
-                     shared: Distribution | None = None, tally=None) -> tuple:
+                     shared: Distribution | None = None) -> tuple:
     """Every joint value of independent sources and the shared register.
 
     Returns ``(den, weights, xs, a, es)`` with one row per combination of
     support points, in ``itertools.product`` order with the register
     varying fastest: the (N, t) source values ``xs``, the register column
     ``a`` (0 when ``sc`` uses none), the (N, len(sc.leaky)) leak columns
-    ``es`` (no columns without ``sc``; see
-    :meth:`LeakageScenario.leak_columns` for ``tally``), and world ``j``'s
-    probability ``weights[j] / den``, the weights int64 over the product
-    of the denominators.  More than ``MAX_WORLDS`` combinations raise
+    ``es`` (no columns without ``sc``), and world ``j``'s probability
+    ``weights[j] / den``, the weights int64 over the product of the
+    denominators.  More than ``MAX_WORLDS`` combinations raise
     :class:`SizeLimitError`.
     """
     dists = list(sources)
@@ -223,7 +219,7 @@ def enumerate_worlds(sources: Sequence[Distribution],
     for d, s in zip(dists, supports):
         weights = np.multiply.outer(weights, d.numerators[s]).ravel()
     xs = np.stack(cols[:-1], axis=1)
-    es = (sc.leak_columns(xs, cols[-1], tally) if sc is not None
+    es = (sc.leak_columns(xs, cols[-1]) if sc is not None
           else np.zeros((xs.shape[0], 0), dtype=np.int64))
     return den, weights, xs, cols[-1], es
 

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 
 from .errors import ConstraintViolatedError, InvalidInputError
 
-_DEFAULT_OMEGA = 1.0 / 20.0
+# the first three are combinators.CompositionConfig's defaults too
+DEFAULT_OMEGA = 1.0 / 20.0
+DEFAULT_WEAKSEED_C = 64.0
+WEAKSEED_FACTOR = 1.2
 _DEFAULT_BIG_O = 8
-_DEFAULT_WEAKSEED_C = 64.0
 _DEFAULT_DISPERSER_C = 1.0
 _DEFAULT_EXPANDER_C = 1.0
 
@@ -224,7 +226,7 @@ def _thm_qmext(entry, t, n, k, l, eps1, eps2):
                      "strong": f"S = {{1..{t}}}", "security": "OA/GE"}
 
 
-def _thm_qbext(entry, eps1, eps2, eps3, k3, omega_const=_DEFAULT_OMEGA):
+def _thm_qbext(entry, eps1, eps2, eps3, k3, omega_const=DEFAULT_OMEGA):
     residual = 2.0 ** (-omega_const * k3)
     entry.step("residual", "2^-Omega(k3), Omega constant is a default",
                residual)
@@ -234,7 +236,7 @@ def _thm_qbext(entry, eps1, eps2, eps3, k3, omega_const=_DEFAULT_OMEGA):
                      "security": "OA/GE"}
 
 
-def _thm_bext(entry, k, eps, omega_const=_DEFAULT_OMEGA):
+def _thm_bext(entry, k, eps, omega_const=DEFAULT_OMEGA):
     residual = 2.0 ** (-omega_const * k)
     entry.step("residual", "2^-Omega(k), Omega constant is a default",
                residual)
@@ -244,8 +246,8 @@ def _thm_bext(entry, k, eps, omega_const=_DEFAULT_OMEGA):
                      "security": "marginal/OA per final stage"}
 
 
-def _thm_weak_seed(entry, k, eps, d, delta, C=_DEFAULT_WEAKSEED_C,
-                   big_o_const=_DEFAULT_BIG_O, omega_const=_DEFAULT_OMEGA):
+def _thm_weak_seed(entry, k, eps, d, delta, C=DEFAULT_WEAKSEED_C,
+                   big_o_const=_DEFAULT_BIG_O, omega_const=DEFAULT_OMEGA):
     entry.check("d <= k/C", d <= k / C, d, k / C)
     entry.require()
     d_prime = big_o_const * d
@@ -255,8 +257,8 @@ def _thm_weak_seed(entry, k, eps, d, delta, C=_DEFAULT_WEAKSEED_C,
                {"k_block1": delta * d_prime, "k_block2": delta * d_prime / 2})
     out_eps = eps + 2.0 ** (-omega_const * d)
     entry.step("eps", "eps' = eps + 2^-Omega(d)", out_eps)
-    entry.outputs = {"k": 1.2 * k, "eps": min(1.0, out_eps), "d": d_prime,
-                     "seed_entropy": (0.5 + delta) * d_prime,
+    entry.outputs = {"k": WEAKSEED_FACTOR * k, "eps": min(1.0, out_eps),
+                     "d": d_prime, "seed_entropy": (0.5 + delta) * d_prime,
                      "security": "strong, weak seed"}
 
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -46,7 +44,7 @@ from .errors import ConstraintViolatedError, InvalidInputError, _integer
 from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
-from .oracle import BOOTSTRAP_RESAMPLES, mc_distance_pairs
+from .oracle import mc_distance_pairs
 from .sources import FlatSource
 
 
@@ -581,7 +579,7 @@ def _as_distribution(src) -> Distribution:
     return src.to_distribution() if isinstance(src, FlatSource) else src
 
 
-def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int, tally):
+def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int):
     """``n_runs`` worlds in the shape of ``enumerate_worlds``, weight 1
     each over ``n_runs``: every source drawn once as an ``n_runs``-vector
     from one Philox stream keyed by ``seed ^ WORLD_KEY``, then the shared
@@ -595,10 +593,10 @@ def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int, tally):
             raise InvalidInputError("scenario uses a shared register")
         a = shared.sample(rng, size=n_runs)
     return n_runs, np.ones(n_runs, dtype=np.int64), xs, a, \
-        scenario.leak_columns(xs, a, tally)
+        scenario.leak_columns(xs, a)
 
 
-def _run_protocol(protocol: str, cfg, xs, adv, side, tally) -> Batch:
+def _run_protocol(protocol: str, cfg, xs, adv, side) -> Batch:
     if protocol in ("ext_pub", "ext_pub_only"):  # ext_pub_only: no private step
         b = exec_ext_pub(cfg, xs, adv, side)
         if protocol == "ext_pub":
@@ -607,34 +605,30 @@ def _run_protocol(protocol: str, cfg, xs, adv, side, tally) -> Batch:
         b = exec_geqr(cfg, xs, adv, side)
     else:
         raise InvalidInputError(f"unknown protocol {protocol!r}")
-    if tally is not None:
-        tally.update(worlds=len(b.xs), adversary_calls=b.callbacks)
     return b
 
 
 def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
                   scenario: LeakageScenario | None, adv: AdversaryStrategy, *,
                   shared: Distribution | None = None,
-                  n_runs: int | None = None, seed: int = 0,
-                  tally: Counter | None = None) -> tuple:
+                  n_runs: int | None = None, seed: int = 0) -> tuple:
     """Run the protocol on every world of one ensemble at once:
     ``(den, weights, batch)``, world ``j`` (row ``j`` of the batch) having
     probability ``weights[j] / den``.  ``n_runs=None`` enumerates every
-    source/leak world exactly; else ``n_runs`` worlds keyed by ``seed``.
-    ``tally`` adds up the worlds, leak-map calls and rushing callbacks."""
+    source/leak world exactly; else ``n_runs`` worlds keyed by ``seed``."""
     if len(sources) != cfg.p:
         raise InvalidInputError("one source per player required")
     scenario = scenario or LeakageScenario.trivial([cfg.n] * cfg.p)
     if n_runs is None:
         den, weights, xs, _, es = enumerate_worlds(
-            [_as_distribution(s) for s in sources], scenario, shared, tally)
+            [_as_distribution(s) for s in sources], scenario, shared)
     elif n_runs < 1:
         raise InvalidInputError("an ensemble needs at least one run")
     else:
         den, weights, xs, _, es = _draw_worlds(sources, scenario, shared,
-                                               n_runs, seed, tally)
+                                               n_runs, seed)
     side = {i + 1: es[:, c] for c, i in enumerate(scenario.leaky)}
-    return den, weights, _run_protocol(protocol, cfg, xs, adv, side, tally)
+    return den, weights, _run_protocol(protocol, cfg, xs, adv, side)
 
 
 # ----------------------------------------------------------------------
@@ -660,8 +654,7 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
                       adv: AdversaryStrategy, player_set: Iterable[int], *,
                       shared: Distribution | None = None,
                       mode: str = "exact", n_runs: int = 100_000,
-                      tol: float = 0.15, seed: int = 0,
-                      tally: Counter | None = None) -> SecurityReport:
+                      tol: float = 0.15, seed: int = 0) -> SecurityReport:
     """Distance of (Z_S', Z_-S', T, leaks) from uniform x rest.
 
     Exact mode executes the protocol on every source/leak combination and
@@ -673,12 +666,12 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
     exact = mode == "exact"
     return security(protocol, cfg, player_set, *protocol_runs(
         protocol, cfg, sources, scenario, adv, shared=shared,
-        n_runs=None if exact else n_runs, seed=seed, tally=tally),
-        exact=exact, tol=tol, seed=seed, tally=tally)
+        n_runs=None if exact else n_runs, seed=seed),
+        exact=exact, tol=tol, seed=seed)
 
 
 def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
-             tol=None, seed=None, tally=None) -> SecurityReport:
+             tol=None, seed=None) -> SecurityReport:
     """:func:`evaluate_security` of the ensemble ``(den, weights, b)``
     that :func:`protocol_runs` returns."""
     player_set = tuple(sorted(set(player_set)))
@@ -697,8 +690,8 @@ def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
     if exact:
         distance = ratio(column_excess(weights, z, rest, part_w), den << part_w)
     else:
-        distance = _estimate(z, row_ids(rest, len(z))[0], part_w, tol, seed,
-                             tally)
+        keys = (row_ids(rest, len(z))[0] << part_w) | z
+        distance = mc_distance_pairs(keys, part_w, tol=tol, seed=seed)
     return SecurityReport("exact" if exact else "sampled", distance,
                           player_set, s_prime, part_w, len(weights))
 
@@ -728,14 +721,12 @@ def forced_slice_distances(cfg, adv, player_set, den, weights, b) -> list:
     return out
 
 
-def ir_to_qr(cfg, adv, player_set, den, weights, b, *, tally=None) -> tuple:
+def ir_to_qr(cfg, adv, player_set, den, weights, b) -> tuple:
     """``(qr_report, ir_distance, rushing_bits)``: exact geqr security of
     the ensemble ``(den, weights, b)`` run under the QR-analog attack
-    ``adv``, and the worst of :func:`forced_slice_distances` on it.
-    ``tally`` counts one ensemble of worlds per IR attack."""
+    ``adv``, and the worst of :func:`forced_slice_distances` on it, one
+    constant-slice attack per value of the ``rushing_bits``."""
     ir = forced_slice_distances(cfg, adv, player_set, den, weights, b)
-    if tally is not None:
-        tally.update(worlds=len(weights) * len(ir))
     return (security("geqr", cfg, player_set, den, weights, b), max(ir),
             len(ir).bit_length() - 1)
 
@@ -759,23 +750,8 @@ def strong_player_error(protocol: str, cfg: NetworkConfig, sources,
     return ratio(column_excess(weights, z, rest, m), den << m)
 
 
-def _estimate(z, ids, m: int, tol: float, seed: int, tally=None):
-    """The plug-in estimate over sampled runs, each rest named by its dense
-    id.  ``tally`` adds its resamples, the runs they draw
-    (``bootstrap_draws``), its rest groups of one cell (``lone_groups``)
-    and, as ``estimator_s``, the seconds of :func:`mc_distance_pairs`
-    (cells, estimate and bootstrap; no rest ids)."""
-    t0 = time.perf_counter()
-    rep = mc_distance_pairs((ids << m) | z, m, tol=tol, seed=seed)
-    if tally is not None:
-        tally.update(estimator_s=time.perf_counter() - t0,
-                     resamples=BOOTSTRAP_RESAMPLES, bootstrap_draws=rep.draws,
-                     lone_groups=rep.lone_groups)
-    return rep
-
-
 def player_estimates(b: Batch, pairs: dict, m: int, *, tol: float,
-                     seed: int = 0, tally=None) -> dict:
+                     seed: int = 0) -> dict:
     """Per-player Monte-Carlo distance of Z_j from uniform given its rest,
     on the sampled ensemble ``b``: ``pairs`` maps each player to ``(z_j,
     rest_j)``, ``m``-bit values and a list of columns, numbered once per
@@ -785,12 +761,13 @@ def player_estimates(b: Batch, pairs: dict, m: int, *, tol: float,
         if not faulty_seen[pid - 1]:
             if (key := tuple(map(id, rest))) not in ids:
                 ids[key] = row_ids(rest, len(z))[0]
-            out[pid] = _estimate(z, ids[key], m, tol, seed + pid, tally)
+            out[pid] = mc_distance_pairs((ids[key] << m) | z, m, tol=tol,
+                                         seed=seed + pid)
     return out
 
 
 def mc_public_block_quality(cfg: NetworkConfig, b: Batch, *, tol: float,
-                            seed: int = 0, tally=None) -> dict:
+                            seed: int = 0) -> dict:
     """Per-B-player Monte-Carlo distance of (Y_j, T_1) from uniform x T_1
     on the sampled public-block ensemble ``b``.
 
@@ -803,7 +780,7 @@ def mc_public_block_quality(cfg: NetworkConfig, b: Batch, *, tol: float,
     return player_estimates(
         b, {pid: ((r2[:, k] << sw) | r3[:, k], t1)
             for k, pid in enumerate(cfg.players_b)},
-        2 * sw, tol=tol, seed=seed, tally=tally)
+        2 * sw, tol=tol, seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,13 @@ def _check_k(k, width: int) -> int:
     return int(k)
 
 
+def _levels(h, k_profile) -> tuple:
+    """The support sizes ``2**k`` of ``h``'s inputs at ``k_profile``."""
+    if len(k_profile) < h.arity:
+        raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
+    return tuple(1 << _check_k(k, n) for k, n in zip(k_profile, h.input_widths))
+
+
 def _subsets(space: int, size: int, orbits: bool = False):
     """The ``size``-point supports of ``range(space)`` as a stream of
     tuples: every one, lexicographic, or with ``orbits`` one or more per
@@ -465,8 +472,7 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
 
 
 def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
-                samples=DEFAULT_SAMPLES, seed=0, seed1=0, pairs=False,
-                table2d=None):
+                samples=DEFAULT_SAMPLES, seed=0, seed1=0, pairs=False):
     """One two-input request on the kernel: input ``enum`` is enumerated
     with its leak rows (every ``b``-bit pattern on its support, or the
     rows of the ``maps`` array) and the other input is selected, revealed
@@ -477,9 +483,8 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
     map.  Sampled, the enumerated supports are drawn from ``Philox(seed)``
     and, if marginal, the selected ones from ``Philox(seed1)``; with
     ``pairs``, ``_two_source_sampled`` scores random pairs instead.
-    ``table2d`` is ``h``'s table as a matrix, that view when None.  Returns
-    ``(report, supports, leak_map or None)``; an exhaustive report's
-    ``enumerated`` counts the family searched.
+    Returns ``(report, supports, leak_map or None)``; an exhaustive
+    report's ``enumerated`` counts the family searched.
 
     A leak-free two-source request on a square table enumerates one or
     more supports per orbit of GL(n,2), ``_subsets(..., orbits=True)``,
@@ -513,14 +518,12 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
         # the check reads 2 * 2^n rows, a skipped support K, of 2^n entries
         if (count * per <= budget
                 and 2 * X[enum] < (family - count) * Ks[enum]):
-            table2d = h.table().reshape(X)
-            reps = count if _gl_invariant(table2d) else 0
+            reps = count if _gl_invariant(h.table().reshape(X)) else 0
     mode = "exhaustive" if reps else _resolve_mode(
         mode, free if mapfree else required, budget, what)
     if mode == "sampled" and pairs:
         return _two_source_sampled(h, Ks, strong, samples, seed)
-    if table2d is None:
-        table2d = h.table().reshape(X)
+    table2d = h.table().reshape(X)
     if reps:  # a witness support is a representative, listed ascending
         rep, supports, _ = _selected_worst(
             table2d, Ks, h.m, strong, enum,
@@ -585,9 +588,7 @@ def worst_case_error_2source(h: ExtractorHandle, k1, k2,
         raise InvalidInputError("worst_case_error_2source needs a 2-input handle")
     if strong not in (None, 0, 1):
         raise InvalidInputError(f"strong must be None, 0 or 1, not {strong!r}")
-    n1, n2 = h.input_widths
-    Ks = (1 << _check_k(k1, n1), 1 << _check_k(k2, n2))
-    t0 = time.perf_counter()
+    Ks, t0 = _levels(h, (k1, k2)), time.perf_counter()
     rep, supports, _ = _side_worst(
         h, Ks, strong, 0 if strong == 1 else 1, mode, budget,
         "two-source enumeration", samples=samples, seed=seed, pairs=True)
@@ -719,8 +720,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
     enumerated input of ``_side_worst``, its sampled supports drawn from
     ``Philox(seed ^ 0xA1)`` and, if marginal, the other input's from
     ``Philox(seed ^ 0xB2)``."""
-    widths = h.input_widths
-    Ks = tuple(1 << _check_k(k, n) for k, n in zip(k_profile, widths))
+    Ks = _levels(h, k_profile)
     baseline = worst_case_error_2source(
         h, *k_profile[:2], strong, mode=mode, samples=samples, seed=seed,
         budget=budget)
@@ -729,7 +729,6 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
     total, cands, memory, kernels = (baseline.enumerated, baseline.candidates,
                                      baseline.memory_bytes, {baseline.kernel})
     exhaustive = baseline.mode == "exhaustive"
-    table2d = h.table().reshape(-1, 1 << widths[1])
     for i_star in leak_sources:
         if i_star == strong:
             # E is a function of the conditioned input: identical to b=0.
@@ -737,7 +736,7 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
         rep, supports, leak_map = _side_worst(
             h, Ks, strong, i_star, mode, budget, "leaked two-source enumeration",
             b=b, maps=maps, samples=samples, seed=seed ^ 0xA1,
-            seed1=seed ^ 0xB2, table2d=table2d)
+            seed1=seed ^ 0xB2)
         exhaustive &= rep.mode == "exhaustive"
         total, cands = total + rep.enumerated, cands + rep.candidates
         memory = max(memory, rep.memory_bytes)
@@ -760,8 +759,6 @@ def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
 
 def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
                            mode: str = "exhaustive",
-                           samples: int = DEFAULT_SAMPLES,
-                           seed: int = 0,
                            budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Worst-case strong error of a 3-input handle, strong on inputs {0,1}.
 
@@ -774,11 +771,8 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
     """
     if h.arity != 3:
         raise InvalidInputError("worst_case_error_multi handles 3 inputs")
-    if len(k_profile) < h.arity:
-        raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
     X1, X2, X3 = (1 << n for n in h.input_widths)
-    K1, K2, K3 = (1 << _check_k(k, n)
-                  for k, n in zip(k_profile, h.input_widths))
+    K1, K2, K3 = _levels(h, k_profile)
     _leak_maps(None, b)
     t0 = time.perf_counter()
     tbl = h.table().reshape(X1, X2, X3)
@@ -829,11 +823,8 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     """
     if h.arity != 3:
         raise InvalidInputError("block+general oracle handles 3 inputs")
-    if len(k_profile) < h.arity:
-        raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
     X1, X2, X3 = (1 << n for n in h.input_widths)
-    K1, K2, K3 = (1 << _check_k(k, n)
-                  for k, n in zip(k_profile, h.input_widths))
+    K1, K2, K3 = _levels(h, k_profile)
     t0 = time.perf_counter()
     tbl = h.table().reshape(X1 * X2, X3)
     mode = _resolve_mode(mode, math.comb(X3, K3), budget,
@@ -902,6 +893,7 @@ class MCReport:
     tol: float
     draws: int = 0        # runs drawn over all resamples (volatile)
     lone_groups: int = 0  # rest groups holding one cell (volatile)
+    seconds: float = field(default=0.0, compare=False)  # volatile
 
     @property
     def half_width(self) -> float:
@@ -937,11 +929,11 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     cells, and a stream read in chunks is the stream read whole.  A chunk
     takes the bytes of about ``CHUNK_ENTRIES`` int64 entries (a row's
     indices number W on average) and is scored in one
-    :func:`excess_over_uniform` call.  ``draws`` counts the N, and
-    ``lone_groups`` the groups of one cell.  Needs n >= 100 * 2**m /
-    tol**2.
+    :func:`excess_over_uniform` call.  ``draws`` counts the N,
+    ``lone_groups`` the groups of one cell, and ``seconds`` times the
+    call.  Needs n >= 100 * 2**m / tol**2.
     """
-    keys = np.asarray(keys)
+    t0, keys = time.perf_counter(), np.asarray(keys)
     if (keys.ndim != 1 or keys.dtype.kind not in "iu"
             or not isinstance(m, (int, np.integer)) or m < 0):
         raise InvalidInputError(f"keys must be a 1-D integer array and m an "
@@ -986,7 +978,8 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
     a, b, g = boot[v.astype(int)], boot[np.ceil(v).astype(int)], v % 1
     lo, hi = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
     return MCReport(estimate=float(estimate), ci=(float(lo), float(hi)),
-                    n=n, m=m, tol=tol, draws=int(N.sum()), lone_groups=lone)
+                    n=n, m=m, tol=tol, draws=int(N.sum()), lone_groups=lone,
+                    seconds=time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,6 @@
-import warnings
-
 import pytest
 
 
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("xtab-cache")
-
-
-@pytest.fixture(autouse=True)
-def _quiet_config_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="k=.*entropy floor")
-        warnings.filterwarnings("ignore", message="alpha < gamma")
-        yield

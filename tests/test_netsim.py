@@ -677,14 +677,14 @@ def test_ir_to_qr_matches_the_per_slice_loop(micro_geqr):
     # criterion 10's instance: 2-bit rushing, 4 constant-slice attacks
     sources = [FlatSource(4, range(16)) if pid != 3 else FlatSource(4, [0])
                for pid in range(1, 6)]
-    scenario = LeakageScenario.oa([4] * 5, 4, lambda x, a: x & 1, 1)
+    leaked = []  # one entry per leak-map call
+    scenario = LeakageScenario.oa([4] * 5, 4,
+                                  lambda x, a: leaked.append(x) or x & 1, 1)
     qr = AdversaryStrategy.qr_analog(
         {3}, lambda pid, rnd, view, side: (side.get(5, 0) * 15) & 0xF)
-    tally = Counter()
-    den, weights, b = protocol_runs("geqr", micro_geqr, sources, scenario, qr,
-                                    tally=tally)
-    qr_rep, ir, bits = ir_to_qr(micro_geqr, qr, [5], den, weights, b,
-                                tally=tally)
+    den, weights, b = protocol_runs("geqr", micro_geqr, sources, scenario, qr)
+    qr_rep, ir, bits = ir_to_qr(micro_geqr, qr, [5], den, weights, b)
+    leak_calls = len(leaked)
     ref = evaluate_security("geqr", micro_geqr, sources, scenario, qr, [5])
     ir_ref = max(evaluate_security(
         "geqr", micro_geqr, sources, scenario,
@@ -697,8 +697,8 @@ def test_ir_to_qr_matches_the_per_slice_loop(micro_geqr):
     assert qr_rep.effective_set == ref.effective_set == (5,)
     # the worlds are enumerated (and the leak map called) once, and run
     # under the QR attack and each of the four constant slices
-    assert tally["worlds"] == 5 * 16 ** 4
-    assert tally["leak_calls"] == 16
+    assert len(weights) * (1 + (1 << bits)) == 5 * 16 ** 4
+    assert leak_calls == 16
 
 
 def test_ir_to_qr_matches_naive_per_world():
@@ -984,22 +984,22 @@ def test_ext_pri_slot_violations_named(mutate, match):
 def test_player_estimates_number_each_rest_once(monkeypatch):
     # Players given the same rest columns share one numbering of them;
     # equal columns that are other objects, and other columns, get their
-    # own.  Each estimate equals the one from its rest numbered alone, and
-    # a player faulty in some run is skipped.
+    # own.  Each estimate is the one of its keys packed from its rest
+    # numbered alone, and a player faulty in some run is skipped.
     from extractomat import netsim
     calls, seen = [], {}
-    real_ids, real_estimate = netsim.row_ids, netsim._estimate
+    real_ids, real_mc = netsim.row_ids, netsim.mc_distance_pairs
 
     def ids_spy(cols, n):
         calls.append(cols)
         return real_ids(cols, n)
 
-    def estimate_spy(z, ids, m, tol, seed, tally=None):
-        seen[seed] = ids
-        return real_estimate(z, ids, m, tol, seed, tally)
+    def mc_spy(keys, m, *, tol, seed):
+        seen[seed] = keys
+        return real_mc(keys, m, tol=tol, seed=seed)
 
     monkeypatch.setattr(netsim, "row_ids", ids_spy)
-    monkeypatch.setattr(netsim, "_estimate", estimate_spy)
+    monkeypatch.setattr(netsim, "mc_distance_pairs", mc_spy)
     rng = np.random.default_rng(77)
     n, m = 1200, 2
     t1 = [rng.integers(0, 30, n), rng.integers(0, 3, n)]
@@ -1010,10 +1010,11 @@ def test_player_estimates_number_each_rest_once(monkeypatch):
     faulty[7, 5] = True
     reps = netsim.player_estimates(type("B", (), {"faulty": faulty}), pairs,
                                    m, tol=1.0, seed=10)
-    assert sorted(reps) == [1, 2, 3, 4, 5] and len(calls) == 3
-    assert seen[11] is seen[12] is seen[15]
-    assert seen[13] is not seen[11] and np.array_equal(seen[13], seen[11])
+    assert sorted(reps) == [1, 2, 3, 4, 5] and len(seen) == 5
+    # t1 (players 1, 2 and 5), its copy (3) and player 4's column
+    assert [cols is t1 for cols in calls] == [True, False, False]
     for pid, rep in reps.items():
         z, rest = pairs[pid]
-        alone = real_estimate(z, real_ids(rest, n)[0], m, 1.0, 10 + pid)
-        assert (rep.estimate, rep.ci) == (alone.estimate, alone.ci)
+        keys = (real_ids(rest, n)[0] << m) | z
+        assert np.array_equal(seen[10 + pid], keys)
+        assert rep == real_mc(keys, m, tol=1.0, seed=10 + pid)

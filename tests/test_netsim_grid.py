@@ -67,6 +67,26 @@ def test_netsim_grid_compares_stdout_and_stderr(tmp_path, old, new, named):
         "mismatch: exact-geqr-n2-s3-ir", named]
 
 
+def test_netsim_grid_names_a_lost_volatile_key(tmp_path):
+    # volatile values are ignored, its key names are not: a CLI that drops
+    # leak_calls is named in stdout and report.json
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = changed / "extractomat" / "cli.py"
+    text = cli_py.read_text()
+    old = ('"adversary_calls": b.callbacks,\n'
+           '                "leak_calls": len(leaked)}')
+    assert text.count(old) == 1
+    cli_py.write_text(text.replace(old, '"adversary_calls": b.callbacks}'))
+    out = _grid(ROOT / "src", changed)
+    assert out.returncode == 1, out.stderr
+    named = ["  stdout: 0.volatile", "  report.json: volatile"]
+    assert out.stdout.splitlines() == [
+        "2 requests, 2 mismatches", "mismatch: exact-geqr-n2-s3-none", *named,
+        "mismatch: exact-geqr-n2-s3-ir", *named]
+
+
 def test_netsim_grid_names_the_key_paths_that_differ():
     # a sampled report whose spread alone moved: its ci_99 and half_width
     # paths, in report.json and stdout's line 0; a key only one side has,

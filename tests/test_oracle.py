@@ -4,13 +4,13 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from extractomat import certify
-from extractomat import netsim as netsim_mod
 from extractomat import oracle as oracle_mod
 from extractomat.dist import JointDistribution, excess_over_uniform, row_ids
 from extractomat.errors import (BudgetExceededError, InvalidInputError,
@@ -537,19 +537,21 @@ def test_bootstrap_resamples_and_estimate(monkeypatch):
             assert mc_distance_pairs(keys, m, tol=1.0, seed=trial).ci == rep.ci
 
 
+def test_mc_report_times_its_call_outside_equality():
+    # seconds is volatile: measured on every call, left out of comparisons
+    keys = np.arange(400) % 2
+    first, again = (mc_distance_pairs(keys, 1, tol=1.0, seed=3)
+                    for _ in range(2))
+    assert first.seconds > 0 and again.seconds > 0
+    assert first == again == replace(first, seconds=first.seconds + 1)
+    assert first != replace(first, draws=first.draws + 1)
+
+
 @pytest.mark.parametrize("rests", [6, 1500])
-def test_netsim_estimate_keys_match_the_tuple_references(monkeypatch, rests):
-    # int columns with several rest columns, numbered by row_ids as
-    # player_estimates numbers them: the packed keys must give the tuple
-    # pairs' estimate and CI bit for bit, and one distinct key per cell
-    seen = []
-    real = netsim_mod.mc_distance_pairs
-
-    def spy(keys, m, **kw):
-        seen.append(keys)
-        return real(keys, m, **kw)
-
-    monkeypatch.setattr(netsim_mod, "mc_distance_pairs", spy)
+def test_netsim_estimate_keys_match_the_tuple_references(rests):
+    # int columns with several rest columns, numbered by row_ids and packed
+    # as player_estimates packs them: the keys must give the tuple pairs'
+    # estimate and CI bit for bit, and one distinct key per cell
     rng = np.random.default_rng(52)
     for m in (1, 2):
         n = 1500
@@ -557,11 +559,12 @@ def test_netsim_estimate_keys_match_the_tuple_references(monkeypatch, rests):
                 rng.choice([0, 1 << 40], size=n)]
         z = rng.integers(0, 1 << m, size=n)
         pairs = list(zip(z.tolist(), zip(*(col.tolist() for col in rest))))
+        keys = (row_ids(rest, n)[0] << m) | z
+        assert len(set(keys.tolist())) == len(set(pairs))
         for seed in (0, 5):
-            rep = netsim_mod._estimate(z, row_ids(rest, n)[0], m, 1.0, seed)
+            rep = mc_distance_pairs(keys, m, tol=1.0, seed=seed)
             assert rep.estimate == naive_plugin_estimate(pairs, m)
             assert rep.ci == naive_bootstrap_ci(pairs, m, seed)
-            assert len(seen[-1]) == n and len(set(seen[-1])) == len(set(pairs))
 
 
 @pytest.mark.parametrize("rest_ids", [[1, 0], [0, 2, 1], [0, 1, -1]])
@@ -1569,8 +1572,8 @@ def test_worst_case_reports_carry_what_was_measured():
             seeded, (2, 2), 1, strong=True, **kw),
         "block+general": lambda **kw: worst_case_error_block_general(
             three, (1, 1, 1), **kw),
-        "multi": lambda **kw: worst_case_error_multi(three, (1, 1, 1), b=1,
-                                                     **kw)}
+        "multi": lambda mode, **_: worst_case_error_multi(
+            three, (1, 1, 1), b=1, mode=mode)}
     keys = ["mode", "error", "witness", "enumerated", "notes"]
     for name, call in calls.items():
         for mode in ("exhaustive", "sampled"):
