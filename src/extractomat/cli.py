@@ -49,8 +49,11 @@ TOY_SIZES = {"p": 7, "t": 1, "n": 6, "k": 4, "alpha": 2.0}
 LEMMA_BLOCK = 1024  # eval --lemma trials drawn and checked per block
 # eval flags a handle kind does not read: refused rather than ignored
 IGNORED_FLAGS = {"2-source": ("k", "marginal", "strong_seed"),
-                 "t-source": ("k", "marginal", "strong_seed", "strong"),
+                 "t-source": ("k", "marginal", "strong_seed", "strong",
+                              "samples", "seed"),
                  "seeded": ("k1", "k2", "strong")}
+# eval's --samples and --seed, parsed as None so that a kind can refuse them
+EVAL_DEFAULTS = {"samples": 200, "seed": 0}
 
 
 def main(argv=None) -> int:
@@ -130,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--leak-bits", type=int, default=0)
     e.add_argument("--mode", choices=["auto", "exhaustive", "sampled"],
                    default="auto")
-    e.add_argument("--samples", type=int, default=200)
+    e.add_argument("--samples", type=int)
     e.add_argument("--trials", type=int, default=1000)
     e.add_argument("--eps", type=float, default=0.25)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int)
     e.add_argument("--threads", "--workers", type=int, default=1, help="unused")
     e.add_argument("--out-dir", type=Path, default=Path("."))
     e.set_defaults(func=cmd_eval)
@@ -231,7 +234,7 @@ def cmd_eval(args) -> int:
     out_dir = args.out_dir
     digests = []
     if args.lemma:
-        payload = _eval_lemma(args)
+        payload = _eval_lemma(_eval_defaults(args))
         out = out_dir / f"eval-lemma-{args.lemma}.json"
     else:
         handle, digests = _load_extractor(args)
@@ -264,12 +267,19 @@ def _load_extractor(args):
     raise InvalidInputError(f"unknown extractor {name!r}")
 
 
+def _eval_defaults(args):  # the flags of EVAL_DEFAULTS not given get them
+    vars(args).update({f: v for f, v in EVAL_DEFAULTS.items()
+                       if getattr(args, f) is None})
+    return args
+
+
 def _eval_extractor(args, handle, oracle, out_dir):
     ignored = [f"--{flag.replace('_', '-')}" for flag in IGNORED_FLAGS[
         handle.kind] if (v := getattr(args, flag)) is not None and v is not False]
     if ignored:
         raise InvalidInputError(f"{handle.kind} handle {handle.name} takes "
                                 f"no {', '.join(ignored)}")
+    _eval_defaults(args)
     if args.strong_seed and args.marginal:
         raise InvalidInputError("--strong-seed and --marginal exclude each other")
     if handle.kind == "seeded":

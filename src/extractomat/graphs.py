@@ -27,7 +27,7 @@ from .errors import (BudgetExceededError, InvalidInputError,
 
 DEFAULT_VERIFY_BUDGET = 50_000_000
 DEFAULT_ATTEMPTS = 32
-_SCAN_CHUNK = 1024  # steps that one array pass of a frozen-state scan reads
+_BLOCK = 1024  # raw words that one refill draws and decodes
 
 
 @dataclass(frozen=True)
@@ -253,105 +253,124 @@ class _Memo(dict):
         return value
 
 
-def _raw_stream(bitgen):
+def _decoded(buf, highs):
+    """What a step of ``highs`` (a, b, c) reads at each word p of ``buf``:
+    ``codes[s, p]``, the move ``(u*b + i)*c + j`` Lemire draws from its three
+    32-bit halves from place s (0: word p's halves, then p+1's low one; s >
+    0: the left-over high half of word p-s, then word p's), and
+    ``uniforms[p]``, ``(buf[p] >> 11) * 2**-53``.  A code is -1 where a half
+    lies outside ``buf`` or a low product half is below its high (as every
+    rejection's is), and everywhere when a high is 1, which draws no half."""
+    n, (_, b, c) = len(buf), highs
+    half = buf.astype("<u8", copy=False).view("<u4")  # low half first
+    (ua, oa), (ub, ob), (uc, oc) = ((half.astype(np.int64) * h >> 32,
+                                     half * np.uint32(h) >= h) for h in highs)
+    # a half drawn by a, and two by b and c; -2**40 makes a code negative
+    first = np.where(oa, ua * (b * c), -1 << 40)
+    rest = np.where(ob[:-1] & oc[1:], ub[:-1] * c + uc[1:], -1 << 40)
+    codes = np.full((3, n), -1, np.int64)
+    if n > 2 and min(highs) > 1:
+        np.add(first[:-2:2], rest[1::2], out=codes[0, :-1])
+        np.add(first[1:-1:2], rest[2::2], out=codes[1, 1:])
+        np.add(first[1:-3:2], rest[4::2], out=codes[2, 2:])
+        np.maximum(codes, -1, out=codes)
+    return codes, (buf >> 11) * 2.0 ** -53
+
+
+def _raw_stream(bitgen, highs):
     """numpy's ``Generator.integers(high)`` and ``.random()`` on the raw
     words of ``bitgen``: Lemire's draw on 32-bit halves, low half first (a
     half left by earlier draws comes next), and ``(word >> 11) * 2**-53``.
-    ``draws(a, b, c)`` is ``integers(a), integers(b), integers(c)``, read at
-    once from the block's next three halves when every high is > 1 and no
-    low product half is below its high (none is rejected), else one by one.
+    ``step()`` is ``integers(a), integers(b), integers(c)`` for ``highs``
+    (a, b, c), looked up in the reader's block of words, decoded once
+    (``_decoded``), or drawn one by one where the code is -1.  A generator's
+    left-over half is the high half of a virtual word before the first; a
+    refill keeps the word of a left-over half.
 
-    ``scan(deltas, temp, limit)`` skips, in one array pass per chunk, the
-    annealing steps of a frozen state that are certain rejections, at most
-    ``limit`` of them; ``deltas[u, i, j]`` is the change of the violated
-    count by swap (u, i, j), with highs ``deltas.shape``, all > 1.  Such a
-    step reads ``draws(*deltas.shape)`` and one ``random()``; the scan stops
-    before the first step whose low product half is below ``2**32 % high``
-    (a Lemire rejection) or whose uniform is <= its bound
-    ``exp(-max(delta, 0) / max(temp, 1e-9))`` with a slack of 1e-9 that
-    covers ``np.exp`` against ``math.exp`` (a delta <= 0 has bound 1, above
-    every uniform).  It returns the steps skipped and the temperature after
-    them (``np.multiply.accumulate`` multiplies in order, as ``temp *=
-    0.999`` does)."""
-    M, state = 0xFFFFFFFF, bitgen.state
-    half = state["uinteger"] if state["has_uint32"] else None
-    more = lambda: bitgen.random_raw(256).tolist()
-    words, at = more(), 0  # the words, 256 at a time; words[at] is unread
+    ``scan(deltas, temp, limit)`` skips, in array passes, the annealing
+    steps of a frozen state that are certain rejections, at most ``limit``
+    of them; ``deltas`` (of shape ``highs``) is the change of the violated
+    count by each move.  Such a step reads ``step()`` and one ``random()``,
+    so from place 0 two steps read five words, with codes at places 0 and
+    2.  The scan stops before the first step whose code is -1 or whose
+    uniform is <= its bound ``exp(-max(delta, 0) / max(temp, 1e-9))`` with
+    a slack of 1e-9 that covers ``np.exp`` against ``math.exp`` (a delta <=
+    0 has bound 1, above every uniform).  It returns the steps skipped and
+    the temperature after them (``np.multiply.accumulate`` multiplies in
+    order, as ``temp *= 0.999`` does)."""
+    M, (a, b, c), state = 0xFFFFFFFF, highs, bitgen.state
+    buf = np.array([state["uinteger"] << 32] * state["has_uint32"], np.uint64)
+    at = place = len(buf)  # the next word; half of word at - place is left
+    n = listed = 0  # the words decoded, and listed for the one-step readers
+    table = codes = uniforms = None
+    moves = list(itertools.product(range(a), range(b), range(c)))
+
+    def refill(size=_BLOCK):
+        nonlocal buf, at, n, listed, table
+        buf = np.concatenate([buf[at - place:], bitgen.random_raw(size)])
+        at, n, listed, table = place, len(buf), 0, _decoded(buf, highs)
+
+    def listing():  # the block as lists, for the one-step readers
+        nonlocal codes, uniforms, listed
+        if at + 3 > n:
+            refill()
+        codes, uniforms, listed = table[0].tolist(), table[1].tolist(), n
 
     def integers(high):
-        nonlocal words, at, half
+        nonlocal at, place
         while high > 1:  # Lemire: reject a low product half < 2**32 % high
-            if half is not None:
-                m, half = half * high, None
+            if place:
+                m, place = (int(buf[at - place]) >> 32) * high, 0
             else:
-                if at == len(words):
-                    words, at = more(), 0
-                m, half, at = (words[at] & M) * high, words[at] >> 32, at + 1
+                if at >= n:  # n is 0 before the first block
+                    refill()
+                m, at, place = (int(buf[at]) & M) * high, at + 1, 1
             if m & M >= high or m & M >= (1 << 32) % high:
                 return m >> 32
         return 0
 
-    def draws(a, b, c):
-        nonlocal at, half
-        if a > 1 and b > 1 and c > 1 and len(words) - at > 1:
-            w, x = words[at], words[at + 1]
-            if half is None:  # w's halves, then x's low one
-                i, j, k, h = (w & M) * a, (w >> 32) * b, (x & M) * c, x >> 32
-            else:
-                i, j, k, h = half * a, (w & M) * b, (w >> 32) * c, None
-            if i & M >= a and j & M >= b and k & M >= c:
-                at, half = at + (1 if h is None else 2), h
-                return i >> 32, j >> 32, k >> 32
-        return integers(a), integers(b), integers(c)
-
     def random():
-        nonlocal words, at
-        if at == len(words):
-            words, at = more(), 0
-        at += 1
-        return (words[at - 1] >> 11) * 2.0 ** -53
+        nonlocal at, place
+        if at + 3 > listed:
+            listing()
+        at, place = at + 1, place and place + 1
+        return uniforms[at - 1]
+
+    def step():
+        nonlocal at, place
+        if at + 3 > listed:  # the step's words and its uniform's
+            listing()
+        code = codes[place][at] if place < 3 else -1
+        if code < 0:
+            return integers(a), integers(b), integers(c)
+        at, place = (at + 1, 0) if place else (at + 2, 1)
+        return moves[code]
 
     def scan(deltas, temp, limit):
-        nonlocal words, at, half
-        highs = np.array(deltas.shape, dtype=np.uint64)
-        floors = np.array([(1 << 32) % h for h in deltas.shape], np.uint64)
-        buf, done = np.array(words[at:], dtype=np.uint64), 0
-        while done < limit:
-            # From a step without a left-over half, two steps read five
-            # words: the first takes word 0's halves, word 1's low half and
-            # word 2 as its uniform, the second word 1's high half, word
-            # 3's halves and word 4.  A left-over half is the high half of
-            # a virtual word 1, three words before the buffer.
-            lead, k = half is not None, min(limit - done, _SCAN_CHUNK)
-            pairs = (lead + k + 1) // 2
-            need = 5 * pairs - 3 * lead
-            if len(buf) < need:
-                fresh = bitgen.random_raw(need - len(buf))
-                buf = np.concatenate([buf, fresh])
-            v = buf[:need]
-            if lead:
-                virtual = np.array([0, half << 32, 0], np.uint64)
-                v = np.concatenate([virtual, v])
-            v = v.reshape(pairs, 5)
-            halves = np.stack([v & M, v >> 32], axis=2)[:, [0, 1, 3]]
-            prod = halves.reshape(-1, 3)[lead:lead + k] * highs
-            uniform = (v[:, 2::2].reshape(-1)[lead:lead + k] >> 11) * 2.0**-53
-            gap = deltas[tuple((prod >> 32).T)]
+        nonlocal at, place
+        flat, done = deltas.ravel(), 0
+        while done < limit and place < 3:
+            if at + 3 > n:  # three words a step at most, with its uniform
+                refill(min(3 * (limit - done) + 3, 4 * _BLOCK))
+            # step t of pairs from at (3 words back after a left-over half)
+            lead = place > 0
+            t = np.arange(lead, lead + min(limit - done, n - at) + 1)
+            pos = at - 3 * lead + 5 * (t >> 1) + 3 * (t & 1)
+            start, upos = 2 * (t & 1), pos + 2 - (t & 1)
+            start[0] = place
+            k = min(len(t) - 1, int(np.searchsorted(upos, n)))
+            code = table[0][start[:k], pos[:k]]
             temps = np.multiply.accumulate(np.r_[temp, np.full(k, 0.999)])
-            stop = ((prod & M < floors).any(axis=1)
-                    | (uniform <= np.exp(-np.maximum(gap, 0)
-                                         / np.maximum(temps[:k], 1e-9))
-                       * (1 + 1e-9)))
-            n = int(stop.argmax()) if stop.any() else k
-            s = lead + n  # steps from the virtual start
-            half = int(v[s // 2, 1] >> 32) if s % 2 else None
-            buf = buf[5 * (s // 2) + 3 * (s % 2) - 3 * lead:]
-            temp, done = float(temps[n]), done + n
-            if n < k:
+            stop = (code < 0) | (table[1][upos[:k]] <= np.exp(
+                -np.maximum(flat[code], 0) / np.maximum(temps[:k], 1e-9))
+                * (1 + 1e-9))
+            s = int(stop.argmax()) if stop.any() else k
+            at, place, temp = int(pos[s]), int(start[s]), float(temps[s])
+            done += s
+            if s < k:
                 break
-        words, at = buf.tolist(), 0
         return done, temp
-    return integers, random, draws, scan
+    return integers, random, step, scan
 
 
 def _deltas(rows, masks, lists, outside, tot, add_t, guard, width):
@@ -386,14 +405,15 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
 
     The count is kept incremental: ``tot`` packs each subset's total over
     the rows (``_violation_rows``), a swap at vertex u is scored as
-    ``tot - row(old mask) + row(new mask)``, and a step reads its three
-    integers at once from the raw words of numpy's Philox ``Generator``
-    with an exact one-by-one fallback (``_raw_stream``): the trajectory is
-    the one ``Generator.integers`` draws.  Once as many steps in a row as
-    the state has moves were rejected, the state's count after every move
-    is tabled once (``_deltas``) and ``_raw_stream``'s scan skips the steps
-    that are certain rejections in one array pass; the step it stops at
-    runs as above, and only such a step changes the state.
+    ``tot - row(old mask) + row(new mask)``, and a step looks its move up
+    in a block of numpy's Philox words decoded once, with an exact
+    one-by-one fallback (``_raw_stream``): the trajectory is the one
+    ``Generator.integers`` draws.  Once as many steps in a row as the
+    state has moves were rejected, the state's count after every move is
+    tabled once (``_deltas``) and ``_raw_stream``'s scan skips the steps
+    that are certain rejections, in array passes over the decoded words;
+    the step it stops at runs as above, and only such a step changes the
+    state.
 
     Returns
     -------
@@ -429,7 +449,7 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
         lists = [list(a) for a in adj]  # each set in its iteration order
-        _, random, draws, scan = _raw_stream(rng.bit_generator)
+        _, random, step, scan = _raw_stream(rng.bit_generator, (l, d, r - d))
         masks = [_mask(a) for a in adj]
         tot = sum(rows[mask] for mask in masks)
         cur, temp = ((tot + add_t) & guard).bit_count(), 2.0
@@ -441,7 +461,7 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
                 if not left:
                     break
             left -= 1
-            u, i, j = draws(l, d, r - d)
+            u, i, j = step()
             old = masks[u]
             drop, add = lists[u][i], outside[old][j]
             mask = old ^ (1 << drop | 1 << add)

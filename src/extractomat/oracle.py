@@ -331,11 +331,17 @@ def _top_sums(score, K: int) -> np.ndarray:
     return np.partition(score, X - K, axis=-1)[..., X - K:].sum(-1, np.int64)
 
 
+def _clip(x) -> np.ndarray:
+    """``max(x, 0)`` in place, against a row of zeros: numpy's int8 and
+    int16 ``maximum`` runs several times slower against a scalar."""
+    return np.maximum(x, np.zeros(x.shape[-1:], x.dtype), out=x)
+
+
 def _scores(excess) -> np.ndarray:
     """Row scores sum_cells max(excess, 0), clipping ``excess`` in place,
     in the smallest signed type that holds cells x the excess type's max."""
     top = excess.shape[-2] * int(np.iinfo(excess.dtype).max)
-    return np.maximum(excess, 0, out=excess).sum(-2, np.min_scalar_type(-top))
+    return _clip(excess).sum(-2, np.min_scalar_type(-top))
 
 
 def _cell_excess(ind, block, leak, M: int, B: int):
@@ -361,24 +367,28 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     the empty nor the full set, which score 0), each row takes its best e,
     scored by its excess summed over T_e, and the top K1 rows give S1.
     With ``B > 1`` a pick is S1 and its leak map, 0 off S1.  The events
-    are built by the rule's ``build``, once the kernel has counted them."""
+    are built by the rule's ``build``, once the kernel has counted them;
+    its work is their float product with the excess and one (event, row)
+    array beside it (the excess as floats has J <= E rows)."""
     W = min(B, 1 << J)  # cell sets per event
     E = (1 << J) - 2 if B == 1 else math.comb(1 << J, W)
 
     def build():
         codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.array(
             list(itertools.combinations(range(1 << J), W)))
-        events = (codes[..., None] >> np.arange(J)) & 1  # (event, e, cell)
-        flat = events.reshape(-1, J)
+        # (event, e, cell) as float64, for one BLAS product: every sum of
+        # excesses is an integer far below 2**53
+        flat = ((codes[..., None] >> np.arange(J)) & 1).reshape(-1, J) * 1.0
+        score = lambda ex: (flat @ ex.astype(float)).reshape(-1, E, W, rows)
 
         def pick(ex, q):
-            score = (flat @ ex).reshape(*events.shape[:2], rows)[q]
-            s1 = _top_index(score.max(axis=0), K1)
+            s = score(ex)[0, q]
+            s1 = _top_index(s.max(axis=0), K1)
             return s1 if B == 1 else (s1, np.bincount(
-                s1, score[:, s1].argmax(axis=0), rows).astype(int).tolist())
-        return (lambda ex: _top_sums((flat @ ex).reshape(
-                    len(ex), *events.shape[:2], rows).max(axis=2), K1), pick)
-    return build, E * W * rows, E * W * J * 8
+                s1, s[:, s1].argmax(axis=0), rows).astype(int).tolist())
+        return (lambda ex: _top_sums(score(ex)[:, :, 0] if W == 1 else
+                                     score(ex).max(axis=2), K1), pick)
+    return build, E * (W + 1) * rows, E * W * J * 8
 
 
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
@@ -413,7 +423,7 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
         if strong is None:  # counted as a single row
             kernel, cells = "supports", 1
         rule = (lambda: (
-            lambda ex: np.maximum(ex, 0, out=ex).sum(axis=(1, 2))[:, None],
+            lambda ex: _clip(ex).sum(axis=(1, 2))[:, None],
             lambda ex, q: list(range(rows))), 0, 0)
     elif strong is not None:
         rule = (lambda: (lambda ex: _top_sums(_scores(ex), K1)[:, None],

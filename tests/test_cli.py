@@ -249,6 +249,29 @@ def test_eval_refuses_flags_a_t_source_handle_ignores(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_eval_refuses_samples_and_seed_on_a_t_source_handle(tmp_path,
+                                                            capsys):
+    # the multi oracle is exhaustive-only, so a t-source eval reads neither
+    # flag; without them its manifest still records the defaults
+    assert run_cli(["certify", "--arity", "3", "--n", "2", "--k", "1",
+                    "--m", "1"], tmp_path / "cache", tmp_path / "c") == 0
+    xtab = json.loads(capsys.readouterr().out)["xtab"]
+    argv = ["eval", "--extractor", xtab]
+    assert run_cli_nocache(argv, tmp_path / "ok") == 0
+    assert json.loads(capsys.readouterr().out)["error_exact"] == "1/2"
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert (manifest["args"]["samples"], manifest["args"]["seed"]) == (200, 0)
+    for flags, named in ((["--samples", "7", "--seed", "99"],
+                          "--samples, --seed"),
+                         (["--samples", "200"], "--samples"),
+                         (["--seed", "0"], "--seed")):
+        out = tmp_path / named
+        assert run_cli_nocache([*argv, *flags], out) == 4
+        err = capsys.readouterr().err
+        assert "t-source handle" in err and f"takes no {named}" in err
+        assert not out.exists()
+
+
 def test_eval_refuses_strong_seed_with_marginal(tmp_path, capsys):
     # apart, each flag is read (the strong default gives 3/16 here)
     argv = ["eval", "--extractor", "toeplitz", "--n", "3", "--m", "1",

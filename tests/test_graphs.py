@@ -234,9 +234,11 @@ def test_search_trajectory_matches_full_recount(kind, params, seeds, budget):
 
 
 def test_raw_stream_matches_generator():
-    # Long interleaved integers/random sequences after a choice() prefix,
-    # which leaves half of a 64-bit word unused; on odd keys one more
-    # draw uses that half up.  High 2**31 + 1 rejects about half its draws.
+    # Long interleaved integers/random/step sequences after a choice()
+    # prefix, which leaves half of a 64-bit word unused; on odd keys one
+    # more draw uses that half up.  High 2**31 + 1 rejects about half its
+    # draws; a step is the three draws of (12, 3, 7), and random() may run
+    # several times in a row while a half is left over.
     highs = [1, 2, 3, 7, 12, 2 ** 31 + 1]
     left_over = set()
     for key in range(6):
@@ -247,12 +249,15 @@ def test_raw_stream_matches_generator():
             if key % 2:
                 rng.integers(7)
         left_over.add(own.bit_generator.state["has_uint32"])
-        integers, random, _, _ = _raw_stream(own.bit_generator)
-        plan = np.random.default_rng(100 + key).integers(len(highs) + 1,
+        integers, random, step, _ = _raw_stream(own.bit_generator, (12, 3, 7))
+        plan = np.random.default_rng(100 + key).integers(len(highs) + 2,
                                                          size=3000)
         for op in plan.tolist():
             if op == len(highs):
                 assert random() == ref.random()
+            elif op > len(highs):
+                assert step() == tuple(int(ref.integers(h))
+                                       for h in (12, 3, 7))
             else:
                 assert integers(highs[op]) == int(ref.integers(highs[op]))
     assert left_over == {0, 1}
@@ -291,31 +296,75 @@ def _set_half(words, q, value):
 def test_step_draws_match_one_at_a_time(leftover, zero, skip, highs):
     # A zero half is rejected by 12, 3 and 7 alike (2**32 % high > 0);
     # half 2**32 // 12 + 1 passes 12 with a low product half of 8, below
-    # 12, so the step draws one at a time there too.  Three steps against
-    # three exact draws each on the same raw words, then a few more draws
-    # on both, which agree only if both readers end in the same place.
+    # 12, so the step draws one at a time there too.  Three decoded steps
+    # against three exact draws each on the same raw words, then a few more
+    # draws on both, which agree only if both readers end in the same place.
     words = np.random.default_rng(5).integers(
         0, 2 ** 64, size=6000, dtype=np.uint64).tolist()
     lead = leftover is not None  # the step's first half is the left-over
     start = 0
     if skip:
         probe = _Words(words)
-        _raw_stream(probe)[0](2)  # a first draw reads the first block
+        _raw_stream(probe, highs)[0](2)  # a first draw reads a block
         start = 2 * probe.blocks[0] - skip
     if zero == 0 and lead:
         leftover = 0
     elif zero is not None:
         _set_half(words, start + zero - lead, 0)
     _set_half(words, start + 3 - lead, 2 ** 32 // 12 + 1)  # the next step
-    fast, exact = (_raw_stream(_Words(words, leftover)) for _ in range(2))
+    fast, exact = (_raw_stream(_Words(words, leftover), highs)
+                   for _ in range(2))
     for integers, *_ in (fast, exact):
         for _ in range(start):
             integers(2)  # one half each
-    draws, integers = fast[2], exact[0]
+    step, integers = fast[2], exact[0]
     for _ in range(3):
-        assert draws(*highs) == tuple(integers(h) for h in highs)
+        assert step() == tuple(integers(h) for h in highs)
     after = lambda s: [s[0](9), s[1](), s[0](5), s[0](2 ** 31 + 1), s[1]()]
     assert after(fast) == after(exact)
+
+
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_step_reads_across_a_block_end(place):
+    # A decoded step at each start place, on each of the last four words
+    # of the first block: a refill must keep the words whose halves the
+    # step still reads.  Place 1 takes the left-over high half of the word
+    # before, place 2 that of the word before a uniform.
+    highs = (12, 3, 7)
+    words = np.random.default_rng(6).integers(
+        0, 2 ** 64, size=6000, dtype=np.uint64).tolist()
+    probe = _Words(words)
+    _raw_stream(probe, highs)[0](2)  # a first draw reads a block
+    for end in range(1, 5):
+        fast, exact = (_raw_stream(_Words(words), highs) for _ in range(2))
+        for integers, *_ in (fast, exact):
+            for _ in range(2 * (probe.blocks[0] - end) - (0, 1, 3)[place]):
+                integers(2)  # one half each
+        if place == 2:
+            assert fast[1]() == exact[1]()
+        assert fast[2]() == tuple(exact[0](h) for h in highs)
+        after = lambda s: [s[1](), s[0](9), s[1](), s[0](5), s[0](2)]
+        assert after(fast) == after(exact)
+
+
+@pytest.mark.parametrize("leftover", [None, 5])
+def test_uniforms_drawn_while_a_half_is_pending(leftover):
+    # A uniform takes the next whole word and leaves a left-over half for
+    # the next draw: after a step from place 0 it moves the half to place
+    # 2, and one or two more uniforms move it further back, where the step
+    # draws one at a time.  A generator's own left-over half starts at
+    # place 1.
+    words = np.random.default_rng(8).integers(
+        0, 2 ** 64, size=3000, dtype=np.uint64).tolist()
+    for uniforms in (1, 2, 3):
+        fast, exact = (_raw_stream(_Words(words, leftover), (12, 3, 7))
+                       for _ in range(2))
+        for _ in range(40):
+            assert fast[2]() == tuple(exact[0](h) for h in (12, 3, 7))
+            for _ in range(uniforms):
+                assert fast[1]() == exact[1]()
+        after = lambda s: [s[0](9), s[1](), s[0](5), s[0](2 ** 31 + 1)]
+        assert after(fast) == after(exact)
 
 
 def _step_places(nsteps, at, left):
@@ -346,12 +395,13 @@ def _step_places(nsteps, at, left):
     ("word", "below", 333), ("word", "above", 333),
 ])
 def test_scan_matches_one_at_a_time(lead, stop, at):
-    # Every delta is 2 but the last one, -1, and every uniform is the
-    # largest, so a stretch of 1,100 steps (2,750 words, across 256-word
-    # blocks and the scan's 1,024-step chunks) rejects all its steps unless
-    # step ``at`` is crafted to stop it: a zero half (rejected by 12, 3 and
-    # 7 alike), halves 2**32 - 1 that draw the last swap (all others draw
-    # below 2**31), or a uniform just below or just above exp(-2 / temp).
+    # Every delta is 2 but that of swap (11, 2, 5), -1, and every uniform
+    # is the largest, so a stretch of 1,100 steps (2,750 words, across the
+    # reader's blocks of words) rejects all its steps unless step ``at`` is
+    # crafted to stop it: a zero half (rejected by 12, 3 and 7 alike),
+    # halves that draw swap (11, 2, 5) (all others draw below 2**31), or a
+    # uniform just below or just above exp(-2 / temp).  The last swap's
+    # delta is 2, so a -1 code must stop the scan by itself.
     # A scan and the exact one-at-a-time reader run the stretch side by
     # side: the steps the scan skips must be certain rejections at the same
     # temperatures, and both readers must stop on the same words.
@@ -376,8 +426,9 @@ def test_scan_matches_one_at_a_time(lead, stop, at):
     if stop in (0, 1, 2):
         set_half(places[at][0][stop], 0)
     elif stop == "delta":
-        for place in places[at][0]:
-            set_half(place, 2 ** 32 - 1)
+        for place, half in zip(places[at][0], (2 ** 32 - 1, 2 ** 32 - 1,
+                                               (5 << 32) // 7 + 2)):
+            set_half(place, half)
     elif stop is not None:
         temp = 2.0
         for _ in range(at):
@@ -386,12 +437,13 @@ def test_scan_matches_one_at_a_time(lead, stop, at):
         q = math.ceil(bound) - 1 if stop == "below" else math.floor(bound) + 1
         words[places[at][1]] = q << 11
     delta = np.full(highs, 2, dtype=np.int64)
-    delta[-1, -1, -1] = -1
-    fast, exact = (_raw_stream(_Words(words, leftover)) for _ in range(2))
+    delta[11, 2, 5] = -1
+    fast, exact = (_raw_stream(_Words(words, leftover), highs)
+                   for _ in range(2))
     for integers, *_ in (fast, exact):
         for _ in range(2 * pre + (lead == "word")):
             integers(2)  # one half each
-    _, random, draws, scan = fast
+    _, random, step, scan = fast
     integers, exact_random = exact[:2]
     done, temp, stops = 0, 2.0, []
     while done < limit:
@@ -405,9 +457,9 @@ def test_scan_matches_one_at_a_time(lead, stop, at):
         if done == limit:
             break
         stops.append(done)  # the stopping step, as the search runs it
-        step = draws(*highs)
-        assert step == tuple(integers(h) for h in highs)
-        gap = int(delta[step])
+        move = step()
+        assert move == tuple(integers(h) for h in highs)
+        gap = int(delta[move])
         if gap > 0:
             uniform = random()
             assert uniform == exact_random()
