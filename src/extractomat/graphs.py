@@ -27,7 +27,6 @@ from .errors import (BudgetExceededError, InvalidInputError,
 
 DEFAULT_VERIFY_BUDGET = 50_000_000
 DEFAULT_ATTEMPTS = 32
-_BLOCK = 1024  # raw words that one refill draws and decodes
 
 
 @dataclass(frozen=True)
@@ -261,15 +260,15 @@ def _decoded(buf, highs):
     ``uniforms[p]``, ``(buf[p] >> 11) * 2**-53``.  A code is -1 where a half
     lies outside ``buf`` or a low product half is below its high (as every
     rejection's is), and everywhere when a high is 1, which draws no half."""
-    n, (_, b, c) = len(buf), highs
+    _, b, c = highs
     half = buf.astype("<u8", copy=False).view("<u4")  # low half first
     (ua, oa), (ub, ob), (uc, oc) = ((half.astype(np.int64) * h >> 32,
                                      half * np.uint32(h) >= h) for h in highs)
     # a half drawn by a, and two by b and c; -2**40 makes a code negative
     first = np.where(oa, ua * (b * c), -1 << 40)
     rest = np.where(ob[:-1] & oc[1:], ub[:-1] * c + uc[1:], -1 << 40)
-    codes = np.full((3, n), -1, np.int64)
-    if n > 2 and min(highs) > 1:
+    codes = np.full((3, len(buf)), -1, np.int64)
+    if len(buf) > 2 and min(highs) > 1:
         np.add(first[:-2:2], rest[1::2], out=codes[0, :-1])
         np.add(first[1:-1:2], rest[2::2], out=codes[1, 1:])
         np.add(first[1:-3:2], rest[4::2], out=codes[2, 2:])
@@ -278,34 +277,34 @@ def _decoded(buf, highs):
 
 
 def _raw_stream(bitgen, highs):
-    """numpy's ``Generator.integers(high)`` and ``.random()`` on the raw
-    words of ``bitgen``: Lemire's draw on 32-bit halves, low half first (a
-    half left by earlier draws comes next), and ``(word >> 11) * 2**-53``.
+    """numpy's ``Generator.integers(high)`` and ``.random()`` on the raw words
+    of ``bitgen``: Lemire's draw on 32-bit halves, low half first (a half
+    left by earlier draws comes next), and ``(word >> 11) * 2**-53``.
     ``step()`` is ``integers(a), integers(b), integers(c)`` for ``highs``
     (a, b, c), looked up in the reader's block of words, decoded once
-    (``_decoded``), or drawn one by one where the code is -1.  A generator's
-    left-over half is the high half of a virtual word before the first; a
-    refill keeps the word of a left-over half.
+    (``_decoded``), or drawn one by one where the code is -1.  A
+    generator's left-over half is the high half of a virtual word before
+    the first; a refill keeps the word of a left-over half.
 
-    ``scan(deltas, temp, limit)`` skips, in array passes, the annealing
-    steps of a frozen state that are certain rejections, at most ``limit``
-    of them; ``deltas`` (of shape ``highs``) is the change of the violated
-    count by each move.  Such a step reads ``step()`` and one ``random()``,
-    so from place 0 two steps read five words, with codes at places 0 and
-    2.  The scan stops before the first step whose code is -1 or whose
-    uniform is <= its bound ``exp(-max(delta, 0) / max(temp, 1e-9))`` with
-    a slack of 1e-9 that covers ``np.exp`` against ``math.exp`` (a delta <=
-    0 has bound 1, above every uniform).  It returns the steps skipped and
-    the temperature after them (``np.multiply.accumulate`` multiplies in
-    order, as ``temp *= 0.999`` does)."""
+    ``scan(deltas, temp, limit)`` skips the annealing steps of a frozen
+    state that are certain rejections, at most ``limit`` of them, in array
+    passes; ``deltas`` (of shape ``highs``) is each move's change of the
+    violated count.  Such a step reads ``step()`` and one ``random()``:
+    from place 0, two steps read five words, with codes at places 0 and 2.
+    The scan stops before the first step whose code is -1 or whose uniform
+    is <= its bound ``exp(-max(delta, 0) / max(temp, 1e-9))``, with a slack
+    of 1e-9 that covers ``np.exp`` against ``math.exp`` (a delta <= 0 has
+    bound 1, above every uniform).  It returns the steps skipped and the
+    temperature after them (``np.multiply.accumulate`` multiplies in order,
+    as ``temp *= 0.999`` does)."""
     M, (a, b, c), state = 0xFFFFFFFF, highs, bitgen.state
     buf = np.array([state["uinteger"] << 32] * state["has_uint32"], np.uint64)
     at = place = len(buf)  # the next word; half of word at - place is left
     n = listed = 0  # the words decoded, and listed for the one-step readers
-    table = codes = uniforms = None
+    table = codes = uniforms = None  # the decoded block, and as lists
     moves = list(itertools.product(range(a), range(b), range(c)))
 
-    def refill(size=_BLOCK):
+    def refill(size=1024):  # raw words drawn and decoded at a time
         nonlocal buf, at, n, listed, table
         buf = np.concatenate([buf[at - place:], bitgen.random_raw(size)])
         at, n, listed, table = place, len(buf), 0, _decoded(buf, highs)
@@ -343,7 +342,10 @@ def _raw_stream(bitgen, highs):
         code = codes[place][at] if place < 3 else -1
         if code < 0:
             return integers(a), integers(b), integers(c)
-        at, place = (at + 1, 0) if place else (at + 2, 1)
+        if place:  # faster than one assignment from a conditional pair
+            at, place = at + 1, 0
+        else:
+            at, place = at + 2, 1
         return moves[code]
 
     def scan(deltas, temp, limit):
@@ -351,10 +353,9 @@ def _raw_stream(bitgen, highs):
         flat, done = deltas.ravel(), 0
         while done < limit and place < 3:
             if at + 3 > n:  # three words a step at most, with its uniform
-                refill(min(3 * (limit - done) + 3, 4 * _BLOCK))
+                refill(min(3 * (limit - done) + 3, 4096))
             # step t of pairs from at (3 words back after a left-over half)
-            lead = place > 0
-            t = np.arange(lead, lead + min(limit - done, n - at) + 1)
+            t = (lead := place > 0) + np.arange(min(limit - done, n - at) + 1)
             pos = at - 3 * lead + 5 * (t >> 1) + 3 * (t & 1)
             start, upos = 2 * (t & 1), pos + 2 - (t & 1)
             start[0] = place
@@ -408,12 +409,11 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     ``tot - row(old mask) + row(new mask)``, and a step looks its move up
     in a block of numpy's Philox words decoded once, with an exact
     one-by-one fallback (``_raw_stream``): the trajectory is the one
-    ``Generator.integers`` draws.  Once as many steps in a row as the
-    state has moves were rejected, the state's count after every move is
-    tabled once (``_deltas``) and ``_raw_stream``'s scan skips the steps
-    that are certain rejections, in array passes over the decoded words;
-    the step it stops at runs as above, and only such a step changes the
-    state.
+    ``Generator.integers`` draws.  Once as many steps in a row as the state
+    has moves were rejected, the state's count after every move is tabled
+    once (``_deltas``) and ``_raw_stream``'s scan skips the steps that are
+    certain rejections in array passes; the step it stops at runs as
+    above, and only such a step changes the state.
 
     Returns
     -------
