@@ -268,7 +268,7 @@ def _decoded(buf, highs):
     first = np.where(oa, ua * (b * c), -1 << 40)
     rest = np.where(ob[:-1] & oc[1:], ub[:-1] * c + uc[1:], -1 << 40)
     codes = np.full((3, len(buf)), -1, np.int64)
-    if len(buf) > 2 and min(highs) > 1:
+    if min(highs) > 1:
         np.add(first[:-2:2], rest[1::2], out=codes[0, :-1])
         np.add(first[1:-1:2], rest[2::2], out=codes[1, 1:])
         np.add(first[1:-3:2], rest[4::2], out=codes[2, 2:])
