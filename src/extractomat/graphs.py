@@ -253,27 +253,23 @@ class _Memo(dict):
 
 
 def _decoded(buf, highs):
-    """What a step of ``highs`` (a, b, c) reads at each word p of ``buf``:
-    ``codes[s, p]``, the move ``(u*b + i)*c + j`` Lemire draws from its three
-    32-bit halves from place s (0: word p's halves, then p+1's low one; s >
-    0: the left-over high half of word p-s, then word p's), and
-    ``uniforms[p]``, ``(buf[p] >> 11) * 2**-53``.  A code is -1 where a half
-    lies outside ``buf`` or a low product half is below its high (as every
-    rejection's is), and everywhere when a high is 1, which draws no half."""
+    """The move ``(u*b + i)*c + j`` that a step of ``highs`` (a, b, c), all
+    > 1, draws from place s at word p of ``buf``, as ``codes[s, p]`` (place
+    0: word p's halves, then p+1's low one; s > 0: the left-over high half
+    of word p-s, then word p's), or -1 where a half lies outside ``buf`` or
+    a low product half is below its high (as every rejection's is)."""
     _, b, c = highs
     half = buf.astype("<u8", copy=False).view("<u4")  # low half first
     (ua, oa), (ub, ob), (uc, oc) = ((half.astype(np.int64) * h >> 32,
                                      half * np.uint32(h) >= h) for h in highs)
-    # a half drawn by a, and two by b and c; -2**40 makes a code negative
-    first = np.where(oa, ua * (b * c), -1 << 40)
-    rest = np.where(ob[:-1] & oc[1:], ub[:-1] * c + uc[1:], -1 << 40)
+    # a half drawn by a, and two by b and c; -2**62 makes a code negative
+    first = np.where(oa, ua * (b * c), -1 << 62)
+    rest = np.where(ob[:-1] & oc[1:], ub[:-1] * c + uc[1:], -1 << 62)
     codes = np.full((3, len(buf)), -1, np.int64)
-    if min(highs) > 1:
-        np.add(first[:-2:2], rest[1::2], out=codes[0, :-1])
-        np.add(first[1:-1:2], rest[2::2], out=codes[1, 1:])
-        np.add(first[1:-3:2], rest[4::2], out=codes[2, 2:])
-        np.maximum(codes, -1, out=codes)
-    return codes, (buf >> 11) * 2.0 ** -53
+    np.add(first[:-2:2], rest[1::2], out=codes[0, :-1])
+    np.add(first[1:-1:2], rest[2::2], out=codes[1, 1:])
+    np.add(first[1:-3:2], rest[4::2], out=codes[2, 2:])
+    return np.maximum(codes, -1, out=codes)
 
 
 def _raw_stream(bitgen, highs):
@@ -281,49 +277,53 @@ def _raw_stream(bitgen, highs):
     of ``bitgen``: Lemire's draw on 32-bit halves, low half first (a half
     left by earlier draws comes next), and ``(word >> 11) * 2**-53``.
     ``step()`` is ``integers(a), integers(b), integers(c)`` for ``highs``
-    (a, b, c), looked up in the reader's block of words, decoded once
-    (``_decoded``), or drawn one by one where the code is -1.  A
-    generator's left-over half is the high half of a virtual word before
-    the first; a refill keeps the word of a left-over half.
+    (a, b, c): its code in the block of words decoded once (``_decoded``),
+    or one draw at a time on a -1 code or a high of 1 (which draws no
+    half).  A generator's left-over half is the high half of a virtual
+    word before the first; a refill keeps the word of a left-over half.
 
-    ``scan(deltas, temp, limit)`` skips the annealing steps of a frozen
-    state that are certain rejections, at most ``limit`` of them, in array
-    passes; ``deltas`` (of shape ``highs``) is each move's change of the
-    violated count.  Such a step reads ``step()`` and one ``random()``:
-    from place 0, two steps read five words, with codes at places 0 and 2.
-    The scan stops before the first step whose code is -1 or whose uniform
-    is <= its bound ``exp(-max(delta, 0) / max(temp, 1e-9))``, with a slack
-    of 1e-9 that covers ``np.exp`` against ``math.exp`` (a delta <= 0 has
+    ``scan(deltas, temp, limit)`` skips, in array passes, at most ``limit``
+    annealing steps of a frozen state that are certain rejections;
+    ``deltas`` (shaped ``highs``) is each move's change of the violated
+    count.  Such a step reads ``step()`` and one ``random()``: from place
+    0, two steps read five words, with codes at places 0 and 2.  The scan
+    stops before the first step whose code is -1 or whose uniform is <=
+    its bound ``exp(-max(delta, 0) / max(temp, 1e-9))``, with a slack of
+    1e-9 that covers ``np.exp`` against ``math.exp`` (a delta <= 0 has
     bound 1, above every uniform).  It returns the steps skipped and the
-    temperature after them (``np.multiply.accumulate`` multiplies in order,
-    as ``temp *= 0.999`` does)."""
+    temperature after them, multiplied in order as ``temp *= 0.999`` is."""
     M, (a, b, c), state = 0xFFFFFFFF, highs, bitgen.state
     buf = np.array([state["uinteger"] << 32] * state["has_uint32"], np.uint64)
     at = place = len(buf)  # the next word; half of word at - place is left
-    n = listed = 0  # the words decoded, and listed for the one-step readers
-    table = codes = uniforms = None  # the decoded block, and as lists
-    moves = list(itertools.product(range(a), range(b), range(c)))
+    n = listed = 0  # the words drawn, and listed for the one-step readers
+    table = words = codes = None  # the block's codes, and the block as lists
+    decode = min(highs) > 1  # else every step draws one at a time
+    exact = lambda: (integers(a), integers(b), integers(c))
+    moves = (list(itertools.product(range(a), range(b), range(c)))
+             if a * b * c <= 1 << 16 else  # else each one on first use
+             _Memo(lambda code: (code // (b * c), code // c % b, code % c)))
 
-    def refill(size=1024):  # raw words drawn and decoded at a time
+    def refill():  # 1024 raw words at a time, decoded once
         nonlocal buf, at, n, listed, table
-        buf = np.concatenate([buf[at - place:], bitgen.random_raw(size)])
-        at, n, listed, table = place, len(buf), 0, _decoded(buf, highs)
+        buf = np.concatenate([buf[at - place:], bitgen.random_raw(1024)])
+        at, n, listed = place, len(buf), 0
+        table = decode and _decoded(buf, highs)
 
     def listing():  # the block as lists, for the one-step readers
-        nonlocal codes, uniforms, listed
+        nonlocal words, codes, listed
         if at + 3 > n:
             refill()
-        codes, uniforms, listed = table[0].tolist(), table[1].tolist(), n
+        words, codes, listed = buf.tolist(), decode and table.tolist(), n
 
     def integers(high):
         nonlocal at, place
         while high > 1:  # Lemire: reject a low product half < 2**32 % high
+            if at >= listed:
+                listing()
             if place:
-                m, place = (int(buf[at - place]) >> 32) * high, 0
+                m, place = (words[at - place] >> 32) * high, 0
             else:
-                if at >= n:  # n is 0 before the first block
-                    refill()
-                m, at, place = (int(buf[at]) & M) * high, at + 1, 1
+                m, at, place = (words[at] & M) * high, at + 1, 1
             if m & M >= high or m & M >= (1 << 32) % high:
                 return m >> 32
         return 0
@@ -333,7 +333,7 @@ def _raw_stream(bitgen, highs):
         if at + 3 > listed:
             listing()
         at, place = at + 1, place and place + 1
-        return uniforms[at - 1]
+        return (words[at - 1] >> 11) * 2.0 ** -53
 
     def step():
         nonlocal at, place
@@ -341,7 +341,7 @@ def _raw_stream(bitgen, highs):
             listing()
         code = codes[place][at] if place < 3 else -1
         if code < 0:
-            return integers(a), integers(b), integers(c)
+            return exact()
         if place:  # faster than one assignment from a conditional pair
             at, place = at + 1, 0
         else:
@@ -353,16 +353,16 @@ def _raw_stream(bitgen, highs):
         flat, done = deltas.ravel(), 0
         while done < limit and place < 3:
             if at + 3 > n:  # three words a step at most, with its uniform
-                refill(min(3 * (limit - done) + 3, 4096))
+                refill()
             # step t of pairs from at (3 words back after a left-over half)
             t = (lead := place > 0) + np.arange(min(limit - done, n - at) + 1)
             pos = at - 3 * lead + 5 * (t >> 1) + 3 * (t & 1)
             start, upos = 2 * (t & 1), pos + 2 - (t & 1)
             start[0] = place
             k = min(len(t) - 1, int(np.searchsorted(upos, n)))
-            code = table[0][start[:k], pos[:k]]
+            code = table[start[:k], pos[:k]]
             temps = np.multiply.accumulate(np.r_[temp, np.full(k, 0.999)])
-            stop = (code < 0) | (table[1][upos[:k]] <= np.exp(
+            stop = (code < 0) | ((buf[upos[:k]] >> 11) * 2.0**-53 <= np.exp(
                 -np.maximum(flat[code], 0) / np.maximum(temps[:k], 1e-9))
                 * (1 + 1e-9))
             s = int(stop.argmax()) if stop.any() else k
@@ -371,7 +371,7 @@ def _raw_stream(bitgen, highs):
             if s < k:
                 break
         return done, temp
-    return integers, random, step, scan
+    return integers, random, step if decode else exact, scan
 
 
 def _deltas(rows, masks, lists, outside, tot, add_t, guard, width):

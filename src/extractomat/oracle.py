@@ -397,13 +397,13 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     """Worst case over supports S2 of input ``enum`` (the ``supports2``
     int64 array or stream of tuples; default all), leak rows on S2 (every
     ``b``-bit pattern, or the rows of the ``maps`` array, relabelled
-    densely) and supports S1 of the other input, which
-    ``strong`` (None or its index) may reveal, chosen by a selection rule
-    (``rule``, by default the top K1 rows, per event if hidden).  A rule
-    is (build, work, held): ``build()`` gives (values, pick), from
-    (configurations, cells, rows) excess to (configurations, candidates)
-    numerators and from one configuration's excess and a candidate to its
-    selection; ``work`` counts its int64 working entries per configuration
+    densely) and supports S1 of the other input, which ``strong`` (None or
+    its index) may reveal, chosen by a selection rule (``rule``, by default
+    the top K1 rows, per event if hidden).  A rule is (build, work, held):
+    ``build()`` gives (values, pick), from (configurations, cells, rows)
+    excess to (configurations, candidates) numerators and from one
+    configuration's excess and a candidate to its selection; ``work``
+    counts its 8-byte working entries (int64 or float64) per configuration
     and ``held`` the bytes of the arrays ``build`` makes.  Those, the
     indicator, the supports and one chunk's working arrays must ``_fit``
     before any of them is built.

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,6 +483,27 @@ def test_search_records_the_scanned_steps():
              (1, 2_913, 0))]:
         _, _, rec = search_gadget(kind, params, seed)
         assert (rec.attempts, rec.steps, rec.scanned) == expect
+
+
+def test_search_holds_only_the_moves_it_draws():
+    # Subsets of size 1 keep the verification charge at r * l = 3,200,
+    # but the state has 8 * 200 * 200 = 320,000 moves: a search of 50
+    # steps must not table them all (about 47 MB as Python tuples).
+    params = {"l": 8, "r": 400, "d": 200, "beta": 1 / 400}
+    tracemalloc.start()
+    try:
+        with pytest.raises(TargetUnreachableError):
+            search_gadget("expander", params, attempts=1, steps=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    # the moves it draws are those of Generator.integers
+    ref, own = (np.random.default_rng(np.random.Philox(key=1))
+                for _ in range(2))
+    step = _raw_stream(own.bit_generator, (8, 200, 200))[2]
+    for _ in range(300):
+        assert step() == tuple(int(ref.integers(h)) for h in (8, 200, 200))
 
 
 def test_search_budget_charges_the_scored_subsets():

@@ -7,11 +7,12 @@ own: kinds x parameters x seeds, with the benchmark's two searches at
 their seeds, searches that restart and that freeze (so that the scan of a
 frozen state skips steps), a left-over half after the initial draw (odd
 l), highs of 1 (r - d = 1, d = 1 and l = 1, which draw no half), an
-unreachable target, extractor graphs, and refused inputs.  A search must
-return the same graph, attempts, steps, ``scanned`` and verdict, or be
-refused with the same exception type and message.  Prints the number of
-searches and mismatches, names each mismatch with the fields that differ,
-and exits 1 on any.
+unreachable target, extractor graphs, a state with more moves than a
+search draws, and refused inputs.  A search must return the same graph,
+attempts, steps, ``scanned`` and verdict, or be refused with the same
+exception type and message.  Prints the number of searches and
+mismatches, names each mismatch with the fields that differ, and exits 1
+on any.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ GRID = [
                          "alpha": 0.5}, range(4), {"attempts": 3, "steps": 60}),
     ("extractor-graph", {"l": 2, "r": 4, "d": 2, "K": 0, "eps": 0.25},
      range(3), {"attempts": 2, "steps": 300}),
+    ("expander", {"l": 8, "r": 400, "d": 200, "beta": 1 / 400}, range(2),
+     {"attempts": 2, "steps": 100}),  # 320,000 moves, subsets of size 1
     ("expander", {"l": 4, "r": 4, "d": 5, "beta": 0.5}, [0], {}),
     ("expander", {"l": 40, "r": 40, "d": 4, "beta": 0.5}, [0],
      {"budget": 1000}),
