@@ -459,9 +459,11 @@ def _builtin_adversary(kind: str, cfg):
     if kind == "ir":
         return AdversaryStrategy.ir(
             faulty, lambda pid, rnd, view: sum(
-                v for _, _, v in view["round_honest"]))
+                v for _, _, v in view["round_honest"]),
+            reads=("round_honest",))
     return AdversaryStrategy.qr_analog(
-        faulty, lambda pid, rnd, view, side: sum(side.values()) * 0x55)
+        faulty, lambda pid, rnd, view, side: sum(side.values()) * 0x55,
+        reads=("side",))
 
 
 def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):

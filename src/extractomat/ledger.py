@@ -28,6 +28,7 @@ WEAKSEED_FACTOR = 1.2
 _DEFAULT_BIG_O = 8
 _DEFAULT_DISPERSER_C = 1.0
 _DEFAULT_EXPANDER_C = 1.0
+ERROR_INPUTS = ("eps", "eps1", "eps2", "eps3")  # errors, each in [0, 1]
 
 
 @dataclass
@@ -325,7 +326,8 @@ def ledger_theorem(theorem_id: str, **inputs) -> LedgerEntry:
     The request binds to the theorem's signature, whose defaults the entry
     records.  Raises :class:`ConstraintViolatedError` naming every violated
     precondition, and :class:`InvalidInputError` for an unknown id, an
-    input the theorem does not take, a missing one, or arithmetic outside
+    input the theorem does not take, a missing one, a NaN or infinite
+    one, an error (``ERROR_INPUTS``) outside [0, 1], or arithmetic outside
     the theorem's domain, a complex result included.
     """
     if theorem_id not in _THEOREMS:
@@ -338,6 +340,13 @@ def ledger_theorem(theorem_id: str, **inputs) -> LedgerEntry:
         raise InvalidInputError(
             f"theorem {theorem_id!r} takes {sig}: {exc}") from None
     bound.apply_defaults()
+    for name, value in bound.arguments.items():
+        if isinstance(value, float) and not math.isfinite(value) or (
+                name in ERROR_INPUTS and isinstance(value, (int, float))
+                and not 0 <= value <= 1):
+            raise InvalidInputError(
+                f"theorem {theorem_id!r} takes finite inputs and errors in "
+                f"[0, 1], not {name}={value!r}")
     entry = LedgerEntry(theorem_id, bound.arguments)
     try:
         fn(entry, **entry.inputs)

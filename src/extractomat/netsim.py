@@ -19,8 +19,9 @@ N-vector from one Philox stream keyed by ``seed ^ WORLD_KEY`` (weight 1,
 ``den = N``), so the ensembles of seeds s and s+1 share no worlds.  The
 protocol then runs once on the whole :class:`Batch`: honest steps are
 truth-table gathers and shifts on int64 columns, the rushing callback
-runs once per distinct adversary view (the views of one sender built a
-column at a time) and a trigger once per distinct transcript, and
+runs once per distinct value of the view parts its strategy reads (the
+views of one sender built a column at a time) and a trigger once per
+distinct transcript, and
 security is measured on the cells of :func:`~extractomat.dist.column_excess`,
 whose worlds and cells are numbered by address where their keys are
 dense.  A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run
@@ -200,42 +201,73 @@ class NetworkConfig:
 # Adversary strategies
 # ----------------------------------------------------------------------
 
+# the parts of the view a rushing function of each kind can read
+VIEW_PARTS = {"ir": ("transcript", "round_honest"),
+              "qr-analog": ("transcript", "round_honest", "side")}
+
+
 class AdversaryStrategy:
     """Corruption rule plus rushing rule.
 
     ``kind`` is ``"ir"`` or ``"qr-analog"``.  An IR rushing function is
     called as ``fn(player, round, view)`` and never receives the leak
     register; the QR-analog signature is ``fn(player, round, view,
-    side_info)``.  ``trigger`` is evaluated at round boundaries and
-    returns extra players to corrupt starting the next round.
-    ``forced_slices`` pins the effective rushing slice of a faulty group
-    in the one-round protocol (the guessing-argument baseline family).
+    side_info)``.  ``view`` holds the ``"transcript"`` so far and the
+    round's ``"round_honest"`` messages, ``side_info`` the leak of each
+    leaking player.  ``reads``, given with a rushing function, names the
+    parts the function depends on (``"side"`` for ``side_info``, on a
+    QR-analog strategy only): it is then called once per distinct value
+    of those parts, with the others left out of ``view`` and
+    ``side_info`` passed as ``None``.  ``None`` declares every part, one
+    call per distinct full view.  ``trigger`` is evaluated at round
+    boundaries and returns extra players to corrupt starting the next
+    round.  ``forced_slices`` pins the effective rushing slice of a faulty
+    group in the one-round protocol (the guessing-argument baseline
+    family).
     """
 
     def __init__(self, kind: str = "ir", faulty: Iterable[int] = (),
                  rushing_fn: Callable | None = None,
                  trigger: Callable | None = None,
-                 forced_slices: dict | None = None):
+                 forced_slices: dict | None = None,
+                 reads: Iterable[str] | None = None):
         if kind not in ("ir", "qr-analog"):
             raise InvalidInputError("adversary kind must be ir or qr-analog")
+        for name, fn in (("rushing_fn", rushing_fn), ("trigger", trigger)):
+            if fn is not None and not callable(fn):
+                raise InvalidInputError(f"{name} must be callable or None, "
+                                        f"not {type(fn).__name__}")
+        parts = VIEW_PARTS[kind]
+        if reads is not None:
+            reads = tuple(reads)
+            if rushing_fn is None:
+                raise InvalidInputError("reads is given without a rushing "
+                                        "function")
+            for part in reads:
+                if part not in parts:
+                    raise InvalidInputError(
+                        f"an {kind} strategy reads no view part {part!r}; "
+                        f"its parts are {', '.join(parts)}")
         self.kind = kind
         self.initial_faulty = frozenset(_integer(i, "a faulty player")
                                         for i in faulty)
         self.rushing_fn = rushing_fn
         self.trigger = trigger
         self.forced_slices = dict(forced_slices) if forced_slices else None
+        self.reads = parts if reads is None else reads
 
     @classmethod
     def passive(cls) -> "AdversaryStrategy":
         return cls("ir", ())
 
     @classmethod
-    def ir(cls, faulty, fn=None, trigger=None) -> "AdversaryStrategy":
-        return cls("ir", faulty, fn, trigger)
+    def ir(cls, faulty, fn=None, trigger=None,
+           reads=None) -> "AdversaryStrategy":
+        return cls("ir", faulty, fn, trigger, reads=reads)
 
     @classmethod
-    def qr_analog(cls, faulty, fn) -> "AdversaryStrategy":
-        return cls("qr-analog", faulty, fn)
+    def qr_analog(cls, faulty, fn, reads=None) -> "AdversaryStrategy":
+        return cls("qr-analog", faulty, fn, reads=reads)
 
     @classmethod
     def forced_slice(cls, faulty, slices: dict) -> "AdversaryStrategy":
@@ -285,7 +317,7 @@ class Batch:
     rushing_width: int = 0
     good_left: np.ndarray | None = None
     rounds_total: int = 0  # set when a non-interactive step follows
-    callbacks: int = 0  # rushing-callback calls, one per distinct view
+    callbacks: int = 0  # rushing-callback calls, one per distinct value read
 
     @classmethod
     def start(cls, cfg: NetworkConfig, xs, adv: AdversaryStrategy,
@@ -345,18 +377,24 @@ class Batch:
         """One round: each sender's honest payload (column of ``honest``,
         by default its source), replaced for faulty senders by the rushing
         message, chosen after the honest ones.  The callback runs once per
-        sender and distinct view, in order of first appearance; a
-        QR-analog view includes the leaks.  A sender's views are built a
-        column at a time: the honest triples per late pattern, the side
-        dicts per leak column."""
+        sender and distinct value of the view parts the strategy reads, in
+        order of first appearance, and is shown only those parts.  A
+        sender's views are built a column at a time: the honest triples
+        per late pattern, the side dicts per leak column."""
         idx = [pid - 1 for pid in senders]
         late = self.faulty[:, idx]
         honest = self.xs[:, idx] if honest is None else honest
         payload = honest.copy()
         if adv.rushing_fn is not None and late.any():
-            qr = adv.kind == "qr-analog"
-            keys = self.transcript_columns() + list(np.where(late, -1, honest).T)
-            if qr:
+            reads, qr = adv.reads, adv.kind == "qr-analog"
+            keys = []
+            if "transcript" in reads:  # with each round's commit order, which
+                # the payloads fix only when corruption starts from one set
+                keys += self.transcript_columns() + [
+                    col for *_, was_late in self.rounds for col in was_late.T]
+            if "round_honest" in reads:
+                keys += list(np.where(late, -1, honest).T)
+            if "side" in reads:
                 keys += list(self.side.values())
             fn, mask = adv.rushing_fn, (1 << width) - 1
             for k, pid in enumerate(senders):
@@ -364,17 +402,20 @@ class Batch:
                 if rows.size == 0:
                     continue
                 ids, first = row_ids((col[rows] for col in keys), rows.size)
-                sel = rows[first]  # one world per distinct view
-                seen = zip(self.transcripts(sel), self._round_honest(
-                    senders, width, honest[sel], late[sel]))
-                if qr:
-                    msgs = [int(fn(pid, rnd, {"transcript": tr,
-                                              "round_honest": hon}, side)) & mask
-                            for (tr, hon), side in zip(seen, self._sides(sel))]
-                else:
-                    msgs = [int(fn(pid, rnd, {"transcript": tr,
-                                              "round_honest": hon})) & mask
-                            for tr, hon in seen]
+                sel = rows[first]  # one world per distinct value read
+                views = [{} for _ in range(sel.size)]
+                if "transcript" in reads:
+                    for view, tr in zip(views, self.transcripts(sel)):
+                        view["transcript"] = tr
+                if "round_honest" in reads:
+                    for view, hon in zip(views, self._round_honest(
+                            senders, width, honest[sel], late[sel])):
+                        view["round_honest"] = hon
+                sides = (self._sides(sel) if "side" in reads
+                         else [None] * sel.size)
+                msgs = [int(fn(pid, rnd, view, side) if qr else
+                            fn(pid, rnd, view)) & mask
+                        for view, side in zip(views, sides)]
                 payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
                 self.callbacks += first.size
         self.rounds.append((rnd, tuple(senders), width, payload, late))

@@ -70,6 +70,7 @@ CHUNK_ENTRIES = 1 << 14  # int64 entries (or 8x as many bytes) per working array
 SUPPORT_TABLE_ENTRIES = 1 << 18  # entries of the largest support table kept
 EVENT_ENTRIES = 1 << 18  # largest map-free working array per support
 SUPPORT_BYTES = 8 << 24  # largest kernel request's arrays, refused past
+OBJECT_BYTES = 16 << 10  # a request's headers, lists and reports beside them
 DEFAULT_SAMPLES = 200
 GL_SYMMETRY = "GL(n,2)"  # T[Ax, A^-T y] = T[x, y] for every A in GL(n,2)
 
@@ -93,7 +94,7 @@ class OracleReport:
     wall_time: float = 0.0
     kernel: str = ""  # "events" or "supports": how the selected side was chosen
     candidates: int = 0  # selected-side supports scored exactly
-    memory_bytes: int = 0  # the kernel's arrays, counted before they were built
+    memory_bytes: int = 0  # the kernel's arrays and objects, counted first
     symmetry: str = ""  # the table symmetry that reduced the enumeration
     representatives: int = 0  # enumerated supports under that reduction
 
@@ -222,8 +223,10 @@ def _gl_invariant(table2d) -> bool:
 
 def _fit(**arrays) -> int:
     """The total of ``arrays``, the bytes of each array a kernel request
-    will build, counted from its sizes before any is built, if at most
-    ``SUPPORT_BYTES``: budgets bound the steps, this the memory."""
+    will build, counted from its sizes before any is built (and
+    ``OBJECT_BYTES`` for the array headers, lists and reports beside
+    them), if at most ``SUPPORT_BYTES``: budgets bound the steps, this the
+    memory."""
     total = sum(arrays.values())
     if total > SUPPORT_BYTES:
         parts = ", ".join(f"{name} {size}" for name, size in arrays.items())
@@ -369,16 +372,21 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     With ``B > 1`` a pick is S1 and its leak map, 0 off S1.  The events
     are built by the rule's ``build``, once the kernel has counted them;
     its work is their float product with the excess and one (event, row)
-    array beside it (the excess as floats has J <= E rows)."""
+    array beside it (the excess as floats has J <= E rows); what it holds
+    is the int64 codes of the events and, at once, their cells as int64
+    bits and as floats."""
     W = min(B, 1 << J)  # cell sets per event
     E = (1 << J) - 2 if B == 1 else math.comb(1 << J, W)
 
     def build():
-        codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.array(
-            list(itertools.combinations(range(1 << J), W)))
+        codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(
+                range(1 << J), W)), np.int64, E * W).reshape(E, W)
+        bits = codes[..., None] >> np.arange(J)
+        bits &= 1
         # (event, e, cell) as float64, for one BLAS product: every sum of
         # excesses is an integer far below 2**53
-        flat = ((codes[..., None] >> np.arange(J)) & 1).reshape(-1, J) * 1.0
+        flat = bits.reshape(-1, J) * 1.0
         score = lambda ex: (flat @ ex.astype(float)).reshape(-1, E, W, rows)
 
         def pick(ex, q):
@@ -388,7 +396,7 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
                 s1, s[:, s1].argmax(axis=0), rows).astype(int).tolist())
         return (lambda ex: _top_sums(score(ex)[:, :, 0] if W == 1 else
                                      score(ex).max(axis=2), K1), pick)
-    return build, E * (W + 1) * rows, E * W * J * 8
+    return build, E * (W + 1) * rows, E * W * (2 * J + 1) * 8
 
 
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
@@ -405,8 +413,8 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     configuration's excess and a candidate to its selection; ``work``
     counts its 8-byte working entries (int64 or float64) per configuration
     and ``held`` the bytes of the arrays ``build`` makes.  Those, the
-    indicator, the supports and one chunk's working arrays must ``_fit``
-    before any of them is built.
+    indicator, the supports, one chunk's working arrays and the objects
+    beside them must ``_fit`` before any of them is built.
     Returns ``(report, supports, leak_map or None)``; given ``samples``,
     S2 is that many random supports drawn from ``Philox(seed)``, and the
     report is sampled: the best draw's error as a float."""
@@ -449,7 +457,8 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
         indicator=cols * rows * (M * dtype.itemsize + 1), rule=held,
         supports=8 * K2 * (S2s if samples else min(
             S2s, SUPPORT_TABLE_ENTRIES // K2)),
-        chunk=min(chunk, S2s) * P * (2 * J * cells * item + 8 * work))
+        chunk=min(chunk, S2s) * P * (2 * J * cells * item + 8 * work),
+        objects=OBJECT_BYTES)
     ind = _cell_indicator(table2d, M, dtype)
     if cells == 1:
         ind = ind.reshape(cols, M, rows).sum(axis=2)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,36 @@ def test_arithmetic_outside_the_domain_is_invalid_input():
     with pytest.raises(ConstraintViolatedError) as exc:
         ledger_theorem("raz", n1=1 << 10, n2=1 << 10, k1=2048, k2=10)
     assert "k1 < n1 (log2(n1-k1) defined)" in exc.value.violations
+
+
+@pytest.mark.parametrize("theorem,inputs,named", [
+    ("ir-to-qr", {"eps": -1, "rush_bits": 10}, "eps=-1"),
+    ("ir-to-qr", {"eps": 1.5, "rush_bits": 10}, "eps=1.5"),
+    ("ir-to-qr", {"eps": float("nan"), "rush_bits": 10}, "eps=nan"),
+    ("ir-to-qr", {"eps": 0.1, "rush_bits": float("inf")}, "rush_bits=inf"),
+    ("qmext", {"t": 2, "n": 64.0, "k": 60.0, "l": 3, "eps1": 0.1,
+               "eps2": -0.25}, "eps2=-0.25"),
+    ("qbext", {"eps1": 0.1, "eps2": 0.1, "eps3": 2.0, "k3": 100.0},
+     "eps3=2.0"),
+    ("qmext", {"t": 2, "n": 64.0, "k": 60.0, "l": 3, "eps1": 1e6,
+               "eps2": 0.1}, "eps1=1000000.0"),
+    ("bourgain", {"n": float("-inf")}, "n=-inf"),
+    ("raz", {"n1": 1024.0, "n2": 1024.0, "k1": 900.0, "k2": 100.0,
+             "delta": float("nan")}, "delta=nan"),
+])
+def test_non_finite_inputs_and_errors_outside_the_unit_interval_are_refused(
+        theorem, inputs, named):
+    with pytest.raises(InvalidInputError, match=rf"theorem {theorem!r} "
+                       r"takes finite inputs and errors in \[0, 1\], not "
+                       + re.escape(named)):
+        ledger_theorem(theorem, **inputs)
+
+
+def test_errors_at_the_ends_of_the_unit_interval_are_taken():
+    assert ledger_theorem("ir-to-qr", eps=0, rush_bits=3).outputs[
+        "eps_qr"] == 0
+    assert ledger_theorem("ir-to-qr", eps=1, rush_bits=3).outputs[
+        "eps_qr"] == 8
 
 
 def test_a_result_off_the_reals_is_invalid_input():

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from extractomat.errors import ConstraintViolatedError, InvalidInputError
 from extractomat.extractors import table_handle
 from extractomat.graphs import BipartiteGraph
 from extractomat.leakage import LeakageScenario
-from extractomat.netsim import (AdversaryStrategy, GadgetSet, NetworkConfig,
-                                evaluate_security, exec_ext_pri, exec_ext_pub,
-                                exec_geqr, forced_slice_distances,
-                                ir_to_qr, output_width,
-                                parse_config_text, protocol_runs,
-                                strong_player_error)
+from extractomat.netsim import (VIEW_PARTS, AdversaryStrategy, GadgetSet,
+                                NetworkConfig, evaluate_security,
+                                exec_ext_pri, exec_ext_pub, exec_geqr,
+                                forced_slice_distances, ir_to_qr,
+                                output_width, parse_config_text,
+                                protocol_runs, strong_player_error)
 from extractomat.sources import FlatSource
 from helpers_naive import (naive_protocol_run, naive_protocol_worlds,
                            naive_security, naive_strong_error)
@@ -603,6 +604,18 @@ def test_rushing_order_ok_per_pattern_matches_per_world(monkeypatch):
     assert answers[True] and answers[False]
 
 
+def _two_pattern_worlds(n, width):
+    """Sources, two leak columns and a faulty mask with two late patterns:
+    player 1 faulty everywhere, player 3 in three worlds only."""
+    rng = np.random.default_rng(69)
+    xs = rng.integers(0, 1 << width, size=(n, 5))
+    side = {4: rng.integers(0, 2, n), 5: rng.integers(0, 3, n)}
+    faulty = np.zeros((n, 5), dtype=bool)
+    faulty[:, 0] = True
+    faulty[rng.choice(n, size=3, replace=False), 2] = True
+    return xs, side, faulty
+
+
 def test_rushing_views_match_a_naive_per_world_build():
     # Two late patterns (player 3 faulty in a few worlds only, so one
     # pattern's columns are longer than 2**width and the other's are not)
@@ -610,13 +623,8 @@ def test_rushing_views_match_a_naive_per_world_build():
     # the distinct views built world by world, once each, every side
     # dict a fresh object, and each world gets its view's message.
     from extractomat import netsim
-    rng = np.random.default_rng(69)
     n, width, senders = 300, 2, (1, 2, 3, 4)
-    xs = rng.integers(0, 1 << width, size=(n, 5))
-    side = {4: rng.integers(0, 2, n), 5: rng.integers(0, 3, n)}
-    faulty = np.zeros((n, 5), dtype=bool)
-    faulty[:, 0] = True
-    faulty[rng.choice(n, size=3, replace=False), 2] = True
+    xs, side, faulty = _two_pattern_worlds(n, width)
     b = netsim.Batch(xs, side, faulty)
     calls = []
 
@@ -652,6 +660,128 @@ def test_rushing_views_match_a_naive_per_world_build():
         got = [key(*call) for call in calls]
         assert len(got) == len(set(got)) and set(got) == expect, rnd
         assert len({id(call[2]) for call in calls}) == len(calls)
+
+
+def _message(reads, rnd, view, side):
+    """A rushing message that depends on the parts ``reads`` alone."""
+    out = rnd
+    if "transcript" in reads:
+        out += 3 * sum(v for *_, v in view["transcript"])
+    if "round_honest" in reads:
+        out += sum(v for *_, v in view["round_honest"])
+    if "side" in reads:
+        out += 2 * side[5] + side[4]
+    return out
+
+
+def _strategy(kind, reads, declared, fn=None, trigger=None):
+    """A ``kind`` strategy sending ``_message(reads, ...)`` (or calling
+    ``fn``), with ``reads`` declared or not."""
+    fn = fn or (lambda pid, rnd, view, side=None:
+                _message(reads, rnd, view, side))
+    return AdversaryStrategy(kind, {1} if kind == "qr-analog" else set(), fn,
+                             trigger, reads=reads if declared else None)
+
+
+def _distinct_reads(b, reads):
+    """The callbacks a strategy reading ``reads`` needs on the rounds of
+    ``b``, counted world by world: per round, the distinct (late sender,
+    value of each part read) pairs."""
+    count = 0
+    for i, (_, snd, width, sent, lt) in enumerate(b.rounds):
+        seen = set()
+        for w in range(len(sent)):
+            tr = ()
+            for r, s2, _, p2, l2 in b.rounds[:i]:
+                order = sorted(range(len(s2)), key=lambda k: l2[w, k])
+                tr += tuple((r, s2[k], int(p2[w, k])) for k in order)
+            parts = {"transcript": tr,
+                     "round_honest": tuple((s, int(sent[w, j]), width)
+                                           for j, s in enumerate(snd)
+                                           if not lt[w, j]),
+                     "side": tuple((pid, int(col[w]))
+                                   for pid, col in b.side.items())}
+            for k in np.flatnonzero(lt[w]).tolist():
+                seen.add((snd[k], *(parts[part] for part in reads)))
+        count += len(seen)
+    return count
+
+
+def _reader(part):
+    """A rushing function that reads the view part ``part``."""
+    def fn(pid, rnd, view, side=None):
+        return len(side) if part == "side" else len(view[part])
+    return fn
+
+
+def _two_pattern_run(adv):
+    from extractomat import netsim
+    b = netsim.Batch(*_two_pattern_worlds(300, 2))
+    for rnd in (1, 2):
+        b.play(rnd, (1, 2, 3, 4), 2, adv)
+    return b
+
+
+def _trigger_run(adv):
+    cfg = _tiny_ext_pub(np.random.default_rng(67))
+    return protocol_runs("ext_pub", cfg,
+                         [FlatSource(cfg.n, [0, 1, 6, 7])] * cfg.p, None,
+                         adv, n_runs=400, seed=3)[2]
+
+
+def _split_trigger(rnd, tr):
+    return {4} if rnd == 1 and sum(v for *_, v in tr) & 1 else set()
+
+
+@pytest.mark.parametrize("kind,run,trigger", [
+    ("qr-analog", _two_pattern_run, None),
+    ("ir", _trigger_run, _split_trigger)], ids=["two-patterns", "trigger"])
+def test_declared_parts_give_the_full_views_payloads(kind, run, trigger):
+    # For every subset of the parts a kind can read: the same payloads and
+    # outputs as the undeclared strategy, one callback per sender, round
+    # and distinct value of the declared parts, and a strategy reading a
+    # part it did not declare fails instead of reusing a message
+    parts = VIEW_PARTS[kind]
+    full = run(_strategy(kind, parts, False, trigger=trigger))
+    assert full.callbacks == _distinct_reads(full, parts) > 0
+    for size in range(len(parts) + 1):
+        for reads in combinations(parts, size):
+            undeclared = run(_strategy(kind, reads, False, trigger=trigger))
+            b = run(_strategy(kind, reads, True, trigger=trigger))
+            assert len(b.rounds) == len(undeclared.rounds), reads
+            for got, want in zip(b.rounds, undeclared.rounds):
+                assert np.array_equal(got[3], want[3]), reads
+                assert np.array_equal(got[4], want[4]), reads
+            if b.outputs is not None:
+                assert np.array_equal(b.outputs, undeclared.outputs)
+            assert b.callbacks == _distinct_reads(b, reads), reads
+            assert b.callbacks <= undeclared.callbacks
+            for part in set(parts) - set(reads):
+                with pytest.raises((KeyError, TypeError)):
+                    run(_strategy(kind, reads, True, _reader(part), trigger))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: AdversaryStrategy.qr_analog({1}, 5),
+     "rushing_fn must be callable"),
+    (lambda: AdversaryStrategy.ir({1}, "f"), "rushing_fn must be callable"),
+    (lambda: AdversaryStrategy.ir({1}, trigger=3),
+     "trigger must be callable"),
+    (lambda: AdversaryStrategy.ir({1}, _reader("transcript"),
+                                  reads=("transcript", "leak")),
+     "reads no view part 'leak'"),
+    (lambda: AdversaryStrategy.ir({1}, _reader("transcript"),
+                                  reads=("side",)),
+     "an ir strategy reads no view part 'side'"),
+    (lambda: AdversaryStrategy.qr_analog({1}, None, reads=("side",)),
+     "reads is given without a rushing function"),
+    (lambda: AdversaryStrategy.ir({1}, reads=()),
+     "reads is given without a rushing function"),
+], ids=["qr-int", "ir-str", "trigger", "unknown-part", "ir-side",
+        "qr-no-fn", "ir-no-fn"])
+def test_strategies_are_checked_when_built(build, match):
+    with pytest.raises(InvalidInputError, match=match):
+        build()
 
 
 def test_rushing_order_ok_on_worlds_the_trigger_splits():

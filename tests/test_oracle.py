@@ -1164,8 +1164,8 @@ def test_working_arrays_past_the_cap_are_refused(monkeypatch):
     # int8 indicator of 4 columns x 16 rows x (2 cells + 1 mask) = 192;
     # 6 S1 x (4 one-hot + 2 listed) int64 = 288; 6 S3 x 2 int64 = 96; and
     # 6 S3 x 2^2 patterns x (2 x 4 cells x 16 rows int8 + 6 S1 x 4 rows
-    # int64) = 7,680 bytes
-    need = 192 + 288 + 96 + 7_680
+    # int64) = 7,680 bytes; and the objects beside the arrays
+    need = 192 + 288 + 96 + 7_680 + oracle_mod.OBJECT_BYTES
     rep = worst_case_error_multi(three, (1, 1, 1), b=1)
     assert rep.to_json_dict()["volatile"]["memory_bytes"] == need
     monkeypatch.setattr(oracle_mod, "SUPPORT_BYTES", need)
@@ -1907,6 +1907,27 @@ def test_compact_kernel_matches_naive_and_exact_distance():
             assert (_witness_error(fn, m, rep.witness, revealed)
                     if widths[1] > 8 else
                     _rescored_witness(h, rep.witness, revealed)) == rep.error
+
+
+def test_the_count_covers_a_map_free_leaked_requests_traced_peak():
+    # ip(3), K = (2, 2), a 1-bit leak: the map-free runs build their events
+    # (codes, cell bits, floats) beside the float product; the count holds
+    # those and the objects beside the arrays, with caches cold (when the
+    # test runs alone) and warm, and the verdict is the one before
+    h = ip_handle(3)
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            rep = worst_case_error_leaked(h, (2, 2), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rep.memory_bytes
+        assert (rep.mode, rep.error, rep.kernel, rep.enumerated,
+                rep.candidates) == ("exhaustive", Fraction(5, 16), "events",
+                                    2310, 852)
+        assert rep.witness == {"supports": [[0, 1, 2, 4], [0, 1, 2, 4]],
+                               "strong": None, "leak_map": None}
 
 
 def test_refused_requests_are_counted_not_built(monkeypatch):

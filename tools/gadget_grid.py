@@ -17,11 +17,12 @@ on any.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import subprocess
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # loaded by path too
+import tree_grid  # noqa: E402
 
 # (kind, params, seeds, search keywords)
 GRID = [
@@ -78,19 +79,13 @@ def answer() -> None:
         print(json.dumps(res))
 
 
-def _answers(src: str) -> list:
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, __file__, "--answer"], env=env,
-                         capture_output=True, text=True, check=True)
-    return [json.loads(line) for line in out.stdout.splitlines()]
-
-
 def compare(old_src: str, new_src: str) -> tuple[int, list]:
     """The number of searches and ``(name, differing fields)`` of each
     mismatch."""
     names = [name for name, *_ in searches()]
     mismatches = []
-    for name, old, new in zip(names, _answers(old_src), _answers(new_src),
+    for name, old, new in zip(names, tree_grid.answers(__file__, old_src),
+                              tree_grid.answers(__file__, new_src),
                               strict=True):
         fields = [k for k in {**old, **new} if old.get(k) != new.get(k)]
         if fields:
@@ -98,22 +93,17 @@ def compare(old_src: str, new_src: str) -> tuple[int, list]:
     return len(names), mismatches
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("old_src", nargs="?")
-    p.add_argument("new_src", nargs="?")
-    p.add_argument("--answer", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.answer:
-        answer()
-        return 0
-    if not (args.old_src and args.new_src):
-        p.error("give the old and the new src directory")
+def _report(args) -> int:
     total, mismatches = compare(args.old_src, args.new_src)
     print(f"{total} searches, {len(mismatches)} mismatches")
     for name, fields in mismatches:
         print(f"mismatch: {name}: {', '.join(fields)}")
     return 1 if mismatches else 0
+
+
+def main(argv=None) -> int:
+    return tree_grid.main(tree_grid.parser(__doc__), argv,
+                          lambda args: answer(), _report)
 
 
 if __name__ == "__main__":

@@ -17,13 +17,14 @@ counts by outcome and exits 1 on any mismatch.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # loaded by path too
+import tree_grid  # noqa: E402
 
 # theorem id -> (its inputs in signature order, how many are required)
 PARAMS = {
@@ -107,11 +108,7 @@ def answer(per_theorem: int) -> None:
 
 
 def _answers(src: str, per_theorem: int) -> list:
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, __file__, "--answer",
-                          "--per-theorem", str(per_theorem)],
-                         env=env, capture_output=True, text=True, check=True)
-    return [json.loads(line) for line in out.stdout.splitlines()]
+    return tree_grid.answers(__file__, src, "--per-theorem", str(per_theorem))
 
 
 def compare(old_src: str, new_src: str, per_theorem: int) -> Counter:
@@ -130,22 +127,18 @@ def compare(old_src: str, new_src: str, per_theorem: int) -> Counter:
     return counts
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("old_src", nargs="?")
-    p.add_argument("new_src", nargs="?")
-    p.add_argument("--per-theorem", type=int, default=400)
-    p.add_argument("--answer", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.answer:
-        answer(args.per_theorem)
-        return 0
-    if not (args.old_src and args.new_src):
-        p.error("give the old and the new src directory")
+def _report(args) -> int:
     counts = compare(args.old_src, args.new_src, args.per_theorem)
     print(f"{sum(counts.values())} calls over {len(PARAMS)} theorems:",
           dict(sorted(counts.items())))
     return 1 if counts["mismatch"] else 0
+
+
+def main(argv=None) -> int:
+    p = tree_grid.parser(__doc__)
+    p.add_argument("--per-theorem", type=int, default=400)
+    return tree_grid.main(p, argv, lambda args: answer(args.per_theorem),
+                          _report)
 
 
 if __name__ == "__main__":

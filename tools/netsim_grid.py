@@ -26,16 +26,16 @@ as ``public_block_quality.4.ci_99``), and exits 1 on any.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # loaded by path too
+import tree_grid  # noqa: E402
 
 MICRO = "p = 5\nt = 1\nn = {n}\nk = {k}\nalpha = 0.25\nseed = {seed}\n"
 SMALL_EXTPUB = ("p = 7\nt = 1\nn = 3\nk = 1\nalpha = 2.0\ndelta = 0.25\n"
@@ -114,13 +114,8 @@ def answer(limit: int | None) -> None:
 
 
 def _answers(src: str, limit: int | None) -> list:
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = [sys.executable, __file__, "--answer"]
-    if limit is not None:
-        argv += ["--limit", str(limit)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True,
-                         check=True)
-    return [json.loads(line) for line in out.stdout.splitlines()]
+    return tree_grid.answers(__file__, src, *(
+        () if limit is None else ("--limit", str(limit))))
 
 
 def _paths(a, b, at=()) -> list:
@@ -159,18 +154,7 @@ def compare(old_src: str, new_src: str, limit: int | None = None) -> tuple:
                       for a, b in zip(old, new, strict=True) if a != b]
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("old_src", nargs="?")
-    p.add_argument("new_src", nargs="?")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--answer", action="store_true", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.answer:
-        answer(args.limit)
-        return 0
-    if not (args.old_src and args.new_src):
-        p.error("give the old and the new src directory")
+def _report(args) -> int:
     total, mismatches = compare(args.old_src, args.new_src, args.limit)
     print(f"{total} requests, {len(mismatches)} mismatches")
     for name, lines in mismatches:
@@ -178,6 +162,12 @@ def main(argv=None) -> int:
         for line in lines:
             print(f"  {line}")
     return 1 if mismatches else 0
+
+
+def main(argv=None) -> int:
+    p = tree_grid.parser(__doc__)
+    p.add_argument("--limit", type=int, default=None)
+    return tree_grid.main(p, argv, lambda args: answer(args.limit), _report)
 
 
 if __name__ == "__main__":
