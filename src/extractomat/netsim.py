@@ -19,13 +19,14 @@ N-vector from one Philox stream keyed by ``seed ^ WORLD_KEY`` (weight 1,
 ``den = N``), so the ensembles of seeds s and s+1 share no worlds.  The
 protocol then runs once on the whole :class:`Batch`: honest steps are
 truth-table gathers and shifts on int64 columns, the rushing callback
-runs once per distinct value of the view parts its strategy reads (the
-views of one sender built a column at a time) and a trigger once per
-distinct transcript, and
-security is measured on the cells of :func:`~extractomat.dist.column_excess`,
-whose worlds and cells are numbered by address where their keys are
-dense.  A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run
-log.
+runs once per distinct value of the view parts its strategy reads, on
+the view of that value's first world, and a trigger once per distinct
+transcript.  The transcript has one definition, the payload and late
+columns of :meth:`Batch.transcript_columns`, which the callbacks,
+triggers and security measures all number worlds by; security is
+measured on the cells of :func:`~extractomat.dist.column_excess`, whose
+worlds and cells are numbered by address where their keys are dense.
+A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run log.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -90,6 +90,12 @@ class NetworkConfig:
     gadgets: GadgetSet = field(default_factory=GadgetSet)
 
     def __post_init__(self):
+        if self.geqr_s is None:
+            self.geqr_s = max(1, self.t * 2)
+        for key, least in (("t", 0), ("geqr_s", 1), ("geqr_group", 2)):
+            if getattr(self, key) < least:
+                raise InvalidInputError(f"config key {key} must be >= {least}"
+                                        f", got {getattr(self, key)}")
         expected_a = math.ceil((1 + self.alpha) * self.t)
         expected_b = math.ceil(2 * (1 + 2 * self.delta) * self.t)
         if self.a_size is None:
@@ -102,12 +108,6 @@ class NetworkConfig:
         if self.b_size != expected_b:
             raise InvalidInputError("|B| = 2(1+2delta)t violated: "
                                     f"{self.b_size} != {expected_b}")
-        if self.geqr_s is None:
-            self.geqr_s = max(1, self.t * 2)
-        for key, least in (("geqr_s", 1), ("geqr_group", 2)):
-            if getattr(self, key) < least:
-                raise InvalidInputError(f"config key {key} must be >= {least}"
-                                        f", got {getattr(self, key)}")
         if self.k <= 4 * math.log2(max(self.p, 2)):
             warnings.warn(
                 f"k={self.k} is at or below 4*log2(p)={4 * math.log2(self.p):.2f}; "
@@ -330,12 +330,12 @@ class Batch:
         return cls(xs, dict(side or {}), faulty)
 
     def transcript_columns(self, upto: int | None = None) -> list:
-        """The transcript of the first ``upto`` rounds as columns.  The
-        payloads suffice: corruption starts from one set in every world
-        and triggers read only the transcript, so each round's commit
-        order follows from the payloads before it."""
-        return [col for *_, payload, _ in self.rounds[:upto]
-                for col in payload.T]
+        """The transcript of the first ``upto`` rounds as columns: each
+        round's payloads, then its ``late`` flags, which fix its commit
+        order, so worlds with equal columns have equal :meth:`transcripts`.
+        Every reader of the transcript numbers worlds by these columns."""
+        return [col for *_, payload, late in self.rounds[:upto]
+                for col in (*payload.T, *late.T)]
 
     def transcripts(self, rows) -> list:
         """Worlds ``rows``' (round, sender, payload) triples, commit order."""
@@ -378,23 +378,20 @@ class Batch:
         by default its source), replaced for faulty senders by the rushing
         message, chosen after the honest ones.  The callback runs once per
         sender and distinct value of the view parts the strategy reads, in
-        order of first appearance, and is shown only those parts.  A
-        sender's views are built a column at a time: the honest triples
-        per late pattern, the side dicts per leak column."""
+        order of first appearance, and is shown only those parts: each
+        view is built from its first world's row, with a fresh side dict."""
         idx = [pid - 1 for pid in senders]
         late = self.faulty[:, idx]
         honest = self.xs[:, idx] if honest is None else honest
         payload = honest.copy()
         if adv.rushing_fn is not None and late.any():
-            reads, qr = adv.reads, adv.kind == "qr-analog"
-            keys = []
-            if "transcript" in reads:  # with each round's commit order, which
-                # the payloads fix only when corruption starts from one set
-                keys += self.transcript_columns() + [
-                    col for *_, was_late in self.rounds for col in was_late.T]
-            if "round_honest" in reads:
+            qr = adv.kind == "qr-analog"
+            tr_read, hon_read, side_read = (part in adv.reads for part in (
+                "transcript", "round_honest", "side"))
+            keys = self.transcript_columns() if tr_read else []
+            if hon_read:
                 keys += list(np.where(late, -1, honest).T)
-            if "side" in reads:
+            if side_read:
                 keys += list(self.side.values())
             fn, mask = adv.rushing_fn, (1 << width) - 1
             for k, pid in enumerate(senders):
@@ -403,58 +400,24 @@ class Batch:
                     continue
                 ids, first = row_ids((col[rows] for col in keys), rows.size)
                 sel = rows[first]  # one world per distinct value read
-                views = [{} for _ in range(sel.size)]
-                if "transcript" in reads:
-                    for view, tr in zip(views, self.transcripts(sel)):
-                        view["transcript"] = tr
-                if "round_honest" in reads:
-                    for view, hon in zip(views, self._round_honest(
-                            senders, width, honest[sel], late[sel])):
-                        view["round_honest"] = hon
-                sides = (self._sides(sel) if "side" in reads
-                         else [None] * sel.size)
-                msgs = [int(fn(pid, rnd, view, side) if qr else
-                            fn(pid, rnd, view)) & mask
-                        for view, side in zip(views, sides)]
+                trs = self.transcripts(sel) if tr_read else ()
+                leaks = [col[sel].tolist() for col in self.side.values()]
+                msgs = []
+                for i, (hon, lt) in enumerate(zip(honest[sel].tolist(),
+                                                  late[sel].tolist())):
+                    view = {"transcript": trs[i]} if tr_read else {}
+                    if hon_read:
+                        view["round_honest"] = tuple([
+                            (s, v, width) for s, v, was_late
+                            in zip(senders, hon, lt) if not was_late])
+                    side = ({p: vals[i] for p, vals in zip(self.side, leaks)}
+                            if side_read else None)
+                    msgs.append(int(fn(pid, rnd, view, side) if qr else
+                                    fn(pid, rnd, view)) & mask)
                 payload[rows, k] = np.array(msgs, dtype=np.int64)[ids]
                 self.callbacks += first.size
         self.rounds.append((rnd, tuple(senders), width, payload, late))
         return payload
-
-    @staticmethod
-    def _round_honest(senders, width: int, honest, late):
-        """Each view's ``(sender, value, width)`` triples of the honest
-        senders, in view order, ``honest`` and ``late`` holding one row per
-        view.  Views are grouped by their late pattern; a column longer
-        than ``2**width`` shares one triple per value, by ``itemgetter``.
-        One pattern, the usual case, yields its tuples as they are read."""
-        out = [()] * len(late)
-        pattern, heads = row_ids(late.view(np.uint8).T, len(late))
-        for g, head in enumerate(heads.tolist()):
-            at = np.flatnonzero(pattern == g)
-            cols = []
-            for j in np.flatnonzero(~late[head]).tolist():
-                vals, s = honest[at, j].tolist(), senders[j]
-                cols.append(itemgetter(*vals)([(s, v, width) for v in range(
-                    1 << width)]) if len(vals) > 1 << width
-                    else [(s, v, width) for v in vals])
-            hons = zip(*cols) if cols else [()] * at.size
-            if heads.size == 1:
-                return hons
-            for i, hon in zip(at.tolist(), hons):
-                out[i] = hon
-        return out
-
-    def _sides(self, sel):
-        """A fresh leak dict per world of ``sel``: a dict display of the first
-        leaking player's value, the others' added a column at a time."""
-        cols = [(pid, col[sel].tolist()) for pid, col in self.side.items()]
-        sides = ([{cols[0][0]: v} for v in cols[0][1]] if cols
-                 else [{} for _ in range(sel.size)])
-        for pid, vals in cols[1:]:
-            for d, v in zip(sides, vals):
-                d[pid] = v
-        return sides
 
     def corrupt(self, adv: AdversaryStrategy, t_bound: int, rnd_done: int):
         """Adaptive corruption after round ``rnd_done``: the trigger runs once
@@ -704,6 +667,8 @@ def evaluate_security(protocol: str, cfg: NetworkConfig, sources,
     plug-in estimate with its bootstrap spread, not a CI for the distance.
     ``S'`` is ``player_set`` minus the players faulty or without output
     in the first world."""
+    if mode not in ("exact", "sampled"):
+        raise InvalidInputError(f"mode must be exact or sampled, not {mode!r}")
     exact = mode == "exact"
     return security(protocol, cfg, player_set, *protocol_runs(
         protocol, cfg, sources, scenario, adv, shared=shared,

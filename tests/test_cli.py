@@ -666,6 +666,21 @@ def test_netsim_refuses_geqr_partitions_without_groups(cache_dir, tmp_path,
     assert f"config key {key} must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    "p = 5\nt = -1\nn = 3\nk = 3\nalpha = 0.25\nseed = 3\nprotocol = geqr\n",
+    "p = 7\nt = -1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\nseed = 17\n"
+    "protocol = extpub\n"], ids=["geqr", "extpub"])
+def test_netsim_refuses_a_negative_corruption_bound(cache_dir, tmp_path,
+                                                    capsys, config):
+    # exit 4 naming t, on either protocol (geqr used to exit 5 on a
+    # negative rushing bound, extpub 4 on its graph wiring)
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(config)
+    assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache_dir,
+                   tmp_path / "out") == 4
+    assert "config key t must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
     from extractomat.oracle import BOOTSTRAP_RESAMPLES
     cfg = tmp_path / "micro.cfg"

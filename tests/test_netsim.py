@@ -14,12 +14,13 @@ from extractomat.errors import ConstraintViolatedError, InvalidInputError
 from extractomat.extractors import table_handle
 from extractomat.graphs import BipartiteGraph
 from extractomat.leakage import LeakageScenario
-from extractomat.netsim import (VIEW_PARTS, AdversaryStrategy, GadgetSet,
-                                NetworkConfig, evaluate_security,
+from extractomat.netsim import (VIEW_PARTS, AdversaryStrategy, Batch,
+                                GadgetSet, NetworkConfig, evaluate_security,
                                 exec_ext_pri, exec_ext_pub, exec_geqr,
                                 forced_slice_distances, ir_to_qr,
                                 output_width, parse_config_text,
-                                protocol_runs, strong_player_error)
+                                protocol_runs, security,
+                                strong_player_error)
 from extractomat.sources import FlatSource
 from helpers_naive import (naive_protocol_run, naive_protocol_worlds,
                            naive_security, naive_strong_error)
@@ -797,6 +798,91 @@ def test_rushing_order_ok_on_worlds_the_trigger_splits():
     late = b.rounds[1][4]
     assert len({tuple(row) for row in late.tolist()}) == 2
     assert b.rushing_order_ok() is True == _order_ok_per_world(b)
+
+
+def _half_faulty_batch(n=200):
+    """A batch whose player 1 is faulty in half of its worlds, after one
+    round in which it rushes 0, so some worlds' transcripts differ from
+    others only in commit order."""
+    rng = np.random.default_rng(7)
+    xs = rng.integers(0, 4, size=(n, 5))
+    faulty = np.zeros((n, 5), dtype=bool)
+    faulty[rng.choice(n, size=n // 2, replace=False), 0] = True
+    b = Batch(xs, {4: rng.integers(0, 2, n)}, faulty)
+    b.play(1, (1, 2, 3, 4), 2, AdversaryStrategy.ir(
+        set(), lambda pid, rnd, view: 0))
+    return b
+
+
+def test_corrupt_calls_the_trigger_once_per_distinct_transcript():
+    # the trigger reads the commit order alone: once per distinct
+    # transcript, and each world turns corrupt the player its own
+    # transcript names (payload columns alone merged worlds of either
+    # order, calling it 126 times for 136 transcripts)
+    b = _half_faulty_batch()
+    calls = []
+
+    def trigger(rnd, tr):
+        calls.append(tr)
+        return {2} if tr[0][1] == 1 else {3}
+
+    before = b.faulty.copy()
+    b.corrupt(AdversaryStrategy.ir(set(), trigger=trigger), 2, 1)
+    transcripts = b.transcripts(np.arange(len(b.xs)))
+    assert len(calls) == len(set(calls)) == len(set(transcripts)) == 136
+    assert set(calls) == set(transcripts)
+    want = before.copy()
+    for w, tr in enumerate(transcripts):
+        want[w, 1 if tr[0][1] == 1 else 2] = True
+    assert np.array_equal(b.faulty, want)
+
+
+def _naive_worlds(b, den, weights):
+    """``naive_security``'s worlds of the batch ``b``, transcripts keyed
+    as tuples."""
+    return [(Fraction(int(w), den), {}, {pid: int(col[j])
+                                         for pid, col in b.side.items()},
+             tr, {pid: None if v < 0 else v
+                  for pid, v in enumerate(b.outputs[j].tolist(), start=1)},
+             None)
+            for j, (w, tr) in enumerate(zip(weights, b.transcripts(
+                np.arange(len(weights)))))]
+
+
+def test_security_tells_transcripts_apart_by_commit_order():
+    cfg = _tiny_geqr(np.random.default_rng(3))  # 1-bit outputs
+    # two worlds with equal payloads, player 1 late in the first only:
+    # two rests, each with its whole weight on one output, distance 1/2
+    b = Batch(np.zeros((2, 5), dtype=np.int64), {},
+              np.array([[True] + [False] * 4, [False] * 5]))
+    b.play(1, (1, 2, 3, 4), 2, AdversaryStrategy.ir(
+        set(), lambda pid, rnd, view: 0))
+    b.outputs = np.array([[-1] * 4 + [0], [-1] * 4 + [1]])
+    weights = np.ones(2, dtype=np.int64)
+    rep = security("geqr", cfg, [5], 2, weights, b)
+    assert rep.distance == Fraction(1, 2) == naive_security(
+        _naive_worlds(b, 2, weights), [5], 1)
+    # and on 200 worlds of either order, random outputs and a leak
+    b = _half_faulty_batch()
+    rng = np.random.default_rng(11)
+    b.outputs = np.concatenate([np.full((200, 4), -1),
+                                rng.integers(0, 2, (200, 1))], axis=1)
+    weights = rng.integers(1, 4, 200)
+    den = int(weights.sum())
+    rep = security("geqr", cfg, [5], den, weights, b)
+    assert rep.distance == naive_security(_naive_worlds(b, den, weights),
+                                          [5], 1)
+
+
+@pytest.mark.parametrize("mode", ["exakt", "Exact", "mc", ""])
+def test_evaluate_security_refuses_unknown_modes(micro_geqr, mode):
+    # only "exact" and "sampled" are modes; "exakt" used to be sampled
+    sources = [FlatSource(4, range(16))] * 5
+    with pytest.raises(InvalidInputError, match="mode must be exact or "
+                                                "sampled"):
+        evaluate_security("geqr", micro_geqr, sources, None,
+                          AdversaryStrategy.passive(), [5], mode=mode,
+                          n_runs=10)
 
 
 # ----------------------------------------------------------------------

@@ -68,8 +68,7 @@ def test_netsim_grid_compares_stdout_and_stderr(tmp_path, old, new, named):
 
 
 def test_netsim_grid_names_a_lost_volatile_key(tmp_path):
-    # volatile values are ignored, its key names are not: a CLI that drops
-    # leak_calls is named in stdout and report.json
+    # a CLI that drops leak_calls is named in stdout and report.json
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -81,10 +80,32 @@ def test_netsim_grid_names_a_lost_volatile_key(tmp_path):
     cli_py.write_text(text.replace(old, '"adversary_calls": b.callbacks}'))
     out = _grid(ROOT / "src", changed)
     assert out.returncode == 1, out.stderr
-    named = ["  stdout: 0.volatile", "  report.json: volatile"]
+    named = ["  stdout: 0.volatile.leak_calls",
+             "  report.json: volatile.leak_calls"]
     assert out.stdout.splitlines() == [
         "2 requests, 2 mismatches", "mismatch: exact-geqr-n2-s3-none", *named,
         "mismatch: exact-geqr-n2-s3-ir", *named]
+
+
+def test_netsim_grid_compares_volatile_counters_by_value(tmp_path):
+    # a play that calls the rushing callback once per late world sends the
+    # same messages: only the IR request's adversary_calls differs, while
+    # eval_s, a timing, differs in every request and is not named
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    netsim_py = changed / "extractomat" / "netsim.py"
+    text = netsim_py.read_text()
+    old = "ids, first = row_ids((col[rows] for col in keys), rows.size)"
+    assert text.count(old) == 1
+    netsim_py.write_text(text.replace(
+        old, "ids = first = np.arange(rows.size)"))
+    out = _grid(ROOT / "src", changed)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines() == [
+        "2 requests, 1 mismatches", "mismatch: exact-geqr-n2-s3-ir",
+        "  stdout: 0.volatile.adversary_calls",
+        "  report.json: volatile.adversary_calls"]
 
 
 def test_netsim_grid_names_the_key_paths_that_differ():

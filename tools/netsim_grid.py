@@ -14,10 +14,11 @@ its own, with an empty certificate cache of its own:
   config, p=7, n=6, k=4) under each adversary, at several config seeds
   and run counts.
 
-For every request the exit code, stdout and ``report.json`` (their
-``volatile`` blocks by key names and order, the values ignored), stderr
-(which holds the config warnings), ``runs.jsonl`` and ``summary.csv``
-must be byte-identical between the trees.  ``--limit
+For every request the exit code, stdout and ``report.json`` (in their
+``volatile`` blocks, the counters by value and the timings ``eval_s`` and
+``estimator_s`` by key name only), stderr (which holds the config
+warnings), ``runs.jsonl`` and ``summary.csv`` must be byte-identical
+between the trees.  ``--limit
 N`` answers only the first N requests.  Prints the number of requests and
 mismatches, names each mismatch with one indented line per output that
 differs (for ``report.json`` and stdout, the key paths that differ, such
@@ -44,6 +45,7 @@ TOY = ("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
        "seed = {seed}\n")
 ADVERSARIES = ("none", "ir", "qr-analog")
 OUTPUTS = ("report.json", "runs.jsonl", "summary.csv")
+TIMINGS = ("eval_s", "estimator_s")  # the volatile values compared by name
 _GONE = object()  # a key one JSON value has and the other lacks
 
 
@@ -80,11 +82,12 @@ def requests() -> list:
 
 
 def _stable(text: str) -> str:
-    """A JSON report with its ``volatile`` block's key list in place of
-    the block, in one spelling."""
+    """A JSON report with its ``volatile`` timings blanked, in one
+    spelling."""
     report = json.loads(text)
     if "volatile" in report:
-        report["volatile"] = list(report["volatile"])
+        report["volatile"] = {k: None if k in TIMINGS else v
+                              for k, v in report["volatile"].items()}
     return json.dumps(report, indent=2)
 
 
