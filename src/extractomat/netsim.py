@@ -421,8 +421,9 @@ class Batch:
 
     def corrupt(self, adv: AdversaryStrategy, t_bound: int, rnd_done: int):
         """Adaptive corruption after round ``rnd_done``: the trigger runs once
-        per distinct transcript; the players it names turn faulty for the
-        next round, in ascending order while fewer than ``t_bound`` are."""
+        per distinct row of :meth:`transcript_columns`; the players it names
+        turn faulty for the next round, in ascending order while fewer than
+        ``t_bound`` are."""
         if adv.trigger is None:
             return
         n, p = self.faulty.shape
