@@ -92,7 +92,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.geqr_s is None:
             self.geqr_s = max(1, self.t * 2)
-        for key, least in (("t", 0), ("geqr_s", 1), ("geqr_group", 2)):
+        for key, least in (("p", 1), ("t", 0), ("geqr_s", 1),
+                           ("geqr_group", 2)):
             if getattr(self, key) < least:
                 raise InvalidInputError(f"config key {key} must be >= {least}"
                                         f", got {getattr(self, key)}")

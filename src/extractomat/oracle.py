@@ -10,7 +10,8 @@ fact is used without re-proof throughout this module.
 All exhaustive paths work in integer arithmetic: with flat supports of
 sizes ``K_i`` every probability is an integer count over a common
 denominator, so distances reduce to exact int64 sums and the final
-error is a ``Fraction``.
+error is a ``Fraction``.  The selection rules' products run in float64
+BLAS, exact because every sum they form is an integer far below 2**53.
 
 Every worst-case oracle but the sampled two-source one runs one kernel,
 ``_selected_worst``.  It enumerates (or samples) the supports S2 of one
@@ -315,9 +316,11 @@ def _cell_indicator(table2d, M: int, dtype) -> np.ndarray:
 
 
 def _onehot(supports, space: int) -> np.ndarray:
-    """0/1 int64 rows marking each of the ``supports`` (rows of an array)."""
+    """0/1 float64 rows marking each of the ``supports`` (rows of an
+    array), for BLAS products: every sum of integer scores they take is
+    an integer far below 2**53, so exact."""
     idx = np.asarray(supports, dtype=np.int64).reshape(len(supports), -1)
-    hot = np.zeros((len(idx), space), dtype=np.int64)
+    hot = np.zeros((len(idx), space))
     np.put_along_axis(hot, idx, 1, axis=1)
     return hot
 
@@ -329,9 +332,16 @@ def _top_index(score, K: int) -> list:
 
 
 def _top_sums(score, K: int) -> np.ndarray:
-    """int64 sums of the ``K`` largest entries along the last axis."""
+    """int64 sums of the ``K`` largest entries along the last axis of
+    ``score``, which is partitioned in place.  Integers are summed in
+    int64; floats (integers far below 2**53, so exact) by one BLAS
+    product with ones, several times faster than numpy's sum over a
+    short axis, and with no cast copy of ``score``."""
     X = score.shape[-1]
-    return np.partition(score, X - K, axis=-1)[..., X - K:].sum(-1, np.int64)
+    score.partition(X - K, axis=-1)
+    top = score[..., X - K:]
+    return (top @ np.ones(K) if top.dtype.kind == "f" else
+            top.sum(-1)).astype(np.int64, copy=False)
 
 
 def _clip(x) -> np.ndarray:
@@ -370,16 +380,27 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     the empty nor the full set, which score 0), each row takes its best e,
     scored by its excess summed over T_e, and the top K1 rows give S1.
     With ``B > 1`` a pick is S1 and its leak map, 0 off S1.  The events
-    are built by the rule's ``build``, once the kernel has counted them;
-    its work is their float product with the excess and one (event, row)
-    array beside it (the excess as floats has J <= E rows); what it holds
-    is the int64 codes of the events and, at once, their cells as int64
-    bits and as floats."""
+    are built by the rule's ``build``, once the kernel has counted them,
+    and scored in one float64 product with the excess.
+
+    For ``B=1`` the events come in complement pairs: code c (event c - 1)
+    and 2^J - 1 - c (event E - c), and a row's excesses sum to 0 over the
+    cells (over each leak value's cells, on the leak-pattern path), so T's
+    complement scores -T's.  Only codes 1 .. E/2 are built and scored;
+    one row sort of that half gives T's top K1 sum and, negated, its
+    bottom K1 sum: the complement's top.  The values keep the event
+    order.  Its work is the half product, sorted in place, beside the
+    excess as floats and then beside the sums, as floats and int64; with
+    ``B > 1`` the product and one (event, row) array beside it (the
+    excess as floats has J <= E rows).  What it holds is the int64 codes
+    of the events it scores and, at once, their cells as int64 bits and
+    as floats."""
     W = min(B, 1 << J)  # cell sets per event
     E = (1 << J) - 2 if B == 1 else math.comb(1 << J, W)
+    H = E // 2 if B == 1 else E  # the events scored
 
     def build():
-        codes = np.arange(1, (1 << J) - 1)[:, None] if B == 1 else np.fromiter(
+        codes = np.arange(1, H + 1)[:, None] if B == 1 else np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(
                 range(1 << J), W)), np.int64, E * W).reshape(E, W)
         bits = codes[..., None] >> np.arange(J)
@@ -387,16 +408,27 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
         # (event, e, cell) as float64, for one BLAS product: every sum of
         # excesses is an integer far below 2**53
         flat = bits.reshape(-1, J) * 1.0
-        score = lambda ex: (flat @ ex.astype(float)).reshape(-1, E, W, rows)
+        score = lambda ex: (flat @ ex.astype(float)).reshape(-1, H, W, rows)
+
+        def paired(ex):  # (c, E): the top sums, then the complements'
+            s = score(ex)[:, :, 0]
+            s.sort(axis=-1)
+            ones = np.ones(K1)  # sums as in _top_sums
+            top, bottom = s[..., rows - K1:] @ ones, s[:, ::-1, :K1] @ ones
+            return np.concatenate((top, -bottom), 1).astype(np.int64)
 
         def pick(ex, q):
+            if B == 1:  # event q's row scores, or its complement's negated
+                return _top_index(score(ex)[0, q, 0] if q < H else
+                                  -score(ex)[0, E - 1 - q, 0], K1)
             s = score(ex)[0, q]
             s1 = _top_index(s.max(axis=0), K1)
-            return s1 if B == 1 else (s1, np.bincount(
-                s1, s[:, s1].argmax(axis=0), rows).astype(int).tolist())
-        return (lambda ex: _top_sums(score(ex)[:, :, 0] if W == 1 else
-                                     score(ex).max(axis=2), K1), pick)
-    return build, E * (W + 1) * rows, E * W * (2 * J + 1) * 8
+            return s1, np.bincount(s1, s[:, s1].argmax(axis=0),
+                                   rows).astype(int).tolist()
+        return (paired if B == 1 else
+                lambda ex: _top_sums(score(ex).max(axis=2), K1), pick)
+    work = H * rows + max(J * rows, 2 * E) if B == 1 else E * (W + 1) * rows
+    return build, work, H * W * (2 * J + 1) * 8
 
 
 def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
@@ -444,10 +476,15 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
 
         def build(s1=supports1):
             s1 = _subset_table(rows, K1) if s1 is None else s1
-            hot = _onehot(s1, rows)
-            return (lambda ex: np.maximum(ex @ hot.T, 0).sum(axis=1),
-                    lambda ex, q: s1[q].tolist())
-        rule = build, S1s * max(rows, J), S1s * (rows + K1) * 8
+            hot = _onehot(s1, rows).T
+
+            def values(ex):  # the excess as floats, one BLAS product
+                sums = ex.astype(float) @ hot
+                return np.maximum(sums, 0.0, out=sums).sum(1).astype(np.int64)
+            return values, lambda ex, q: s1[q].tolist()
+        # work: the product beside the excess as floats, then beside its
+        # sums as floats and int64
+        rule = build, J * S1s + max(J * rows, 2 * S1s), S1s * (rows + K1) * 8
     build, work, held = rule
     dtype = np.min_scalar_type(-K2 * M)  # holds every count of K2 rows
     item = 8 if cells == 1 else dtype.itemsize  # the excess's, in bytes
@@ -810,12 +847,18 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
     def build():  # every S1, listed once the kernel has counted them
         supports1 = _subset_table(X1, K1)
         hot1 = _onehot(supports1, X1)
-        return (lambda ex: _top_sums(hot1 @ _scores(ex).reshape(-1, X1, X2), K2),
-                lambda ex, q: [supports1[q].tolist(), _top_index(
-                    hot1[q] @ _scores(ex).reshape(X1, X2), K2)])
+        # per S1 the summed row scores, as floats: one BLAS product
+        sums = lambda ex: hot1 @ _scores(ex).reshape(-1, X1, X2).astype(float)
+        return (lambda ex: _top_sums(sums(ex), K2),
+                lambda ex, q: [supports1[q].tolist(),
+                               _top_index(sums(ex)[0, q], K2)])
+    # work: the row scores as integers and floats, then the product beside
+    # the floats, then the product (partitioned in place) beside its top
+    # sums as floats and int64
+    work = max(2 * X1 * X2, S1s * X2 + max(X1 * X2, 2 * S1s))
     rep, (s12, s3), leak_map = _selected_worst(  # rule: per S1, the top K2
         tbl.reshape(X1 * X2, X3), (K1 * K2, K3), h.m, 0, b=b,
-        rule=(build, S1s * X2, S1s * (X1 + K1) * 8))
+        rule=(build, work, S1s * (X1 + K1) * 8))
     rep.enumerated = rep.candidates  # (S3, leak pattern, S1) triples
     rep.witness = {"supports": (s12[::-1] if swap else s12) + [s3],
                    "leak_map": None}
@@ -852,7 +895,7 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     def pick(ex, q):  # {x1: its x2 support}, ascending
         row = _scores(ex).reshape(X1, X2)
         return {x1: _top_index(row[x1], K2)
-                for x1 in _top_index(_top_sums(row, K2), K1)}
+                for x1 in _top_index(_top_sums(row.copy(), K2), K1)}
     rep, (x2s, s3), _ = _selected_worst(
         tbl, (K1 * K2, K3), h.m, 0, rule=(lambda: (lambda ex: _top_sums(
             _top_sums(_scores(ex).reshape(-1, X1, X2), K2), K1)[:, None],

@@ -681,6 +681,22 @@ def test_netsim_refuses_a_negative_corruption_bound(cache_dir, tmp_path,
     assert "config key t must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [0, -3])
+@pytest.mark.parametrize("config", [
+    "p = {p}\nt = 1\nn = 3\nk = 3\nalpha = 0.25\nseed = 3\nprotocol = geqr\n",
+    "p = {p}\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\nseed = 17\n"
+    "protocol = extpub\n"], ids=["geqr", "extpub"])
+def test_netsim_refuses_fewer_than_one_player(cache_dir, tmp_path, capsys,
+                                              config, p):
+    # exit 4 naming p, before the entropy-floor warning takes log2(p)
+    # (which used to end in a math domain error, exit 1)
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text(config.format(p=p))
+    assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache_dir,
+                   tmp_path / "out") == 4
+    assert f"config key p must be >= 1, got {p}" in capsys.readouterr().err
+
+
 def test_netsim_sampled_report_times_the_estimator(cache_dir, tmp_path):
     from extractomat.oracle import BOOTSTRAP_RESAMPLES
     cfg = tmp_path / "micro.cfg"

@@ -1162,10 +1162,11 @@ def test_working_arrays_past_the_cap_are_refused(monkeypatch):
     rng = np.random.default_rng(54)
     three, fn = _random_table(rng, (2, 2, 2), 1, "t-source")
     # int8 indicator of 4 columns x 16 rows x (2 cells + 1 mask) = 192;
-    # 6 S1 x (4 one-hot + 2 listed) int64 = 288; 6 S3 x 2 int64 = 96; and
-    # 6 S3 x 2^2 patterns x (2 x 4 cells x 16 rows int8 + 6 S1 x 4 rows
-    # int64) = 7,680 bytes; and the objects beside the arrays
-    need = 192 + 288 + 96 + 7_680 + oracle_mod.OBJECT_BYTES
+    # 6 S1 x (4 one-hot float64 + 2 listed int64) = 288; 6 S3 x 2 int64 =
+    # 96; and 6 S3 x 2^2 patterns x (2 x 4 cells x 16 rows int8 + (6 S1 x
+    # 4 x2 + 16 row scores) x 8) = 10,752 bytes, the float product beside
+    # the row scores as floats; and the objects beside the arrays
+    need = 192 + 288 + 96 + 10_752 + oracle_mod.OBJECT_BYTES
     rep = worst_case_error_multi(three, (1, 1, 1), b=1)
     assert rep.to_json_dict()["volatile"]["memory_bytes"] == need
     monkeypatch.setattr(oracle_mod, "SUPPORT_BYTES", need)
@@ -1952,3 +1953,147 @@ def test_refused_requests_are_counted_not_built(monkeypatch):
         tracemalloc.stop()
     assert peak < need
     assert str(need - 1) in str(exc.value)
+
+
+# ----------------------------------------------------------------------
+# float64 products and complement-paired events
+# ----------------------------------------------------------------------
+
+def _excess(table, m, b, supports):
+    """The kernel's excess of ``table`` (rows x, columns y) on the
+    enumerated ``supports`` of y with every ``b``-bit leak pattern."""
+    M, K2 = 1 << m, supports.shape[1]
+    ind = oracle_mod._cell_indicator(table, M, np.min_scalar_type(-K2 * M))
+    return oracle_mod._cell_excess(
+        ind, supports, oracle_mod._leak_patterns(b, K2)[None], M, 1 << b)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_cell_excess_sums_to_zero_over_each_leak_values_cells(b):
+    # M #{y in S : T[x, y] = z, leak e} - #{y in S : leak e} sums to 0 over
+    # z for every row x and leak value e, so over all the cells too: the
+    # complement of an event scores minus the event
+    rng = np.random.default_rng(80 + b)
+    for m in (1, 2, 3):
+        table = rng.integers(0, 1 << m, size=(8, 16))
+        for K2 in (1, 2, 4):
+            for supports in (oracle_mod._subset_table(16, K2)[:40],
+                             oracle_mod._sample_supports(16, K2, 9, rng)):
+                ex = _excess(table, m, b, supports)
+                assert ex.shape == (len(supports) << b * K2, 2 << m + b - 1, 8)
+                assert ex.any()
+                assert not ex.sum(axis=1).any()
+                assert not ex.reshape(len(ex), 1 << b, 1 << m, 8).sum(
+                    axis=2).any()
+
+
+def test_paired_event_values_equal_the_unpaired_top_sums():
+    # The B = 1 rule scores codes 1 .. E/2 and reads each complement off
+    # the same row sort; every event's value, in event order, must be the
+    # top-K1 sum of its own int64 row scores, and a pick must be that
+    # event's top rows, ties to the lower index, on random and tied tables
+    rng = np.random.default_rng(81)
+    twins = rng.integers(0, 8, size=(4, 8)).repeat(2, axis=0)
+    for m, b in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)):
+        tables = [rng.integers(0, 1 << m, size=(8, 8)),
+                  np.zeros((8, 8), np.int64), twins % (1 << m)]
+        J = 1 << m + b
+        E = (1 << J) - 2
+        bits = np.arange(1, E + 1)[:, None] >> np.arange(J) & 1
+        for table in tables:
+            for K2 in (2, 4):
+                for supports in (oracle_mod._subset_table(8, K2)[:5],
+                                 oracle_mod._sample_supports(8, K2, 3, rng)):
+                    if J > 8:  # 65,534 events: one support's patterns
+                        supports = supports[:1]
+                    ex = _excess(table, m, b, supports)
+                    if J > 8:
+                        ex = ex[:3]
+                    scores = bits @ ex.astype(np.int64)  # (config, event, row)
+                    for K1 in (1, 4, 7):
+                        values, pick = oracle_mod._event_rule(8, K1, J)[0]()
+                        got = values(ex)
+                        assert got.dtype == np.int64
+                        assert (got == oracle_mod._top_sums(
+                            scores.copy(), K1)).all()
+                        qs = range(E) if J <= 8 else rng.integers(0, E, 40)
+                        for q in qs:
+                            assert pick(ex[0], q) == oracle_mod._top_index(
+                                scores[0, q], K1)
+
+
+def _skewed_table(rng, widths, m):
+    """A table whose outputs are mostly 0: large excesses, whose sums over
+    a few rows pass int16."""
+    size = 1 << sum(widths)
+    t = np.where(rng.random(size) < 0.08, rng.integers(1, 1 << m, size), 0)
+    flat = t.tolist()
+
+    def fn(*xs):
+        idx = 0
+        for x, w in zip(xs, widths):
+            idx = (idx << w) | x
+        return flat[idx]
+    kind = "2-source" if len(widths) == 2 else "t-source"
+    return table_handle("skew", kind, widths, m, t.astype(np.uint32)), fn
+
+
+def test_float_products_stay_exact_past_int16():
+    # The supports and multi rules sum int16 excesses and row scores over
+    # the rows of each S1 in float64; sums past 2^15 must still be exact
+    rng = np.random.default_rng(82)
+    h, fn = _skewed_table(rng, (3, 12), 3)  # 256 events > C(8, 2) supports
+    rep = worst_case_error_2source(h, 1, 12)
+    assert rep.kernel == "supports"
+    assert rep.error == naive_worst_2source(fn, 3, 12, 3, 1, 12)
+    t = h.table().reshape(8, 4096)  # the witness's cell z = 0 sum
+    s1 = rep.witness["supports"][0]
+    assert sum(8 * int((t[x] == 0).sum()) - 4096 for x in s1) > 1 << 15
+    h, fn = _skewed_table(rng, (2, 2, 12), 3)
+    rep = worst_case_error_multi(h, (1, 1, 12))
+    assert rep.error == naive_worst_multi(fn, (2, 2, 12), 3, (1, 1, 12))
+    assert _rescored_witness(h, rep.witness, (0, 1)) == rep.error
+    counts = np.stack([(h.table().reshape(4, 4, 4096) == z).sum(axis=2)
+                       for z in range(8)])  # (z, x1, x2)
+    scores = np.maximum(8 * counts - 4096, 0).sum(axis=0)
+    s1, s2, _ = rep.witness["supports"]
+    assert scores[s1][:, s2].sum(axis=0).max() > 1 << 15
+
+
+def _qmext(seed):
+    draw = np.random.default_rng(seed).integers
+    from extractomat.combinators import build_qmext_handle
+    return build_qmext_handle(
+        table_handle("i", "2-source", (3, 3), 2,
+                     draw(0, 4, size=64, dtype=np.uint32)),
+        table_handle("q", "seeded", (3, 2), 2,
+                     draw(0, 4, size=32, dtype=np.uint32)))
+
+
+@pytest.mark.parametrize("handle, call, kernel", [
+    (lambda: _qmext(83),
+     lambda h: worst_case_error_multi(h, (2, 2, 1), b=1), "events"),
+    (lambda: table_handle("r", "2-source", (3, 4), 3, np.random.default_rng(
+        84).integers(0, 8, size=128, dtype=np.uint32)),
+     lambda h: worst_case_error_2source(h, 1, 2), "supports"),
+    (lambda: deor_handle(4, 2),
+     lambda h: worst_case_error_2source(h, 3, 2), "events"),
+], ids=["multi-qmext-b1", "supports", "paired-events"])
+def test_the_count_covers_float_product_requests_traced_peaks(handle, call,
+                                                              kernel):
+    # The multi rule's scores as floats and its product, the supports
+    # rule's float excess and one-hot, and the paired half product are
+    # counted: the request's traced peak, its table built first, stays
+    # within memory_bytes with support tables cold (when the test runs
+    # alone) and warm
+    h = handle()
+    h.table()
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            rep = call(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.kernel == kernel
+        assert peak <= rep.memory_bytes

@@ -9,7 +9,7 @@ TOOLS = ROOT / "tools"
 
 
 @pytest.mark.parametrize("name", ["gadget_grid", "ledger_grid",
-                                  "netsim_grid"])
+                                  "netsim_grid", "oracle_grid"])
 def test_a_grid_tool_loads_by_path_from_outside_the_repo(name, tmp_path,
                                                           monkeypatch,
                                                           capsys):

@@ -46,7 +46,6 @@ TOY = ("p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
 ADVERSARIES = ("none", "ir", "qr-analog")
 OUTPUTS = ("report.json", "runs.jsonl", "summary.csv")
 TIMINGS = ("eval_s", "estimator_s")  # the volatile values compared by name
-_GONE = object()  # a key one JSON value has and the other lacks
 
 
 def requests() -> list:
@@ -121,15 +120,6 @@ def _answers(src: str, limit: int | None) -> list:
         () if limit is None else ("--limit", str(limit))))
 
 
-def _paths(a, b, at=()) -> list:
-    """The dot-joined key paths where two JSON values differ: dicts key
-    by key, anything else as a whole."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return [p for k in dict.fromkeys([*a, *b])
-                for p in _paths(a.get(k, _GONE), b.get(k, _GONE), (*at, k))]
-    return [] if a == b else [".".join(map(str, at))]
-
-
 def differences(old: dict, new: dict) -> list:
     """One line per output two answers to a request disagree on: its
     name, then for ``report.json`` and stdout (line number first) the
@@ -141,9 +131,9 @@ def differences(old: dict, new: dict) -> list:
             continue
         paths = []
         if key == "report.json" and a and b:
-            paths = _paths(json.loads(a), json.loads(b))
+            paths = tree_grid.paths(json.loads(a), json.loads(b))
         elif key == "stdout":
-            paths = _paths(*({i: json.loads(line) for i, line in enumerate(x)}
+            paths = tree_grid.paths(*({i: json.loads(line) for i, line in enumerate(x)}
                              for x in (a, b)))
         lines.append(f"{key}: {', '.join(paths)}" if any(paths) else key)
     return lines

@@ -5,8 +5,9 @@ process of its own that imports the package from that tree, through a
 hidden ``--answer`` mode that prints one JSON line per request; then it
 compares the two lists of answers.  A tool builds its command line with
 :func:`parser`, adds its own flags, hands it to :func:`main` with its
-answer and report steps, and reads each tree's answers with
-:func:`answers`.
+answer and report steps, reads each tree's answers with
+:func:`answers`, and may name where two JSON answers differ with
+:func:`paths`.
 """
 
 from __future__ import annotations
@@ -49,3 +50,15 @@ def answers(tool: str, src: str, *flags: str) -> list:
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+_GONE = object()  # a key one JSON value has and the other lacks
+
+
+def paths(a, b, at=()) -> list:
+    """The dot-joined key paths where two JSON values differ: dicts key
+    by key, anything else as a whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in dict.fromkeys([*a, *b])
+                for p in paths(a.get(k, _GONE), b.get(k, _GONE), (*at, k))]
+    return [] if a == b else [".".join(map(str, at))]
