@@ -331,15 +331,16 @@ def _top_index(score, K: int) -> list:
     return sorted(np.argsort(-score, kind="stable")[:K].tolist())
 
 
-def _top_sums(score, K: int) -> np.ndarray:
+def _top_sums(score, K: int, *, overwrite: bool = False) -> np.ndarray:
     """int64 sums of the ``K`` largest entries along the last axis of
-    ``score``, which is partitioned in place.  Integers are summed in
-    int64; floats (integers far below 2**53, so exact) by one BLAS
-    product with ones, several times faster than numpy's sum over a
-    short axis, and with no cast copy of ``score``."""
+    ``score``, partitioned in a copy, or in place with ``overwrite``.
+    Integers are summed in int64; floats (integers far below 2**53, so
+    exact) by one BLAS product with ones, several times faster than
+    numpy's sum over a short axis, and with no cast copy of ``score``."""
     X = score.shape[-1]
-    score.partition(X - K, axis=-1)
-    top = score[..., X - K:]
+    part = score if overwrite else score.copy()
+    part.partition(X - K, axis=-1)
+    top = part[..., X - K:]
     return (top @ np.ones(K) if top.dtype.kind == "f" else
             top.sum(-1)).astype(np.int64, copy=False)
 
@@ -390,11 +391,11 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     one row sort of that half gives T's top K1 sum and, negated, its
     bottom K1 sum: the complement's top.  The values keep the event
     order.  Its work is the half product, sorted in place, beside the
-    excess as floats and then beside the sums, as floats and int64; with
-    ``B > 1`` the product and one (event, row) array beside it (the
-    excess as floats has J <= E rows).  What it holds is the int64 codes
-    of the events it scores and, at once, their cells as int64 bits and
-    as floats."""
+    excess as floats and then beside every event's sum, as floats and
+    int64; with ``B > 1`` the product and one (event, row) array beside
+    it (the excess as floats has J <= E rows).  What it holds is the
+    int64 codes of the events it scores and, at once, their cells as
+    int64 bits and as floats."""
     W = min(B, 1 << J)  # cell sets per event
     E = (1 << J) - 2 if B == 1 else math.comb(1 << J, W)
     H = E // 2 if B == 1 else E  # the events scored
@@ -413,9 +414,12 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
         def paired(ex):  # (c, E): the top sums, then the complements'
             s = score(ex)[:, :, 0]
             s.sort(axis=-1)
-            ones = np.ones(K1)  # sums as in _top_sums
-            top, bottom = s[..., rows - K1:] @ ones, s[:, ::-1, :K1] @ ones
-            return np.concatenate((top, -bottom), 1).astype(np.int64)
+            ones = np.ones(K1)  # sums as in _top_sums, into one array
+            out = np.empty((len(s), E))
+            np.matmul(s[..., rows - K1:], ones, out=out[:, :H])
+            np.matmul(s[:, ::-1, :K1], ones, out=out[:, H:])
+            np.negative(out[:, H:], out=out[:, H:])
+            return out.astype(np.int64)
 
         def pick(ex, q):
             if B == 1:  # event q's row scores, or its complement's negated
@@ -849,12 +853,13 @@ def worst_case_error_multi(h: ExtractorHandle, k_profile, *, b: int = 0,
         hot1 = _onehot(supports1, X1)
         # per S1 the summed row scores, as floats: one BLAS product
         sums = lambda ex: hot1 @ _scores(ex).reshape(-1, X1, X2).astype(float)
-        return (lambda ex: _top_sums(sums(ex), K2),
+        return (lambda ex: _top_sums(sums(ex), K2, overwrite=True),
                 lambda ex, q: [supports1[q].tolist(),
                                _top_index(sums(ex)[0, q], K2)])
     # work: the row scores as integers and floats, then the product beside
-    # the floats, then the product (partitioned in place) beside its top
-    # sums as floats and int64
+    # the floats, then the product (partitioned in place, as a copy would
+    # be counted and shrink the chunks) beside its top sums as floats and
+    # int64
     work = max(2 * X1 * X2, S1s * X2 + max(X1 * X2, 2 * S1s))
     rep, (s12, s3), leak_map = _selected_worst(  # rule: per S1, the top K2
         tbl.reshape(X1 * X2, X3), (K1 * K2, K3), h.m, 0, b=b,
@@ -895,7 +900,7 @@ def worst_case_error_block_general(h: ExtractorHandle, k_profile, *,
     def pick(ex, q):  # {x1: its x2 support}, ascending
         row = _scores(ex).reshape(X1, X2)
         return {x1: _top_index(row[x1], K2)
-                for x1 in _top_index(_top_sums(row.copy(), K2), K1)}
+                for x1 in _top_index(_top_sums(row, K2), K1)}
     rep, (x2s, s3), _ = _selected_worst(
         tbl, (K1 * K2, K3), h.m, 0, rule=(lambda: (lambda ex: _top_sums(
             _top_sums(_scores(ex).reshape(-1, X1, X2), K2), K1)[:, None],

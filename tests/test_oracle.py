@@ -1525,9 +1525,13 @@ def test_row_scores_sum_narrow_and_top_sums_in_int64():
         got = oracle_mod._scores(ex)
         assert got.dtype == np.min_scalar_type(-cells * int(info.max))
         assert got.dtype.itemsize < 8 and (got == want).all()
-        top = oracle_mod._top_sums(got, 40)
-        assert top.dtype == np.int64
-        assert (top == np.sort(want, axis=-1)[:, -40:].sum(axis=-1)).all()
+        for score in (got, got.astype(float)):  # summed in a copy
+            before = score.copy()
+            top = oracle_mod._top_sums(score, 40)
+            assert top.dtype == np.int64 and (score == before).all()
+            assert (top == np.sort(want, axis=-1)[:, -40:].sum(axis=-1)).all()
+            assert (oracle_mod._top_sums(score, 40, overwrite=True) == top
+                    ).all()
     full = np.full((1, 16, 50), 127, dtype=np.int8)  # int16 scores of 2,032
     assert oracle_mod._top_sums(oracle_mod._scores(full), 40).tolist() == [
         40 * 2032]  # past int16
@@ -2015,7 +2019,7 @@ def test_paired_event_values_equal_the_unpaired_top_sums():
                         got = values(ex)
                         assert got.dtype == np.int64
                         assert (got == oracle_mod._top_sums(
-                            scores.copy(), K1)).all()
+                            scores, K1)).all()
                         qs = range(E) if J <= 8 else rng.integers(0, E, 40)
                         for q in qs:
                             assert pick(ex[0], q) == oracle_mod._top_index(
@@ -2078,14 +2082,18 @@ def _qmext(seed):
      lambda h: worst_case_error_2source(h, 1, 2), "supports"),
     (lambda: deor_handle(4, 2),
      lambda h: worst_case_error_2source(h, 3, 2), "events"),
-], ids=["multi-qmext-b1", "supports", "paired-events"])
+    (lambda: table_handle("r", "2-source", (4, 4), 3, np.random.default_rng(
+        85).integers(0, 8, size=256, dtype=np.uint32)),
+     lambda h: worst_case_error_2source(h, 2, 1), "events"),
+], ids=["multi-qmext-b1", "supports", "paired-events", "paired-events-j8"])
 def test_the_count_covers_float_product_requests_traced_peaks(handle, call,
                                                               kernel):
     # The multi rule's scores as floats and its product, the supports
     # rule's float excess and one-hot, and the paired half product are
-    # counted: the request's traced peak, its table built first, stays
-    # within memory_bytes with support tables cold (when the test runs
-    # alone) and warm
+    # counted, the paired sums of 254 events at J = 8 too (more entries
+    # than the excess as floats): the request's traced peak, its table
+    # built first, stays within memory_bytes with support tables cold
+    # (when the test runs alone) and warm
     h = handle()
     h.table()
     for _ in range(2):

@@ -133,8 +133,9 @@ def differences(old: dict, new: dict) -> list:
         if key == "report.json" and a and b:
             paths = tree_grid.paths(json.loads(a), json.loads(b))
         elif key == "stdout":
-            paths = tree_grid.paths(*({i: json.loads(line) for i, line in enumerate(x)}
-                             for x in (a, b)))
+            paths = tree_grid.paths(*(
+                {i: json.loads(line) for i, line in enumerate(x)}
+                for x in (a, b)))
         lines.append(f"{key}: {', '.join(paths)}" if any(paths) else key)
     return lines
 
@@ -147,20 +148,12 @@ def compare(old_src: str, new_src: str, limit: int | None = None) -> tuple:
                       for a, b in zip(old, new, strict=True) if a != b]
 
 
-def _report(args) -> int:
-    total, mismatches = compare(args.old_src, args.new_src, args.limit)
-    print(f"{total} requests, {len(mismatches)} mismatches")
-    for name, lines in mismatches:
-        print(f"mismatch: {name}")
-        for line in lines:
-            print(f"  {line}")
-    return 1 if mismatches else 0
-
-
 def main(argv=None) -> int:
     p = tree_grid.parser(__doc__)
     p.add_argument("--limit", type=int, default=None)
-    return tree_grid.main(p, argv, lambda args: answer(args.limit), _report)
+    return tree_grid.main(p, argv, lambda args: answer(args.limit),
+                          lambda args: tree_grid.report(*compare(
+                              args.old_src, args.new_src, args.limit)))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Compare the oracle reports of two source trees on a seeded grid of requests.
 
-    python3 tools/oracle_grid.py OLD_SRC NEW_SRC [--limit N]
+    python3 tools/oracle_grid.py OLD_SRC NEW_SRC
 
 Each tree answers the same ``extractomat.oracle`` requests in a process of
 its own:
@@ -22,10 +22,10 @@ For every request the report's JSON without its ``volatile`` block
 (error, exact error, witness, ``enumerated``, notes) must be equal between
 the trees, or the request refused by both with the same exception type
 and message; a size refusal's byte counts, volatile as a report's
-``memory_bytes`` is, are compared with their digits masked.  ``--limit
-N`` answers only the first N requests.  Prints the number of requests and
-mismatches, names each mismatch with the key paths that differ (such as
-``report.witness.supports``), and exits 1 on any.
+``memory_bytes`` is, are compared with their digits masked.  Prints the
+number of requests and mismatches, names each mismatch with the key
+paths that differ (such as ``report.witness.supports``), and exits 1 on
+any.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def name(request) -> str:
     return f"{call} {spec}: {shown}"
 
 
-def answer(limit: int | None) -> None:
+def answer() -> None:
     """One JSON line per request, from the package importable here."""
     import numpy as np
 
@@ -205,7 +205,7 @@ def answer(limit: int | None) -> None:
              "seeded": oracle.worst_case_error_seeded,
              "multi": oracle.worst_case_error_multi,
              "block": oracle.worst_case_error_block_general}
-    for call, spec, args, kw in requests()[:limit]:
+    for call, spec, args, kw in requests():
         if "maps" in kw:
             kw = {**kw, "maps": [build(f) for f in kw["maps"]]}
         try:
@@ -220,31 +220,21 @@ def answer(limit: int | None) -> None:
         print(json.dumps(res))
 
 
-def compare(old_src: str, new_src: str, limit: int | None = None) -> tuple:
-    """``(requests answered, [(request, key paths that differ)] where the
-    answers differ)``."""
-    flags = () if limit is None else ("--limit", str(limit))
-    old = tree_grid.answers(__file__, old_src, *flags)
-    new = tree_grid.answers(__file__, new_src, *flags)
-    return len(old), [(name(r), tree_grid.paths(a, b))
-                      for r, a, b in zip(requests()[:len(old)], old, new,
-                                         strict=True)
+def compare(old_src: str, new_src: str) -> tuple:
+    """``(requests answered, [(request, [its key paths that differ,
+    joined])] where the answers differ)``."""
+    old = tree_grid.answers(__file__, old_src)
+    new = tree_grid.answers(__file__, new_src)
+    return len(old), [(name(r), [", ".join(tree_grid.paths(a, b))])
+                      for r, a, b in zip(requests(), old, new, strict=True)
                       if a != b]
 
 
-def _report(args) -> int:
-    total, mismatches = compare(args.old_src, args.new_src, args.limit)
-    print(f"{total} requests, {len(mismatches)} mismatches")
-    for request, paths in mismatches:
-        print(f"mismatch: {request}")
-        print(f"  {', '.join(paths)}")
-    return 1 if mismatches else 0
-
-
 def main(argv=None) -> int:
-    p = tree_grid.parser(__doc__)
-    p.add_argument("--limit", type=int, default=None)
-    return tree_grid.main(p, argv, lambda args: answer(args.limit), _report)
+    return tree_grid.main(tree_grid.parser(__doc__), argv,
+                          lambda args: answer(),
+                          lambda args: tree_grid.report(*compare(
+                              args.old_src, args.new_src)))
 
 
 if __name__ == "__main__":

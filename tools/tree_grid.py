@@ -6,8 +6,8 @@ hidden ``--answer`` mode that prints one JSON line per request; then it
 compares the two lists of answers.  A tool builds its command line with
 :func:`parser`, adds its own flags, hands it to :func:`main` with its
 answer and report steps, reads each tree's answers with
-:func:`answers`, and may name where two JSON answers differ with
-:func:`paths`.
+:func:`answers`, may name where two JSON answers differ with
+:func:`paths`, and may print its mismatches with :func:`report`.
 """
 
 from __future__ import annotations
@@ -62,3 +62,15 @@ def paths(a, b, at=()) -> list:
         return [p for k in dict.fromkeys([*a, *b])
                 for p in paths(a.get(k, _GONE), b.get(k, _GONE), (*at, k))]
     return [] if a == b else [".".join(map(str, at))]
+
+
+def report(total: int, mismatches) -> int:
+    """Print the number of requests and mismatches, then each mismatch,
+    ``(request name, lines)``, named with its lines indented; the exit
+    code, 1 on any mismatch."""
+    print(f"{total} requests, {len(mismatches)} mismatches")
+    for name, lines in mismatches:
+        print(f"mismatch: {name}")
+        for line in lines:
+            print(f"  {line}")
+    return 1 if mismatches else 0
