@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -97,9 +98,8 @@ class CertificationRecord:
 def draw_table(widths, m: int, seed: int, attempt: int = 0) -> np.ndarray:
     """Deterministic random truth table from a counter-based generator."""
     key = (int(seed) + 0x9E3779B97F4A7C15 * attempt) & ((1 << 64) - 1)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    size = 1 << sum(widths)
-    return gen.integers(0, 1 << m, size=size, dtype=np.uint32)
+    return _oracle._philox(key).integers(0, 1 << m, size=1 << sum(widths),
+                                         dtype=np.uint32)
 
 
 def table_digest(table: np.ndarray) -> str:
@@ -132,11 +132,16 @@ def certify_random_table(widths, k_profile, m: int, *,
     (ExtractorHandle, CertificationRecord)
     """
     widths = tuple(_integer(w, "an input width") for w in widths)
+    if min(widths, default=0) < 0 or not 1 <= m <= 32:  # entries: uint32
+        raise InvalidInputError(f"input widths must be >= 0 and m in 1 ... "
+                                f"32, got widths {widths} and m = {m}")
     k_profile = tuple(float(k) for k in k_profile)
     if len(k_profile) != len(widths) or not np.isfinite(k_profile).all():
         raise InvalidInputError("one finite entropy level per input required")
     if kind is None:
         kind = "2-source" if len(widths) == 2 else "t-source"
+    if target_eps is not None and math.isnan(target_eps):
+        raise InvalidInputError("target error must be a number, got nan")
     if target_eps is not None and target_eps <= 0:
         raise TargetUnreachableError(
             f"target error {target_eps} is unreachable for a finite table", 0)

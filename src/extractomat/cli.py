@@ -310,7 +310,7 @@ def _eval_lemma(args) -> dict:
         raise InvalidInputError(f"no randomized-trial driver for {args.lemma!r}")
     if args.lemma == "L2.2" and not 0 < args.eps <= 1:  # before any draw
         raise InvalidInputError(f"L2.2 takes eps in (0, 1], got {args.eps}")
-    rng = np.random.default_rng(np.random.Philox(key=args.seed))
+    rng = oracle._philox(args.seed)
     kw = {"eps": args.eps} if args.lemma == "L2.2" else {}
     den, passed, low = 1 << 12, 0, float("inf")
     for start in range(0, args.trials, LEMMA_BLOCK):
@@ -338,7 +338,7 @@ def cmd_netsim(args) -> int:
     from . import netsim as ns
     from .sources import FlatSource
     from .leakage import LeakageScenario
-    from .oracle import BOOTSTRAP_RESAMPLES
+    from .oracle import BOOTSTRAP_RESAMPLES, _philox
     params = ns.parse_config_text(args.config.read_text())
     protocol = args.protocol or params.get("protocol", "extpub")
     runs = args.runs if args.runs is not None else params.get("runs", 1000)
@@ -349,6 +349,7 @@ def cmd_netsim(args) -> int:
             raise InvalidInputError(f"config key {key}: unknown value {value!r}"
                                     f", allowed: {', '.join(allowed)}")
     seed = params.get("seed", 0)
+    rng = _philox(seed)  # the sources' stream; a bad seed certifies nothing
     geqr = protocol == "geqr"
     proto_key = "geqr" if geqr else "ext_pub" if args.exact else "ext_pub_only"
     with warnings.catch_warnings(record=True) as caught:
@@ -358,7 +359,6 @@ def cmd_netsim(args) -> int:
     for w in caught:
         print(f"config warning: {w.message}", file=sys.stderr)
 
-    rng = np.random.default_rng(np.random.Philox(key=seed))
     sources = [FlatSource.random(cfg.n, cfg.k, rng) for _ in range(cfg.p)]
     adv = _builtin_adversary(adv_kind, cfg)
     outer = cfg.geqr_outer() if geqr else cfg.players_c

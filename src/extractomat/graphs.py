@@ -203,9 +203,6 @@ def verify_extractor_graph(g: BipartiteGraph, K: int, eps: float,
 
 @dataclass
 class SearchRecord:
-    kind: str
-    params: dict
-    seed: int
     attempts: int
     steps: int
     scanned: int  # steps that ``_raw_stream``'s scan skipped, within steps
@@ -485,8 +482,7 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
             verdict = verifier()(g, **{n: params[n] for n in names
                                        if n in params}, budget=budget)
             if verdict.ok:
-                record = SearchRecord(kind, params, seed, attempt + 1,
-                                      total_steps, scanned)
-                return g, verdict, record
+                return g, verdict, SearchRecord(attempt + 1, total_steps,
+                                                scanned)
     raise TargetUnreachableError(
         f"no {kind} found at {params} after {attempts} attempts", attempts)

@@ -21,9 +21,9 @@ protocol then runs once on the whole :class:`Batch`: honest steps are
 truth-table gathers and shifts on int64 columns, the rushing callback
 runs once per distinct value of the view parts its strategy reads, on
 the view of that value's first world, and a trigger once per distinct
-transcript.  The transcript has one definition, the payload and late
-columns of :meth:`Batch.transcript_columns`, which the callbacks,
-triggers and security measures all number worlds by; security is
+transcript.  The transcript has one definition, the columns of
+:meth:`Batch.transcript_columns` (payloads, then the late flags for
+security or the commit order for callbacks and triggers); security is
 measured on the cells of :func:`~extractomat.dist.column_excess`, whose
 worlds and cells are numbered by address where their keys are dense.
 A batch's world 0, written by :meth:`Batch.to_jsonl`, is the run log.
@@ -45,7 +45,7 @@ from .errors import ConstraintViolatedError, InvalidInputError, _integer
 from .extractors import ExtractorHandle
 from .graphs import BipartiteGraph
 from .leakage import LeakageScenario, enumerate_worlds
-from .oracle import mc_distance_pairs
+from .oracle import _philox, mc_distance_pairs
 from .sources import FlatSource
 
 
@@ -70,10 +70,10 @@ class GadgetSet:
 class NetworkConfig:
     """Player counts, partition arithmetic, and gadget wiring.
 
-    The partition sizes obey ``|A| = ceil((1+alpha) t)`` and
-    ``|B| = ceil(2 (1+2 delta) t)``; explicit sizes are cross-checked and
-    a mismatch is a named config violation.  ``t`` is the corruption
-    bound used for sizing; an actual run may corrupt fewer players.
+    The partition sizes follow from ``alpha``, ``delta`` and ``t``:
+    ``|A| = ceil((1+alpha) t)`` and ``|B| = ceil(2 (1+2 delta) t)``.
+    ``t`` is the corruption bound used for sizing; an actual run may
+    corrupt fewer players.
     """
 
     p: int
@@ -83,8 +83,6 @@ class NetworkConfig:
     alpha: float = 0.5
     delta: float = 0.25
     gamma: float = 0.75
-    a_size: int | None = None
-    b_size: int | None = None
     geqr_group: int = 2        # players per group in the one-round protocol
     geqr_s: int | None = None  # number of groups
     gadgets: GadgetSet = field(default_factory=GadgetSet)
@@ -92,23 +90,15 @@ class NetworkConfig:
     def __post_init__(self):
         if self.geqr_s is None:
             self.geqr_s = max(1, self.t * 2)
-        for key, least in (("p", 1), ("t", 0), ("geqr_s", 1),
+        for key, least in (("p", 1), ("t", 0), ("n", 1), ("geqr_s", 1),
                            ("geqr_group", 2)):
             if getattr(self, key) < least:
                 raise InvalidInputError(f"config key {key} must be >= {least}"
                                         f", got {getattr(self, key)}")
-        expected_a = math.ceil((1 + self.alpha) * self.t)
-        expected_b = math.ceil(2 * (1 + 2 * self.delta) * self.t)
-        if self.a_size is None:
-            self.a_size = expected_a
-        if self.b_size is None:
-            self.b_size = expected_b
-        if self.a_size != expected_a:
-            raise InvalidInputError("|A| = (1+alpha)t violated: "
-                                    f"{self.a_size} != {expected_a}")
-        if self.b_size != expected_b:
-            raise InvalidInputError("|B| = 2(1+2delta)t violated: "
-                                    f"{self.b_size} != {expected_b}")
+        for key in ("alpha", "delta", "gamma"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidInputError(f"config key {key} must be finite, "
+                                        f"got {getattr(self, key)}")
         if self.k <= 4 * math.log2(max(self.p, 2)):
             warnings.warn(
                 f"k={self.k} is at or below 4*log2(p)={4 * math.log2(self.p):.2f}; "
@@ -117,6 +107,14 @@ class NetworkConfig:
         if not self.alpha < self.gamma:
             warnings.warn("alpha < gamma is expected for the partition",
                           stacklevel=2)
+
+    @property
+    def a_size(self) -> int:
+        return math.ceil((1 + self.alpha) * self.t)
+
+    @property
+    def b_size(self) -> int:
+        return math.ceil(2 * (1 + 2 * self.delta) * self.t)
 
     # players are 1-based ids
     @property
@@ -316,8 +314,6 @@ class Batch:
     y: np.ndarray | None = None
     y_width: int = 0
     rushing_width: int = 0
-    good_left: np.ndarray | None = None
-    rounds_total: int = 0  # set when a non-interactive step follows
     callbacks: int = 0  # rushing-callback calls, one per distinct value read
 
     @classmethod
@@ -330,13 +326,17 @@ class Batch:
         faulty[:, [i - 1 for i in adv.initial_faulty if 0 < i <= cfg.p]] = True
         return cls(xs, dict(side or {}), faulty)
 
-    def transcript_columns(self, upto: int | None = None) -> list:
+    def transcript_columns(self, upto: int | None = None,
+                           shown: bool = False) -> list:
         """The transcript of the first ``upto`` rounds as columns: each
         round's payloads, then its ``late`` flags, which fix its commit
-        order, so worlds with equal columns have equal :meth:`transcripts`.
-        Every reader of the transcript numbers worlds by these columns."""
+        order; security numbers worlds by these.  ``shown`` gives the
+        commit order instead, as callbacks and triggers are numbered: equal
+        columns then mean equal :meth:`transcripts` (every sender late, or
+        none, gives one order)."""
         return [col for *_, payload, late in self.rounds[:upto]
-                for col in (*payload.T, *late.T)]
+                for col in (*payload.T,
+                            *(_commit_order(late) if shown else late).T)]
 
     def transcripts(self, rows) -> list:
         """Worlds ``rows``' (round, sender, payload) triples, commit order."""
@@ -389,7 +389,7 @@ class Batch:
             qr = adv.kind == "qr-analog"
             tr_read, hon_read, side_read = (part in adv.reads for part in (
                 "transcript", "round_honest", "side"))
-            keys = self.transcript_columns() if tr_read else []
+            keys = self.transcript_columns(shown=True) if tr_read else []
             if hon_read:
                 keys += list(np.where(late, -1, honest).T)
             if side_read:
@@ -422,13 +422,14 @@ class Batch:
 
     def corrupt(self, adv: AdversaryStrategy, t_bound: int, rnd_done: int):
         """Adaptive corruption after round ``rnd_done``: the trigger runs once
-        per distinct row of :meth:`transcript_columns`; the players it names
+        per distinct transcript, a row of ``transcript_columns(shown=True)``
+        (payloads and commit order, not late flags); the players it names
         turn faulty for the next round, in ascending order while fewer than
         ``t_bound`` are."""
         if adv.trigger is None:
             return
         n, p = self.faulty.shape
-        tid, tfirst = row_ids(self.transcript_columns(), n)
+        tid, tfirst = row_ids(self.transcript_columns(shown=True), n)
         named = np.zeros((tfirst.size, p), dtype=bool)
         for g, tr in enumerate(self.transcripts(tfirst)):
             named[g, [i - 1 for i in map(int, adv.trigger(rnd_done, tr))
@@ -467,10 +468,8 @@ def exec_ext_pub(cfg: NetworkConfig, xs, adv: AdversaryStrategy,
 
     # Graph wiring: left vertex v of the disperser reads its neighbors'
     # broadcasts; B player j concatenates its expander neighbors' rows.
-    adj = [list(nb) for nb in g.and_disperser.adj]
-    s_rows = [g.iext.gather(*bcast[:, nb].T) for nb in adj]
-    honest_a = ~b.faulty[:, [pid - 1 for pid in cfg.players_a]]
-    b.good_left = sum(honest_a[:, nb].all(axis=1) for nb in adj)
+    s_rows = [g.iext.gather(*bcast[:, list(nb)].T)
+              for nb in g.and_disperser.adj]
     y_parts = np.stack([g.srext.gather(b.xs[:, pid - 1], _concat(
         [s_rows[v] for v in g.expander.adj[bi]], g.iext.m, len(b.xs)))
         for bi, pid in enumerate(cfg.players_b)], axis=1).astype(np.int64)
@@ -513,9 +512,6 @@ def exec_ext_pri(cfg: NetworkConfig, b: Batch,
                 f"oaext_b must read a {expect}-bit public string")
         for idx, pid in enumerate(cfg.players_b):
             b.private(pid, oab, _drop_slices(y, cfg.b_size, sw, idx))
-    # Whether the non-interactive extraction counts as a round is
-    # presentation-dependent; both counts are reported.
-    b.rounds_total = len(b.rounds) + 1
     return b.outputs
 
 
@@ -590,7 +586,7 @@ def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int):
     each over ``n_runs``: every source drawn once as an ``n_runs``-vector
     from one Philox stream keyed by ``seed ^ WORLD_KEY``, then the shared
     register."""
-    rng = np.random.default_rng(np.random.Philox(key=seed ^ WORLD_KEY))
+    rng = _philox(seed ^ WORLD_KEY)
     xs = np.stack([_as_distribution(src).sample(rng, size=n_runs)
                    for src in sources], axis=1)
     a = np.zeros(n_runs, dtype=np.int64)
@@ -645,9 +641,7 @@ def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
 class SecurityReport:
     mode: str
     distance: object           # Fraction (exact) or MCReport (sampled)
-    player_set: tuple
     effective_set: tuple       # S' = S minus faulty
-    part_width: int
     atoms: int = 0
 
 
@@ -700,8 +694,8 @@ def security(protocol, cfg, player_set, den, weights, b, *, exact=True,
     else:
         keys = (row_ids(rest, len(z))[0] << part_w) | z
         distance = mc_distance_pairs(keys, part_w, tol=tol, seed=seed)
-    return SecurityReport("exact" if exact else "sampled", distance,
-                          player_set, s_prime, part_w, len(weights))
+    return SecurityReport("exact" if exact else "sampled", distance, s_prime,
+                          len(weights))
 
 
 def forced_slice_distances(cfg, adv, player_set, den, weights, b) -> list:
@@ -797,9 +791,8 @@ def mc_public_block_quality(cfg: NetworkConfig, b: Batch, *, tol: float,
 
 _CONFIG_KEYS = {
     "p": int, "t": int, "n": int, "k": int, "alpha": float, "delta": float,
-    "gamma": float, "a_size": int, "b_size": int, "geqr_group": int,
-    "geqr_s": int, "seed": int, "protocol": str, "runs": int,
-    "adv": str, "cert_samples": int,
+    "gamma": float, "geqr_group": int, "geqr_s": int, "seed": int,
+    "protocol": str, "runs": int, "adv": str, "cert_samples": int,
 }
 
 

@@ -237,7 +237,11 @@ def _fit(**arrays) -> int:
 
 
 def _philox(key: int) -> np.random.Generator:
-    """A Generator on Philox(key=key): the stream of one sampled path."""
+    """A Generator on Philox(key=key), the one constructor of a seeded
+    stream; a key outside 0 ... 2^128 - 1 is invalid input."""
+    if not 0 <= key < 1 << 128:
+        raise InvalidInputError(f"a seed and its stream key must be in "
+                                f"0 ... 2^128 - 1, not {key}")
     return np.random.default_rng(np.random.Philox(key=key))
 
 

@@ -475,9 +475,9 @@ def test_netsim_config_violation_exit_4(cache_dir, tmp_path):
 def test_netsim_geqr_config_is_checked_before_any_table(tmp_path, capsys):
     micro = "p = 5\nt = 1\nn = 2\nk = 2\nalpha = 0.25\nprotocol = geqr\n"
     cfg, cache = tmp_path / "geqr.cfg", tmp_path / "cache"
-    cfg.write_text(micro + "a_size = 3\n")  # |A| = ceil(1.25) = 2
+    cfg.write_text(micro + "geqr_s = 0\n")
     assert run_cli(["netsim", "--config", str(cfg)], cache, tmp_path) == 4
-    assert "|A|" in capsys.readouterr().err
+    assert "config key geqr_s must be >= 1" in capsys.readouterr().err
     assert not list(cache.glob("*.xtab"))
     # the config's gamma reaches the partition warning
     cfg.write_text(micro + "gamma = 0.2\n")
@@ -485,6 +485,90 @@ def test_netsim_geqr_config_is_checked_before_any_table(tmp_path, capsys):
                    tmp_path) == 0
     assert ("config warning: alpha < gamma is expected for the partition\n"
             in capsys.readouterr().err)
+
+
+TOY_CONFIG = "p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
+MICRO_GEQR = "p = 5\nt = 1\nn = 2\nk = 2\nalpha = 0.25\nprotocol = geqr\n"
+
+
+def _refused_before_any_table(argv, tmp_path, capsys, monkeypatch):
+    """Run ``argv`` with the default cache under ``tmp_path``: whether it
+    exits 4 with one ``invalid input:`` line and leaves the cache empty."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("EXTRACTOMAT_CACHE", str(cache))
+    rc = run_cli_nocache(argv, tmp_path / "out")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, len(err)) == (4, 1) and err[0].startswith("invalid input: ")
+    assert not cache.exists() or not any(cache.iterdir())
+    return err[0]
+
+
+@pytest.mark.parametrize("key", ["a_size", "b_size"])
+def test_netsim_partition_sizes_are_not_config_keys(key, tmp_path, capsys,
+                                                    monkeypatch):
+    # |A| and |B| are derived from alpha, delta and t, so even the derived
+    # value itself is an unknown key
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CONFIG + f"{key} = 3\n")
+    assert _refused_before_any_table(
+        ["netsim", "--config", str(cfg)], tmp_path, capsys, monkeypatch) == (
+        f"invalid input: config line 7: unknown key '{key}'")
+
+
+@pytest.mark.parametrize("config", [TOY_CONFIG, MICRO_GEQR],
+                         ids=["extpub", "geqr"])
+@pytest.mark.parametrize("line,named", [
+    ("alpha = nan", "alpha must be finite, got nan"),
+    ("delta = nan", "delta must be finite, got nan"),
+    ("alpha = inf", "alpha must be finite, got inf"),
+    ("gamma = -inf", "gamma must be finite, got -inf"),
+    ("n = -1", "n must be >= 1, got -1"),
+    ("n = 0", "n must be >= 1, got 0")])
+def test_netsim_config_values_are_checked_before_any_table(
+        config, line, named, tmp_path, capsys, monkeypatch):
+    # once a NaN, an overflow or a negative shift count, exit 1; a geqr
+    # run never reads |A|, where alpha = nan passed silently
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(config + line + "\n")
+    assert _refused_before_any_table(
+        ["netsim", "--config", str(cfg)], tmp_path, capsys, monkeypatch) == (
+        f"invalid input: config key {named}")
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --extractor ip --n 3 --k1 1 --k2 1 --mode sampled --seed -1",
+    "eval --lemma L2.5 --trials 10 --seed -3",
+    "certify --n 3 --k 2 --m 1 --mode sampled --seed -1",
+    "netsim --config {config}"], ids=["eval", "lemma", "certify", "netsim"])
+def test_negative_seeds_exit_4(argv, tmp_path, capsys, monkeypatch):
+    # each ended in numpy's "key must be positive" ValueError, exit 1;
+    # netsim had certified the toy network's tables first
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CONFIG + "seed = -1\n")
+    assert "seed" in _refused_before_any_table(
+        argv.format(config=cfg).split(), tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,named", [
+    ("--n -1 --k 0", "input widths must be >= 0"),
+    ("--n 3 --k 2 --m 40", "m in 1 ... 32, got widths (3, 3) and m = 40"),
+    ("--n 3 --k 2 --m 0", "m in 1 ... 32"),
+    ("--n 3 --k 2 --eps nan", "target error must be a number, got nan")],
+    ids=["width", "m40", "m0", "eps-nan"])
+def test_certify_refuses_widths_and_nan_eps_before_any_draw(
+        argv, named, tmp_path, capsys, monkeypatch):
+    # once a negative shift count, numpy's uint32 bound, and 32 measured
+    # tables before "no table reached error <= nan" (exit 2)
+    from extractomat import certify
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a table was drawn")
+    monkeypatch.setattr(certify, "draw_table", no_draw)
+    argv = ["certify", *argv.split()]
+    if "--m" not in argv:
+        argv += ["--m", "1"]
+    assert named in _refused_before_any_table(argv, tmp_path, capsys,
+                                              monkeypatch)
 
 
 def test_netsim_sampled_outputs(cache_dir, tmp_path):

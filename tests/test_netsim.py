@@ -1,14 +1,18 @@
+import importlib.util
 import json
+import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from extractomat import certify
-from extractomat.cli import build_toy_network
+from extractomat.cli import TOY_SIZES, build_toy_network
 from extractomat.dist import Distribution
 from extractomat.errors import ConstraintViolatedError, InvalidInputError
 from extractomat.extractors import table_handle
@@ -75,15 +79,39 @@ def test_partition_arithmetic(toy_cfg):
     assert toy_cfg.y_width == 12
 
 
-def test_partition_violation_named():
-    with pytest.raises(InvalidInputError, match=r"\|A\| = \(1\+alpha\)t violated"):
-        NetworkConfig(p=7, t=1, n=6, k=4, alpha=2.0, a_size=2)
-    with pytest.raises(InvalidInputError, match=r"\|B\| = 2\(1\+2delta\)t violated"):
-        NetworkConfig(p=7, t=1, n=6, k=4, alpha=2.0, delta=0.25, b_size=5)
+def _grid_configs():
+    """The micro, small extpub and toy config texts that
+    ``tools/netsim_grid.py`` runs, filled in."""
+    spec = importlib.util.spec_from_file_location(
+        "netsim_grid", Path(__file__).resolve().parents[1] / "tools"
+        / "netsim_grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return {name: getattr(grid, name).format(n=4, k=4, seed=3)
+            for name in ("MICRO", "SMALL_EXTPUB", "TOY")}
+
+
+EXTPUB_PLAYERS = ((1, 2, 3), (4, 5, 6), (7,))
+
+
+@pytest.mark.parametrize("name,players", [
+    ("TOY_SIZES", EXTPUB_PLAYERS), ("MICRO", ((1, 2), (3, 4, 5), ())),
+    ("SMALL_EXTPUB", EXTPUB_PLAYERS), ("TOY", EXTPUB_PLAYERS)])
+def test_partition_sizes_are_derived(name, players):
+    # |A| and |B| follow from alpha, delta and t alone, and A, B and C
+    # hold the players they held when the sizes were fields
+    params = (dict(TOY_SIZES) if name == "TOY_SIZES"
+              else parse_config_text(_grid_configs()[name]))
+    params.pop("seed", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the micro config's k floor
+        cfg = NetworkConfig(**params)
+    assert cfg.a_size == math.ceil((1 + cfg.alpha) * cfg.t)
+    assert cfg.b_size == math.ceil(2 * (1 + 2 * cfg.delta) * cfg.t)
+    assert (cfg.players_a, cfg.players_b, cfg.players_c) == players
 
 
 def test_entropy_floor_warning():
-    import warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         NetworkConfig(p=16, t=1, n=6, k=4, alpha=2.0)
@@ -129,7 +157,7 @@ def test_y_width_and_round_structure(toy_cfg):
     assert b.y_width == 2 * toy_cfg.b_size * toy_cfg.slice_width
     assert 0 <= b.y[0] < 1 << b.y_width
     assert [rnd for rnd, *_ in b.rounds] == [1, 2, 3]
-    assert b.good_left[0] == toy_cfg.gadgets.and_disperser.l
+    assert _good_left(toy_cfg, b) == toy_cfg.gadgets.and_disperser.l
 
 
 def test_rushing_order_enforced_with_faulty(toy_cfg):
@@ -145,12 +173,20 @@ def test_rushing_order_enforced_with_faulty(toy_cfg):
         (2, False), (3, False), (1, True)]
 
 
+def _good_left(cfg, b, world=0):
+    """The AND-disperser's left vertices whose neighbours in A are all
+    honest in world ``world`` of the batch ``b``."""
+    honest = ~b.faulty[world, [pid - 1 for pid in cfg.players_a]]
+    return sum(bool(honest[list(nb)].all())
+               for nb in cfg.gadgets.and_disperser.adj)
+
+
 def test_good_left_set_nonempty_under_corruption(toy_cfg):
     sources = _toy_sources(toy_cfg)
     for faulty in (1, 2, 3):
         adv = AdversaryStrategy.ir({faulty}, lambda p, r, v: 0)
         b = _one_run("ext_pub", toy_cfg, sources, adv, seed=3)
-        assert b.good_left[0] >= 1
+        assert _good_left(toy_cfg, b) >= 1
 
 
 def test_adaptive_corruption_takes_effect_next_round(toy_cfg):
@@ -363,18 +399,6 @@ def test_batch_of_one_is_deterministic_in_its_seed(micro_geqr):
     b3 = protocol_runs("geqr", micro_geqr, sources, None, adv, n_runs=2,
                        seed=12)[2]
     assert b3.xs[0, 0] == b1.xs[0, 0]
-
-
-def test_round_counts_reported_both_ways(toy_cfg):
-    sources = _toy_sources(toy_cfg)
-    b = _one_run("ext_pub_only", toy_cfg, sources,
-                 AdversaryStrategy.passive(), seed=9)
-    assert len(b.rounds) == 3 and b.rounds_total == 0
-    exec_ext_pri(toy_cfg, b)
-    # the private extraction adds no interaction but may be counted as a
-    # round depending on presentation; both numbers are available
-    assert len(b.rounds) == 3
-    assert b.rounds_total == 4
 
 
 def test_geqr_all_honest_within_ledger_budget(micro_geqr):
@@ -835,6 +859,34 @@ def test_corrupt_calls_the_trigger_once_per_distinct_transcript():
     for w, tr in enumerate(transcripts):
         want[w, 1 if tr[0][1] == 1 else 2] = True
     assert np.array_equal(b.faulty, want)
+
+
+def test_callbacks_run_once_per_transcript_whatever_the_late_flags():
+    # two worlds with equal payloads, both round 1 senders late in the
+    # first and neither in the second: one commit order and one
+    # transcript, so one trigger call after round 1 and one callback for
+    # player 3, late in both, in round 2 (late flags as keys gave two
+    # each); security still tells the worlds apart by their late flags
+    b = Batch(np.array([[5, 5, 0], [5, 5, 0]]), {},
+              np.array([[True, True, True], [False, False, True]]))
+    calls = Counter()
+
+    def fn(pid, rnd, view):
+        calls[rnd] += 1
+        return 5
+
+    def trigger(rnd, tr):
+        calls["trigger"] += 1
+        return set()
+
+    adv = AdversaryStrategy.ir(set(), fn, trigger, reads=("transcript",))
+    b.play(1, (1, 2), 3, adv)
+    assert b.transcripts([0]) == b.transcripts([1])
+    b.corrupt(adv, 3, 1)
+    b.play(2, (3,), 3, adv)
+    assert calls == {1: 2, "trigger": 1, 2: 1} and b.callbacks == 3
+    rows = {tuple(row) for row in np.array(b.transcript_columns()).T.tolist()}
+    assert len(rows) == 2
 
 
 def _naive_worlds(b, den, weights):

@@ -16,7 +16,8 @@ its own:
   qmext composite of random tables;
 * block+general, exhaustive and sampled;
 * sampled two-source and sampled leaked requests;
-* requests refused for their budget, their arrays' bytes or their mode.
+* requests refused for their budget, their arrays' bytes, their mode or
+  their seed.
 
 For every request the report's JSON without its ``volatile`` block
 (error, exact error, witness, ``enumerated``, notes) must be equal between
@@ -134,6 +135,7 @@ def _sampled() -> list:
 
 def _refused() -> list:
     wide = ("table", "2-source", (3, 4), 1, 904)
+    bad_seed = {"mode": "sampled", "samples": 5, "seed": -1}  # no Philox key
     return [("2source", wide, (2, 2, None), {"budget": 100}),
             ("2source", wide, (2, 2, 0), {"budget": 10}),
             ("2source", wide, (2, 2, None), {"mode": "auto", "budget": 100}),
@@ -151,7 +153,12 @@ def _refused() -> list:
              {}),
             ("block", ("table", "t-source", (2, 2, 2), 1, 902), ((1, 1, 1),),
              {"budget": 2}),
-            ("2source", ("table", "2-source", (3, 3), 1, 903), (4, 1, None), {})]
+            ("2source", ("table", "2-source", (3, 3), 1, 903), (4, 1, None), {}),
+            ("2source", ("ip", 3), (2, 2, None), bad_seed),
+            ("leaked", ("ip", 3), ((2, 2), 1), bad_seed),
+            ("seeded", ("toeplitz", 3, 1), (2, True), bad_seed),
+            ("block", ("table", "t-source", (2, 2, 2), 1, 700), ((1, 1, 1),),
+             bad_seed)]
 
 
 def requests() -> list:
