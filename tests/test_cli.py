@@ -472,28 +472,28 @@ def test_netsim_config_violation_exit_4(cache_dir, tmp_path):
     assert rc == 4
 
 
+TOY_CONFIG = "p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
+MICRO_GEQR = "p = 5\nt = 1\nn = 2\nk = 2\nalpha = 0.25\nprotocol = geqr\n"
+
+
 def test_netsim_geqr_config_is_checked_before_any_table(tmp_path, capsys):
-    micro = "p = 5\nt = 1\nn = 2\nk = 2\nalpha = 0.25\nprotocol = geqr\n"
     cfg, cache = tmp_path / "geqr.cfg", tmp_path / "cache"
-    cfg.write_text(micro + "geqr_s = 0\n")
+    cfg.write_text(MICRO_GEQR + "geqr_s = 0\n")
     assert run_cli(["netsim", "--config", str(cfg)], cache, tmp_path) == 4
     assert "config key geqr_s must be >= 1" in capsys.readouterr().err
     assert not list(cache.glob("*.xtab"))
     # the config's gamma reaches the partition warning
-    cfg.write_text(micro + "gamma = 0.2\n")
+    cfg.write_text(MICRO_GEQR + "gamma = 0.2\n")
     assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache,
                    tmp_path) == 0
     assert ("config warning: alpha < gamma is expected for the partition\n"
             in capsys.readouterr().err)
 
 
-TOY_CONFIG = "p = 7\nt = 1\nn = 6\nk = 4\nalpha = 2.0\ndelta = 0.25\n"
-MICRO_GEQR = "p = 5\nt = 1\nn = 2\nk = 2\nalpha = 0.25\nprotocol = geqr\n"
-
-
 def _refused_before_any_table(argv, tmp_path, capsys, monkeypatch):
-    """Run ``argv`` with the default cache under ``tmp_path``: whether it
-    exits 4 with one ``invalid input:`` line and leaves the cache empty."""
+    """Run ``argv`` with the default cache under ``tmp_path``, check that
+    it exits 4 with one ``invalid input:`` line and an empty cache, and
+    return that line."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("EXTRACTOMAT_CACHE", str(cache))
     rc = run_cli_nocache(argv, tmp_path / "out")
