@@ -491,6 +491,12 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         key: value for key, value in params.items() if key in keys}))
     n, k, t = cfg.n, cfg.k, cfg.t
     seed = params.get("seed", 0)
+    # the stream keys seed + tag of a table (tags up to 12) and seed + pid
+    # of a player's bootstrap must be Philox keys, below 2^128
+    last = max(12, cfg.p)
+    if not 0 <= seed < (1 << 128) - last:
+        raise InvalidInputError(f"config key seed must be in 0 ... "
+                                f"2^128 - {last + 1}, got {seed}")
     cert_samples = params.get("cert_samples", 400)
     digests = []
 
@@ -511,6 +517,7 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         cfg.validate_geqr()
         return cfg, digests
 
+    cfg.validate_partition()  # before the graphs are wired on |A| and |B|
     sw = cfg.slice_width
     m1 = 4
     a = cfg.a_size

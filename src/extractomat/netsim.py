@@ -154,11 +154,16 @@ class NetworkConfig:
     def geqr_outer(self) -> tuple:
         return tuple(range(self.geqr_s * self.geqr_group + 1, self.p + 1))
 
-    def validate_ext_pub(self) -> None:
-        g = self.gadgets
+    def validate_partition(self) -> None:
+        """ext_pub's partition: some players are left outside A and B."""
         if self.a_size + self.b_size >= self.p:
             raise InvalidInputError(
-                "partition leaves no outer players: |A|+|B| >= p")
+                "partition leaves no outer players: |A|+|B| >= p, with "
+                f"|A| + |B| = {self.a_size} + {self.b_size} and p = {self.p}")
+
+    def validate_ext_pub(self) -> None:
+        g = self.gadgets
+        self.validate_partition()
         need = [("iext", g.iext), ("srext", g.srext),
                 ("and_disperser", g.and_disperser), ("expander", g.expander)]
         for nm, slot in need:
@@ -577,18 +582,14 @@ def _public_string(cfg: NetworkConfig, sent: dict, forced: dict, shape):
 WORLD_KEY = 0x5EED << 32  # worlds of seed s come from Philox(key=s ^ WORLD_KEY)
 
 
-def _as_distribution(src) -> Distribution:
-    return src.to_distribution() if isinstance(src, FlatSource) else src
-
-
 def _draw_worlds(sources, scenario, shared, n_runs: int, seed: int):
     """``n_runs`` worlds in the shape of ``enumerate_worlds``, weight 1
     each over ``n_runs``: every source drawn once as an ``n_runs``-vector
     from one Philox stream keyed by ``seed ^ WORLD_KEY``, then the shared
-    register."""
+    register.  A :class:`FlatSource` draws by support index, the draws of
+    its Distribution without building one."""
     rng = _philox(seed ^ WORLD_KEY)
-    xs = np.stack([_as_distribution(src).sample(rng, size=n_runs)
-                   for src in sources], axis=1)
+    xs = np.stack([src.sample(rng, size=n_runs) for src in sources], axis=1)
     a = np.zeros(n_runs, dtype=np.int64)
     if scenario.shared_width > 0:
         if shared is None:
@@ -623,7 +624,8 @@ def protocol_runs(protocol: str, cfg: NetworkConfig, sources,
     scenario = scenario or LeakageScenario.trivial([cfg.n] * cfg.p)
     if n_runs is None:
         den, weights, xs, _, es = enumerate_worlds(
-            [_as_distribution(s) for s in sources], scenario, shared)
+            [s.to_distribution() if isinstance(s, FlatSource) else s
+             for s in sources], scenario, shared)
     elif n_runs < 1:
         raise InvalidInputError("an ensemble needs at least one run")
     else:

@@ -49,6 +49,16 @@ class FlatSource:
     def to_distribution(self) -> Distribution:
         return Distribution.flat(self.width, self.support)
 
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """``size`` int64 draws, ``support[floor(u K)]`` for ``u =
+        rng.random(size)``: the values and stream position of
+        ``to_distribution().sample(rng, size)``, whose ``Generator.choice``
+        takes one ``random()`` per draw and the first outcome whose cdf
+        exceeds it, the cdf stepping by exactly 1/K at the support points."""
+        u = rng.random(size)
+        return np.asarray(self.support, dtype=np.int64)[
+            np.floor(u * len(self.support)).astype(np.int64)]
+
     @classmethod
     def random(cls, width: int, k: int, rng: np.random.Generator) -> "FlatSource":
         support = rng.choice(1 << width, size=1 << k, replace=False)

@@ -738,6 +738,23 @@ def naive_protocol_worlds(spec, supports, adv, shared=None, leaks=None):
     return worlds
 
 
+def naive_draw_worlds(sources, scenario, shared, n_runs, rng) -> list:
+    """``n_runs`` sampled worlds ``(xs, a, leaks)``, one tuple per world:
+    each source drawn as an ``n_runs``-vector by ``Distribution.sample``
+    on ``rng`` (a flat source through its ``to_distribution``), then the
+    shared register if the scenario has one (else 0), and each leaky
+    source's leak computed world by world."""
+    cols = [(s.to_distribution() if hasattr(s, "to_distribution") else s)
+            .sample(rng, size=n_runs).tolist() for s in sources]
+    a_col = (shared.sample(rng, size=n_runs).tolist()
+             if scenario.shared_width else [0] * n_runs)
+    worlds = []
+    for xs, a in zip(zip(*cols), a_col):
+        worlds.append((xs, a, tuple(scenario.leak_value(i, xs[i], a)
+                                    for i in scenario.leaky)))
+    return worlds
+
+
 def naive_security(worlds, players, m) -> Fraction:
     """Distance of (Z_S', other outputs, transcript, leaks) from uniform x
     rest, S' being ``players`` without output in the first world left

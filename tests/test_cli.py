@@ -330,18 +330,36 @@ GOLDEN_NETSIM = {
 }
 
 
+def _golden_run(protocol, tmp_path, out_name):
+    """Answer a ``GOLDEN_NETSIM`` request with the cache under
+    ``tmp_path`` and check its estimates against the pins."""
+    text, flags, field, pinned = GOLDEN_NETSIM[protocol]
+    cfg, out = tmp_path / "net.cfg", tmp_path / out_name
+    cfg.write_text(text)
+    assert run_cli(["netsim", "--config", str(cfg), *flags],
+                   tmp_path / "cache", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {pid: (rep["estimate"], rep["ci_99"])
+            for pid, rep in report[field].items()} == pinned
+
+
 @pytest.mark.parametrize("protocol", sorted(GOLDEN_NETSIM))
 def test_netsim_sampled_estimates_are_pinned(tmp_path, protocol):
-    text, flags, field, pinned = GOLDEN_NETSIM[protocol]
-    cfg = tmp_path / "net.cfg"
-    cfg.write_text(text)
     for temp in ("cold", "warm"):
-        out = tmp_path / temp
-        assert run_cli(["netsim", "--config", str(cfg), *flags],
-                       tmp_path / "cache", out) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert {pid: (rep["estimate"], rep["ci_99"])
-                for pid, rep in report[field].items()} == pinned
+        _golden_run(protocol, tmp_path, temp)
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_NETSIM))
+def test_netsim_sampled_worlds_build_no_flat_distribution(tmp_path, protocol,
+                                                          monkeypatch):
+    # a flat source draws its worlds by support index; only the exact
+    # enumeration builds its Distribution
+    from extractomat.sources import FlatSource
+
+    def refused(self):
+        raise AssertionError("a flat source built its Distribution")
+    monkeypatch.setattr(FlatSource, "to_distribution", refused)
+    _golden_run(protocol, tmp_path, "out")
 
 
 # sha256 of every output of an exact micro geqr request and a sampled toy
@@ -547,6 +565,44 @@ def test_negative_seeds_exit_4(argv, tmp_path, capsys, monkeypatch):
     cfg.write_text(TOY_CONFIG + "seed = -1\n")
     assert "seed" in _refused_before_any_table(
         argv.format(config=cfg).split(), tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("alpha,a_size", [("20.0", 21), ("1000.0", 1001)])
+def test_netsim_partition_is_checked_before_the_wiring(
+        alpha, a_size, tmp_path, capsys, monkeypatch):
+    # the graphs were wired and verified on |A| and |B| first: alpha = 20
+    # failed the expander property (exit 4), alpha = 1000 the expander
+    # verification's step budget (exit 3)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CONFIG.replace("alpha = 2.0", f"alpha = {alpha}"))
+    assert _refused_before_any_table(
+        ["netsim", "--config", str(cfg)], tmp_path, capsys, monkeypatch) == (
+        "invalid input: partition leaves no outer players: |A|+|B| >= p, "
+        f"with |A| + |B| = {a_size} + 3 and p = 7")
+
+
+@pytest.mark.parametrize("config", [TOY_CONFIG, MICRO_GEQR],
+                         ids=["extpub", "geqr"])
+@pytest.mark.parametrize("below", [1, 12])
+def test_netsim_seed_whose_stream_keys_leave_the_range_exits_4(
+        config, below, tmp_path, capsys, monkeypatch):
+    # seed + 1, the first table's stream key, was named, after the source
+    # stream had accepted the seed; the largest key added is 12, a tag
+    seed = (1 << 128) - below
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(config + f"seed = {seed}\n")
+    assert _refused_before_any_table(
+        ["netsim", "--config", str(cfg)], tmp_path, capsys, monkeypatch) == (
+        f"invalid input: config key seed must be in 0 ... 2^128 - 13, "
+        f"got {seed}")
+
+
+def test_netsim_largest_seed_runs(tmp_path):
+    # seed + 12, its last stream key, is 2^128 - 1
+    cfg = tmp_path / "geqr.cfg"
+    cfg.write_text(MICRO_GEQR + f"seed = {(1 << 128) - 13}\n")
+    assert run_cli(["netsim", "--config", str(cfg), "--runs", "200"],
+                   tmp_path / "cache", tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -18,16 +18,18 @@ from extractomat.errors import ConstraintViolatedError, InvalidInputError
 from extractomat.extractors import table_handle
 from extractomat.graphs import BipartiteGraph
 from extractomat.leakage import LeakageScenario
-from extractomat.netsim import (VIEW_PARTS, AdversaryStrategy, Batch,
-                                GadgetSet, NetworkConfig, evaluate_security,
-                                exec_ext_pri, exec_ext_pub, exec_geqr,
-                                forced_slice_distances, ir_to_qr,
+from extractomat.netsim import (VIEW_PARTS, WORLD_KEY, AdversaryStrategy,
+                                Batch, GadgetSet, NetworkConfig, _draw_worlds,
+                                evaluate_security, exec_ext_pri, exec_ext_pub,
+                                exec_geqr, forced_slice_distances, ir_to_qr,
                                 output_width, parse_config_text,
                                 protocol_runs, security,
                                 strong_player_error)
+from extractomat.oracle import _philox
 from extractomat.sources import FlatSource
-from helpers_naive import (naive_protocol_run, naive_protocol_worlds,
-                           naive_security, naive_strong_error)
+from helpers_naive import (naive_draw_worlds, naive_protocol_run,
+                           naive_protocol_worlds, naive_security,
+                           naive_strong_error)
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +386,43 @@ def test_drawn_values_lie_in_support(micro_geqr):
     sources = [FlatSource.random(4, 2, rng) for _ in range(5)]
     for xvals in _drawn_worlds(micro_geqr, sources, 3, n_runs=400):
         assert all(x in sources[pid - 1].support for pid, x in xvals.items())
+
+
+def _mixed_source(rng, width):
+    """A flat source of random k, or a Distribution of random masses."""
+    if rng.random() < 0.5:
+        return FlatSource.random(width, int(rng.integers(width + 1)), rng)
+    counts = rng.integers(0, 4, size=1 << width)
+    counts[rng.integers(1 << width)] += 1
+    return Distribution(width, [Fraction(int(c), int(counts.sum()))
+                                for c in counts])
+
+
+@pytest.mark.parametrize("shared_width", [0, 2])
+@pytest.mark.parametrize("leak", [False, True])
+def test_drawn_worlds_match_naive_draws(shared_width, leak):
+    # flat sources by support index, the others and the shared register
+    # by Distribution.sample, in one stream
+    rng = np.random.default_rng([shared_width, leak, 48])
+    for trial in range(20):
+        widths = rng.integers(1, 7, size=int(rng.integers(1, 6))).tolist()
+        sources = [_mixed_source(rng, w) for w in widths]
+        maps = [(lambda x, a: (x ^ a) & 3) if leak and i % 2 == 0 else None
+                for i in range(len(widths))]
+        scenario = LeakageScenario(
+            tuple(widths), shared_width, leak_maps=tuple(maps),
+            e_widths=tuple(0 if f is None else 2 for f in maps))
+        shared = (Distribution(shared_width, [Fraction(c, 10)
+                                              for c in (1, 2, 3, 4)])
+                  if shared_width else None)
+        n_runs, seed = int(rng.choice([1, 7, 300])), int(rng.integers(99))
+        _, weights, xs, a, es = _draw_worlds(sources, scenario, shared,
+                                             n_runs, seed)
+        assert weights.tolist() == [1] * n_runs
+        assert list(zip(map(tuple, xs.tolist()), a.tolist(),
+                        map(tuple, es.tolist()))) == naive_draw_worlds(
+            sources, scenario, shared, n_runs, _philox(seed ^ WORLD_KEY)), \
+            trial
 
 
 def test_batch_of_one_is_deterministic_in_its_seed(micro_geqr):

@@ -45,6 +45,23 @@ def test_negative_support_elements_are_refused():
     assert FlatSource(2, [3, 0]).to_distribution().support() == [0, 3]
 
 
+@pytest.mark.parametrize("width", range(1, 13))
+def test_flat_sample_draws_what_its_distribution_draws(width):
+    # one Philox stream each: the same values, and the same next word
+    rng = np.random.default_rng([width, 48])
+    for k in range(width + 1):
+        src = FlatSource.random(width, k, rng)
+        for size in (0, 1, 1000, None):
+            fast, ref = (np.random.default_rng(np.random.Philox(
+                key=(width << 32 | k << 16) + (size or 0))) for _ in range(2))
+            got = src.sample(fast, size=size)
+            want = src.to_distribution().sample(ref, size=size)
+            assert np.shape(got) == np.shape(want), (k, size)
+            assert np.asarray(got).dtype == np.int64
+            assert np.array_equal(got, want), (k, size)
+            assert fast.random() == ref.random(), (k, size)
+
+
 def test_flat_enumeration_count():
     assert sum(1 for _ in FlatSource.enumerate_all(3, 1)) == math.comb(8, 2)
 

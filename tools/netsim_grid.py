@@ -12,7 +12,9 @@ its own, with an empty certificate cache of its own:
   each adversary;
 * sampled geqr (micro, n = k = 4) and sampled extpub (the README's toy
   config, p=7, n=6, k=4) under each adversary, at several config seeds
-  and run counts.
+  and run counts;
+* sampled geqr on micro at n = 5, k = 3 and sampled extpub on the small
+  config, whose flat sources hold 8 of 32 and 2 of 8 points.
 
 For every request the exit code, stdout and ``report.json`` (in their
 ``volatile`` blocks, the counters by value and the timings ``eval_s`` and
@@ -77,6 +79,11 @@ def requests() -> list:
                             TOY.format(seed=seed),
                             ["--protocol", "extpub", "--adv", adv,
                              "--runs", str(runs)]))
+    out.append(("sampled-geqr-n5k3-s3-r1000-qr-analog",
+                MICRO.format(n=5, k=3, seed=3),
+                ["--protocol", "geqr", "--adv", "qr-analog", "--runs", "1000"]))
+    out.append(("sampled-extpub-small-s5-r1000-ir", SMALL_EXTPUB.format(seed=5),
+                ["--protocol", "extpub", "--adv", "ir", "--runs", "1000"]))
     return out
 
 
