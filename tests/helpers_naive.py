@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive (dict counting, Fractions, no
 numpy beyond the random streams of the gadget search, the sampled oracle
-and the estimator's bootstrap, no shared code with the package) so that
-an agreement between these functions and the package's fast paths is
+and the estimator's bootstrap, no shared code with the package but the
+world draws' ``Distribution.sample`` and ``leak_value``) so that an
+agreement between these functions and the package's fast paths is
 meaningful.
 """
 
