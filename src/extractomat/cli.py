@@ -48,12 +48,13 @@ NETWORKS = (*PROTOCOLS, "ext_pub", "ext_pub_only")
 TOY_SIZES = {"p": 7, "t": 1, "n": 6, "k": 4, "alpha": 2.0}
 LEMMA_BLOCK = 1024  # eval --lemma trials drawn and checked per block
 # eval flags a handle kind does not read: refused rather than ignored
-IGNORED_FLAGS = {"2-source": ("k", "marginal", "strong_seed"),
-                 "t-source": ("k", "marginal", "strong_seed", "strong",
-                              "samples", "seed"),
+IGNORED_FLAGS = {"2-source": ("k", "marginal"),
+                 "t-source": ("k", "marginal", "strong", "samples", "seed"),
                  "seeded": ("k1", "k2", "strong")}
-# eval's --samples and --seed, parsed as None so that a kind can refuse them
-EVAL_DEFAULTS = {"samples": 200, "seed": 0}
+# eval flags an extractor fixes (ip's one bit, a table's widths): refused
+FIXED_FLAGS = {"ip": ("m",), ".xtab": ("n", "m")}
+# eval's --m, --samples and --seed, parsed as None so that they can be refused
+EVAL_DEFAULTS = {"m": 1, "samples": 200, "seed": 0}
 
 
 def main(argv=None) -> int:
@@ -120,16 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--extractor", help="ip | deor | toeplitz | path to .xtab")
     e.add_argument("--lemma", help="L2.2 | L2.5 (checker over random joints)")
     e.add_argument("--n", type=int)
-    e.add_argument("--m", type=int, default=1)
+    e.add_argument("--m", type=int)
     e.add_argument("--k", type=float)
     e.add_argument("--k1", type=float)
     e.add_argument("--k2", type=float)
     e.add_argument("--strong", type=int, default=None,
                    help="input index for a strong two-source evaluation")
-    e.add_argument("--strong-seed", action="store_true",
-                   help="seeded: evaluate jointly with the seed (default)")
     e.add_argument("--marginal", action="store_true",
-                   help="seeded: evaluate the output marginal only")
+                   help="seeded: the output marginal, not joint with the seed")
     e.add_argument("--leak-bits", type=int, default=0)
     e.add_argument("--mode", choices=["auto", "exhaustive", "sampled"],
                    default="auto")
@@ -254,21 +253,27 @@ def _load_extractor(args):
         raise InvalidInputError("eval needs --extractor or --lemma")
     if name in ("ip", "deor", "toeplitz") and args.n is None:
         raise InvalidInputError(f"--extractor {name} needs --n")
+    path = Path(name)
+    xtab = path.suffix == ".xtab" and path.exists()
+    fixed = [f"--{f}" for f in FIXED_FLAGS.get(".xtab" if xtab else name, ())
+             if getattr(args, f) is not None]
+    if fixed:
+        raise InvalidInputError(f"extractor {name} takes no {', '.join(fixed)}")
+    _eval_defaults(args, ("m",))
     if name == "ip":
         return ip_handle(args.n, args.k1, args.k2), []
     if name == "deor":
         return deor_handle(args.n, args.m, args.k1, args.k2), []
     if name == "toeplitz":
         return toeplitz_handle(args.n, args.m, args.k), []
-    path = Path(name)
-    if path.suffix == ".xtab" and path.exists():
+    if xtab:
         handle, record = cert.load_xtab(path)
         return handle, [record.digest]
     raise InvalidInputError(f"unknown extractor {name!r}")
 
 
-def _eval_defaults(args):  # the flags of EVAL_DEFAULTS not given get them
-    vars(args).update({f: v for f, v in EVAL_DEFAULTS.items()
+def _eval_defaults(args, flags=tuple(EVAL_DEFAULTS)):  # fills unset flags
+    vars(args).update({f: EVAL_DEFAULTS[f] for f in flags
                        if getattr(args, f) is None})
     return args
 
@@ -280,8 +285,6 @@ def _eval_extractor(args, handle, oracle, out_dir):
         raise InvalidInputError(f"{handle.kind} handle {handle.name} takes "
                                 f"no {', '.join(ignored)}")
     _eval_defaults(args)
-    if args.strong_seed and args.marginal:
-        raise InvalidInputError("--strong-seed and --marginal exclude each other")
     if handle.kind == "seeded":
         k = args.k if args.k is not None else handle.k_profile[0]
         ks, strong = (k, handle.k_profile[1]), not args.marginal
@@ -507,6 +510,7 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         digests.append(record.digest)
         return handle
 
+    cfg.validate_partition(protocol)  # before any table, or a graph on A, B
     if protocol == "geqr":
         group, width = cfg.geqr_group, cfg.geqr_s * cfg.geqr_slice
         iext = table(11, (n,) * group, (k,) * group, max(cfg.geqr_slice, 2),
@@ -517,7 +521,6 @@ def build_toy_network(params: dict, cache_dir=None, protocol: str = "extpub"):
         cfg.validate_geqr()
         return cfg, digests
 
-    cfg.validate_partition()  # before the graphs are wired on |A| and |B|
     sw = cfg.slice_width
     m1 = 4
     a = cfg.a_size

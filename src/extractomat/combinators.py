@@ -75,7 +75,7 @@ class ErrorBudget:
                       for c, s, v in self.terms],
             "residuals": [{"name": n, "parameter": p, "constant": c,
                            "value": 2.0 ** (-(c * p)),
-                           "constant_is_default": True}
+                           "constant_is_default": c == DEFAULT_OMEGA}
                           for n, p, c in self.residuals],
             "total_capped_at_1": self.total(),
             "total_uncapped": self.total_uncapped(),

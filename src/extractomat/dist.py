@@ -249,13 +249,13 @@ class JointDistribution(_Masses):
             raise InvalidInputError("conditioning on a zero-probability value")
         return JointDistribution.from_numerators(rest, num, norm)
 
-    def apply_to_part(self, label: str, fn, new_width: int,
-                      new_label: str | None = None) -> "JointDistribution":
+    def apply_to_part(self, label: str, fn,
+                      new_width: int) -> "JointDistribution":
         """Deterministically post-process one part, leaving the rest alone."""
         axis = self._axis(label)
         w = self.parts[axis][1]
         new_parts = list(self.parts)
-        new_parts[axis] = (new_label or label, new_width)
+        new_parts[axis] = (label, new_width)
         _check_width(sum(pw for _, pw in new_parts))
         fmap = np.array([_integer(fn(v), "a part map output")
                          for v in range(1 << w)], dtype=np.int64)

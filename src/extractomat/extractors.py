@@ -133,12 +133,6 @@ class ExtractorHandle:
     def total_input_width(self) -> int:
         return sum(self.input_widths)
 
-    def index(self, *xs: int) -> int:
-        idx = 0
-        for v, w in zip(xs, self.input_widths):
-            idx = (idx << w) | v
-        return idx
-
     def eval_int(self, *xs: int) -> int:
         if len(xs) != self.arity:
             raise InvalidInputError(f"{self.name} takes {self.arity} inputs")
@@ -146,8 +140,7 @@ class ExtractorHandle:
         for v, w in zip(xs, self.input_widths):
             if not 0 <= v < (1 << w):
                 raise InvalidInputError(f"input {v} exceeds width {w}")
-        table = self._table if self._table is not None else self.table()
-        return int(table[self.index(*xs)])
+        return int(self.gather(*xs))
 
     def gather(self, *xs) -> np.ndarray:
         """The table at every point of the broadcast grid of input values

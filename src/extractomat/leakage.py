@@ -68,6 +68,11 @@ class LeakageScenario:
         if not (len(self.slices) == len(self.leak_maps)
                 == len(self.e_widths) == t):
             raise InvalidInputError("per-source fields must have equal length")
+        if min(self.shared_width, *self.source_widths, *self.e_widths,
+               *(w for _, w in self.slices)) < 0:
+            raise InvalidInputError(
+                f"widths must be >= 0: sources {self.source_widths}, shared "
+                f"{self.shared_width}, slices {self.slices}, leaks {self.e_widths}")
         for off, w in self.slices:
             if off < 0 or off + w > self.shared_width:
                 raise InvalidInputError("slice exceeds shared register")

@@ -276,10 +276,10 @@ def _thm_ir_to_qr(entry, eps, rush_bits):
     entry.outputs = {"eps_qr": out}
 
 
-def _thm_and_disperser(entry, alpha, D, M, c=_DEFAULT_DISPERSER_C):
-    d = c * alpha ** (-8)
+def _thm_and_disperser(entry, alpha, D, M, C=_DEFAULT_DISPERSER_C):
+    d = C * alpha ** (-8)
     mu = alpha * alpha / 3.0
-    entry.step("d", "d = c*alpha^-8", d)
+    entry.step("d", "d = C*alpha^-8", d)
     entry.step("mu", "mu = alpha^2/3", mu)
     n_upper = M * d ** D
     beta_lower = mu ** D

@@ -73,7 +73,7 @@ class NetworkConfig:
     The partition sizes follow from ``alpha``, ``delta`` and ``t``:
     ``|A| = ceil((1+alpha) t)`` and ``|B| = ceil(2 (1+2 delta) t)``.
     ``t`` is the corruption bound used for sizing; an actual run may
-    corrupt fewer players.
+    corrupt fewer players.  The toy AND-disperser is checked at gamma = 1/l.
     """
 
     p: int
@@ -82,7 +82,6 @@ class NetworkConfig:
     k: int
     alpha: float = 0.5
     delta: float = 0.25
-    gamma: float = 0.75
     geqr_group: int = 2        # players per group in the one-round protocol
     geqr_s: int | None = None  # number of groups
     gadgets: GadgetSet = field(default_factory=GadgetSet)
@@ -95,7 +94,7 @@ class NetworkConfig:
             if getattr(self, key) < least:
                 raise InvalidInputError(f"config key {key} must be >= {least}"
                                         f", got {getattr(self, key)}")
-        for key in ("alpha", "delta", "gamma"):
+        for key in ("alpha", "delta"):
             if not math.isfinite(getattr(self, key)):
                 raise InvalidInputError(f"config key {key} must be finite, "
                                         f"got {getattr(self, key)}")
@@ -104,9 +103,6 @@ class NetworkConfig:
                 f"k={self.k} is at or below 4*log2(p)={4 * math.log2(self.p):.2f}; "
                 "the entropy floor for distributed use is k > C log p",
                 stacklevel=2)
-        if not self.alpha < self.gamma:
-            warnings.warn("alpha < gamma is expected for the partition",
-                          stacklevel=2)
 
     @property
     def a_size(self) -> int:
@@ -154,16 +150,19 @@ class NetworkConfig:
     def geqr_outer(self) -> tuple:
         return tuple(range(self.geqr_s * self.geqr_group + 1, self.p + 1))
 
-    def validate_partition(self) -> None:
-        """ext_pub's partition: some players are left outside A and B."""
-        if self.a_size + self.b_size >= self.p:
+    def validate_partition(self, protocol: str) -> None:
+        """Some players are left outside ``protocol``'s partition: outside
+        the s groups of geqr, outside A and B of ext_pub."""
+        if protocol == "geqr" and self.p <= self.geqr_s * self.geqr_group:
+            raise InvalidInputError("p must exceed s*d (no outer players left)")
+        if protocol != "geqr" and self.a_size + self.b_size >= self.p:
             raise InvalidInputError(
                 "partition leaves no outer players: |A|+|B| >= p, with "
                 f"|A| + |B| = {self.a_size} + {self.b_size} and p = {self.p}")
 
     def validate_ext_pub(self) -> None:
         g = self.gadgets
-        self.validate_partition()
+        self.validate_partition("ext_pub")
         need = [("iext", g.iext), ("srext", g.srext),
                 ("and_disperser", g.and_disperser), ("expander", g.expander)]
         for nm, slot in need:
@@ -193,8 +192,7 @@ class NetworkConfig:
             raise InvalidInputError("geqr needs the iext and qtext slots")
         if g.iext.arity != self.geqr_group:
             raise InvalidInputError("group size must match the iext arity")
-        if self.p <= self.geqr_s * self.geqr_group:
-            raise InvalidInputError("p must exceed s*d (no outer players left)")
+        self.validate_partition("geqr")
         if g.qtext.input_widths[1] != self.geqr_s * self.geqr_slice:
             raise InvalidInputError(
                 f"qtext seed width must be s*floor(k/s) = "
@@ -793,7 +791,7 @@ def mc_public_block_quality(cfg: NetworkConfig, b: Batch, *, tol: float,
 
 _CONFIG_KEYS = {
     "p": int, "t": int, "n": int, "k": int, "alpha": float, "delta": float,
-    "gamma": float, "geqr_group": int, "geqr_s": int, "seed": int,
+    "geqr_group": int, "geqr_s": int, "seed": int,
     "protocol": str, "runs": int, "adv": str, "cert_samples": int,
 }
 

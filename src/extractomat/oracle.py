@@ -1074,7 +1074,8 @@ def check_lemma(lemma_id: str, **instance):
     Supported ids: ``L2.2`` (min-entropy conditioning), ``L2.5``
     (classical XOR lemma), ``P3.2`` (entropy additivity up to the smooth
     slack), ``L8.1`` (per-player strong errors union to set error).
-    ``L2.2`` and ``L2.5`` check a ``joint``, or list a stack's verdicts.
+    ``L2.2`` and ``L2.5`` check a ``joint``, or list a stack's verdicts;
+    an L2.5 joint has the parts ``Z`` (the XOR-tested bits) and ``E``.
     """
     fn = _LEMMAS.get(lemma_id)
     if fn is None:
@@ -1122,18 +1123,17 @@ def _lemma_condition(joint=None, *, eps: float, target: str = "X",
     return out if joint is None else out[0]
 
 
-def _lemma_xor(joint=None, z_label: str = "Z", e_label: str = "E", *,
-               numerators=None, denominator=1):
+def _lemma_xor(joint=None, *, numerators=None, denominator=1):
     """Classical XOR lemma: dist(ZE, UxE)^2 <= 2^min(d,m) sum_S dist^2.
 
     Every XOR test r of Z's bits is scored in one integer pass over the
     (Z, rest) numerator matrices N: ``odd @ N`` is the mass where r.z is
     odd, and the test's distance is sum_rest |2 (odd @ N) - R| / 2den."""
-    rest = [] if joint is None else [lb for lb in joint.labels() if lb != z_label]
-    num, den = _lemma_stack(numerators, denominator, joint, [z_label, *rest])
+    rest = [] if joint is None else [lb for lb in joint.labels() if lb != "Z"]
+    num, den = _lemma_stack(numerators, denominator, joint, ["Z", *rest])
     (T, Z, R), out = num.shape, []
     m = Z.bit_length() - 1
-    d = R.bit_length() - 1 if joint is None else joint.part_width(e_label)
+    d = R.bit_length() - 1 if joint is None else joint.part_width("E")
     lhs = excess_over_uniform(num.reshape(T, -1), np.arange(Z * R) % R, m)
     odd = np.bitwise_count(np.arange(1, Z)[:, None] & np.arange(Z)) & 1
     tests = np.abs(2 * (odd @ num) - num.sum(axis=1, keepdims=True))

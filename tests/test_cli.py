@@ -203,7 +203,7 @@ def test_eval_reads_the_t_source_xtab_certify_writes(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, named", [
     (["--marginal"], ["--marginal"]), (["--k", "1"], ["--k"]),
-    (["--strong-seed", "--k", "1"], ["--k", "--strong-seed"])])
+    (["--marginal", "--k", "1"], ["--k", "--marginal"])])
 def test_eval_refuses_flags_a_two_source_handle_ignores(tmp_path, capsys,
                                                         flags, named):
     # ip(3; 2, 2) reads --k1 and --k2: 5/16 with or without these flags
@@ -239,8 +239,7 @@ def test_eval_refuses_flags_a_t_source_handle_ignores(tmp_path, capsys):
                     "--m", "1"], tmp_path / "cache", tmp_path / "c") == 0
     xtab = json.loads(capsys.readouterr().out)["xtab"]
     for flags, named in ((["--strong", "1"], "--strong"),
-                         (["--k", "1", "--marginal"], "--k, --marginal"),
-                         (["--strong-seed"], "--strong-seed")):
+                         (["--k", "1", "--marginal"], "--k, --marginal")):
         out = tmp_path / named
         assert run_cli_nocache(["eval", "--extractor", xtab, *flags],
                                out) == 4
@@ -272,17 +271,34 @@ def test_eval_refuses_samples_and_seed_on_a_t_source_handle(tmp_path,
         assert not out.exists()
 
 
-def test_eval_refuses_strong_seed_with_marginal(tmp_path, capsys):
-    # apart, each flag is read (the strong default gives 3/16 here)
-    argv = ["eval", "--extractor", "toeplitz", "--n", "3", "--m", "1",
-            "--k", "2"]
-    assert run_cli_nocache([*argv, "--strong-seed"], tmp_path / "s") == 0
-    assert json.loads(capsys.readouterr().out)["error_exact"] == "3/16"
-    out = tmp_path / "both"
-    assert run_cli_nocache([*argv, "--marginal", "--strong-seed"], out) == 4
-    err = capsys.readouterr().err
-    assert "--strong-seed" in err and "--marginal" in err
-    assert not out.exists()
+@pytest.mark.parametrize("m", ["3", "1"])
+def test_eval_refuses_m_on_ip(tmp_path, capsys, m):
+    # ip has one output bit: --m was read by nothing, whatever its value
+    argv = ["eval", "--extractor", "ip", "--n", "3", "--k1", "2", "--k2", "2"]
+    assert run_cli_nocache([*argv, "--m", m], tmp_path / "refused") == 4
+    assert (capsys.readouterr().err
+            == "invalid input: extractor ip takes no --m\n")
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--n", "9", "--m", "5"], "--n, --m"), (["--n", "3"], "--n"),
+    (["--m", "1"], "--m")])
+def test_eval_refuses_n_and_m_on_a_table(tmp_path, capsys, flags, named):
+    # a table fixes its widths; without the flags the manifest still
+    # records m = 1
+    assert run_cli(["certify", "--n", "3", "--k", "2", "--m", "1"],
+                   tmp_path / "cache", tmp_path / "c") == 0
+    xtab = json.loads(capsys.readouterr().out)["xtab"]
+    argv = ["eval", "--extractor", xtab, "--k1", "2", "--k2", "2"]
+    assert run_cli_nocache(argv, tmp_path / "ok") == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert (manifest["args"]["n"], manifest["args"]["m"]) == (None, 1)
+    assert run_cli_nocache([*argv, *flags], tmp_path / "refused") == 4
+    assert (capsys.readouterr().err
+            == f"invalid input: extractor {xtab} takes no {named}\n")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_eval_strong_index_outside_the_inputs_exits_4(tmp_path, capsys):
@@ -386,8 +402,8 @@ NETSIM_BYTES = {
                            "6214e9c82cc71027e6fe5de408a26a0f",
             "report.json": "c661a9d553c23e0584ad412d776a48d6"
                            "cac006fed004c9ab0d6efcc8062b3b15",
-            "stderr": "28adcbf4102bc32344fb935a1333e48f"
-                      "fdd25988e0597ed4097512c47b02c638"}),
+            "stderr": "c73d6d5de02ef7d9b15877fc9ce9e144"
+                      "115817f4c9cba9f8cf99192257adddd5"}),
 }
 
 
@@ -449,7 +465,7 @@ def test_ledger_writes_entry(tmp_path, capsys):
     ("ir-to-qr --eps 0.1", "(eps, rush_bits)"),
     # arithmetic outside the theorem's domain
     ("expander --beta 0", "beta=0.0, C=1.0"),
-    ("and-disperser --alpha 0 --D 2 --M 3", "alpha=0.0, D=2, M=3, c=1.0"),
+    ("and-disperser --alpha 0 --D 2 --M 3", "alpha=0.0, D=2, M=3, C=1.0"),
     ("weak-seed --k 100 --eps 0.1 --d 1 --delta 0.1 --C 0", "C=0.0"),
     ("raz --n1 0 --n2 8 --k1 0 --k2 4", "n1=0.0, n2=8.0"),
     ("ir-to-qr --eps 0.1 --rush-bits 2000", "eps=0.1, rush_bits=2000.0"),
@@ -464,6 +480,15 @@ def test_ledger_bad_request_exits_4_naming_the_inputs(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("invalid input: ")
     assert f"theorem {theorem!r}" in err[0] and inputs in err[0]
     assert not (tmp_path / f"ledger-{theorem}.json").exists()
+
+
+def test_ledger_and_disperser_reads_the_C_flag(tmp_path):
+    # --C reached expander and weak-seed; and-disperser once named it c
+    rc = run_cli_nocache(["ledger", "--theorem", "and-disperser", "--alpha",
+                          "0.5", "--D", "2", "--M", "4", "--C", "2"], tmp_path)
+    assert rc == 0
+    entry = json.loads((tmp_path / "ledger-and-disperser.json").read_text())
+    assert entry["inputs"]["C"] == 2.0 and entry["outputs"]["d"] == 512.0
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -500,12 +525,6 @@ def test_netsim_geqr_config_is_checked_before_any_table(tmp_path, capsys):
     assert run_cli(["netsim", "--config", str(cfg)], cache, tmp_path) == 4
     assert "config key geqr_s must be >= 1" in capsys.readouterr().err
     assert not list(cache.glob("*.xtab"))
-    # the config's gamma reaches the partition warning
-    cfg.write_text(MICRO_GEQR + "gamma = 0.2\n")
-    assert run_cli(["netsim", "--config", str(cfg), "--exact"], cache,
-                   tmp_path) == 0
-    assert ("config warning: alpha < gamma is expected for the partition\n"
-            in capsys.readouterr().err)
 
 
 def _refused_before_any_table(argv, tmp_path, capsys, monkeypatch):
@@ -535,11 +554,36 @@ def test_netsim_partition_sizes_are_not_config_keys(key, tmp_path, capsys,
 
 @pytest.mark.parametrize("config", [TOY_CONFIG, MICRO_GEQR],
                          ids=["extpub", "geqr"])
+def test_netsim_gamma_is_not_a_config_key(config, tmp_path, capsys,
+                                          monkeypatch):
+    # the toy AND-disperser is verified at gamma = 1/l, and a config's gamma
+    # reached nothing but a warning: even -inf, once refused as non-finite,
+    # is an unknown key
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(config + "gamma = -inf\n")
+    assert _refused_before_any_table(
+        ["netsim", "--config", str(cfg)], tmp_path, capsys, monkeypatch) == (
+        "invalid input: config line 7: unknown key 'gamma'")
+
+
+def test_netsim_geqr_partition_is_checked_before_any_table(tmp_path, capsys,
+                                                          monkeypatch):
+    # p = 5 and three groups of two leave no outer player: both geqr tables
+    # were once certified and cached before the refusal
+    cfg = tmp_path / "geqr.cfg"
+    cfg.write_text(MICRO_GEQR + "geqr_s = 3\n")
+    assert _refused_before_any_table(
+        ["netsim", "--config", str(cfg), "--exact"], tmp_path, capsys,
+        monkeypatch) == (
+        "invalid input: p must exceed s*d (no outer players left)")
+
+
+@pytest.mark.parametrize("config", [TOY_CONFIG, MICRO_GEQR],
+                         ids=["extpub", "geqr"])
 @pytest.mark.parametrize("line,named", [
     ("alpha = nan", "alpha must be finite, got nan"),
     ("delta = nan", "delta must be finite, got nan"),
     ("alpha = inf", "alpha must be finite, got inf"),
-    ("gamma = -inf", "gamma must be finite, got -inf"),
     ("n = -1", "n must be >= 1, got -1"),
     ("n = 0", "n must be >= 1, got 0")])
 def test_netsim_config_values_are_checked_before_any_table(
@@ -999,7 +1043,7 @@ DISPATCH_OK = [
     ["certify", "--m=1", "--n=3", "--k", "2", "--strong"],
     ["eval", "--extractor", "ip", "--n", "3"],
     ["eval", "--lemma", "L2.5", "--trials", "10", "--seed", "-3",
-     "--marginal", "--strong-seed", "--threads", "2", "--mode", "sampled"],
+     "--marginal", "--threads", "2", "--mode", "sampled"],
     ["eval", "--extractor", "toeplitz", "--n", "4", "--k", "2", "--m", "1",
      "--strong", "0", "--eps", "0.5", "--out-dir", "x y"],
     ["netsim", "--config", "toy.cfg"],

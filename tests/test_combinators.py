@@ -119,6 +119,20 @@ def test_qbext_budget_terms(qb):
     assert desc["residuals"][0]["constant_is_default"]
 
 
+def test_budget_marks_only_the_default_constant(qb):
+    # every residual was once marked default, whatever its constant
+    bext, extc, extq = qb
+    for omega, default in ((CompositionConfig().omega_const, True),
+                           (0.1, False)):
+        h = build_qbext_handle(bext, extc, extq, k3=2,
+                               config=CompositionConfig(omega_const=omega))
+        (res,) = h.budget.describe()["residuals"]
+        assert (res["constant"], res["constant_is_default"]) == (omega, default)
+        (res,) = ErrorBudget().add_residual(
+            "2^-Omega(k3)", 4, omega).describe()["residuals"]
+        assert (res["constant"], res["constant_is_default"]) == (omega, default)
+
+
 def test_seed_slice_width_clamps():
     assert seed_slice_width(2) == 1
     assert seed_slice_width(40) == 2

@@ -57,6 +57,17 @@ def test_oa_allows_single_leak_only():
                         e_widths=(1, 1), model="OA")
 
 
+@pytest.mark.parametrize("kw", [
+    dict(source_widths=(2,), shared_width=-1),
+    dict(source_widths=(2,), shared_width=2, slices=((0, -1),)),
+    dict(source_widths=(2,), e_widths=(-1,)),
+    dict(source_widths=(-2,))], ids=["shared", "slice", "leak", "source"])
+def test_negative_widths_refused(kw):
+    # the first three once built, and leakage_apply ran on them
+    with pytest.raises(InvalidInputError, match="widths must be >= 0"):
+        LeakageScenario(**kw)
+
+
 def test_leak_width_enforced():
     sc = LeakageScenario.oa([2], 0, lambda x, a: x, 1)  # 2-bit value, 1-bit slot
     with pytest.raises(InvalidInputError):

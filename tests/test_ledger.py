@@ -164,14 +164,14 @@ def test_errors_at_the_ends_of_the_unit_interval_are_taken():
 
 
 def test_a_result_off_the_reals_is_invalid_input():
-    # c*alpha^-8 < 0 raised to a non-integer D is complex: refused by
+    # C*alpha^-8 < 0 raised to a non-integer D is complex: refused by
     # name, never an entry whose to_json() raises a bare TypeError.
     with pytest.raises(InvalidInputError, match="'and-disperser' is undefined "
-                       r"at alpha=0.785, D=-0.5, M=0, c=-3.0: a result "
+                       r"at alpha=0.785, D=-0.5, M=0, C=-3.0: a result "
                        "leaves the reals"):
-        ledger_theorem("and-disperser", alpha=0.785, D=-0.5, M=0, c=-3.0)
+        ledger_theorem("and-disperser", alpha=0.785, D=-0.5, M=0, C=-3.0)
     # a negative d to an integer power stays real
-    entry = ledger_theorem("and-disperser", alpha=0.785, D=3, M=1, c=-3.0)
+    entry = ledger_theorem("and-disperser", alpha=0.785, D=3, M=1, C=-3.0)
     assert json.loads(entry.to_json())["outputs"]["N_upper"] < 0
 
 
@@ -568,12 +568,12 @@ GOLDEN = [
       'notes': ''}),
     ('and-disperser', dict(alpha=0.5, D=3, M=64),
      {'theorem': 'and-disperser',
-      'inputs': {'alpha': 0.5, 'D': 3, 'M': 64, 'c': 1.0},
+      'inputs': {'alpha': 0.5, 'D': 3, 'M': 64, 'C': 1.0},
       'outputs': {'d': 256.0,
                   'mu': 0.08333333333333333,
                   'N_upper': 1073741824.0,
                   'beta_lower': 0.0005787037037037036},
-      'trace': [{'step': 'd', 'formula': 'd = c*alpha^-8', 'value': 256.0},
+      'trace': [{'step': 'd', 'formula': 'd = C*alpha^-8', 'value': 256.0},
                 {'step': 'mu',
                  'formula': 'mu = alpha^2/3',
                  'value': 0.08333333333333333},

@@ -41,7 +41,7 @@ PARAMS = {
                    "omega_const"), 4),
     "three-source": (("k", "eps", "delta"), 3),
     "ir-to-qr": (("eps", "rush_bits"), 2),
-    "and-disperser": (("alpha", "D", "M", "c"), 3),
+    "and-disperser": (("alpha", "D", "M", "C"), 3),
     "expander": (("beta", "C"), 1),
 }
 EXTRA = ("alpha", "m", "C", "n", "eps", "delta", "zzz")
@@ -62,7 +62,7 @@ def _value(rng: random.Random, name: str):
         return rng.choice([0.01, 0.1, 0.25, 0.5, 1.0, rng.uniform(0, 1)])
     if name in ("t", "l", "D", "M", "big_o_const"):
         return rng.randint(1, 70)
-    if name in ("m", "rush_bits", "d", "C", "c"):
+    if name in ("m", "rush_bits", "d", "C"):
         return rng.choice([1, 2.0, 5.5, rng.uniform(0, 80)])
     if rng.random() < 0.5:
         return float(rng.choice([10, 64, 1000, 1 << 14, 1 << 18, 1 << 20]))

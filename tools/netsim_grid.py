@@ -14,7 +14,9 @@ its own, with an empty certificate cache of its own:
   config, p=7, n=6, k=4) under each adversary, at several config seeds
   and run counts;
 * sampled geqr on micro at n = 5, k = 3 and sampled extpub on the small
-  config, whose flat sources hold 8 of 32 and 2 of 8 points.
+  config, whose flat sources hold 8 of 32 and 2 of 8 points;
+* exact geqr on micro with ``geqr_s = 3``, whose three groups of two
+  leave no outer player: refused (exit 4), last, before any table.
 
 For every request the exit code, stdout and ``report.json`` (in their
 ``volatile`` blocks, the counters by value and the timings ``eval_s`` and
@@ -84,6 +86,8 @@ def requests() -> list:
                 ["--protocol", "geqr", "--adv", "qr-analog", "--runs", "1000"]))
     out.append(("sampled-extpub-small-s5-r1000-ir", SMALL_EXTPUB.format(seed=5),
                 ["--protocol", "extpub", "--adv", "ir", "--runs", "1000"]))
+    out.append(("refused-geqr-s3", MICRO.format(n=2, k=2, seed=3)
+                + "geqr_s = 3\n", ["--protocol", "geqr", "--exact"]))
     return out
 
 
