@@ -96,10 +96,10 @@ class CertificationRecord:
 
 
 def draw_table(widths, m: int, seed: int, attempt: int = 0) -> np.ndarray:
-    """Deterministic random truth table from a counter-based generator."""
-    key = (int(seed) + 0x9E3779B97F4A7C15 * attempt) & ((1 << 64) - 1)
-    return _oracle._philox(key).integers(0, 1 << m, size=1 << sum(widths),
-                                         dtype=np.uint32)
+    """Deterministic random truth table from a counter-based generator:
+    Philox keyed by ``seed`` (0 ... 2^128 - 1), stepped per attempt."""
+    return _oracle._philox(int(seed), 0x9E3779B97F4A7C15, attempt).integers(
+        0, 1 << m, size=1 << sum(widths), dtype=np.uint32)
 
 
 def table_digest(table: np.ndarray) -> str:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidInputError,
                      TargetUnreachableError)
+from .oracle import _philox
 
 DEFAULT_VERIFY_BUDGET = 50_000_000
 DEFAULT_ATTEMPTS = 32
@@ -399,7 +400,7 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     Each attempt draws a fresh left-regular graph from the seed and
     anneals single-edge swaps against the count of violated quantifier
     subsets; a zero count is confirmed with the exhaustive verifier
-    before returning.  Fully deterministic in ``seed``.
+    before returning.  Fully deterministic in ``seed`` (0 ... 2^128 - 1).
 
     The count is kept incremental: ``tot`` packs each subset's total over
     the rows (``_violation_rows``), a swap at vertex u is scored as
@@ -440,9 +441,7 @@ def search_gadget(kind: str, params: dict, seed: int = 0, *,
     walk = steps if d < r else 0  # d = r leaves no swap
     exp, total_steps, scanned = math.exp, 0, 0
     for attempt in range(attempts):
-        rng = np.random.default_rng(
-            np.random.Philox(key=(seed + 0x517CC1B727220A95 * attempt)
-                             & ((1 << 64) - 1)))
+        rng = _philox(seed, 0x517CC1B727220A95, attempt)
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
         lists = [list(a) for a in adj]  # each set in its iteration order

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dist import (MAX_WIDTH, Distribution, JointDistribution,
                    check_denominator, neg_log2, row_ids)
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, _integer
 
 MAX_WORLDS = 1 << 24  # the largest product of support sizes enumerated
 
@@ -97,10 +97,11 @@ class LeakageScenario:
            shared_width: int = 0, slices=()) -> "LeakageScenario":
         """One-sided scenario leaking only from source ``index`` (0-based)."""
         t = len(source_widths)
-        maps = [None] * t
-        ews = [0] * t
-        maps[index] = leak_map
-        ews[index] = e_width
+        if _integer(index, "a leaking source") not in range(t):
+            raise InvalidInputError(f"a leaking source is one of the {t} "
+                                    f"sources 0 ... {t - 1}, not {index}")
+        maps, ews = [None] * t, [0] * t
+        maps[index], ews[index] = leak_map, e_width
         return cls(tuple(source_widths), shared_width, tuple(slices),
                    tuple(maps), tuple(ews), model="OA")
 

@@ -40,10 +40,13 @@ symmetry, checked before it is relied on, leak-free exhaustive two-source
 requests enumerate one or more supports per orbit instead of every
 support.
 
-Sampled mode draws random flat supports, all of a path's in one
-vectorised sampler (``_sample_supports``), and scores each draw exactly;
-the reported error is the largest, attained by its witness: a certified
-lower bound on the true worst case, and nothing more is claimed.
+Sampled mode draws random flat supports in one vectorised sampler
+(``_sample_supports``), a run's from one ``Philox(seed)`` stream, and
+scores each draw exactly; the reported error is the largest, attained by
+its witness: a certified lower bound on the true worst case, and nothing
+more is claimed.  A leaked two-source request runs only its leaking
+sides, a stream each: a leak never lowers the distance, so each side's
+family reaches the leak-free value.
 """
 
 from __future__ import annotations
@@ -236,13 +239,16 @@ def _fit(**arrays) -> int:
     return total
 
 
-def _philox(key: int) -> np.random.Generator:
+def _philox(key: int, stride: int = 0, attempt: int = 0):
     """A Generator on Philox(key=key), the one constructor of a seeded
-    stream; a key outside 0 ... 2^128 - 1 is invalid input."""
+    stream; a key outside 0 ... 2^128 - 1 is invalid input.  Attempt
+    ``attempt`` of a retried draw adds ``attempt * stride`` to the key's
+    low 64 bits, mod 2^64, and keeps its high bits."""
     if not 0 <= key < 1 << 128:
         raise InvalidInputError(f"a seed and its stream key must be in "
                                 f"0 ... 2^128 - 1, not {key}")
-    return np.random.default_rng(np.random.Philox(key=key))
+    low = (key + stride * attempt) & ((1 << 64) - 1)
+    return np.random.default_rng(np.random.Philox(key=key >> 64 << 64 | low))
 
 
 def _sample_supports(space: int, size: int, samples: int, rng) -> np.ndarray:
@@ -439,9 +445,8 @@ def _event_rule(rows: int, K1: int, J: int, B: int = 1):
     return build, work, H * W * (2 * J + 1) * 8
 
 
-def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
-                    supports2=None, b=0, maps=None, rule=None, samples=None,
-                    seed=0):
+def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports2=None, b=0,
+                    maps=None, rule=None, samples=None, seed=0):
     """Worst case over supports S2 of input ``enum`` (the ``supports2``
     int64 array or stream of tuples; default all), leak rows on S2 (every
     ``b``-bit pattern, or the rows of the ``maps`` array, relabelled
@@ -456,7 +461,8 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     indicator, the supports, one chunk's working arrays and the objects
     beside them must ``_fit`` before any of them is built.
     Returns ``(report, supports, leak_map or None)``; given ``samples``,
-    S2 is that many random supports drawn from ``Philox(seed)``, and the
+    S2 and then, hidden under the default rule and short of every row,
+    S1 are that many random supports each from ``Philox(seed)``, and the
     report is sampled: the best draw's error as a float."""
     if enum == 0:
         table2d = table2d.T
@@ -476,14 +482,15 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     elif strong is not None:
         rule = (lambda: (lambda ex: _top_sums(_scores(ex), K1)[:, None],
                          lambda ex, q: _top_index(_scores(ex), K1)), 0, 0)
-    elif supports1 is None and 1 << J <= math.comb(rows, K1):
+    elif samples is None and 1 << J <= math.comb(rows, K1):
         rule = _event_rule(rows, K1, J)
     else:
         kernel = "supports"
-        S1s = math.comb(rows, K1) if supports1 is None else len(supports1)
+        S1s = samples or math.comb(rows, K1)
 
-        def build(s1=supports1):
-            s1 = _subset_table(rows, K1) if s1 is None else s1
+        def build():  # called once S2 is drawn: sampled S1 follow it
+            s1 = (_subset_table(rows, K1) if samples is None else
+                  _sample_supports(rows, K1, samples, rng))
             hot = _onehot(s1, rows).T
 
             def values(ex):  # the excess as floats, one BLAS product
@@ -507,11 +514,12 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
     ind = _cell_indicator(table2d, M, dtype)
     if cells == 1:
         ind = ind.reshape(cols, M, rows).sum(axis=2)
+    if samples is not None:
+        rng = _philox(seed)
+        supports2 = _sample_supports(cols, K2, samples, rng)
     values, pick = build()
     pats = _leak_patterns(b, K2)[None] if maps is None else None
     best, configs, cands = None, 0, 0
-    if samples is not None:
-        supports2 = _sample_supports(cols, K2, samples, _philox(seed))
     dense = maps if maps is None else np.array(
         [np.unique(f, return_inverse=True)[1] for f in maps])
     for block in _chunks(supports2, cols, K2, chunk):
@@ -536,7 +544,7 @@ def _selected_worst(table2d, Ks, m, strong, enum=1, *, supports1=None,
 
 
 def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
-                samples=DEFAULT_SAMPLES, seed=0, seed1=0, pairs=False):
+                samples=DEFAULT_SAMPLES, seed=0, pairs=False):
     """One two-input request on the kernel: input ``enum`` is enumerated
     with its leak rows (every ``b``-bit pattern on its support, or the
     rows of the ``maps`` array) and the other input is selected, revealed
@@ -544,9 +552,9 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
     candidates the selection scores.  A marginal leak of the default
     family runs map-free where that scores fewer: the other input is
     enumerated, and ``_event_rule`` selects the leaking support and its
-    map.  Sampled, the enumerated supports are drawn from ``Philox(seed)``
-    and, if marginal, the selected ones from ``Philox(seed1)``; with
-    ``pairs``, ``_two_source_sampled`` scores random pairs instead.
+    map.  Sampled, the enumerated supports and, if marginal, then the
+    selected ones are drawn from ``Philox(seed)``; with ``pairs``,
+    ``_two_source_sampled`` scores random pairs instead.
     Returns ``(report, supports, leak_map or None)``; an exhaustive
     report's ``enumerated`` counts the family searched.
 
@@ -603,11 +611,7 @@ def _side_worst(h, Ks, strong, enum, mode, budget, what, *, b=0, maps=None,
         supports[enum], leak_map = supports[enum]
         rep.enumerated = family
         return rep, supports, leak_map
-    supports1 = None
-    if mode == "sampled" and strong is None and Ks[sel] < X[sel]:
-        supports1 = _sample_supports(X[sel], Ks[sel], samples, _philox(seed1))
-    return _selected_worst(table2d, Ks, h.m, strong, enum,
-                           supports1=supports1, b=b, maps=maps,
+    return _selected_worst(table2d, Ks, h.m, strong, enum, b=b, maps=maps,
                            samples=None if mode == "exhaustive" else samples,
                            seed=seed)
 
@@ -731,7 +735,8 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
     then means jointly with the seed.  For a 2-source handle ``strong``
     is an input index as in :func:`worst_case_error_2source`, and
     ``leak_sources`` (default both, repeats once) names the inputs that
-    may leak.
+    may leak; a revealed one adds nothing, and with none left the report
+    is the leak-free oracle's.  No leak-free run is made beside a leak.
     """
     if len(k_profile) < h.arity:
         raise InvalidInputError(f"{h.name} takes {h.arity} entropy levels")
@@ -751,10 +756,13 @@ def worst_case_error_leaked(h: ExtractorHandle, k_profile,
         if not set(leak_sources) <= {0, 1}:
             raise InvalidInputError(f"leak_sources name inputs 0 and 1, "
                                     f"not {leak_sources}")
-        maps, b = _leak_maps(maps, b, [h.input_widths[i] for i in leak_sources
-                                       if i != strong])
-        rep = _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
-                              mode, samples, seed, budget)
+        if strong not in (None, 0, 1):  # as worst_case_error_2source
+            raise InvalidInputError(f"strong must be None, 0 or 1, not "
+                                    f"{strong!r}")
+        sides = [i for i in leak_sources if i != strong]
+        maps, b = _leak_maps(maps, b, [h.input_widths[i] for i in sides])
+        rep = _leaked_2source(h, k_profile, b, strong, maps, sides, mode,
+                              samples, seed, budget)
     else:
         raise InvalidInputError(
             "leaked worst case supports seeded and 2-source handles; "
@@ -778,42 +786,33 @@ def _seeded_worst(h, k, b, strong, maps, mode, samples, seed, budget):
     return rep
 
 
-def _leaked_2source(h, k_profile, b, strong, maps, leak_sources,
+def _leaked_2source(h, k_profile, b, strong, maps, sides,
                     mode, samples, seed, budget):
-    """The leak-free baseline, then each unrevealed leaking input as the
-    enumerated input of ``_side_worst``, its sampled supports drawn from
-    ``Philox(seed ^ 0xA1)`` and, if marginal, the other input's from
-    ``Philox(seed ^ 0xB2)``."""
-    Ks = _levels(h, k_profile)
-    baseline = worst_case_error_2source(
-        h, *k_profile[:2], strong, mode=mode, samples=samples, seed=seed,
-        budget=budget)
-    best_err = Fraction(baseline.error)
-    best_wit = {**baseline.witness, "leak_map": None}
-    total, cands, memory, kernels = (baseline.enumerated, baseline.candidates,
-                                     baseline.memory_bytes, {baseline.kernel})
-    exhaustive = baseline.mode == "exhaustive"
-    for i_star in leak_sources:
-        if i_star == strong:
-            # E is a function of the conditioned input: identical to b=0.
-            continue
-        rep, supports, leak_map = _side_worst(
-            h, Ks, strong, i_star, mode, budget, "leaked two-source enumeration",
-            b=b, maps=maps, samples=samples, seed=seed ^ 0xA1,
-            seed1=seed ^ 0xB2)
-        exhaustive &= rep.mode == "exhaustive"
-        total, cands = total + rep.enumerated, cands + rep.candidates
-        memory = max(memory, rep.memory_bytes)
-        kernels.add(rep.kernel)
-        if rep.error > best_err:
-            best_err = rep.error
-            best_wit = {"supports": supports, "leak_map": leak_map,
-                        "leak_source": i_star, "strong": strong}
-    return OracleReport("exhaustive" if exhaustive else "sampled",
-                        best_err if exhaustive else float(best_err),
-                        witness=best_wit, enumerated=total, candidates=cands,
-                        kernel=max(kernels),  # "supports" > "events" > none
-                        memory_bytes=memory)
+    """Each leaking input in ``sides`` as the enumerated input of
+    ``_side_worst``, sampled from ``Philox(seed)``; ties go to the first.
+    No leak-free run: a leak never lowers the distance ((Z, E) against
+    (U, E) is at least Z against U), so each side reaches its value.  With
+    no side, every leak is a function of the revealed input: b = 0."""
+    if not sides:
+        rep = worst_case_error_2source(
+            h, *k_profile[:2], strong, mode=mode, samples=samples, seed=seed,
+            budget=budget)
+        rep.witness["leak_map"] = None
+        return rep
+    runs = [(*_side_worst(h, _levels(h, k_profile), strong, i, mode, budget,
+                          "leaked two-source enumeration", b=b, maps=maps,
+                          samples=samples, seed=seed), i) for i in sides]
+    rep, supports, leak_map, i = max(runs, key=lambda run: run[0].error)
+    reps = [run[0] for run in runs]
+    sampled = any(r.mode == "sampled" for r in reps)
+    return OracleReport("sampled" if sampled else "exhaustive",
+                        float(rep.error) if sampled else rep.error,
+                        witness={"supports": supports, "leak_map": leak_map,
+                                 "leak_source": i, "strong": strong},
+                        enumerated=sum(r.enumerated for r in reps),
+                        candidates=sum(r.candidates for r in reps),
+                        kernel=max(r.kernel for r in reps),  # "supports" wins
+                        memory_bytes=max(r.memory_bytes for r in reps))
 
 
 # ----------------------------------------------------------------------
@@ -952,7 +951,7 @@ def exact_distance(h: ExtractorHandle, sources: Sequence, *,
 # ----------------------------------------------------------------------
 
 BOOTSTRAP_RESAMPLES = 200
-CI_LEVEL = 0.99
+CI_TAIL = 0.5  # percent per tail of the 99% spread, not 50 * (1 - 0.99)
 
 
 @dataclass
@@ -980,7 +979,7 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
                       seed: int = 0) -> MCReport:
     """Plug-in total-variation estimate against uniform-on-part, and its
     bootstrap spread ``ci``, not a confidence interval for the distance:
-    the 99% level's tail percentiles of 200 resamples, interpolated as
+    the 0.5th and 99.5th percentiles of 200 resamples, interpolated as
     numpy's default ("linear") method interpolates them.
 
     ``keys``: a 1-D integer array of ``rest_id << m | part_value``, one per
@@ -1044,7 +1043,7 @@ def mc_distance_pairs(keys: np.ndarray, m: int, *, tol: float,
             counts = rng.multinomial(n if W == n else got, cvec[held] / W,
                                      size=got.size)
         boot[i:i + rows] += excess_over_uniform(counts, groups, m)
-    boot, q = np.sort(boot) / (n << m), 50 * (1 - CI_LEVEL)
+    boot, q = np.sort(boot) / (n << m), CI_TAIL
     v = (boot.size - 1) * (np.array([q, 100 - q]) / 100)  # numpy's "linear"
     a, b, g = boot[v.astype(int)], boot[np.ceil(v).astype(int)], v % 1
     lo, hi = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)

@@ -99,7 +99,8 @@ def naive_percentile(values, q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def naive_bootstrap_ci(pairs, m: int, seed: int, resamples: int = 200):
+def naive_bootstrap_ci(pairs, m: int, seed: int, resamples: int = 200,
+                       q: float = 0.5):
     """The estimator's bootstrap spread one resample at a time, scored by
     dicts of cells.  Cells alone in their rest group are lone; the W
     samples in the others are shared.  From the Philox stream keyed by
@@ -108,9 +109,9 @@ def naive_bootstrap_ci(pairs, m: int, seed: int, resamples: int = 200):
     then, resample by resample, N indices over the shared samples in
     sample order where W <= 4 * shared cells, else one multinomial of N
     over the shared cells in order of first appearance.  The n - N lone
-    samples go to one cell of a rest of their own.  Returns the 99%
-    level's two tail percentiles, q = 50 * (1 - 0.99) (which is 0.5 +
-    4e-16 in floats) and 100 - q."""
+    samples go to one cell of a rest of their own.  Returns the two tail
+    percentiles q and 100 - q, by default the 99% level's: q = 0.5
+    exactly, where 50 * (1 - 0.99) is 0.5 + 4e-16 in floats."""
     import numpy as np  # the estimator's random stream, nothing else
 
     counts, rests = {}, {}
@@ -136,7 +137,6 @@ def naive_bootstrap_ci(pairs, m: int, seed: int, resamples: int = 200):
             drawn = rng.multinomial(got, [counts[c] / w for c in cells])
             res.update(zip(cells, drawn.tolist()))
         boot.append(naive_cell_excess(res, m) / (n << m))
-    q = 50 * (1 - 0.99)
     return naive_percentile(boot, q), naive_percentile(boot, 100 - q)
 
 
@@ -329,9 +329,9 @@ def naive_search_gadget(kind, params, seed=0, attempts=32, steps=6000):
     l, r, d = params["l"], params["r"], params["d"]
     total_steps = 0
     for attempt in range(attempts):
-        rng = np.random.default_rng(
-            np.random.Philox(key=(seed + 0x517CC1B727220A95 * attempt)
-                             & ((1 << 64) - 1)))
+        rng = np.random.default_rng(np.random.Philox(
+            key=seed >> 64 << 64
+            | (seed + 0x517CC1B727220A95 * attempt) & ((1 << 64) - 1)))
         adj = [set(int(x) for x in rng.choice(r, size=d, replace=False))
                for _ in range(l)]
         cur = naive_violations(kind, params, adj)
@@ -532,34 +532,31 @@ def naive_sampled_2source(fn, n1, n2, m, k1, k2, strong, samples, seed):
 
 def naive_sampled_leaked_2source(fn, n1, n2, m, k1, k2, b, strong, samples,
                                  seed, leak_sources=(0, 1)):
-    """The sampled leaked two-source oracle, draw by draw: the leak-free
-    ``naive_sampled_2source``, then each leaking input i that ``strong``
-    does not reveal.  Input i's supports are ``samples`` draws from
-    Philox(seed ^ 0xA1) through ``naive_sample_supports``, each with every
+    """The sampled leaked two-source oracle, draw by draw, with no
+    leak-free run: each leaking input i that ``strong`` does not reveal,
+    in order, from its own Philox(seed) stream.  Input i's supports are
+    ``samples`` draws through ``naive_sample_supports``, each with every
     ``b``-bit leak value assignment on it (lexicographic, the smallest
     support element most significant); the other input's are every flat
-    support if revealed, else ``samples`` draws from Philox(seed ^ 0xB2).
-    Returns ``(error, witness)``: the largest error as a float and the
-    first instance attaining it, the baseline's unless a leak beats it."""
+    support if revealed, else ``samples`` further draws from the same
+    stream.  Returns ``(error, witness)``: the largest error as a float
+    and the first instance attaining it."""
     import numpy as np  # the oracle's random streams, nothing else
-
-    def draws(key, n, k):
-        rng = np.random.default_rng(np.random.Philox(key=key))
-        return naive_sample_supports(1 << n, 1 << k, samples, rng)
 
     widths, ks = (n1, n2), (k1, k2)
     revealed = () if strong is None else (strong,)
-    err, supports = naive_sampled_2source(fn, n1, n2, m, k1, k2, strong,
-                                          samples, seed)
-    best = Fraction(err)
-    witness = {"supports": supports, "strong": strong, "leak_map": None}
+    best, witness = None, None
     for i in leak_sources:
         if i == strong:
             continue
         o = 1 - i
+        rng = np.random.default_rng(np.random.Philox(key=seed))
+        leaking = naive_sample_supports(1 << widths[i], 1 << ks[i], samples,
+                                        rng)
         others = ([list(s) for s in flat_supports((widths[o],), (ks[o],))[0]]
-                  if strong == o else draws(seed ^ 0xB2, widths[o], ks[o]))
-        for s in draws(seed ^ 0xA1, widths[i], ks[i]):
+                  if strong == o else naive_sample_supports(
+                      1 << widths[o], 1 << ks[o], samples, rng))
+        for s in leaking:
             for values in itertools.product(range(1 << b), repeat=len(s)):
                 f = [0] * (1 << widths[i])
                 for x, v in zip(s, values):
@@ -567,7 +564,7 @@ def naive_sampled_leaked_2source(fn, n1, n2, m, k1, k2, b, strong, samples,
                 for t in others:
                     sups = [s, t] if i == 0 else [t, s]
                     e = naive_instance_error(fn, m, sups, revealed, i, f)
-                    if e > best:
+                    if best is None or e > best:
                         best, witness = e, {"supports": sups, "leak_map": f,
                                             "leak_source": i, "strong": strong}
     return float(best), witness

@@ -32,6 +32,18 @@ def test_different_seeds_differ(cache_dir):
     assert r1.digest != r2.digest
 
 
+def test_seeds_past_64_bits_keep_their_high_bits(tmp_path):
+    # the key was masked to 64 bits: seed 2^64 served seed 0's cached
+    # record, and a negative seed drew seed 2^64 - 1's table
+    _, r0 = certify.certify_random_table((3, 3), (2, 2), 1, seed=0,
+                                         cache_dir=tmp_path)
+    _, r1 = certify.certify_random_table((3, 3), (2, 2), 1, seed=1 << 64,
+                                         cache_dir=tmp_path)
+    assert r0.digest != r1.digest and (r0.seed, r1.seed) == (0, 1 << 64)
+    with pytest.raises(InvalidInputError, match="not -1$"):
+        certify.draw_table((3, 3), 1, -1)
+
+
 def test_exhaustive_records_exact_error(cache_dir):
     h, rec = certify.certify_random_table((3, 3), (2, 2), 1, seed=3,
                                           cache_dir=cache_dir)

@@ -601,10 +601,13 @@ def test_netsim_config_values_are_checked_before_any_table(
     "eval --extractor ip --n 3 --k1 1 --k2 1 --mode sampled --seed -1",
     "eval --lemma L2.5 --trials 10 --seed -3",
     "certify --n 3 --k 2 --m 1 --mode sampled --seed -1",
-    "netsim --config {config}"], ids=["eval", "lemma", "certify", "netsim"])
+    "certify --n 3 --k 2 --m 1 --seed -1",
+    "netsim --config {config}"],
+    ids=["eval", "lemma", "certify", "certify-exhaustive", "netsim"])
 def test_negative_seeds_exit_4(argv, tmp_path, capsys, monkeypatch):
     # each ended in numpy's "key must be positive" ValueError, exit 1;
-    # netsim had certified the toy network's tables first
+    # netsim had certified the toy network's tables first; an exhaustive
+    # certify drew seed 2^64 - 1's table and exited 0
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(TOY_CONFIG + "seed = -1\n")
     assert "seed" in _refused_before_any_table(

@@ -170,6 +170,18 @@ def test_search_is_deterministic_in_seed():
     assert r1.steps == r2.steps
 
 
+def test_search_seeds_are_not_masked_to_64_bits():
+    # seed -1 searched as 2^64 - 1 did, and 2^64 + 7 as 7 did
+    params = {"l": 10, "r": 10, "d": 4, "beta": 0.3}
+    with pytest.raises(InvalidInputError, match="not -1$"):
+        search_gadget("expander", params, seed=-1)
+    seven = search_gadget("expander", params, seed=7)
+    high = search_gadget("expander", params, seed=(1 << 64) + 7)
+    assert (seven[0].adj, seven[2].steps) != (high[0].adj, high[2].steps)
+    assert (high[0].adj, high[2].attempts, high[2].steps) == (
+        naive_search_gadget("expander", params, (1 << 64) + 7))
+
+
 def test_search_trivially_satisfiable_first_draw():
     # beta = 1 needs an edge between the full sets; any graph qualifies
     g, verdict, rec = search_gadget(

@@ -57,6 +57,14 @@ def test_oa_allows_single_leak_only():
                         e_widths=(1, 1), model="OA")
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_oa_refuses_a_source_outside_the_sources(index):
+    # -1 leaked from the last source, 2 raised a bare IndexError
+    with pytest.raises(InvalidInputError, match=rf"2 sources 0 \.\.\. 1, "
+                                                rf"not {index}$"):
+        LeakageScenario.oa([3, 3], index, lambda x, a: x & 1, 1)
+
+
 @pytest.mark.parametrize("kw", [
     dict(source_widths=(2,), shared_width=-1),
     dict(source_widths=(2,), shared_width=2, slices=((0, -1),)),

@@ -486,16 +486,29 @@ def _random_pairs(rng, n, m, tuple_keys, rests=None):
 def test_naive_percentile_is_numpys_linear_percentile():
     # The reference spread's percentile, interpolated in Python, against
     # numpy's on random vectors with and without ties, at the estimator's
-    # two tails (the lower one 0.5 + 4e-16, not 0.5) and a few others.
+    # two tails, 0.5 + 4e-16 (50 * (1 - 0.99) in floats) and a few others.
     from helpers_naive import naive_percentile
     rng = np.random.default_rng(54)
-    q = 50 * (1 - oracle_mod.CI_LEVEL)
+    q = 50 * (1 - 0.99)
     for trial in range(400):
         x = rng.random(int(rng.integers(1, 300))) * 10.0 ** (trial % 7 - 3)
         if trial % 2:
             x = np.round(x, 2)
         for pct in (q, 100 - q, 0.5, 50, 100 * rng.random()):
             assert naive_percentile(x.tolist(), pct) == np.percentile(x, pct)
+
+
+def test_bootstrap_spread_ends_at_the_half_percentiles_exactly():
+    # The lower end was the percentile at 50 * (1 - 0.99), 0.5 + 4e-16 in
+    # floats, whose interpolation differs from the 0.5th's in the last bit
+    # on this key set, as on 39 of 1,500 random ones.
+    rng = np.random.default_rng(24)
+    rests = int(rng.integers(1, 40))
+    pairs = [(int(rng.integers(2)) if r % 3 else 0, r)
+             for r in rng.integers(rests, size=1000).tolist()]
+    rep = mc_distance_pairs(_keys(pairs, 1), 1, tol=1.0, seed=24)
+    assert rep.ci == naive_bootstrap_ci(pairs, 1, 24)
+    assert rep.ci[0] != naive_bootstrap_ci(pairs, 1, 24, q=50 * (1 - 0.99))[0]
 
 
 def test_batched_excess_rows_match_the_one_dimensional_kernel():
@@ -1125,9 +1138,8 @@ def test_leaked_2source_auto_labels_an_exhaustive_run(tmp_path):
 def test_leak_budgets_count_patterns_on_the_support():
     # Budgets count the candidates the kernel scores.  A marginal leak
     # from either input of this m=2 table runs map-free: 70 supports of
-    # the other input x C(16, 2) = 120 output events, 8,400 (the
-    # leak-free baseline needs 70 x 14 events = 980; leak patterns would
-    # score 70 x 2^4 x 70 = 78,400).
+    # the other input x C(16, 2) = 120 output events, 8,400 (no leak-free
+    # run is made; leak patterns would score 70 x 2^4 x 70 = 78,400).
     h, fn = _random_table(np.random.default_rng(45), (3, 3), 2)
     rep = worst_case_error_leaked(h, (2, 2), 1, budget=8_400)
     assert rep.mode == "exhaustive"
@@ -1235,10 +1247,10 @@ def test_mapfree_leak_matches_patterns_naive_and_witnesses(monkeypatch):
                 assert rep.error == naive_worst_leaked_2source(
                     fn, 2, 2, m, *ks, b, None, (i,))
                 assert _witness_error(fn, m, rep.witness, ()) == rep.error
-    # ip(3;2,2), b=1: 70 leak-free S2, then C(8, 4) * 2^4 leaking
-    # supports and patterns per input, though both leaks run map-free
+    # ip(3;2,2), b=1: C(8, 4) * 2^4 leaking supports and patterns per
+    # input, though both leaks run map-free, and no leak-free run
     rep = worst_case_error_leaked(ip_handle(3), (2, 2), 1)
-    assert rep.enumerated == 70 + 2 * 70 * 16
+    assert rep.enumerated == 2 * 70 * 16
     # leaked ip(4;3,3) with b=1 fits the default budget
     rep = worst_case_error_leaked(ip_handle(4), (3, 3), 1)
     assert rep.mode == "exhaustive" and rep.error == Fraction(13, 64)
@@ -1379,11 +1391,42 @@ def test_sampled_seeded_matches_naive_draw_by_draw(monkeypatch):
                     fn, n, d, m, k, b, strong, 15, trial)
 
 
+def test_a_leak_never_lowers_the_leak_free_value(monkeypatch):
+    # (Z, E) against (U, E) is at least Z against U, so every exhaustive
+    # leaked value, of the default family or of non-constant maps, holds
+    # the leak-free value at the same k and strong with no leak-free run
+    # beside it: one runs only when every leaking input is revealed.
+    rng, calls = np.random.default_rng(61), []
+    free_oracle = oracle_mod.worst_case_error_2source
+    monkeypatch.setattr(oracle_mod, "worst_case_error_2source", lambda *a,
+                        **kw: calls.append(a) or free_oracle(*a, **kw))
+    expected = 0
+    for trial in range(8):
+        m, widths = 1 + trial % 2, ((2, 2), (2, 3), (3, 2), (3, 3))[trial // 2]
+        h, _ = _random_table(rng, widths, m)
+        for ks in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for strong in (None, 0, 1):
+                free = free_oracle(h, *ks, strong).error
+                maps = {i: [rng.permutation(np.arange(1 << w) % (2 + i))
+                            for _ in range(2)]
+                        for i, w in enumerate(widths)}
+                # (keywords, whether every leaking input is revealed)
+                requests = [({"leak_sources": [i]}, i == strong)
+                            for i in (0, 1)] + [({}, False)]
+                requests += [({"leak_sources": [i], "maps": maps[i]},
+                              i == strong) for i in (0, 1)]
+                for kw, revealed in requests:
+                    rep = worst_case_error_leaked(h, ks, 1, strong=strong,
+                                                  **kw)
+                    assert rep.mode == "exhaustive" and rep.error >= free
+                    expected += revealed
+    assert len(calls) == expected > 0
+
+
 def test_sampled_leaked_matches_naive_draw_by_draw(monkeypatch):
-    # The leaking input's draws come from Philox(seed ^ 0xA1) and, when
-    # marginal, the other input's from Philox(seed ^ 0xB2); the leak-free
-    # baseline is the sampled two-source oracle.  A small chunk splits
-    # the draws.
+    # The leaking input's draws and then, when marginal, the other
+    # input's come from Philox(seed); no leak-free run is made.  A small
+    # chunk splits the draws.
     monkeypatch.setattr(oracle_mod, "CHUNK_ENTRIES", 64)
     rng, leaks = np.random.default_rng(59), set()
     for trial in range(6):
@@ -1481,7 +1524,7 @@ def test_explicit_leak_maps_count_only_their_partition(monkeypatch):
         assert reps[0].error == reps[1].error == err
         assert [r.witness.pop("leak_map") for r in reps] == [small, big]
         assert reps[0].witness == reps[1].witness  # the map is the one given
-    assert max(alphabets) == 2  # 1 for the two-source leak-free baseline
+    assert set(alphabets) == {2}  # no leak-free run, which counts 1
     rep = worst_case_error_leaked(seeded, (2, 2), 1, strong=True, maps=[big])
     assert rep.witness["e_width"] == 1  # the width of the dense relabelling
 
@@ -1930,9 +1973,10 @@ def test_the_count_covers_a_map_free_leaked_requests_traced_peak():
         assert peak <= rep.memory_bytes
         assert (rep.mode, rep.error, rep.kernel, rep.enumerated,
                 rep.candidates) == ("exhaustive", Fraction(5, 16), "events",
-                                    2310, 852)
+                                    2240, 840)
         assert rep.witness == {"supports": [[0, 1, 2, 4], [0, 1, 2, 4]],
-                               "strong": None, "leak_map": None}
+                               "strong": None, "leak_source": 0,
+                               "leak_map": [1, 1, 1, 0, 1, 0, 0, 0]}
 
 
 def test_refused_requests_are_counted_not_built(monkeypatch):

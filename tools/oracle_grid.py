@@ -16,8 +16,8 @@ its own:
   qmext composite of random tables;
 * block+general, exhaustive and sampled;
 * sampled two-source and sampled leaked requests;
-* requests refused for their budget, their arrays' bytes, their mode or
-  their seed.
+* requests refused for their budget, their arrays' bytes, their mode,
+  their strong index or their seed.
 
 For every request the report's JSON without its ``volatile`` block
 (error, exact error, witness, ``enumerated``, notes) must be equal between
@@ -61,7 +61,10 @@ def _leaked() -> list:
     out = [("leaked", ("ip", 3), ((2, 2), 1), {}),
            ("leaked", ("ip", 4), ((1, 3), 1), {"leak_sources": [0]}),
            ("leaked", ("ip", 4), ((1, 3), 1), {}),
-           ("leaked", ("ip", 2), ((1, 1), 1), {"strong": 0})]
+           ("leaked", ("ip", 2), ((1, 1), 1), {"strong": 0}),
+           # every leaking input revealed: the leak-free report
+           ("leaked", ("ip", 3), ((2, 2), 1),
+            {"strong": 1, "leak_sources": [1]})]
     for i, (w, m) in enumerate((((2, 2), 1), ((2, 2), 2), ((3, 3), 1),
                                 ((3, 3), 2), ((2, 3), 1), ((3, 2), 2))):
         spec = ("table", "2-source", w, m, 100 + i)
@@ -156,6 +159,10 @@ def _refused() -> list:
             ("2source", ("table", "2-source", (3, 3), 1, 903), (4, 1, None), {}),
             ("2source", ("ip", 3), (2, 2, None), bad_seed),
             ("leaked", ("ip", 3), ((2, 2), 1), bad_seed),
+            ("leaked", ("ip", 3), ((2, 2), 1), {"strong": 2}),
+            # the leaks run sampled where a leak-free run fits the budget
+            ("leaked", ("ip", 3), ((2, 2), 1),
+             {**bad_seed, "mode": "auto", "budget": 100}),
             ("seeded", ("toeplitz", 3, 1), (2, True), bad_seed),
             ("block", ("table", "t-source", (2, 2, 2), 1, 700), ((1, 1, 1),),
              bad_seed)]
